@@ -46,10 +46,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .branch import log_zeta_with_err
 from .errors import (BeyondSieve, BeyondTable, HypothesisViolated,
                      ValidationError, ZeroCoincidesWithS)
 from .eta import _I_POW, eta_vertical, zero_sum_polynomial
@@ -135,31 +135,48 @@ class ApproxConfig:
 def _v_weights(kernel: Kernel, h: float, log_n: np.ndarray,
                log_x: float) -> np.ndarray:
     """v_{f,H}(e^(log n/log X)) vectorized; exact 1/0 outside the taper."""
-    x = h * (log_n / log_x - 1.0)
-    out = np.ones_like(x)
-    out[x >= 1.0] = 0.0
-    mid = (x > 0.0) & (x < 1.0)
-    if np.any(mid):
-        out[mid] = 1.0 - np.array([kernel.f_cdf(v) for v in x[mid]])
-    return out
+    return 1.0 - kernel.f_cdf(h * (log_n / log_x - 1.0))
+
+
+def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
+                     primes_only: bool = False) -> Callable[[float], complex]:
+    """t -> sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the
+    primes alone if primes_only), with a_n = coef(n, log n, Lambda(n)).
+
+    The one evaluator of the library's prime-power polynomials: support and
+    coefficients are built once, and the returned function sums them at any
+    height t.  n_max below 2 or beyond the sieve is refused.
+    """
+    if not n_max >= 2.0:
+        raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
+    _check_sieve_range(n_max, what)
+    top = int(math.floor(n_max)) + 1
+    lam = _lambda_table(SIEVE_LIMIT)
+    support = _prime_mask(SIEVE_LIMIT) if primes_only else lam
+    idx = np.nonzero(support[:top])[0]
+    n = idx.astype(float)
+    log_n = np.log(n)
+    a = coef(n, log_n, lam[idx])
+
+    def poly(t: float) -> complex:
+        return complex(np.sum(a * np.exp(-1j * t * log_n)))
+
+    return poly
 
 
 def dirichlet_poly(s, cfg: ApproxConfig,
                    prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
     """i^m sum_{2<=n<=X^(1+1/H)} Lambda(n) v_{f,H}(.) / (n^s (log n)^(m+1))."""
     z = complex(s)
-    n_max = cfg.n_max
-    _check_sieve_range(n_max, f"dirichlet_poly with X^(1+1/H)={n_max}")
-    lam = _lambda_table(SIEVE_LIMIT)
-    idx = np.nonzero(lam[: n_max + 1])[0]
-    idx = idx[idx >= 2]
-    if idx.size == 0:
-        return 0j
-    log_n = np.log(idx.astype(float))
-    v = _v_weights(cfg.kernel, cfg.H, log_n, math.log(cfg.X))
-    amp = lam[idx] * v / (np.exp(z.real * log_n) * log_n ** (cfg.m + 1))
-    total = complex(np.sum(amp * np.exp(-1j * z.imag * log_n)))
-    return _I_POW[cfg.m % 4] * total
+    log_x = math.log(cfg.X)
+
+    def coef(n, log_n, lam):
+        v = _v_weights(cfg.kernel, cfg.H, log_n, log_x)
+        return lam * v / (np.exp(z.real * log_n) * log_n ** (cfg.m + 1))
+
+    poly = prime_power_poly(cfg.n_max, coef,
+                            f"dirichlet_poly with X^(1+1/H)={cfg.n_max}")
+    return _I_POW[cfg.m % 4] * poly(z.imag)
 
 
 # --- local zero term Y_m ----------------------------------------------------------
@@ -288,10 +305,7 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
         raise ValidationError(f"sigma >= 1/2 required, got {sigma}")
     if store is None:
         store = builtin_store()
-    if cfg.m == 0:
-        eta_val, _ = log_zeta_with_err(z, prec, store)
-    else:
-        eta_val = eta_vertical(z, cfg.m, store, prec).value
+    eta_val = eta_vertical(z, cfg.m, store, prec).value
     poly = dirichlet_poly(z, cfg, prec)
     y_val = y_m(z, cfg.X, cfg.m, store)
     r_val = eta_val - poly - y_val
@@ -313,16 +327,13 @@ def p_f(s, X: float, kernel: Kernel | None = None,
         raise ValidationError(f"X >= 3 required, got {X!r}")
     if kernel is None:
         kernel = DEFAULT_KERNEL
+    log_x = math.log(X)
     p_max = int(math.floor(X * X))
-    _check_sieve_range(p_max, f"p_f with X^2={p_max}")
-    mask = _prime_mask(SIEVE_LIMIT)
-    primes = np.nonzero(mask[: p_max + 1])[0]
-    if primes.size == 0:
-        return 0j
-    log_p = np.log(primes.astype(float))
-    v = _v_weights(kernel, 1.0, log_p, math.log(X))
-    amp = v / np.exp(z.real * log_p)
-    return complex(np.sum(amp * np.exp(-1j * z.imag * log_p)))
+    poly = prime_power_poly(
+        p_max, lambda p, log_p, lam: (_v_weights(kernel, 1.0, log_p, log_x)
+                                      / np.exp(z.real * log_p)),
+        f"p_f with X^2={p_max}", primes_only=True)
+    return poly(z.imag)
 
 
 def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,

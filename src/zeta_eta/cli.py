@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,12 +29,12 @@ from .distribution import (GridSpec, measure_t_m, moment_residual, tail_table)
 from .errors import NumericalError, ValidationError, ZetaEtaError
 from .eta import eta_vertical, route_check
 from .kernels import make_kernel
-from .precision import EvalPrecision
+from .precision import DEFAULT_PRECISION, SCAN_PRECISION, EvalPrecision
 from .zeros import builtin_store, load_zeros
 from .zeta import zeta
 
-POINT_ABS_ERR = 1e-10
-SCAN_ABS_ERR = 1e-8
+#: residual-scan refuses t-grids with more points than this.
+MAX_GRID_POINTS = 100_000
 
 
 class _UsageError(ValidationError):
@@ -67,8 +66,10 @@ def _load_store(args):
     return builtin_store()
 
 
-def _precision(args, default: float) -> EvalPrecision:
-    return EvalPrecision(abs_err=args.abs_err if args.abs_err else default)
+def _precision(args, default: EvalPrecision) -> EvalPrecision:
+    if args.abs_err is None:
+        return default
+    return EvalPrecision(abs_err=args.abs_err)
 
 
 def _parse_complex(text: str) -> complex:
@@ -85,13 +86,6 @@ def _parse_floats(text: str) -> list[float]:
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse number list {text!r}") from None
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))       # map preserves input order
 
 
 def _fmt(x) -> str:
@@ -127,8 +121,7 @@ def _emit(args, meta: dict, header: list[str], rows: list[dict]) -> None:
 
 
 def _meta(args, store, command: str, **params) -> dict:
-    params.update({"version": __version__, "store": store.source,
-                   "threads": args.threads})
+    params.update({"version": __version__, "store": store.source})
     return {"command": command, **params}
 
 
@@ -146,7 +139,7 @@ def cmd_zeros_import(args) -> int:
 
 def cmd_eval(args) -> int:
     store = _load_store(args)
-    prec = _precision(args, POINT_ABS_ERR)
+    prec = _precision(args, DEFAULT_PRECISION)
     what = args.what
     if what in ("zeta", "logzeta", "eta"):
         if args.s is None:
@@ -179,35 +172,35 @@ def cmd_eval(args) -> int:
     # s_m
     if args.t is None:
         raise _UsageError("eval s_m needs --t")
-    s = complex(0.5, args.t)
-    if args.m == 0:
-        val, est = log_zeta_with_err(s, prec, store)
-    else:
-        ev = eta_vertical(s, args.m, store, prec)
-        val, est = ev.value, ev.est_err
-    print(_line(val.imag / math.pi, 0.0, est / math.pi))
+    ev = eta_vertical(complex(0.5, args.t), args.m, store, prec)
+    print(_line(ev.value.imag / math.pi, 0.0, ev.est_err / math.pi))
     return 0
 
 
 def cmd_residual_scan(args) -> int:
     store = _load_store(args)
-    prec = _precision(args, SCAN_ABS_ERR)
+    prec = _precision(args, SCAN_PRECISION)
     xs = _parse_floats(args.x_list)
     if not xs:
         raise _UsageError("--x-list is empty")
+    t_to = args.t_to + 1e-12
+    if not all(map(math.isfinite, (args.t_from, t_to, args.t_step))):
+        raise _UsageError("--t-from, --t-to and --t-step must be finite")
     if args.t_step <= 0:
         raise _UsageError("--t-step must be positive")
+    count = (t_to - args.t_from) / args.t_step + 1    # up to rounding
+    if count > MAX_GRID_POINTS:
+        raise _UsageError(f"the t-grid has {count:.3g} points, more than "
+                          f"{MAX_GRID_POINTS}")
     kernel = make_kernel(args.kernel,
                          args.kernel_d if args.kernel == "poly_bump" else None)
     ts = []
     t = args.t_from
-    while t <= args.t_to + 1e-12:
+    while t <= t_to and len(ts) <= count:    # one spare for rounding in t
         ts.append(t)
         t += args.t_step
-    work = [(t, x) for t in ts for x in xs]
 
-    def one(tx):
-        t, x = tx
+    def one(t, x):
         rep = residual(complex(args.sigma, t),
                        ApproxConfig(m=args.m, X=x, H=args.h, kernel=kernel),
                        store, prec)
@@ -219,7 +212,7 @@ def cmd_residual_scan(args) -> int:
                 "bound_esrm": rep.bound_esrm, "bound_esrm2": rep.bound_esrm2,
                 "ratio": rep.ratio}
 
-    rows = _pmap(one, work, args.threads)
+    rows = [one(t, x) for t in ts for x in xs]
     header = ["t", "x", "eta_re", "eta_im", "poly_re", "poly_im", "y_re",
               "y_im", "r_re", "r_im", "bound_esrm", "bound_esrm2", "ratio"]
     meta = _meta(args, store, "residual-scan", m=args.m, x_list=xs, h=args.h,
@@ -231,7 +224,7 @@ def cmd_residual_scan(args) -> int:
 
 def cmd_dist(args) -> int:
     store = _load_store(args)
-    prec = _precision(args, SCAN_ABS_ERR)
+    prec = _precision(args, SCAN_PRECISION)
     grid = GridSpec(T=args.t_big, count=args.count, scheme=args.scheme,
                     seed=args.seed)
     common = dict(T=args.t_big, count=args.count, scheme=args.scheme,
@@ -290,9 +283,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--abs-err", type=float, default=None,
                    help="absolute error target (default 1e-10 for eval, "
                         "1e-8 for scans)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for scans (output order is "
-                        "independent of this)")
     p.add_argument("--out", help="write CSV here plus a JSON mirror at "
                                  "<out>.json (default: stdout)")
     sub = p.add_subparsers(dest="command", required=True)

@@ -36,10 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import SIEVE_LIMIT, _check_sieve_range, _lambda_table, y_m
-from .branch import log_zeta_with_err
-from .errors import (BeyondTable, HypothesisViolated, OnSingularity,
-                     ValidationError)
+from .approx import prime_power_poly, y_m
+from .errors import BeyondTable, HypothesisViolated, ValidationError
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ORDINATE_OFFSET, ORDINATE_TOL, ZeroStore, builtin_store
@@ -139,15 +137,18 @@ def _estimate(V: float, values: np.ndarray, ref: float) -> MeasureEstimate:
 
 
 def _check_grid(T: float, grid: GridSpec, store: ZeroStore,
-                min_count: int = 100) -> None:
+                min_count: int = 100, hi: float | None = None) -> None:
+    """Refuse a grid built for another T, too few samples, or samples up to
+    hi (default 2T) above the zero table."""
+    hi = 2.0 * T if hi is None else hi
     if grid.T != T:
         raise ValidationError(f"grid was built for T={grid.T}, called with "
                               f"T={T}")
     if grid.count < min_count:
         raise ValidationError(
             f"measure estimates need count >= {min_count}, got {grid.count}")
-    if 2.0 * T > store.t_max:
-        raise BeyondTable(f"2T = {2.0 * T} above zero-table height "
+    if hi > store.t_max:
+        raise BeyondTable(f"samples up to {hi} above zero-table height "
                           f"{store.t_max}")
 
 
@@ -176,31 +177,38 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
     return _estimate(V, values, gaussian_tail(V / sd))
 
 
-def _plain_sum_coeffs(X: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log n, Lambda(n)/(n^(1/2) (log n)^(m+1))) over prime powers n <= X."""
-    _check_sieve_range(X, "the plain polynomial")
-    lam = _lambda_table(SIEVE_LIMIT)
-    idx = np.nonzero(lam[: int(math.floor(X)) + 1])[0]
-    idx = idx[idx >= 2]
-    log_n = np.log(idx.astype(float))
-    coef = lam[idx] / (np.sqrt(idx.astype(float)) * log_n ** (m + 1))
-    return log_n, coef
+def _check_residual_call(T: float, X: float, m: int, cfg, m_min: int,
+                         t_min: float) -> None:
+    """Refusals shared by the residual estimators."""
+    if cfg is not None and (cfg.m != m or cfg.X != X):
+        raise ValidationError(
+            f"cfg carries (m={cfg.m}, X={cfg.X}), call says (m={m}, X={X})")
+    if not isinstance(m, (int, np.integer)) or m < m_min:
+        raise ValidationError(f"m must be an integer >= {m_min}, got {m!r}")
+    if not (math.isfinite(X) and X >= 2.0):
+        raise ValidationError(f"X >= 2 required, got {X!r}")
+    if T < t_min:
+        raise ValidationError(f"T >= {t_min:g} required, got {T}")
 
 
-def _residual_samples(ts: np.ndarray, X: float, m: int, store: ZeroStore,
+def _residual_samples(grid: GridSpec, lo: float, hi: float, sigma: float,
+                      X: float, m: int, store: ZeroStore,
                       prec: EvalPrecision) -> np.ndarray:
-    """|eta_m - i^m sum_{n<=X} - Y_m| at 1/2 + i t for each sample."""
-    log_n, coef = _plain_sum_coeffs(X, m)
+    """|eta_m(s) - i^m sum_{2<=n<=X} Lambda(n)/(n^s (log n)^(m+1)) - Y_m(s)|
+    at s = sigma + it for the grid's samples t in [lo, hi]."""
+    ts = _samples(grid, lo, hi, store)
+    # n^-sigma as n^-1/2 n^(1/2-sigma): the second factor is exactly 1 on
+    # the line, where the coefficients keep the bits of sqrt(n).
+    poly = prime_power_poly(
+        X, lambda n, log_n, lam: (lam / (np.sqrt(n) * log_n ** (m + 1))
+                                  * np.exp((0.5 - sigma) * log_n)),
+        "the plain polynomial")
     im = _I_POW[m % 4]
     out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        s = complex(0.5, float(t))
-        if m == 0:
-            eta_val, _ = log_zeta_with_err(s, prec, store)
-        else:
-            eta_val = eta_vertical(s, m, store, prec).value
-        poly = im * complex(np.sum(coef * np.exp(-1j * float(t) * log_n)))
-        out[i] = abs(eta_val - poly - y_m(s, max(X, 3.0), m, store))
+    for i, t in enumerate(ts.tolist()):
+        s = complex(sigma, t)
+        out[i] = abs(eta_vertical(s, m, store, prec).value
+                     - im * poly(t) - y_m(s, max(X, 3.0), m, store))
     return out
 
 
@@ -216,16 +224,9 @@ def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec,
     """
     if store is None:
         store = builtin_store()
-    if cfg is not None and (cfg.m != m or cfg.X != X):
-        raise ValidationError(
-            f"cfg carries (m={cfg.m}, X={cfg.X}), call says (m={m}, X={X})")
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValidationError(f"m must be an integer >= 0, got {m!r}")
-    if T < 14.0:
-        raise ValidationError(f"T >= 14 required, got {T}")
+    _check_residual_call(T, X, m, cfg, m_min=0, t_min=14.0)
     _check_grid(T, grid, store)
-    ts = _samples(grid, T, 2.0 * T, store)
-    values = _residual_samples(ts, X, m, store, prec)
+    values = _residual_samples(grid, T, 2.0 * T, 0.5, X, m, store, prec)
     sd = math.sqrt(0.5 * math.log(math.log(T)))
     return _estimate(V, values, gaussian_tail(V / sd))
 
@@ -245,11 +246,6 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec,
     """
     if store is None:
         store = builtin_store()
-    if cfg is not None and (cfg.m != m or cfg.X != X):
-        raise ValidationError(
-            f"cfg carries (m={cfg.m}, X={cfg.X}), call says (m={m}, X={X})")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValidationError(f"m >= 1 required, got {m!r}")
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"k >= 1 required, got {k!r}")
     if sigma < 0.5:
@@ -257,36 +253,17 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec,
     if interval not in ("theorem", "dyadic"):
         raise ValidationError(f"interval must be 'theorem' or 'dyadic', "
                               f"got {interval!r}")
-    if T < 28.0:
-        raise ValidationError(f"T >= 28 required, got {T}")
-    if X > T ** (1.0 / (135.0 * k)):
-        if enforce_range:
-            raise HypothesisViolated(
-                f"X = {X} exceeds T^(1/(135k)) = {T ** (1.0 / (135.0 * k)):.4g}"
-                f"; pass enforce_range=False to waive")
-        waived = True
-    else:
-        waived = False
     lo, hi = (14.0, T) if interval == "theorem" else (T, 2.0 * T)
-    if hi > store.t_max:
-        raise BeyondTable(f"samples up to {hi} above zero-table height "
-                          f"{store.t_max}")
-    if grid.T != T:
-        raise ValidationError(f"grid was built for T={grid.T}, called with "
-                              f"T={T}")
-    ts = _samples(grid, lo, hi, store)
-
-    log_n, coef0 = _plain_sum_coeffs(X, m)
-    coef = coef0 * np.exp((0.5 - sigma) * log_n)   # n^(1/2) -> n^sigma
-    im = _I_POW[m % 4]
-    powers = []
-    for t in ts:
-        s = complex(sigma, float(t))
-        eta_val = eta_vertical(s, m, store, prec).value
-        poly = im * complex(np.sum(coef * np.exp(-1j * float(t) * log_n)))
-        r = eta_val - poly - y_m(s, max(X, 3.0), m, store)
-        powers.append(abs(r) ** (2 * k))
-    empirical = _kahan_sum(powers) / len(powers) * (hi - lo) / T
+    _check_residual_call(T, X, m, cfg, m_min=1, t_min=28.0)
+    _check_grid(T, grid, store, min_count=1, hi=hi)
+    waived = bool(X > T ** (1.0 / (135.0 * k)))
+    if waived and enforce_range:
+        raise HypothesisViolated(
+            f"X = {X} exceeds T^(1/(135k)) = {T ** (1.0 / (135.0 * k)):.4g}"
+            f"; pass enforce_range=False to waive")
+    values = _residual_samples(grid, lo, hi, sigma, X, m, store, prec)
+    empirical = (_kahan_sum(r ** (2 * k) for r in values.tolist())
+                 / len(values) * (hi - lo) / T)
 
     lx, lt = math.log(X), math.log(T)
     bound = (2.0 ** k * math.factorial(k)

@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincc
 
-from .branch import SIGMA_START, big_s, branch_path, log_zeta_with_err
+from .branch import SIGMA_START, branch_path, log_zeta_with_err
 from .errors import BudgetExceeded, NumericalError, OnSingularity, ValidationError
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import gauss_rule, integrate_adaptive
@@ -535,8 +535,5 @@ def route_check(s, m: int, store: ZeroStore | None = None,
 def s_m(t: float, m: int, store: ZeroStore | None = None,
         prec: EvalPrecision = DEFAULT_PRECISION) -> float:
     """S_m(t) = Im(eta_m(1/2 + it))/pi; S_0 is the argument function S(t)."""
-    m = _check_m(m)
-    t = float(t)
-    if m == 0:
-        return big_s(t, prec, store)
-    return eta_vertical(complex(0.5, t), m, store, prec).value.imag / math.pi
+    return eta_vertical(complex(0.5, float(t)), m, store,
+                        prec).value.imag / math.pi

@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.special import betainc
 
 from .errors import InvalidFamily, OnNegativeRealAxisCut, ValidationError
@@ -51,13 +52,14 @@ class Kernel:
     d_smooth is the usable differentiation order: derivatives of orders
     0..d_smooth-1 of the zero-extension are continuous at the endpoints and
     order d_smooth jumps.  poly_bump(d) has d_smooth = d; tent has 1.
+    f_cdf takes a scalar or an array and clamps to 0 below 0, 1 above 1.
     """
 
     family: str
     d: int
     d_smooth: int
     f: Callable[[float], float] = field(repr=False, compare=False)
-    f_cdf: Callable[[float], float] = field(repr=False, compare=False)
+    f_cdf: Callable[[ArrayLike], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -76,12 +78,9 @@ def _poly_bump(d: int) -> Kernel:
             return 0.0
         return norm * (x * (1.0 - x)) ** d
 
-    def f_cdf(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return float(betainc(d + 1, d + 1, x))
+    def f_cdf(x: ArrayLike) -> np.ndarray:
+        # I_x(d+1, d+1) is exactly 0 at x = 0 and 1 at x = 1.
+        return betainc(d + 1, d + 1, np.clip(x, 0.0, 1.0))
 
     return Kernel(family="poly_bump", d=d, d_smooth=d, f=f, f_cdf=f_cdf)
 
@@ -92,14 +91,11 @@ def _tent() -> Kernel:
             return 0.0
         return 4.0 * min(x, 1.0 - x)
 
-    def f_cdf(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        if x <= 0.5:
-            return 2.0 * x * x
-        return 1.0 - 2.0 * (1.0 - x) ** 2
+    def f_cdf(x: ArrayLike) -> np.ndarray:
+        x = np.clip(x, 0.0, 1.0)
+        # [()] turns the 0-d result of a scalar input into a scalar.
+        return np.where(x <= 0.5, 2.0 * x * x,
+                        1.0 - 2.0 * np.square(1.0 - x))[()]
 
     return Kernel(family="tent", d=0, d_smooth=1, f=f, f_cdf=f_cdf)
 
@@ -145,12 +141,7 @@ def v_f_h(kernel: Kernel, h: float, y: float) -> float:
     h = _check_h(h)
     if y <= 0.0:
         raise ValidationError(f"y must be positive, got {y}")
-    tau = h * (math.log(y) - 1.0)
-    if tau <= 0.0:
-        return 1.0
-    if tau >= 1.0:
-        return 0.0
-    return 1.0 - kernel.f_cdf(tau)
+    return float(1.0 - kernel.f_cdf(h * (math.log(y) - 1.0)))
 
 
 def boundary_derivative(kernel: Kernel, order: int, side: int,

@@ -14,8 +14,8 @@ from hypothesis import strategies as st_
 
 from zeta_eta.approx import (SIEVE_LIMIT, ApproxConfig, ResidualReport,
                              dirichlet_poly, lambda_prime_x, lambda_x, p_f,
-                             relzz_decompose, residual, von_mangoldt, w_x,
-                             y_m)
+                             prime_power_poly, relzz_decompose, residual,
+                             von_mangoldt, w_x, y_m)
 from zeta_eta.errors import (BeyondSieve, BeyondTable, HypothesisViolated,
                              ValidationError, ZeroCoincidesWithS)
 from zeta_eta.kernels import DEFAULT_KERNEL, make_kernel, v_f_h
@@ -51,6 +51,23 @@ def test_von_mangoldt_validation():
         von_mangoldt(2.5)
     with pytest.raises(BeyondSieve):
         von_mangoldt(SIEVE_LIMIT + 1)
+
+
+def test_prime_power_poly_support_and_refusals():
+    lam = prime_power_poly(100.7, lambda n, log_n, lam: lam, "test")
+    assert lam(0.0) == pytest.approx(PSI_100, abs=1e-10)
+    t = 31.5
+    want = sum(_lambda_trial(n) * cmath.exp(-1j * t * math.log(n))
+               for n in range(2, 101))
+    assert abs(lam(t) - want) < 1e-12
+    count = prime_power_poly(10, lambda n, log_n, lam: np.ones_like(n),
+                             "test", primes_only=True)
+    assert count(0.0) == 4.0                    # 2, 3, 5, 7
+    for bad in (1.99, -5.0, math.nan):
+        with pytest.raises(ValidationError):
+            prime_power_poly(bad, lambda n, log_n, lam: lam, "test")
+    with pytest.raises(BeyondSieve):
+        prime_power_poly(SIEVE_LIMIT + 1, lambda n, log_n, lam: lam, "test")
 
 
 def test_config_validation_and_n_max():

@@ -48,6 +48,16 @@ def test_eval_abs_err_flag(capsys):
     assert float(out.strip().split(",")[2]) == 1e-12
 
 
+def test_abs_err_zero_is_refused(capsys):
+    # 0 is a value the user gave, not a request for the default
+    for argv in (["--abs-err", "0", "eval", "--what", "zeta", "--s", "2"],
+                 ["--abs-err", "0", "residual-scan", "--m", "1",
+                  "--x-list", "10", "--t-from", "50", "--t-to", "50",
+                  "--t-step", "1"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == "" and "abs_err" in err, argv
+
+
 def test_eval_eta_check_routes(capsys):
     code, out, _ = _run(capsys, ["eval", "--what", "eta", "--s", "0.5+50i",
                                  "--m", "1", "--check-routes"])
@@ -151,11 +161,12 @@ def test_residual_scan_rows_and_threads(capsys):
     header = lines[1].split(",")
     assert header[:2] == ["t", "x"] and "ratio" in header
     assert len(lines) == 2 + 3 * 2          # 3 t-values x 2 X-values
-    # a threaded run yields identical rows (metadata records the thread
-    # count, so only the comment line may differ)
-    code2, out2, _ = _run(capsys, ["--threads", "3"] + argv)
-    assert code2 == 0
-    assert out2.strip().splitlines()[1:] == lines[1:]
+    # a rerun with the same arguments is byte-identical
+    code2, out2, _ = _run(capsys, argv)
+    assert code2 == 0 and out2 == out
+    # there is no thread pool to ask for
+    code3, _, err3 = _run(capsys, ["--threads", "3"] + argv)
+    assert code3 == 3 and "error:" in err3
 
 
 def test_dist_tails_csv_and_json_deterministic(capsys, tmp_path):
@@ -214,3 +225,37 @@ def test_dist_moments_waiver_and_guard(capsys):
     assert interval == "theorem" and waived == "true"
     meta = json.loads(lines[0][len("# metadata: "):])
     assert meta["waive_range"] is True
+
+
+@pytest.mark.parametrize("grid", [
+    ["--t-from", "50", "--t-to", "inf", "--t-step", "1"],
+    ["--t-from", "50", "--t-to", "nan", "--t-step", "1"],
+    ["--t-from=-inf", "--t-to", "50", "--t-step", "1"],
+    ["--t-from", "50", "--t-to", "60", "--t-step", "nan"],
+    ["--t-from", "50", "--t-to", "50", "--t-step", "1e-300"],
+    ["--t-from", "20", "--t-to", "1e9", "--t-step", "1"],
+])
+def test_residual_scan_refuses_unbounded_grids(capsys, grid):
+    code, out, err = _run(capsys, ["residual-scan", "--m", "1",
+                                   "--x-list", "10"] + grid)
+    assert code == 3 and out == "" and "error:" in err, grid
+
+
+def test_residual_scan_grid_keeps_accumulated_points(capsys):
+    # 1/8-steps land exactly on --t-to; the endpoint row is kept
+    code, out, _ = _run(capsys, ["residual-scan", "--m", "1", "--x-list",
+                                 "10", "--t-from", "100.125", "--t-to",
+                                 "100.625", "--t-step", "0.125"])
+    assert code == 0
+    ts = [float(line.split(",")[0]) for line in out.strip().splitlines()[2:]]
+    assert ts == [100.125, 100.25, 100.375, 100.5, 100.625]
+
+
+@pytest.mark.parametrize("sub", ["tmeasure", "moments"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-5", "1"])
+def test_dist_refuses_bad_x(capsys, sub, x):
+    argv = ["dist", sub, "--t-big", "100", "--seed", "1", "--count", "100",
+            "--x", x, "--m", "1"]
+    argv += ["--v", "0.5"] if sub == "tmeasure" else ["--waive-range"]
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == "" and "X >= 2" in err, argv

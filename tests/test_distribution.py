@@ -111,6 +111,22 @@ def test_measure_t_m_extremes_and_cfg_guard(store):
         measure_t_m(10.0, 10.0, 0.0, 1, low_grid, store=store)   # T < 14
 
 
+@pytest.mark.parametrize("X", [math.nan, math.inf, -5.0, 1.0, 1.99])
+def test_residual_estimators_refuse_bad_x(store, X):
+    grid = GridSpec(T=100.0, count=100, scheme="uniform", seed=1)
+    with pytest.raises(ValidationError, match="X >= 2"):
+        measure_t_m(100.0, X, 0.5, 1, grid, store=store)
+    with pytest.raises(ValidationError, match="X >= 2"):
+        moment_residual(100.0, X, 1, 1, grid, store=store,
+                        enforce_range=False)
+
+
+def test_measure_t_m_smallest_x(store):
+    grid = GridSpec(T=50.0, count=100, scheme="uniform", seed=1)
+    est = measure_t_m(50.0, 2.0, 0.0, 1, grid, store=store)
+    assert est.fraction == 1.0
+
+
 def test_moment_residual_range_guard_and_waiver(store):
     T = 1000.0
     grid = GridSpec(T=T, count=60, scheme="uniform", seed=2)

@@ -8,9 +8,11 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from zeta_eta.errors import (InvalidFamily, OnNegativeRealAxisCut,
                              ValidationError)
@@ -69,6 +71,36 @@ def test_cdf_consistency():
             val, _ = integrate_adaptive(lambda u: (k.f(u) + 0j, 0.0),
                                         0.0, x, 1e-12)
             assert abs(val.real - k.f_cdf(x)) < 1e-10
+
+
+def _scalar_cdf(k, x: float) -> float:
+    """The clamped CDF one point at a time, with Python float arithmetic."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if k.family == "poly_bump":
+        return float(betainc(k.d + 1, k.d + 1, x))
+    return 2.0 * x * x if x <= 0.5 else 1.0 - 2.0 * (1.0 - x) ** 2
+
+
+def test_cdf_takes_arrays():
+    rng = np.random.default_rng(3)
+    edges = [-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0, 1.5, math.inf]
+    xs = np.concatenate([edges, rng.uniform(-0.2, 1.2, 20_000)])
+    tent = make_kernel("tent")
+    for k in [make_kernel("poly_bump", d) for d in range(1, 7)] + [tent]:
+        got = k.f_cdf(xs)
+        assert got.shape == xs.shape
+        assert np.array_equal(got, [k.f_cdf(x) for x in xs.tolist()])
+        assert np.ndim(k.f_cdf(0.3)) == 0
+        want = np.array([_scalar_cdf(k, x) for x in xs.tolist()])
+        if k is tent:
+            # numpy squares 1 - x exactly rounded where libm's pow(., 2)
+            # may land one ulp away
+            assert np.all(np.abs(got - want) <= np.spacing(want))
+        else:
+            assert np.array_equal(got, want)          # bit for bit
 
 
 def test_v_anchor_identities():
