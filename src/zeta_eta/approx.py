@@ -299,10 +299,10 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
     """R_m(s, X, H) = eta_m(s) - polynomial - Y_m, with both bound shapes."""
     z = complex(s)
     sigma, t = z.real, z.imag
-    if t < 14.0:
+    if not (math.isfinite(t) and t >= 14.0):
         raise ValidationError(f"the identity is stated for t >= 14, got {t}")
-    if sigma < 0.5:
-        raise ValidationError(f"sigma >= 1/2 required, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.5):
+        raise ValidationError(f"sigma must be finite and >= 1/2, got {sigma}")
     if store is None:
         store = builtin_store()
     eta_val = eta_vertical(z, cfg.m, store, prec).value

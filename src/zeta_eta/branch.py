@@ -11,9 +11,10 @@ singularity, and at each accepted step the value is snapped to
 
 with k pinned by the quadrature prediction.  The snap keeps the accuracy of
 the point evaluation while the quadrature only has to resolve k, which it
-does with two-digit margin.  Points with t on a tabulated ordinate (within
-1e-9) use the one-sided limit: approach from below for gamma > 0, from
-above for gamma < 0, and t = 0 is the limit from above.
+does with two-digit margin.  The height of a ray is ZeroStore.snap(|t|),
+the one ordinate convention: t on a tabulated ordinate uses the one-sided
+limit, approached from below for gamma > 0 and from above for gamma < 0,
+and t = 0 is the limit from above.
 
 Rays refuse heights above the zero table: step control and the ordinate
 convention both need to know every zero near the path.
@@ -23,17 +24,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, OnSingularity, ValidationError
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .zeros import ORDINATE_OFFSET, ZeroRecord, ZeroStore
+from .zeros import ZeroStore
 from .zeta import _zeta_em
 
 SIGMA_START = 40.0
-_SNAP_TOL = 1e-9        # |t - gamma| below this uses the one-sided limit
 _TWO_PI = 2.0 * math.pi
 _MAX_PRED_RESIDUAL = 1.0   # rad; quadrature-vs-snap disagreement triggering retry
 
@@ -42,20 +42,17 @@ _MAX_PRED_RESIDUAL = 1.0   # rad; quadrature-vs-snap disagreement triggering ret
 class BranchPath:
     """Continuation record for one horizontal ray Im s = t.
 
-    crossings lists ordinates hit exactly (resolved by the one-sided limit);
-    the side flag is -1 when the limit approached from below, +1 from above.
+    t is the snapped height |t|; conjugate marks a ray requested at t < 0.
     Unwinding breakpoints (descending alphas) let eval_log answer anywhere
     on [sigma_end, sigma_start] with a single zeta evaluation.
     """
 
     t: float
-    t_requested: float
     sigma_start: float
     sigma_end: float
-    crossings: list[tuple[ZeroRecord, int]]
     conjugate: bool
-    _breaks: list[float] = field(default_factory=list)   # descending
-    _winds: list[int] = field(default_factory=list)      # winds[i] on (breaks[i+1], breaks[i]]
+    _breaks: list[float]        # descending
+    _winds: list[int]           # winds[i] on (breaks[i+1], breaks[i]]
     _prec: EvalPrecision = DEFAULT_PRECISION
 
     def winding(self, alpha: float) -> int:
@@ -202,37 +199,20 @@ def branch_path(t: float, sigma_end: float,
     if sigma_end >= SIGMA_START:
         raise ValidationError(f"sigma_end must be < {SIGMA_START}")
     conjugate = t < 0.0
-    t_req = t
     t = abs(t)
     if t > store.t_max:
         raise ValidationError(
             f"|t|={t} above zero-table height {store.t_max}; extend the table")
-
-    crossings: list[tuple[ZeroRecord, int]] = []
-    if t < _SNAP_TOL:
-        # t = 0 is the limit from above.
-        t_eff = ORDINATE_OFFSET
-    else:
-        g = store.nearest_gamma(t)
-        if g is not None and abs(t - g) < _SNAP_TOL:
-            # Ordinate: approach from below (for the reflected ray this
-            # conjugates into approach from above, matching the convention
-            # at negative ordinates).
-            i = int(np.searchsorted(store.gammas, g))
-            crossings.append((store.record(i), +1 if conjugate else -1))
-            t_eff = g - ORDINATE_OFFSET
-        else:
-            t_eff = t
-
-    # Exact zeros on the ray (sigma_end below a zero's beta at this height)
-    # are fine -- the ray passes at vertical distance >= the snap offset.
+    # An ordinate is approached from below; for the reflected ray this
+    # conjugates into approach from above, matching the convention at
+    # negative ordinates.  Exact zeros on the ray (sigma_end below a zero's
+    # beta at this height) are fine -- the ray passes at vertical distance
+    # >= the snap offset.
+    t_eff = store.snap(t)
     breaks, winds = _march(t_eff, sigma_end, prec, store)
-    path = BranchPath(t=t_eff, t_requested=t_req, sigma_start=SIGMA_START,
-                      sigma_end=sigma_end, crossings=crossings,
-                      conjugate=conjugate, _prec=prec)
-    path._breaks = breaks
-    path._winds = winds
-    return path
+    return BranchPath(t=t_eff, sigma_start=SIGMA_START, sigma_end=sigma_end,
+                      conjugate=conjugate, _breaks=breaks, _winds=winds,
+                      _prec=prec)
 
 
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,

@@ -88,6 +88,34 @@ def _parse_floats(text: str) -> list[float]:
         raise ValidationError(f"cannot parse number list {text!r}") from None
 
 
+def _t_grid(t_from: float, t_to: float, t_step: float) -> list[float]:
+    """residual-scan heights t_from, t_from + t_step, ... up to t_to.
+
+    t accumulates by repeated addition, so a step that lands on t_to in
+    exact arithmetic keeps t_to despite rounding (1e-12 slack).
+    """
+    t_end = t_to + 1e-12
+    if not all(map(math.isfinite, (t_from, t_end, t_step))):
+        raise _UsageError("--t-from, --t-to and --t-step must be finite")
+    if t_step <= 0:
+        raise _UsageError("--t-step must be positive")
+    if t_to < t_from:
+        raise _UsageError(f"--t-to {t_to!r} is below --t-from {t_from!r}")
+    count = (t_end - t_from) / t_step + 1    # up to rounding
+    if count > MAX_GRID_POINTS:
+        raise _UsageError(f"the t-grid has {count:.3g} points, more than "
+                          f"{MAX_GRID_POINTS}")
+    ts = []
+    t = t_from
+    while t <= t_end and len(ts) <= count:    # one spare for rounding in t
+        ts.append(t)
+        if t + t_step == t:
+            raise _UsageError(f"--t-step {t_step!r} is below the rounding "
+                              f"of t = {t!r}")
+        t += t_step
+    return ts
+
+
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -183,22 +211,9 @@ def cmd_residual_scan(args) -> int:
     xs = _parse_floats(args.x_list)
     if not xs:
         raise _UsageError("--x-list is empty")
-    t_to = args.t_to + 1e-12
-    if not all(map(math.isfinite, (args.t_from, t_to, args.t_step))):
-        raise _UsageError("--t-from, --t-to and --t-step must be finite")
-    if args.t_step <= 0:
-        raise _UsageError("--t-step must be positive")
-    count = (t_to - args.t_from) / args.t_step + 1    # up to rounding
-    if count > MAX_GRID_POINTS:
-        raise _UsageError(f"the t-grid has {count:.3g} points, more than "
-                          f"{MAX_GRID_POINTS}")
+    ts = _t_grid(args.t_from, args.t_to, args.t_step)
     kernel = make_kernel(args.kernel,
                          args.kernel_d if args.kernel == "poly_bump" else None)
-    ts = []
-    t = args.t_from
-    while t <= t_to and len(ts) <= count:    # one spare for rounding in t
-        ts.append(t)
-        t += args.t_step
 
     def one(t, x):
         rep = residual(complex(args.sigma, t),

@@ -24,9 +24,10 @@ hypothesis X <= T^(1/(135k)) is enforced by default and can be waived
 explicitly (it is far too strict for desk-scale T; waivers are recorded).
 
 Everything is deterministic given (seed, scheme): the generator is seeded
-per call, samples within 1e-6 of a tabulated ordinate are nudged below it
-(log|zeta| diverges at zeros), and aggregation uses compensated summation
-so the result does not depend on evaluation order.
+per call, samples within ORDINATE_TOL = 1e-6 of a tabulated ordinate are
+moved below it by ZeroStore.snap (log|zeta| diverges at zeros), and
+aggregation uses compensated summation so the result does not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .approx import prime_power_poly, y_m
 from .errors import BeyondTable, HypothesisViolated, ValidationError
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .zeros import ORDINATE_OFFSET, ORDINATE_TOL, ZeroStore, builtin_store
+from .zeros import ORDINATE_TOL, ZeroStore, builtin_store
 from .zeta import zeta
 
 _SCHEMES = ("uniform", "stratified-jitter", "seeded-random")
@@ -81,7 +82,7 @@ class MeasureEstimate:
 
 def _samples(grid: GridSpec, lo: float, hi: float,
              store: ZeroStore) -> np.ndarray:
-    """Draw grid.count ordinates in [lo, hi] and nudge off tabulated zeros."""
+    """Draw grid.count ordinates in [lo, hi], snapped off tabulated zeros."""
     rng = np.random.default_rng(grid.seed)
     n = grid.count
     if grid.scheme == "uniform":
@@ -99,16 +100,7 @@ def _samples(grid: GridSpec, lo: float, hi: float,
                 parts.append(edges[i] + (edges[i + 1] - edges[i])
                              * rng.random(k))
         t = np.concatenate(parts)
-    # nudge samples off ordinates: evaluate just below the zero
-    gs = store.gammas
-    pos = np.searchsorted(gs, t)
-    for idx in np.nonzero((pos > 0) & (t - gs[np.maximum(pos - 1, 0)]
-                                       < ORDINATE_TOL))[0]:
-        t[idx] = gs[pos[idx] - 1] - ORDINATE_OFFSET
-    for idx in np.nonzero((pos < len(gs)) & (gs[np.minimum(pos, len(gs) - 1)]
-                                             - t < ORDINATE_TOL))[0]:
-        t[idx] = gs[pos[idx]] - ORDINATE_OFFSET
-    return t
+    return store.snap(t, ORDINATE_TOL)
 
 
 def _kahan_sum(values) -> float:
@@ -125,6 +117,12 @@ def _kahan_sum(values) -> float:
 def gaussian_tail(v: float) -> float:
     """Upper tail of the standard normal law at v."""
     return 0.5 * math.erfc(float(v) / math.sqrt(2.0))
+
+
+def _check_thresholds(vs) -> None:
+    for v in vs:
+        if not math.isfinite(v):
+            raise ValidationError(f"threshold V must be finite, got {v!r}")
 
 
 def _estimate(V: float, values: np.ndarray, ref: float) -> MeasureEstimate:
@@ -171,6 +169,7 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
     """
     if store is None:
         store = builtin_store()
+    _check_thresholds([V])
     _check_grid(T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     sd = math.sqrt(0.5 * math.log(math.log(T)))
@@ -225,6 +224,7 @@ def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec,
     if store is None:
         store = builtin_store()
     _check_residual_call(T, X, m, cfg, m_min=0, t_min=14.0)
+    _check_thresholds([V])
     _check_grid(T, grid, store)
     values = _residual_samples(grid, T, 2.0 * T, 0.5, X, m, store, prec)
     sd = math.sqrt(0.5 * math.log(math.log(T)))
@@ -248,8 +248,11 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec,
         store = builtin_store()
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"k >= 1 required, got {k!r}")
-    if sigma < 0.5:
-        raise ValidationError(f"sigma >= 1/2 required, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.5):
+        raise ValidationError(f"sigma must be finite and >= 1/2, got {sigma}")
+    if not (math.isfinite(trial_c) and trial_c > 0.0):
+        raise ValidationError(
+            f"trial_c must be finite and > 0, got {trial_c}")
     if interval not in ("theorem", "dyadic"):
         raise ValidationError(f"interval must be 'theorem' or 'dyadic', "
                               f"got {interval!r}")
@@ -286,6 +289,7 @@ def tail_table(T: float, v_list, grid: GridSpec,
     if store is None:
         store = builtin_store()
     v_list = [float(v) for v in v_list]
+    _check_thresholds(v_list)
     _check_grid(T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     llt = math.log(math.log(T))

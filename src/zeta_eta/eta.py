@@ -33,13 +33,13 @@ panel the integrand splits as
 where the sum runs over the pole and the zeros whose ordinate lies within
 1.5 of the panel.  The model reproduces every nearby jump and logarithmic
 singularity exactly, so G is analytic on a neighborhood of the panel of
-radius >= 1; G is integrated by fixed 10/20-point Gauss pairs while the
-model terms integrate in closed form.  Keeping the model local also keeps
-both pieces the same size as the answer -- subtracting every zero at once
-would balloon the two halves by a factor ~ N(t) log t and drown the result
-in rounding noise.
+radius >= 1; G is integrated panel by panel with quadrature._panel, the
+library's one 10/20-point Gauss rule, while the model terms integrate in
+closed form.  Keeping the model local also keeps both pieces the same size
+as the answer -- subtracting every zero at once would balloon the two halves
+by a factor ~ N(t) log t and drown the result in rounding noise.
 
-Continuity of G along the sorted node sequence pins the winding integer of
+Continuity of G along the ascending node sequence pins the winding integer of
 the principal logarithm at each sample, replacing a horizontal branch march
 per sample; the sweep is anchored at u = 0 (closed-form branch value) and
 re-verified against the horizontal-ray branch at u = t.
@@ -63,8 +63,8 @@ from scipy.special import gammaincc
 from .branch import SIGMA_START, branch_path, log_zeta_with_err
 from .errors import BudgetExceeded, NumericalError, OnSingularity, ValidationError
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .quadrature import gauss_rule, integrate_adaptive
-from .zeros import ORDINATE_OFFSET, ZeroStore, builtin_store
+from .quadrature import _panel, integrate_adaptive
+from .zeros import SNAP_TOL, ZeroStore, builtin_store
 from .zeta import _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
@@ -98,34 +98,6 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
-def _snap_t(t: float, store: ZeroStore) -> float:
-    """The branch module's evaluation height: ordinates approached from below."""
-    if t < 1e-9:
-        return ORDINATE_OFFSET
-    g = store.nearest_gamma(t)
-    if g is not None and abs(t - g) < 1e-9:
-        return g - ORDINATE_OFFSET
-    return t
-
-
-def _tail_cut(m: int) -> float:
-    # (a - sigma)^(m-1) 2^-a peaks near (m-1)/ln 2; push the cutoff out for
-    # large m so the analytic tail bound stays tiny.
-    return _TAIL_START + 12.0 * max(0, m - 4)
-
-
-def _tail_bound(m: int, sigma: float) -> float:
-    """Bound for the dropped tail of the vertical integrals.
-
-    |log zeta(a+it)| <= -log(1 - 2^-a) <= 2*2^-a for a >= 1, so the tail
-    beyond sigma + cut is at most
-    2*2^-sigma Gamma(m, cut ln 2)/(ln 2)^m / (m-1)!.
-    """
-    ln2 = math.log(2.0)
-    cut = _tail_cut(m)
-    return 2.0 * 2.0 ** (-sigma) * float(gammaincc(m, cut * ln2)) / ln2 ** m
-
-
 def _ray_log(path, alpha: float, prec: EvalPrecision) -> tuple[complex, float]:
     # eval_log covers [sigma_end, 40]; above 40 the principal value is the
     # branch (|log zeta| < 2^-39 there).
@@ -136,6 +108,32 @@ def _ray_log(path, alpha: float, prec: EvalPrecision) -> tuple[complex, float]:
     return out, rem / abs(val) + 1e-15 * (1.0 + abs(out))
 
 
+def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
+                       kinks: tuple[float, ...]) -> tuple[complex, float]:
+    """i^m/(m-1)! int_sigma^(sigma+cut) (a-sigma)^(m-1) log f(a) da, m >= 1.
+
+    log_f(a) returns (value, error bound); kinks inside the range become
+    panel edges.  The error estimate covers the dropped tail: since
+    |log zeta(a+it)| <= -log(1 - 2^-a) <= 2*2^-a for a >= 1, the tail beyond
+    sigma + cut is at most 2*2^-sigma Gamma(m, cut ln 2)/(ln 2)^m / (m-1)!.
+    """
+    def g(alpha: float) -> tuple[complex, float]:
+        v, e = log_f(alpha)
+        w = (alpha - sigma) ** (m - 1)
+        return w * v, abs(w) * e
+
+    # (a - sigma)^(m-1) 2^-a peaks near (m-1)/ln 2; push the cutoff out for
+    # large m so the tail bound stays tiny.
+    cut = _TAIL_START + 12.0 * max(0, m - 4)
+    hi = sigma + cut
+    fact = math.factorial(m - 1)
+    val, est = integrate_adaptive(g, sigma, hi, 0.25 * abs_err * fact,
+                                  splits=[x for x in kinks if sigma < x < hi])
+    ln2 = math.log(2.0)
+    tail = 2.0 * 2.0 ** (-sigma) * float(gammaincc(m, cut * ln2)) / ln2 ** m
+    return _I_POW[m % 4] * val / fact, est / fact + tail
+
+
 # --- integration constants c_m(sigma) ------------------------------------------
 
 @lru_cache(maxsize=512)
@@ -143,21 +141,11 @@ def _c_m_cached(m: int, sigma: float, abs_err: float,
                 max_terms: int) -> tuple[complex, float]:
     prec = EvalPrecision(abs_err=abs_err, max_terms=max_terms)
     store = builtin_store()
-
-    def g(alpha: float) -> tuple[complex, float]:
-        # On the real axis the limit from above is available in closed form;
-        # no branch march runs anywhere near the pole.
-        v, e = log_zeta_with_err(complex(alpha, 0.0), prec, store)
-        w = (alpha - sigma) ** (m - 1)
-        return w * v, abs(w) * e
-
-    hi = sigma + _tail_cut(m)
-    fact = math.factorial(m - 1)
-    splits = [1.0] if sigma < 1.0 < hi else None
-    val, est = integrate_adaptive(g, sigma, hi, 0.25 * abs_err * fact,
-                                  splits=splits)
-    value = _I_POW[m % 4] * val / fact
-    return value, est / fact + _tail_bound(m, sigma)
+    # On the real axis the limit from above is available in closed form;
+    # no branch march runs anywhere near the pole.
+    return _vertical_integral(
+        lambda a: log_zeta_with_err(complex(a, 0.0), prec, store),
+        m, sigma, abs_err, (1.0,))
 
 
 def c_m_with_err(sigma: float, m: int,
@@ -231,27 +219,16 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
     if sigma < 0.5:
         raise ValidationError(
             f"the vertical representation needs sigma >= 1/2, got {sigma}")
-    if t < 1e-9:
+    if t < SNAP_TOL:
         val, est = c_m_with_err(sigma, m, prec)
         return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
 
     path = branch_path(t, min(sigma, SIGMA_START - 1.0), prec, store)
-    t_eff = path.t
-
-    def g(alpha: float) -> tuple[complex, float]:
-        v, e = _ray_log(path, alpha, prec)
-        w = (alpha - sigma) ** (m - 1)
-        return w * v, abs(w) * e
-
-    hi = sigma + _tail_cut(m)
-    fact = math.factorial(m - 1)
-    splits = [x for x in (1.0, SIGMA_START) if sigma < x < hi]
-    val, est = integrate_adaptive(g, sigma, hi, 0.25 * prec.abs_err * fact,
-                                  splits=splits)
-    zsum, zs_est = zero_sum_polynomial(m, sigma, t_eff, store)
-    value = _I_POW[m % 4] * val / fact + zsum
-    est_err = est / fact + _tail_bound(m, sigma) + zs_est
-    return EtaValue(s=z, m=m, value=value, route="vertical", est_err=est_err)
+    val, est = _vertical_integral(lambda a: _ray_log(path, a, prec), m,
+                                  sigma, prec.abs_err, (1.0, SIGMA_START))
+    zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
+    return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
+                    est_err=est + zs_est)
 
 
 # --- iterated route: windowed sweep along the horizontal segment ---------------
@@ -260,11 +237,6 @@ _PANEL_MAX = 0.5        # Gauss panel width cap on the u-line
 _WINDOW = 1.5           # model terms kept within this distance of a panel
 _CONT_STEP = 0.9        # max |G step| accepted without midpoint insertion
 _SWEEP_BUDGET = 400_000
-
-# 10- and 20-point Gauss nodes merged into one ascending template.
-_MERGED_NODES = sorted(
-    [(float(x), 10, float(w)) for x, w in zip(*gauss_rule(10))]
-    + [(float(x), 20, float(w)) for x, w in zip(*gauss_rule(20))])
 
 
 class _Sweep:
@@ -418,6 +390,12 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     gam_all = gs[near]
 
     sweep = _Sweep(sigma, prec)
+
+    def integrand(u: float) -> tuple[complex, float]:
+        g_val = sweep.eval(u)
+        w = (t_eff - u) ** (m - 1)
+        return w * g_val, abs(w) * (sweep.node_err + 2e-16 * abs(g_val))
+
     panels = _line_panels(t_eff, store)
     total_g = 0j
     analytic = 0j
@@ -430,21 +408,10 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
         sweep.set_window(mu_all[sel], cc_all[sel], gam_all[sel], has_pole)
         if p == 0:
             sweep.anchor()
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        v10 = 0j
-        v20 = 0j
-        for x, rule, w in _MERGED_NODES:
-            u = mid + half * x
-            g_val = sweep.eval(u)
-            weighted = w * half * (t_eff - u) ** (m - 1)
-            if rule == 10:
-                v10 += weighted * g_val
-            else:
-                v20 += weighted * g_val
-                node_est += abs(weighted) * sweep.node_err
-                mag += abs(weighted) * abs(g_val)
-        total_g += v20
-        disc += abs(v20 - v10)
+        val, p_disc, p_err = _panel(integrand, a, b)
+        total_g += val
+        disc += p_disc
+        node_est += p_err
         terms = list(zip(mu_all[sel], cc_all[sel], gam_all[sel]))
         if has_pole:
             terms.append((-1.0, sigma - 1.0, 0.0))
@@ -500,7 +467,8 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
     poly = 0j
     est = 0.0
     poly_mag = 0.0
-    t_eff = _snap_t(t, store) if t >= 1e-9 else t
+    on_axis = t < SNAP_TOL
+    t_eff = t if on_axis else store.snap(t)
     for j in range(1, m + 1):
         cj, cj_est = c_m_with_err(sigma, j, prec)
         w = t_eff ** (m - j) / math.factorial(m - j)
@@ -509,7 +477,7 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
         poly_mag += abs(cj) * w
     value = poly
     est += 5e-16 * poly_mag
-    if t >= 1e-9:
+    if not on_axis:
         ival, iest = _iterated_integral(sigma, t_eff, m, store, prec)
         value += ival
         est += iest

@@ -14,35 +14,34 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-_NODES10, _WEIGHTS10 = np.polynomial.legendre.leggauss(10)
-_NODES20, _WEIGHTS20 = np.polynomial.legendre.leggauss(20)
-
 Integrand = Callable[[float], tuple[complex, float]]
 
-
-def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    if n == 10:
-        return _NODES10, _WEIGHTS10
-    if n == 20:
-        return _NODES20, _WEIGHTS20
-    return np.polynomial.legendre.leggauss(n)
+# The 10- and 20-point Gauss-Legendre nodes of [-1, 1] in one ascending
+# template of (node, weight, belongs to the 20-point rule).  A panel calls f
+# from left to right, which the iterated eta sweep needs: it pins the branch
+# of log zeta by continuity from one node to the next.
+_TEMPLATE = sorted(
+    (x, w, n == 20) for n in (10, 20)
+    for x, w in zip(*np.polynomial.legendre.leggauss(n)))
 
 
 def _panel(f: Integrand, a: float, b: float) -> tuple[complex, float, float]:
-    """Returns (gauss20 value, |gauss20-gauss10|, integrated node error)."""
+    """Returns (gauss20 value, |gauss20-gauss10|, integrated node error).
+
+    f is called once per node, at strictly ascending abscissae.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     v10 = 0.0 + 0.0j
-    for x, w in zip(_NODES10, _WEIGHTS10):
-        val, _ = f(mid + half * x)
-        v10 += w * val
     v20 = 0.0 + 0.0j
     node_err = 0.0
-    for x, w in zip(_NODES20, _WEIGHTS20):
+    for x, w, in_g20 in _TEMPLATE:
         val, err = f(mid + half * x)
-        v20 += w * val
-        node_err += w * err
+        if in_g20:
+            v20 += w * val
+            node_err += w * err
+        else:
+            v10 += w * val
     return v20 * half, abs(v20 - v10) * half, node_err * half
 
 

@@ -27,8 +27,12 @@ from .errors import (BeyondTable, EmptyFile, NotSorted, OutOfStrip,
                      ParseError, ValidationError)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 
-#: Ordinate queries closer than this to a tabulated gamma use the one-sided
-#: limit convention (approach from below for gamma > 0).
+#: A height closer than this to a tabulated gamma is that ordinate: the
+#: branch and both eta routes evaluate the one-sided limit there.
+SNAP_TOL = 1e-9
+
+#: Sampled heights closer than this to a tabulated gamma are moved onto the
+#: one-sided limit (log|zeta| diverges at zeros); rvmf_check refuses them.
 ORDINATE_TOL = 1e-6
 
 #: Offset applied when the limit convention kicks in.
@@ -128,6 +132,27 @@ class ZeroStore:
                 if best is None or abs(t - g) < abs(t - best):
                     best = g
         return best
+
+    def snap(self, t, tol: float = SNAP_TOL):
+        """The height at which t is evaluated (the ordinate convention).
+
+        A t within tol of a tabulated gamma becomes gamma - ORDINATE_OFFSET,
+        the limit from below, with the nearer gamma taken (the lower one on
+        a tie); a t below tol becomes ORDINATE_OFFSET, so t = 0 is the limit
+        from above.  Takes a scalar or an array and returns the same shape.
+        """
+        ts = np.asarray(t, dtype=np.float64)
+        g = self._gammas
+        i = np.searchsorted(g, ts)
+        lo = g[np.maximum(i - 1, 0)]
+        hi = g[np.minimum(i, len(g) - 1)]
+        d_lo = np.where(i > 0, np.abs(ts - lo), np.inf)
+        d_hi = np.where(i < len(g), np.abs(ts - hi), np.inf)
+        near = np.where(d_hi < d_lo, hi, lo)
+        out = np.where(np.minimum(d_lo, d_hi) < tol,
+                       near - ORDINATE_OFFSET, ts)
+        out = np.where(ts < tol, ORDINATE_OFFSET, out)
+        return float(out) if out.ndim == 0 else out
 
     def zero_distance(self, s: complex) -> float:
         """Distance from s to the nearest zero, reflections included."""

@@ -225,6 +225,9 @@ def test_residual_validation(store):
         residual(complex(0.5, 10.0), cfg, store)     # t < 14
     with pytest.raises(ValidationError):
         residual(complex(0.4, 50.0), cfg, store)     # sigma < 1/2
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="sigma"):
+            residual(complex(sigma, 50.0), cfg, store)
     with pytest.raises(BeyondTable):
         residual(complex(0.5, 2000.0), cfg, store)   # 1.5 t beyond table
 

@@ -4,8 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zeta_eta.cli import main
+from zeta_eta.cli import (MAX_GRID_POINTS, _parse_complex, _parse_floats,
+                          _t_grid, main)
+from zeta_eta.errors import ValidationError
 
 GAMMA_LINES = "14.134725141734694\n21.022039638771554\n25.010857580145688\n"
 
@@ -234,6 +238,10 @@ def test_dist_moments_waiver_and_guard(capsys):
     ["--t-from", "50", "--t-to", "60", "--t-step", "nan"],
     ["--t-from", "50", "--t-to", "50", "--t-step", "1e-300"],
     ["--t-from", "20", "--t-to", "1e9", "--t-step", "1"],
+    ["--t-from", "nan", "--t-to", "50", "--t-step", "1"],
+    ["--t-from", "50", "--t-to=-inf", "--t-step", "1"],
+    ["--t-from", "50", "--t-to", "60", "--t-step", "inf"],
+    ["--t-from", "1e20", "--t-to", "1e20", "--t-step", "1"],
 ])
 def test_residual_scan_refuses_unbounded_grids(capsys, grid):
     code, out, err = _run(capsys, ["residual-scan", "--m", "1",
@@ -259,3 +267,86 @@ def test_dist_refuses_bad_x(capsys, sub, x):
     argv += ["--v", "0.5"] if sub == "tmeasure" else ["--waive-range"]
     code, out, err = _run(capsys, argv)
     assert code == 3 and out == "" and "X >= 2" in err, argv
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["residual-scan", "--m", "1", "--x-list", "10", "--t-from", "60",
+      "--t-to", "50", "--t-step", "1"], "--t-to"),
+    (["residual-scan", "--m", "1", "--x-list", "10", "--sigma", "nan",
+      "--t-from", "50", "--t-to", "50", "--t-step", "1"], "sigma"),
+    (["residual-scan", "--m", "1", "--x-list", "10", "--sigma", "inf",
+      "--t-from", "50", "--t-to", "50", "--t-step", "1"], "sigma"),
+    (["dist", "tails", "--t-big", "100", "--seed", "1", "--count", "100",
+      "--v-list", "0.5,nan"], "threshold V"),
+    (["dist", "tmeasure", "--t-big", "100", "--seed", "1", "--count", "100",
+      "--x", "10", "--v", "nan"], "threshold V"),
+    (["dist", "tmeasure", "--t-big", "100", "--seed", "1", "--count", "100",
+      "--x", "10", "--v", "inf"], "threshold V"),
+    (["dist", "moments", "--t-big", "100", "--seed", "1", "--count", "10",
+      "--x", "10", "--waive-range", "--sigma", "inf"], "sigma"),
+    (["dist", "moments", "--t-big", "100", "--seed", "1", "--count", "10",
+      "--x", "10", "--waive-range", "--sigma", "nan"], "sigma"),
+    (["dist", "moments", "--t-big", "100", "--seed", "1", "--count", "10",
+      "--x", "10", "--waive-range", "--c", "-1"], "trial_c"),
+])
+def test_refusals_name_the_parameter(capsys, argv, name):
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == "" and name in err, argv
+
+
+# --- parsing and the residual-scan grid, by property -------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=6))
+def test_parse_floats_round_trips(values):
+    assert _parse_floats(",".join(map(repr, values))) == values
+    assert _parse_floats(" , ".join(map(repr, values)) + ",") == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(max_size=20))
+def test_parse_floats_and_complex_refuse_only_by_validation(text):
+    for parse in (_parse_floats, _parse_complex):
+        try:
+            parse(text)
+        except ValidationError:
+            pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite, _finite, st.sampled_from(["i", "I", "j"]),
+       st.sampled_from(["", " "]))
+def test_parse_complex_round_trips(re_, im, unit, pad):
+    sign = "-" if math.copysign(1.0, im) < 0 else "+"
+    text = f"{re_!r}{pad}{sign}{pad}{abs(im)!r}{unit}"
+    assert _parse_complex(text) == complex(re_, im)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_finite, _finite, st.floats(min_value=0.0, exclude_min=True,
+                                   allow_infinity=False))
+def test_t_grid_is_ascending_and_bounded(a, b, step):
+    t_from, t_to = min(a, b), max(a, b)
+    try:
+        ts = _t_grid(t_from, t_to, step)
+    except ValidationError:
+        return                            # too many points, or t + step == t
+    assert ts[0] == t_from
+    assert all(x < y for x, y in zip(ts, ts[1:]))
+    assert ts[-1] <= t_to + 1e-12
+    assert len(ts) <= MAX_GRID_POINTS + 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=-1e6, max_value=1e6),
+       st.floats(min_value=1e-9, max_value=1e6))
+def test_residual_scan_reversed_grid_exits_3(t_to, gap):
+    t_from = t_to + gap
+    if t_from == t_to:
+        return
+    argv = ["residual-scan", "--m", "1", "--x-list", "10",
+            f"--t-from={t_from!r}", f"--t-to={t_to!r}", "--t-step=1"]
+    assert main(argv) == 3

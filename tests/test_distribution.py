@@ -121,6 +121,30 @@ def test_residual_estimators_refuse_bad_x(store, X):
                         enforce_range=False)
 
 
+@pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf])
+def test_estimators_refuse_non_finite_thresholds(store, V):
+    grid = GridSpec(T=100.0, count=100, scheme="uniform", seed=1)
+    with pytest.raises(ValidationError, match="threshold V"):
+        tail_table(100.0, [0.5, V], grid, store)
+    with pytest.raises(ValidationError, match="threshold V"):
+        measure_t_m(100.0, 10.0, V, 1, grid, store=store)
+    with pytest.raises(ValidationError, match="threshold V"):
+        measure_sigma(100.0, V, grid, store)
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(sigma=math.inf), "sigma"), (dict(sigma=math.nan), "sigma"),
+    (dict(sigma=0.4), "sigma"), (dict(trial_c=-1.0), "trial_c"),
+    (dict(trial_c=0.0), "trial_c"), (dict(trial_c=math.nan), "trial_c"),
+    (dict(trial_c=math.inf), "trial_c"),
+])
+def test_moment_residual_refuses_bad_sigma_and_trial_c(store, kw, name):
+    grid = GridSpec(T=100.0, count=10, scheme="uniform", seed=1)
+    with pytest.raises(ValidationError, match=name):
+        moment_residual(100.0, 10.0, 1, 1, grid, store=store,
+                        enforce_range=False, **kw)
+
+
 def test_measure_t_m_smallest_x(store):
     grid = GridSpec(T=50.0, count=100, scheme="uniform", seed=1)
     est = measure_t_m(50.0, 2.0, 0.0, 1, grid, store=store)

@@ -7,9 +7,10 @@ import pytest
 
 from zeta_eta.errors import (BeyondTable, EmptyFile, NotSorted, OutOfStrip,
                              ParseError, ValidationError)
-from zeta_eta.zeros import (ORDINATE_OFFSET, ZeroRecord, ZeroStore,
-                            builtin_store, count_window, inject_hypothetical,
-                            load_zeros, rvmf_check, sigma_xt)
+from zeta_eta.zeros import (ORDINATE_OFFSET, ORDINATE_TOL, SNAP_TOL,
+                            ZeroRecord, ZeroStore, builtin_store,
+                            count_window, inject_hypothetical, load_zeros,
+                            rvmf_check, sigma_xt)
 
 # first three ordinates, 20 digits, from an independent zero finder
 GAMMA_1 = 14.134725141734693790
@@ -150,3 +151,93 @@ def test_lorentz_sum_positive(store):
 
 def test_ordinate_offset_constant():
     assert 0 < ORDINATE_OFFSET < 1e-6
+
+
+# --- the ordinate convention ----------------------------------------------
+#
+# References: the two hand-written conventions ZeroStore.snap replaced, kept
+# verbatim -- the branch height (tol 1e-9) and the sampler nudge (tol 1e-6).
+
+def _branch_snap_reference(store, t):
+    if t < 1e-9:
+        return ORDINATE_OFFSET
+    g = store.nearest_gamma(t)
+    if g is not None and abs(t - g) < 1e-9:
+        return g - ORDINATE_OFFSET
+    return t
+
+
+def _sampler_nudge_reference(store, t):
+    t = np.array(t, dtype=float)
+    gs = store.gammas
+    pos = np.searchsorted(gs, t)
+    for idx in np.nonzero((pos > 0) & (t - gs[np.maximum(pos - 1, 0)]
+                                       < ORDINATE_TOL))[0]:
+        t[idx] = gs[pos[idx] - 1] - ORDINATE_OFFSET
+    for idx in np.nonzero((pos < len(gs)) & (gs[np.minimum(pos, len(gs) - 1)]
+                                             - t < ORDINATE_TOL))[0]:
+        t[idx] = gs[pos[idx]] - ORDINATE_OFFSET
+    return t
+
+
+def _snap_cases(store, tol, near_zero):
+    eps = 0.01 * tol
+    cases = [tol, 1.0, 14.0, store.t_max + 1.0, store.t_max + tol - eps]
+    if near_zero:
+        cases += [0.0, 1e-12, 0.5 * tol, tol - eps]
+    for g in store.gammas[[0, 1, 500, -1]].tolist():
+        cases += [g, g - (tol - eps), g + (tol - eps), g - (tol + eps),
+                  g + (tol + eps), 0.5 * (g + 14.0)]
+    return cases
+
+
+# The sampler never drew t below ORDINATE_TOL (every estimator needs T > e),
+# so its reference is compared above that only.
+@pytest.mark.parametrize("tol, reference, near_zero", [
+    (SNAP_TOL, lambda st, ts: np.array([_branch_snap_reference(st, t)
+                                        for t in ts]), True),
+    (ORDINATE_TOL, _sampler_nudge_reference, False),
+])
+def test_snap_matches_the_conventions_it_replaced(store, tol, reference,
+                                                  near_zero):
+    ts = _snap_cases(store, tol, near_zero)
+    want = reference(store, ts)
+    got = store.snap(np.array(ts), tol)
+    assert got.shape == (len(ts),)
+    assert np.array_equal(got, want)
+    for t, w in zip(ts, want.tolist()):
+        one = store.snap(t, tol)
+        assert isinstance(one, float) and one == w, t
+
+
+def test_snap_defaults_and_limits(store):
+    g = float(store.gammas[3])
+    assert store.snap(g) == g - ORDINATE_OFFSET
+    assert store.snap(0.0) == ORDINATE_OFFSET
+    assert store.snap(30.0) == 30.0
+    # the sampler's tolerance catches what the branch's lets through
+    assert store.snap(g + 1e-7) == g + 1e-7
+    assert store.snap(g + 1e-7, ORDINATE_TOL) == g - ORDINATE_OFFSET
+    out = store.snap(np.array([[g, 30.0]]))
+    assert out.shape == (1, 2)
+
+
+@pytest.mark.parametrize("tol", [SNAP_TOL, ORDINATE_TOL])
+def test_snap_tie_between_neighbours_takes_the_lower(tol):
+    # two ordinates 1.5 tol apart (exact binary fractions), t midway: both
+    # within tol, equally near; the limit is taken below the lower one
+    gap = 3 * 2.0 ** -31 if tol == SNAP_TOL else 2.0 ** -19
+    st = ZeroStore([ZeroRecord(20.0), ZeroRecord(20.0 + gap)], "tie")
+    t = 20.0 + 0.5 * gap
+    assert st.snap(t, tol) == 20.0 - ORDINATE_OFFSET
+    if tol == SNAP_TOL:
+        assert _branch_snap_reference(st, t) == 20.0 - ORDINATE_OFFSET
+    else:
+        assert _sampler_nudge_reference(st, [t])[0] == 20.0 - ORDINATE_OFFSET
+
+
+def test_builtin_ordinates_are_far_apart_for_the_sampler(store):
+    # The sampler nudge resolved two ordinates within ORDINATE_TOL of one t
+    # differently from snap (which takes the nearer); the bundled table has
+    # none, so sampled heights are unchanged.
+    assert float(np.diff(store.gammas).min()) > 2.0 * ORDINATE_TOL
