@@ -38,6 +38,9 @@ its on-line decomposition against zero clusters,
 
 and the tapered weights w_X, Lambda_X = Lambda w_X, Lambda'_X used by the
 variance displays.
+
+dirichlet_poly, p_f and relzz_decompose are finite double-precision sums and
+take no precision request.
 """
 
 from __future__ import annotations
@@ -164,8 +167,7 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
     return poly
 
 
-def dirichlet_poly(s, cfg: ApproxConfig,
-                   prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
+def dirichlet_poly(s, cfg: ApproxConfig) -> complex:
     """i^m sum_{2<=n<=X^(1+1/H)} Lambda(n) v_{f,H}(.) / (n^s (log n)^(m+1))."""
     z = complex(s)
     log_x = math.log(cfg.X)
@@ -306,7 +308,7 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
     if store is None:
         store = builtin_store()
     eta_val = eta_vertical(z, cfg.m, store, prec).value
-    poly = dirichlet_poly(z, cfg, prec)
+    poly = dirichlet_poly(z, cfg)
     y_val = y_m(z, cfg.X, cfg.m, store)
     r_val = eta_val - poly - y_val
     b1 = _bound_esrm(sigma, t, cfg, store, reflect_negative_ordinates)
@@ -318,8 +320,7 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
 
 # --- prime polynomial and its on-line decomposition -------------------------------
 
-def p_f(s, X: float, kernel: Kernel | None = None,
-        prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
+def p_f(s, X: float, kernel: Kernel | None = None) -> complex:
     """P_f(s, X) = sum over primes p <= X^2 of v_{f,1}(e^(log p/log X))/p^s."""
     z = complex(s)
     X = float(X)
@@ -337,8 +338,7 @@ def p_f(s, X: float, kernel: Kernel | None = None,
 
 
 def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,
-                    store: ZeroStore | None = None,
-                    prec: EvalPrecision = DEFAULT_PRECISION) -> dict:
+                    store: ZeroStore | None = None) -> dict:
     """P_f(1/2+it, X) against the zero-cluster main terms (on-line table).
 
     Returns {lhs, main1, main2, diff}:
@@ -365,7 +365,7 @@ def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,
         raise BeyondTable(
             f"the window around t={t} leaves the zero table "
             f"(height {store.t_max})")
-    lhs = p_f(complex(0.5, t), X, kernel, prec)
+    lhs = p_f(complex(0.5, t), X, kernel)
     ntilde = store.count_window(t, r_in)
     main1 = math.log(llt / math.log(X)) * ntilde
     gs, ms = store.gammas, store.multiplicities

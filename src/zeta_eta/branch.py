@@ -2,7 +2,7 @@
 sigma -> +infinity along horizontal lines.
 
 The branch at s = sigma + it is realized by continuation along the ray from
-sigma_start = 40 (where the principal logarithm is already below 1e-11)
+SIGMA_START = 40 (where the principal logarithm is already below 1e-11)
 down to sigma: the running value advances by the trapezoid quadrature of
 zeta'/zeta with steps proportional to the distance to the nearest
 singularity, and at each accepted step the value is snapped to
@@ -16,8 +16,10 @@ the one ordinate convention: t on a tabulated ordinate uses the one-sided
 limit, approached from below for gamma > 0 and from above for gamma < 0,
 and t = 0 is the limit from above.
 
-Rays refuse heights above the zero table: step control and the ordinate
-convention both need to know every zero near the path.
+Above SIGMA_START the winding is 0, so a prepared ray answers on
+[sigma_end, infinity) with the principal logarithm there.  Rays refuse
+heights above the zero table: step control and the ordinate convention both
+need to know every zero near the path.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .zeros import ZeroStore
 from .zeta import _zeta_em
 
 SIGMA_START = 40.0
+_MARCH_BUDGET = 200_000    # zeta evaluations one march may spend on its steps
 _TWO_PI = 2.0 * math.pi
 _MAX_PRED_RESIDUAL = 1.0   # rad; quadrature-vs-snap disagreement triggering retry
 
@@ -43,12 +46,12 @@ class BranchPath:
     """Continuation record for one horizontal ray Im s = t.
 
     t is the snapped height |t|; conjugate marks a ray requested at t < 0.
-    Unwinding breakpoints (descending alphas) let eval_log answer anywhere
-    on [sigma_end, sigma_start] with a single zeta evaluation.
+    Unwinding breakpoints (descending alphas, the first at SIGMA_START) let
+    eval_log answer anywhere on [sigma_end, infinity) with a single zeta
+    evaluation.
     """
 
     t: float
-    sigma_start: float
     sigma_end: float
     conjugate: bool
     _breaks: list[float]        # descending
@@ -56,11 +59,11 @@ class BranchPath:
     _prec: EvalPrecision = DEFAULT_PRECISION
 
     def winding(self, alpha: float) -> int:
-        if not (self.sigma_end <= alpha <= self.sigma_start):
+        if not self.sigma_end <= alpha < math.inf:
             raise ValidationError(
-                f"alpha={alpha} outside ray [{self.sigma_end}, {self.sigma_start}]")
+                f"alpha={alpha} outside ray [{self.sigma_end}, inf)")
         # breaks are descending; the winding at alpha is the one attached to
-        # the deepest breakpoint at or above alpha.
+        # the deepest breakpoint at or above alpha, and 0 above them all.
         for i in range(len(self._breaks) - 1, -1, -1):
             if self._breaks[i] >= alpha:
                 return self._winds[i]
@@ -133,9 +136,10 @@ def _march(t: float, sigma_end: float, prec: EvalPrecision,
             nxt = max(sigma_end, alpha - step)
             w, f_next = logderiv(nxt)
             evals += 1
-            if evals > prec.max_terms:
+            if evals > _MARCH_BUDGET:
                 raise BudgetExceeded(
-                    f"branch continuation at t={t} exceeded max_terms")
+                    f"branch continuation at t={t} exceeded {_MARCH_BUDGET} "
+                    f"steps")
             # Analytic part of the increment from singularities close to
             # this step; Log(z - p) is continuous along the segment because
             # Im(z - p) keeps its (nonzero) sign.
@@ -210,9 +214,8 @@ def branch_path(t: float, sigma_end: float,
     # >= the snap offset.
     t_eff = store.snap(t)
     breaks, winds = _march(t_eff, sigma_end, prec, store)
-    return BranchPath(t=t_eff, sigma_start=SIGMA_START, sigma_end=sigma_end,
-                      conjugate=conjugate, _breaks=breaks, _winds=winds,
-                      _prec=prec)
+    return BranchPath(t=t_eff, sigma_end=sigma_end, conjugate=conjugate,
+                      _breaks=breaks, _winds=winds, _prec=prec)
 
 
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,

@@ -240,8 +240,7 @@ def cmd_residual_scan(args) -> int:
 def cmd_dist(args) -> int:
     store = _load_store(args)
     prec = _precision(args, SCAN_PRECISION)
-    grid = GridSpec(T=args.t_big, count=args.count, scheme=args.scheme,
-                    seed=args.seed)
+    grid = GridSpec(count=args.count, scheme=args.scheme, seed=args.seed)
     common = dict(T=args.t_big, count=args.count, scheme=args.scheme,
                   seed=args.seed, abs_err=prec.abs_err)
 
@@ -257,7 +256,7 @@ def cmd_dist(args) -> int:
 
     if args.sub == "tmeasure":
         est = measure_t_m(args.t_big, args.x, args.v, args.m, grid,
-                          None, store, prec)
+                          store=store, prec=prec)
         rows = [{"V": est.V, "fraction": est.fraction,
                  "stderr": est.stderr, "gaussian_ref": est.ref_gaussian,
                  "count_exceed": est.count_exceed}]
@@ -268,9 +267,9 @@ def cmd_dist(args) -> int:
         return 0
 
     # moments
-    out = moment_residual(args.t_big, args.x, args.m, args.k, grid, None,
-                          store, prec, sigma=args.sigma, trial_c=args.c,
-                          interval=args.interval,
+    out = moment_residual(args.t_big, args.x, args.m, args.k, grid,
+                          store=store, prec=prec, sigma=args.sigma,
+                          trial_c=args.c, interval=args.interval,
                           enforce_range=not args.waive_range)
     rows = [{"empirical": out["empirical"], "bound": out["bound"],
              "interval": out["interval"],

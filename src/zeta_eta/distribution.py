@@ -23,6 +23,11 @@ C is a theorem, its value is not, so the library never hides one.  The
 hypothesis X <= T^(1/(135k)) is enforced by default and can be waived
 explicitly (it is far too strict for desk-scale T; waivers are recorded).
 
+Each estimator fixes its window from its own finite T > e (loglog T > 0);
+a GridSpec only says how many ordinates to draw, by which scheme, from which
+seed.  The residual estimators need X >= 2, and X >= 3 for m = 0, where
+Y_0(s, X) has radius 1/log X.
+
 Everything is deterministic given (seed, scheme): the generator is seeded
 per call, samples within ORDINATE_TOL = 1e-6 of a tabulated ordinate are
 moved below it by ZeroStore.snap (log|zeta| diverges at zeros), and
@@ -49,16 +54,14 @@ _SCHEMES = ("uniform", "stratified-jitter", "seeded-random")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Seeded sampling plan for t in [T, 2T]."""
+    """Seeded sampling plan: count ordinates drawn by scheme from seed over
+    the window the estimator fixes."""
 
-    T: float
     count: int
     scheme: str = "stratified-jitter"
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValidationError(f"T > 0 required, got {self.T!r}")
         if not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise ValidationError(f"count must be a positive integer, "
                                   f"got {self.count!r}")
@@ -125,23 +128,25 @@ def _check_thresholds(vs) -> None:
             raise ValidationError(f"threshold V must be finite, got {v!r}")
 
 
-def _estimate(V: float, values: np.ndarray, ref: float) -> MeasureEstimate:
+def _estimate(V: float, values: np.ndarray, T: float) -> MeasureEstimate:
+    """Exceedance of V, against the tail of N(0, (1/2) loglog T) above V."""
     count = len(values)
     exceed = int(np.sum(values > V))
     frac = exceed / count
     stderr = math.sqrt(frac * (1.0 - frac) / count)
+    sd = math.sqrt(0.5 * math.log(math.log(T)))
     return MeasureEstimate(V=float(V), fraction=frac, count_exceed=exceed,
-                           ref_gaussian=ref, stderr=stderr)
+                           ref_gaussian=gaussian_tail(V / sd), stderr=stderr)
 
 
 def _check_grid(T: float, grid: GridSpec, store: ZeroStore,
                 min_count: int = 100, hi: float | None = None) -> None:
-    """Refuse a grid built for another T, too few samples, or samples up to
-    hi (default 2T) above the zero table."""
+    """Refuse T <= e or non-finite, too few samples, or samples up to hi
+    (default 2T) above the zero table."""
+    if not (math.isfinite(T) and T > math.e):
+        raise ValidationError(
+            f"T must be finite and > e (loglog T > 0), got T={T!r}")
     hi = 2.0 * T if hi is None else hi
-    if grid.T != T:
-        raise ValidationError(f"grid was built for T={grid.T}, called with "
-                              f"T={T}")
     if grid.count < min_count:
         raise ValidationError(
             f"measure estimates need count >= {min_count}, got {grid.count}")
@@ -172,20 +177,19 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
     _check_thresholds([V])
     _check_grid(T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
-    sd = math.sqrt(0.5 * math.log(math.log(T)))
-    return _estimate(V, values, gaussian_tail(V / sd))
+    return _estimate(V, values, T)
 
 
-def _check_residual_call(T: float, X: float, m: int, cfg, m_min: int,
+def _check_residual_call(T: float, X: float, m: int, m_min: int,
                          t_min: float) -> None:
     """Refusals shared by the residual estimators."""
-    if cfg is not None and (cfg.m != m or cfg.X != X):
-        raise ValidationError(
-            f"cfg carries (m={cfg.m}, X={cfg.X}), call says (m={m}, X={X})")
     if not isinstance(m, (int, np.integer)) or m < m_min:
         raise ValidationError(f"m must be an integer >= {m_min}, got {m!r}")
     if not (math.isfinite(X) and X >= 2.0):
         raise ValidationError(f"X >= 2 required, got {X!r}")
+    if m == 0 and X < 3.0:
+        raise ValidationError(
+            f"m = 0 needs X >= 3 for the zero term Y_0(s, X), got X={X!r}")
     if T < t_min:
         raise ValidationError(f"T >= {t_min:g} required, got {T}")
 
@@ -206,33 +210,30 @@ def _residual_samples(grid: GridSpec, lo: float, hi: float, sigma: float,
     out = np.empty(len(ts))
     for i, t in enumerate(ts.tolist()):
         s = complex(sigma, t)
+        # X < 3 only reaches here for m >= 1, where Y_m does not read X.
         out[i] = abs(eta_vertical(s, m, store, prec).value
                      - im * poly(t) - y_m(s, max(X, 3.0), m, store))
     return out
 
 
-def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec,
-                cfg=None, store: ZeroStore | None = None,
+def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec, *,
+                store: ZeroStore | None = None,
                 prec: EvalPrecision = DEFAULT_PRECISION) -> MeasureEstimate:
     """Fraction of t in [T, 2T] where the plain-polynomial residual
     |eta_m - i^m sum_{2<=n<=X} Lambda(n)/(n^(1/2+it)(log n)^(m+1)) - Y_m|
     exceeds V.  The sum is unsmoothed: weight 1 up to X, nothing beyond.
-
-    cfg, when given, only cross-checks (m, X) against an ApproxConfig;
-    the kernel plays no role in the unsmoothed sum.
     """
     if store is None:
         store = builtin_store()
-    _check_residual_call(T, X, m, cfg, m_min=0, t_min=14.0)
+    _check_residual_call(T, X, m, m_min=0, t_min=14.0)
     _check_thresholds([V])
     _check_grid(T, grid, store)
     values = _residual_samples(grid, T, 2.0 * T, 0.5, X, m, store, prec)
-    sd = math.sqrt(0.5 * math.log(math.log(T)))
-    return _estimate(V, values, gaussian_tail(V / sd))
+    return _estimate(V, values, T)
 
 
-def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec,
-                    cfg=None, store: ZeroStore | None = None,
+def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
+                    store: ZeroStore | None = None,
                     prec: EvalPrecision = DEFAULT_PRECISION,
                     sigma: float = 0.5, trial_c: float = 10.0,
                     interval: str = "theorem",
@@ -257,7 +258,7 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec,
         raise ValidationError(f"interval must be 'theorem' or 'dyadic', "
                               f"got {interval!r}")
     lo, hi = (14.0, T) if interval == "theorem" else (T, 2.0 * T)
-    _check_residual_call(T, X, m, cfg, m_min=1, t_min=28.0)
+    _check_residual_call(T, X, m, m_min=1, t_min=28.0)
     _check_grid(T, grid, store, min_count=1, hi=hi)
     waived = bool(X > T ** (1.0 / (135.0 * k)))
     if waived and enforce_range:
@@ -293,10 +294,9 @@ def tail_table(T: float, v_list, grid: GridSpec,
     _check_grid(T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     llt = math.log(math.log(T))
-    sd = math.sqrt(0.5 * llt)
     rows = []
     for v in v_list:
-        est = _estimate(v, values, gaussian_tail(v / sd))
+        est = _estimate(v, values, T)
         rows.append({"V": est.V, "fraction": est.fraction,
                      "stderr": est.stderr, "gaussian_ref": est.ref_gaussian,
                      "jutila_ref": math.exp(-v * v / llt)})

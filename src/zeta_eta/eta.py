@@ -98,16 +98,6 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
-def _ray_log(path, alpha: float, prec: EvalPrecision) -> tuple[complex, float]:
-    # eval_log covers [sigma_end, 40]; above 40 the principal value is the
-    # branch (|log zeta| < 2^-39 there).
-    if alpha <= path.sigma_start:
-        return path.eval_log(alpha)
-    val, _, rem = _zeta_em(complex(alpha, path.t), prec, want_deriv=False)
-    out = cmath.log(val)
-    return out, rem / abs(val) + 1e-15 * (1.0 + abs(out))
-
-
 def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
                        kinks: tuple[float, ...]) -> tuple[complex, float]:
     """i^m/(m-1)! int_sigma^(sigma+cut) (a-sigma)^(m-1) log f(a) da, m >= 1.
@@ -137,9 +127,8 @@ def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
 # --- integration constants c_m(sigma) ------------------------------------------
 
 @lru_cache(maxsize=512)
-def _c_m_cached(m: int, sigma: float, abs_err: float,
-                max_terms: int) -> tuple[complex, float]:
-    prec = EvalPrecision(abs_err=abs_err, max_terms=max_terms)
+def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
+    prec = EvalPrecision(abs_err=abs_err)
     store = builtin_store()
     # On the real axis the limit from above is available in closed form;
     # no branch march runs anywhere near the pole.
@@ -159,7 +148,7 @@ def c_m_with_err(sigma: float, m: int,
         raise ValidationError("sigma must be finite")
     if sigma <= -1.0:
         raise ValidationError(f"c_m is provided for sigma > -1, got {sigma}")
-    return _c_m_cached(m, sigma, prec.abs_err, prec.max_terms)
+    return _c_m_cached(m, sigma, prec.abs_err)
 
 
 def c_m(sigma: float, m: int, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
@@ -224,8 +213,8 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
         return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
 
     path = branch_path(t, min(sigma, SIGMA_START - 1.0), prec, store)
-    val, est = _vertical_integral(lambda a: _ray_log(path, a, prec), m,
-                                  sigma, prec.abs_err, (1.0, SIGMA_START))
+    val, est = _vertical_integral(path.eval_log, m, sigma, prec.abs_err,
+                                  (1.0, SIGMA_START))
     zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
     return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
                     est_err=est + zs_est)

@@ -268,7 +268,7 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
     if z.imag == 0.0 and z.real <= 0.0:
         z = complex(z.real, -_LIMIT_EPS * max(1.0, abs(z)))
     fact = math.factorial(m)
-    inner = EvalPrecision(abs_err=max(prec.abs_err, 1e-14), max_terms=prec.max_terms)
+    inner = EvalPrecision(abs_err=max(prec.abs_err, 1e-14))
 
     def g(tau: float) -> tuple[complex, float]:
         big_l = 1.0 + tau / h

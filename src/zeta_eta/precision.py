@@ -1,4 +1,6 @@
-"""Precision request passed to every numerical operation."""
+"""Precision request passed to every numerical operation: the target
+absolute error alone.  Work budgets are constants of each layer; a
+computation that would exceed one raises BudgetExceeded."""
 
 from __future__ import annotations
 
@@ -9,25 +11,19 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class EvalPrecision:
-    """Target absolute error and work budget for one evaluation.
+    """Target absolute error for one evaluation.
 
     abs_err   target absolute error of the returned value; accepted range
               [1e-30, 1e-3].  Requests below ~1e-13 switch the zeta evaluator
               to its software extended-precision path.
-    max_terms budget for series terms / quadrature nodes per evaluation
-              stage; must be at least 16.
     """
 
     abs_err: float = 1e-10
-    max_terms: int = 200_000
 
     def __post_init__(self) -> None:
         if not (1e-30 <= self.abs_err <= 1e-3):
             raise ValidationError(
                 f"abs_err must lie in [1e-30, 1e-3], got {self.abs_err!r}")
-        if self.max_terms < 16:
-            raise ValidationError(
-                f"max_terms must be >= 16, got {self.max_terms!r}")
 
 
 #: Point-evaluation default (CLI single evaluations).

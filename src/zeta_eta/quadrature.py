@@ -16,6 +16,8 @@ from .errors import BudgetExceeded
 
 Integrand = Callable[[float], tuple[complex, float]]
 
+_MAX_PANELS = 4000      # panels one adaptive integral may use
+
 # The 10- and 20-point Gauss-Legendre nodes of [-1, 1] in one ascending
 # template of (node, weight, belongs to the 20-point rule).  A panel calls f
 # from left to right, which the iterated eta sweep needs: it pins the branch
@@ -46,8 +48,7 @@ def _panel(f: Integrand, a: float, b: float) -> tuple[complex, float, float]:
 
 
 def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
-                       splits: list[float] | None = None,
-                       max_panels: int = 4000) -> tuple[complex, float]:
+                       splits: list[float] | None = None) -> tuple[complex, float]:
     """Integral of f over [a, b] with panel bisection down to tol.
 
     splits lists interior points that must be panel boundaries (integrand
@@ -56,7 +57,7 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
     if b == a:
         return 0.0 + 0.0j, 0.0
     if b < a:
-        val, est = integrate_adaptive(f, b, a, tol, splits, max_panels)
+        val, est = integrate_adaptive(f, b, a, tol, splits)
         return -val, est
     edges = [a, b]
     if splits:
@@ -76,9 +77,9 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
         disc_sum = sum(item[4] for item in heap)
         if disc_sum <= tol or -heap[0][0] <= 0.0:
             break
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             raise BudgetExceeded(
-                f"adaptive quadrature hit {max_panels} panels on [{a}, {b}] "
+                f"adaptive quadrature hit {_MAX_PANELS} panels on [{a}, {b}] "
                 f"(residual {disc_sum:.3e} > tol {tol:.3e})")
         _, lo, hi, _, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

@@ -40,6 +40,7 @@ _BFRAC = [float(b / Fraction(math.factorial(2 * k)))
 _CORRECTION_ORDER = 10          # K: number of Bernoulli correction terms
 _EXTENDED_THRESHOLD = 5e-14     # below this, switch to software precision
 _POLE_RADIUS = 1e-12
+_MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
 
 
 def _as_complex(s) -> complex:
@@ -120,10 +121,10 @@ def _zeta_em(s: complex, prec: EvalPrecision,
     n_cut = _initial_cutoff(s, prec.abs_err, order)
     target = 0.25 * prec.abs_err
     while True:
-        if n_cut > prec.max_terms:
+        if n_cut > _MAX_CUTOFF:
             raise BudgetExceeded(
-                f"Euler-Maclaurin cutoff {n_cut} exceeds max_terms="
-                f"{prec.max_terms} at s={s}")
+                f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
+                f"at s={s}")
         val, der, rem = _euler_maclaurin(s, n_cut, order, want_deriv)
         if rem <= target:
             return val, der, rem

@@ -227,7 +227,7 @@ def test_criterion_08_decomposition_remainder(store):
 
 def test_criterion_09_moment_sanity(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=80, scheme="stratified-jitter", seed=909)
+    grid = GridSpec(count=80, scheme="stratified-jitter", seed=909)
     flagged = False
     try:
         moment_residual(T, 10.0, 1, 1, grid, store=store)

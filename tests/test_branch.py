@@ -6,11 +6,12 @@ march (adaptive step, winding tracked by quotient arguments, 30 digits).
 
 import cmath
 import math
+import sys
 
 import pytest
 
 from zeta_eta.branch import big_s, branch_path, log_zeta, log_zeta_with_err
-from zeta_eta.errors import OnSingularity, ValidationError
+from zeta_eta.errors import BudgetExceeded, OnSingularity, ValidationError
 from zeta_eta.precision import EvalPrecision
 from zeta_eta.zeros import builtin_store
 
@@ -100,12 +101,24 @@ def test_branch_path_eval_and_domain(store):
     assert abs(v - BRANCH_ORACLE[(0.5, 30.0)]) < 1e-9
     v40, _ = path.eval_log(39.9)
     assert abs(v40 - cmath.log(complex(zeta(complex(39.9, 30.0))))) < 1e-12
-    with pytest.raises(ValidationError):
-        path.eval_log(0.3)       # left of the path end
+    # above the march start the winding is 0: the principal logarithm
+    for alpha in (40.0, 40.5, 45.0, 84.0):
+        v, est = path.eval_log(alpha)
+        assert v == cmath.log(complex(zeta(complex(alpha, 30.0))))
+        assert 0.0 < est < 1e-12
+    for bad in (0.3, math.nan, math.inf):    # 0.3: left of the path end
+        with pytest.raises(ValidationError):
+            path.eval_log(bad)
     with pytest.raises(ValidationError):
         branch_path(30.0, 41.0, store=store)
     with pytest.raises(ValidationError):
         branch_path(1e9, 0.5, store=store)   # beyond the table
+
+
+def test_branch_march_budget(store, monkeypatch):
+    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_MARCH_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
+        branch_path(30.0, 0.5, store=store)
 
 
 def test_big_s_values_and_jump(store):

@@ -288,6 +288,12 @@ def test_dist_refuses_bad_x(capsys, sub, x):
       "--x", "10", "--waive-range", "--sigma", "nan"], "sigma"),
     (["dist", "moments", "--t-big", "100", "--seed", "1", "--count", "10",
       "--x", "10", "--waive-range", "--c", "-1"], "trial_c"),
+    (["dist", "tails", "--t-big", "2", "--seed", "1", "--count", "100",
+      "--v-list", "0.5"], "T=2.0"),
+    (["dist", "tails", "--t-big", "nan", "--seed", "1", "--count", "100",
+      "--v-list", "0.5"], "T=nan"),
+    (["dist", "tmeasure", "--t-big", "100", "--seed", "1", "--count", "100",
+      "--x", "2.5", "--v", "0.5", "--m", "0"], "m = 0 needs X >= 3"),
 ])
 def test_refusals_name_the_parameter(capsys, argv, name):
     code, out, err = _run(capsys, argv)

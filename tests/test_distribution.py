@@ -10,7 +10,6 @@ from zeta_eta.distribution import (GridSpec, MeasureEstimate, _samples,
                                    moment_residual, tail_table)
 from zeta_eta.errors import (BeyondTable, HypothesisViolated,
                              ValidationError)
-from zeta_eta.approx import ApproxConfig
 from zeta_eta.zeros import ORDINATE_OFFSET, ZeroRecord, ZeroStore
 
 
@@ -23,40 +22,39 @@ def test_gaussian_tail_frozen():
 
 
 def test_grid_spec_validation():
-    GridSpec(T=1000.0, count=100, scheme="uniform", seed=1)
-    for bad in [dict(T=0.0, count=100, scheme="uniform", seed=1),
-                dict(T=1000.0, count=0, scheme="uniform", seed=1),
-                dict(T=1000.0, count=2.5, scheme="uniform", seed=1),
-                dict(T=1000.0, count=100, scheme="sobol", seed=1),
-                dict(T=1000.0, count=100, scheme="uniform", seed=1.5)]:
+    GridSpec(count=100, scheme="uniform", seed=1)
+    for bad in [dict(count=0, scheme="uniform", seed=1),
+                dict(count=2.5, scheme="uniform", seed=1),
+                dict(count=100, scheme="sobol", seed=1),
+                dict(count=100, scheme="uniform", seed=1.5)]:
         with pytest.raises(ValidationError):
             GridSpec(**bad)
 
 
 def test_samples_ranges_and_determinism(store):
     for scheme in ("uniform", "stratified-jitter", "seeded-random"):
-        grid = GridSpec(T=1000.0, count=137, scheme=scheme, seed=7)
+        grid = GridSpec(count=137, scheme=scheme, seed=7)
         a = _samples(grid, 1000.0, 2000.0, store)
         b = _samples(grid, 1000.0, 2000.0, store)
         assert np.array_equal(a, b)
         assert len(a) == 137
         assert np.all(a >= 1000.0) and np.all(a <= 2000.0)
     # uniform midpoints are deterministic by construction
-    grid = GridSpec(T=1000.0, count=4, scheme="uniform", seed=0)
+    grid = GridSpec(count=4, scheme="uniform", seed=0)
     got = _samples(grid, 1000.0, 2000.0, store)
     assert np.allclose(got, [1125.0, 1375.0, 1625.0, 1875.0])
 
 
 def test_samples_nudged_off_ordinates():
     st = ZeroStore([ZeroRecord(20.0)], "test")
-    grid = GridSpec(T=19.5, count=1, scheme="uniform", seed=0)
+    grid = GridSpec(count=1, scheme="uniform", seed=0)
     got = _samples(grid, 19.5, 20.5, st)    # midpoint lands on the zero
     assert got[0] == 20.0 - ORDINATE_OFFSET
 
 
 def test_measure_sigma_extremes_and_monotone(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=200, scheme="stratified-jitter", seed=11)
+    grid = GridSpec(count=200, scheme="stratified-jitter", seed=11)
     low = measure_sigma(T, -10.0, grid, store)
     assert isinstance(low, MeasureEstimate)
     assert low.fraction >= 0.95
@@ -68,7 +66,7 @@ def test_measure_sigma_extremes_and_monotone(store):
 
 def test_measure_estimate_identities(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=150, scheme="seeded-random", seed=3)
+    grid = GridSpec(count=150, scheme="seeded-random", seed=3)
     est = measure_sigma(T, 0.25, grid, store)
     assert est.count_exceed == round(est.fraction * 150)
     assert est.stderr == pytest.approx(
@@ -81,39 +79,56 @@ def test_measure_estimate_identities(store):
 
 
 def test_measure_sigma_validation(store):
-    grid = GridSpec(T=1000.0, count=100, scheme="uniform", seed=1)
-    with pytest.raises(ValidationError):
-        measure_sigma(500.0, 0.0, grid, store)          # grid built for 1000
-    small = GridSpec(T=1000.0, count=50, scheme="uniform", seed=1)
+    small = GridSpec(count=50, scheme="uniform", seed=1)
     with pytest.raises(ValidationError):
         measure_sigma(1000.0, 0.0, small, store)        # count < 100
-    big = GridSpec(T=1100.0, count=100, scheme="uniform", seed=1)
+    big = GridSpec(count=100, scheme="uniform", seed=1)
     with pytest.raises(BeyondTable):
         measure_sigma(1100.0, 0.0, big, store)          # 2T above the table
 
 
-def test_measure_t_m_extremes_and_cfg_guard(store):
+@pytest.mark.parametrize("T", [2.0, math.e, 0.0, -5.0, math.nan, math.inf])
+def test_estimators_refuse_t_at_most_e(store, T, monkeypatch):
+    # refused before any sample is drawn
+    import zeta_eta.distribution as dist
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before refusing T")
+
+    monkeypatch.setattr(dist, "_samples", no_sampling)
+    grid = GridSpec(count=100, scheme="uniform", seed=1)
+    with pytest.raises(ValidationError, match="T"):
+        tail_table(T, [0.5], grid, store)
+    with pytest.raises(ValidationError, match="T"):
+        measure_sigma(T, 0.5, grid, store)
+    with pytest.raises(ValidationError, match="T"):
+        measure_t_m(T, 10.0, 0.5, 1, grid, store=store)
+    with pytest.raises(ValidationError, match="T"):
+        moment_residual(T, 10.0, 1, 1, grid, store=store,
+                        enforce_range=False)
+
+
+def test_measure_t_m_extremes_and_validation(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=100, scheme="uniform", seed=5)
+    grid = GridSpec(count=100, scheme="uniform", seed=5)
     est = measure_t_m(T, 10.0, 0.0, 1, grid, store=store)
     assert est.fraction == 1.0          # |residual| > 0 everywhere
     est = measure_t_m(T, 10.0, 1e6, 1, grid, store=store)
     assert est.fraction == 0.0
-    cfg = ApproxConfig(m=1, X=10.0, H=1.0)
-    same = measure_t_m(T, 10.0, 0.0, 1, grid, cfg=cfg, store=store)
-    assert same.fraction == 1.0
-    with pytest.raises(ValidationError):
-        measure_t_m(T, 30.0, 0.0, 1, grid, cfg=cfg, store=store)
+    with pytest.raises(TypeError):                 # store is keyword-only
+        measure_t_m(T, 10.0, 0.0, 1, grid, store)
+    with pytest.raises(TypeError):
+        moment_residual(T, 10.0, 1, 1, grid, store)
     with pytest.raises(ValidationError):
         measure_t_m(T, 10.0, 0.0, -1, grid, store=store)
-    low_grid = GridSpec(T=10.0, count=100, scheme="uniform", seed=5)
+    low_grid = GridSpec(count=100, scheme="uniform", seed=5)
     with pytest.raises(ValidationError):
         measure_t_m(10.0, 10.0, 0.0, 1, low_grid, store=store)   # T < 14
 
 
 @pytest.mark.parametrize("X", [math.nan, math.inf, -5.0, 1.0, 1.99])
 def test_residual_estimators_refuse_bad_x(store, X):
-    grid = GridSpec(T=100.0, count=100, scheme="uniform", seed=1)
+    grid = GridSpec(count=100, scheme="uniform", seed=1)
     with pytest.raises(ValidationError, match="X >= 2"):
         measure_t_m(100.0, X, 0.5, 1, grid, store=store)
     with pytest.raises(ValidationError, match="X >= 2"):
@@ -123,7 +138,7 @@ def test_residual_estimators_refuse_bad_x(store, X):
 
 @pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf])
 def test_estimators_refuse_non_finite_thresholds(store, V):
-    grid = GridSpec(T=100.0, count=100, scheme="uniform", seed=1)
+    grid = GridSpec(count=100, scheme="uniform", seed=1)
     with pytest.raises(ValidationError, match="threshold V"):
         tail_table(100.0, [0.5, V], grid, store)
     with pytest.raises(ValidationError, match="threshold V"):
@@ -139,21 +154,27 @@ def test_estimators_refuse_non_finite_thresholds(store, V):
     (dict(trial_c=math.inf), "trial_c"),
 ])
 def test_moment_residual_refuses_bad_sigma_and_trial_c(store, kw, name):
-    grid = GridSpec(T=100.0, count=10, scheme="uniform", seed=1)
+    grid = GridSpec(count=10, scheme="uniform", seed=1)
     with pytest.raises(ValidationError, match=name):
         moment_residual(100.0, 10.0, 1, 1, grid, store=store,
                         enforce_range=False, **kw)
 
 
 def test_measure_t_m_smallest_x(store):
-    grid = GridSpec(T=50.0, count=100, scheme="uniform", seed=1)
+    grid = GridSpec(count=100, scheme="uniform", seed=1)
     est = measure_t_m(50.0, 2.0, 0.0, 1, grid, store=store)
     assert est.fraction == 1.0
+    assert measure_t_m(50.0, 2.5, 0.0, 1, grid, store=store).fraction == 1.0
+    # Y_0(s, X) has radius 1/log X and needs X >= 3; X is never replaced
+    for X in (2.0, 2.5, 2.99):
+        with pytest.raises(ValidationError, match=r"m = 0.*X="):
+            measure_t_m(50.0, X, 0.0, 0, grid, store=store)
+    assert measure_t_m(50.0, 3.0, 0.0, 0, grid, store=store).fraction == 1.0
 
 
 def test_moment_residual_range_guard_and_waiver(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=60, scheme="uniform", seed=2)
+    grid = GridSpec(count=60, scheme="uniform", seed=2)
     with pytest.raises(HypothesisViolated):
         moment_residual(T, 10.0, 1, 1, grid, store=store)
     out = moment_residual(T, 10.0, 1, 1, grid, store=store,
@@ -170,7 +191,7 @@ def test_moment_residual_range_guard_and_waiver(store):
 
 def test_moment_residual_decreases_in_x(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=60, scheme="uniform", seed=2)
+    grid = GridSpec(count=60, scheme="uniform", seed=2)
     e10 = moment_residual(T, 10.0, 1, 1, grid, store=store,
                           enforce_range=False)["empirical"]
     e20 = moment_residual(T, 20.0, 1, 1, grid, store=store,
@@ -181,7 +202,7 @@ def test_moment_residual_decreases_in_x(store):
 def test_moment_residual_sigma_collapse(store):
     # off the line the residual shrinks fast (X^(1-2 sigma) scale)
     T = 1000.0
-    grid = GridSpec(T=T, count=40, scheme="uniform", seed=9)
+    grid = GridSpec(count=40, scheme="uniform", seed=9)
     on = moment_residual(T, 10.0, 1, 1, grid, store=store,
                          enforce_range=False)["empirical"]
     off = moment_residual(T, 10.0, 1, 1, grid, store=store, sigma=2.0,
@@ -192,7 +213,7 @@ def test_moment_residual_sigma_collapse(store):
 def test_moment_residual_power_mean(store):
     # Cauchy-Schwarz on the sample: mean(r^4) >= (mean(r^2))^2
     T = 1000.0
-    grid = GridSpec(T=T, count=40, scheme="uniform", seed=4)
+    grid = GridSpec(count=40, scheme="uniform", seed=4)
     norm = (T - 14.0) / T
     e1 = moment_residual(T, 10.0, 1, 1, grid, store=store,
                          enforce_range=False)["empirical"] / norm
@@ -203,7 +224,7 @@ def test_moment_residual_power_mean(store):
 
 def test_moment_residual_dyadic_interval(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=40, scheme="uniform", seed=4)
+    grid = GridSpec(count=40, scheme="uniform", seed=4)
     out = moment_residual(T, 10.0, 1, 1, grid, store=store,
                           enforce_range=False, interval="dyadic")
     assert out["interval"] == "dyadic"
@@ -214,7 +235,7 @@ def test_moment_residual_dyadic_interval(store):
 
 def test_moment_residual_validation(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=40, scheme="uniform", seed=4)
+    grid = GridSpec(count=40, scheme="uniform", seed=4)
     with pytest.raises(ValidationError):
         moment_residual(T, 10.0, 0, 1, grid, store=store,
                         enforce_range=False)             # m >= 1
@@ -227,26 +248,19 @@ def test_moment_residual_validation(store):
     with pytest.raises(ValidationError):
         moment_residual(T, 10.0, 1, 1, grid, store=store,
                         enforce_range=False, interval="weekly")
-    low = GridSpec(T=20.0, count=40, scheme="uniform", seed=4)
+    low = GridSpec(count=40, scheme="uniform", seed=4)
     with pytest.raises(ValidationError):
         moment_residual(20.0, 10.0, 1, 1, low, store=store,
                         enforce_range=False)             # T >= 28
-    with pytest.raises(ValidationError):
-        moment_residual(900.0, 10.0, 1, 1, grid, store=store,
-                        enforce_range=False)             # grid T mismatch
-    tall = GridSpec(T=1200.0, count=40, scheme="uniform", seed=4)
+    tall = GridSpec(count=40, scheme="uniform", seed=4)
     with pytest.raises(BeyondTable):
         moment_residual(1200.0, 10.0, 1, 1, tall, store=store,
                         enforce_range=False, interval="dyadic")
-    cfg = ApproxConfig(m=2, X=10.0, H=1.0)
-    with pytest.raises(ValidationError):
-        moment_residual(T, 10.0, 1, 1, grid, cfg=cfg, store=store,
-                        enforce_range=False)
 
 
 def test_tail_table_rows(store):
     T = 1000.0
-    grid = GridSpec(T=T, count=400, scheme="stratified-jitter", seed=21)
+    grid = GridSpec(count=400, scheme="stratified-jitter", seed=21)
     v_list = [0.0, 0.5, 1.0, 1.5]
     rows = tail_table(T, v_list, grid, store)
     assert [r["V"] for r in rows] == v_list

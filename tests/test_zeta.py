@@ -6,6 +6,7 @@ Reference values were frozen from a 40-digit software-precision evaluation
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -59,9 +60,11 @@ def test_zeta_domain_guard():
         zeta(complex(-1.5, 3.0))
 
 
-def test_zeta_budget_exhaustion():
-    with pytest.raises(BudgetExceeded):
-        zeta(complex(0.5, 1500.0), EvalPrecision(abs_err=1e-10, max_terms=16))
+def test_zeta_budget_exhaustion(monkeypatch):
+    # the package's `zeta` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["zeta_eta.zeta"], "_MAX_CUTOFF", 16)
+    with pytest.raises(BudgetExceeded, match="exceeds 16"):
+        zeta(complex(0.5, 1500.0))
 
 
 @settings(max_examples=40, deadline=None)
