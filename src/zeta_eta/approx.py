@@ -54,7 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BeyondSieve, BeyondTable, HypothesisViolated,
-                     ValidationError, ZeroCoincidesWithS)
+                     ValidationError, ZeroCoincidesWithS, _integer, _point,
+                     _real)
 from .eta import _I_POW, eta_vertical, zero_sum_polynomial
 from .kernels import DEFAULT_KERNEL, Kernel
 from .precision import DEFAULT_PRECISION, EvalPrecision
@@ -100,10 +101,7 @@ def _check_sieve_range(n: float, what: str) -> None:
 
 def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n is a prime power p^k, else 0."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n", 1)
     _check_sieve_range(n, "von_mangoldt")
     return float(_lambda_table(SIEVE_LIMIT)[n])
 
@@ -120,12 +118,9 @@ class ApproxConfig:
     kernel: Kernel = field(default_factory=lambda: DEFAULT_KERNEL)
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
-            raise ValidationError(f"m must be an integer >= 0, got {self.m!r}")
-        if not (math.isfinite(self.X) and self.X >= 3.0):
-            raise ValidationError(f"X >= 3 required, got {self.X!r}")
-        if not (math.isfinite(self.H) and self.H >= 1.0):
-            raise ValidationError(f"H >= 1 required, got {self.H!r}")
+        _integer(self.m, "m")
+        _real(self.X, "X", 3.0)
+        _real(self.H, "H", 1.0)
         if not isinstance(self.kernel, Kernel):
             raise ValidationError("kernel must be a Kernel instance")
 
@@ -169,7 +164,7 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
 
 def dirichlet_poly(s, cfg: ApproxConfig) -> complex:
     """i^m sum_{2<=n<=X^(1+1/H)} Lambda(n) v_{f,H}(.) / (n^s (log n)^(m+1))."""
-    z = complex(s)
+    z = _point(s)
     log_x = math.log(cfg.X)
 
     def coef(n, log_n, lam):
@@ -185,12 +180,9 @@ def dirichlet_poly(s, cfg: ApproxConfig) -> complex:
 
 def y_m(s, X: float, m: int, store: ZeroStore | None = None) -> complex:
     """Y_m(s, X); for m >= 1 the value does not depend on X."""
-    z = complex(s)
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValidationError(f"m must be an integer >= 0, got {m!r}")
-    X = float(X)
-    if not (math.isfinite(X) and X >= 3.0):
-        raise ValidationError(f"X >= 3 required, got {X!r}")
+    z = _point(s)
+    m = _integer(m, "m")
+    X = _real(X, "X", 3.0)
     if store is None:
         store = builtin_store()
     sigma, t = z.real, z.imag
@@ -198,7 +190,7 @@ def y_m(s, X: float, m: int, store: ZeroStore | None = None) -> complex:
         if t > store.t_max:
             raise BeyondTable(
                 f"t={t} above zero-table height {store.t_max}")
-        return zero_sum_polynomial(int(m), sigma, t, store)[0]
+        return zero_sum_polynomial(m, sigma, t, store)[0]
 
     radius = 1.0 / math.log(X)
     if t + radius > store.t_max:
@@ -299,12 +291,9 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
              prec: EvalPrecision = DEFAULT_PRECISION,
              reflect_negative_ordinates: bool = True) -> ResidualReport:
     """R_m(s, X, H) = eta_m(s) - polynomial - Y_m, with both bound shapes."""
-    z = complex(s)
-    sigma, t = z.real, z.imag
-    if not (math.isfinite(t) and t >= 14.0):
-        raise ValidationError(f"the identity is stated for t >= 14, got {t}")
-    if not (math.isfinite(sigma) and sigma >= 0.5):
-        raise ValidationError(f"sigma must be finite and >= 1/2, got {sigma}")
+    z = _point(s, "s = sigma + it")
+    t = _real(z.imag, "t", 14.0)
+    sigma = _real(z.real, "sigma", 0.5)
     if store is None:
         store = builtin_store()
     eta_val = eta_vertical(z, cfg.m, store, prec).value
@@ -322,10 +311,8 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
 
 def p_f(s, X: float, kernel: Kernel | None = None) -> complex:
     """P_f(s, X) = sum over primes p <= X^2 of v_{f,1}(e^(log p/log X))/p^s."""
-    z = complex(s)
-    X = float(X)
-    if not (math.isfinite(X) and X >= 3.0):
-        raise ValidationError(f"X >= 3 required, got {X!r}")
+    z = _point(s)
+    X = _real(X, "X", 3.0)
     if kernel is None:
         kernel = DEFAULT_KERNEL
     log_x = math.log(X)
@@ -347,10 +334,8 @@ def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,
         main2 = sum_{1/log X < |t-gamma| <= 1/loglog t} log(|t-gamma| loglog t)
         diff  = lhs - main1 - main2            (should be O(log t/loglog t))
     """
-    t = float(t)
-    X = float(X)
-    if t < 14.0:
-        raise ValidationError(f"t >= 14 required, got {t}")
+    t = _real(t, "t", 14.0)
+    X = _real(X, "X")
     if not (math.log(t) <= X <= t):
         raise ValidationError(f"log t <= X <= t required, got X={X}, t={t}")
     if store is None:
@@ -381,12 +366,10 @@ def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,
 
 def w_x(y: float, X: float) -> float:
     """Quadratic taper: 1 on [1, X], 1/2 at X^2, 0 from X^3 on."""
-    y = float(y)
-    X = float(X)
-    if not (y > 0.0):
-        raise ValidationError(f"y > 0 required, got {y!r}")
-    if not (math.isfinite(X) and X >= 3.0):
-        raise ValidationError(f"X >= 3 required, got {X!r}")
+    y = _real(y, "y")
+    if y <= 0.0:
+        raise ValidationError(f"y > 0 required, got y={y!r}")
+    X = _real(X, "X", 3.0)
     lx = math.log(X)
     if y <= X:
         return 1.0
@@ -407,11 +390,9 @@ def lambda_x(n: int, X: float) -> float:
 def lambda_prime_x(n: int, X: float) -> float:
     """Lambda on [1, X], Lambda(n) log(X^2/n)/log X on [X, X^2], else 0."""
     lam = von_mangoldt(n)
+    X = _real(X, "X", 3.0)
     if lam == 0.0:
         return 0.0
-    X = float(X)
-    if not (math.isfinite(X) and X >= 3.0):
-        raise ValidationError(f"X >= 3 required, got {X!r}")
     if n <= X:
         return lam
     if n <= X * X:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, OnSingularity, ValidationError
+from .errors import (BudgetExceeded, OnSingularity, ValidationError, _point,
+                     _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
 from .zeta import _zeta_em
@@ -59,9 +60,7 @@ class BranchPath:
     _prec: EvalPrecision = DEFAULT_PRECISION
 
     def winding(self, alpha: float) -> int:
-        if not self.sigma_end <= alpha < math.inf:
-            raise ValidationError(
-                f"alpha={alpha} outside ray [{self.sigma_end}, inf)")
+        _real(alpha, "alpha", self.sigma_end)
         # breaks are descending; the winding at alpha is the one attached to
         # the deepest breakpoint at or above alpha, and 0 above them all.
         for i in range(len(self._breaks) - 1, -1, -1):
@@ -195,13 +194,11 @@ def branch_path(t: float, sigma_end: float,
     if store is None:
         from .zeros import builtin_store
         store = builtin_store()
-    t = float(t)
-    if not math.isfinite(t) or not math.isfinite(sigma_end):
-        raise ValidationError("t and sigma_end must be finite")
-    if sigma_end < -1.0:
-        raise ValidationError(f"sigma_end >= -1 required, got {sigma_end}")
+    t = _real(t, "t")
+    sigma_end = _real(sigma_end, "sigma_end", -1.0)
     if sigma_end >= SIGMA_START:
-        raise ValidationError(f"sigma_end must be < {SIGMA_START}")
+        raise ValidationError(
+            f"sigma_end < {SIGMA_START} required, got sigma_end={sigma_end}")
     conjugate = t < 0.0
     t = abs(t)
     if t > store.t_max:
@@ -221,9 +218,7 @@ def branch_path(t: float, sigma_end: float,
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
                       store: ZeroStore | None = None) -> tuple[complex, float]:
     """log zeta(s) on the branch, plus an absolute error estimate."""
-    z = complex(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"s must be finite, got {s!r}")
+    z = _point(s)
     if abs(z - 1.0) <= 1e-12:
         raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
     if store is None:
@@ -261,4 +256,4 @@ def log_zeta(s, prec: EvalPrecision = DEFAULT_PRECISION,
 def big_s(t: float, prec: EvalPrecision = DEFAULT_PRECISION,
           store: ZeroStore | None = None) -> float:
     """S(t) = Im log zeta(1/2 + it) / pi on the continued branch."""
-    return log_zeta(complex(0.5, float(t)), prec, store).imag / math.pi
+    return log_zeta(complex(0.5, _real(t, "t")), prec, store).imag / math.pi

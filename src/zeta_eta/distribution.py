@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import prime_power_poly, y_m
-from .errors import BeyondTable, HypothesisViolated, ValidationError
+from .errors import (BeyondTable, HypothesisViolated, ValidationError,
+                     _integer, _real)
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ORDINATE_TOL, ZeroStore, builtin_store
@@ -62,14 +63,11 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
-            raise ValidationError(f"count must be a positive integer, "
-                                  f"got {self.count!r}")
+        _integer(self.count, "count", 1)
         if self.scheme not in _SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        _integer(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,6 @@ def gaussian_tail(v: float) -> float:
     return 0.5 * math.erfc(float(v) / math.sqrt(2.0))
 
 
-def _check_thresholds(vs) -> None:
-    for v in vs:
-        if not math.isfinite(v):
-            raise ValidationError(f"threshold V must be finite, got {v!r}")
-
-
 def _estimate(V: float, values: np.ndarray, T: float) -> MeasureEstimate:
     """Exceedance of V, against the tail of N(0, (1/2) loglog T) above V."""
     count = len(values)
@@ -143,13 +135,10 @@ def _check_grid(T: float, grid: GridSpec, store: ZeroStore,
                 min_count: int = 100, hi: float | None = None) -> None:
     """Refuse T <= e or non-finite, too few samples, or samples up to hi
     (default 2T) above the zero table."""
-    if not (math.isfinite(T) and T > math.e):
-        raise ValidationError(
-            f"T must be finite and > e (loglog T > 0), got T={T!r}")
+    if _real(T, "T") <= math.e:
+        raise ValidationError(f"T > e required (loglog T > 0), got T={T!r}")
     hi = 2.0 * T if hi is None else hi
-    if grid.count < min_count:
-        raise ValidationError(
-            f"measure estimates need count >= {min_count}, got {grid.count}")
+    _integer(grid.count, "count", min_count)
     if hi > store.t_max:
         raise BeyondTable(f"samples up to {hi} above zero-table height "
                           f"{store.t_max}")
@@ -174,7 +163,7 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
     """
     if store is None:
         store = builtin_store()
-    _check_thresholds([V])
+    _real(V, "threshold V")
     _check_grid(T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     return _estimate(V, values, T)
@@ -183,15 +172,12 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
 def _check_residual_call(T: float, X: float, m: int, m_min: int,
                          t_min: float) -> None:
     """Refusals shared by the residual estimators."""
-    if not isinstance(m, (int, np.integer)) or m < m_min:
-        raise ValidationError(f"m must be an integer >= {m_min}, got {m!r}")
-    if not (math.isfinite(X) and X >= 2.0):
-        raise ValidationError(f"X >= 2 required, got {X!r}")
+    _integer(m, "m", m_min)
+    _real(X, "X", 2.0)
     if m == 0 and X < 3.0:
         raise ValidationError(
             f"m = 0 needs X >= 3 for the zero term Y_0(s, X), got X={X!r}")
-    if T < t_min:
-        raise ValidationError(f"T >= {t_min:g} required, got {T}")
+    _real(T, "T", t_min)
 
 
 def _residual_samples(grid: GridSpec, lo: float, hi: float, sigma: float,
@@ -226,7 +212,7 @@ def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec, *,
     if store is None:
         store = builtin_store()
     _check_residual_call(T, X, m, m_min=0, t_min=14.0)
-    _check_thresholds([V])
+    _real(V, "threshold V")
     _check_grid(T, grid, store)
     values = _residual_samples(grid, T, 2.0 * T, 0.5, X, m, store, prec)
     return _estimate(V, values, T)
@@ -247,13 +233,10 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
     """
     if store is None:
         store = builtin_store()
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"k >= 1 required, got {k!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.5):
-        raise ValidationError(f"sigma must be finite and >= 1/2, got {sigma}")
-    if not (math.isfinite(trial_c) and trial_c > 0.0):
-        raise ValidationError(
-            f"trial_c must be finite and > 0, got {trial_c}")
+    _integer(k, "k", 1)
+    _real(sigma, "sigma", 0.5)
+    if _real(trial_c, "trial_c") <= 0.0:
+        raise ValidationError(f"trial_c > 0 required, got trial_c={trial_c}")
     if interval not in ("theorem", "dyadic"):
         raise ValidationError(f"interval must be 'theorem' or 'dyadic', "
                               f"got {interval!r}")
@@ -289,8 +272,7 @@ def tail_table(T: float, v_list, grid: GridSpec,
     """
     if store is None:
         store = builtin_store()
-    v_list = [float(v) for v in v_list]
-    _check_thresholds(v_list)
+    v_list = [_real(v, "threshold V") for v in v_list]
     _check_grid(T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     llt = math.log(math.log(T))

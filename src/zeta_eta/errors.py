@@ -1,10 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checkers that raise
+them for bad arguments.
 
 Every refusal the library makes is one of these, so callers (and the CLI
-exit-code mapping) can distinguish bad input from numerical trouble.
+exit-code mapping) can distinguish bad input from numerical trouble.  The
+three checkers at the end are the one rule per kind of input: an integer,
+a finite real with a lower bound, and a complex point with finite parts.
+Each refusal names the parameter and the value it got; rules that are not a
+lower bound (strict or upper bounds, ranges) follow the check at its caller.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
 
 
 class ZetaEtaError(Exception):
@@ -89,3 +99,39 @@ class ZeroCoincidesWithS(ValidationError):
 
 class HypothesisViolated(ValidationError):
     """Stated hypothesis of the bound does not hold for these parameters."""
+
+
+# --- argument checkers ------------------------------------------------------
+
+# Concrete types, not the numbers ABCs: an ABC isinstance costs about 1 us,
+# and e_star runs its checks at every quadrature node of u_m_eval.
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+_POINTS = (int, float, complex, np.number)
+
+
+def _integer(value, name: str, lo: int = 0, exc=ValidationError) -> int:
+    """value as an int >= lo; bools, floats and other types are refused."""
+    if (isinstance(value, bool) or not isinstance(value, _INTEGERS)
+            or value < lo):
+        raise exc(f"integer {name} >= {lo} required, got {name}={value!r}")
+    return int(value)
+
+
+def _real(value, name: str, lo: float = -math.inf) -> float:
+    """value as a finite float >= lo; bools and non-real types are refused."""
+    if (isinstance(value, bool) or not isinstance(value, _REALS)
+            or not (math.isfinite(value) and value >= lo)):
+        bound = f" >= {lo:g}" if lo > -math.inf else ""
+        raise ValidationError(
+            f"finite {name}{bound} required, got {name}={value!r}")
+    return float(value)
+
+
+def _point(value, name: str = "s") -> complex:
+    """value as a complex number with finite parts."""
+    if (isinstance(value, bool) or not isinstance(value, _POINTS)
+            or not cmath.isfinite(value)):
+        raise ValidationError(
+            f"finite complex {name} required, got {name}={value!r}")
+    return complex(value)

@@ -61,7 +61,8 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .branch import SIGMA_START, branch_path, log_zeta_with_err
-from .errors import BudgetExceeded, NumericalError, OnSingularity, ValidationError
+from .errors import (BudgetExceeded, NumericalError, OnSingularity,
+                     ValidationError, _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
@@ -88,14 +89,6 @@ class EtaValue:
             raise ValidationError("est_err must be >= 0")
         if self.route not in ("iterated", "vertical"):
             raise ValidationError(f"unknown route {self.route!r}")
-
-
-def _check_m(m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValidationError(f"m must be an integer, got {m!r}")
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    return int(m)
 
 
 def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
@@ -140,14 +133,10 @@ def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
 def c_m_with_err(sigma: float, m: int,
                  prec: EvalPrecision = DEFAULT_PRECISION) -> tuple[complex, float]:
     """c_m(sigma) plus an absolute error estimate (memoized)."""
-    m = _check_m(m)
-    if m < 1:
-        raise ValidationError(f"c_m needs m >= 1, got {m}")
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise ValidationError("sigma must be finite")
+    m = _integer(m, "m", 1)
+    sigma = _real(sigma, "sigma")
     if sigma <= -1.0:
-        raise ValidationError(f"c_m is provided for sigma > -1, got {sigma}")
+        raise ValidationError(f"c_m needs sigma > -1, got sigma={sigma}")
     return _c_m_cached(m, sigma, prec.abs_err)
 
 
@@ -165,9 +154,8 @@ def zero_sum_polynomial(m: int, sigma: float, t: float,
     Returns (value, rounding estimate).  Exactly 0 whenever no table zero
     has beta > sigma -- in particular for an on-line table and sigma >= 1/2.
     """
-    m = _check_m(m)
-    if m < 1:
-        raise ValidationError(f"the zero sum needs m >= 1, got {m}")
+    m = _integer(m, "m", 1)
+    sigma, t = _real(sigma, "sigma"), _real(t, "t")
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     mask = (gs > 0.0) & (gs < t) & (bs > sigma)
     if not np.any(mask):
@@ -195,19 +183,15 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
     Valid for sigma >= 1/2 and 0 <= t <= table height.  m = 0 degenerates
     to log_zeta, t = 0 to c_m(sigma).
     """
-    m = _check_m(m)
-    z = complex(s)
+    m = _integer(m, "m")
+    z = _point(s)
     if store is None:
         store = builtin_store()
     if m == 0:
         val, est = log_zeta_with_err(z, prec, store)
         return EtaValue(s=z, m=0, value=val, route="vertical", est_err=est)
-    sigma, t = z.real, z.imag
-    if t < 0.0:
-        raise ValidationError("eta_m with m >= 1 requires t >= 0")
-    if sigma < 0.5:
-        raise ValidationError(
-            f"the vertical representation needs sigma >= 1/2, got {sigma}")
+    t = _real(z.imag, "t", 0.0)
+    sigma = _real(z.real, "sigma", 0.5)
     if t < SNAP_TOL:
         val, est = c_m_with_err(sigma, m, prec)
         return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
@@ -435,18 +419,14 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
     0 <= t <= table height - 2.5 (the sweep's model needs zeros slightly
     above t).
     """
-    m = _check_m(m)
-    z = complex(s)
+    m = _integer(m, "m")
+    z = _point(s)
     if store is None:
         store = builtin_store()
     if m == 0:
         val, est = log_zeta_with_err(z, prec, store)
         return EtaValue(s=z, m=0, value=val, route="iterated", est_err=est)
-    sigma, t = z.real, z.imag
-    if not math.isfinite(sigma) or not math.isfinite(t):
-        raise ValidationError(f"s must be finite, got {s!r}")
-    if t < 0.0:
-        raise ValidationError("eta_m with m >= 1 requires t >= 0")
+    sigma, t = z.real, _real(z.imag, "t", 0.0)
     if sigma <= -1.0:
         raise ValidationError(f"the iterated route needs sigma > -1, got {sigma}")
     if t > store.t_max - 2.5:
@@ -492,5 +472,5 @@ def route_check(s, m: int, store: ZeroStore | None = None,
 def s_m(t: float, m: int, store: ZeroStore | None = None,
         prec: EvalPrecision = DEFAULT_PRECISION) -> float:
     """S_m(t) = Im(eta_m(1/2 + it))/pi; S_0 is the argument function S(t)."""
-    return eta_vertical(complex(0.5, float(t)), m, store,
+    return eta_vertical(complex(0.5, _real(t, "t")), m, store,
                         prec).value.imag / math.pi

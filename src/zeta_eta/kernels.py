@@ -35,7 +35,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.special import betainc
 
-from .errors import InvalidFamily, OnNegativeRealAxisCut, ValidationError
+from .errors import (InvalidFamily, OnNegativeRealAxisCut, ValidationError,
+                     _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import integrate_adaptive
 
@@ -68,8 +69,6 @@ class Kernel:
 
 
 def _poly_bump(d: int) -> Kernel:
-    if d < 1:
-        raise InvalidFamily(f"poly_bump needs d >= 1, got {d}")
     norm = 1.0 / math.exp(math.lgamma(d + 1) * 2 - math.lgamma(2 * d + 2))
     # norm = 1/B(d+1, d+1)
 
@@ -105,7 +104,7 @@ def make_kernel(family: str, d: int | None = None) -> Kernel:
     if family == "poly_bump":
         if d is None:
             raise InvalidFamily("poly_bump needs the degree d")
-        return _poly_bump(int(d))
+        return _poly_bump(_integer(d, "d", 1, InvalidFamily))
     if family == "tent":
         if d is not None:
             raise InvalidFamily("tent takes no degree parameter")
@@ -118,18 +117,12 @@ DEFAULT_KERNEL = make_kernel("poly_bump", 4)
 
 # --- rescalings ---------------------------------------------------------------
 
-def _check_h(h: float) -> float:
-    h = float(h)
-    if not (h >= 1.0 and math.isfinite(h)):
-        raise ValidationError(f"H >= 1 required, got {h}")
-    return h
-
-
 def u_f_h(kernel: Kernel, h: float, x: float) -> float:
     """u_{f,H}(x) = H f(H log(x/e))/x, supported on [e, e^(1+1/H)]."""
-    h = _check_h(h)
+    h = _real(h, "H", 1.0)
+    x = _real(x, "x")
     if x <= 0.0:
-        raise ValidationError(f"x must be positive, got {x}")
+        raise ValidationError(f"x > 0 required, got x={x}")
     tau = h * (math.log(x) - 1.0)
     if tau <= 0.0 or tau >= 1.0:
         return 0.0
@@ -138,9 +131,10 @@ def u_f_h(kernel: Kernel, h: float, x: float) -> float:
 
 def v_f_h(kernel: Kernel, h: float, y: float) -> float:
     """v_{f,H}(y) = int_y^inf u_{f,H}; 1 up to e, 0 from e^(1+1/H) on."""
-    h = _check_h(h)
+    h = _real(h, "H", 1.0)
+    y = _real(y, "y")
     if y <= 0.0:
-        raise ValidationError(f"y must be positive, got {y}")
+        raise ValidationError(f"y > 0 required, got y={y}")
     return float(1.0 - kernel.f_cdf(h * (math.log(y) - 1.0)))
 
 
@@ -153,9 +147,12 @@ def boundary_derivative(kernel: Kernel, order: int, side: int,
     a nonzero value here is the jump of f^(order) across the endpoint.
     Orders above SMOOTHNESS_CHECK_CAP are refused.
     """
-    if order < 0 or order > SMOOTHNESS_CHECK_CAP:
+    order, side = _integer(order, "order"), _integer(side, "side")
+    if order > SMOOTHNESS_CHECK_CAP:
         raise ValidationError(
-            f"order must lie in [0, {SMOOTHNESS_CHECK_CAP}], got {order}")
+            f"order <= {SMOOTHNESS_CHECK_CAP} required, got order={order}")
+    if _real(step, "step") <= 0.0:
+        raise ValidationError(f"step > 0 required, got step={step}")
     # Forward-difference coefficients: Delta^n f(x0) / h^n.
     coeffs = [(-1) ** (order - j) * math.comb(order, j) for j in range(order + 1)]
     if side == 0:
@@ -224,9 +221,8 @@ def e_star(m: int, z, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
     Refuses the branch cut (z real and <= 0); the one-sided limit there is
     the caller's business (see u_m_eval).
     """
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    z = complex(z)
+    m = _integer(m, "m")
+    z = _point(z, "z")
     if z.imag == 0.0 and z.real <= 0.0:
         raise OnNegativeRealAxisCut(
             f"E*_{m + 1} is not defined on the nonpositive real axis (z={z})")
@@ -259,10 +255,9 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
     cut side (z <= 0) takes the limit from below, z -> z - i eps; real z > 0
     is evaluated directly (the two sides agree there).
     """
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    h = _check_h(h)
-    z = complex(z)
+    m = _integer(m, "m")
+    h = _real(h, "H", 1.0)
+    z = _point(z, "z")
     if z == 0:
         raise ValidationError("U_m(0) diverges; z must be nonzero")
     if z.imag == 0.0 and z.real <= 0.0:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _real
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,9 @@ class EvalPrecision:
     abs_err: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (1e-30 <= self.abs_err <= 1e-3):
+        if _real(self.abs_err, "abs_err", 1e-30) > 1e-3:
             raise ValidationError(
-                f"abs_err must lie in [1e-30, 1e-3], got {self.abs_err!r}")
+                f"abs_err <= 1e-3 required, got abs_err={self.abs_err!r}")
 
 
 #: Point-evaluation default (CLI single evaluations).

@@ -49,16 +49,11 @@ def _panel(f: Integrand, a: float, b: float) -> tuple[complex, float, float]:
 
 def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
                        splits: list[float] | None = None) -> tuple[complex, float]:
-    """Integral of f over [a, b] with panel bisection down to tol.
+    """Integral of f over [a, b], a < b, with panel bisection down to tol.
 
     splits lists interior points that must be panel boundaries (integrand
     kinks or one-sided limits); they are clamped to (a, b) and deduplicated.
     """
-    if b == a:
-        return 0.0 + 0.0j, 0.0
-    if b < a:
-        val, est = integrate_adaptive(f, b, a, tol, splits)
-        return -val, est
     edges = [a, b]
     if splits:
         edges.extend(x for x in splits if a < x < b)

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (BeyondTable, EmptyFile, NotSorted, OutOfStrip,
-                     ParseError, ValidationError)
+                     ParseError, ValidationError, _integer, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 
 #: A height closer than this to a tabulated gamma is that ordinate: the
@@ -105,6 +105,7 @@ class ZeroStore:
 
     def count_below(self, t: float) -> int:
         """Zeros with gamma < t, counted with multiplicity."""
+        t = _real(t, "t")
         hi = int(np.searchsorted(self._gammas, t, side="left"))
         return int(self._mults[:hi].sum())
 
@@ -113,8 +114,7 @@ class ZeroStore:
 
         Raises BeyondTable when the window pokes above the table.
         """
-        if h < 0:
-            raise ValidationError(f"window half-width must be >= 0, got {h}")
+        t, h = _real(t, "t"), _real(h, "h", 0.0)
         if t + h > self.t_max:
             raise BeyondTable(
                 f"window [{t - h}, {t + h}] exceeds table height {self.t_max}")
@@ -124,6 +124,7 @@ class ZeroStore:
 
     def nearest_gamma(self, t: float) -> float:
         """Tabulated ordinate closest to t (reflections not considered)."""
+        t = _real(t, "t")
         i = int(np.searchsorted(self._gammas, t))
         best = None
         for j in (i - 1, i):
@@ -186,10 +187,9 @@ class ZeroStore:
             raise OutOfStrip(f"beta must lie in (0, 1), got {beta}")
         if not (gamma > 0.0 and math.isfinite(gamma)):
             raise OutOfStrip(f"gamma must be positive and finite, got {gamma}")
-        if multiplicity < 1:
-            raise OutOfStrip(f"multiplicity must be >= 1, got {multiplicity}")
+        multiplicity = _integer(multiplicity, "multiplicity", 1, OutOfStrip)
         records = [self.record(i) for i in range(len(self))]
-        records.append(ZeroRecord(float(gamma), float(beta), int(multiplicity)))
+        records.append(ZeroRecord(float(gamma), float(beta), multiplicity))
         records.sort(key=lambda r: r.gamma)
         return ZeroStore(records, source=f"{self.source}+hypothetical"
                                          f"({beta},{gamma},x{multiplicity})")
@@ -197,8 +197,7 @@ class ZeroStore:
     # -- sigma_{X,t} -----------------------------------------------------------
 
     def sigma_xt(self, t: float, x: float) -> float:
-        if x < 3.0:
-            raise ValidationError(f"X >= 3 required, got {x}")
+        t, x = _real(t, "t"), _real(x, "X", 3.0)
         logx = math.log(x)
         widths = np.power(x, 3.0 * (self._betas - 0.5)) / logx
         if t + float(widths.max()) > self.t_max:
@@ -328,11 +327,10 @@ def rvmf_check(store: ZeroStore, t_height: float,
     from .branch import big_s
     from .zeta import theta as rs_theta
 
+    t_height = _real(t_height, "T", 2.0)
     if t_height > store.t_max:
         raise BeyondTable(
             f"T={t_height} above table height {store.t_max}")
-    if t_height < 2.0:
-        raise ValidationError(f"T must be >= 2, got {t_height}")
     g = store.nearest_gamma(t_height)
     if g is not None and abs(t_height - g) <= ORDINATE_TOL:
         raise ValidationError(

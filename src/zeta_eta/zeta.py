@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, NearSingularity, PoleAtOne, ValidationError
+from .errors import (BudgetExceeded, NearSingularity, PoleAtOne,
+                     ValidationError, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 
 # Bernoulli numbers B_2 .. B_30, exact.
@@ -41,13 +42,6 @@ _CORRECTION_ORDER = 10          # K: number of Bernoulli correction terms
 _EXTENDED_THRESHOLD = 5e-14     # below this, switch to software precision
 _POLE_RADIUS = 1e-12
 _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
-
-
-def _as_complex(s) -> complex:
-    z = complex(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"s must be finite, got {s!r}")
-    return z
 
 
 def _initial_cutoff(s: complex, abs_err: float, order: int) -> int:
@@ -149,11 +143,10 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
     abs_err < 5e-14 return a software extended-precision complex (mpmath)
     carrying at least 30 digits.
     """
-    z = _as_complex(s)
+    z = _point(s)
     if abs(z - 1.0) <= _POLE_RADIUS:
         raise PoleAtOne(f"s={s} is within {_POLE_RADIUS} of the pole at 1")
-    if z.real < -1.0:
-        raise ValidationError(f"sigma >= -1 required, got sigma={z.real}")
+    _real(z.real, "sigma", -1.0)
     if _needs_extended(z, prec.abs_err):
         import mpmath as mp
         with mp.workdps(_extended_dps(prec.abs_err)):
@@ -169,7 +162,7 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
     reflections across the real axis) is checked; the guard radius is
     sqrt(prec.abs_err).
     """
-    z = _as_complex(s)
+    z = _point(s)
     guard = math.sqrt(prec.abs_err)
     if abs(z - 1.0) <= guard:
         raise NearSingularity(
@@ -208,7 +201,7 @@ def log_gamma(z) -> complex:
     leaves a remainder below ~5e-17 * sec(arg(z)/2)^18, i.e. machine level
     on the half-plane we use.
     """
-    w = _as_complex(z)
+    w = _point(z, "z")
     if w.real <= 0:
         raise ValidationError(f"log_gamma requires Re z > 0, got {z!r}")
     shift = 0.0 + 0.0j
@@ -229,6 +222,7 @@ def theta(t: float) -> float:
 
     Continuous for t >= 0 with theta(0) = 0; odd extension for t < 0.
     """
+    t = _real(t, "t")
     if t < 0:
         return -theta(-t)
     return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
@@ -240,9 +234,7 @@ def hardy_z(t: float, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
     Even in t.  The rotated value's imaginary part is a self-check and must
     sit at tolerance level; Z(0) = zeta(1/2).
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValidationError(f"t must be finite, got {t!r}")
+    t = _real(t, "t")
     if t < 0:
         return hardy_z(-t, prec)
     if _needs_extended(complex(0.5, t), prec.abs_err):

@@ -8,6 +8,7 @@ import cmath
 import math
 import sys
 
+import mpmath as mp
 import pytest
 
 from zeta_eta.branch import big_s, branch_path, log_zeta, log_zeta_with_err
@@ -141,3 +142,15 @@ def test_estimate_is_honest_on_oracle_grid(store):
         got, est = log_zeta_with_err(complex(sig, t),
                                      EvalPrecision(abs_err=1e-10), store)
         assert abs(got - ref) <= max(est, 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.01, 0.049])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9, 0.99, 1.0, 1.01, 1.5, 2.0])
+def test_log_zeta_just_above_the_real_axis(sigma, t):
+    # 0 < t < 0.05: the march subtracts the pole at s = 1 analytically.  Just
+    # above the axis, zeta(s) lies in the lower half-plane for sigma < 1, so
+    # the branch is the principal logarithm there as well.
+    with mp.workdps(30):
+        ref = complex(mp.log(mp.zeta(mp.mpc(sigma, t))))
+    val, _ = log_zeta_with_err(complex(sigma, t))
+    assert abs(val - ref) <= 1e-12, (sigma, t, val, ref)

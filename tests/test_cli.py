@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from zeta_eta.cli import (MAX_GRID_POINTS, _parse_complex, _parse_floats,
                           _t_grid, main)
 from zeta_eta.errors import ValidationError
+from zeta_eta.eta import eta_vertical
+from zeta_eta.precision import DEFAULT_PRECISION
+from zeta_eta.zeros import builtin_store
 
 GAMMA_LINES = "14.134725141734694\n21.022039638771554\n25.010857580145688\n"
 
@@ -72,6 +76,22 @@ def test_eval_eta_check_routes(capsys):
     assert lines[1].startswith("iterated,")
     tail = lines[2].split(",")
     assert tail[0] == "diff" and tail[4] == "agree" and tail[5] == "true"
+
+
+def test_eval_eta_prints_the_vertical_route(capsys):
+    code, out, err = _run(capsys, ["eval", "--what", "eta", "--s", "0.75+40i",
+                                   "--m", "2"])
+    v = eta_vertical(complex(0.75, 40.0), 2, builtin_store(), DEFAULT_PRECISION)
+    assert code == 0 and err == ""
+    want = (float(v.value.real), float(v.value.imag), float(v.est_err))
+    assert out == ",".join(map(repr, want)) + "\n"
+
+
+def test_numerical_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sys.modules["zeta_eta.zeta"], "_MAX_CUTOFF", 16)
+    code, out, err = _run(capsys, ["eval", "--what", "zeta", "--s",
+                                   "0.5+1500i"])
+    assert code == 1 and out == "" and "exceeds 16" in err
 
 
 def test_eval_s_m(capsys):
@@ -294,6 +314,9 @@ def test_dist_refuses_bad_x(capsys, sub, x):
       "--v-list", "0.5"], "T=nan"),
     (["dist", "tmeasure", "--t-big", "100", "--seed", "1", "--count", "100",
       "--x", "2.5", "--v", "0.5", "--m", "0"], "m = 0 needs X >= 3"),
+    (["dist", "tails", "--t-big", "100", "--seed", "-1", "--count", "100",
+      "--v-list", "0.5"], "seed=-1"),
+    (["eval", "--what", "eta", "--s", "nan+20i", "--m", "1"], "s=(nan+20j)"),
 ])
 def test_refusals_name_the_parameter(capsys, argv, name):
     code, out, err = _run(capsys, argv)

@@ -181,6 +181,20 @@ def test_e_star_higher_against_incomplete_gamma():
             assert abs(e_star(m, z) - complex(ref)) < 1e-9, (m, z)
 
 
+@pytest.mark.parametrize("z", [complex(-6.0, 0.3), complex(-10.0, -1.0),
+                               complex(-30.0, 5.0), complex(-8.0, 1e-6)])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_e_star_panel_path_left_of_the_origin(z, m):
+    # Re z < 0 and |z| > 4: the graded-panel quadrature around the pole
+    with mp.workdps(50):
+        zz = mp.mpc(z.real, z.imag)
+        ref = (-zz) ** m * mp.e1(zz)
+        for k in range(1, m + 1):
+            ref += mp.binomial(m, k) * (-zz) ** (m - k) * mp.gammainc(k, zz)
+        ref = complex(ref)
+    assert abs(e_star(m, z) - ref) <= 1e-9 * abs(ref), (m, z)
+
+
 def test_e_star_cut_refusal():
     with pytest.raises(OnNegativeRealAxisCut):
         e_star(0, -1.0)

@@ -39,7 +39,6 @@ def test_panel_exact_on_degree_19():
     assert node_err == pytest.approx(1e-3 * (b - a), rel=1e-14)
 
 
-
 def test_adaptive_panel_budget(monkeypatch):
     def f(x):
         return cmath.exp(40j * x), 0.0
