@@ -290,18 +290,44 @@ def _bound_esrm2(sigma: float, t: float, cfg: ApproxConfig) -> float:
 def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
              prec: EvalPrecision = DEFAULT_PRECISION,
              reflect_negative_ordinates: bool = True) -> ResidualReport:
-    """R_m(s, X, H) = eta_m(s) - polynomial - Y_m, with both bound shapes."""
-    z = _point(s, "s = sigma + it")
-    t = _real(z.imag, "t", 14.0)
-    sigma = _real(z.real, "sigma", 0.5)
+    """R_m(s, X, H) = eta_m(s) - polynomial - Y_m, with both bound shapes.
+
+    Needs t >= 14, sigma >= 1/2 and the hypothesis 1 <= H <= t/2 of the
+    bounds; an H above t/2 raises HypothesisViolated.
+    """
+    z = _residual_point(s, cfg.H)
     if store is None:
         store = builtin_store()
     eta_val = eta_vertical(z, cfg.m, store, prec).value
+    return _residual_split(z, eta_val, cfg, store, reflect_negative_ordinates)
+
+
+def _residual_point(s, H: float) -> complex:
+    """s = sigma + it as residual takes it (t >= 14, sigma >= 1/2, and
+    H <= t/2 for the bounds), checked before any numerics."""
+    z = _point(s, "s = sigma + it")
+    t = _real(z.imag, "t", 14.0)
+    _real(z.real, "sigma", 0.5)
+    if H > 0.5 * t:
+        raise HypothesisViolated(
+            f"the remainder bounds assume 1 <= H <= t/2, got H={H} at t={t}")
+    return z
+
+
+def _residual_split(z: complex, eta_val: complex, cfg: ApproxConfig,
+                    store: ZeroStore,
+                    reflect_negative_ordinates: bool = True) -> ResidualReport:
+    """The part of residual that depends on X: eta_m(z) given as eta_val,
+    split into polynomial, Y_m and remainder, with the two bound shapes.
+
+    eta_m does not depend on X, so a scan over X computes it once per
+    height and splits it here for every X.
+    """
     poly = dirichlet_poly(z, cfg)
     y_val = y_m(z, cfg.X, cfg.m, store)
     r_val = eta_val - poly - y_val
-    b1 = _bound_esrm(sigma, t, cfg, store, reflect_negative_ordinates)
-    b2 = _bound_esrm2(sigma, t, cfg)
+    b1 = _bound_esrm(z.real, z.imag, cfg, store, reflect_negative_ordinates)
+    b2 = _bound_esrm2(z.real, z.imag, cfg)
     return ResidualReport(s=z, cfg=cfg, eta=eta_val, poly=poly, y_m=y_val,
                           r_m=r_val, bound_esrm=b1, bound_esrm2=b2,
                           ratio=abs(r_val) / b2)

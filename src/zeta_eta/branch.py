@@ -20,13 +20,19 @@ Above SIGMA_START the winding is 0, so a prepared ray answers on
 [sigma_end, infinity) with the principal logarithm there.  Rays refuse
 heights above the zero table: step control and the ordinate convention both
 need to know every zero near the path.
+
+A prepared ray keeps the phases n^-it of its height (a shared zeta._Ray),
+computed once and grown as larger cutoffs are needed.  The march, the
+bisection that locates a winding wrap and every later query evaluate zeta
+through them, and eval_log and winding take a float or a whole array of
+abscissae; an array is one Euler-Maclaurin pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .errors import (BudgetExceeded, OnSingularity, ValidationError, _point,
                      _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
-from .zeta import _zeta_em
+from .zeta import _Ray, _zeta_em
 
 SIGMA_START = 40.0
 _MARCH_BUDGET = 200_000    # zeta evaluations one march may spend on its steps
@@ -48,8 +54,8 @@ class BranchPath:
 
     t is the snapped height |t|; conjugate marks a ray requested at t < 0.
     Unwinding breakpoints (descending alphas, the first at SIGMA_START) let
-    eval_log answer anywhere on [sigma_end, infinity) with a single zeta
-    evaluation.
+    eval_log answer anywhere on [sigma_end, infinity) from one zeta
+    evaluation per abscissa, made on the ray's shared phases.
     """
 
     t: float
@@ -57,35 +63,51 @@ class BranchPath:
     conjugate: bool
     _breaks: list[float]        # descending
     _winds: list[int]           # winds[i] on (breaks[i+1], breaks[i]]
+    _ray: _Ray = field(repr=False, compare=False)   # phases of height t
     _prec: EvalPrecision = DEFAULT_PRECISION
 
-    def winding(self, alpha: float) -> int:
-        _real(alpha, "alpha", self.sigma_end)
+    def winding(self, alpha):
+        """The winding integer at alpha, a float or an array (same shape);
+        alpha must be finite and >= sigma_end."""
+        if np.ndim(alpha) == 0:
+            a = np.float64(_real(alpha, "alpha", self.sigma_end))
+        else:
+            a = np.asarray(alpha, dtype=np.float64)
+            for end in (a.min(), a.max()):
+                _real(end, "alpha", self.sigma_end)
         # breaks are descending; the winding at alpha is the one attached to
         # the deepest breakpoint at or above alpha, and 0 above them all.
-        for i in range(len(self._breaks) - 1, -1, -1):
-            if self._breaks[i] >= alpha:
-                return self._winds[i]
-        return self._winds[0]
+        at_or_above = np.searchsorted(-np.asarray(self._breaks), -a,
+                                      side="right")
+        k = np.asarray(self._winds)[np.maximum(at_or_above - 1, 0)]
+        return int(k) if k.ndim == 0 else k
 
-    def eval_log(self, alpha: float) -> tuple[complex, float]:
-        """log zeta(alpha + it) on the branch, with an error estimate."""
-        k = self.winding(alpha)
-        s = complex(alpha, self.t)
-        val, _, rem = _zeta_em(s, self._prec, want_deriv=False)
-        if val == 0:
+    def eval_log(self, alpha):
+        """log zeta(alpha + it) on the branch, with an error estimate.
+
+        alpha is a float, answered with (complex, float), or an array,
+        answered with two arrays of its shape; an array takes one
+        Euler-Maclaurin pass for all its abscissae.
+        """
+        k = np.ravel(self.winding(alpha))
+        vals, _, rems = _zeta_em(self._ray, alpha, self._prec,
+                                 want_deriv=False)
+        if 0 in vals:
+            s = complex(np.ravel(alpha)[vals.index(0)], self.t)
             raise OnSingularity(f"zeta({s}) = 0 at working precision")
-        out = cmath.log(val) + 2j * math.pi * k
-        est = rem / abs(val) + 1e-15 * (1.0 + abs(out))
+        out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
+        est = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
         if self.conjugate:
             out = out.conjugate()
-        return out, est
+        if np.ndim(alpha) == 0:
+            return complex(out[0]), float(est[0])
+        return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
 _REG_RADIUS = 0.05      # singularities this close to a step get subtracted
 
 
-def _march(t: float, sigma_end: float, prec: EvalPrecision,
+def _march(ray: _Ray, sigma_end: float, prec: EvalPrecision,
            store: ZeroStore) -> tuple[list[float], list[int]]:
     """Walk the ray from SIGMA_START down to sigma_end tracking the winding.
 
@@ -96,8 +118,10 @@ def _march(t: float, sigma_end: float, prec: EvalPrecision,
     first, so steps crossing the critical line arbitrarily close to a zero
     (or the pole, for rays at height ~0) stay well-predicted.
     """
+    t = ray.t
+
     def logderiv(alpha: float) -> tuple[complex, complex]:
-        v, d, _ = _zeta_em(complex(alpha, t), prec, want_deriv=True)
+        (v,), (d,), _ = _zeta_em(ray, alpha, prec, want_deriv=True)
         if v == 0:
             raise OnSingularity(f"zeta({alpha}+{t}j) = 0 at working precision")
         return cmath.log(v), d / v
@@ -171,7 +195,7 @@ def _march(t: float, sigma_end: float, prec: EvalPrecision,
                 if hi - lo < 1e-9:
                     break
                 mid = 0.5 * (lo + hi)
-                vm, _, _ = _zeta_em(complex(mid, t), prec, want_deriv=False)
+                (vm,), _, _ = _zeta_em(ray, mid, prec, want_deriv=False)
                 # same side as hi if no wrap between mid and hi
                 if abs(cmath.log(vm).imag - im_hi) < math.pi:
                     hi = mid
@@ -209,10 +233,10 @@ def branch_path(t: float, sigma_end: float,
     # negative ordinates.  Exact zeros on the ray (sigma_end below a zero's
     # beta at this height) are fine -- the ray passes at vertical distance
     # >= the snap offset.
-    t_eff = store.snap(t)
-    breaks, winds = _march(t_eff, sigma_end, prec, store)
-    return BranchPath(t=t_eff, sigma_end=sigma_end, conjugate=conjugate,
-                      _breaks=breaks, _winds=winds, _prec=prec)
+    ray = _Ray(store.snap(t), shared=True)
+    breaks, winds = _march(ray, sigma_end, prec, store)
+    return BranchPath(t=ray.t, sigma_end=sigma_end, conjugate=conjugate,
+                      _breaks=breaks, _winds=winds, _ray=ray, _prec=prec)
 
 
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
@@ -227,18 +251,35 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     if store.zero_distance(z) <= 1e-12:
         raise OnSingularity(f"s={s} sits on a zero of the table")
     if z.real >= SIGMA_START:
-        val, _, rem = _zeta_em(z, prec, want_deriv=False)
+        (val,), _, (rem,) = _zeta_em(_Ray(z.imag, shared=False), z.real,
+                                     prec, want_deriv=False)
         return cmath.log(val), rem / max(abs(val), 1e-300) + 1e-15
     if z.imag == 0.0:
-        # Limit from above in closed form: zeta(sigma) is real and nonzero
-        # on (-1, 1) u (1, inf), negative exactly on (-1, 1), and the
-        # continuation across the pole contributes the phase -pi there.
-        val, _, rem = _zeta_em(z, prec, want_deriv=False)
-        x = val.real
-        return (complex(math.log(abs(x)), -math.pi if x < 0 else 0.0),
-                rem / max(abs(x), 1e-300) + 1e-15)
+        return _log_zeta_real(z.real, prec)
     path = branch_path(z.imag, z.real, prec, store)
     return path.eval_log(z.real)
+
+
+def _log_zeta_real(sigma, prec: EvalPrecision):
+    """log zeta(sigma) on the real axis, the limit from above, with error
+    estimates; sigma is a float, answered with (complex, float), or an
+    array, answered with two arrays of its shape.
+
+    The closed form: zeta(sigma) is real and nonzero on (-1, 1) u (1, inf),
+    negative exactly on (-1, 1), and the continuation across the pole
+    contributes the phase -pi there.
+    """
+    if np.any(np.abs(np.asarray(sigma) - 1.0) <= 1e-12):
+        raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
+    vals, _, rems = _zeta_em(_Ray(0.0, shared=np.ndim(sigma) > 0), sigma,
+                             prec, want_deriv=False)
+    xs = [v.real for v in vals]
+    out = [complex(math.log(abs(x)), -math.pi if x < 0 else 0.0) for x in xs]
+    est = [r / max(abs(x), 1e-300) + 1e-15 for x, r in zip(xs, rems)]
+    if np.ndim(sigma) == 0:
+        return out[0], est[0]
+    return (np.reshape(out, np.shape(sigma)),
+            np.reshape(est, np.shape(sigma)))
 
 
 def log_zeta(s, prec: EvalPrecision = DEFAULT_PRECISION,

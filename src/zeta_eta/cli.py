@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approx import ApproxConfig, residual
+from .approx import ApproxConfig, _residual_point, _residual_split
 from .branch import log_zeta_with_err
 from .distribution import (GridSpec, measure_t_m, moment_residual, tail_table)
 from .errors import NumericalError, ValidationError, ZetaEtaError
@@ -215,19 +215,23 @@ def cmd_residual_scan(args) -> int:
     kernel = make_kernel(args.kernel,
                          args.kernel_d if args.kernel == "poly_bump" else None)
 
-    def one(t, x):
-        rep = residual(complex(args.sigma, t),
-                       ApproxConfig(m=args.m, X=x, H=args.h, kernel=kernel),
-                       store, prec)
-        return {"t": t, "x": x,
-                "eta_re": rep.eta.real, "eta_im": rep.eta.imag,
-                "poly_re": rep.poly.real, "poly_im": rep.poly.imag,
-                "y_re": rep.y_m.real, "y_im": rep.y_m.imag,
-                "r_re": rep.r_m.real, "r_im": rep.r_m.imag,
-                "bound_esrm": rep.bound_esrm, "bound_esrm2": rep.bound_esrm2,
-                "ratio": rep.ratio}
+    cfgs = [ApproxConfig(m=args.m, X=x, H=args.h, kernel=kernel) for x in xs]
 
-    rows = [one(t, x) for t in ts for x in xs]
+    def at_height(t):
+        # eta_m does not depend on X: one evaluation serves the whole X-list
+        z = _residual_point(complex(args.sigma, t), args.h)
+        eta = eta_vertical(z, args.m, store, prec).value
+        for x, cfg in zip(xs, cfgs):
+            rep = _residual_split(z, eta, cfg, store)
+            yield {"t": t, "x": x,
+                   "eta_re": rep.eta.real, "eta_im": rep.eta.imag,
+                   "poly_re": rep.poly.real, "poly_im": rep.poly.imag,
+                   "y_re": rep.y_m.real, "y_im": rep.y_m.imag,
+                   "r_re": rep.r_m.real, "r_im": rep.r_m.imag,
+                   "bound_esrm": rep.bound_esrm,
+                   "bound_esrm2": rep.bound_esrm2, "ratio": rep.ratio}
+
+    rows = [row for t in ts for row in at_height(t)]
     header = ["t", "x", "eta_re", "eta_im", "poly_re", "poly_im", "y_re",
               "y_im", "r_re", "r_im", "bound_esrm", "bound_esrm2", "ratio"]
     meta = _meta(args, store, "residual-scan", m=args.m, x_list=xs, h=args.h,

@@ -39,10 +39,16 @@ closed form.  Keeping the model local also keeps both pieces the same size
 as the answer -- subtracting every zero at once would balloon the two halves
 by a factor ~ N(t) log t and drown the result in rounding noise.
 
-Continuity of G along the ascending node sequence pins the winding integer of
-the principal logarithm at each sample, replacing a horizontal branch march
-per sample; the sweep is anchored at u = 0 (closed-form branch value) and
-re-verified against the horizontal-ray branch at u = t.
+A panel hands its integrand all 30 nodes at once, in ascending order; the
+sweep walks them in that order, and continuity of G along the ascending node
+sequence pins the winding integer of the principal logarithm at each sample,
+replacing a horizontal branch march per sample.  The sweep is anchored at
+u = 0 (closed-form branch value) and re-verified against the horizontal-ray
+branch at u = t.
+
+The vertical integrals (the route's own and c_m's) run on one horizontal ray
+each: a panel's 30 abscissae are one batched zeta evaluation on the ray's
+shared phases (BranchPath.eval_log), or on the real axis for c_m.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
@@ -60,13 +66,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincc
 
-from .branch import SIGMA_START, branch_path, log_zeta_with_err
+from .branch import (SIGMA_START, _log_zeta_real, branch_path,
+                     log_zeta_with_err)
 from .errors import (BudgetExceeded, NumericalError, OnSingularity,
                      ValidationError, _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
-from .zeta import _zeta_em
+from .zeta import _Ray, _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
 
@@ -95,15 +102,16 @@ def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
                        kinks: tuple[float, ...]) -> tuple[complex, float]:
     """i^m/(m-1)! int_sigma^(sigma+cut) (a-sigma)^(m-1) log f(a) da, m >= 1.
 
-    log_f(a) returns (value, error bound); kinks inside the range become
+    log_f takes an array of abscissae and returns (values, error bounds) as
+    arrays, one pass for a panel's 30 nodes; kinks inside the range become
     panel edges.  The error estimate covers the dropped tail: since
     |log zeta(a+it)| <= -log(1 - 2^-a) <= 2*2^-a for a >= 1, the tail beyond
     sigma + cut is at most 2*2^-sigma Gamma(m, cut ln 2)/(ln 2)^m / (m-1)!.
     """
-    def g(alpha: float) -> tuple[complex, float]:
+    def g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v, e = log_f(alpha)
         w = (alpha - sigma) ** (m - 1)
-        return w * v, abs(w) * e
+        return w * v, np.abs(w) * e
 
     # (a - sigma)^(m-1) 2^-a peaks near (m-1)/ln 2; push the cutoff out for
     # large m so the tail bound stays tiny.
@@ -122,12 +130,10 @@ def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
 @lru_cache(maxsize=512)
 def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
     prec = EvalPrecision(abs_err=abs_err)
-    store = builtin_store()
     # On the real axis the limit from above is available in closed form;
     # no branch march runs anywhere near the pole.
-    return _vertical_integral(
-        lambda a: log_zeta_with_err(complex(a, 0.0), prec, store),
-        m, sigma, abs_err, (1.0,))
+    return _vertical_integral(lambda a: _log_zeta_real(a, prec),
+                              m, sigma, abs_err, (1.0,))
 
 
 def c_m_with_err(sigma: float, m: int,
@@ -263,7 +269,8 @@ class _Sweep:
         if self.evals > _SWEEP_BUDGET:
             raise BudgetExceeded("winding sweep exceeded its evaluation budget")
         z = complex(self.sigma, u)
-        val, _, rem = _zeta_em(z, self.prec, want_deriv=False)
+        (val,), _, (rem,) = _zeta_em(_Ray(u, shared=False), self.sigma,
+                                     self.prec, want_deriv=False)
         if val == 0:
             raise OnSingularity(f"zeta({z}) = 0 at working precision")
         principal = cmath.log(val) - self.model(u)
@@ -364,10 +371,16 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
 
     sweep = _Sweep(sigma, prec)
 
-    def integrand(u: float) -> tuple[complex, float]:
-        g_val = sweep.eval(u)
-        w = (t_eff - u) ** (m - 1)
-        return w * g_val, abs(w) * (sweep.node_err + 2e-16 * abs(g_val))
+    def integrand(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # In ascending order: the sweep pins the branch node by node.
+        vals = np.empty(us.size, dtype=np.complex128)
+        errs = np.empty(us.size)
+        for i, u in enumerate(us.tolist()):
+            g_val = sweep.eval(u)
+            w = (t_eff - u) ** (m - 1)
+            vals[i] = w * g_val
+            errs[i] = abs(w) * (sweep.node_err + 2e-16 * abs(g_val))
+        return vals, errs
 
     panels = _line_panels(t_eff, store)
     total_g = 0j

@@ -53,13 +53,14 @@ class Kernel:
     d_smooth is the usable differentiation order: derivatives of orders
     0..d_smooth-1 of the zero-extension are continuous at the endpoints and
     order d_smooth jumps.  poly_bump(d) has d_smooth = d; tent has 1.
-    f_cdf takes a scalar or an array and clamps to 0 below 0, 1 above 1.
+    f and f_cdf take a scalar or an array and answer in its shape; f is 0
+    off (0, 1), and f_cdf clamps to 0 below 0, 1 above 1.
     """
 
     family: str
     d: int
     d_smooth: int
-    f: Callable[[float], float] = field(repr=False, compare=False)
+    f: Callable[[ArrayLike], np.ndarray] = field(repr=False, compare=False)
     f_cdf: Callable[[ArrayLike], np.ndarray] = field(repr=False, compare=False)
 
     @property
@@ -72,10 +73,10 @@ def _poly_bump(d: int) -> Kernel:
     norm = 1.0 / math.exp(math.lgamma(d + 1) * 2 - math.lgamma(2 * d + 2))
     # norm = 1/B(d+1, d+1)
 
-    def f(x: float) -> float:
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        return norm * (x * (1.0 - x)) ** d
+    def f(x: ArrayLike) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        inside = (x > 0.0) & (x < 1.0)
+        return np.where(inside, norm * (x * (1.0 - x)) ** d, 0.0)[()]
 
     def f_cdf(x: ArrayLike) -> np.ndarray:
         # I_x(d+1, d+1) is exactly 0 at x = 0 and 1 at x = 1.
@@ -85,10 +86,10 @@ def _poly_bump(d: int) -> Kernel:
 
 
 def _tent() -> Kernel:
-    def f(x: float) -> float:
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        return 4.0 * min(x, 1.0 - x)
+    def f(x: ArrayLike) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        inside = (x > 0.0) & (x < 1.0)
+        return np.where(inside, 4.0 * np.minimum(x, 1.0 - x), 0.0)[()]
 
     def f_cdf(x: ArrayLike) -> np.ndarray:
         x = np.clip(x, 0.0, 1.0)
@@ -199,8 +200,8 @@ def _estar_laguerre(m: int, z: complex, n: int) -> complex:
 def _estar_panels(m: int, z: complex, tol: float) -> complex:
     # Direct integral e^-z int_0^60 u^m e^-u/(u+z) du with panels graded
     # around the pole at u = -Re z (when it sits on the positive axis).
-    def g(u: float) -> tuple[complex, float]:
-        return (u ** m) * math.exp(-u) / (u + z), 0.0
+    def g(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (u ** m) * np.exp(-u) / (u + z), np.zeros(u.shape)
 
     splits = []
     ustar = -z.real
@@ -265,10 +266,10 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
     fact = math.factorial(m)
     inner = EvalPrecision(abs_err=max(prec.abs_err, 1e-14))
 
-    def g(tau: float) -> tuple[complex, float]:
+    def g(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         big_l = 1.0 + tau / h
-        val = kernel.f(tau) * e_star(m, z * big_l, inner) / big_l ** m
-        return val, 0.0
+        e = np.array([e_star(m, z * x, inner) for x in big_l.tolist()])
+        return kernel.f(tau) * e / big_l ** m, np.zeros(tau.shape)
 
     val, _ = integrate_adaptive(g, 0.0, 1.0, 0.1 * prec.abs_err)
     return val / fact

@@ -11,6 +11,15 @@ with correction order 2K = 20 and the classical remainder bound
 target error and escalated until the bound certifies it.  Precision requests
 below 5e-14 are delegated to software extended precision (mpmath), which the
 double path is also tested against.
+
+One kernel evaluates the sum at any set of nodes alpha + it on one
+horizontal line (a _Ray).  A line that many nodes share -- a branch path's
+-- keeps the phases n^-it, and a batch of nodes on it is one real matrix
+product of the amplitudes n^-alpha with them.  A single point's line keeps
+nothing and takes its terms n^-s from one complex exponential.  The N^-s and
+Bernoulli terms and the remainder bound are per node, and every node is
+certified on its own: the nodes that miss the target go on together at the
+escalated cutoff.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,90 +49,173 @@ _BFRAC = [float(b / Fraction(math.factorial(2 * k)))
           for k, b in enumerate(_BERNOULLI, start=1)]
 
 _CORRECTION_ORDER = 10          # K: number of Bernoulli correction terms
+# (B_2k/(2k)!, 2k-1, 2k) for k = 1..K: the steps of the correction sum.
+_STEPS = [(_BFRAC[k - 1], 2 * k - 1, 2 * k)
+          for k in range(1, _CORRECTION_ORDER + 1)]
 _EXTENDED_THRESHOLD = 5e-14     # below this, switch to software precision
 _POLE_RADIUS = 1e-12
 _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
 
 
-def _initial_cutoff(s: complex, abs_err: float, order: int) -> int:
+def _initial_cutoff(sigma_lo: float, sigma_hi: float, t: float,
+                    abs_err: float) -> int:
+    """A cutoff for every node sigma + it with sigma in [sigma_lo, sigma_hi]."""
     # Remainder ~ (2/(2pi)^(2K+2)) * (|s|+2K)^(2K+1) * N^(-sigma-2K-1); solve
-    # (t_eff/N)^(2K+1) <= abs_err (2pi)^(2K+2)/16 for N, then one fixup pass
-    # for the N^-sigma factor.  The escalation loop covers any shortfall.
-    k2 = 2 * order + 1
-    t_eff = abs(s) + 2 * order + 2
-    ratio = math.exp((math.log(abs_err / 16.0)
-                      + (2 * order + 2) * math.log(2 * math.pi)) / k2)
-    n = t_eff / min(ratio, 5.0)
-    sigma = s.real
-    if sigma < 0:
+    # (t_eff/N)^(2K+1) <= abs_err (2pi)^(2K+2)/16 for N at the largest |s|,
+    # then one fixup pass for the N^-sigma factor at the smallest sigma.  The
+    # escalation loop covers any shortfall.
+    k2 = 2 * _CORRECTION_ORDER + 1
+    t_eff = math.hypot(max(-sigma_lo, sigma_hi), t) + k2 + 1
+    n = t_eff / _cutoff_ratio(abs_err)
+    if sigma_lo < 0:
         # N^-sigma inflates the remainder; compensate once.
-        n *= math.exp(-sigma * math.log(max(n, 2.0)) / k2)
+        n *= math.exp(-sigma_lo * math.log(max(n, 2.0)) / k2)
     return max(16, int(math.ceil(n)))
 
 
-def _euler_maclaurin(s: complex, n_cut: int, order: int,
-                     want_deriv: bool) -> tuple[complex, complex, float]:
-    """One Euler-Maclaurin pass.  Returns (zeta, zeta', remainder_bound).
+@lru_cache(maxsize=8)
+def _cutoff_ratio(abs_err: float) -> float:
+    """|s|/N at which the remainder meets abs_err, capped at 5."""
+    k2 = 2 * _CORRECTION_ORDER + 1
+    ratio = math.exp((math.log(abs_err / 16.0)
+                      + (k2 + 1) * math.log(2 * math.pi)) / k2)
+    return min(ratio, 5.0)
 
+
+# log n for n = 1 .. _MAX_CUTOFF - 1; every pass takes its first N - 1.
+_LOG_N = np.log(np.arange(1, _MAX_CUTOFF, dtype=np.float64))
+
+
+class _Ray:
+    """One horizontal line Im s = t, and, when many nodes share it, the
+    phases n^-it of its terms.
+
+    The phases are computed once and grown when a pass needs a larger
+    cutoff; the nodes alpha + it of a shared ray then cost one real
+    exponential n^-alpha per term and node and one real matrix product.  A
+    ray made for one point keeps no phases: phases used once cost more than
+    its node's terms n^-s as one complex exponential.
+    """
+
+    __slots__ = ("t", "shared", "_phase")
+
+    def __init__(self, t: float, shared: bool):
+        self.t = t
+        self.shared = shared
+        self._phase = _NO_PHASES            # rows (Re, Im) of n^-it
+
+    def phases(self, n_cut: int) -> np.ndarray:
+        """The rows of n^-it for n = 1 .. n_cut - 1."""
+        have = len(self._phase)
+        if have < n_cut - 1:
+            arg = _LOG_N[have:n_cut - 1] * -self.t
+            phase = np.empty((arg.size, 2))
+            np.cos(arg, out=phase[:, 0])
+            np.sin(arg, out=phase[:, 1])
+            self._phase = (np.concatenate((self._phase, phase)) if have
+                           else phase)
+        return self._phase[:n_cut - 1]
+
+
+_NO_PHASES = np.empty((0, 2))
+
+
+def _euler_maclaurin(ray: _Ray, n_cut: int, sigmas: list[float],
+                     want_deriv: bool) -> tuple[list, list, list]:
+    """One Euler-Maclaurin pass at the nodes s = sigma + i ray.t.
+
+    Returns lists (zeta, zeta', remainder_bound), one entry per node, and
+    refuses a cutoff above _MAX_CUTOFF.  On a shared ray the partial sums of
+    all nodes are one real matrix product of the amplitudes n^-sigma with
+    the ray's phases; the N^-s and Bernoulli terms cost O(order) per node.
     zeta' is only meaningful when want_deriv is set; the remainder bound
     covers the value (the derivative bound is within a factor log N + order
-    of it, folded in by the caller).
+    of it, folded in here).
     """
-    n = np.arange(1, n_cut, dtype=np.float64)
-    logn = np.log(n)
-    npow = np.exp(-s * logn)            # n^-s, vectorized
-    partial = npow.sum()
-    dpartial = -(logn * npow).sum() if want_deriv else 0.0
+    if n_cut > _MAX_CUTOFF:
+        raise BudgetExceeded(
+            f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
+            f"at s={complex(sigmas[0], ray.t)}")
+    order = _CORRECTION_ORDER
+    logn = _LOG_N[:n_cut - 1]
+    if ray.shared:
+        phase = ray.phases(n_cut)
+        amp = np.exp(np.multiply.outer(np.negative(sigmas), logn))
+        sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
+        if want_deriv:
+            dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
+                     ).tolist()
+    else:
+        npows = [np.exp(logn * -complex(a, ray.t)) for a in sigmas]
+        sums = [complex(npow.sum()) for npow in npows]
+        if want_deriv:
+            dsums = [-complex((logn * npow).sum()) for npow in npows]
+    if not want_deriv:
+        dsums = sums        # unread; one loop serves both cases
 
     logN = math.log(n_cut)
-    npow_N = cmath.exp(-s * logN)       # N^-s
-    sm1 = s - 1.0
-    val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
-    der = (dpartial
-           - logN * n_cut * npow_N / sm1 - n_cut * npow_N / (sm1 * sm1)
-           - 0.5 * logN * npow_N) if want_deriv else 0.0
-
-    # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, u_k as below.
     inv_N2 = 1.0 / (n_cut * n_cut)
-    u = s / n_cut                       # u_1 = s/N
-    du = 1.0 / n_cut                    # d/ds u_k
-    for k in range(1, order + 1):
-        coef = _BFRAC[k - 1]
-        term = coef * u * npow_N
-        val += term
+    vals, ders, rems = [], [], []
+    for sigma, partial, dpartial in zip(sigmas, sums, dsums):
+        s = complex(sigma, ray.t)
+        npow_N = cmath.exp(-s * logN)       # N^-s
+        sm1 = s - 1.0
+        val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
+        # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, where u_1 = s/N
+        # and u_k -> u_{k+1} multiplies by (s+2k-1)(s+2k)/N^2.
+        u = s / n_cut
+        for coef, k1, k2 in _STEPS:
+            val += coef * u * npow_N
+            u = u * (s + k1) * (s + k2) * inv_N2
         if want_deriv:
-            der += coef * (du - logN * u) * npow_N
-        # advance u_k -> u_{k+1}: multiply by (s+2k-1)(s+2k)/N^2
-        f1, f2 = s + (2 * k - 1), s + 2 * k
+            der = (dpartial
+                   - logN * n_cut * npow_N / sm1
+                   - n_cut * npow_N / (sm1 * sm1) - 0.5 * logN * npow_N)
+            w, dw = s / n_cut, 1.0 / n_cut      # u_k and d/ds u_k
+            for coef, k1, k2 in _STEPS:
+                der += coef * (dw - logN * w) * npow_N
+                f1, f2 = s + k1, s + k2
+                dw = (dw * f1 * f2 + w * (f1 + f2)) * inv_N2
+                w = w * f1 * f2 * inv_N2
+            ders.append(der)
+
+        # First omitted term bounds the remainder.
+        tail = _BFRAC[order] * u * npow_N
+        denom = sigma + 2 * order + 1
+        factor = abs(s + 2 * order + 1) / denom if denom > 0.1 \
+            else 10.0 * abs(s)
+        rem = abs(tail) * factor
         if want_deriv:
-            du = (du * f1 * f2 + u * (f1 + f2)) * inv_N2
-        u = u * f1 * f2 * inv_N2
-
-    # First omitted term bounds the remainder.
-    tail = _BFRAC[order] * u * npow_N
-    denom = s.real + 2 * order + 1
-    factor = abs(s + 2 * order + 1) / denom if denom > 0.1 else 10.0 * abs(s)
-    rem = abs(tail) * factor
-    if want_deriv:
-        # The differentiated terms pick up roughly a log N factor.
-        rem *= math.log(n_cut) + 2 * order + 2
-    return val, der, rem
+            # The differentiated terms pick up roughly a log N factor.
+            rem *= logN + 2 * order + 2
+        vals.append(val)
+        rems.append(rem)
+    return vals, ders if want_deriv else [0j] * len(vals), rems
 
 
-def _zeta_em(s: complex, prec: EvalPrecision,
-             want_deriv: bool) -> tuple[complex, complex, float]:
-    order = _CORRECTION_ORDER
-    n_cut = _initial_cutoff(s, prec.abs_err, order)
+def _zeta_em(ray: _Ray, alpha, prec: EvalPrecision,
+             want_deriv: bool) -> tuple[list, list, list]:
+    """zeta (and zeta') at the nodes alpha + i ray.t, alpha a float or an
+    array; returns lists (value, derivative, remainder bound), one entry
+    per node in the flattened order of alpha.
+
+    Every node is certified to 0.25 abs_err on its own.  The first pass
+    covers all nodes at one cutoff chosen for their whole range; the nodes
+    whose bound misses the target go on together at the escalated cutoff.
+    """
+    sigmas = (alpha.ravel().tolist() if isinstance(alpha, np.ndarray)
+              else [float(alpha)])
+    n_cut = _initial_cutoff(min(sigmas), max(sigmas), ray.t, prec.abs_err)
     target = 0.25 * prec.abs_err
-    while True:
-        if n_cut > _MAX_CUTOFF:
-            raise BudgetExceeded(
-                f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
-                f"at s={s}")
-        val, der, rem = _euler_maclaurin(s, n_cut, order, want_deriv)
-        if rem <= target:
-            return val, der, rem
+    val, der, rem = _euler_maclaurin(ray, n_cut, sigmas, want_deriv)
+    todo = [i for i, r in enumerate(rem) if r > target]
+    while todo:
         n_cut = max(n_cut + 32, int(n_cut * 1.5))
+        for i, v, d, r in zip(todo, *_euler_maclaurin(
+                ray, n_cut, [sigmas[i] for i in todo], want_deriv)):
+            val[i], der[i], rem[i] = v, d, r
+        todo = [i for i in todo if rem[i] > target]
+    return val, der, rem
 
 
 def _extended_dps(abs_err: float) -> int:
@@ -151,7 +244,8 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
         import mpmath as mp
         with mp.workdps(_extended_dps(prec.abs_err)):
             return mp.zeta(mp.mpc(z.real, z.imag))
-    val, _, _ = _zeta_em(z, prec, want_deriv=False)
+    (val,), _, _ = _zeta_em(_Ray(z.imag, shared=False), z.real, prec,
+                            want_deriv=False)
     return val
 
 
@@ -181,7 +275,8 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
         with mp.workdps(_extended_dps(prec.abs_err)):
             ss = mp.mpc(z.real, z.imag)
             return mp.zeta(ss, derivative=1) / mp.zeta(ss)
-    val, der, _ = _zeta_em(z, prec, want_deriv=True)
+    (val,), (der,), _ = _zeta_em(_Ray(z.imag, shared=False), z.real, prec,
+                                 want_deriv=True)
     if val == 0:
         raise NearSingularity(f"zeta({s}) evaluated to zero", where=z)
     return der / val

@@ -6,6 +6,7 @@ The von Mangoldt oracle below is trial division, independent of the sieve.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,18 @@ def test_residual_validation(store):
             residual(complex(sigma, 50.0), cfg, store)
     with pytest.raises(BeyondTable):
         residual(complex(0.5, 2000.0), cfg, store)   # 1.5 t beyond table
+
+
+def test_residual_refuses_h_above_half_t(store):
+    # the bounds assume 1 <= H <= t/2; a huge H used to overflow in the
+    # unconditional shape
+    for h in (50.5, 1e300):
+        with pytest.raises(HypothesisViolated, match=re.escape(f"H={h!r}")):
+            residual(complex(0.5, 100.0), ApproxConfig(m=1, X=10.0, H=h),
+                     store)
+    rep = residual(complex(0.5, 100.0), ApproxConfig(m=1, X=10.0, H=50.0),
+                   store)
+    assert math.isfinite(rep.bound_esrm) and math.isfinite(rep.ratio)
 
 
 def test_p_f_term_by_term():

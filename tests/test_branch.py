@@ -9,6 +9,7 @@ import math
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from zeta_eta.branch import big_s, branch_path, log_zeta, log_zeta_with_err
@@ -154,3 +155,67 @@ def test_log_zeta_just_above_the_real_axis(sigma, t):
         ref = complex(mp.log(mp.zeta(mp.mpc(sigma, t))))
     val, _ = log_zeta_with_err(complex(sigma, t))
     assert abs(val - ref) <= 1e-12, (sigma, t, val, ref)
+
+
+# --- arrays of abscissae on one prepared ray -----------------------------------
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def test_array_winding_equals_scalar_winding_at_every_break(store):
+    from zeta_eta.branch import BranchPath
+    from zeta_eta.zeta import _Ray
+    real = branch_path(500.0, -1.0, store=store)        # one wrap below 0
+    made = BranchPath(t=30.0, sigma_end=-1.0, conjugate=False,
+                      _breaks=[40.0, 10.0, 3.0, 0.5, -0.7],
+                      _winds=[0, 1, 2, 1, 0], _ray=_Ray(30.0, shared=True))
+    assert len(real._breaks) >= 2
+    for path in (real, made):
+        xs = [x for b in path._breaks for x in _around(b)
+              if x >= path.sigma_end] + [path.sigma_end, 45.0, 1e6]
+        got = path.winding(np.array(xs))
+        assert got.shape == (len(xs),)
+        assert got.tolist() == [path.winding(x) for x in xs]
+        assert got.reshape(3, -1).tolist() == path.winding(
+            np.array(xs).reshape(3, -1)).tolist()
+    # the synthetic breaks: winds[i] holds on (breaks[i+1], breaks[i]]
+    assert [made.winding(x) for x in _around(3.0)] == [2, 2, 1]
+    assert made.winding(-1.0) == 0 and made.winding(40.5) == 0
+
+
+def test_eval_log_takes_arrays(store):
+    path = branch_path(500.0, -1.0, store=store)
+    xs = np.array([-1.0, -0.5, 0.0, 0.5, 2.0, 39.9, 45.0])
+    vals, ests = path.eval_log(xs)
+    assert vals.shape == ests.shape == xs.shape
+    for x, v, e in zip(xs.tolist(), vals, ests):
+        one, one_est = path.eval_log(x)
+        if x >= 0.5:    # further left, est leaves out the rounding of n^-s
+            assert abs(v - one) <= e + one_est
+    with mp.workdps(30):
+        for x, v in zip(xs.tolist(), vals):
+            ref = mp.log(mp.zeta(mp.mpc(x, path.t)))
+            # the branch differs from the principal value by 2 pi i k
+            k = round(float(v.imag - ref.imag) / (2 * math.pi))
+            assert abs(v - complex(ref) - 2j * math.pi * k) <= 1e-9
+            assert k == path.winding(x)
+    for bad in (np.array([0.5, math.nan]), np.array([-1.5, 0.5]),
+                np.array([0.5, math.inf])):
+        with pytest.raises(ValidationError, match="alpha="):
+            path.eval_log(bad)
+
+
+def test_eval_log_refuses_a_zero_value(store, monkeypatch):
+    branch = sys.modules["zeta_eta.branch"]
+    path = branch_path(30.0, 0.5, store=store)
+    evaluate = branch._zeta_em
+
+    def second_is_zero(ray, alpha, prec, want_deriv):
+        vals, ders, rems = evaluate(ray, alpha, prec, want_deriv)
+        vals[1] = 0j
+        return vals, ders, rems
+
+    monkeypatch.setattr(branch, "_zeta_em", second_is_zero)
+    with pytest.raises(OnSingularity, match=r"zeta\(\(2\+30j\)\) = 0"):
+        path.eval_log(np.array([1.0, 2.0, 3.0]))

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeta_eta.approx import ApproxConfig, residual
 from zeta_eta.cli import (MAX_GRID_POINTS, _parse_complex, _parse_floats,
                           _t_grid, main)
 from zeta_eta.errors import ValidationError
 from zeta_eta.eta import eta_vertical
-from zeta_eta.precision import DEFAULT_PRECISION
+from zeta_eta.precision import DEFAULT_PRECISION, SCAN_PRECISION
 from zeta_eta.zeros import builtin_store
 
 GAMMA_LINES = "14.134725141734694\n21.022039638771554\n25.010857580145688\n"
@@ -191,6 +192,35 @@ def test_residual_scan_rows_and_threads(capsys):
     # there is no thread pool to ask for
     code3, _, err3 = _run(capsys, ["--threads", "3"] + argv)
     assert code3 == 3 and "error:" in err3
+
+
+def test_residual_scan_rows_are_the_residual_reports(capsys):
+    # eta is computed once per height and split for every X: each row must
+    # still be exactly what residual() reports for its (t, X)
+    argv = ["residual-scan", "--m", "1", "--x-list", "10,30,100", "--h", "2",
+            "--t-from", "50", "--t-to", "60", "--t-step", "5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    lines = out.strip().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == 9
+    store = builtin_store()
+    for row in rows:
+        t, x = float(row["t"]), float(row["x"])
+        rep = residual(complex(0.5, t), ApproxConfig(m=1, X=x, H=2.0),
+                       store, SCAN_PRECISION)
+        assert row["eta_re"] == repr(rep.eta.real)
+        assert row["r_im"] == repr(rep.r_m.imag)
+        assert row["ratio"] == repr(rep.ratio)
+
+
+def test_residual_scan_refuses_h_above_half_t(capsys):
+    argv = ["residual-scan", "--m", "1", "--x-list", "10", "--h", "1e300",
+            "--t-from", "50", "--t-to", "60", "--t-step", "5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "H=1e+300" in err and "Traceback" not in err
 
 
 def test_dist_tails_csv_and_json_deterministic(capsys, tmp_path):

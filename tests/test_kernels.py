@@ -58,7 +58,8 @@ def test_make_kernel_validation():
 
 def test_mass_one():
     for k in FAMILIES:
-        val, _ = integrate_adaptive(lambda x: (k.f(x) + 0j, 0.0),
+        val, _ = integrate_adaptive(lambda x: (k.f(x) + 0j,
+                                               np.zeros(x.shape)),
                                     0.0, 1.0, 1e-12)
         assert abs(val.real - 1.0) < 1e-10, k.name
 
@@ -68,9 +69,25 @@ def test_cdf_consistency():
         assert k.f_cdf(0.0) == pytest.approx(0.0, abs=1e-12)
         assert k.f_cdf(1.0) == pytest.approx(1.0, abs=1e-12)
         for x in (0.25, 0.5, 0.75):
-            val, _ = integrate_adaptive(lambda u: (k.f(u) + 0j, 0.0),
+            val, _ = integrate_adaptive(lambda u: (k.f(u) + 0j,
+                                                   np.zeros(u.shape)),
                                         0.0, x, 1e-12)
             assert abs(val.real - k.f_cdf(x)) < 1e-10
+
+
+def test_f_takes_arrays():
+    rng = np.random.default_rng(4)
+    edges = [-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0, 1.5]
+    xs = np.concatenate([edges, rng.uniform(-0.2, 1.2, 2_000)])
+    for k in FAMILIES:
+        got = k.f(xs)
+        assert got.shape == xs.shape
+        # numpy's vector pow may land an ulp away from the scalar one, and
+        # the normalization doubles that
+        one_by_one = np.array([k.f(x) for x in xs.tolist()])
+        assert np.all(np.abs(got - one_by_one) <= 2 * np.spacing(one_by_one))
+        assert np.ndim(k.f(0.3)) == 0
+        assert np.all(got[(xs <= 0.0) | (xs >= 1.0)] == 0.0)
 
 
 def _scalar_cdf(k, x: float) -> float:

@@ -12,16 +12,19 @@ from zeta_eta.quadrature import _panel, integrate_adaptive
 
 
 def test_panel_calls_f_left_to_right():
-    # the iterated sweep pins its branch by continuity from node to node
-    seen = []
+    # one call with all 30 abscissae, strictly ascending: the iterated sweep
+    # pins its branch by continuity from node to node
+    calls = []
 
     def f(x):
-        seen.append(x)
-        return 0j, 0.0
+        calls.append(np.array(x))
+        return np.zeros(x.shape, dtype=complex), np.zeros(x.shape)
 
     _panel(f, -3.0, 7.5)
-    assert len(seen) == 30
-    assert all(a < b for a, b in zip(seen, seen[1:]))
+    assert len(calls) == 1
+    seen = calls[0]
+    assert seen.shape == (30,)
+    assert np.all(np.diff(seen) > 0)
     assert -3.0 < seen[0] and seen[-1] < 7.5
 
 
@@ -32,7 +35,8 @@ def test_panel_exact_on_degree_19():
     a, b = -0.7, 2.3
     exact = complex(poly.integ()(b) - poly.integ()(a))
 
-    val, disc, node_err = _panel(lambda x: (complex(poly(x)), 1e-3), a, b)
+    val, disc, node_err = _panel(lambda x: (poly(x), np.full(x.shape, 1e-3)),
+                                 a, b)
     scale = float(np.sum(np.abs(re + 1j * im) * 2.3 ** np.arange(20)))
     assert abs(val - exact) <= 1e-14 * scale
     assert disc <= 1e-14 * scale          # G10 is exact at degree 19 too
@@ -41,7 +45,7 @@ def test_panel_exact_on_degree_19():
 
 def test_adaptive_panel_budget(monkeypatch):
     def f(x):
-        return cmath.exp(40j * x), 0.0
+        return np.exp(40j * x), np.zeros(x.shape)
 
     val, est = integrate_adaptive(f, 0.0, 10.0, 1e-12)
     exact = (cmath.exp(400j) - 1.0) / 40j

@@ -8,6 +8,8 @@ import cmath
 import math
 import sys
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,3 +123,69 @@ def test_hardy_z_matches_zeta_modulus():
 
 def test_hardy_z_sign_change_at_first_zero():
     assert hardy_z(14.0) * hardy_z(14.3) < 0.0
+
+
+# --- the Euler-Maclaurin kernel on a ray ---------------------------------------
+
+_ZETA_MODULE = sys.modules["zeta_eta.zeta"]
+_PREC = EvalPrecision(abs_err=1e-10)
+
+
+def _rounding_bound(sigma: float, t: float) -> float:
+    """Running-error bound for the double sums, which rem does not cover:
+    u * (1 + |t| log N) * sum_{n<N} n^-sigma, with N twice the first
+    cutoff (escalation stays below that here)."""
+    n_top = 2 * _ZETA_MODULE._initial_cutoff(sigma, sigma, t, _PREC.abs_err)
+    n = np.arange(1, n_top, dtype=float)
+    return 2.0 ** -52 * (1.0 + abs(t) * math.log(n_top)) * float(
+        np.sum(n ** -sigma))
+
+
+def test_ray_batch_matches_single_points_and_mpmath():
+    # 10 rays x 10 nodes: each node of a batch on a shared ray lies within
+    # its own remainder bound (plus rounding) of the 30-digit value, and of
+    # the same node evaluated alone
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for t in rng.uniform(0.0, 2150.0, 10).tolist():
+        alphas = np.sort(rng.uniform(0.5, 45.0, 10))
+        vals, _, rems = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Ray(t, shared=True), alphas, _PREC, False)
+        for a, v, r in zip(alphas.tolist(), vals, rems):
+            (alone,), _, (r_alone,) = _ZETA_MODULE._zeta_em(
+                _ZETA_MODULE._Ray(t, shared=False), a, _PREC, False)
+            with mp.workdps(30):
+                ref = complex(mp.zeta(mp.mpc(a, t)))
+            slack = _rounding_bound(a, t)
+            assert r <= 0.25 * _PREC.abs_err
+            assert abs(v - ref) <= r + slack, (a, t, v, ref, r)
+            assert abs(v - alone) <= r + r_alone + 2 * slack, (a, t)
+            checked += 1
+    assert checked == 100
+
+
+def test_ray_escalates_only_the_nodes_that_miss(monkeypatch):
+    # a first cutoff far too small: the node at sigma = 45 is certified at
+    # once, the others go on together at growing cutoffs until they pass
+    passes = []
+    kernel = _ZETA_MODULE._euler_maclaurin
+
+    def recorded(ray, n_cut, sigmas, want_deriv):
+        passes.append((n_cut, list(sigmas)))
+        return kernel(ray, n_cut, sigmas, want_deriv)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_initial_cutoff", lambda *a: 16)
+    monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
+    alphas = np.array([0.5, 3.0, 45.0])
+    vals, _, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Ray(500.0, shared=True), alphas, _PREC, False)
+    assert passes[0] == (16, [0.5, 3.0, 45.0])
+    assert len(passes) > 2
+    cutoffs = [n for n, _ in passes]
+    assert cutoffs == sorted(set(cutoffs))
+    assert all(45.0 not in nodes for _, nodes in passes[1:])
+    assert all(r <= 0.25 * _PREC.abs_err for r in rems)
+    for a, v, r in zip(alphas.tolist(), vals, rems):
+        with mp.workdps(30):
+            ref = complex(mp.zeta(mp.mpc(a, 500.0)))
+        assert abs(v - ref) <= r + _rounding_bound(a, 500.0)
