@@ -39,12 +39,17 @@ closed form.  Keeping the model local also keeps both pieces the same size
 as the answer -- subtracting every zero at once would balloon the two halves
 by a factor ~ N(t) log t and drown the result in rounding noise.
 
-A panel hands its integrand all 30 nodes at once, in ascending order; the
-sweep walks them in that order, and continuity of G along the ascending node
-sequence pins the winding integer of the principal logarithm at each sample,
-replacing a horizontal branch march per sample.  The sweep is anchored at
-u = 0 (closed-form branch value) and re-verified against the horizontal-ray
-branch at u = t.
+A panel hands its integrand all 30 nodes at once, in ascending order.  They
+lie on the one vertical line Re s = sigma within 1/4 of the panel centre, so
+the sweep evaluates zeta at all of them in one pass on its zeta._Line (one
+Taylor expansion of the Dirichlet sum about the centre) and the window
+model at all of them with one logarithm of the window-zeros x nodes matrix.
+It then walks the nodes in order: continuity of G along the ascending node
+sequence pins the winding integer of the principal logarithm at each
+sample, replacing a horizontal branch march per sample.  A node whose step
+exceeds _CONT_STEP first gets the midpoint inserted as a node of its own.
+The sweep is anchored at u = 0 (closed-form branch value) and re-verified
+against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) run on one horizontal ray
 each: a panel's 30 abscissae are one batched zeta evaluation on the ray's
@@ -73,7 +78,7 @@ from .errors import (BudgetExceeded, NumericalError, OnSingularity,
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
-from .zeta import _Ray, _zeta_em
+from .zeta import _Line, _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
 
@@ -215,7 +220,7 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
 _PANEL_MAX = 0.5        # Gauss panel width cap on the u-line
 _WINDOW = 1.5           # model terms kept within this distance of a panel
 _CONT_STEP = 0.9        # max |G step| accepted without midpoint insertion
-_SWEEP_BUDGET = 400_000
+_SWEEP_BUDGET = 400_000  # nodes one sweep may evaluate, midpoints included
 
 
 class _Sweep:
@@ -224,23 +229,24 @@ class _Sweep:
     def __init__(self, sigma: float, prec: EvalPrecision):
         self.sigma = float(sigma)
         self.prec = prec
-        self.evals = 0
+        self.line = _Line(self.sigma, prec.abs_err)
+        self.nodes = 0
         self.u_prev = 0.0
         self.g_prev = 0j
-        self.node_err = 0.0
         self.wmu = np.empty(0)
         self.wcc = np.empty(0)
         self.wgam = np.empty(0)
         self.has_pole = False
         self.anchored = False
 
-    def model(self, u: float, include_pole: bool = True) -> complex:
-        out = 0j
-        if self.wgam.size:
-            out += complex(np.sum(
-                self.wmu * np.log(self.wcc + 1j * (u - self.wgam))))
+    def model(self, u, include_pole: bool = True):
+        """The window's log terms at u, a float or an array: one np.log of
+        the window-zeros x nodes matrix."""
+        u = np.asarray(u, dtype=np.float64)
+        out = self.wmu @ np.log(np.add.outer(self.wcc - 1j * self.wgam,
+                                             1j * u))
         if self.has_pole and include_pole:
-            out -= cmath.log(complex(self.sigma - 1.0, u))
+            out = out - np.log((self.sigma - 1.0) + 1j * u)
         return out
 
     def set_window(self, wmu, wcc, wgam, has_pole: bool) -> None:
@@ -250,7 +256,7 @@ class _Sweep:
         if self.anchored:
             # Rebasing against the new model keeps the tracked branch exact:
             # the swapped terms are principal logs of points >= 1 away.
-            self.g_prev = self.g_prev + old - self.model(self.u_prev)
+            self.g_prev = complex(self.g_prev + old - self.model(self.u_prev))
 
     def anchor(self) -> None:
         """Branch value at u = 0 from the closed form (limit from above)."""
@@ -260,20 +266,37 @@ class _Sweep:
         else:
             f0, _ = log_zeta_with_err(complex(self.sigma, 0.0), self.prec)
             g0 = f0 - self.model(0.0)
-        self.u_prev, self.g_prev = 0.0, g0
+        self.u_prev, self.g_prev = 0.0, complex(g0)
         self.anchored = True
 
-    def eval(self, u: float, depth: int = 0) -> complex:
-        """G(u) = log zeta(sigma+iu) - model(u), branch pinned by continuity."""
-        self.evals += 1
-        if self.evals > _SWEEP_BUDGET:
+    def eval(self, u, depth: int = 0):
+        """G(u) = log zeta(sigma+iu) - model(u), branch pinned by continuity,
+        with each node's error bound.
+
+        u is a float, answered with (complex, float), or an ascending array
+        above the last node, answered with two arrays: one zeta evaluation
+        on the sweep's line for all its nodes, then a walk in order.
+        """
+        us = np.atleast_1d(np.asarray(u, dtype=np.float64))
+        self.nodes += us.size
+        if self.nodes > _SWEEP_BUDGET:
             raise BudgetExceeded("winding sweep exceeded its evaluation budget")
-        z = complex(self.sigma, u)
-        (val,), _, (rem,) = _zeta_em(_Ray(u, shared=False), self.sigma,
-                                     self.prec, want_deriv=False)
-        if val == 0:
+        vals, _, rems = _zeta_em(self.line, us, self.prec, want_deriv=False)
+        if 0 in vals:
+            z = complex(self.sigma, us[vals.index(0)])
             raise OnSingularity(f"zeta({z}) = 0 at working precision")
-        principal = cmath.log(val) - self.model(u)
+        vals = np.array(vals)
+        principal = np.log(vals) - self.model(us)
+        g = np.array([self._pin(ui, p, depth)
+                      for ui, p in zip(us.tolist(), principal.tolist())])
+        err = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
+        if np.ndim(u) == 0:
+            return complex(g[0]), float(err[0])
+        return g, err
+
+    def _pin(self, u: float, principal: complex, depth: int) -> complex:
+        """The branch of principal at u next to the last node; a step above
+        _CONT_STEP first inserts the midpoint as a node of its own."""
         k = round((self.g_prev.imag - principal.imag) / _TWO_PI)
         g_here = principal + _TWO_PI * 1j * k
         if abs(g_here - self.g_prev) > _CONT_STEP:
@@ -281,9 +304,8 @@ class _Sweep:
                 raise NumericalError(
                     f"winding sweep stalled near u = {u} (sigma = {self.sigma})")
             self.eval(0.5 * (self.u_prev + u), depth + 1)
-            return self.eval(u, depth + 1)
+            return self._pin(u, principal, depth + 1)
         self.u_prev, self.g_prev = u, g_here
-        self.node_err = rem / abs(val) + 1e-15 * (1.0 + abs(g_here))
         return g_here
 
 
@@ -373,14 +395,9 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
 
     def integrand(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # In ascending order: the sweep pins the branch node by node.
-        vals = np.empty(us.size, dtype=np.complex128)
-        errs = np.empty(us.size)
-        for i, u in enumerate(us.tolist()):
-            g_val = sweep.eval(u)
-            w = (t_eff - u) ** (m - 1)
-            vals[i] = w * g_val
-            errs[i] = abs(w) * (sweep.node_err + 2e-16 * abs(g_val))
-        return vals, errs
+        g_val, g_err = sweep.eval(us)
+        w = (t_eff - us) ** (m - 1)
+        return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
 
     panels = _line_panels(t_eff, store)
     total_g = 0j
@@ -410,7 +427,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     # (Skipped for very short sweeps, where the ray march would itself pass
     # within t of the pole; a winding slip needs room to happen anyway.)
     if t_eff >= 0.05:
-        g_end = sweep.eval(t_eff)
+        g_end, _ = sweep.eval(t_eff)
         f_end = g_end + sweep.model(t_eff)
         f_auth, auth_est = log_zeta_with_err(complex(sigma, t_eff), prec, store)
         if abs(f_end - f_auth) > max(0.5, 100.0 * auth_est):

@@ -12,14 +12,19 @@ target error and escalated until the bound certifies it.  Precision requests
 below 5e-14 are delegated to software extended precision (mpmath), which the
 double path is also tested against.
 
-One kernel evaluates the sum at any set of nodes alpha + it on one
-horizontal line (a _Ray).  A line that many nodes share -- a branch path's
--- keeps the phases n^-it, and a batch of nodes on it is one real matrix
-product of the amplitudes n^-alpha with them.  A single point's line keeps
-nothing and takes its terms n^-s from one complex exponential.  The N^-s and
-Bernoulli terms and the remainder bound are per node, and every node is
-certified on its own: the nodes that miss the target go on together at the
-escalated cutoff.
+One kernel evaluates the sum at any set of nodes on one line, which
+supplies their partial sums sum_{n<N} n^-s together.  A horizontal line
+Im s = t (a _Ray) that many nodes share -- a branch path's -- keeps the
+phases n^-it, and a batch of nodes alpha + it on it is one real matrix
+product of the amplitudes n^-alpha with them.  A single point's _Ray keeps
+nothing and takes its terms n^-s from one complex exponential.  A vertical
+line Re s = sigma (a _Line) -- the iterated eta sweep's -- keeps n^-sigma
+and the rows (log n)^k/k!, and a batch of nodes sigma + it close together
+on it takes its partial sums from one Taylor expansion of the Dirichlet sum
+about the batch's centre (the local step of Odlyzko-Schoenhage), whose
+truncation bound joins each node's remainder.  The N^-s and Bernoulli terms
+and the remainder bound are per node, and every node is certified on its
+own: the nodes that miss the target go on together at the escalated cutoff.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ _STEPS = [(_BFRAC[k - 1], 2 * k - 1, 2 * k)
 _EXTENDED_THRESHOLD = 5e-14     # below this, switch to software precision
 _POLE_RADIUS = 1e-12
 _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
+# A _Line's expansion truncation may use this share of the certification
+# target, so it never decides an escalation.
+_TAYLOR_SHARE = 1e-3
 
 
 def _initial_cutoff(sigma_lo: float, sigma_hi: float, t: float,
@@ -88,7 +96,7 @@ _LOG_N = np.log(np.arange(1, _MAX_CUTOFF, dtype=np.float64))
 
 class _Ray:
     """One horizontal line Im s = t, and, when many nodes share it, the
-    phases n^-it of its terms.
+    phases n^-it of its terms.  Its nodes are the abscissae alpha.
 
     The phases are computed once and grown when a pass needs a larger
     cutoff; the nodes alpha + it of a shared ray then cost one real
@@ -104,6 +112,12 @@ class _Ray:
         self.shared = shared
         self._phase = _NO_PHASES            # rows (Re, Im) of n^-it
 
+    def points(self, alphas: list[float]) -> list[complex]:
+        return [complex(a, self.t) for a in alphas]
+
+    def first_cutoff(self, alphas: list[float], abs_err: float) -> int:
+        return _initial_cutoff(min(alphas), max(alphas), self.t, abs_err)
+
     def phases(self, n_cut: int) -> np.ndarray:
         """The rows of n^-it for n = 1 .. n_cut - 1."""
         have = len(self._phase)
@@ -116,48 +130,139 @@ class _Ray:
                            else phase)
         return self._phase[:n_cut - 1]
 
+    def partial_sums(self, n_cut: int, sigmas: list[float],
+                     want_deriv: bool) -> tuple[list, list, list, list]:
+        """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
+        at each node, exact up to rounding (last list: 0.0 per node)."""
+        points = self.points(sigmas)
+        logn = _LOG_N[:n_cut - 1]
+        dsums = None
+        if self.shared:
+            phase = self.phases(n_cut)
+            amp = np.exp(np.multiply.outer(np.negative(sigmas), logn))
+            sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
+            if want_deriv:
+                dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
+                         ).tolist()
+        else:
+            npows = [np.exp(logn * -s) for s in points]
+            sums = [complex(npow.sum()) for npow in npows]
+            if want_deriv:
+                dsums = [-complex((logn * npow).sum()) for npow in npows]
+        return points, sums, dsums, [0.0] * len(sums)
+
 
 _NO_PHASES = np.empty((0, 2))
+_MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
 
 
-def _euler_maclaurin(ray: _Ray, n_cut: int, sigmas: list[float],
+class _Line:
+    """One vertical line Re s = sigma, for batches of nodes close together
+    on it.  Its nodes are the ordinates t.
+
+    The line keeps the amplitudes n^-sigma and the rows (log n)^k/k!,
+    computed once and grown with the cutoff.  A batch with centre c and
+    offsets d_j = t_j - c takes its partial sums from one expansion,
+
+        sum_n n^-(sigma+it_j) = sum_{k<K} (-i d_j)^k M_k,
+        M_k = sum_n n^-(sigma+ic) (log n)^k/k!,
+
+    so M is one real (K x N)(N x 2) product and the node values are one
+    (nodes x K) product.  K is the smallest order whose truncation bound
+    sum_n n^-sigma (|d| log N)^K/K! e^(|d| log N) is below
+    _TAYLOR_SHARE of the certification target 0.25 abs_err; that bound is
+    added to each node's remainder.
+    """
+
+    __slots__ = ("sigma", "_trunc_target", "_amp", "_rows")
+
+    def __init__(self, sigma: float, abs_err: float):
+        self.sigma = sigma
+        self._trunc_target = _TAYLOR_SHARE * 0.25 * abs_err
+        self._amp = np.empty(0)                 # n^-sigma
+        self._rows = np.empty((0, 0))           # (log n)^k / k!
+
+    def points(self, ts: list[float]) -> list[complex]:
+        return [complex(self.sigma, t) for t in ts]
+
+    def first_cutoff(self, ts: list[float], abs_err: float) -> int:
+        return _initial_cutoff(self.sigma, self.sigma, max(map(abs, ts)),
+                               abs_err)
+
+    def _tables(self, n_cut: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """n^-sigma and the rows k < order, for n = 1 .. n_cut - 1."""
+        have_k, have_n = self._rows.shape
+        if have_k < order or have_n < n_cut - 1:
+            # Headroom, so a sweep climbing in t regrows them rarely.
+            n = min(max(n_cut - 1, have_n + have_n // 4), _LOG_N.size)
+            k = max(order, have_k)
+            logn = _LOG_N[:n]
+            rows = np.empty((k, n))
+            rows[0] = 1.0
+            for j in range(1, k):
+                np.multiply(rows[j - 1], logn, out=rows[j])
+                rows[j] /= j
+            self._amp = np.exp(logn * -self.sigma)
+            self._rows = rows
+        return self._amp[:n_cut - 1], self._rows[:order, :n_cut - 1]
+
+    def partial_sums(self, n_cut: int, ts: list[float],
+                     want_deriv: bool) -> tuple[list, list, None, list]:
+        """The nodes s, sum_{n<N} n^-s at each node, and the truncation
+        bound of each node's expansion.  The line serves values only, no
+        zeta'."""
+        if want_deriv:
+            raise NotImplementedError("a _Line evaluates no derivative")
+        t = np.array(ts)
+        centre = 0.5 * (t.min() + t.max())
+        d = t - centre
+        x = np.abs(d) * math.log(n_cut)
+        amp, _ = self._tables(n_cut, 1)
+        mass = float(amp.sum())
+        x_max = float(x.max())
+        order, bound = 1, mass * math.exp(x_max) * x_max
+        while bound > self._trunc_target:
+            order += 1
+            bound *= x_max / order
+        amp, rows = self._tables(n_cut, order)
+        arg = _LOG_N[:n_cut - 1] * -centre
+        terms = np.empty((arg.size, 2))         # (Re, Im) of n^-(sigma+ic)
+        np.multiply(amp, np.cos(arg), out=terms[:, 0])
+        np.multiply(amp, np.sin(arg), out=terms[:, 1])
+        # (-i)^k M_k, so that the node sums are real powers d^k times it.
+        moments = ((rows @ terms).view(np.complex128)[:, 0]
+                   * _MINUS_I_POW[np.arange(order) % 4])
+        sums = (np.vander(d, order, increasing=True) @ moments).tolist()
+        trunc = mass * x ** order / math.factorial(order) * np.exp(x)
+        return self.points(ts), sums, None, trunc.tolist()
+
+
+def _euler_maclaurin(line, n_cut: int, coords: list[float],
                      want_deriv: bool) -> tuple[list, list, list]:
-    """One Euler-Maclaurin pass at the nodes s = sigma + i ray.t.
+    """One Euler-Maclaurin pass at the nodes of line (a _Ray or a _Line)
+    with coordinates coords.
 
     Returns lists (zeta, zeta', remainder_bound), one entry per node, and
-    refuses a cutoff above _MAX_CUTOFF.  On a shared ray the partial sums of
-    all nodes are one real matrix product of the amplitudes n^-sigma with
-    the ray's phases; the N^-s and Bernoulli terms cost O(order) per node.
-    zeta' is only meaningful when want_deriv is set; the remainder bound
-    covers the value (the derivative bound is within a factor log N + order
-    of it, folded in here).
+    refuses a cutoff above _MAX_CUTOFF.  The line supplies the partial
+    sums of all its nodes at once; the N^-s and Bernoulli terms cost
+    O(order) per node.  zeta' is only meaningful when want_deriv is set; the
+    remainder bound covers the value (the derivative bound is within a
+    factor log N + order of it, folded in here).
     """
     if n_cut > _MAX_CUTOFF:
         raise BudgetExceeded(
             f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
-            f"at s={complex(sigmas[0], ray.t)}")
+            f"at s={line.points(coords[:1])[0]}")
     order = _CORRECTION_ORDER
-    logn = _LOG_N[:n_cut - 1]
-    if ray.shared:
-        phase = ray.phases(n_cut)
-        amp = np.exp(np.multiply.outer(np.negative(sigmas), logn))
-        sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
-        if want_deriv:
-            dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
-                     ).tolist()
-    else:
-        npows = [np.exp(logn * -complex(a, ray.t)) for a in sigmas]
-        sums = [complex(npow.sum()) for npow in npows]
-        if want_deriv:
-            dsums = [-complex((logn * npow).sum()) for npow in npows]
+    points, sums, dsums, truncs = line.partial_sums(n_cut, coords,
+                                                    want_deriv)
     if not want_deriv:
         dsums = sums        # unread; one loop serves both cases
 
     logN = math.log(n_cut)
     inv_N2 = 1.0 / (n_cut * n_cut)
     vals, ders, rems = [], [], []
-    for sigma, partial, dpartial in zip(sigmas, sums, dsums):
-        s = complex(sigma, ray.t)
+    for s, partial, dpartial, trunc in zip(points, sums, dsums, truncs):
         npow_N = cmath.exp(-s * logN)       # N^-s
         sm1 = s - 1.0
         val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
@@ -181,10 +286,10 @@ def _euler_maclaurin(ray: _Ray, n_cut: int, sigmas: list[float],
 
         # First omitted term bounds the remainder.
         tail = _BFRAC[order] * u * npow_N
-        denom = sigma + 2 * order + 1
+        denom = s.real + 2 * order + 1
         factor = abs(s + 2 * order + 1) / denom if denom > 0.1 \
             else 10.0 * abs(s)
-        rem = abs(tail) * factor
+        rem = abs(tail) * factor + trunc
         if want_deriv:
             # The differentiated terms pick up roughly a log N factor.
             rem *= logN + 2 * order + 2
@@ -193,26 +298,27 @@ def _euler_maclaurin(ray: _Ray, n_cut: int, sigmas: list[float],
     return vals, ders if want_deriv else [0j] * len(vals), rems
 
 
-def _zeta_em(ray: _Ray, alpha, prec: EvalPrecision,
+def _zeta_em(line, coords, prec: EvalPrecision,
              want_deriv: bool) -> tuple[list, list, list]:
-    """zeta (and zeta') at the nodes alpha + i ray.t, alpha a float or an
-    array; returns lists (value, derivative, remainder bound), one entry
-    per node in the flattened order of alpha.
+    """zeta (and zeta') at the nodes of line (a _Ray or a _Line) with
+    coordinates coords, a float or an array; returns lists (value,
+    derivative, remainder bound), one entry per node in the flattened
+    order of coords.
 
     Every node is certified to 0.25 abs_err on its own.  The first pass
     covers all nodes at one cutoff chosen for their whole range; the nodes
     whose bound misses the target go on together at the escalated cutoff.
     """
-    sigmas = (alpha.ravel().tolist() if isinstance(alpha, np.ndarray)
-              else [float(alpha)])
-    n_cut = _initial_cutoff(min(sigmas), max(sigmas), ray.t, prec.abs_err)
+    coords = (coords.ravel().tolist() if isinstance(coords, np.ndarray)
+              else [float(coords)])
+    n_cut = line.first_cutoff(coords, prec.abs_err)
     target = 0.25 * prec.abs_err
-    val, der, rem = _euler_maclaurin(ray, n_cut, sigmas, want_deriv)
+    val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
     todo = [i for i, r in enumerate(rem) if r > target]
     while todo:
         n_cut = max(n_cut + 32, int(n_cut * 1.5))
         for i, v, d, r in zip(todo, *_euler_maclaurin(
-                ray, n_cut, [sigmas[i] for i in todo], want_deriv)):
+                line, n_cut, [coords[i] for i in todo], want_deriv)):
             val[i], der[i], rem[i] = v, d, r
         todo = [i for i in todo if rem[i] > target]
     return val, der, rem
@@ -250,13 +356,15 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
 
 
 def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
-    """zeta'(s)/zeta(s), refusing points too close to the pole or to a zero.
+    """zeta'(s)/zeta(s) for sigma >= -1, refusing points too close to the
+    pole or to a zero.
 
     When a zero table is supplied, proximity to its zeros (and their
     reflections across the real axis) is checked; the guard radius is
     sqrt(prec.abs_err).
     """
     z = _point(s)
+    _real(z.real, "sigma", -1.0)
     guard = math.sqrt(prec.abs_err)
     if abs(z - 1.0) <= guard:
         raise NearSingularity(

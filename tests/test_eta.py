@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from zeta_eta.errors import NumericalError, ValidationError
+from zeta_eta import eta as eta_module
+from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
+                             ValidationError)
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
                           eta_vertical, route_check, s_m,
                           zero_sum_polynomial)
@@ -206,3 +208,46 @@ def test_route_difference_within_combined_estimate_at_height(store):
                       EvalPrecision(abs_err=1e-9))
     assert chk["agree"]
     assert chk["difference"] < 1e-6
+
+
+# --- the iterated sweep's batched walk -----------------------------------------
+
+def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
+    # a small continuity step makes nodes of a batch fall back to midpoint
+    # insertion; the value stays within the unpatched estimate
+    s = complex(0.5, 40.0)
+    ref = eta_iterated(s, 2, store)
+    inserted = []
+    walk = eta_module._Sweep.eval
+
+    def counted(self, u, depth=0):
+        if depth > 0:
+            inserted.append(u)
+        return walk(self, u, depth)
+
+    monkeypatch.setattr(eta_module, "_CONT_STEP", 0.02)
+    monkeypatch.setattr(eta_module._Sweep, "eval", counted)
+    got = eta_iterated(s, 2, store)
+    assert len(inserted) > 100
+    assert abs(got.value - ref.value) <= ref.est_err
+
+
+def test_sweep_budget_counts_nodes(store, monkeypatch):
+    monkeypatch.setattr(eta_module, "_SWEEP_BUDGET", 200)
+    with pytest.raises(BudgetExceeded, match="winding sweep exceeded"):
+        eta_iterated(complex(0.5, 30.0), 1, store)
+
+
+def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
+    # one node of a panel's batch evaluating to exactly zero
+    real_em = eta_module._zeta_em
+
+    def with_zero(line, coords, prec, want_deriv):
+        vals, ders, rems = real_em(line, coords, prec, want_deriv)
+        if len(vals) == 30:
+            vals[7] = 0j
+        return vals, ders, rems
+
+    monkeypatch.setattr(eta_module, "_zeta_em", with_zero)
+    with pytest.raises(OnSingularity, match="= 0 at working precision"):
+        eta_iterated(complex(0.5, 30.0), 1, store)

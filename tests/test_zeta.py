@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from zeta_eta.errors import (BudgetExceeded, NearSingularity, PoleAtOne,
                              ValidationError)
 from zeta_eta.precision import EvalPrecision
+from zeta_eta.quadrature import _NODES
 from zeta_eta.zeta import hardy_z, log_gamma, theta, zeta, zeta_log_deriv
 
 # 40-digit oracle values, rounded to double precision.
@@ -83,6 +84,19 @@ def test_zeta_conjugate_symmetry(sig, t):
 def test_log_deriv_oracle():
     got = complex(zeta_log_deriv(2.0))
     assert abs(got - (-0.5699609930945328)) < 1e-10
+
+
+def test_log_deriv_domain_guard():
+    # refused left of sigma = -1, as zeta is: no inaccurate answer at
+    # -5 + 40i and no budget overrun at -30 + 5i
+    for s in (complex(-5.0, 40.0), complex(-30.0, 5.0)):
+        with pytest.raises(ValidationError, match="sigma"):
+            zeta_log_deriv(s)
+    s = complex(-1.0, 40.0)
+    with mp.workdps(30):
+        ref = complex(mp.zeta(mp.mpc(-1, 40), derivative=1)
+                      / mp.zeta(mp.mpc(-1, 40)))
+    assert abs(complex(zeta_log_deriv(s)) - ref) < 1e-9
 
 
 def test_log_deriv_guards(store):
@@ -189,3 +203,87 @@ def test_ray_escalates_only_the_nodes_that_miss(monkeypatch):
         with mp.workdps(30):
             ref = complex(mp.zeta(mp.mpc(a, 500.0)))
         assert abs(v - ref) <= r + _rounding_bound(a, 500.0)
+
+
+# --- the Euler-Maclaurin kernel on a vertical line -----------------------------
+
+def _panel_nodes(a: float, b: float) -> np.ndarray:
+    """The 30 ascending nodes the panel rule hands an integrand on [a, b]."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+
+
+def _check_line_batch(sigma, ts, vals, rems, prec=_PREC, every=1):
+    """Each node within its remainder (plus rounding) of the same node
+    evaluated alone, and every `every`-th node of the 30-digit value."""
+    target = 0.25 * prec.abs_err
+    for i, (t, v, r) in enumerate(zip(ts.tolist(), vals, rems)):
+        (alone,), _, (r_alone,) = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Ray(t, shared=False), sigma, prec, False)
+        slack = _rounding_bound(sigma, t)
+        assert r <= target
+        assert abs(v - alone) <= r + r_alone + 2 * slack, (sigma, t)
+        if i % every == 0:
+            with mp.workdps(30):
+                ref = complex(mp.zeta(mp.mpc(sigma, t)))
+            assert abs(v - ref) <= r + slack, (sigma, t, v, ref, r)
+
+
+def test_line_batch_matches_single_points_and_mpmath():
+    # 10 panels of the iterated sweep's widths (<= 1/2) on vertical lines
+    # sigma in (-1, 2], t in [0, 2150]: one expansion about the centre;
+    # 100 nodes checked against mpmath, all 300 against single points
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        sigma = float(rng.uniform(-1.0, 2.0))
+        a = float(rng.uniform(0.0, 2149.5))
+        ts = _panel_nodes(a, a + float(rng.uniform(0.05, 0.5)))
+        vals, _, rems = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC, False)
+        _check_line_batch(sigma, ts, vals, rems, every=3)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.5, 2.0])
+def test_line_widest_panel_at_the_table_top(sigma):
+    # a 0.5-wide panel at t = 2100 has the largest |d| log N, so the
+    # expansion runs to its highest order; its bound still certifies
+    ts = _panel_nodes(2100.0, 2100.5)
+    line = _ZETA_MODULE._Line(sigma, _PREC.abs_err)
+    n_cut = _ZETA_MODULE._initial_cutoff(sigma, sigma, 2100.5, _PREC.abs_err)
+    _, _, _, truncs = line.partial_sums(n_cut, ts.tolist(), False)
+    assert 0.0 < max(truncs) <= 1e-3 * 0.25 * _PREC.abs_err
+    # each node's remainder is its Euler-Maclaurin bound plus its truncation
+    _, _, rems = _ZETA_MODULE._euler_maclaurin(line, n_cut, ts.tolist(), False)
+    for i in (0, ts.size - 1):
+        _, _, (r_alone,) = _ZETA_MODULE._euler_maclaurin(
+            _ZETA_MODULE._Ray(float(ts[i]), shared=False), n_cut, [sigma],
+            False)
+        assert rems[i] == pytest.approx(r_alone + truncs[i], rel=1e-12,
+                                        abs=0.0)
+    vals, _, rems = _ZETA_MODULE._zeta_em(line, ts, _PREC, False)
+    _check_line_batch(sigma, ts, vals, rems)
+
+
+def test_line_escalates_only_the_nodes_that_miss(monkeypatch):
+    # at cutoff 6 the bound on the panel [10, 10.5] crosses the target
+    # inside it: the lower nodes are certified at once, the upper ones go
+    # on together
+    prec = EvalPrecision(abs_err=1.8e-9)
+    ts = _panel_nodes(10.0, 10.5)
+    passes = []
+    kernel = _ZETA_MODULE._euler_maclaurin
+
+    def recorded(line, n_cut, coords, want_deriv):
+        passes.append((n_cut, list(coords)))
+        return kernel(line, n_cut, coords, want_deriv)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_initial_cutoff", lambda *a: 6)
+    monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
+    vals, _, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Line(0.5, prec.abs_err), ts, prec, False)
+    monkeypatch.undo()
+    assert passes[0] == (6, ts.tolist())
+    later = passes[1][1]
+    assert 0 < len(later) < ts.size
+    assert later == ts.tolist()[ts.size - len(later):]
+    assert all(set(nodes) <= set(later) for _, nodes in passes[1:])
+    _check_line_batch(0.5, ts, vals, rems, prec)
