@@ -1,51 +1,163 @@
 """The branch of log zeta normalized by log zeta(sigma + it) -> 0 as
 sigma -> +infinity along horizontal lines.
 
-The branch at s = sigma + it is realized by continuation along the ray from
-SIGMA_START = 40 (where the principal logarithm is already below 1e-11)
-down to sigma: the running value advances by the trapezoid quadrature of
-zeta'/zeta with steps proportional to the distance to the nearest
-singularity, and at each accepted step the value is snapped to
+The branch at s = sigma + it is pinned by a walk down the ray from
+SIGMA_START = 40, where the principal logarithm is below 1e-11 and the
+winding is 0.  The walk subtracts the local model
 
-    principal log zeta  +  2 pi i k,
+    model(s) = sum_rho Log(s - rho) - [pole] Log(s - 1)
 
-with k pinned by the quadrature prediction.  The snap keeps the accuracy of
-the point evaluation while the quadrature only has to resolve k, which it
-does with two-digit margin.  The height of a ray is ZeroStore.snap(|t|),
-the one ordinate convention: t on a tabulated ordinate uses the one-sided
-limit, approached from below for gamma > 0 and from above for gamma < 0,
-and t = 0 is the limit from above.
+over the zeros with |gamma - t| <= _WINDOW, each taken once, and the pole
+when t <= _WINDOW.  Along the ray each Log(s - rho) is continuous and the
+model carries every nearby jump of the argument, so G = log zeta - model
+varies slowly, and the branch at a node is the one whose G lies within pi
+of the last node's; a step of G above _CONT_STEP first inserts the
+midpoint.  This is the iterated eta sweep's rule (_Walk serves both).  A
+table zero with a wrong multiplicity, or one zeta lacks, moves the model's
+argument by pi where the ray passes it, which the insertion resolves, never
+by a multiple of 2 pi that the pin would alias.
 
-Above SIGMA_START the winding is 0, so a prepared ray answers on
-[sigma_end, infinity) with the principal logarithm there.  Rays refuse
-heights above the zero table: step control and the ordinate convention both
-need to know every zero near the path.
+The nodes are a fixed grid, 2 apart on [4, 40] and 1/4 apart below, down
+to sigma_end: one Euler-Maclaurin pass on the ray's shared phases.  A value
+is the principal log zeta of its own evaluation + 2 pi i k; the walk only
+pins k.  eval_log and winding take a float or an array of abscissae,
+evaluate zeta at all of them in one pass and pin each from its nearest
+node, so a prepared ray answers on [sigma_end, infinity).
 
-A prepared ray keeps the phases n^-it of its height (a shared zeta._Ray),
-computed once and grown as larger cutoffs are needed.  The march, the
-bisection that locates a winding wrap and every later query evaluate zeta
-through them, and eval_log and winding take a float or a whole array of
-abscissae; an array is one Euler-Maclaurin pass.
+The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
+on a tabulated ordinate uses the one-sided limit, approached from below for
+gamma > 0 and from above for gamma < 0, and t = 0 is the limit from above.
+Rays refuse heights above the zero table, whose zeros the model needs.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BudgetExceeded, OnSingularity, ValidationError, _point,
-                     _real)
+from .errors import (BudgetExceeded, NumericalError, OnSingularity,
+                     ValidationError, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
 from .zeta import _Ray, _zeta_em
 
 SIGMA_START = 40.0
-_MARCH_BUDGET = 200_000    # zeta evaluations one march may spend on its steps
+_MARCH_BUDGET = 200_000    # nodes one ray's walk may pin, midpoints included
 _TWO_PI = 2.0 * math.pi
-_MAX_PRED_RESIDUAL = 1.0   # rad; quadrature-vs-snap disagreement triggering retry
+_WINDOW = 1.5              # model zeros kept within this distance in t
+_CONT_STEP = 0.9           # max |G step| accepted without midpoint insertion
+# The ray's walk: SIGMA_START down to 4 in steps of 2, then steps of 1/4.
+_RAY_GRID = np.concatenate((np.arange(SIGMA_START, 4.0, -2.0),
+                            np.arange(4.0, -1.0, -0.25)))
+
+
+class _Walk:
+    """G = log zeta - window model along one line, its branch pinned by
+    continuity from node to node.
+
+    The line's points are s = origin + direction * x for real coordinates
+    x.  The window holds weights mu, rel = origin - rho for its zeros, and
+    pole = origin - 1 when the pole is in it (else None).  A subclass
+    evaluates zeta on its line in eval(x, depth), which pins the nodes in
+    order with pin; _pin inserts a midpoint through eval.
+    """
+
+    def __init__(self, origin: complex, direction: complex):
+        self.origin = origin
+        self.direction = direction
+        self.x_prev = 0.0
+        self.g_prev = 0j
+
+    def model(self, x, include_pole: bool = True):
+        """The window's log terms at x, a float or an array: one np.log of
+        the window-zeros x nodes matrix."""
+        dx = self.direction * np.asarray(x, dtype=np.float64)
+        out = self.mu @ np.log(np.add.outer(self.rel, dx))
+        if self.pole is not None and include_pole:
+            out = out - np.log(self.pole + dx)
+        return out
+
+    def principal(self, xs: np.ndarray, vals: list) -> np.ndarray:
+        """Principal log zeta minus the model at the nodes xs, from their
+        zeta values; a value of exactly 0 is refused."""
+        if 0 in vals:
+            s = self.origin + self.direction * xs[vals.index(0)]
+            raise OnSingularity(f"zeta({s}) = 0 at working precision")
+        return np.log(vals) - self.model(xs)
+
+    def pin(self, xs: np.ndarray, vals: list, depth: int) -> np.ndarray:
+        """G at the nodes xs, walked in order from the last node."""
+        return np.array([self._pin(x, p, depth) for x, p in
+                         zip(xs.tolist(), self.principal(xs, vals).tolist())])
+
+    def _pin(self, x: float, principal: complex, depth: int) -> complex:
+        """The branch of principal at x next to the last node; a step above
+        _CONT_STEP first inserts the midpoint as a node of its own."""
+        k = round((self.g_prev.imag - principal.imag) / _TWO_PI)
+        g_here = principal + _TWO_PI * 1j * k
+        if abs(g_here - self.g_prev) > _CONT_STEP:
+            mid = 0.5 * (self.x_prev + x)
+            lo, hi = sorted((self.x_prev, x))
+            if depth > 60 or not lo < mid < hi:
+                s = self.origin + self.direction * x
+                raise NumericalError(
+                    f"continuation of log zeta stalled near s = {s}")
+            self.eval(mid, depth + 1)
+            return self._pin(x, principal, depth + 1)
+        self.x_prev, self.g_prev = x, g_here
+        return g_here
+
+
+class _RayWalk(_Walk):
+    """The walk down one ray Im s = t; keeps every node it pinned, in
+    ascending alpha, and the node's G."""
+
+    def __init__(self, ray: _Ray, prec: EvalPrecision, store: ZeroStore):
+        t = ray.t
+        super().__init__(1j * t, 1.0)
+        lo = int(np.searchsorted(store.gammas, t - _WINDOW))
+        hi = int(np.searchsorted(store.gammas, t + _WINDOW, side="right"))
+        window = [store.record(i) for i in range(lo, hi)]
+        self.mu = np.ones(len(window))
+        self.rel = np.array([complex(-z.beta, t - z.gamma) for z in window],
+                            dtype=np.complex128)
+        self.pole = -1.0 + 1j * t if t <= _WINDOW else None
+        self.ray, self.prec = ray, prec
+        self.xs: list[float] = []
+        self.gs: list[complex] = []
+
+    def eval(self, alpha, depth: int = 0) -> None:
+        """Pin the nodes alpha (a float or an array, in walking order) from
+        the last node: one zeta evaluation on the ray for all of them."""
+        xs = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+        if len(self.xs) + xs.size > _MARCH_BUDGET:
+            raise BudgetExceeded(
+                f"branch continuation at t={self.ray.t} exceeded "
+                f"{_MARCH_BUDGET} steps")
+        vals, _, _ = _zeta_em(self.ray, xs, self.prec, want_deriv=False)
+        for x, g in zip(xs.tolist(), self.pin(xs, vals, depth).tolist()):
+            i = bisect.bisect(self.xs, x)
+            self.xs.insert(i, x)
+            self.gs.insert(i, g)
+
+    def windings(self, xs: np.ndarray, vals: list) -> np.ndarray:
+        """The winding integers at the abscissae xs from their zeta values,
+        each pinned from its nearest node; 0 from SIGMA_START up."""
+        out = np.zeros(xs.size, dtype=np.int64)
+        for j, (x, p) in enumerate(zip(xs.tolist(),
+                                       self.principal(xs, vals).tolist())):
+            if x < SIGMA_START:
+                i = bisect.bisect(self.xs, x)
+                if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]
+                                         < self.xs[i] - x):
+                    i -= 1
+                self.x_prev, self.g_prev = self.xs[i], self.gs[i]
+                out[j] = round((self._pin(x, p, 0).imag - p.imag) / _TWO_PI)
+        return out
 
 
 @dataclass
@@ -53,34 +165,33 @@ class BranchPath:
     """Continuation record for one horizontal ray Im s = t.
 
     t is the snapped height |t|; conjugate marks a ray requested at t < 0.
-    Unwinding breakpoints (descending alphas, the first at SIGMA_START) let
-    eval_log answer anywhere on [sigma_end, infinity) from one zeta
-    evaluation per abscissa, made on the ray's shared phases.
+    The walk's nodes and their pinned G let eval_log answer anywhere on
+    [sigma_end, infinity) from one zeta evaluation per abscissa, made on
+    the ray's shared phases.
     """
 
     t: float
     sigma_end: float
     conjugate: bool
-    _breaks: list[float]        # descending
-    _winds: list[int]           # winds[i] on (breaks[i+1], breaks[i]]
-    _ray: _Ray = field(repr=False, compare=False)   # phases of height t
+    _walk: _RayWalk = field(repr=False, compare=False)
     _prec: EvalPrecision = DEFAULT_PRECISION
 
-    def winding(self, alpha):
-        """The winding integer at alpha, a float or an array (same shape);
-        alpha must be finite and >= sigma_end."""
+    def _abscissae(self, alpha) -> np.ndarray:
+        """alpha flattened; it must be finite and >= sigma_end."""
         if np.ndim(alpha) == 0:
-            a = np.float64(_real(alpha, "alpha", self.sigma_end))
-        else:
-            a = np.asarray(alpha, dtype=np.float64)
-            for end in (a.min(), a.max()):
-                _real(end, "alpha", self.sigma_end)
-        # breaks are descending; the winding at alpha is the one attached to
-        # the deepest breakpoint at or above alpha, and 0 above them all.
-        at_or_above = np.searchsorted(-np.asarray(self._breaks), -a,
-                                      side="right")
-        k = np.asarray(self._winds)[np.maximum(at_or_above - 1, 0)]
-        return int(k) if k.ndim == 0 else k
+            return np.array([_real(alpha, "alpha", self.sigma_end)])
+        xs = np.ravel(np.asarray(alpha, dtype=np.float64))
+        for end in (xs.min(), xs.max()):
+            _real(end, "alpha", self.sigma_end)
+        return xs
+
+    def winding(self, alpha):
+        """The winding integer at alpha, a float or an array (same shape)."""
+        # The winding is 0 from SIGMA_START up.
+        xs = np.minimum(self._abscissae(alpha), SIGMA_START)
+        vals, _, _ = _zeta_em(self._walk.ray, xs, self._prec, want_deriv=False)
+        k = self._walk.windings(xs, vals)
+        return int(k[0]) if np.ndim(alpha) == 0 else k.reshape(np.shape(alpha))
 
     def eval_log(self, alpha):
         """log zeta(alpha + it) on the branch, with an error estimate.
@@ -89,12 +200,10 @@ class BranchPath:
         answered with two arrays of its shape; an array takes one
         Euler-Maclaurin pass for all its abscissae.
         """
-        k = np.ravel(self.winding(alpha))
-        vals, _, rems = _zeta_em(self._ray, alpha, self._prec,
+        xs = self._abscissae(alpha)
+        vals, _, rems = _zeta_em(self._walk.ray, xs, self._prec,
                                  want_deriv=False)
-        if 0 in vals:
-            s = complex(np.ravel(alpha)[vals.index(0)], self.t)
-            raise OnSingularity(f"zeta({s}) = 0 at working precision")
+        k = self._walk.windings(xs, vals)
         out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
         est = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
         if self.conjugate:
@@ -104,111 +213,18 @@ class BranchPath:
         return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
-_REG_RADIUS = 0.05      # singularities this close to a step get subtracted
-
-
 def _march(ray: _Ray, sigma_end: float, prec: EvalPrecision,
-           store: ZeroStore) -> tuple[list[float], list[int]]:
-    """Walk the ray from SIGMA_START down to sigma_end tracking the winding.
-
-    Returns the unwinding breakpoints (descending alphas) and the winding
-    integers in force below each breakpoint.  The trapezoid quadrature of
-    zeta'/zeta only has to pin the winding to the nearest integer; known
-    singularities within _REG_RADIUS of a step are subtracted analytically
-    first, so steps crossing the critical line arbitrarily close to a zero
-    (or the pole, for rays at height ~0) stay well-predicted.
-    """
-    t = ray.t
-
-    def logderiv(alpha: float) -> tuple[complex, complex]:
-        (v,), (d,), _ = _zeta_em(ray, alpha, prec, want_deriv=True)
-        if v == 0:
-            raise OnSingularity(f"zeta({alpha}+{t}j) = 0 at working precision")
-        return cmath.log(v), d / v
-
-    def nearby_poles(lo: float, hi: float) -> list[tuple[complex, float]]:
-        """(location, residue-sign weight) of singularities of zeta'/zeta
-        within _REG_RADIUS of the segment [lo, hi] x {t}."""
-        out: list[tuple[complex, float]] = []
-        if abs(t) <= _REG_RADIUS and lo - _REG_RADIUS <= 1.0 <= hi + _REG_RADIUS:
-            out.append((1.0 + 0.0j, -1.0))          # simple pole of zeta
-        gam = store.gammas
-        i0 = int(np.searchsorted(gam, t - _REG_RADIUS, side="left"))
-        i1 = int(np.searchsorted(gam, t + _REG_RADIUS, side="right"))
-        for i in range(i0, i1):
-            beta = float(store.betas[i])
-            if lo - _REG_RADIUS <= beta <= hi + _REG_RADIUS:
-                out.append((complex(beta, float(gam[i])),
-                            float(store.multiplicities[i])))
-        return out
-
-    def singularity_distance(alpha: float) -> float:
-        s = complex(alpha, t)
-        return min(store.zero_distance(s), abs(s - 1.0))
-
-    breaks = [SIGMA_START]
-    winds = [0]
-    alpha = SIGMA_START
-    log_here, f_here = logderiv(alpha)   # principal = branch at sigma = 40
-    k = 0
-    evals = 0
-    while alpha > sigma_end:
-        d = singularity_distance(alpha)
-        step = min(2.0, max(1e-3, 0.35 * d))
-        while True:
-            nxt = max(sigma_end, alpha - step)
-            w, f_next = logderiv(nxt)
-            evals += 1
-            if evals > _MARCH_BUDGET:
-                raise BudgetExceeded(
-                    f"branch continuation at t={t} exceeded {_MARCH_BUDGET} "
-                    f"steps")
-            # Analytic part of the increment from singularities close to
-            # this step; Log(z - p) is continuous along the segment because
-            # Im(z - p) keeps its (nonzero) sign.
-            poles = nearby_poles(nxt, alpha)
-            analytic = 0.0 + 0.0j
-            fa_here = f_here
-            fa_next = f_next
-            for p, weight in poles:
-                analytic += weight * (cmath.log(complex(nxt, t) - p)
-                                      - cmath.log(complex(alpha, t) - p))
-                fa_here -= weight / (complex(alpha, t) - p)
-                fa_next -= weight / (complex(nxt, t) - p)
-            pred = log_here + analytic + (nxt - alpha) * 0.5 * (fa_here + fa_next)
-            k_new = k + round((pred.imag - (w.imag + k * _TWO_PI)) / _TWO_PI)
-            resid = abs(pred - (w + 2j * math.pi * k_new))
-            if (resid <= _MAX_PRED_RESIDUAL and abs(k_new - k) <= 1) \
-                    or step <= 1e-6:
-                break
-            step *= 0.5
-        if resid > _MAX_PRED_RESIDUAL:
-            raise BudgetExceeded(
-                f"branch continuation stalled at alpha={alpha}, t={t} "
-                f"(residual {resid:.2f} rad at minimal step)")
-        if k_new != k:
-            # Locate the principal-log wrap inside (nxt, alpha) so that
-            # eval_log is correct on the whole ray, not just at endpoints.
-            lo, hi = nxt, alpha
-            im_hi = (log_here - 2j * math.pi * k).imag
-            for _ in range(60):
-                if hi - lo < 1e-9:
-                    break
-                mid = 0.5 * (lo + hi)
-                (vm,), _, _ = _zeta_em(ray, mid, prec, want_deriv=False)
-                # same side as hi if no wrap between mid and hi
-                if abs(cmath.log(vm).imag - im_hi) < math.pi:
-                    hi = mid
-                    im_hi = cmath.log(vm).imag
-                else:
-                    lo = mid
-            breaks.append(0.5 * (lo + hi))
-            winds.append(k_new)
-            k = k_new
-        log_here = w + 2j * math.pi * k_new
-        f_here = f_next
-        alpha = nxt
-    return breaks, winds
+           store: ZeroStore) -> _RayWalk:
+    """Walk the ray from G = -model at SIGMA_START down the grid to
+    sigma_end.  A pin needs the phase of zeta, which an absolute error near
+    |zeta| destroys next to a zero: the nodes take prec or the default
+    precision, whichever is finer."""
+    walk = _RayWalk(ray, min(prec, DEFAULT_PRECISION, key=lambda p: p.abs_err),
+                    store)
+    walk.x_prev = SIGMA_START
+    walk.g_prev = complex(-walk.model(SIGMA_START))
+    walk.eval(np.append(_RAY_GRID[_RAY_GRID > sigma_end], sigma_end))
+    return walk
 
 
 def branch_path(t: float, sigma_end: float,
@@ -234,15 +250,15 @@ def branch_path(t: float, sigma_end: float,
     # beta at this height) are fine -- the ray passes at vertical distance
     # >= the snap offset.
     ray = _Ray(store.snap(t), shared=True)
-    breaks, winds = _march(ray, sigma_end, prec, store)
     return BranchPath(t=ray.t, sigma_end=sigma_end, conjugate=conjugate,
-                      _breaks=breaks, _winds=winds, _ray=ray, _prec=prec)
+                      _walk=_march(ray, sigma_end, prec, store), _prec=prec)
 
 
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
                       store: ZeroStore | None = None) -> tuple[complex, float]:
     """log zeta(s) on the branch, plus an absolute error estimate."""
     z = _point(s)
+    _real(z.real, "sigma", -1.0)
     if abs(z - 1.0) <= 1e-12:
         raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
     if store is None:

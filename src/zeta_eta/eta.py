@@ -46,9 +46,12 @@ Taylor expansion of the Dirichlet sum about the centre) and the window
 model at all of them with one logarithm of the window-zeros x nodes matrix.
 It then walks the nodes in order: continuity of G along the ascending node
 sequence pins the winding integer of the principal logarithm at each
-sample, replacing a horizontal branch march per sample.  A node whose step
+sample, replacing a horizontal ray walk per sample.  A node whose step
 exceeds _CONT_STEP first gets the midpoint inserted as a node of its own.
-The sweep is anchored at u = 0 (closed-form branch value) and re-verified
+This is the rule, and branch._Walk the code, by which a horizontal ray pins
+its branch; the sweep's model keeps the table's multiplicities, which its
+closed-form integrals need, and moves its window from panel to panel.  The
+sweep is anchored at u = 0 (closed-form branch value) and re-verified
 against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) run on one horizontal ray
@@ -71,10 +74,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincc
 
-from .branch import (SIGMA_START, _log_zeta_real, branch_path,
-                     log_zeta_with_err)
-from .errors import (BudgetExceeded, NumericalError, OnSingularity,
-                     ValidationError, _integer, _point, _real)
+from .branch import (_WINDOW, SIGMA_START, _log_zeta_real, _Walk,
+                     branch_path, log_zeta_with_err)
+from .errors import (BudgetExceeded, NumericalError, ValidationError,
+                     _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
@@ -136,7 +139,7 @@ def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
 def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
     prec = EvalPrecision(abs_err=abs_err)
     # On the real axis the limit from above is available in closed form;
-    # no branch march runs anywhere near the pole.
+    # no branch walk runs anywhere near the pole.
     return _vertical_integral(lambda a: _log_zeta_real(a, prec),
                               m, sigma, abs_err, (1.0,))
 
@@ -218,45 +221,30 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
 # --- iterated route: windowed sweep along the horizontal segment ---------------
 
 _PANEL_MAX = 0.5        # Gauss panel width cap on the u-line
-_WINDOW = 1.5           # model terms kept within this distance of a panel
-_CONT_STEP = 0.9        # max |G step| accepted without midpoint insertion
 _SWEEP_BUDGET = 400_000  # nodes one sweep may evaluate, midpoints included
 
 
-class _Sweep:
-    """Branch tracker for log zeta(sigma + iu), u ascending, local model."""
+class _Sweep(_Walk):
+    """Branch tracker for log zeta(sigma + iu), u ascending, local model
+    with the table's multiplicities (the closed-form model integrals need
+    them)."""
 
     def __init__(self, sigma: float, prec: EvalPrecision):
+        super().__init__(float(sigma), 1j)
         self.sigma = float(sigma)
         self.prec = prec
         self.line = _Line(self.sigma, prec.abs_err)
         self.nodes = 0
-        self.u_prev = 0.0
-        self.g_prev = 0j
-        self.wmu = np.empty(0)
-        self.wcc = np.empty(0)
-        self.wgam = np.empty(0)
-        self.has_pole = False
         self.anchored = False
 
-    def model(self, u, include_pole: bool = True):
-        """The window's log terms at u, a float or an array: one np.log of
-        the window-zeros x nodes matrix."""
-        u = np.asarray(u, dtype=np.float64)
-        out = self.wmu @ np.log(np.add.outer(self.wcc - 1j * self.wgam,
-                                             1j * u))
-        if self.has_pole and include_pole:
-            out = out - np.log((self.sigma - 1.0) + 1j * u)
-        return out
-
     def set_window(self, wmu, wcc, wgam, has_pole: bool) -> None:
-        old = self.model(self.u_prev) if self.anchored else 0j
-        self.wmu, self.wcc, self.wgam = wmu, wcc, wgam
-        self.has_pole = has_pole
+        old = self.model(self.x_prev) if self.anchored else 0j
+        self.mu, self.rel = wmu, wcc - 1j * wgam
+        self.pole = self.sigma - 1.0 if has_pole else None
         if self.anchored:
             # Rebasing against the new model keeps the tracked branch exact:
             # the swapped terms are principal logs of points >= 1 away.
-            self.g_prev = complex(self.g_prev + old - self.model(self.u_prev))
+            self.g_prev = complex(self.g_prev + old - self.model(self.x_prev))
 
     def anchor(self) -> None:
         """Branch value at u = 0 from the closed form (limit from above)."""
@@ -266,7 +254,7 @@ class _Sweep:
         else:
             f0, _ = log_zeta_with_err(complex(self.sigma, 0.0), self.prec)
             g0 = f0 - self.model(0.0)
-        self.u_prev, self.g_prev = 0.0, complex(g0)
+        self.x_prev, self.g_prev = 0.0, complex(g0)
         self.anchored = True
 
     def eval(self, u, depth: int = 0):
@@ -282,31 +270,11 @@ class _Sweep:
         if self.nodes > _SWEEP_BUDGET:
             raise BudgetExceeded("winding sweep exceeded its evaluation budget")
         vals, _, rems = _zeta_em(self.line, us, self.prec, want_deriv=False)
-        if 0 in vals:
-            z = complex(self.sigma, us[vals.index(0)])
-            raise OnSingularity(f"zeta({z}) = 0 at working precision")
-        vals = np.array(vals)
-        principal = np.log(vals) - self.model(us)
-        g = np.array([self._pin(ui, p, depth)
-                      for ui, p in zip(us.tolist(), principal.tolist())])
+        g = self.pin(us, vals, depth)
         err = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
         if np.ndim(u) == 0:
             return complex(g[0]), float(err[0])
         return g, err
-
-    def _pin(self, u: float, principal: complex, depth: int) -> complex:
-        """The branch of principal at u next to the last node; a step above
-        _CONT_STEP first inserts the midpoint as a node of its own."""
-        k = round((self.g_prev.imag - principal.imag) / _TWO_PI)
-        g_here = principal + _TWO_PI * 1j * k
-        if abs(g_here - self.g_prev) > _CONT_STEP:
-            if depth > 60 or not (self.u_prev < 0.5 * (self.u_prev + u) < u):
-                raise NumericalError(
-                    f"winding sweep stalled near u = {u} (sigma = {self.sigma})")
-            self.eval(0.5 * (self.u_prev + u), depth + 1)
-            return self._pin(u, principal, depth + 1)
-        self.u_prev, self.g_prev = u, g_here
-        return g_here
 
 
 def _line_panels(t_eff: float, store: ZeroStore) -> list[tuple[float, float]]:
@@ -424,7 +392,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
             mag += piece_mag
 
     # The sweep's branch must land on the horizontal-ray branch at u = t.
-    # (Skipped for very short sweeps, where the ray march would itself pass
+    # (Skipped for very short sweeps, where the ray walk would itself pass
     # within t of the pole; a winding slip needs room to happen anyway.)
     if t_eff >= 0.05:
         g_end, _ = sweep.eval(t_eff)

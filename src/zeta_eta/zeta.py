@@ -324,8 +324,12 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     return val, der, rem
 
 
-def _extended_dps(abs_err: float) -> int:
-    return max(30, int(-math.log10(abs_err)) + 10)
+def _extended(abs_err: float, evaluate, x):
+    """evaluate(mpmath, x) with x as an mpmath number, at the working
+    precision abs_err asks for: the one software extended-precision path."""
+    import mpmath as mp
+    with mp.workdps(max(30, int(-math.log10(abs_err)) + 10)):
+        return evaluate(mp, mp.mpmathify(x))
 
 
 def _needs_extended(z: complex, abs_err: float) -> bool:
@@ -347,9 +351,7 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
         raise PoleAtOne(f"s={s} is within {_POLE_RADIUS} of the pole at 1")
     _real(z.real, "sigma", -1.0)
     if _needs_extended(z, prec.abs_err):
-        import mpmath as mp
-        with mp.workdps(_extended_dps(prec.abs_err)):
-            return mp.zeta(mp.mpc(z.real, z.imag))
+        return _extended(prec.abs_err, lambda mp, w: mp.zeta(w), z)
     (val,), _, _ = _zeta_em(_Ray(z.imag, shared=False), z.real, prec,
                             want_deriv=False)
     return val
@@ -379,10 +381,8 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
                     raise NearSingularity(
                         f"s={s} within {guard:g} of zero {rho}", where=rho)
     if _needs_extended(z, prec.abs_err):
-        import mpmath as mp
-        with mp.workdps(_extended_dps(prec.abs_err)):
-            ss = mp.mpc(z.real, z.imag)
-            return mp.zeta(ss, derivative=1) / mp.zeta(ss)
+        return _extended(prec.abs_err, lambda mp, w: mp.zeta(
+            w, derivative=1) / mp.zeta(w), z)
     (val,), (der,), _ = _zeta_em(_Ray(z.imag, shared=False), z.real, prec,
                                  want_deriv=True)
     if val == 0:
@@ -441,9 +441,7 @@ def hardy_z(t: float, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
     if t < 0:
         return hardy_z(-t, prec)
     if _needs_extended(complex(0.5, t), prec.abs_err):
-        import mpmath as mp
-        with mp.workdps(_extended_dps(prec.abs_err)):
-            return mp.siegelz(t)
+        return _extended(prec.abs_err, lambda mp, x: mp.siegelz(x), t)
     val = zeta(complex(0.5, t), prec)
     rotated = cmath.exp(1j * theta(t)) * val
     if abs(rotated.imag) > 50 * prec.abs_err * (1.0 + abs(rotated)):

@@ -15,7 +15,7 @@ import pytest
 from zeta_eta.branch import big_s, branch_path, log_zeta, log_zeta_with_err
 from zeta_eta.errors import BudgetExceeded, OnSingularity, ValidationError
 from zeta_eta.precision import EvalPrecision
-from zeta_eta.zeros import builtin_store
+from zeta_eta.zeros import ZeroRecord, ZeroStore, builtin_store, rvmf_check
 
 # {(sigma, t): branch value of log zeta}
 BRANCH_ORACLE = {
@@ -103,7 +103,7 @@ def test_branch_path_eval_and_domain(store):
     assert abs(v - BRANCH_ORACLE[(0.5, 30.0)]) < 1e-9
     v40, _ = path.eval_log(39.9)
     assert abs(v40 - cmath.log(complex(zeta(complex(39.9, 30.0))))) < 1e-12
-    # above the march start the winding is 0: the principal logarithm
+    # above the walk start the winding is 0: the principal logarithm
     for alpha in (40.0, 40.5, 45.0, 84.0):
         v, est = path.eval_log(alpha)
         assert v == cmath.log(complex(zeta(complex(alpha, 30.0))))
@@ -148,7 +148,7 @@ def test_estimate_is_honest_on_oracle_grid(store):
 @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.01, 0.049])
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9, 0.99, 1.0, 1.01, 1.5, 2.0])
 def test_log_zeta_just_above_the_real_axis(sigma, t):
-    # 0 < t < 0.05: the march subtracts the pole at s = 1 analytically.  Just
+    # 0 < t < 0.05: the walk's model subtracts the pole at s = 1.  Just
     # above the axis, zeta(s) lies in the lower half-plane for sigma < 1, so
     # the branch is the principal logarithm there as well.
     with mp.workdps(30):
@@ -163,25 +163,25 @@ def _around(x: float) -> list[float]:
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
-def test_array_winding_equals_scalar_winding_at_every_break(store):
-    from zeta_eta.branch import BranchPath
-    from zeta_eta.zeta import _Ray
-    real = branch_path(500.0, -1.0, store=store)        # one wrap below 0
-    made = BranchPath(t=30.0, sigma_end=-1.0, conjugate=False,
-                      _breaks=[40.0, 10.0, 3.0, 0.5, -0.7],
-                      _winds=[0, 1, 2, 1, 0], _ray=_Ray(30.0, shared=True))
-    assert len(real._breaks) >= 2
-    for path in (real, made):
-        xs = [x for b in path._breaks for x in _around(b)
-              if x >= path.sigma_end] + [path.sigma_end, 45.0, 1e6]
-        got = path.winding(np.array(xs))
+def test_array_winding_equals_scalar_winding_at_the_walk_nodes(store):
+    # a ray past zeros to sigma = -1 (windings 0 and others), one near the
+    # pole, and one passing 1e-9 below a zero (an on-ordinate height)
+    g1 = float(store.gammas[0])
+    for t, end in ((500.0, -1.0), (0.3, -1.0), (g1, 0.2)):
+        path = branch_path(t, end, store=store)
+        nodes = np.array(path._walk.xs)
+        between = 0.5 * (nodes[:-1] + nodes[1:])
+        xs = np.concatenate(([x for n in nodes.tolist() for x in _around(n)
+                              if x >= path.sigma_end], between,
+                             [40.0, 45.0, 1e6]))
+        got = path.winding(xs)
         assert got.shape == (len(xs),)
-        assert got.tolist() == [path.winding(x) for x in xs]
-        assert got.reshape(3, -1).tolist() == path.winding(
-            np.array(xs).reshape(3, -1)).tolist()
-    # the synthetic breaks: winds[i] holds on (breaks[i+1], breaks[i]]
-    assert [made.winding(x) for x in _around(3.0)] == [2, 2, 1]
-    assert made.winding(-1.0) == 0 and made.winding(40.5) == 0
+        assert got.tolist() == [path.winding(x) for x in xs.tolist()]
+        grid = xs[:len(xs) // 3 * 3].reshape(3, -1)
+        assert path.winding(grid).tolist() == got[:grid.size].reshape(
+            3, -1).tolist()
+        assert (got[xs >= 40.0] == 0).all()
+        assert len(set(got.tolist())) >= (2 if t == 500.0 else 1)
 
 
 def test_eval_log_takes_arrays(store):
@@ -219,3 +219,85 @@ def test_eval_log_refuses_a_zero_value(store, monkeypatch):
     monkeypatch.setattr(branch, "_zeta_em", second_is_zero)
     with pytest.raises(OnSingularity, match=r"zeta\(\(2\+30j\)\) = 0"):
         path.eval_log(np.array([1.0, 2.0, 3.0]))
+
+
+# --- the walk's domain and tables with wrong zeros -----------------------------
+
+def test_log_zeta_refuses_sigma_below_minus_one(store):
+    # on the real axis too, and naming the parameter the caller gave
+    for s in (-3 + 0j, -5 + 0j, -30 + 0j, -3 + 1j):
+        with pytest.raises(ValidationError, match="sigma="):
+            log_zeta_with_err(s, store=store)
+    with mp.workdps(30):
+        for s in (-1 + 0j, -1 + 1j):
+            ref = complex(mp.log(mp.zeta(mp.mpc(s.real, s.imag))))
+            got, est = log_zeta_with_err(s, store=store)
+            k = round((got.imag - ref.imag) / (2 * math.pi))
+            assert abs(got - ref - 2j * math.pi * k) <= 1e-9, s
+            assert est < 1e-9
+    assert log_zeta_with_err(-1 + 0j, store=store)[0].imag == -math.pi
+
+
+def test_zero_count_identity_across_the_table(store):
+    # N(T) = theta/pi + 1 + S(T) checks the winding at sigma = 1/2 apart from
+    # how it is computed, at heights over the whole table
+    rng = np.random.default_rng(2150)
+    gammas = store.gammas
+    for t in rng.uniform(15.0, 2150.0, 60).tolist():
+        i = int(np.argmin(np.abs(gammas - t)))
+        if abs(t - gammas[i]) <= 1e-5:
+            t = float(gammas[i]) + 1e-5
+        assert abs(rvmf_check(store, t).delta) < 1e-6, t
+
+
+def test_an_injected_double_zero_leaves_the_branch_unchanged(store):
+    # a made-up double zero in the table, passed at vertical distance 1e-4 to
+    # 1e-1 on the way to sigma: log zeta is the builtin table's, bit for bit
+    rng = np.random.default_rng(21)
+    for d in (1e-4, 1e-3, 1e-2, 1e-1):
+        for _ in range(4):
+            t = float(rng.uniform(15.0, 2100.0))
+            beta = float(rng.uniform(0.05, 0.95))
+            gamma = t + d * (1.0 if rng.random() < 0.5 else -1.0)
+            s = complex(float(rng.uniform(-1.0, beta - 0.01)), t)
+            made = store.inject_hypothetical(beta, gamma, 2)
+            assert log_zeta_with_err(s, store=made) == \
+                log_zeta_with_err(s, store=store), (s, beta, gamma)
+
+
+def test_a_zero_declared_double_leaves_the_branch_unchanged(store):
+    # zero #592 (gamma = 929.874...) declared double in a copy of the table
+    records = [store.record(i) for i in range(len(store))]
+    records[592] = ZeroRecord(records[592].gamma, records[592].beta, 2)
+    made = ZeroStore(records, "592 double")
+    s = complex(-0.5, 929.8740384230465)
+    assert log_zeta_with_err(s, store=made) == log_zeta_with_err(s,
+                                                                 store=store)
+    assert log_zeta_with_err(s, store=made)[0].imag == pytest.approx(
+        -2.87922, abs=1e-5)
+
+
+def test_coarse_precision_keeps_the_winding_on_ordinates(store):
+    # a ray on an ordinate passes 1e-9 from the zero, where an absolute error
+    # of 1e-6 or 1e-3 would leave the phase of zeta to noise; the walk's
+    # nodes keep the default precision, so only the value is coarse
+    rng = np.random.default_rng(8)
+    cases = [(0.25, 917.8253775704268, 1e-3), (0.0, 1192.2186114780015, 1e-6),
+             (0.25, 535.6643140759733, 1e-3)]
+    for i in rng.choice(len(store), 8, replace=False).tolist():
+        cases += [(sigma, float(store.gammas[i]), abs_err)
+                  for sigma in (0.0, 0.25) for abs_err in (1e-6, 1e-3)]
+    for sigma, t, abs_err in cases:
+        ref, _ = log_zeta_with_err(complex(sigma, t), store=store)
+        got, est = log_zeta_with_err(complex(sigma, t),
+                                     EvalPrecision(abs_err=abs_err), store)
+        assert abs(got - ref) <= est, (sigma, t, abs_err)
+
+
+def test_every_ordinate_of_the_table_on_the_critical_line(store):
+    # a ray on an ordinate passes 1e-9 below the zero; at sigma = 1/2 its
+    # argument is the one 1e-7 below, up to the noise of |zeta| ~ 1e-9
+    for gamma in store.gammas.tolist():
+        on, _ = log_zeta_with_err(complex(0.5, gamma - 1e-9), store=store)
+        below, _ = log_zeta_with_err(complex(0.5, gamma - 1e-7), store=store)
+        assert abs(on.imag - below.imag) < 0.01, gamma

@@ -123,6 +123,13 @@ def test_out_of_domain_exits_three(capsys):
     assert code == 3 and "error:" in err
 
 
+def test_eta_left_of_minus_one_on_the_real_axis_exits_three(capsys):
+    # refused as input, not run into the Euler-Maclaurin budget (exit 1)
+    code, out, err = _run(capsys, ["eval", "--what", "eta", "--m", "0",
+                                   "--s=-30"])
+    assert code == 3 and out == "" and "sigma=-30" in err
+
+
 def test_missing_zeros_file_exits_two(capsys, tmp_path):
     code, _, err = _run(capsys, ["--zeros", str(tmp_path / "nope.csv"),
                                  "eval", "--what", "logzeta",

@@ -7,6 +7,7 @@ is the one-sided limit -pi, integrating to -pi (1-sigma)^m / m).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
             inserted.append(u)
         return walk(self, u, depth)
 
-    monkeypatch.setattr(eta_module, "_CONT_STEP", 0.02)
+    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_CONT_STEP", 0.02)
     monkeypatch.setattr(eta_module._Sweep, "eval", counted)
     got = eta_iterated(s, 2, store)
     assert len(inserted) > 100
