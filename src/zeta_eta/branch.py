@@ -17,12 +17,15 @@ table zero with a wrong multiplicity, or one zeta lacks, moves the model's
 argument by pi where the ray passes it, which the insertion resolves, never
 by a multiple of 2 pi that the pin would alias.
 
-The nodes are a fixed grid, 2 apart on [4, 40] and 1/4 apart below, down
-to sigma_end: one Euler-Maclaurin pass on the ray's shared phases.  A value
-is the principal log zeta of its own evaluation + 2 pi i k; the walk only
-pins k.  eval_log and winding take a float or an array of abscissae,
-evaluate zeta at all of them in one pass and pin each from its nearest
-node, so a prepared ray answers on [sigma_end, infinity).
+A BranchPath is that walk on one ray: _march walks a fixed grid, 2 apart
+on [4, 40] and 1/4 apart below, down to sigma_end in one Euler-Maclaurin
+pass on the ray's phases, and the path keeps the nodes.  A value is the
+principal log zeta of its own evaluation + 2 pi i k; the walk only pins k.
+eval_log and winding take a float or an array of abscissae, evaluate zeta
+at all of them in one pass and pin each from its nearest node, so a
+prepared ray answers on [sigma_end, infinity); an abscissa whose error
+bound reaches |zeta|/2 is refused, since its phase is noise.  Every walk,
+the sweep's too, evaluates at most _WALK_BUDGET nodes.
 
 The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
 on a tabulated ordinate uses the one-sided limit, approached from below for
@@ -35,18 +38,17 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BudgetExceeded, NumericalError, OnSingularity,
-                     ValidationError, _point, _real)
+from .errors import (BudgetExceeded, NearSingularity, NumericalError,
+                     OnSingularity, ValidationError, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
 from .zeta import _Ray, _zeta_em
 
 SIGMA_START = 40.0
-_MARCH_BUDGET = 200_000    # nodes one ray's walk may pin, midpoints included
+_WALK_BUDGET = 400_000     # nodes one walk may evaluate, midpoints included
 _TWO_PI = 2.0 * math.pi
 _WINDOW = 1.5              # model zeros kept within this distance in t
 _CONT_STEP = 0.9           # max |G step| accepted without midpoint insertion
@@ -62,8 +64,9 @@ class _Walk:
     The line's points are s = origin + direction * x for real coordinates
     x.  The window holds weights mu, rel = origin - rho for its zeros, and
     pole = origin - 1 when the pole is in it (else None).  A subclass
-    evaluates zeta on its line in eval(x, depth), which pins the nodes in
-    order with pin; _pin inserts a midpoint through eval.
+    evaluates zeta on its line in eval(x, depth), which counts the nodes
+    with spend and pins them in order with pin; _pin inserts a midpoint
+    through eval.
     """
 
     def __init__(self, origin: complex, direction: complex):
@@ -71,6 +74,16 @@ class _Walk:
         self.direction = direction
         self.x_prev = 0.0
         self.g_prev = 0j
+        self.nodes = 0
+
+    def spend(self, xs: np.ndarray) -> None:
+        """Count the nodes xs before they are evaluated; a walk past
+        _WALK_BUDGET nodes is refused."""
+        self.nodes += xs.size
+        if self.nodes > _WALK_BUDGET:
+            s = self.origin + self.direction * float(xs[0])
+            raise BudgetExceeded(f"the walk of log zeta near s = {s} "
+                                 f"exceeded {_WALK_BUDGET} nodes")
 
     def model(self, x, include_pole: bool = True):
         """The window's log terms at x, a float or an array: one np.log of
@@ -112,13 +125,26 @@ class _Walk:
         return g_here
 
 
-class _RayWalk(_Walk):
-    """The walk down one ray Im s = t; keeps every node it pinned, in
-    ascending alpha, and the node's G."""
+class BranchPath(_Walk):
+    """The walk down one horizontal ray Im s = t, and the queries it answers.
 
-    def __init__(self, ray: _Ray, prec: EvalPrecision, store: ZeroStore):
-        t = ray.t
+    t is the snapped height |t|; conjugate marks a ray requested at t < 0.
+    The walk keeps every node it pinned in ascending alpha (xs) and the
+    node's G (gs).  A pin needs the phase of zeta, which an absolute error
+    near |zeta| destroys next to a zero, so the nodes take walk_prec: the
+    caller's precision prec or the default, whichever is finer.  eval_log
+    and winding answer anywhere on [sigma_end, infinity) from one zeta
+    evaluation per abscissa at prec, on the ray's phases, each pinned from
+    its nearest node.
+    """
+
+    def __init__(self, t: float, sigma_end: float, conjugate: bool,
+                 prec: EvalPrecision, store: ZeroStore):
         super().__init__(1j * t, 1.0)
+        self.t, self.sigma_end, self.conjugate = t, sigma_end, conjugate
+        self.ray = _Ray(t)
+        self.prec = prec
+        self.walk_prec = min(prec, DEFAULT_PRECISION, key=lambda p: p.abs_err)
         lo = int(np.searchsorted(store.gammas, t - _WINDOW))
         hi = int(np.searchsorted(store.gammas, t + _WINDOW, side="right"))
         window = [store.record(i) for i in range(lo, hi)]
@@ -126,7 +152,6 @@ class _RayWalk(_Walk):
         self.rel = np.array([complex(-z.beta, t - z.gamma) for z in window],
                             dtype=np.complex128)
         self.pole = -1.0 + 1j * t if t <= _WINDOW else None
-        self.ray, self.prec = ray, prec
         self.xs: list[float] = []
         self.gs: list[complex] = []
 
@@ -134,63 +159,50 @@ class _RayWalk(_Walk):
         """Pin the nodes alpha (a float or an array, in walking order) from
         the last node: one zeta evaluation on the ray for all of them."""
         xs = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-        if len(self.xs) + xs.size > _MARCH_BUDGET:
-            raise BudgetExceeded(
-                f"branch continuation at t={self.ray.t} exceeded "
-                f"{_MARCH_BUDGET} steps")
-        vals, _, _ = _zeta_em(self.ray, xs, self.prec, want_deriv=False)
+        self.spend(xs)
+        vals, _, _ = _zeta_em(self.ray, xs, self.walk_prec, want_deriv=False)
         for x, g in zip(xs.tolist(), self.pin(xs, vals, depth).tolist()):
             i = bisect.bisect(self.xs, x)
             self.xs.insert(i, x)
             self.gs.insert(i, g)
 
-    def windings(self, xs: np.ndarray, vals: list) -> np.ndarray:
-        """The winding integers at the abscissae xs from their zeta values,
-        each pinned from its nearest node; 0 from SIGMA_START up."""
-        out = np.zeros(xs.size, dtype=np.int64)
+    def _query(self, alpha) -> tuple[list, list, np.ndarray]:
+        """zeta at the abscissae alpha (flattened; finite and >= sigma_end),
+        their remainder bounds and their winding integers, each pinned from
+        its nearest node; 0 from SIGMA_START up.
+
+        A remainder of |zeta|/2 or more is refused: the phase of such a
+        value, and the pin with it, is noise.  Below it the error of its
+        logarithm is under log 2 < _CONT_STEP, so the pin converges.
+        """
+        if np.ndim(alpha) == 0:
+            xs = np.array([_real(alpha, "alpha", self.sigma_end)])
+        else:
+            xs = np.ravel(np.asarray(alpha, dtype=np.float64))
+            for end in (xs.min(), xs.max()):
+                _real(end, "alpha", self.sigma_end)
+        vals, _, rems = _zeta_em(self.ray, xs, self.prec, want_deriv=False)
+        k = np.zeros(xs.size, dtype=np.int64)
         for j, (x, p) in enumerate(zip(xs.tolist(),
                                        self.principal(xs, vals).tolist())):
+            if rems[j] >= 0.5 * abs(vals[j]):
+                s = complex(x, -self.t if self.conjugate else self.t)
+                raise NearSingularity(
+                    f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
+                    f"bound {rems[j]:.3g} at abs_err={self.prec.abs_err:g}",
+                    where=s)
             if x < SIGMA_START:
                 i = bisect.bisect(self.xs, x)
                 if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]
                                          < self.xs[i] - x):
                     i -= 1
                 self.x_prev, self.g_prev = self.xs[i], self.gs[i]
-                out[j] = round((self._pin(x, p, 0).imag - p.imag) / _TWO_PI)
-        return out
-
-
-@dataclass
-class BranchPath:
-    """Continuation record for one horizontal ray Im s = t.
-
-    t is the snapped height |t|; conjugate marks a ray requested at t < 0.
-    The walk's nodes and their pinned G let eval_log answer anywhere on
-    [sigma_end, infinity) from one zeta evaluation per abscissa, made on
-    the ray's shared phases.
-    """
-
-    t: float
-    sigma_end: float
-    conjugate: bool
-    _walk: _RayWalk = field(repr=False, compare=False)
-    _prec: EvalPrecision = DEFAULT_PRECISION
-
-    def _abscissae(self, alpha) -> np.ndarray:
-        """alpha flattened; it must be finite and >= sigma_end."""
-        if np.ndim(alpha) == 0:
-            return np.array([_real(alpha, "alpha", self.sigma_end)])
-        xs = np.ravel(np.asarray(alpha, dtype=np.float64))
-        for end in (xs.min(), xs.max()):
-            _real(end, "alpha", self.sigma_end)
-        return xs
+                k[j] = round((self._pin(x, p, 0).imag - p.imag) / _TWO_PI)
+        return vals, rems, k
 
     def winding(self, alpha):
         """The winding integer at alpha, a float or an array (same shape)."""
-        # The winding is 0 from SIGMA_START up.
-        xs = np.minimum(self._abscissae(alpha), SIGMA_START)
-        vals, _, _ = _zeta_em(self._walk.ray, xs, self._prec, want_deriv=False)
-        k = self._walk.windings(xs, vals)
+        _, _, k = self._query(alpha)
         return int(k[0]) if np.ndim(alpha) == 0 else k.reshape(np.shape(alpha))
 
     def eval_log(self, alpha):
@@ -200,10 +212,7 @@ class BranchPath:
         answered with two arrays of its shape; an array takes one
         Euler-Maclaurin pass for all its abscissae.
         """
-        xs = self._abscissae(alpha)
-        vals, _, rems = _zeta_em(self._walk.ray, xs, self._prec,
-                                 want_deriv=False)
-        k = self._walk.windings(xs, vals)
+        vals, rems, k = self._query(alpha)
         out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
         est = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
         if self.conjugate:
@@ -213,18 +222,13 @@ class BranchPath:
         return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
-def _march(ray: _Ray, sigma_end: float, prec: EvalPrecision,
-           store: ZeroStore) -> _RayWalk:
+def _march(path: BranchPath) -> None:
     """Walk the ray from G = -model at SIGMA_START down the grid to
-    sigma_end.  A pin needs the phase of zeta, which an absolute error near
-    |zeta| destroys next to a zero: the nodes take prec or the default
-    precision, whichever is finer."""
-    walk = _RayWalk(ray, min(prec, DEFAULT_PRECISION, key=lambda p: p.abs_err),
-                    store)
-    walk.x_prev = SIGMA_START
-    walk.g_prev = complex(-walk.model(SIGMA_START))
-    walk.eval(np.append(_RAY_GRID[_RAY_GRID > sigma_end], sigma_end))
-    return walk
+    sigma_end."""
+    path.x_prev = SIGMA_START
+    path.g_prev = complex(-path.model(SIGMA_START))
+    path.eval(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
+                        path.sigma_end))
 
 
 def branch_path(t: float, sigma_end: float,
@@ -249,9 +253,9 @@ def branch_path(t: float, sigma_end: float,
     # negative ordinates.  Exact zeros on the ray (sigma_end below a zero's
     # beta at this height) are fine -- the ray passes at vertical distance
     # >= the snap offset.
-    ray = _Ray(store.snap(t), shared=True)
-    return BranchPath(t=ray.t, sigma_end=sigma_end, conjugate=conjugate,
-                      _walk=_march(ray, sigma_end, prec, store), _prec=prec)
+    path = BranchPath(store.snap(t), sigma_end, conjugate, prec, store)
+    _march(path)
+    return path
 
 
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
@@ -267,8 +271,8 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     if store.zero_distance(z) <= 1e-12:
         raise OnSingularity(f"s={s} sits on a zero of the table")
     if z.real >= SIGMA_START:
-        (val,), _, (rem,) = _zeta_em(_Ray(z.imag, shared=False), z.real,
-                                     prec, want_deriv=False)
+        (val,), _, (rem,) = _zeta_em(_Ray(z.imag), z.real, prec,
+                                     want_deriv=False)
         return cmath.log(val), rem / max(abs(val), 1e-300) + 1e-15
     if z.imag == 0.0:
         return _log_zeta_real(z.real, prec)
@@ -287,8 +291,7 @@ def _log_zeta_real(sigma, prec: EvalPrecision):
     """
     if np.any(np.abs(np.asarray(sigma) - 1.0) <= 1e-12):
         raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
-    vals, _, rems = _zeta_em(_Ray(0.0, shared=np.ndim(sigma) > 0), sigma,
-                             prec, want_deriv=False)
+    vals, _, rems = _zeta_em(_Ray(0.0), sigma, prec, want_deriv=False)
     xs = [v.real for v in vals]
     out = [complex(math.log(abs(x)), -math.pi if x < 0 else 0.0) for x in xs]
     est = [r / max(abs(x), 1e-300) + 1e-15 for x, r in zip(xs, rems)]

@@ -148,7 +148,7 @@ def _emit(args, meta: dict, header: list[str], rows: list[dict]) -> None:
         sys.stdout.write(csv_text)
 
 
-def _meta(args, store, command: str, **params) -> dict:
+def _meta(store, command: str, **params) -> dict:
     params.update({"version": __version__, "store": store.source})
     return {"command": command, **params}
 
@@ -234,7 +234,7 @@ def cmd_residual_scan(args) -> int:
     rows = [row for t in ts for row in at_height(t)]
     header = ["t", "x", "eta_re", "eta_im", "poly_re", "poly_im", "y_re",
               "y_im", "r_re", "r_im", "bound_esrm", "bound_esrm2", "ratio"]
-    meta = _meta(args, store, "residual-scan", m=args.m, x_list=xs, h=args.h,
+    meta = _meta(store, "residual-scan", m=args.m, x_list=xs, h=args.h,
                  kernel=kernel.name, sigma=args.sigma, t_from=args.t_from,
                  t_to=args.t_to, t_step=args.t_step, abs_err=prec.abs_err)
     _emit(args, meta, header, rows)
@@ -254,7 +254,7 @@ def cmd_dist(args) -> int:
             raise _UsageError("--v-list is empty")
         rows = tail_table(args.t_big, vs, grid, store, prec)
         header = ["V", "fraction", "stderr", "gaussian_ref", "jutila_ref"]
-        meta = _meta(args, store, "dist tails", v_list=vs, **common)
+        meta = _meta(store, "dist tails", v_list=vs, **common)
         _emit(args, meta, header, rows)
         return 0
 
@@ -265,7 +265,7 @@ def cmd_dist(args) -> int:
                  "stderr": est.stderr, "gaussian_ref": est.ref_gaussian,
                  "count_exceed": est.count_exceed}]
         header = ["V", "fraction", "stderr", "gaussian_ref", "count_exceed"]
-        meta = _meta(args, store, "dist tmeasure", x=args.x, v=args.v,
+        meta = _meta(store, "dist tmeasure", x=args.x, v=args.v,
                      m=args.m, **common)
         _emit(args, meta, header, rows)
         return 0
@@ -279,7 +279,7 @@ def cmd_dist(args) -> int:
              "interval": out["interval"],
              "hypothesis_waived": out["hypothesis_waived"]}]
     header = ["empirical", "bound", "interval", "hypothesis_waived"]
-    meta = _meta(args, store, "dist moments", x=args.x, m=args.m, k=args.k,
+    meta = _meta(store, "dist moments", x=args.x, m=args.m, k=args.k,
                  sigma=args.sigma, c=args.c, interval=args.interval,
                  waive_range=args.waive_range, **common)
     _emit(args, meta, header, rows)
@@ -373,9 +373,6 @@ def main(argv=None) -> int:
             if args.sub == "moments" and args.x is None:
                 raise _UsageError("dist moments needs --x")
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -56,7 +56,7 @@ against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) run on one horizontal ray
 each: a panel's 30 abscissae are one batched zeta evaluation on the ray's
-shared phases (BranchPath.eval_log), or on the real axis for c_m.
+phases (BranchPath.eval_log), or on the real axis for c_m.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
@@ -76,8 +76,7 @@ from scipy.special import gammaincc
 
 from .branch import (_WINDOW, SIGMA_START, _log_zeta_real, _Walk,
                      branch_path, log_zeta_with_err)
-from .errors import (BudgetExceeded, NumericalError, ValidationError,
-                     _integer, _point, _real)
+from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
@@ -221,7 +220,6 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
 # --- iterated route: windowed sweep along the horizontal segment ---------------
 
 _PANEL_MAX = 0.5        # Gauss panel width cap on the u-line
-_SWEEP_BUDGET = 400_000  # nodes one sweep may evaluate, midpoints included
 
 
 class _Sweep(_Walk):
@@ -234,7 +232,6 @@ class _Sweep(_Walk):
         self.sigma = float(sigma)
         self.prec = prec
         self.line = _Line(self.sigma, prec.abs_err)
-        self.nodes = 0
         self.anchored = False
 
     def set_window(self, wmu, wcc, wgam, has_pole: bool) -> None:
@@ -266,9 +263,7 @@ class _Sweep(_Walk):
         on the sweep's line for all its nodes, then a walk in order.
         """
         us = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        self.nodes += us.size
-        if self.nodes > _SWEEP_BUDGET:
-            raise BudgetExceeded("winding sweep exceeded its evaluation budget")
+        self.spend(us)
         vals, _, rems = _zeta_em(self.line, us, self.prec, want_deriv=False)
         g = self.pin(us, vals, depth)
         err = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))

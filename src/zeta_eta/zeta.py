@@ -14,17 +14,17 @@ double path is also tested against.
 
 One kernel evaluates the sum at any set of nodes on one line, which
 supplies their partial sums sum_{n<N} n^-s together.  A horizontal line
-Im s = t (a _Ray) that many nodes share -- a branch path's -- keeps the
+Im s = t (a _Ray) -- a branch path's, or a single point's -- keeps the
 phases n^-it, and a batch of nodes alpha + it on it is one real matrix
-product of the amplitudes n^-alpha with them.  A single point's _Ray keeps
-nothing and takes its terms n^-s from one complex exponential.  A vertical
-line Re s = sigma (a _Line) -- the iterated eta sweep's -- keeps n^-sigma
-and the rows (log n)^k/k!, and a batch of nodes sigma + it close together
-on it takes its partial sums from one Taylor expansion of the Dirichlet sum
-about the batch's centre (the local step of Odlyzko-Schoenhage), whose
-truncation bound joins each node's remainder.  The N^-s and Bernoulli terms
-and the remainder bound are per node, and every node is certified on its
-own: the nodes that miss the target go on together at the escalated cutoff.
+product of the amplitudes n^-alpha with them; zeta' is the same product
+with the amplitudes times -log n.  A vertical line Re s = sigma (a _Line)
+-- the iterated eta sweep's -- keeps n^-sigma and the rows (log n)^k/k!,
+and a batch of nodes sigma + it close together on it takes its partial
+sums from one Taylor expansion of the Dirichlet sum about the batch's
+centre (the local step of Odlyzko-Schoenhage), whose truncation bound
+joins each node's remainder.  The N^-s and Bernoulli terms and the
+remainder bound are per node, and every node is certified on its own: the
+nodes that miss the target go on together at the escalated cutoff.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
 # A _Line's expansion truncation may use this share of the certification
 # target, so it never decides an escalation.
 _TAYLOR_SHARE = 1e-3
+# Here every term n^-s with n >= 2 underflows, and with N^-s every
+# correction term, so zeta = 1 in double precision; a _Ray evaluates a node
+# further right here, before the correction factors s^2k/N^2k overflow.
+_SIGMA_ONE = 1100.0
 
 
 def _initial_cutoff(sigma_lo: float, sigma_hi: float, t: float,
@@ -95,28 +99,28 @@ _LOG_N = np.log(np.arange(1, _MAX_CUTOFF, dtype=np.float64))
 
 
 class _Ray:
-    """One horizontal line Im s = t, and, when many nodes share it, the
-    phases n^-it of its terms.  Its nodes are the abscissae alpha.
+    """One horizontal line Im s = t and the phases n^-it of its terms.  Its
+    nodes are the abscissae alpha.
 
     The phases are computed once and grown when a pass needs a larger
-    cutoff; the nodes alpha + it of a shared ray then cost one real
-    exponential n^-alpha per term and node and one real matrix product.  A
-    ray made for one point keeps no phases: phases used once cost more than
-    its node's terms n^-s as one complex exponential.
+    cutoff, so an escalated pass reuses those of the first; the nodes
+    alpha + it cost one real exponential n^-alpha per term and node and one
+    real matrix product.  A node right of _SIGMA_ONE is evaluated at
+    _SIGMA_ONE, where zeta is 1 to double precision.
     """
 
-    __slots__ = ("t", "shared", "_phase")
+    __slots__ = ("t", "_phase")
 
-    def __init__(self, t: float, shared: bool):
+    def __init__(self, t: float):
         self.t = t
-        self.shared = shared
         self._phase = _NO_PHASES            # rows (Re, Im) of n^-it
 
     def points(self, alphas: list[float]) -> list[complex]:
-        return [complex(a, self.t) for a in alphas]
+        return [complex(min(a, _SIGMA_ONE), self.t) for a in alphas]
 
     def first_cutoff(self, alphas: list[float], abs_err: float) -> int:
-        return _initial_cutoff(min(alphas), max(alphas), self.t, abs_err)
+        return _initial_cutoff(min(min(alphas), _SIGMA_ONE),
+                               min(max(alphas), _SIGMA_ONE), self.t, abs_err)
 
     def phases(self, n_cut: int) -> np.ndarray:
         """The rows of n^-it for n = 1 .. n_cut - 1."""
@@ -136,19 +140,13 @@ class _Ray:
         at each node, exact up to rounding (last list: 0.0 per node)."""
         points = self.points(sigmas)
         logn = _LOG_N[:n_cut - 1]
+        phase = self.phases(n_cut)
+        amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
+        sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
         dsums = None
-        if self.shared:
-            phase = self.phases(n_cut)
-            amp = np.exp(np.multiply.outer(np.negative(sigmas), logn))
-            sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
-            if want_deriv:
-                dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
-                         ).tolist()
-        else:
-            npows = [np.exp(logn * -s) for s in points]
-            sums = [complex(npow.sum()) for npow in npows]
-            if want_deriv:
-                dsums = [-complex((logn * npow).sum()) for npow in npows]
+        if want_deriv:
+            dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
+                     ).tolist()
         return points, sums, dsums, [0.0] * len(sums)
 
 
@@ -352,8 +350,7 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
     _real(z.real, "sigma", -1.0)
     if _needs_extended(z, prec.abs_err):
         return _extended(prec.abs_err, lambda mp, w: mp.zeta(w), z)
-    (val,), _, _ = _zeta_em(_Ray(z.imag, shared=False), z.real, prec,
-                            want_deriv=False)
+    (val,), _, _ = _zeta_em(_Ray(z.imag), z.real, prec, want_deriv=False)
     return val
 
 
@@ -383,7 +380,7 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
     if _needs_extended(z, prec.abs_err):
         return _extended(prec.abs_err, lambda mp, w: mp.zeta(
             w, derivative=1) / mp.zeta(w), z)
-    (val,), (der,), _ = _zeta_em(_Ray(z.imag, shared=False), z.real, prec,
+    (val,), (der,), _ = _zeta_em(_Ray(z.imag), z.real, prec,
                                  want_deriv=True)
     if val == 0:
         raise NearSingularity(f"zeta({s}) evaluated to zero", where=z)

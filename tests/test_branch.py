@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from zeta_eta.branch import big_s, branch_path, log_zeta, log_zeta_with_err
-from zeta_eta.errors import BudgetExceeded, OnSingularity, ValidationError
+from zeta_eta.errors import (BudgetExceeded, NearSingularity, NumericalError,
+                             OnSingularity, ValidationError)
 from zeta_eta.precision import EvalPrecision
 from zeta_eta.zeros import ZeroRecord, ZeroStore, builtin_store, rvmf_check
 
@@ -118,8 +119,8 @@ def test_branch_path_eval_and_domain(store):
 
 
 def test_branch_march_budget(store, monkeypatch):
-    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_MARCH_BUDGET", 3)
-    with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
+    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_WALK_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):
         branch_path(30.0, 0.5, store=store)
 
 
@@ -169,7 +170,7 @@ def test_array_winding_equals_scalar_winding_at_the_walk_nodes(store):
     g1 = float(store.gammas[0])
     for t, end in ((500.0, -1.0), (0.3, -1.0), (g1, 0.2)):
         path = branch_path(t, end, store=store)
-        nodes = np.array(path._walk.xs)
+        nodes = np.array(path.xs)
         between = 0.5 * (nodes[:-1] + nodes[1:])
         xs = np.concatenate(([x for n in nodes.tolist() for x in _around(n)
                               if x >= path.sigma_end], between,
@@ -301,3 +302,69 @@ def test_every_ordinate_of_the_table_on_the_critical_line(store):
         on, _ = log_zeta_with_err(complex(0.5, gamma - 1e-9), store=store)
         below, _ = log_zeta_with_err(complex(0.5, gamma - 1e-7), store=store)
         assert abs(on.imag - below.imag) < 0.01, gamma
+
+
+def test_a_query_whose_phase_is_noise_is_refused(store):
+    # sigma = 1/2 on 8 ordinates (t = gamma + 5e-10, snapped to gamma - 1e-9):
+    # |zeta| ~ 1e-9 |zeta'(rho)|, so at abs_err 1e-3 the value's phase is
+    # noise.  Where the error bound reaches |zeta|/2 the query is refused;
+    # pinned anyway, it stalls with a NumericalError or answers with
+    # est_err 5 to 32
+    rng = np.random.default_rng(8)
+    refused = {1e-3: 0, 1e-6: 0}
+    for i in rng.choice(len(store), 8, replace=False).tolist():
+        s = complex(0.5, float(store.gammas[i]) + 5e-10)
+        ref, _ = log_zeta_with_err(s, store=store)
+        for abs_err in refused:
+            try:
+                got, est = log_zeta_with_err(
+                    s, EvalPrecision(abs_err=abs_err), store)
+            except NearSingularity as exc:
+                assert exc.where.imag == pytest.approx(s.imag, abs=1e-8)
+                refused[abs_err] += 1
+                continue
+            except NumericalError:
+                pytest.fail(f"stalled at {s}, abs_err={abs_err}")
+            assert est < 0.5 and abs(got - ref) <= est, (s, abs_err)
+    assert refused == {1e-3: 8, 1e-6: 4}
+    # the refusal names the point asked for, below the real axis too
+    with pytest.raises(NearSingularity) as info:
+        log_zeta_with_err(s.conjugate(), EvalPrecision(abs_err=1e-3), store)
+    assert info.value.where == pytest.approx(s.conjugate(), abs=1e-8)
+
+
+def test_eval_log_refuses_where_the_bound_reaches_half_of_zeta(store,
+                                                               monkeypatch):
+    branch = sys.modules["zeta_eta.branch"]
+    path = branch_path(30.0, 0.5, store=store)
+    evaluate = branch._zeta_em
+
+    def second_is_uncertain(ray, alpha, prec, want_deriv):
+        vals, ders, rems = evaluate(ray, alpha, prec, want_deriv)
+        if len(vals) == 3:
+            rems[1] = 0.5 * abs(vals[1])
+        return vals, ders, rems
+
+    monkeypatch.setattr(branch, "_zeta_em", second_is_uncertain)
+    with pytest.raises(NearSingularity, match=r"zeta\(\(2\+30j\)\)"):
+        path.eval_log(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(NearSingularity):
+        path.winding(np.array([1.0, 2.0, 3.0]))
+
+
+def test_log_zeta_far_right(store):
+    # eval_log is documented on [sigma_end, infinity): far right of the walk
+    # start log zeta is 0 and the winding is 0, at any finite sigma
+    path = branch_path(500.0, 0.5, store=store)
+    for sigma in (2000.0, 5e5, 1e20, 1e300):
+        assert path.eval_log(sigma)[0] == 0j
+        assert path.winding(sigma) == 0
+        val, est = log_zeta_with_err(complex(sigma, 500.0), store=store)
+        assert val == 0j and 0.0 < est < 1e-14
+    assert log_zeta_with_err(1e6 + 10j, store=store)[0] == 0j
+    xs = np.array([0.5, 2000.0, 1e6, 1e300])
+    vals, ests = path.eval_log(xs)
+    one, one_est = path.eval_log(0.5)
+    assert abs(vals[0] - one) <= ests[0] + one_est
+    assert (vals[1:] == 0j).all()
+    assert path.winding(xs).tolist() == [path.winding(0.5), 0, 0, 0]

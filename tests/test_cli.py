@@ -137,6 +137,36 @@ def test_missing_zeros_file_exits_two(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_zeros_directory_exits_two(capsys, tmp_path):
+    code, out, err = _run(capsys, ["--zeros", str(tmp_path), "eval",
+                                   "--what", "logzeta", "--s", "0.5+30i"])
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_out_in_a_missing_directory_exits_two(capsys, tmp_path):
+    code, _, err = _run(capsys, ["--out", str(tmp_path / "nope" / "x.csv"),
+                                 "dist", "tails", "--t-big", "1000",
+                                 "--seed", "7", "--count", "100",
+                                 "--v-list", "0"])
+    assert code == 2 and "error:" in err and "Traceback" not in err
+
+
+def test_eval_zeta_far_right_exits_zero(capsys):
+    code, out, err = _run(capsys, ["eval", "--what", "zeta", "--s", "1e6"])
+    assert code == 0 and err == ""
+    assert out.split(",")[:2] == ["1.0", "0.0"]
+
+
+def test_logzeta_with_a_phase_of_noise_exits_three(capsys):
+    # 1e-9 below the zero at gamma = 530.87, where |zeta| is far below
+    # abs_err = 1e-3: refused as near a singularity, not stalled (exit 1)
+    gamma = builtin_store().gammas
+    t = float(gamma[abs(gamma - 530.8669).argmin()]) + 5e-10
+    code, out, err = _run(capsys, ["--abs-err", "1e-3", "eval", "--what",
+                                   "logzeta", "--s", f"0.5+{t!r}i"])
+    assert code == 3 and out == "" and "error:" in err
+
+
 def test_malformed_zeros_file_exits_three(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("14.13\n25.01\n21.02\n")        # out of order

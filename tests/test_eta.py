@@ -234,8 +234,8 @@ def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
 
 
 def test_sweep_budget_counts_nodes(store, monkeypatch):
-    monkeypatch.setattr(eta_module, "_SWEEP_BUDGET", 200)
-    with pytest.raises(BudgetExceeded, match="winding sweep exceeded"):
+    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_WALK_BUDGET", 200)
+    with pytest.raises(BudgetExceeded, match="exceeded 200 nodes"):
         eta_iterated(complex(0.5, 30.0), 1, store)
 
 

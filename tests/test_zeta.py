@@ -49,6 +49,26 @@ def test_zeta_extended_precision_path():
     assert abs(got - ref) < 1e-13
 
 
+def test_zeta_far_right_is_one(monkeypatch):
+    # right of sigma = 1100 every term n^-s, n >= 2, underflows: zeta is 1
+    # and zeta'/zeta is 0 exactly, from a pass at sigma = 1100 whose cutoff
+    # stays small; taken at sigma itself, the cutoff at 1e6 exceeds its
+    # budget, and from about 1e18 the correction terms overflow to NaN
+    cutoffs = []
+    kernel = _ZETA_MODULE._euler_maclaurin
+
+    def recorded(ray, n_cut, sigmas, want_deriv):
+        cutoffs.append(n_cut)
+        return kernel(ray, n_cut, sigmas, want_deriv)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
+    for s in (2000.0, 5e5, 1e6 + 10j, 1e20, 1e300):
+        assert zeta(s) == 1.0, s
+        assert zeta_log_deriv(s) == 0.0, s
+    assert 0 < max(cutoffs) < 1000
+    assert zeta(1100.0 + 7j) == zeta(1099.0 + 7j) == 1.0
+
+
 def test_zeta_pole_guard():
     with pytest.raises(PoleAtOne):
         zeta(1.0)
@@ -156,7 +176,7 @@ def _rounding_bound(sigma: float, t: float) -> float:
 
 
 def test_ray_batch_matches_single_points_and_mpmath():
-    # 10 rays x 10 nodes: each node of a batch on a shared ray lies within
+    # 10 rays x 10 nodes: each node of a batch on one ray lies within
     # its own remainder bound (plus rounding) of the 30-digit value, and of
     # the same node evaluated alone
     rng = np.random.default_rng(2024)
@@ -164,10 +184,10 @@ def test_ray_batch_matches_single_points_and_mpmath():
     for t in rng.uniform(0.0, 2150.0, 10).tolist():
         alphas = np.sort(rng.uniform(0.5, 45.0, 10))
         vals, _, rems = _ZETA_MODULE._zeta_em(
-            _ZETA_MODULE._Ray(t, shared=True), alphas, _PREC, False)
+            _ZETA_MODULE._Ray(t), alphas, _PREC, False)
         for a, v, r in zip(alphas.tolist(), vals, rems):
             (alone,), _, (r_alone,) = _ZETA_MODULE._zeta_em(
-                _ZETA_MODULE._Ray(t, shared=False), a, _PREC, False)
+                _ZETA_MODULE._Ray(t), a, _PREC, False)
             with mp.workdps(30):
                 ref = complex(mp.zeta(mp.mpc(a, t)))
             slack = _rounding_bound(a, t)
@@ -192,7 +212,7 @@ def test_ray_escalates_only_the_nodes_that_miss(monkeypatch):
     monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
     alphas = np.array([0.5, 3.0, 45.0])
     vals, _, rems = _ZETA_MODULE._zeta_em(
-        _ZETA_MODULE._Ray(500.0, shared=True), alphas, _PREC, False)
+        _ZETA_MODULE._Ray(500.0), alphas, _PREC, False)
     assert passes[0] == (16, [0.5, 3.0, 45.0])
     assert len(passes) > 2
     cutoffs = [n for n, _ in passes]
@@ -218,7 +238,7 @@ def _check_line_batch(sigma, ts, vals, rems, prec=_PREC, every=1):
     target = 0.25 * prec.abs_err
     for i, (t, v, r) in enumerate(zip(ts.tolist(), vals, rems)):
         (alone,), _, (r_alone,) = _ZETA_MODULE._zeta_em(
-            _ZETA_MODULE._Ray(t, shared=False), sigma, prec, False)
+            _ZETA_MODULE._Ray(t), sigma, prec, False)
         slack = _rounding_bound(sigma, t)
         assert r <= target
         assert abs(v - alone) <= r + r_alone + 2 * slack, (sigma, t)
@@ -255,8 +275,7 @@ def test_line_widest_panel_at_the_table_top(sigma):
     _, _, rems = _ZETA_MODULE._euler_maclaurin(line, n_cut, ts.tolist(), False)
     for i in (0, ts.size - 1):
         _, _, (r_alone,) = _ZETA_MODULE._euler_maclaurin(
-            _ZETA_MODULE._Ray(float(ts[i]), shared=False), n_cut, [sigma],
-            False)
+            _ZETA_MODULE._Ray(float(ts[i])), n_cut, [sigma], False)
         assert rems[i] == pytest.approx(r_alone + truncs[i], rel=1e-12,
                                         abs=0.0)
     vals, _, rems = _ZETA_MODULE._zeta_em(line, ts, _PREC, False)
