@@ -25,8 +25,8 @@ grid and test on another; the library never invents constants).
 
 The zero sums of the unconditional bound are truncated at |t-gamma| <= t/2
 over the table and the rest is absorbed by a crude integral majorant using
-a zero-counting density; ordinates below 0 (conjugate zeros) enter only
-through that majorant -- set reflect_negative_ordinates=False to drop them.
+a two-sided zero-counting density; ordinates below 0 (conjugate zeros)
+enter only through that majorant.
 
 Also here: the prime polynomial P_f(s, X) = sum_{p <= X^2} v_{f,1}/p^s and
 its on-line decomposition against zero clusters,
@@ -230,8 +230,8 @@ class ResidualReport:
     ratio: float            # |r_m| / bound_esrm2
 
 
-def _bound_esrm(sigma: float, t: float, cfg: ApproxConfig, store: ZeroStore,
-                reflect_negative_ordinates: bool = True) -> float:
+def _bound_esrm(sigma: float, t: float, cfg: ApproxConfig,
+                store: ZeroStore) -> float:
     """Unconditional remainder shape with implied constant 1.
 
         (X^(2(1-sigma)) + X^(1-sigma)) / (t (log X)^(m+1))
@@ -240,8 +240,8 @@ def _bound_esrm(sigma: float, t: float, cfg: ApproxConfig, store: ZeroStore,
                          / |t-gamma| * min(1, (H/(|t-gamma| log X))^d),
 
     d = min(kernel smoothness order, 4).  The far sum runs over the table
-    for |t-gamma| <= t/2; the rest (including, when the flag is set, all
-    conjugate zeros gamma < 0) is absorbed by the integral majorant
+    for |t-gamma| <= t/2; the rest (including all conjugate zeros
+    gamma < 0) is absorbed by the integral majorant
 
         pref * (H/log X)^d / pi * (log 3A + 5 + 1/d) / (d A^d),  A = t/2,
 
@@ -274,8 +274,6 @@ def _bound_esrm(sigma: float, t: float, cfg: ApproxConfig, store: ZeroStore,
     a = 0.5 * t
     pref = xpow(0.5) * (H / lx) ** d / lx ** (m + 1)
     tail = pref * (math.log(3.0 * a) + 5.0 + 1.0 / d) / (math.pi * d * a ** d)
-    if not reflect_negative_ordinates:
-        tail *= 0.5
     return total + tail
 
 
@@ -288,8 +286,7 @@ def _bound_esrm2(sigma: float, t: float, cfg: ApproxConfig) -> float:
 
 
 def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
-             prec: EvalPrecision = DEFAULT_PRECISION,
-             reflect_negative_ordinates: bool = True) -> ResidualReport:
+             prec: EvalPrecision = DEFAULT_PRECISION) -> ResidualReport:
     """R_m(s, X, H) = eta_m(s) - polynomial - Y_m, with both bound shapes.
 
     Needs t >= 14, sigma >= 1/2 and the hypothesis 1 <= H <= t/2 of the
@@ -299,7 +296,7 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
     if store is None:
         store = builtin_store()
     eta_val = eta_vertical(z, cfg.m, store, prec).value
-    return _residual_split(z, eta_val, cfg, store, reflect_negative_ordinates)
+    return _residual_split(z, eta_val, cfg, store)
 
 
 def _residual_point(s, H: float) -> complex:
@@ -315,8 +312,7 @@ def _residual_point(s, H: float) -> complex:
 
 
 def _residual_split(z: complex, eta_val: complex, cfg: ApproxConfig,
-                    store: ZeroStore,
-                    reflect_negative_ordinates: bool = True) -> ResidualReport:
+                    store: ZeroStore) -> ResidualReport:
     """The part of residual that depends on X: eta_m(z) given as eta_val,
     split into polynomial, Y_m and remainder, with the two bound shapes.
 
@@ -326,7 +322,7 @@ def _residual_split(z: complex, eta_val: complex, cfg: ApproxConfig,
     poly = dirichlet_poly(z, cfg)
     y_val = y_m(z, cfg.X, cfg.m, store)
     r_val = eta_val - poly - y_val
-    b1 = _bound_esrm(z.real, z.imag, cfg, store, reflect_negative_ordinates)
+    b1 = _bound_esrm(z.real, z.imag, cfg, store)
     b2 = _bound_esrm2(z.real, z.imag, cfg)
     return ResidualReport(s=z, cfg=cfg, eta=eta_val, poly=poly, y_m=y_val,
                           r_m=r_val, bound_esrm=b1, bound_esrm2=b2,

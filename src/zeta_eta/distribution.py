@@ -30,9 +30,9 @@ Y_0(s, X) has radius 1/log X.
 
 Everything is deterministic given (seed, scheme): the generator is seeded
 per call, samples within ORDINATE_TOL = 1e-6 of a tabulated ordinate are
-moved below it by ZeroStore.snap (log|zeta| diverges at zeros), and
-aggregation uses compensated summation so the result does not depend on
-evaluation order.
+moved below it by ZeroStore.snap (log|zeta| diverges at zeros), and the
+moment average sums with math.fsum, exactly rounded, so the result does not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -102,17 +102,6 @@ def _samples(grid: GridSpec, lo: float, hi: float,
                              * rng.random(k))
         t = np.concatenate(parts)
     return store.snap(t, ORDINATE_TOL)
-
-
-def _kahan_sum(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
 
 
 def gaussian_tail(v: float) -> float:
@@ -249,7 +238,7 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
             f"X = {X} exceeds T^(1/(135k)) = {T ** (1.0 / (135.0 * k)):.4g}"
             f"; pass enforce_range=False to waive")
     values = _residual_samples(grid, lo, hi, sigma, X, m, store, prec)
-    empirical = (_kahan_sum(r ** (2 * k) for r in values.tolist())
+    empirical = (math.fsum(r ** (2 * k) for r in values.tolist())
                  / len(values) * (hi - lo) / T)
 
     lx, lt = math.log(X), math.log(T)

@@ -16,11 +16,11 @@ analysis.  E* reduces to the exponential integral E_1 plus elementary terms:
 
     E*_{m+1}(z) = (-z)^m E_1(z) + sum_{k=1..m} C(m,k) (-z)^(m-k) Gamma(k, z),
 
-with Gamma(k, z) the upper incomplete gamma (entire for integer k >= 1).
-The reduction is used for |z| <= 4; beyond that it cancels catastrophically
-and a Gauss-Laguerre quadrature of e^-z int_0^inf u^m e^-u/(u+z) du takes
-over, with a graded-panel fallback when the pole at -z approaches the
-contour (Re z < 0).
+with Gamma(k, z) the upper incomplete gamma (entire for integer k >= 1) and
+E_1 from scipy.special.exp1.  The reduction is used for |z| <= 4; beyond
+that it cancels like |z|^m/m!, and e^-z int_0^inf u^m e^-u/(u+z) du is
+integrated instead: by a pair of Gauss-Laguerre rules for Re z >= 0 when
+they agree, else by graded panels around the pole at u = -Re z.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import betainc
+from scipy.special import betainc, exp1
 
 from .errors import (InvalidFamily, OnNegativeRealAxisCut, ValidationError,
                      _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import integrate_adaptive
-
-_EULER_GAMMA = 0.5772156649015328606
 
 #: Orders above this are never probed by smoothness verification.
 SMOOTHNESS_CHECK_CAP = 10
@@ -70,13 +68,15 @@ class Kernel:
 
 
 def _poly_bump(d: int) -> Kernel:
-    norm = 1.0 / math.exp(math.lgamma(d + 1) * 2 - math.lgamma(2 * d + 2))
-    # norm = 1/B(d+1, d+1)
+    # f = (2d+1)!/(d!)^2 (x(1-x))^d, the normaliser being 1/B(d+1, d+1).
+    # Its factor 4^-d is moved into the power and the exact ratio rounded
+    # once, so both factors stay finite at any d.
+    norm = (2 * d + 1) * math.comb(2 * d, d) / 4 ** d
 
     def f(x: ArrayLike) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         inside = (x > 0.0) & (x < 1.0)
-        return np.where(inside, norm * (x * (1.0 - x)) ** d, 0.0)[()]
+        return np.where(inside, norm * (4.0 * x * (1.0 - x)) ** d, 0.0)[()]
 
     def f_cdf(x: ArrayLike) -> np.ndarray:
         # I_x(d+1, d+1) is exactly 0 at x = 0 and 1 at x = 1.
@@ -167,20 +167,7 @@ def boundary_derivative(kernel: Kernel, order: int, side: int,
 
 # --- E*_{m+1} -----------------------------------------------------------------
 
-_SERIES_RADIUS = 4.0
-
-
-def _e1_series(z: complex) -> complex:
-    # E_1(z) = -gamma - Log z + sum (-1)^(k+1) z^k / (k k!), |z| small.
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 60):
-        term *= -z / k
-        inc = -term / k
-        total += inc
-        if abs(inc) < 1e-18 * (1.0 + abs(total)):
-            break
-    return -_EULER_GAMMA - cmath.log(z) + total
+_CLOSED_FORM_RADIUS = 4.0
 
 
 @lru_cache(maxsize=8)
@@ -227,9 +214,8 @@ def e_star(m: int, z, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
     if z.imag == 0.0 and z.real <= 0.0:
         raise OnNegativeRealAxisCut(
             f"E*_{m + 1} is not defined on the nonpositive real axis (z={z})")
-    if abs(z) <= _SERIES_RADIUS:
-        e1 = _e1_series(z)
-        total = (-z) ** m * e1
+    if abs(z) <= _CLOSED_FORM_RADIUS:
+        total = (-z) ** m * complex(exp1(z))
         gam = cmath.exp(-z)           # Gamma(1, z)
         for k in range(1, m + 1):
             total += math.comb(m, k) * (-z) ** (m - k) * gam

@@ -211,15 +211,6 @@ def test_bound_esrm2_h_shape(store):
         assert b == pytest.approx(expect, rel=1e-12)
 
 
-def test_residual_reflection_flag_only_shrinks_bound(store):
-    cfg = ApproxConfig(m=1, X=30.0, H=1.0)
-    full = residual(complex(0.5, 100.0), cfg, store)
-    half = residual(complex(0.5, 100.0), cfg, store,
-                    reflect_negative_ordinates=False)
-    assert half.bound_esrm <= full.bound_esrm
-    assert half.r_m == full.r_m
-
-
 def test_residual_validation(store):
     cfg = ApproxConfig(m=1, X=10.0, H=1.0)
     with pytest.raises(ValidationError):

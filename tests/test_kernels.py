@@ -212,6 +212,43 @@ def test_e_star_panel_path_left_of_the_origin(z, m):
     assert abs(e_star(m, z) - ref) <= 1e-9 * abs(ref), (m, z)
 
 
+def test_e_star_against_mpmath_across_the_closed_form_radius():
+    # 300 seeded points with 0 < |z| <= 6, on both sides of the switch at
+    # |z| = 4, and pairs 1e-9 max(1, |z|) above and below the negative real
+    # axis inside it, where E_1 has its branch cut; reference at 50 digits.
+    rng = np.random.default_rng(10)
+    pts = [cmath.rect(6.0 * math.sqrt(r) + 1e-3, 2.0 * math.pi * a)
+           for r, a in rng.random((240, 2))]
+    for x in -4.0 * rng.random(30):
+        eps = 1e-9 * max(1.0, abs(x))
+        pts += [complex(x, eps), complex(x, -eps)]
+    worst = 0.0
+    with mp.workdps(50):
+        for z in pts:
+            zz = mp.mpc(z.real, z.imag)
+            e1, gams = mp.e1(zz), [mp.gammainc(k, zz) for k in range(1, 5)]
+            for m in range(5):
+                ref = (-zz) ** m * e1
+                for k in range(1, m + 1):
+                    ref += mp.binomial(m, k) * (-zz) ** (m - k) * gams[k - 1]
+                ref = complex(ref)
+                worst = max(worst, abs(e_star(m, z) - ref) / abs(ref))
+    assert worst <= 1e-11
+
+
+def test_poly_bump_normaliser_is_exact():
+    # f(1/2) = norm 4^-d exactly, and norm = 1/B(d+1, d+1) = (2d+1)!/(d!)^2
+    for d in range(1, 11):
+        k = make_kernel("poly_bump", d)
+        norm = math.factorial(2 * d + 1) // math.factorial(d) ** 2
+        assert k.f(0.5) * 4.0 ** d == norm, d
+    # where (2d+1)!/(d!)^2 overflows a double, f(1/2) is still that exact
+    # ratio times 4^-d, rounded once
+    for d in (510, 600, 5000):
+        want = (2 * d + 1) * math.comb(2 * d, d) / 4 ** d
+        assert make_kernel("poly_bump", d).f(0.5) == want, d
+
+
 def test_e_star_cut_refusal():
     with pytest.raises(OnNegativeRealAxisCut):
         e_star(0, -1.0)

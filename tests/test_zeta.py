@@ -143,6 +143,19 @@ def test_log_gamma_recurrence():
         assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
 
 
+def test_log_gamma_against_mpmath():
+    # theta's arguments 1/4 + it/2 up to t = 2200, and a box of the right
+    # half-plane well past the small-|z| oracles above
+    rng = np.random.default_rng(10)
+    pts = [complex(0.25, 0.5 * t) for t in 2200.0 * rng.random(100)]
+    pts += [complex(30.0 * (1.0 - a), 50.0 * (2.0 * b - 1.0))
+            for a, b in rng.random((100, 2))]
+    with mp.workdps(40):
+        for z in pts:
+            ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+            assert abs(log_gamma(z) - ref) <= 1e-14 * max(1.0, abs(ref)), z
+
+
 def test_theta_and_hardy_oracles():
     assert abs(theta(20.0) - 1.186894808444484) < 1e-10
     assert abs(hardy_z(20.0) - 1.1478424121851973) < 1e-9

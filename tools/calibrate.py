@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Calibrate the frozen constants used by the acceptance suite.
+"""Check the frozen constants of the acceptance suite against their
+calibration grids.
 
-Each constant is the observed maximum on a CALIBRATION grid times a safety
-margin; the acceptance tests then check the same quantity on a DISJOINT
-test grid against the frozen value.  Rerun this script after any change to
-the underlying numerics and update tests/test_acceptance.py if a printed
-constant exceeds the frozen one.
+Each constant in tests/test_acceptance.py was frozen as the observed maximum
+on a CALIBRATION grid times a safety margin; the acceptance tests check the
+same quantity on a DISJOINT test grid against the frozen value.  This script
+recomputes each observed maximum, prints it next to its frozen constant, and
+exits 1 when a maximum exceeds its constant.  The constants are never raised
+to make a change pass: such a change has made the numerics worse.
+
+    PYTHONPATH=src python tools/calibrate.py
 
 Calibration inputs (the test grids use different seeds / grid nodes):
   A. u-transform shape:   100 points, seed 20250815, |z| <= 1, Im z != 0
@@ -16,8 +20,11 @@ Calibration inputs (the test grids use different seeds / grid nodes):
                           X = max(log t, 5)
 """
 
+import ast
 import cmath
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -26,6 +33,19 @@ from zeta_eta.kernels import u_m_eval
 from zeta_eta.zeros import builtin_store
 
 MARGIN = 1.5
+ACCEPTANCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "tests", "test_acceptance.py")
+
+
+def frozen_constants(path: str = ACCEPTANCE) -> dict:
+    """The module-level numeric constants C5_*, C6_* and C8_* of path."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.startswith(("C5_", "C6_", "C8_"))}
 
 
 def sample_disc(seed: int, count: int) -> list[complex]:
@@ -46,7 +66,9 @@ def calibrate_u_transform() -> dict:
     u0 = max(abs(u_m_eval(0, z) + cmath.log(z)) for z in pts)
     u1 = max(abs(u_m_eval(1, z)) for z in pts)
     u2 = max(abs(u_m_eval(2, z)) for z in pts)
-    return {"max |U_0 + log z|": u0, "max |U_1|": u1, "max |U_2|": u2}
+    return {"C5_U0": ("max |U_0 + log z|", u0),
+            "C5_U1": ("max |U_1|", u1),
+            "C5_U2": ("max |U_2|", u2)}
 
 
 def calibrate_residual_ratio() -> dict:
@@ -58,7 +80,7 @@ def calibrate_residual_ratio() -> dict:
                 rep = residual(complex(0.5, t),
                                ApproxConfig(m=m, X=x, H=1.0), store)
                 worst = max(worst, rep.ratio)
-    return {"max |R_m|/bound_esrm2": worst}
+    return {"C6_RATIO": ("max |R_m|/bound_esrm2", worst)}
 
 
 def calibrate_relzz_ratio() -> dict:
@@ -71,18 +93,30 @@ def calibrate_relzz_ratio() -> dict:
         out = relzz_decompose(t, x, store=store)
         scale = math.log(t) / math.log(math.log(t))
         worst = max(worst, abs(out["diff"]) / scale)
-    return {"max |diff| loglog t/log t": worst}
+    return {"C8_RATIO": ("max |diff| loglog t/log t", worst)}
 
 
-def main() -> None:
-    print(f"margin applied to each observed maximum: x{MARGIN}")
+def main() -> int:
+    frozen = frozen_constants()
+    print(f"frozen constants were set at {MARGIN}x the observed maximum")
+    exceeded = []
     for name, stats in [("A. u-transform shape", calibrate_u_transform()),
                         ("B. residual scaling", calibrate_residual_ratio()),
                         ("C. decomposition remainder", calibrate_relzz_ratio())]:
         print(f"\n{name}")
-        for key, val in stats.items():
-            print(f"  {key:28s} observed {val:.6f}   freeze >= {MARGIN * val:.6f}")
+        for const, (label, val) in stats.items():
+            limit = frozen[const]
+            ok = val <= limit
+            print(f"  {label:28s} observed {val:.6f}   {const} = {limit}"
+                  f"   {'ok' if ok else 'EXCEEDED'}")
+            if not ok:
+                exceeded.append(const)
+    if exceeded:
+        print(f"\nobserved maximum above its frozen constant: "
+              f"{', '.join(exceeded)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
