@@ -33,6 +33,12 @@ per call, samples within ORDINATE_TOL = 1e-6 of a tabulated ordinate are
 moved below it by ZeroStore.snap (log|zeta| diverges at zeros), and the
 moment average sums with math.fsum, exactly rounded, so the result does not
 depend on evaluation order.
+
+The log|zeta| estimators evaluate all their samples together on the line
+sigma = 1/2 (zeta._zeta_line): sorted, cut into groups, and each group's
+partial sums taken from one Taylor expansion of the Dirichlet sum, each
+value certified to the target like a single zeta call.  The residual
+estimators take one eta_vertical per sample.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .errors import (BeyondTable, HypothesisViolated, ValidationError,
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ORDINATE_TOL, ZeroStore, builtin_store
-from .zeta import zeta
+from .zeta import _zeta_line
 
 _SCHEMES = ("uniform", "stratified-jitter", "seeded-random")
 
@@ -135,12 +141,9 @@ def _check_grid(T: float, grid: GridSpec, store: ZeroStore,
 
 def _log_abs_zeta_samples(T: float, grid: GridSpec, store: ZeroStore,
                           prec: EvalPrecision) -> np.ndarray:
-    ts = _samples(grid, T, 2.0 * T, store)
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        val = zeta(complex(0.5, float(t)), prec)
-        out[i] = math.log(abs(val)) if val != 0 else -math.inf
-    return out
+    vals, _ = _zeta_line(0.5, _samples(grid, T, 2.0 * T, store), prec)
+    return np.fromiter((math.log(abs(v)) if v != 0 else -math.inf
+                        for v in vals), np.float64, len(vals))
 
 
 def measure_sigma(T: float, V: float, grid: GridSpec,

@@ -18,13 +18,17 @@ Im s = t (a _Ray) -- a branch path's, or a single point's -- keeps the
 phases n^-it, and a batch of nodes alpha + it on it is one real matrix
 product of the amplitudes n^-alpha with them; zeta' is the same product
 with the amplitudes times -log n.  A vertical line Re s = sigma (a _Line)
--- the iterated eta sweep's -- keeps n^-sigma and the rows (log n)^k/k!,
-and a batch of nodes sigma + it close together on it takes its partial
-sums from one Taylor expansion of the Dirichlet sum about the batch's
-centre (the local step of Odlyzko-Schoenhage), whose truncation bound
-joins each node's remainder.  The N^-s and Bernoulli terms and the
-remainder bound are per node, and every node is certified on its own: the
-nodes that miss the target go on together at the escalated cutoff.
+-- the iterated eta sweep's, and that of _zeta_line, which evaluates zeta
+at many ordinates of one line for the distribution sampler -- keeps
+n^-sigma and the rows (log n)^k/k!, and a batch of nodes sigma + it close
+together on it takes its partial sums from one Taylor expansion of the
+Dirichlet sum about the batch's centre (the local step of
+Odlyzko-Schoenhage), whose truncation bound joins each node's remainder.
+A batch wider than the expansion's rounding allows is split in two, and
+_zeta_line cuts its sorted ordinates into groups that fill that width.
+The N^-s and Bernoulli terms and the remainder bound are per node, and
+every node is certified on its own: the nodes that miss the target go on
+together at the escalated cutoff.
 """
 
 from __future__ import annotations
@@ -64,6 +68,16 @@ _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
 # A _Line's expansion truncation may use this share of the certification
 # target, so it never decides an escalation.
 _TAYLOR_SHARE = 1e-3
+# A _Line batch reaches x = |d| log N from its centre, and its expansion
+# rounds off about mass (e^x - 1) u more than the direct sum, where
+# mass = sum_{n<N} n^-sigma and u is the unit roundoff.  A batch may reach
+# the x where that is _TAYLOR_SHARE of the target too, and at least
+# _TAYLOR_REACH, where it is at most 6.4 mass u: less than the rounding of
+# the direct sum's own phases, mass |t| log N u, at every t >= 2.3 (N >= 16).
+# A sweep panel, at most 1/2 wide, reaches x = log(N)/4, inside that floor
+# up to N = e^8 (1.82 in route_check at 0.5 + 2140i); a wider batch is split.
+_TAYLOR_REACH = 2.0
+_UNIT_ROUNDOFF = 2.0 ** -53
 # Here every term n^-s with n >= 2 underflows, and with N^-s every
 # correction term, so zeta = 1 in double precision; a _Ray evaluates a node
 # further right here, before the correction factors s^2k/N^2k overflow.
@@ -157,7 +171,9 @@ _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
 
 class _Line:
     """One vertical line Re s = sigma, for batches of nodes close together
-    on it.  Its nodes are the ordinates t.
+    on it.  Its nodes are the ordinates t, ascending in a batch.  The
+    iterated eta sweep evaluates its panels on one, and _zeta_line the
+    distribution sampler's ordinates.
 
     The line keeps the amplitudes n^-sigma and the rows (log n)^k/k!,
     computed once and grown with the cutoff.  A batch with centre c and
@@ -170,7 +186,9 @@ class _Line:
     (nodes x K) product.  K is the smallest order whose truncation bound
     sum_n n^-sigma (|d| log N)^K/K! e^(|d| log N) is below
     _TAYLOR_SHARE of the certification target 0.25 abs_err; that bound is
-    added to each node's remainder.
+    added to each node's remainder.  A batch reaching further than
+    reach(N) from its centre is split in two at its centre, so its
+    rounding stays within the bound stated at _TAYLOR_REACH.
     """
 
     __slots__ = ("sigma", "_trunc_target", "_amp", "_rows")
@@ -188,12 +206,25 @@ class _Line:
         return _initial_cutoff(self.sigma, self.sigma, max(map(abs, ts)),
                                abs_err)
 
+    def mass(self, n_cut: int) -> float:
+        """sum_{n<N} n^-sigma at cutoff N = n_cut."""
+        amp, _ = self._tables(n_cut, 1)
+        return float(amp.sum())
+
+    def reach(self, mass: float) -> float:
+        """The largest x = |d| log N a batch may reach at a cutoff of this
+        mass."""
+        return max(_TAYLOR_REACH, math.log1p(
+            self._trunc_target / (mass * _UNIT_ROUNDOFF)))
+
     def _tables(self, n_cut: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         """n^-sigma and the rows k < order, for n = 1 .. n_cut - 1."""
         have_k, have_n = self._rows.shape
         if have_k < order or have_n < n_cut - 1:
-            # Headroom, so a sweep climbing in t regrows them rarely.
-            n = min(max(n_cut - 1, have_n + have_n // 4), _LOG_N.size)
+            n = have_n
+            if have_n < n_cut - 1:
+                # Headroom, so a sweep climbing in t regrows them rarely.
+                n = min(max(n_cut - 1, have_n + have_n // 4), _LOG_N.size)
             k = max(order, have_k)
             logn = _LOG_N[:n]
             rows = np.empty((k, n))
@@ -216,9 +247,14 @@ class _Line:
         centre = 0.5 * (t.min() + t.max())
         d = t - centre
         x = np.abs(d) * math.log(n_cut)
-        amp, _ = self._tables(n_cut, 1)
-        mass = float(amp.sum())
         x_max = float(x.max())
+        mass = self.mass(n_cut)
+        if x_max > self.reach(mass):
+            cut = int(np.searchsorted(t, centre, side="right"))
+            low = self.partial_sums(n_cut, ts[:cut], False)
+            high = self.partial_sums(n_cut, ts[cut:], False)
+            return (low[0] + high[0], low[1] + high[1], None,
+                    low[3] + high[3])
         order, bound = 1, mass * math.exp(x_max) * x_max
         while bound > self._trunc_target:
             order += 1
@@ -322,6 +358,52 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     return val, der, rem
 
 
+def _zeta_line(sigma: float, ts,
+               prec: EvalPrecision) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(sigma + it) and its remainder bound at each ordinate t of ts,
+    in their order.
+
+    An ordinate that zeta sends to extended precision goes there, its bound
+    the target 0.25 abs_err.  The others are sorted and cut into groups on
+    one _Line, each as wide as an expansion reaches at the cutoff of its
+    top ordinate, and each group is one _zeta_em call.
+    """
+    abs_err = prec.abs_err
+    ts = np.asarray(ts, dtype=np.float64)
+    order = np.argsort(ts, kind="stable")
+    extended = np.array([_needs_extended(complex(sigma, t), abs_err)
+                         for t in ts[order]], dtype=bool)
+    # Objects only where extended values must be kept as mpmath gives them.
+    vals = np.empty(ts.size, dtype=object if extended.any() else complex)
+    rems = np.full(ts.size, 0.25 * abs_err)
+    for i in order[extended]:
+        vals[i] = _zeta_extended(complex(sigma, ts[i]), abs_err)
+    order = order[~extended]
+    line, line_ts = _Line(sigma, abs_err), ts[order]
+    lo = 0
+    while lo < line_ts.size:
+        # The cutoff grows with t and the reach shrinks as it grows: the
+        # width taken at the cutoff of a first guess of the top, made at
+        # the bottom's, cuts a group that ends below that guess, so within
+        # its own reach.
+        start = top = float(line_ts[lo])
+        for _ in range(2):
+            n_cut = line.first_cutoff([top], abs_err)
+            half_width = line.reach(line.mass(n_cut)) / math.log(n_cut)
+            top = start + 2.0 * half_width
+        hi = int(np.searchsorted(line_ts, top, side="right"))
+        group = order[lo:hi]
+        vals[group], _, rems[group] = _zeta_em(line, line_ts[lo:hi], prec,
+                                               False)
+        lo = hi
+    return vals, rems
+
+
+def _zeta_extended(z: complex, abs_err: float):
+    """zeta(z) through the extended-precision path."""
+    return _extended(abs_err, lambda mp, w: mp.zeta(w), z)
+
+
 def _extended(abs_err: float, evaluate, x):
     """evaluate(mpmath, x) with x as an mpmath number, at the working
     precision abs_err asks for: the one software extended-precision path."""
@@ -349,7 +431,7 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
         raise PoleAtOne(f"s={s} is within {_POLE_RADIUS} of the pole at 1")
     _real(z.real, "sigma", -1.0)
     if _needs_extended(z, prec.abs_err):
-        return _extended(prec.abs_err, lambda mp, w: mp.zeta(w), z)
+        return _zeta_extended(z, prec.abs_err)
     (val,), _, _ = _zeta_em(_Ray(z.imag), z.real, prec, want_deriv=False)
     return val
 

@@ -1,6 +1,7 @@
 """Value-distribution estimators: sampling grids, tail measures, moments."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from zeta_eta.distribution import (GridSpec, MeasureEstimate, _samples,
                                    moment_residual, tail_table)
 from zeta_eta.errors import (BeyondTable, HypothesisViolated,
                              ValidationError)
+from zeta_eta.precision import (DEFAULT_PRECISION, SCAN_PRECISION,
+                                EvalPrecision)
+from zeta_eta.zeta import zeta
 from zeta_eta.zeros import ORDINATE_OFFSET, ZeroRecord, ZeroStore
+
+_ZETA_MODULE = sys.modules["zeta_eta.zeta"]
 
 
 def test_gaussian_tail_frozen():
@@ -273,3 +279,54 @@ def test_tail_table_rows(store):
     fracs = [r["fraction"] for r in rows]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
     assert tail_table(T, v_list, grid, store) == rows    # determinism
+
+
+@pytest.mark.parametrize("seed, fractions", [
+    (1, [0.5622, 0.3767, 0.2068]),
+    (2, [0.5464, 0.3677, 0.207]),
+    (3, [0.5595, 0.3766, 0.215])])
+def test_tail_table_fractions_pinned(store, seed, fractions):
+    # T = 1000, 10^4 samples, V = 0, 1/2, 1: the fractions one zeta call
+    # per sample gave, at the CLI's precision and at the default
+    grid = GridSpec(count=10_000, seed=seed)
+    for prec in (SCAN_PRECISION, DEFAULT_PRECISION):
+        rows = tail_table(1000.0, [0.0, 0.5, 1.0], grid, store, prec)
+        assert [r["fraction"] for r in rows] == fractions
+
+
+def test_measure_sigma_matches_per_sample_zeta(store, monkeypatch):
+    # 100 samples in [1000, 2000] lie about 10 apart, so most groups hold
+    # one ordinate; each value is within 0.5 abs_err of zeta at its sample
+    # alone, and the estimate is the one those values give
+    grid = GridSpec(count=100, seed=5)
+    ts = _samples(grid, 1000.0, 2000.0, store)
+    groups = []
+    evaluate = _ZETA_MODULE._zeta_em
+
+    def recorded(line, coords, prec, want_deriv):
+        groups.append(np.size(coords))
+        return evaluate(line, coords, prec, want_deriv)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_zeta_em", recorded)
+    vals, _ = _ZETA_MODULE._zeta_line(0.5, ts, DEFAULT_PRECISION)
+    monkeypatch.undo()
+    assert sum(groups) == 100
+    assert sum(g == 1 for g in groups) > len(groups) / 2
+    alone = [zeta(complex(0.5, t)) for t in ts.tolist()]
+    for v, a in zip(vals, alone):
+        assert abs(v - a) <= 0.5 * DEFAULT_PRECISION.abs_err
+    exceed = sum(math.log(abs(a)) > 0.5 for a in alone)
+    assert measure_sigma(1000.0, 0.5, grid, store).count_exceed == exceed
+
+
+def test_measure_sigma_keeps_zetas_extended_path(store):
+    # at T = 100 and abs_err 1e-13 every sample needs extended precision:
+    # the sampler gives zeta's own values, and the estimate they give
+    prec = EvalPrecision(abs_err=1e-13)
+    grid = GridSpec(count=100, seed=9)
+    ts = _samples(grid, 100.0, 200.0, store)
+    alone = [zeta(complex(0.5, t), prec) for t in ts.tolist()]
+    vals, _ = _ZETA_MODULE._zeta_line(0.5, ts, prec)
+    assert list(vals) == alone
+    exceed = sum(math.log(abs(a)) > 0.0 for a in alone)
+    assert measure_sigma(100.0, 0.0, grid, store, prec).count_exceed == exceed

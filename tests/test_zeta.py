@@ -319,3 +319,41 @@ def test_line_escalates_only_the_nodes_that_miss(monkeypatch):
     assert later == ts.tolist()[ts.size - len(later):]
     assert all(set(nodes) <= set(later) for _, nodes in passes[1:])
     _check_line_batch(0.5, ts, vals, rems, prec)
+
+
+def test_line_tables_grow_only_the_short_axis():
+    # a higher order at a cutoff the tables cover adds rows, not terms; a
+    # larger cutoff adds terms, with headroom, and keeps the rows
+    line = _ZETA_MODULE._Line(0.8, _PREC.abs_err)
+    line._tables(100, 5)
+    assert line._rows.shape == (5, 99)
+    line._tables(90, 15)
+    assert line._rows.shape == (15, 99)
+    line._tables(101, 3)
+    assert line._rows.shape == (15, 123)
+
+
+# --- zeta at many ordinates of one vertical line -------------------------------
+
+def test_line_sampler_against_mpmath():
+    # 40 seeded ordinates in [1000, 2150] and 17 spread over a width of 8,
+    # in no order: through _zeta_line, and the spread ones also as one batch
+    # on a _Line, which must split itself (one expansion over the width 8
+    # misses by about 3e-6, a thousand times the target at abs_err 1e-8);
+    # each value within the target 0.25 abs_err of the 30-digit one, and so
+    # is each bound
+    rng = np.random.default_rng(11)
+    ts = np.concatenate((rng.uniform(1000.0, 2150.0, 40),
+                         np.linspace(1500.0, 1508.0, 17)))
+    with mp.workdps(30):
+        refs = [complex(mp.zeta(mp.mpc(0.5, t))) for t in ts.tolist()]
+    for abs_err in (1e-8, 1e-10):
+        prec = EvalPrecision(abs_err=abs_err)
+        target = 0.25 * abs_err
+        vals, rems = _ZETA_MODULE._zeta_line(0.5, ts, prec)
+        wide, _, wide_rems = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Line(0.5, abs_err), ts[40:], prec, False)
+        for v, r, ref in zip(vals.tolist() + wide, rems.tolist() + wide_rems,
+                             refs + refs[40:]):
+            assert r <= target
+            assert abs(v - ref) <= target, (abs_err, v, ref)
