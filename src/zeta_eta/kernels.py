@@ -16,11 +16,11 @@ analysis.  E* reduces to the exponential integral E_1 plus elementary terms:
 
     E*_{m+1}(z) = (-z)^m E_1(z) + sum_{k=1..m} C(m,k) (-z)^(m-k) Gamma(k, z),
 
-with Gamma(k, z) the upper incomplete gamma (entire for integer k >= 1) and
-E_1 from scipy.special.exp1.  The reduction is used for |z| <= 4; beyond
-that it cancels like |z|^m/m!, and e^-z int_0^inf u^m e^-u/(u+z) du is
-integrated instead: by a pair of Gauss-Laguerre rules for Re z >= 0 when
-they agree, else by graded panels around the pole at u = -Re z.
+with Gamma(k, z) the upper incomplete gamma (entire for integer k >= 1),
+formed by Gamma(k+1, z) = k Gamma(k, z) + z^k e^-z.  The reduction holds at
+every z off the cut.  For |z| <= 4 it runs in doubles with E_1 from
+scipy.special.exp1; beyond that it cancels like |z|^m/m!, and runs in
+mpmath with m log10|z| + 1 more digits than zeta's extended path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (InvalidFamily, OnNegativeRealAxisCut, ValidationError,
                      _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import integrate_adaptive
+from .zeta import _extended
 
 #: Orders above this are never probed by smoothness verification.
 SMOOTHNESS_CHECK_CAP = 10
@@ -170,37 +170,15 @@ def boundary_derivative(kernel: Kernel, order: int, side: int,
 _CLOSED_FORM_RADIUS = 4.0
 
 
-@lru_cache(maxsize=8)
-def _laguerre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.laguerre.laggauss(n)
-    return tuple(x), tuple(w)
-
-
-def _estar_laguerre(m: int, z: complex, n: int) -> complex:
-    x, w = _laguerre_rule(n)
-    acc = 0.0 + 0.0j
-    for xi, wi in zip(x, w):
-        acc += wi * xi ** m / (xi + z)
-    return cmath.exp(-z) * acc
-
-
-def _estar_panels(m: int, z: complex, tol: float) -> complex:
-    # Direct integral e^-z int_0^60 u^m e^-u/(u+z) du with panels graded
-    # around the pole at u = -Re z (when it sits on the positive axis).
-    def g(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (u ** m) * np.exp(-u) / (u + z), np.zeros(u.shape)
-
-    splits = []
-    ustar = -z.real
-    if 0.0 < ustar < 60.0:
-        w = max(abs(z.imag), 1e-8)
-        for k in (-8.0, -4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0):
-            p = ustar + k * w
-            if 0.0 < p < 60.0:
-                splits.append(p)
-        splits.append(ustar)
-    val, _ = integrate_adaptive(g, 0.0, 60.0, tol, splits=splits)
-    return cmath.exp(-z) * val
+def _closed_form(m: int, z, e1, exp_mz):
+    """(-z)^m E_1(z) + sum_{k=1..m} C(m,k) (-z)^(m-k) Gamma(k, z), given
+    E_1(z) and e^-z, in whatever arithmetic z and they carry."""
+    total = (-z) ** m * e1
+    gam = exp_mz                      # Gamma(1, z)
+    for k in range(1, m + 1):
+        total += math.comb(m, k) * (-z) ** (m - k) * gam
+        gam = k * gam + z ** k * exp_mz   # Gamma(k+1, z)
+    return total
 
 
 def e_star(m: int, z, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
@@ -215,17 +193,11 @@ def e_star(m: int, z, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
         raise OnNegativeRealAxisCut(
             f"E*_{m + 1} is not defined on the nonpositive real axis (z={z})")
     if abs(z) <= _CLOSED_FORM_RADIUS:
-        total = (-z) ** m * complex(exp1(z))
-        gam = cmath.exp(-z)           # Gamma(1, z)
-        for k in range(1, m + 1):
-            total += math.comb(m, k) * (-z) ** (m - k) * gam
-            gam = k * gam + z ** k * cmath.exp(-z)   # Gamma(k+1, z)
-        return total
-    if z.real >= 0.0:
-        a, b = _estar_laguerre(m, z, 48), _estar_laguerre(m, z, 96)
-        if abs(a - b) <= 0.1 * prec.abs_err * (1.0 + abs(b)):
-            return b
-    return _estar_panels(m, z, 0.1 * prec.abs_err)
+        return _closed_form(m, z, complex(exp1(z)), cmath.exp(-z))
+    # The sum loses about log10(|z|^m/m!) digits to cancellation.
+    return complex(_extended(
+        prec.abs_err, lambda mp, w: _closed_form(m, w, mp.e1(w), mp.exp(-w)),
+        z, int(m * math.log10(abs(z))) + 1))
 
 
 # --- U_m ----------------------------------------------------------------------

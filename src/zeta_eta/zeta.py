@@ -404,11 +404,14 @@ def _zeta_extended(z: complex, abs_err: float):
     return _extended(abs_err, lambda mp, w: mp.zeta(w), z)
 
 
-def _extended(abs_err: float, evaluate, x):
+def _extended(abs_err: float, evaluate, x, extra: int = 0):
     """evaluate(mpmath, x) with x as an mpmath number, at the working
-    precision abs_err asks for: the one software extended-precision path."""
+    precision abs_err asks for: the one software extended-precision path.
+
+    extra adds that many decimal digits, for a formula that loses them to
+    cancellation (kernels.e_star beyond its double-precision radius)."""
     import mpmath as mp
-    with mp.workdps(max(30, int(-math.log10(abs_err)) + 10)):
+    with mp.workdps(max(30, int(-math.log10(abs_err)) + 10) + extra):
         return evaluate(mp, mp.mpmathify(x))
 
 

@@ -6,6 +6,7 @@ E* reference values come from an independent special-function library
 
 import cmath
 import math
+import signal
 
 import mpmath as mp
 import numpy as np
@@ -185,31 +186,54 @@ def test_e_star_two_reduction():
         assert abs(e_star(1, z) - ref) < 1e-10, z
 
 
-def test_e_star_higher_against_incomplete_gamma():
-    # E*_{m+1}(z) = (-z)^m E_1(z) + sum_{k=1..m} C(m,k) (-z)^(m-k) Gamma(k,z)
-    mp.mp.dps = 30
-    for z in (complex(0.7, 0.9), complex(2.5, -1.5), complex(6.0, 2.0)):
-        for m in (2, 3, 4):
-            zz = mp.mpc(z.real, z.imag)
-            ref = (-zz) ** m * mp.e1(zz)
+def _e_star_refs(z, orders, dps):
+    """E*_{m+1}(z) for m in orders from mpmath's E_1 and incomplete Gamma
+    (not the recurrence under test), at dps digits."""
+    with mp.workdps(dps):
+        zz = mp.mpc(z.real, z.imag)
+        e1 = mp.e1(zz)
+        gams = [mp.gammainc(k, zz) for k in range(1, max(orders) + 1)]
+        refs = []
+        for m in orders:
+            ref = (-zz) ** m * e1
             for k in range(1, m + 1):
-                ref += mp.binomial(m, k) * (-zz) ** (m - k) \
-                    * mp.gammainc(k, zz)
-            assert abs(e_star(m, z) - complex(ref)) < 1e-9, (m, z)
+                ref += mp.binomial(m, k) * (-zz) ** (m - k) * gams[k - 1]
+            refs.append(complex(ref))
+    return refs
+
+
+def test_e_star_higher_against_incomplete_gamma():
+    for z in (complex(0.7, 0.9), complex(2.5, -1.5), complex(6.0, 2.0)):
+        for m, ref in zip((2, 3, 4), _e_star_refs(z, (2, 3, 4), 30)):
+            assert abs(e_star(m, z) - ref) < 1e-9, (m, z)
 
 
 @pytest.mark.parametrize("z", [complex(-6.0, 0.3), complex(-10.0, -1.0),
                                complex(-30.0, 5.0), complex(-8.0, 1e-6)])
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_e_star_panel_path_left_of_the_origin(z, m):
-    # Re z < 0 and |z| > 4: the graded-panel quadrature around the pole
-    with mp.workdps(50):
-        zz = mp.mpc(z.real, z.imag)
-        ref = (-zz) ** m * mp.e1(zz)
-        for k in range(1, m + 1):
-            ref += mp.binomial(m, k) * (-zz) ** (m - k) * mp.gammainc(k, zz)
-        ref = complex(ref)
-    assert abs(e_star(m, z) - ref) <= 1e-9 * abs(ref), (m, z)
+    # Re z < 0 and |z| > 4: the closed form in extended precision (the name
+    # is that of the quadrature path these points once took)
+    ref, = _e_star_refs(z, [m], 50)
+    assert abs(e_star(m, z) - ref) <= 1e-13 * max(1.0, abs(ref)), (m, z)
+
+
+def test_e_star_against_mpmath_beyond_the_closed_form_radius():
+    # 60 seeded z with 4 <= |z| < 60 at all arguments, pairs 1e-9 |z| above
+    # and below the negative real axis, and the points where quadrature
+    # once raised BudgetExceeded (m = 12, 2, 3, 4); reference at 60 digits
+    rng = np.random.default_rng(12)
+    pts = [cmath.rect(4.0 + 56.0 * r, 2.0 * math.pi * a)
+           for r, a in rng.random((60, 2))]
+    for x in (4.5, 8.0, 10.0, 25.0, 60.0):
+        pts += [complex(-x, 1e-9 * x), complex(-x, -1e-9 * x)]
+    pts += [complex(5.0, 1.0), complex(-4.5, 4.5e-9), complex(-8.0, 8e-9),
+            complex(-10.0, 1e-8)]
+    orders = (0, 1, 2, 3, 4, 12)
+    for z in pts:
+        for m, ref in zip(orders, _e_star_refs(z, orders, 60)):
+            err = abs(e_star(m, z) - ref) / max(1.0, abs(ref))
+            assert err <= 1e-13, (m, z, err)
 
 
 def test_e_star_against_mpmath_across_the_closed_form_radius():
@@ -223,16 +247,9 @@ def test_e_star_against_mpmath_across_the_closed_form_radius():
         eps = 1e-9 * max(1.0, abs(x))
         pts += [complex(x, eps), complex(x, -eps)]
     worst = 0.0
-    with mp.workdps(50):
-        for z in pts:
-            zz = mp.mpc(z.real, z.imag)
-            e1, gams = mp.e1(zz), [mp.gammainc(k, zz) for k in range(1, 5)]
-            for m in range(5):
-                ref = (-zz) ** m * e1
-                for k in range(1, m + 1):
-                    ref += mp.binomial(m, k) * (-zz) ** (m - k) * gams[k - 1]
-                ref = complex(ref)
-                worst = max(worst, abs(e_star(m, z) - ref) / abs(ref))
+    for z in pts:
+        for m, ref in enumerate(_e_star_refs(z, range(5), 50)):
+            worst = max(worst, abs(e_star(m, z) - ref) / abs(ref))
     assert worst <= 1e-11
 
 
@@ -258,29 +275,54 @@ def test_e_star_cut_refusal():
         e_star(-1, 1.0)
 
 
-def test_u_m_against_independent_quadrature():
-    # U_m(z) = (1/m!) int_0^1 f(tau) E*_{m+1}(z L)/L^m dtau, L = 1 + tau/H,
-    # recomputed with tanh-sinh quadrature and the Gamma-based E* formula.
-    mp.mp.dps = 25
-    k = DEFAULT_KERNEL
-
-    def estar_ref(m, z):
+def _u_m_ref(m, z, h, kernel=DEFAULT_KERNEL):
+    """U_m(z) = (1/m!) int_0^1 f(tau) E*_{m+1}(z L)/L^m dtau, L = 1 + tau/H,
+    by tanh-sinh quadrature and the Gamma-based E* formula at 25 digits;
+    real z <= 0 is moved below the cut as u_m_eval moves it."""
+    if z.imag == 0.0 and z.real <= 0.0:
+        z = complex(z.real, -1e-9 * max(1.0, abs(z)))
+    with mp.workdps(25):
         zz = mp.mpc(z.real, z.imag)
-        ref = (-zz) ** m * mp.e1(zz)
-        for j in range(1, m + 1):
-            ref += mp.binomial(m, j) * (-zz) ** (m - j) * mp.gammainc(j, zz)
-        return ref
 
+        def g(tau):
+            w = zz * (1 + tau / h)
+            e = (-w) ** m * mp.e1(w)
+            for j in range(1, m + 1):
+                e += mp.binomial(m, j) * (-w) ** (m - j) * mp.gammainc(j, w)
+            return mp.mpf(kernel.f(float(tau))) * e / (1 + tau / h) ** m
+        return complex(mp.quad(g, [0, 0.5, 1])) / math.factorial(m)
+
+
+def test_u_m_against_independent_quadrature():
     for m, z, h in [(0, complex(0.4, 0.6), 1.0),
                     (1, complex(-0.3, 0.5), 1.0),
                     (2, complex(0.8, -0.2), 2.0)]:
-        def g(tau):
-            big_l = 1.0 + tau / h
-            return mp.mpf(k.f(float(tau))) \
-                * estar_ref(m, complex(z) * big_l) / big_l ** m
-        ref = complex(mp.quad(g, [0, 0.5, 1])) / math.factorial(m)
-        got = u_m_eval(m, z, k, h)
-        assert abs(got - ref) < 1e-8, (m, z, h)
+        assert abs(u_m_eval(m, z, DEFAULT_KERNEL, h) - _u_m_ref(m, z, h)) \
+            < 1e-8, (m, z, h)
+
+
+def test_u_m_answers_where_its_nodes_cross_the_radius():
+    # z L runs over [z, 2z] at H = 1, across |zL| = 4 and just below the
+    # cut; U_0(-2.5) once ran for minutes in graded panels.  An alarm turns
+    # a hang into a failure.
+    def hang(signum, frame):
+        raise TimeoutError("u_m_eval did not answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        got = {(m, z): u_m_eval(m, z) for m, z in
+               [(0, complex(-2.5)), (1, complex(-2.5)),
+                (0, complex(-2.5, 0.3)), (2, complex(-3.0))]}
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    for (m, z), val in got.items():
+        ref = _u_m_ref(m, z, 1.0)
+        assert abs(val - ref) < 1e-8 * max(1.0, abs(ref)), (m, z, val, ref)
+    # the limit from below the cut: Im U_0(-2.5) = Im E_1(-x - i0) = pi
+    im = got[(0, complex(-2.5))].imag
+    assert 0.0 < math.pi - im < 1e-6, im
 
 
 def test_u_m_cut_side_and_validation():
