@@ -24,7 +24,7 @@ they use different integrals and different continuation sweeps.
 The u-integral of the iterated route runs through every ordinate below t,
 where log zeta(sigma+iu) jumps (by 2 pi i per zero strictly right of sigma)
 or has a logarithmic singularity (zero at sigma itself).  The line [0, t]
-is cut into panels of width <= 1/2 with edges at the ordinates, and on each
+is cut into panels of width <= 1 with edges at the ordinates, and on each
 panel the integrand splits as
 
     log zeta(sigma+iu) = G(u) + sum_rho mult Log(sigma-beta + i(u-gamma))
@@ -33,16 +33,17 @@ panel the integrand splits as
 where the sum runs over the pole and the zeros whose ordinate lies within
 1.5 of the panel.  The model reproduces every nearby jump and logarithmic
 singularity exactly, so G is analytic on a neighborhood of the panel of
-radius >= 1; G is integrated panel by panel with quadrature._panel, the
-library's one 10/20-point Gauss rule, while the model terms integrate in
+radius 1.5; G is integrated panel by panel with quadrature._panel, the
+library's one Gauss(10)/Kronrod(21) rule, while the model terms integrate in
 closed form.  Keeping the model local also keeps both pieces the same size
 as the answer -- subtracting every zero at once would balloon the two halves
 by a factor ~ N(t) log t and drown the result in rounding noise.
 
-A panel hands its integrand all 30 nodes at once, in ascending order.  They
-lie on the one vertical line Re s = sigma within 1/4 of the panel centre, so
+A panel hands its integrand all 21 nodes at once, in ascending order.  They
+lie on the one vertical line Re s = sigma within 1/2 of the panel centre, so
 the sweep evaluates zeta at all of them in one pass on its zeta._Line (one
-Taylor expansion of the Dirichlet sum about the centre) and the window
+Taylor expansion of the Dirichlet sum about the centre, or one per half
+where the line's reach is shorter) and the window
 model at all of them with one logarithm of the window-zeros x nodes matrix.
 It then walks the nodes in order: continuity of G along the ascending node
 sequence pins the winding integer of the principal logarithm at each
@@ -55,7 +56,7 @@ sweep is anchored at u = 0 (closed-form branch value) and re-verified
 against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) run on one horizontal ray
-each: a panel's 30 abscissae are one batched zeta evaluation on the ray's
+each: a panel's 21 abscissae are one batched zeta evaluation on the ray's
 phases (BranchPath.eval_log), or on the real axis for c_m.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
@@ -110,7 +111,7 @@ def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
     """i^m/(m-1)! int_sigma^(sigma+cut) (a-sigma)^(m-1) log f(a) da, m >= 1.
 
     log_f takes an array of abscissae and returns (values, error bounds) as
-    arrays, one pass for a panel's 30 nodes; kinks inside the range become
+    arrays, one pass for a panel's 21 nodes; kinks inside the range become
     panel edges.  The error estimate covers the dropped tail: since
     |log zeta(a+it)| <= -log(1 - 2^-a) <= 2*2^-a for a >= 1, the tail beyond
     sigma + cut is at most 2*2^-sigma Gamma(m, cut ln 2)/(ln 2)^m / (m-1)!.
@@ -219,7 +220,12 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
 
 # --- iterated route: windowed sweep along the horizontal segment ---------------
 
-_PANEL_MAX = 0.5        # Gauss panel width cap on the u-line
+# Panel width cap on the u-line.  No singularity of G lies within _WINDOW =
+# 1.5 of a panel, so on a panel of width w G is analytic inside the Bernstein
+# ellipse through z = 1 + 3/w on the panel's [-1, 1], and Gauss(10) errs by
+# about rho^-20, rho = z + sqrt(z^2 - 1).  That stays below the unit roundoff
+# up to w = 1.34: 1.2e-18 at w = 1, 2.6e-14 at w = 2.
+_PANEL_MAX = 1.0
 
 
 class _Sweep(_Walk):
@@ -273,7 +279,7 @@ class _Sweep(_Walk):
 
 
 def _line_panels(t_eff: float, store: ZeroStore) -> list[tuple[float, float]]:
-    """Panels over [0, t_eff], edges at interior ordinates, width <= 1/2."""
+    """Panels over [0, t_eff], edges at interior ordinates, width <= 1."""
     gs = store.gammas
     inner = gs[(gs > 0.0) & (gs < t_eff)]
     edges = np.unique(np.concatenate(([0.0, t_eff], inner)))
@@ -363,8 +369,10 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
         return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
 
     panels = _line_panels(t_eff, store)
-    total_g = 0j
-    analytic = 0j
+    # Every panel's G integral and model pieces, summed exactly at the end:
+    # the G integrals and the pieces each total about t^m and cancel to the
+    # answer, so two running sums would carry t^m rounding into it.
+    parts = []
     disc = 0.0
     node_est = 0.0
     mag = 0.0
@@ -375,7 +383,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
         if p == 0:
             sweep.anchor()
         val, p_disc, p_err = _panel(integrand, a, b)
-        total_g += val
+        parts.append(val)
         disc += p_disc
         node_est += p_err
         terms = list(zip(mu_all[sel], cc_all[sel], gam_all[sel]))
@@ -383,7 +391,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
             terms.append((-1.0, sigma - 1.0, 0.0))
         for mu, c, gam in terms:
             piece, piece_mag = _model_piece(m, t_eff, a, b, mu, c, gam)
-            analytic += piece
+            parts.append(piece)
             mag += piece_mag
 
     # The sweep's branch must land on the horizontal-ray branch at u = t.
@@ -399,7 +407,8 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
                 f"{f_end} vs {f_auth}")
 
     fact = math.factorial(m - 1)
-    value = (total_g + analytic) / fact
+    value = complex(math.fsum(x.real for x in parts),
+                    math.fsum(x.imag for x in parts)) / fact
     est = (disc + node_est + 2e-16 * mag) / fact + 1e-15 * (1.0 + abs(value))
     return value, est
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from zeta_eta import eta as eta_module
+from zeta_eta import quadrature
 from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
                              ValidationError)
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
@@ -211,6 +212,17 @@ def test_route_difference_within_combined_estimate_at_height(store):
     assert chk["difference"] < 1e-6
 
 
+def test_routes_agree_above_300(store):
+    # acceptance C2 stops at t = 300: seeded points up to the table's top
+    rng = np.random.default_rng(13)
+    sigmas = rng.uniform(0.5, 2.0, 8)
+    ts = rng.uniform(300.0, 2140.0, 8)
+    ms = rng.integers(1, 3, 8)
+    for sigma, t, m in zip(sigmas, ts, ms):
+        chk = route_check(complex(sigma, t), int(m), store)
+        assert chk["agree"], (sigma, t, m, chk["difference"], chk["tolerance"])
+
+
 # --- the iterated sweep's batched walk -----------------------------------------
 
 def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
@@ -245,7 +257,7 @@ def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
 
     def with_zero(line, coords, prec, want_deriv):
         vals, ders, rems = real_em(line, coords, prec, want_deriv)
-        if len(vals) == 30:
+        if len(vals) == quadrature._NODES.size:
             vals[7] = 0j
         return vals, ders, rems
 
