@@ -48,7 +48,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -56,7 +55,8 @@ import numpy as np
 from .errors import (BeyondSieve, BeyondTable, HypothesisViolated,
                      ValidationError, ZeroCoincidesWithS, _integer, _point,
                      _real)
-from .eta import _I_POW, eta_vertical, zero_sum_polynomial
+from .eta import (_I_POW, _lambda_table, _prime_mask, eta_vertical,
+                  zero_sum_polynomial)
 from .kernels import DEFAULT_KERNEL, Kernel
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore, builtin_store
@@ -64,34 +64,7 @@ from .zeros import ZeroStore, builtin_store
 SIEVE_LIMIT = 2_000_000
 
 
-# --- von Mangoldt via sieve ------------------------------------------------------
-
-@lru_cache(maxsize=2)
-def _prime_mask(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=2)
-def _lambda_table(limit: int) -> np.ndarray:
-    mask = _prime_mask(limit)
-    lam = np.zeros(limit + 1)
-    primes = np.nonzero(mask)[0]
-    lam[primes] = np.log(primes)
-    for p in primes[primes <= math.isqrt(limit)]:
-        lp = math.log(p)
-        q = int(p) * int(p)
-        while q <= limit:
-            lam[q] = lp
-            q *= int(p)
-    lam.setflags(write=False)
-    return lam
-
+# --- von Mangoldt via the sieve (eta._lambda_table) ----------------------------
 
 def _check_sieve_range(n: float, what: str) -> None:
     if n > SIEVE_LIMIT:

@@ -2,8 +2,9 @@
 sigma -> +infinity along horizontal lines.
 
 The branch at s = sigma + it is pinned by a walk down the ray from
-SIGMA_START = 40, where the principal logarithm is below 1e-11 and the
-winding is 0.  The walk subtracts the local model
+SIGMA_START = 1.25.  Right of it |Im log zeta| <= log zeta(1.25) < pi/2, so
+the principal logarithm is the branch, and the walk pins G there from it.
+The walk subtracts the local model
 
     model(s) = sum_rho Log(s - rho) - [pole] Log(s - 1)
 
@@ -17,9 +18,9 @@ table zero with a wrong multiplicity, or one zeta lacks, moves the model's
 argument by pi where the ray passes it, which the insertion resolves, never
 by a multiple of 2 pi that the pin would alias.
 
-A BranchPath is that walk on one ray: _march walks a fixed grid, 2 apart
-on [4, 40] and 1/4 apart below, down to sigma_end in one Euler-Maclaurin
-pass on the ray's phases, and the path keeps the nodes.  A value is the
+A BranchPath is that walk on one ray: _march walks a fixed grid 1/4 apart
+down to sigma_end in one Euler-Maclaurin pass on the ray's phases, and the
+path keeps the nodes.  A value is the
 principal log zeta of its own evaluation + 2 pi i k; the walk only pins k.
 eval_log and winding take a float or an array of abscissae, evaluate zeta
 at all of them in one pass and pin each from its nearest node, so a
@@ -47,14 +48,16 @@ from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
 from .zeta import _Ray, _zeta_em
 
-SIGMA_START = 40.0
+# For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
+# positive coefficients), and log zeta(1.25) = 1.525 < pi/2: from here right
+# the principal logarithm is the branch.
+SIGMA_START = 1.25
 _WALK_BUDGET = 400_000     # nodes one walk may evaluate, midpoints included
 _TWO_PI = 2.0 * math.pi
 _WINDOW = 1.5              # model zeros kept within this distance in t
 _CONT_STEP = 0.9           # max |G step| accepted without midpoint insertion
-# The ray's walk: SIGMA_START down to 4 in steps of 2, then steps of 1/4.
-_RAY_GRID = np.concatenate((np.arange(SIGMA_START, 4.0, -2.0),
-                            np.arange(4.0, -1.0, -0.25)))
+# The ray's walk: SIGMA_START down in steps of 1/4.
+_RAY_GRID = np.arange(SIGMA_START, -1.0, -0.25)
 
 
 class _Walk:
@@ -155,12 +158,16 @@ class BranchPath(_Walk):
         self.xs: list[float] = []
         self.gs: list[complex] = []
 
-    def eval(self, alpha, depth: int = 0) -> None:
+    def eval(self, alpha, depth: int = 0, anchor: bool = False) -> None:
         """Pin the nodes alpha (a float or an array, in walking order) from
-        the last node: one zeta evaluation on the ray for all of them."""
+        the last node, or with anchor from the principal value at the first:
+        one zeta evaluation on the ray for all of them."""
         xs = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
         self.spend(xs)
         vals, _, _ = _zeta_em(self.ray, xs, self.walk_prec, want_deriv=False)
+        if anchor:
+            self.x_prev = float(xs[0])
+            self.g_prev = complex(self.principal(xs[:1], vals[:1])[0])
         for x, g in zip(xs.tolist(), self.pin(xs, vals, depth).tolist()):
             i = bisect.bisect(self.xs, x)
             self.xs.insert(i, x)
@@ -212,9 +219,7 @@ class BranchPath(_Walk):
         answered with two arrays of its shape; an array takes one
         Euler-Maclaurin pass for all its abscissae.
         """
-        vals, rems, k = self._query(alpha)
-        out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
-        est = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
+        out, est = _log_with_err(*self._query(alpha))
         if self.conjugate:
             out = out.conjugate()
         if np.ndim(alpha) == 0:
@@ -222,13 +227,18 @@ class BranchPath(_Walk):
         return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
+def _log_with_err(vals: list, rems: list, k) -> tuple[np.ndarray, np.ndarray]:
+    """log zeta = principal log of the zeta values + 2 pi i k, and its error
+    estimate rem/|zeta| + 1e-15 (1 + |log zeta|)."""
+    out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
+    return out, np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
+
+
 def _march(path: BranchPath) -> None:
-    """Walk the ray from G = -model at SIGMA_START down the grid to
-    sigma_end."""
-    path.x_prev = SIGMA_START
-    path.g_prev = complex(-path.model(SIGMA_START))
+    """Walk the ray down the grid to sigma_end from SIGMA_START, where G is
+    pinned from the principal log zeta."""
     path.eval(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
-                        path.sigma_end))
+                        path.sigma_end), anchor=True)
 
 
 def branch_path(t: float, sigma_end: float,
@@ -270,12 +280,15 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
         store = builtin_store()
     if store.zero_distance(z) <= 1e-12:
         raise OnSingularity(f"s={s} sits on a zero of the table")
-    if z.real >= SIGMA_START:
-        (val,), _, (rem,) = _zeta_em(_Ray(z.imag), z.real, prec,
-                                     want_deriv=False)
-        return cmath.log(val), rem / max(abs(val), 1e-300) + 1e-15
     if z.imag == 0.0:
         return _log_zeta_real(z.real, prec)
+    if z.real >= SIGMA_START:
+        # The principal value, on the ray that branch_path would prepare.
+        vals, _, rems = _zeta_em(_Ray(store.snap(abs(z.imag))), z.real, prec,
+                                 want_deriv=False)
+        out, est = _log_with_err(vals, rems, 0)
+        val = complex(out[0])
+        return (val.conjugate() if z.imag < 0.0 else val), float(est[0])
     path = branch_path(z.imag, z.real, prec, store)
     return path.eval_log(z.real)
 
@@ -306,8 +319,8 @@ def log_zeta(s, prec: EvalPrecision = DEFAULT_PRECISION,
     """log zeta(s) on the branch continued from sigma = +infinity.
 
     Post: exp(log_zeta(s)) = zeta(s) to evaluation accuracy; the imaginary
-    part vanishes as sigma grows; at sigma >= 40 the principal value is
-    returned directly.
+    part vanishes as sigma grows; at sigma >= SIGMA_START = 1.25 the
+    principal value is returned directly.
     """
     val, _ = log_zeta_with_err(s, prec, store)
     return val

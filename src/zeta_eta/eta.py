@@ -55,9 +55,13 @@ closed-form integrals need, and moves its window from panel to panel.  The
 sweep is anchored at u = 0 (closed-form branch value) and re-verified
 against the horizontal-ray branch at u = t.
 
-The vertical integrals (the route's own and c_m's) run on one horizontal ray
-each: a panel's 21 abscissae are one batched zeta evaluation on the ray's
-phases (BranchPath.eval_log), or on the real axis for c_m.
+The vertical integrals (the route's own and c_m's) are split at a0, 3.5-4.25
+at the usual targets.  On [sigma, a0] they run on one horizontal ray each: a
+panel's 21 abscissae are one batched zeta evaluation on the ray's phases
+(BranchPath.eval_log), or on the real axis for c_m.  Above a0 log zeta is
+its Dirichlet series, and the integral is a closed-form sum over the prime
+powers up to _TAIL_N; a0 is derived from that sum's truncation bound, and
+from sigma >= a0 on no quadrature runs at all.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
@@ -73,7 +77,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .branch import (_WINDOW, SIGMA_START, _log_zeta_real, _Walk,
                      branch_path, log_zeta_with_err)
@@ -81,12 +84,15 @@ from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
-from .zeta import _Line, _zeta_em
+from .zeta import _UNIT_ROUNDOFF, _Line, _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
 
-_TAIL_START = 45.0      # vertical integrals truncated at alpha = sigma + this
 _TWO_PI = 2.0 * math.pi
+# Largest m accepted.  c_m(sigma) is about 2^-sigma (1/log 2)^m, the n = 2
+# term of log zeta's Dirichlet series, so at sigma = 1/2 and m > 82 its
+# rounding alone exceeds the coarsest target EvalPrecision accepts, 1e-3.
+_M_MAX = 82
 
 
 @dataclass(frozen=True)
@@ -106,31 +112,129 @@ class EtaValue:
             raise ValidationError(f"unknown route {self.route!r}")
 
 
-def _vertical_integral(log_f, m: int, sigma: float, abs_err: float,
-                       kinks: tuple[float, ...]) -> tuple[complex, float]:
-    """i^m/(m-1)! int_sigma^(sigma+cut) (a-sigma)^(m-1) log f(a) da, m >= 1.
+def _vertical_integral(log_f, m: int, sigma: float, a0: float, t: float,
+                       abs_err: float) -> tuple[complex, float]:
+    """i^m/(m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a+it) da, m >= 1,
+    with an error estimate: panels on [sigma, a0], split at 1, and the
+    Dirichlet series above a0 = _tail_start(m, sigma, abs_err).
 
-    log_f takes an array of abscissae and returns (values, error bounds) as
-    arrays, one pass for a panel's 21 nodes; kinks inside the range become
-    panel edges.  The error estimate covers the dropped tail: since
-    |log zeta(a+it)| <= -log(1 - 2^-a) <= 2*2^-a for a >= 1, the tail beyond
-    sigma + cut is at most 2*2^-sigma Gamma(m, cut ln 2)/(ln 2)^m / (m-1)!.
+    log_f takes an array of abscissae in [sigma, a0] and returns (values,
+    error bounds) as arrays, one pass for a panel's 21 nodes; it is not
+    called when sigma >= a0.
     """
+    val, est = _vertical_tail(m, sigma, a0, t)
+    if sigma >= a0:
+        return val, est
+
     def g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v, e = log_f(alpha)
         w = (alpha - sigma) ** (m - 1)
         return w * v, np.abs(w) * e
 
-    # (a - sigma)^(m-1) 2^-a peaks near (m-1)/ln 2; push the cutoff out for
-    # large m so the tail bound stays tiny.
-    cut = _TAIL_START + 12.0 * max(0, m - 4)
-    hi = sigma + cut
     fact = math.factorial(m - 1)
-    val, est = integrate_adaptive(g, sigma, hi, 0.25 * abs_err * fact,
-                                  splits=[x for x in kinks if sigma < x < hi])
-    ln2 = math.log(2.0)
-    tail = 2.0 * 2.0 ** (-sigma) * float(gammaincc(m, cut * ln2)) / ln2 ** m
-    return _I_POW[m % 4] * val / fact, est / fact + tail
+    pv, pest = integrate_adaptive(g, sigma, a0, 0.25 * abs_err * fact,
+                                  splits=[1.0])
+    return val + _I_POW[m % 4] * pv / fact, est + pest / fact
+
+
+# --- the vertical integrals above a0: the Dirichlet series of log zeta ---------
+#
+# For a > 1, log zeta(a + it) = sum_n c_n n^-(a+it) with c_n = Lambda(n)/log n
+# (Edwards, Riemann's Zeta Function, 1.6), so with d = a0 - sigma
+#
+#   i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da
+#       = i^m sum_n c_n n^-(a0+it) W(log n),
+#   W(L) = sum_{j<m} d^(m-1-j) / ((m-1-j)! L^(j+1)).
+#
+# The sum stops at n = _TAIL_N.  Since 0 <= c_n <= 1 and W decreases in L,
+# the terms dropped total at most W(log N) N^(1-a0)/(a0-1); a0 is the first
+# point of sigma + k/4 past 1 where that is _TAIL_SHARE of the target.  It is
+# 3.5-4.25 at abs_err 1e-8 and 1e-10 for m <= 5 and sigma = 1/2.
+
+_TAIL_N = 8192
+_TAIL_SHARE = 1e-3
+
+
+@lru_cache(maxsize=2)
+def _prime_mask(limit: int) -> np.ndarray:
+    """Whether n is prime, for n = 0 .. limit, read-only."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p:: p] = False
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=2)
+def _lambda_table(limit: int) -> np.ndarray:
+    """Lambda(n) for n = 0 .. limit, read-only."""
+    mask = _prime_mask(limit)
+    lam = np.zeros(limit + 1)
+    primes = np.nonzero(mask)[0]
+    lam[primes] = np.log(primes)
+    for p in primes[primes <= math.isqrt(limit)]:
+        lp = math.log(p)
+        q = int(p) * int(p)
+        while q <= limit:
+            lam[q] = lp
+            q *= int(p)
+    lam.setflags(write=False)
+    return lam
+
+
+@lru_cache(maxsize=1)
+def _dirichlet_terms() -> tuple[np.ndarray, np.ndarray]:
+    """log n and c_n = Lambda(n)/log n over the prime powers n <= _TAIL_N."""
+    lam = _lambda_table(_TAIL_N)
+    n = np.nonzero(lam)[0]
+    log_n = np.log(n)
+    c = lam[n] / log_n
+    for a in (log_n, c):
+        a.setflags(write=False)
+    return log_n, c
+
+
+def _tail_weight(m: int, d: float, x):
+    """W = sum_{j<m} d^(m-1-j)/(m-1-j)! x^(j+1) at x = 1/log n, a float or an
+    array, by Horner's rule from j = m-1."""
+    w = 0.0
+    c = 1.0                         # d^k/k!, k = m-1-j
+    for k in range(m):
+        w = x * (c + w)
+        c *= d / (k + 1)
+    return w
+
+
+def _tail_bound(m: int, sigma: float, a0: float) -> float:
+    """The terms n > _TAIL_N of the sum above a0 total at most this."""
+    return (_tail_weight(m, a0 - sigma, 1.0 / math.log(_TAIL_N))
+            * _TAIL_N ** (1.0 - a0) / (a0 - 1.0))
+
+
+@lru_cache(maxsize=512)
+def _tail_start(m: int, sigma: float, abs_err: float) -> float:
+    """a0: the first of sigma, sigma + 1/4, ... that exceeds 1 and keeps
+    _tail_bound within _TAIL_SHARE of abs_err."""
+    target = _TAIL_SHARE * abs_err
+    k = 0 if sigma > 1.0 else math.floor(4.0 * (1.0 - sigma)) + 1
+    while _tail_bound(m, sigma, sigma + 0.25 * k) > target:
+        k += 1
+    return sigma + 0.25 * k
+
+
+def _vertical_tail(m: int, sigma: float, a0: float,
+                   t: float) -> tuple[complex, float]:
+    """i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da, a0 > 1, and
+    its error bound: the dropped terms, and the rounding of the kept ones
+    (their phases t log n, amplitudes a0 log n, W and the sum)."""
+    log_n, c = _dirichlet_terms()
+    terms = c * np.exp(-a0 * log_n) * _tail_weight(m, a0 - sigma, 1.0 / log_n)
+    val = complex(terms @ np.exp(-1j * t * log_n))
+    rnd = 2.0 * _UNIT_ROUNDOFF * float(
+        terms @ ((abs(t) + a0) * log_n + m + 8))
+    return _I_POW[m % 4] * val, _tail_bound(m, sigma, a0) + rnd
 
 
 # --- integration constants c_m(sigma) ------------------------------------------
@@ -140,14 +244,22 @@ def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
     prec = EvalPrecision(abs_err=abs_err)
     # On the real axis the limit from above is available in closed form;
     # no branch walk runs anywhere near the pole.
-    return _vertical_integral(lambda a: _log_zeta_real(a, prec),
-                              m, sigma, abs_err, (1.0,))
+    return _vertical_integral(lambda a: _log_zeta_real(a, prec), m, sigma,
+                              _tail_start(m, sigma, abs_err), 0.0, abs_err)
+
+
+def _order(m, lo: int) -> int:
+    """m as an integer in [lo, _M_MAX]."""
+    m = _integer(m, "m", lo)
+    if m > _M_MAX:
+        raise ValidationError(f"m <= {_M_MAX} required, got m={m}")
+    return m
 
 
 def c_m_with_err(sigma: float, m: int,
                  prec: EvalPrecision = DEFAULT_PRECISION) -> tuple[complex, float]:
     """c_m(sigma) plus an absolute error estimate (memoized)."""
-    m = _integer(m, "m", 1)
+    m = _order(m, 1)
     sigma = _real(sigma, "sigma")
     if sigma <= -1.0:
         raise ValidationError(f"c_m needs sigma > -1, got sigma={sigma}")
@@ -197,7 +309,7 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
     Valid for sigma >= 1/2 and 0 <= t <= table height.  m = 0 degenerates
     to log_zeta, t = 0 to c_m(sigma).
     """
-    m = _integer(m, "m")
+    m = _order(m, 0)
     z = _point(s)
     if store is None:
         store = builtin_store()
@@ -210,10 +322,19 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
         val, est = c_m_with_err(sigma, m, prec)
         return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
 
-    path = branch_path(t, min(sigma, SIGMA_START - 1.0), prec, store)
-    val, est = _vertical_integral(path.eval_log, m, sigma, prec.abs_err,
-                                  (1.0, SIGMA_START))
-    zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
+    if t > store.t_max:
+        raise ValidationError(
+            f"t={t} above zero-table height {store.t_max}; extend the table")
+    a0 = _tail_start(m, sigma, prec.abs_err)
+    log_f = None
+    if sigma < a0:
+        # A path ends left of SIGMA_START, right of which it needs no node.
+        path = branch_path(t, min(sigma, SIGMA_START - 0.25), prec, store)
+        t, log_f = path.t, path.eval_log
+    else:
+        t = store.snap(t)
+    val, est = _vertical_integral(log_f, m, sigma, a0, t, prec.abs_err)
+    zsum, zs_est = zero_sum_polynomial(m, sigma, t, store)
     return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
                     est_err=est + zs_est)
 
@@ -421,7 +542,7 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
     0 <= t <= table height - 2.5 (the sweep's model needs zeros slightly
     above t).
     """
-    m = _integer(m, "m")
+    m = _order(m, 0)
     z = _point(s)
     if store is None:
         store = builtin_store()

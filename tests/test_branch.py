@@ -118,6 +118,22 @@ def test_branch_path_eval_and_domain(store):
         branch_path(1e9, 0.5, store=store)   # beyond the table
 
 
+def test_right_of_the_walk_start_the_branch_is_the_principal_log(store):
+    # |Im log zeta| <= log zeta(1.25) < pi/2 there, so no winding is pinned
+    from zeta_eta.zeta import zeta
+    rng = np.random.default_rng(14)
+    for t in rng.uniform(1.0, 2150.0, 6):
+        path = branch_path(t, 0.5, store=store)
+        alphas = np.concatenate(([1.25, 40.0], rng.uniform(1.25, 40.0, 8)))
+        assert (path.winding(alphas) == 0).all()
+        vals, ests = path.eval_log(alphas)
+        for a, v, e in zip(alphas.tolist(), vals.tolist(), ests.tolist()):
+            one = path.eval_log(a)
+            assert one[0] == cmath.log(complex(zeta(complex(a, path.t))))
+            assert log_zeta_with_err(complex(a, t), store=store) == one
+            assert abs(v - one[0]) <= e + one[1], (t, a)
+
+
 def test_branch_march_budget(store, monkeypatch):
     monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_WALK_BUDGET", 3)
     with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):

@@ -130,6 +130,13 @@ def test_eta_left_of_minus_one_on_the_real_axis_exits_three(capsys):
     assert code == 3 and out == "" and "sigma=-30" in err
 
 
+def test_eta_order_above_the_limit_exits_three(capsys):
+    # refused as input, not an OverflowError traceback (exit 1)
+    code, out, err = _run(capsys, ["eval", "--what", "eta", "--m", "200",
+                                   "--s", "0.5+100i"])
+    assert code == 3 and out == "" and "m=200" in err
+
+
 def test_missing_zeros_file_exits_two(capsys, tmp_path):
     code, _, err = _run(capsys, ["--zeros", str(tmp_path / "nope.csv"),
                                  "eval", "--what", "logzeta",

@@ -7,7 +7,9 @@ is the one-sided limit -pi, integrating to -pi (1-sigma)^m / m).
 """
 
 import math
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +44,104 @@ def test_c_m_oracle_grid():
         assert abs(got - ref) < 5e-9, ((sigma, m), got, ref)
         assert abs(got - ref) <= est + 1e-12, "estimate must cover the error"
         assert c_m(sigma, m) == got
+
+
+# c_m(1/2, m) from 30-digit mpmath quadrature, and eta_vertical(1/2 + 100i, m)
+# from 30-digit mpmath tanh-sinh quadrature of the principal log zeta (its
+# argument does not cross the cut on [1/2, 1.25] at t = 100, so it is the
+# branch) up to sigma = 150, where the rest is below 1e-22.
+LARGE_M = {
+    4: (3.681284651381218 - 0.00818123086872342j,
+        2.6710206212949249 - 0.62642465552861959j),
+    6: (-6.779944649897633 + 6.81769239060285e-5j,
+        -5.9467619018761971 + 1.2920597805136626j),
+    8: (13.57377208796314 - 3.04361267437627e-7j,
+        12.747897185259155 - 2.6583681298970669j),
+    10: (-27.85993955377436 + 8.45447965104520e-10j,
+         -26.853757643454185 + 5.5010693044118889j),
+}
+
+
+@pytest.mark.parametrize("m", sorted(LARGE_M))
+def test_large_m_within_est_err_in_under_a_second(store, m):
+    c_ref, eta_ref = LARGE_M[m]
+    eta_module._c_m_cached.cache_clear()
+    start = time.perf_counter()
+    got, est = c_m_with_err(0.5, m)
+    middle = time.perf_counter()
+    ev = eta_vertical(complex(0.5, 100.0), m, store)
+    assert max(middle - start, time.perf_counter() - middle) < 1.0
+    assert abs(got - c_ref) <= est, (got, est)
+    assert abs(ev.value - eta_ref) <= ev.est_err, (ev.value, ev.est_err)
+
+
+def test_m_above_the_limit_is_refused(store):
+    top = eta_module._M_MAX
+    for call in (lambda m: c_m(0.5, m),
+                 lambda m: eta_vertical(complex(0.5, 100.0), m, store),
+                 lambda m: eta_iterated(complex(0.5, 100.0), m, store)):
+        with pytest.raises(ValidationError, match=f"m={top + 1}"):
+            call(top + 1)
+    assert abs(eta_vertical(complex(0.5, 100.0), top, store).value) > 0
+
+
+# i^m/(m-1)! int_4^inf (a - 1/2)^(m-1) log zeta(a + it) da from 30-digit
+# mpmath tanh-sinh quadrature of the principal log zeta on [4, 150].
+TAIL_AT_4 = {
+    (1, 0.0): complex(0.0, 0.10415022531685991),
+    (2, 0.0): complex(-0.50663975479090568, 0.0),
+    (3, 0.0): complex(0.0, -1.333501455630239),
+    (5, 0.0): complex(0.0, 4.259616369014753),
+    (1, 14.1): complex(-0.027992148586745695, -0.095552551154331738),
+    (2, 14.1): complex(0.4664541589862705, -0.13988312576572553),
+    (3, 14.1): complex(0.37997944678249172, 1.2325781190721097),
+    (5, 14.1): complex(-1.3014723323929071, -3.9688784185974073),
+    (1, 1000.0): complex(0.072485902912661521, -0.031074758377312874),
+    (2, 1000.0): complex(0.15685915099015102, 0.36347365528094269),
+    (3, 1000.0): complex(-0.99122864632782822, 0.43104472160071367),
+    (5, 1000.0): complex(3.4236529097905693, -1.5133089590035497),
+    (1, 2150.0): complex(0.077201076259964774, 0.045735595954748377),
+    (2, 2150.0): complex(-0.22145090995077776, 0.38450550956151338),
+    (3, 2150.0): complex(-1.0402988081941776, -0.57915567022503007),
+    (5, 2150.0): complex(3.5310243436960411, 1.8169951541970261),
+}
+
+
+@pytest.mark.parametrize("m,t", sorted(TAIL_AT_4))
+def test_vertical_tail_is_the_quadrature_of_the_principal_log(m, t):
+    got, est = eta_module._vertical_tail(m, 0.5, 4.0, t)
+    assert abs(got - TAIL_AT_4[(m, t)]) <= est
+    assert est < 1e-11
+
+
+def test_tail_start_is_where_the_dropped_terms_meet_their_share():
+    for abs_err in (1e-8, 1e-10):
+        for m in (1, 2, 3, 5):
+            a0 = eta_module._tail_start(m, 0.5, abs_err)
+            target = eta_module._TAIL_SHARE * abs_err
+            assert 1.0 < a0 <= 5.0
+            assert eta_module._tail_bound(m, 0.5, a0) <= target
+            if a0 - 0.25 > 1.0:
+                assert eta_module._tail_bound(m, 0.5, a0 - 0.25) > target
+    # right of the tail start no quadrature is needed: c_m is the sum alone
+    assert eta_module._tail_start(1, 6.0, 1e-10) == 6.0
+
+
+def test_vertical_route_leaves_the_full_sieve_unbuilt():
+    # The tail's prime powers come from the sieve up to _TAIL_N; the
+    # SIEVE_LIMIT table would add about 18 MB to every eta caller.
+    code = ("from zeta_eta import approx, eta\n"
+            "eta.eta_vertical(0.5 + 30j, 2)\n"
+            "eta.c_m(0.5, 3)\n"
+            "eta.route_check(0.6 + 40j, 1)\n"
+            "built = (approx._lambda_table.cache_info().currsize,\n"
+            "         approx._prime_mask.cache_info().currsize)\n"
+            "hits = approx._lambda_table.cache_info().hits\n"
+            "approx._lambda_table(eta._TAIL_N)\n"
+            "print(built, approx._lambda_table.cache_info().hits - hits)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "(1, 1) 1"
 
 
 def test_c_m_structure_on_the_left_of_one():
