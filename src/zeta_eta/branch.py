@@ -79,12 +79,12 @@ class _Walk:
         self.g_prev = 0j
         self.nodes = 0
 
-    def spend(self, xs: np.ndarray) -> None:
-        """Count the nodes xs before they are evaluated; a walk past
-        _WALK_BUDGET nodes is refused."""
-        self.nodes += xs.size
+    def spend(self, count: int, x: float) -> None:
+        """Count count nodes, the first at x, before they are evaluated; a
+        walk past _WALK_BUDGET nodes is refused."""
+        self.nodes += count
         if self.nodes > _WALK_BUDGET:
-            s = self.origin + self.direction * float(xs[0])
+            s = self.origin + self.direction * x
             raise BudgetExceeded(f"the walk of log zeta near s = {s} "
                                  f"exceeded {_WALK_BUDGET} nodes")
 
@@ -97,11 +97,12 @@ class _Walk:
             out = out - np.log(self.pole + dx)
         return out
 
-    def principal(self, xs: np.ndarray, vals: list) -> np.ndarray:
+    def principal(self, xs: np.ndarray, vals) -> np.ndarray:
         """Principal log zeta minus the model at the nodes xs, from their
-        zeta values; a value of exactly 0 is refused."""
+        zeta values (a list or an array); a value of exactly 0 is
+        refused."""
         if 0 in vals:
-            s = self.origin + self.direction * xs[vals.index(0)]
+            s = self.origin + self.direction * xs[list(vals).index(0)]
             raise OnSingularity(f"zeta({s}) = 0 at working precision")
         return np.log(vals) - self.model(xs)
 
@@ -163,7 +164,7 @@ class BranchPath(_Walk):
         the last node, or with anchor from the principal value at the first:
         one zeta evaluation on the ray for all of them."""
         xs = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-        self.spend(xs)
+        self.spend(xs.size, float(xs[0]))
         vals, _, _ = _zeta_em(self.ray, xs, self.walk_prec, want_deriv=False)
         if anchor:
             self.x_prev = float(xs[0])

@@ -39,19 +39,23 @@ closed form.  Keeping the model local also keeps both pieces the same size
 as the answer -- subtracting every zero at once would balloon the two halves
 by a factor ~ N(t) log t and drown the result in rounding noise.
 
-A panel hands its integrand all 21 nodes at once, in ascending order.  They
-lie on the one vertical line Re s = sigma within 1/2 of the panel centre, so
-the sweep evaluates zeta at all of them in one pass on its zeta._Line (one
-Taylor expansion of the Dirichlet sum about the centre, or one per half
-where the line's reach is shorter) and the window
-model at all of them with one logarithm of the window-zeros x nodes matrix.
-It then walks the nodes in order: continuity of G along the ascending node
-sequence pins the winding integer of the principal logarithm at each
-sample, replacing a horizontal ray walk per sample.  A node whose step
-exceeds _CONT_STEP first gets the midpoint inserted as a node of its own.
-This is the rule, and branch._Walk the code, by which a horizontal ray pins
-its branch; the sweep's model keeps the table's multiplicities, which its
-closed-form integrals need, and moves its window from panel to panel.  The
+A panel hands its integrand all 21 nodes at once, in ascending order.  All
+nodes lie on the one vertical line Re s = sigma, and quadrature._nodes
+places them for the sweep as for the panel rule.  So the sweep counts every
+panel's nodes against the walk's budget first, and then evaluates zeta a
+block of panels (zeta._BLOCK_NODES nodes) ahead of its walk in one pass on
+its zeta._Line: one Taylor expansion of the Dirichlet sum per group of
+nearby nodes, a few groups' moments per matrix product, the
+Euler-Maclaurin correction one array pass.  A panel takes its nodes' values from the block
+and evaluates the window model at all of them with one logarithm of the
+window-zeros x nodes matrix.  It then walks the nodes in order: continuity
+of G along the ascending node sequence pins the winding integer of the
+principal logarithm at each sample, replacing a horizontal ray walk per
+sample.  A node whose step exceeds _CONT_STEP first gets the midpoint
+inserted as a node of its own, evaluated on demand.  This is the rule,
+and branch._Walk the code, by which a horizontal ray pins its branch; the
+sweep's model keeps the table's multiplicities, which its closed-form
+integrals need, and moves its window from panel to panel.  The
 sweep is anchored at u = 0 (closed-form branch value) and re-verified
 against the horizontal-ray branch at u = t.
 
@@ -73,6 +77,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,9 +87,9 @@ from .branch import (_WINDOW, SIGMA_START, _log_zeta_real, _Walk,
                      branch_path, log_zeta_with_err)
 from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .quadrature import _panel, integrate_adaptive
+from .quadrature import _NODES, _nodes, _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
-from .zeta import _UNIT_ROUNDOFF, _Line, _zeta_em
+from .zeta import _BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
 
@@ -280,7 +285,7 @@ def zero_sum_polynomial(m: int, sigma: float, t: float,
     Returns (value, rounding estimate).  Exactly 0 whenever no table zero
     has beta > sigma -- in particular for an on-line table and sigma >= 1/2.
     """
-    m = _integer(m, "m", 1)
+    m = _order(m, 1)
     sigma, t = _real(sigma, "sigma"), _real(t, "t")
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     mask = (gs > 0.0) & (gs < t) & (bs > sigma)
@@ -360,6 +365,10 @@ class _Sweep(_Walk):
         self.prec = prec
         self.line = _Line(self.sigma, prec.abs_err)
         self.anchored = False
+        # The fetched block: its nodes, their zeta values and remainder
+        # bounds, and the index of the first node not yet walked.
+        self._block = self._vals = self._rems = np.empty(0)
+        self._next = 0
 
     def set_window(self, wmu, wcc, wgam, has_pole: bool) -> None:
         old = self.model(self.x_prev) if self.anchored else 0j
@@ -381,35 +390,54 @@ class _Sweep(_Walk):
         self.x_prev, self.g_prev = 0.0, complex(g0)
         self.anchored = True
 
+    def fetch(self, us: np.ndarray) -> None:
+        """zeta at the next block of nodes us, ascending and already
+        spent: one _zeta_em pass on the sweep's line."""
+        vals, _, rems = _zeta_em(self.line, us, self.prec, want_deriv=False)
+        self._block, self._vals, self._rems = us, np.array(vals), np.array(rems)
+        self._next = 0
+
     def eval(self, u, depth: int = 0):
         """G(u) = log zeta(sigma+iu) - model(u), branch pinned by continuity,
         with each node's error bound.
 
-        u is a float, answered with (complex, float), or an ascending array
-        above the last node, answered with two arrays: one zeta evaluation
-        on the sweep's line for all its nodes, then a walk in order.
+        u is a float, spent and evaluated here (a midpoint insertion, the
+        check at the end), answered with (complex, float); or an array, the
+        next nodes of the fetched block, answered with two arrays.
         """
-        us = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        self.spend(us)
-        vals, _, rems = _zeta_em(self.line, us, self.prec, want_deriv=False)
+        if np.ndim(u) == 0:
+            us = np.array([u], dtype=np.float64)
+            self.spend(1, u)
+            vals, _, rems = _zeta_em(self.line, us, self.prec,
+                                     want_deriv=False)
+            vals, rems = np.array(vals), np.array(rems)
+        else:
+            us, take = u, slice(self._next, self._next + np.size(u))
+            if not np.array_equal(us, self._block[take]):
+                raise NumericalError("sweep nodes out of step with the "
+                                     "fetched block")
+            vals, rems = self._vals[take], self._rems[take]
+            self._next = take.stop
         g = self.pin(us, vals, depth)
-        err = np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
+        err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
         if np.ndim(u) == 0:
             return complex(g[0]), float(err[0])
         return g, err
 
 
-def _line_panels(t_eff: float, store: ZeroStore) -> list[tuple[float, float]]:
-    """Panels over [0, t_eff], edges at interior ordinates, width <= 1."""
+def _line_panels(t_eff: float, store: ZeroStore) -> np.ndarray:
+    """Panels over [0, t_eff], edges at interior ordinates, width <= 1: a
+    row (a, b) per panel."""
     gs = store.gammas
     inner = gs[(gs > 0.0) & (gs < t_eff)]
     edges = np.unique(np.concatenate(([0.0, t_eff], inner)))
-    panels = []
+    lo, hi = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         n_sub = max(1, int(math.ceil((b - a) / _PANEL_MAX)))
         sub = np.linspace(a, b, n_sub + 1)
-        panels.extend(zip(sub[:-1], sub[1:]))
-    return panels
+        lo.append(sub[:-1])
+        hi.append(sub[1:])
+    return np.column_stack((np.concatenate(lo), np.concatenate(hi)))
 
 
 def _segment_poly_log(j_max: int, a: float, b: float, c: float) -> list[complex]:
@@ -490,21 +518,36 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
         return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
 
     panels = _line_panels(t_eff, store)
+    # Every panel's nodes counted against the walk's budget before any zeta
+    # work; zeta comes a block of panels at a time, at the nodes _panel
+    # will hand the integrand.
+    sweep.spend(len(panels) * _NODES.size, 0.0)
+    block = _BLOCK_NODES // _NODES.size
     # Every panel's G integral and model pieces, summed exactly at the end:
     # the G integrals and the pieces each total about t^m and cancel to the
-    # answer, so two running sums would carry t^m rounding into it.
-    parts = []
+    # answer, so two running sums would carry t^m rounding into it.  Their
+    # real and imaginary parts are kept as doubles in two arrays.
+    parts = (array("d"), array("d"))
+
+    def keep(z: complex) -> None:
+        parts[0].append(z.real)
+        parts[1].append(z.imag)
+
     disc = 0.0
     node_est = 0.0
     mag = 0.0
     for p, (a, b) in enumerate(panels):
-        sel = (gam_all >= a - _WINDOW) & (gam_all <= b + _WINDOW)
+        if p % block == 0:
+            ends = panels[p:p + block]
+            sweep.fetch(_nodes(ends[:, :1], ends[:, 1:]).ravel())
+        sel = slice(np.searchsorted(gam_all, a - _WINDOW),
+                    np.searchsorted(gam_all, b + _WINDOW, side="right"))
         has_pole = a <= _WINDOW
         sweep.set_window(mu_all[sel], cc_all[sel], gam_all[sel], has_pole)
         if p == 0:
             sweep.anchor()
         val, p_disc, p_err = _panel(integrand, a, b)
-        parts.append(val)
+        keep(val)
         disc += p_disc
         node_est += p_err
         terms = list(zip(mu_all[sel], cc_all[sel], gam_all[sel]))
@@ -512,7 +555,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
             terms.append((-1.0, sigma - 1.0, 0.0))
         for mu, c, gam in terms:
             piece, piece_mag = _model_piece(m, t_eff, a, b, mu, c, gam)
-            parts.append(piece)
+            keep(piece)
             mag += piece_mag
 
     # The sweep's branch must land on the horizontal-ray branch at u = t.
@@ -528,8 +571,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
                 f"{f_end} vs {f_auth}")
 
     fact = math.factorial(m - 1)
-    value = complex(math.fsum(x.real for x in parts),
-                    math.fsum(x.imag for x in parts)) / fact
+    value = complex(*map(math.fsum, parts)) / fact
     est = (disc + node_est + 2e-16 * mag) / fact + 1e-15 * (1.0 + abs(value))
     return value, est
 

@@ -68,6 +68,16 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray]:
 # needs: it pins the branch of log zeta by continuity from one node to the
 # next.
 _NODES, _WEIGHTS = _kronrod_rule()
+# Each node is placed from its nearer end of the panel: a rounded midpoint
+# would shift every node alike, an error of the panel's whole integral.
+_LEFT, _FROM_A, _FROM_B = _NODES < 0.0, 1.0 + _NODES, 1.0 - _NODES
+
+
+def _nodes(a, b) -> np.ndarray:
+    """The 21 nodes of the panel [a, b] in ascending order; for columns a
+    and b of panel ends, a row per panel."""
+    half = 0.5 * (b - a)
+    return np.where(_LEFT, a + half * _FROM_A, b - half * _FROM_B)
 
 
 def _panel(f: Integrand, a: float, b: float) -> tuple[complex, float, float]:
@@ -76,10 +86,7 @@ def _panel(f: Integrand, a: float, b: float) -> tuple[complex, float, float]:
     f is called once, with the 21 nodes in strictly ascending order.
     """
     half = 0.5 * (b - a)
-    # Each node from its nearer end: a rounded midpoint would shift every
-    # node alike, an error of the panel's whole integral.
-    vals, errs = f(np.where(_NODES < 0.0, a + half * (1.0 + _NODES),
-                            b - half * (1.0 - _NODES)))
+    vals, errs = f(_nodes(a, b))
     v21, v10 = (_WEIGHTS @ vals).tolist()
     node_err = float(_WEIGHTS[0] @ errs)
     return complex(v21) * half, abs(v21 - v10) * half, node_err * half

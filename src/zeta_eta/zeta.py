@@ -19,20 +19,21 @@ phases n^-it, and a batch of nodes alpha + it on it is one real matrix
 product of the amplitudes n^-alpha with them; zeta' is the same product
 with the amplitudes times -log n.  A vertical line Re s = sigma (a _Line)
 -- the iterated eta sweep's, and that of _zeta_line, which evaluates zeta
-at many ordinates of one line for the distribution sampler -- keeps
-n^-sigma and the rows (log n)^k/k!, and a batch of nodes sigma + it close
-together on it takes its partial sums from one Taylor expansion of the
-Dirichlet sum about the batch's centre (the local step of
-Odlyzko-Schoenhage), whose truncation bound joins each node's remainder.
-A batch wider than the expansion's rounding allows is split in two, and
-_zeta_line cuts its sorted ordinates into groups that fill that width.
-The N^-s and Bernoulli terms and the remainder bound are per node, and
-every node is certified on its own: the nodes that miss the target go on
-together at the escalated cutoff.
+at many ordinates of one line for the distribution sampler -- takes a
+block of up to _BLOCK_NODES ascending ordinates per pass.  It cuts them
+into groups as wide as the expansion's rounding allows, and each group
+takes its partial sums from one Taylor expansion of the Dirichlet sum about
+its centre (the local step of Odlyzko-Schoenhage), whose truncation bound
+joins each node's remainder; a few groups' moments are one matrix
+product.  The N^-s and Bernoulli terms and the remainder bound
+(_em_correction) are written once: a _Ray applies them node by node, a
+_Line to a whole pass as arrays.  Every node is certified on its own: the
+nodes that miss the target go on together at the escalated cutoff.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -68,17 +69,27 @@ _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
 # A _Line's expansion truncation may use this share of the certification
 # target, so it never decides an escalation.
 _TAYLOR_SHARE = 1e-3
-# A _Line batch reaches x = |d| log N from its centre, and its expansion
+# A _Line group reaches x = |d| log N from its centre, and its expansion
 # rounds off about mass (e^x - 1) u more than the direct sum, where
-# mass = sum_{n<N} n^-sigma and u is the unit roundoff.  A batch may reach
+# mass = sum_{n<N} n^-sigma and u is the unit roundoff.  A group may reach
 # the x where that is _TAYLOR_SHARE of the target too, and at least
 # _TAYLOR_REACH, where it is at most 6.4 mass u: less than the rounding of
 # the direct sum's own phases, mass |t| log N u, at every t >= 2.3 (N >= 16).
-# A sweep panel, at most 1 wide, reaches x = log(N)/2, past that floor above
-# N = e^4; such a batch is split in two at its centre (in route_check at
-# 0.5 + 2140i, 2230 of 3616 batches, which reach x = 3.65; none at 2 + 1900i).
+# The sweep of eta_iterated(0.5 + 2140i, 1) takes 3,450 groups of 20 nodes on
+# average in 116 passes, and that at 2 + 1900i 1,172 of 46 in 83.
 _TAYLOR_REACH = 2.0
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Nodes a _Line pass takes at most: the iterated eta sweep evaluates zeta a
+# block of 32 panels ahead of its walk, and _zeta_line its sorted ordinates,
+# in blocks of this many.  The array Euler-Maclaurin correction costs a pass
+# about 95 us plus 0.13 us a node, so a block of 672 nodes pays 0.28 us a
+# node where the loop over complex numbers pays 6-7 us.
+_BLOCK_NODES = 672
+# Groups of a pass whose moments one product takes: their phases n^-ic are
+# (cutoff x 2 x _GROUP_CHUNK) doubles whatever the pass's size.  This keeps
+# the sweep's peak memory at t = 2140 below that of one pass per panel
+# (1.2 against 1.6 MB under tracemalloc), and ran no slower than more.
+_GROUP_CHUNK = 4
 # Here every term n^-s with n >= 2 underflows, and with N^-s every
 # correction term, so zeta = 1 in double precision; a _Ray evaluates a node
 # further right here, before the correction factors s^2k/N^2k overflow.
@@ -171,25 +182,26 @@ _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
 
 
 class _Line:
-    """One vertical line Re s = sigma, for batches of nodes close together
-    on it.  Its nodes are the ordinates t, ascending in a batch.  The
-    iterated eta sweep evaluates its panels on one, and _zeta_line the
-    distribution sampler's ordinates.
+    """One vertical line Re s = sigma, for blocks of nodes on it.  Its nodes
+    are the ordinates t, ascending in a block.  The iterated eta sweep
+    evaluates its panels on one, a block of panels at a time, and
+    _zeta_line the distribution sampler's ordinates.
 
-    The line keeps the amplitudes n^-sigma and the rows (log n)^k/k!,
-    computed once and grown with the cutoff.  A batch with centre c and
-    offsets d_j = t_j - c takes its partial sums from one expansion,
+    The line keeps the rows n^-sigma (log n)^k/k!, computed once and grown
+    with the cutoff.  A pass cuts its ordinates greedily into groups no
+    wider than 2 reach / log N; a group with centre c and offsets
+    d_j = t_j - c takes its partial sums from one expansion,
 
         sum_n n^-(sigma+it_j) = sum_{k<K} (-i d_j)^k M_k,
         M_k = sum_n n^-(sigma+ic) (log n)^k/k!,
 
-    so M is one real (K x N)(N x 2) product and the node values are one
-    (nodes x K) product.  K is the smallest order whose truncation bound
-    sum_n n^-sigma (|d| log N)^K/K! e^(|d| log N) is below
-    _TAYLOR_SHARE of the certification target 0.25 abs_err; that bound is
-    added to each node's remainder.  A batch reaching further than
-    reach(N) from its centre is split in two at its centre, so its
-    rounding stays within the bound stated at _TAYLOR_REACH.
+    so the moments of _GROUP_CHUNK groups at a time are one real product of
+    the (K x N) rows with the (N x 2 groups) phases n^-ic of their centres,
+    and their nodes' sums one product of the powers d_j^k with them.  K is
+    the smallest order whose truncation bound
+    sum_n n^-sigma (|d| log N)^K/K! e^(|d| log N) is below _TAYLOR_SHARE of
+    the certification target 0.25 abs_err at the pass's widest reach; each
+    node's own bound is added to its remainder.
     """
 
     __slots__ = ("sigma", "_trunc_target", "_amp", "_rows")
@@ -198,23 +210,18 @@ class _Line:
         self.sigma = sigma
         self._trunc_target = _TAYLOR_SHARE * 0.25 * abs_err
         self._amp = np.empty(0)                 # n^-sigma
-        self._rows = np.empty((0, 0))           # (log n)^k / k!
+        self._rows = np.empty((0, 0))           # n^-sigma (log n)^k / k!
 
-    def points(self, ts: list[float]) -> list[complex]:
-        return [complex(self.sigma, t) for t in ts]
+    def points(self, ts) -> np.ndarray:
+        return self.sigma + 1j * np.asarray(ts, dtype=np.float64)
 
     def first_cutoff(self, ts: list[float], abs_err: float) -> int:
         return _initial_cutoff(self.sigma, self.sigma, max(map(abs, ts)),
                                abs_err)
 
-    def mass(self, n_cut: int) -> float:
-        """sum_{n<N} n^-sigma at cutoff N = n_cut."""
-        amp, _ = self._tables(n_cut, 1)
-        return float(amp.sum())
-
     def reach(self, mass: float) -> float:
-        """The largest x = |d| log N a batch may reach at a cutoff of this
-        mass."""
+        """The largest x = |d| log N a group may reach at a cutoff where
+        sum_{n<N} n^-sigma is mass."""
         return max(_TAYLOR_REACH, math.log1p(
             self._trunc_target / (mass * _UNIT_ROUNDOFF)))
 
@@ -227,50 +234,116 @@ class _Line:
                 # Headroom, so a sweep climbing in t regrows them rarely.
                 n = min(max(n_cut - 1, have_n + have_n // 4), _LOG_N.size)
             k = max(order, have_k)
+            self._rows = None           # freed before the larger one is built
             logn = _LOG_N[:n]
+            self._amp = np.exp(logn * -self.sigma)
             rows = np.empty((k, n))
-            rows[0] = 1.0
+            rows[0] = self._amp
             for j in range(1, k):
                 np.multiply(rows[j - 1], logn, out=rows[j])
                 rows[j] /= j
-            self._amp = np.exp(logn * -self.sigma)
             self._rows = rows
         return self._amp[:n_cut - 1], self._rows[:order, :n_cut - 1]
 
-    def partial_sums(self, n_cut: int, ts: list[float],
-                     want_deriv: bool) -> tuple[list, list, None, list]:
+    @staticmethod
+    def groups(ts: list[float], width: float) -> list[int]:
+        """Where each group of the ascending ordinates ts starts: cut
+        greedily, each group no wider than width."""
+        starts = [0]
+        while (nxt := bisect.bisect_right(ts, ts[starts[-1]] + width,
+                                          starts[-1])) < len(ts):
+            starts.append(nxt)
+        return starts
+
+    def partial_sums(self, n_cut: int, ts, want_deriv: bool
+                     ) -> tuple[np.ndarray, np.ndarray, None, np.ndarray]:
         """The nodes s, sum_{n<N} n^-s at each node, and the truncation
-        bound of each node's expansion.  The line serves values only, no
-        zeta'."""
+        bound of each node's expansion, as arrays.  The line serves values
+        only, no zeta'."""
         if want_deriv:
             raise NotImplementedError("a _Line evaluates no derivative")
-        t = np.array(ts)
-        centre = 0.5 * (t.min() + t.max())
-        d = t - centre
-        x = np.abs(d) * math.log(n_cut)
+        t = np.asarray(ts, dtype=np.float64)
+        logn = _LOG_N[:n_cut - 1]
+        mass = float(self._tables(n_cut, 1)[0].sum())   # sum n^-sigma
+        log_cut = math.log(n_cut)
+        # Group g holds the nodes ends[g] .. ends[g + 1] - 1.
+        ends = np.append(self.groups(t.tolist(),
+                                     2.0 * self.reach(mass) / log_cut), t.size)
+        group = np.repeat(np.arange(ends.size - 1), np.diff(ends))
+        centre = 0.5 * (t[ends[:-1]] + t[ends[1:] - 1])
+        d = t - centre[group]
+        x = np.abs(d) * log_cut
         x_max = float(x.max())
-        mass = self.mass(n_cut)
-        if x_max > self.reach(mass):
-            cut = int(np.searchsorted(t, centre, side="right"))
-            low = self.partial_sums(n_cut, ts[:cut], False)
-            high = self.partial_sums(n_cut, ts[cut:], False)
-            return (low[0] + high[0], low[1] + high[1], None,
-                    low[3] + high[3])
         order, bound = 1, mass * math.exp(x_max) * x_max
         while bound > self._trunc_target:
             order += 1
             bound *= x_max / order
-        amp, rows = self._tables(n_cut, order)
-        arg = _LOG_N[:n_cut - 1] * -centre
-        terms = np.empty((arg.size, 2))         # (Re, Im) of n^-(sigma+ic)
-        np.multiply(amp, np.cos(arg), out=terms[:, 0])
-        np.multiply(amp, np.sin(arg), out=terms[:, 1])
-        # (-i)^k M_k, so that the node sums are real powers d^k times it.
-        moments = ((rows @ terms).view(np.complex128)[:, 0]
-                   * _MINUS_I_POW[np.arange(order) % 4])
-        sums = (np.vander(d, order, increasing=True) @ moments).tolist()
+        _, rows = self._tables(n_cut, order)
+        minus_i_pow = _MINUS_I_POW[np.arange(order) % 4, None]
+        sums = np.empty(t.size, dtype=np.complex128)
+        for g in range(0, centre.size, _GROUP_CHUNK):
+            c = centre[g:g + _GROUP_CHUNK]
+            nodes = slice(ends[g], ends[g + c.size])
+            # (Re, Im) of n^-ic, a column pair per group centre c.
+            phases = np.empty((logn.size, c.size, 2))
+            arg = np.multiply.outer(logn, -c, out=phases[..., 1])
+            np.cos(arg, out=phases[..., 0])
+            np.sin(arg, out=phases[..., 1])
+            # (-i)^k M_k, so that the node sums are real powers d^k times
+            # it; every node against every group's moments, as real
+            # pairs, and each node keeps its own group's sum.
+            moments = (rows @ phases.reshape(logn.size, -1)).view(
+                np.complex128) * minus_i_pow
+            part = (np.vander(d[nodes], order, increasing=True)
+                    @ moments.view(np.float64)).view(np.complex128)
+            sums[nodes] = part[np.arange(part.shape[0]), group[nodes] - g]
         trunc = mass * x ** order / math.factorial(order) * np.exp(x)
-        return self.points(ts), sums, None, trunc.tolist()
+        return self.points(t), sums, None, trunc
+
+
+def _em_correction(n_cut: int, logN: float, s, partial, trunc,
+                   dpartial=None):
+    """zeta at the nodes s from their partial sums sum_{n<N} n^-s, at the
+    cutoff N = n_cut with logN = log N: the N^-s and Bernoulli terms and
+    the remainder bound, on one complex node (a _Ray's, with zeta' when
+    dpartial = -sum log n n^-s is given) or on arrays of nodes (a _Line's).
+    Returns (zeta, zeta' or 0, bound); the bound covers the value (the
+    derivative bound is within a factor log N + order of it, folded in
+    here) plus the partial sums' own trunc.
+    """
+    exp = cmath.exp if type(s) is complex else np.exp
+    order = _CORRECTION_ORDER
+    inv_N2 = 1.0 / (n_cut * n_cut)
+    npow_N = exp(-s * logN)             # N^-s
+    sm1 = s - 1.0
+    val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
+    # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, where u_1 = s/N
+    # and u_k -> u_{k+1} multiplies by (s+2k-1)(s+2k)/N^2.
+    u = s / n_cut
+    for coef, k1, k2 in _STEPS:
+        val += coef * u * npow_N
+        u = u * (s + k1) * (s + k2) * inv_N2
+    der = 0j
+    if dpartial is not None:
+        der = (dpartial
+               - logN * n_cut * npow_N / sm1
+               - n_cut * npow_N / (sm1 * sm1) - 0.5 * logN * npow_N)
+        w, dw = s / n_cut, 1.0 / n_cut      # u_k and d/ds u_k
+        for coef, k1, k2 in _STEPS:
+            der += coef * (dw - logN * w) * npow_N
+            f1, f2 = s + k1, s + k2
+            dw = (dw * f1 * f2 + w * (f1 + f2)) * inv_N2
+            w = w * f1 * f2 * inv_N2
+
+    # First omitted term bounds the remainder.
+    tail = _BFRAC[order] * u * npow_N
+    # sigma >= -1 at every entry, so the denominator is at least 20.
+    rem = abs(tail) * (abs(s + 2 * order + 1)
+                       / (s.real + 2 * order + 1)) + trunc
+    if dpartial is not None:
+        # The differentiated terms pick up roughly a log N factor.
+        rem *= logN + 2 * order + 2
+    return val, der, rem
 
 
 def _euler_maclaurin(line, n_cut: int, coords: list[float],
@@ -279,58 +352,29 @@ def _euler_maclaurin(line, n_cut: int, coords: list[float],
     with coordinates coords.
 
     Returns lists (zeta, zeta', remainder_bound), one entry per node, and
-    refuses a cutoff above _MAX_CUTOFF.  The line supplies the partial
-    sums of all its nodes at once; the N^-s and Bernoulli terms cost
-    O(order) per node.  zeta' is only meaningful when want_deriv is set; the
-    remainder bound covers the value (the derivative bound is within a
-    factor log N + order of it, folded in here).
+    refuses a cutoff above _MAX_CUTOFF.  The line supplies the partial sums
+    of all its nodes at once.  A _Ray's batches are small, so the
+    correction runs node by node on complex numbers; a _Line's runs once,
+    on arrays.  zeta' is only meaningful when want_deriv is set.
     """
     if n_cut > _MAX_CUTOFF:
         raise BudgetExceeded(
             f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
             f"at s={line.points(coords[:1])[0]}")
-    order = _CORRECTION_ORDER
     points, sums, dsums, truncs = line.partial_sums(n_cut, coords,
                                                     want_deriv)
-    if not want_deriv:
-        dsums = sums        # unread; one loop serves both cases
-
     logN = math.log(n_cut)
-    inv_N2 = 1.0 / (n_cut * n_cut)
+    if isinstance(points, np.ndarray):
+        val, _, rem = _em_correction(n_cut, logN, points, sums, truncs)
+        return val.tolist(), [0j] * val.size, rem.tolist()
     vals, ders, rems = [], [], []
-    for s, partial, dpartial, trunc in zip(points, sums, dsums, truncs):
-        npow_N = cmath.exp(-s * logN)       # N^-s
-        sm1 = s - 1.0
-        val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
-        # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, where u_1 = s/N
-        # and u_k -> u_{k+1} multiplies by (s+2k-1)(s+2k)/N^2.
-        u = s / n_cut
-        for coef, k1, k2 in _STEPS:
-            val += coef * u * npow_N
-            u = u * (s + k1) * (s + k2) * inv_N2
-        if want_deriv:
-            der = (dpartial
-                   - logN * n_cut * npow_N / sm1
-                   - n_cut * npow_N / (sm1 * sm1) - 0.5 * logN * npow_N)
-            w, dw = s / n_cut, 1.0 / n_cut      # u_k and d/ds u_k
-            for coef, k1, k2 in _STEPS:
-                der += coef * (dw - logN * w) * npow_N
-                f1, f2 = s + k1, s + k2
-                dw = (dw * f1 * f2 + w * (f1 + f2)) * inv_N2
-                w = w * f1 * f2 * inv_N2
-            ders.append(der)
-
-        # First omitted term bounds the remainder.
-        tail = _BFRAC[order] * u * npow_N
-        # sigma >= -1 at every entry, so the denominator is at least 20.
-        rem = abs(tail) * (abs(s + 2 * order + 1)
-                           / (s.real + 2 * order + 1)) + trunc
-        if want_deriv:
-            # The differentiated terms pick up roughly a log N factor.
-            rem *= logN + 2 * order + 2
+    for node in zip(points, sums, truncs,
+                    dsums if want_deriv else [None] * len(sums)):
+        val, der, rem = _em_correction(n_cut, logN, *node)
         vals.append(val)
+        ders.append(der)
         rems.append(rem)
-    return vals, ders if want_deriv else [0j] * len(vals), rems
+    return vals, ders, rems
 
 
 def _zeta_em(line, coords, prec: EvalPrecision,
@@ -365,9 +409,9 @@ def _zeta_line(sigma: float, ts,
     in their order.
 
     An ordinate that zeta sends to extended precision goes there, its bound
-    the target 0.25 abs_err.  The others are sorted and cut into groups on
-    one _Line, each as wide as an expansion reaches at the cutoff of its
-    top ordinate, and each group is one _zeta_em call.
+    the target 0.25 abs_err.  The others are sorted and go through _zeta_em
+    on one _Line in blocks of _BLOCK_NODES, each block one pass (and one
+    more for the nodes that miss the target), which groups them.
     """
     abs_err = prec.abs_err
     ts = np.asarray(ts, dtype=np.float64)
@@ -380,23 +424,10 @@ def _zeta_line(sigma: float, ts,
     for i in order[extended]:
         vals[i] = _zeta_extended(complex(sigma, ts[i]), abs_err)
     order = order[~extended]
-    line, line_ts = _Line(sigma, abs_err), ts[order]
-    lo = 0
-    while lo < line_ts.size:
-        # The cutoff grows with t and the reach shrinks as it grows: the
-        # width taken at the cutoff of a first guess of the top, made at
-        # the bottom's, cuts a group that ends below that guess, so within
-        # its own reach.
-        start = top = float(line_ts[lo])
-        for _ in range(2):
-            n_cut = line.first_cutoff([top], abs_err)
-            half_width = line.reach(line.mass(n_cut)) / math.log(n_cut)
-            top = start + 2.0 * half_width
-        hi = int(np.searchsorted(line_ts, top, side="right"))
-        group = order[lo:hi]
-        vals[group], _, rems[group] = _zeta_em(line, line_ts[lo:hi], prec,
-                                               False)
-        lo = hi
+    line = _Line(sigma, abs_err)
+    for lo in range(0, order.size, _BLOCK_NODES):
+        block = order[lo:lo + _BLOCK_NODES]
+        vals[block], _, rems[block] = _zeta_em(line, ts[block], prec, False)
     return vals, rems
 
 

@@ -295,23 +295,25 @@ def test_tail_table_fractions_pinned(store, seed, fractions):
 
 
 def test_measure_sigma_matches_per_sample_zeta(store, monkeypatch):
-    # 100 samples in [1000, 2000] lie about 10 apart, so most groups hold
-    # one ordinate; each value is within 0.5 abs_err of zeta at its sample
-    # alone, and the estimate is the one those values give
+    # 100 samples in [1000, 2000] lie about 10 apart, so most groups of the
+    # first pass hold one ordinate; each value is within 0.5 abs_err of zeta
+    # at its sample alone, and the estimate is the one those values give
     grid = GridSpec(count=100, seed=5)
     ts = _samples(grid, 1000.0, 2000.0, store)
-    groups = []
-    evaluate = _ZETA_MODULE._zeta_em
+    passes = []
+    cut = _ZETA_MODULE._Line.groups
 
-    def recorded(line, coords, prec, want_deriv):
-        groups.append(np.size(coords))
-        return evaluate(line, coords, prec, want_deriv)
+    def recorded(ts, width):
+        starts = cut(ts, width)
+        passes.append(np.diff(starts, append=len(ts)))
+        return starts
 
-    monkeypatch.setattr(_ZETA_MODULE, "_zeta_em", recorded)
+    monkeypatch.setattr(_ZETA_MODULE._Line, "groups", staticmethod(recorded))
     vals, _ = _ZETA_MODULE._zeta_line(0.5, ts, DEFAULT_PRECISION)
     monkeypatch.undo()
-    assert sum(groups) == 100
-    assert sum(g == 1 for g in groups) > len(groups) / 2
+    sizes = passes[0]
+    assert sizes.sum() == 100
+    assert np.sum(sizes == 1) > sizes.size / 2
     alone = [zeta(complex(0.5, t)) for t in ts.tolist()]
     for v, a in zip(vals, alone):
         assert abs(v - a) <= 0.5 * DEFAULT_PRECISION.abs_err

@@ -6,16 +6,19 @@ c_m references were frozen from split tanh-sinh quadrature at 25 digits
 is the one-sided limit -pi, integrating to -pi (1-sigma)^m / m).
 """
 
+import cmath
 import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zeta_eta import eta as eta_module
 from zeta_eta import quadrature
+from zeta_eta.approx import y_m
 from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
                              ValidationError)
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
@@ -174,6 +177,20 @@ def test_zero_sum_polynomial_hand_case():
                     * (b - sigma) ** (m - k) * (t - g) ** k)
         got, est = zero_sum_polynomial(m, sigma, t, st)
         assert abs(got - ref) <= max(est, 1e-12), m
+
+
+def test_zero_sum_polynomial_refuses_m_above_the_limit():
+    # with a zero right of sigma, m = 200 overflowed a float in the
+    # factorials; it is refused naming m, directly and through y_m, while
+    # the largest m accepted still answers finite
+    st = ZeroStore([ZeroRecord(10.0, 0.8), ZeroRecord(40.0, 0.5)], "test")
+    with pytest.raises(ValidationError, match="m=200"):
+        zero_sum_polynomial(200, 0.5, 30.0, st)
+    with pytest.raises(ValidationError, match="m=200"):
+        y_m(complex(0.5, 30.0), 3.0, 200, st)
+    val, est = zero_sum_polynomial(eta_module._M_MAX, 0.5, 30.0, st)
+    assert eta_module._M_MAX == 82
+    assert cmath.isfinite(val) and math.isfinite(est)
 
 
 def test_zero_sum_empty_is_exact_zero(store):
@@ -351,13 +368,28 @@ def test_sweep_budget_counts_nodes(store, monkeypatch):
         eta_iterated(complex(0.5, 30.0), 1, store)
 
 
+def test_sweep_peak_memory_at_the_table_top(store):
+    # tracemalloc's peak over eta_iterated(0.5 + 2140i, 1), after a warm-up
+    # at t = 100: with one zeta pass per sweep panel this test measured
+    # 1,587,681 bytes, and with a block of 32 panels per pass 1,220,925
+    # (CPython 3.11.7, numpy 2.4.6)
+    eta_iterated(complex(0.5, 100.0), 1, store)
+    tracemalloc.start()
+    try:
+        eta_iterated(complex(0.5, 2140.0), 1, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_587_681
+
+
 def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
-    # one node of a panel's batch evaluating to exactly zero
+    # one node of a fetched block of panels evaluating to exactly zero
     real_em = eta_module._zeta_em
 
     def with_zero(line, coords, prec, want_deriv):
         vals, ders, rems = real_em(line, coords, prec, want_deriv)
-        if len(vals) == quadrature._NODES.size:
+        if len(vals) > quadrature._NODES.size:
             vals[7] = 0j
         return vals, ders, rems
 

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from zeta_eta.errors import (BudgetExceeded, NearSingularity, PoleAtOne,
                              ValidationError)
 from zeta_eta.precision import EvalPrecision
+from zeta_eta import eta as _ETA_MODULE
 from zeta_eta.quadrature import _NODES
+from zeta_eta.quadrature import _nodes as _quadrature_nodes
 from zeta_eta.zeta import hardy_z, log_gamma, theta, zeta, zeta_log_deriv
 
 # 40-digit oracle values, rounded to double precision.
@@ -319,6 +321,41 @@ def test_line_escalates_only_the_nodes_that_miss(monkeypatch):
     assert later == ts.tolist()[ts.size - len(later):]
     assert all(set(nodes) <= set(later) for _, nodes in passes[1:])
     _check_line_batch(0.5, ts, vals, rems, prec)
+
+
+@pytest.mark.parametrize("sigma", [-0.9, 0.5, 2.0])
+def test_line_block_of_sweep_panels_against_mpmath(sigma, store):
+    # the block of iterated-sweep panels that ends at t = 2140, its nodes
+    # placed as the panel rule places them, in one _zeta_em call on a
+    # _Line as the sweep makes it: each node within its remainder (plus
+    # rounding) of the node alone, and every 8th of the 30-digit value
+    block = _ZETA_MODULE._BLOCK_NODES // _NODES.size
+    panels = _ETA_MODULE._line_panels(2140.0, store)[-block:]
+    ts = _quadrature_nodes(panels[:, :1], panels[:, 1:]).ravel()
+    assert ts.size == _ZETA_MODULE._BLOCK_NODES
+    vals, _, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC, False)
+    _check_line_batch(sigma, ts, vals, rems, every=8)
+
+
+def test_em_correction_on_arrays_matches_node_by_node():
+    # the one correction body, on arrays (a _Line's pass) and on complex
+    # numbers (a _Ray's nodes), at three cutoffs over sigma in [-1, 3],
+    # t in [0, 2150]: values and bounds agree to a few ulps
+    rng = np.random.default_rng(15)
+    for n_cut in (16, 300, 5000):
+        s = rng.uniform(-1.0, 3.0, 100) + 1j * rng.uniform(0.0, 2150.0, 100)
+        trunc = rng.uniform(0.0, 1e-12, 100)
+        log_n = math.log(n_cut)
+        vals, ders, rems = _ZETA_MODULE._em_correction(
+            n_cut, log_n, s, np.zeros(100, dtype=complex), trunc)
+        assert ders == 0j
+        for j in range(100):
+            v, _, r = _ZETA_MODULE._em_correction(
+                n_cut, log_n, complex(s[j]), 0j, float(trunc[j]))
+            scale = abs(v) + n_cut ** (1.0 - s[j].real) / abs(s[j] - 1.0)
+            assert abs(vals[j] - v) <= 16 * 2.0 ** -52 * scale, (n_cut, j)
+            assert abs(rems[j] - r) <= 16 * 2.0 ** -52 * r, (n_cut, j)
 
 
 def test_line_tables_grow_only_the_short_axis():

@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the fixed CLI invocations whose output the project
+keeps byte-identical across performance changes.
+
+Each invocation runs in this process through zeta_eta.cli.main, writing its
+CSV and JSON mirror into a temporary directory; the digest is taken over the
+CSV bytes followed by the JSON bytes, one line per invocation.  `eval
+--check-routes` writes no files, so its digest is over what it prints.  Two
+trees give the same outputs when they print the same lines:
+
+    PYTHONPATH=src python tools/cli_digests.py > digests.txt
+
+The invocations: `dist tails`, `dist tmeasure` and `dist moments` at the
+benchmark's sizes (T = 1000) for seeds 1-3, the `residual-scan` grid
+m = 1, X in {10, 100, 1000}, sigma = 1/2, t = 100, 750, 1400, and
+`eval --what eta --check-routes` at 0.8 + 700.3i for m = 1, 2.  The exit
+status is 1 when an invocation exits non-zero.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from zeta_eta.cli import main
+
+DIST = {
+    "tails": ["--count", "10000", "--v-list", "0,0.5,1"],
+    "tmeasure": ["--count", "100", "--x", "100", "--v", "0.5", "--m", "1"],
+    "moments": ["--count", "100", "--x", "10", "--m", "1", "--k", "1",
+                "--waive-range"],
+}
+SCAN = ["residual-scan", "--m", "1", "--x-list", "10,100,1000",
+        "--sigma", "0.5", "--t-from", "100", "--t-to", "1400",
+        "--t-step", "650"]
+
+
+def invocations() -> list[tuple[list[str], bool]]:
+    """(argv, writes files) for every fixed invocation, in print order."""
+    runs = [(["dist", sub, "--t-big", "1000", "--seed", str(seed)] + extra,
+             True)
+            for seed in (1, 2, 3) for sub, extra in DIST.items()]
+    runs.append((SCAN, True))
+    runs += [(["eval", "--what", "eta", "--s", "0.8+700.3i", "--m", str(m),
+               "--check-routes"], False) for m in (1, 2)]
+    return runs
+
+
+def digest(argv: list[str], writes_files: bool, tmp: str) -> tuple[str, int]:
+    """The SHA-256 of one invocation's output, and its exit status."""
+    out = io.StringIO()
+    path = os.path.join(tmp, "out.csv")
+    with contextlib.redirect_stdout(out):
+        code = main((["--out", path] if writes_files else []) + argv)
+    data = out.getvalue().encode()
+    if writes_files and code == 0:
+        data = b""
+        for name in (path, path + ".json"):
+            with open(name, "rb") as fh:
+                data += fh.read()
+    return hashlib.sha256(data).hexdigest(), code
+
+
+def run() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, writes_files in invocations():
+            sha, code = digest(argv, writes_files, tmp)
+            failed += code != 0
+            print(f"{sha}  {' '.join(argv)}"
+                  + (f"  (exit {code})" if code else ""))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
