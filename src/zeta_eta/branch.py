@@ -9,7 +9,8 @@ The walk subtracts the local model
     model(s) = sum_rho Log(s - rho) - [pole] Log(s - 1)
 
 over the zeros with |gamma - t| <= _WINDOW, each taken once, and the pole
-when t <= _WINDOW.  Along the ray each Log(s - rho) is continuous and the
+when t <= _WINDOW: one table of rows (mu, rho), the pole the row
+(-1, 1).  Along the ray each Log(s - rho) is continuous and the
 model carries every nearby jump of the argument, so G = log zeta - model
 varies slowly, and the branch at a node is the one whose G lies within pi
 of the last node's; a step of G above _CONT_STEP first inserts the
@@ -65,11 +66,13 @@ class _Walk:
     continuity from node to node.
 
     The line's points are s = origin + direction * x for real coordinates
-    x.  The window holds weights mu, rel = origin - rho for its zeros, and
-    pole = origin - 1 when the pole is in it (else None).  A subclass
-    evaluates zeta on its line in eval(x, depth), which counts the nodes
-    with spend and pins them in order with pin; _pin inserts a midpoint
-    through eval.
+    x.  The window is one table of log terms, the model mu @ Log(rel + x
+    direction), with a row per term: a weight mu and rel = origin - rho.  A
+    zero's row weighs 1 on a ray and its multiplicity in the sweep; the
+    pole, when in the window, is the first row, weight -1 at rho = 1.  A
+    subclass evaluates zeta on its line in eval(x, depth), which counts the
+    nodes with spend and pins them in order with pin; _pin inserts a
+    midpoint through eval.
     """
 
     def __init__(self, origin: complex, direction: complex):
@@ -88,14 +91,11 @@ class _Walk:
             raise BudgetExceeded(f"the walk of log zeta near s = {s} "
                                  f"exceeded {_WALK_BUDGET} nodes")
 
-    def model(self, x, include_pole: bool = True):
+    def model(self, x):
         """The window's log terms at x, a float or an array: one np.log of
-        the window-zeros x nodes matrix."""
+        the rows x nodes matrix."""
         dx = self.direction * np.asarray(x, dtype=np.float64)
-        out = self.mu @ np.log(np.add.outer(self.rel, dx))
-        if self.pole is not None and include_pole:
-            out = out - np.log(self.pole + dx)
-        return out
+        return self.mu @ np.log(np.add.outer(self.rel, dx))
 
     def principal(self, xs: np.ndarray, vals) -> np.ndarray:
         """Principal log zeta minus the model at the nodes xs, from their
@@ -151,11 +151,12 @@ class BranchPath(_Walk):
         self.walk_prec = min(prec, DEFAULT_PRECISION, key=lambda p: p.abs_err)
         lo = int(np.searchsorted(store.gammas, t - _WINDOW))
         hi = int(np.searchsorted(store.gammas, t + _WINDOW, side="right"))
-        window = [store.record(i) for i in range(lo, hi)]
-        self.mu = np.ones(len(window))
-        self.rel = np.array([complex(-z.beta, t - z.gamma) for z in window],
-                            dtype=np.complex128)
-        self.pole = -1.0 + 1j * t if t <= _WINDOW else None
+        rows = [(-1.0, 1.0, 0.0)] if t <= _WINDOW else []
+        rows += [(1.0, z.beta, z.gamma) for z in map(store.record,
+                                                     range(lo, hi))]
+        self.mu = np.array([mu for mu, _, _ in rows])
+        self.rel = np.array([complex(-beta, t - gamma)
+                             for _, beta, gamma in rows], dtype=np.complex128)
         self.xs: list[float] = []
         self.gs: list[complex] = []
 

@@ -27,17 +27,19 @@ or has a logarithmic singularity (zero at sigma itself).  The line [0, t]
 is cut into panels of width <= 1 with edges at the ordinates, and on each
 panel the integrand splits as
 
-    log zeta(sigma+iu) = G(u) + sum_rho mult Log(sigma-beta + i(u-gamma))
-                              - [pole] Log(sigma-1 + iu),
+    log zeta(sigma+iu) = G(u) + sum_rows mu Log(sigma-beta + i(u-gamma)),
 
-where the sum runs over the pole and the zeros whose ordinate lies within
-1.5 of the panel.  The model reproduces every nearby jump and logarithmic
-singularity exactly, so G is analytic on a neighborhood of the panel of
-radius 1.5; G is integrated panel by panel with quadrature._panel, the
-library's one Gauss(10)/Kronrod(21) rule, while the model terms integrate in
-closed form.  Keeping the model local also keeps both pieces the same size
-as the answer -- subtracting every zero at once would balloon the two halves
-by a factor ~ N(t) log t and drown the result in rounding noise.
+a table of log terms whose rows (mu, rho = beta + i gamma) are the zeros,
+mu their multiplicity, and the pole, the row (-1, 1) at ordinate 0; a
+panel's window holds the rows whose ordinate lies within 1.5 of it.  The
+model reproduces every nearby jump and logarithmic singularity exactly, so
+G is analytic on a neighborhood of the panel of radius 1.5; G is integrated
+panel by panel with quadrature._panel, the library's one
+Gauss(10)/Kronrod(21) rule.  A row lies in one contiguous run of panels,
+and its model term integrates in closed form once over the run.  Keeping
+the model local also keeps both pieces the same size as the answer --
+subtracting every zero at once would balloon the two halves by a factor
+~ N(t) log t and drown the result in rounding noise.
 
 A panel hands its integrand all 21 nodes at once, in ascending order.  All
 nodes lie on the one vertical line Re s = sigma, and quadrature._nodes
@@ -48,7 +50,7 @@ its zeta._Line: one Taylor expansion of the Dirichlet sum per group of
 nearby nodes, a few groups' moments per matrix product, the
 Euler-Maclaurin correction one array pass.  A panel takes its nodes' values from the block
 and evaluates the window model at all of them with one logarithm of the
-window-zeros x nodes matrix.  It then walks the nodes in order: continuity
+window-rows x nodes matrix.  It then walks the nodes in order: continuity
 of G along the ascending node sequence pins the winding integer of the
 principal logarithm at each sample, replacing a horizontal ray walk per
 sample.  A node whose step exceeds _CONT_STEP first gets the midpoint
@@ -355,9 +357,9 @@ _PANEL_MAX = 1.0
 
 
 class _Sweep(_Walk):
-    """Branch tracker for log zeta(sigma + iu), u ascending, local model
-    with the table's multiplicities (the closed-form model integrals need
-    them)."""
+    """Branch tracker for log zeta(sigma + iu), u ascending; its window's
+    rows weigh each zero by its multiplicity (the closed-form model
+    integrals need them)."""
 
     def __init__(self, sigma: float, prec: EvalPrecision):
         super().__init__(float(sigma), 1j)
@@ -370,10 +372,9 @@ class _Sweep(_Walk):
         self._block = self._vals = self._rems = np.empty(0)
         self._next = 0
 
-    def set_window(self, wmu, wcc, wgam, has_pole: bool) -> None:
+    def set_window(self, mu, rel) -> None:
         old = self.model(self.x_prev) if self.anchored else 0j
-        self.mu, self.rel = wmu, wcc - 1j * wgam
-        self.pole = self.sigma - 1.0 if has_pole else None
+        self.mu, self.rel = mu, rel
         if self.anchored:
             # Rebasing against the new model keeps the tracked branch exact:
             # the swapped terms are principal logs of points >= 1 away.
@@ -382,8 +383,9 @@ class _Sweep(_Walk):
     def anchor(self) -> None:
         """Branch value at u = 0 from the closed form (limit from above)."""
         if abs(self.sigma - 1.0) <= 1e-9:
-            # log zeta + Log(s-1) -> log((s-1) zeta(s)) -> 0 at s = 1.
-            g0 = -self.model(0.0, include_pole=False)
+            # log zeta + Log(s-1) -> log((s-1) zeta(s)) -> 0 at s = 1: G
+            # is minus the zero rows, row 0 being the pole.
+            g0 = -(self.mu[1:] @ np.log(self.rel[1:]))
         else:
             f0, _ = log_zeta_with_err(complex(self.sigma, 0.0), self.prec)
             g0 = f0 - self.model(0.0)
@@ -447,8 +449,6 @@ def _segment_poly_log(j_max: int, a: float, b: float, c: float) -> list[complex]
     the segment's interior (signed zero), which is the side the c <= 0 cut
     is viewed from; its boundary term w^(j+1) Log vanishes and is skipped.
     """
-    if a == b:
-        return [0j] * (j_max + 1)
     interior = math.copysign(1.0, a + b)
 
     def plog(w: float) -> complex:
@@ -505,9 +505,11 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     """1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du by the sweep."""
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     near = (gs > 0.0) & (gs <= t_eff + 2.0)
-    mu_all = ms[near].astype(float)
-    cc_all = sigma - bs[near]
-    gam_all = gs[near]
+    # The model's rows (mu, c = sigma - beta, gamma); row 0 is the pole.
+    mu_all = np.append(-1.0, ms[near])
+    cc_all = np.append(sigma - 1.0, sigma - bs[near])
+    gam_all = np.append(0.0, gs[near])
+    rel_all = cc_all - 1j * gam_all
 
     sweep = _Sweep(sigma, prec)
 
@@ -518,15 +520,24 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
         return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
 
     panels = _line_panels(t_eff, store)
+    # Panel p holds rows lo[p]:hi[p], and row r lies in panels
+    # first[r]:stop[r], both from the same window edges: a zero exactly on
+    # an edge is in a panel's G exactly when it is in its closed form.
+    lo_edge, hi_edge = panels[:, 0] - _WINDOW, panels[:, 1] + _WINDOW
+    lo = np.searchsorted(gam_all, lo_edge)
+    hi = np.searchsorted(gam_all, hi_edge, side="right")
+    first = np.searchsorted(hi_edge, gam_all)
+    stop = np.searchsorted(lo_edge, gam_all, side="right")
     # Every panel's nodes counted against the walk's budget before any zeta
     # work; zeta comes a block of panels at a time, at the nodes _panel
     # will hand the integrand.
     sweep.spend(len(panels) * _NODES.size, 0.0)
     block = _BLOCK_NODES // _NODES.size
-    # Every panel's G integral and model pieces, summed exactly at the end:
-    # the G integrals and the pieces each total about t^m and cancel to the
-    # answer, so two running sums would carry t^m rounding into it.  Their
-    # real and imaginary parts are kept as doubles in two arrays.
+    # Every panel's G integral and every row's model piece, summed exactly
+    # at the end: the G integrals and the pieces each total about t^m and
+    # cancel to the answer, so two running sums would carry t^m rounding
+    # into it.  Their real and imaginary parts are kept as doubles in two
+    # arrays.
     parts = (array("d"), array("d"))
 
     def keep(z: complex) -> None:
@@ -540,23 +551,20 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
         if p % block == 0:
             ends = panels[p:p + block]
             sweep.fetch(_nodes(ends[:, :1], ends[:, 1:]).ravel())
-        sel = slice(np.searchsorted(gam_all, a - _WINDOW),
-                    np.searchsorted(gam_all, b + _WINDOW, side="right"))
-        has_pole = a <= _WINDOW
-        sweep.set_window(mu_all[sel], cc_all[sel], gam_all[sel], has_pole)
+        sweep.set_window(mu_all[lo[p]:hi[p]], rel_all[lo[p]:hi[p]])
         if p == 0:
             sweep.anchor()
         val, p_disc, p_err = _panel(integrand, a, b)
         keep(val)
         disc += p_disc
         node_est += p_err
-        terms = list(zip(mu_all[sel], cc_all[sel], gam_all[sel]))
-        if has_pole:
-            terms.append((-1.0, sigma - 1.0, 0.0))
-        for mu, c, gam in terms:
-            piece, piece_mag = _model_piece(m, t_eff, a, b, mu, c, gam)
-            keep(piece)
-            mag += piece_mag
+    # Each row's model integral in closed form, once over its run of panels.
+    for r in np.flatnonzero(first < stop).tolist():
+        piece, piece_mag = _model_piece(
+            m, t_eff, panels[first[r], 0], panels[stop[r] - 1, 1],
+            mu_all[r], cc_all[r], gam_all[r])
+        keep(piece)
+        mag += piece_mag
 
     # The sweep's branch must land on the horizontal-ray branch at u = t.
     # (Skipped for very short sweeps, where the ray walk would itself pass
@@ -593,7 +601,8 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
         return EtaValue(s=z, m=0, value=val, route="iterated", est_err=est)
     sigma, t = z.real, _real(z.imag, "t", 0.0)
     if sigma <= -1.0:
-        raise ValidationError(f"the iterated route needs sigma > -1, got {sigma}")
+        raise ValidationError(
+            f"the iterated route needs sigma > -1, got sigma={sigma}")
     if t > store.t_max - 2.5:
         raise ValidationError(
             f"t={t} needs table zeros up to t+2, above height {store.t_max}")

@@ -162,7 +162,7 @@ def boundary_derivative(kernel: Kernel, order: int, side: int,
     if side == 1:
         pts = [kernel.f(1.0 - (order - j) * step) for j in range(order + 1)]
         return sum(c * p for c, p in zip(coeffs, pts)) / step ** order
-    raise ValidationError(f"side must be 0 or 1, got {side}")
+    raise ValidationError(f"side 0 or 1 required, got side={side}")
 
 
 # --- E*_{m+1} -----------------------------------------------------------------
@@ -218,7 +218,8 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
     h = _real(h, "H", 1.0)
     z = _point(z, "z")
     if z == 0:
-        raise ValidationError("U_m(0) diverges; z must be nonzero")
+        raise ValidationError(
+            f"U_m(0) diverges: nonzero z required, got z={z!r}")
     if z.imag == 0.0 and z.real <= 0.0:
         z = complex(z.real, -_LIMIT_EPS * max(1.0, abs(z)))
     fact = math.factorial(m)

@@ -184,9 +184,9 @@ class ZeroStore:
         want a functional-equation-symmetric configuration must inject both.
         """
         if not (0.0 < beta < 1.0):
-            raise OutOfStrip(f"beta must lie in (0, 1), got {beta}")
+            raise OutOfStrip(f"beta in (0, 1) required, got beta={beta}")
         if not (gamma > 0.0 and math.isfinite(gamma)):
-            raise OutOfStrip(f"gamma must be positive and finite, got {gamma}")
+            raise OutOfStrip(f"finite gamma > 0 required, got gamma={gamma}")
         multiplicity = _integer(multiplicity, "multiplicity", 1, OutOfStrip)
         records = [self.record(i) for i in range(len(self))]
         records.append(ZeroRecord(float(gamma), float(beta), multiplicity))

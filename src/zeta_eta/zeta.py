@@ -511,7 +511,7 @@ def log_gamma(z) -> complex:
     there, so Im log Gamma(1/4 + it/2) is theta's unwrapped phase."""
     w = _point(z, "z")
     if w.real <= 0:
-        raise ValidationError(f"log_gamma requires Re z > 0, got {z!r}")
+        raise ValidationError(f"log_gamma requires Re z > 0, got z={z!r}")
     return complex(loggamma(w))
 
 

@@ -11,7 +11,8 @@ from zeta_eta.approx import (ApproxConfig, dirichlet_poly, lambda_prime_x, p_f,
 from zeta_eta.distribution import GridSpec
 from zeta_eta.errors import (InvalidFamily, OutOfStrip, ValidationError,
                              _integer, _point, _real)
-from zeta_eta.eta import eta_vertical, s_m, zero_sum_polynomial
+from zeta_eta.eta import (eta_iterated, eta_vertical, s_m,
+                          zero_sum_polynomial)
 from zeta_eta.kernels import (DEFAULT_KERNEL, boundary_derivative, e_star,
                               make_kernel, u_f_h, u_m_eval, v_f_h)
 from zeta_eta.precision import EvalPrecision
@@ -109,6 +110,17 @@ _CFG = ApproxConfig(m=1, X=10.0)
     (lambda: boundary_derivative(DEFAULT_KERNEL, 1, True), ValidationError,
      "side=True"),
     (lambda: EvalPrecision(abs_err="1e-5"), ValidationError, "abs_err="),
+    # refusals that named the value but not the parameter
+    (lambda: eta_iterated(complex(-1.5, 20.0), 1), ValidationError,
+     "sigma=-1.5"),
+    (lambda: log_gamma(-1.0), ValidationError, "z=-1.0"),
+    (lambda: inject_hypothetical(builtin_store(), 1.5, 30.0), OutOfStrip,
+     "beta=1.5"),
+    (lambda: inject_hypothetical(builtin_store(), 0.75, -30.0), OutOfStrip,
+     "gamma=-30.0"),
+    (lambda: boundary_derivative(DEFAULT_KERNEL, 1, 2), ValidationError,
+     "side=2"),
+    (lambda: u_m_eval(0, 0), ValidationError, "z=0"),
 ])
 def test_library_refusals_name_the_parameter(monkeypatch, call, exc, name):
     def no_quadrature(*args, **kwargs):

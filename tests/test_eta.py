@@ -340,6 +340,40 @@ def test_routes_agree_above_300(store):
         assert chk["agree"], (sigma, t, m, chk["difference"], chk["tolerance"])
 
 
+# --- the sweep's model: one closed form per row over its run of panels ---------
+
+# Panel edges as the sweep cuts them: at the ordinates, at most 1 apart.  The
+# zero rows' runs straddle their ordinate gamma = 100.3, a panel edge; the
+# pole's run is the panels within 1.5 of u = 0, below the first ordinate.
+_RUN_ZERO = [98.87, 99.6, 100.3, 101.05, 101.8]
+_RUN_POLE = np.linspace(0.0, 14.134725141734693, 16)[:3].tolist()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("mu,c,gam,edges", [
+    (1.0, -0.25, 100.3, _RUN_ZERO),         # beta right of sigma: the cut
+    (2.0, 0.0, 100.3, _RUN_ZERO),           # beta = sigma: log singularity
+    (1.0, 0.25, 100.3, _RUN_ZERO),          # beta left of sigma
+    (-1.0, -0.5, 0.0, _RUN_POLE),           # the pole at sigma = 0.5
+    (-1.0, 1.0, 0.0, _RUN_POLE),            # the pole at sigma = 2
+])
+def test_model_piece_over_a_run_is_the_sum_of_its_panels(m, mu, c, gam,
+                                                          edges):
+    # The sweep allows each piece 2e-16 of its |term| mass for rounding, so
+    # the run's piece and its panels' exact sum may differ by 2e-16 of the
+    # two sides' masses (600 random t_eff up to 2100 on these runs, m <= 3:
+    # at most 1.5e-16 of them).
+    t_eff = 103.9
+    whole, mass = eta_module._model_piece(m, t_eff, edges[0], edges[-1], mu,
+                                          c, gam)
+    pieces = [eta_module._model_piece(m, t_eff, a, b, mu, c, gam)
+              for a, b in zip(edges[:-1], edges[1:])]
+    total = complex(math.fsum(p.real for p, _ in pieces),
+                    math.fsum(p.imag for p, _ in pieces))
+    mass += sum(mag for _, mag in pieces)
+    assert abs(whole - total) <= 2e-16 * mass, (whole, total, mass)
+
+
 # --- the iterated sweep's batched walk -----------------------------------------
 
 def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
