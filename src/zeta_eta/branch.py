@@ -14,7 +14,10 @@ when t <= _WINDOW: one table of rows (mu, rho), the pole the row
 model carries every nearby jump of the argument, so G = log zeta - model
 varies slowly, and the branch at a node is the one whose G lies within pi
 of the last node's; a step of G above _CONT_STEP first inserts the
-midpoint.  This is the iterated eta sweep's rule (_Walk serves both).  A
+midpoint.  A run of nodes is pinned by one unwrap of its rounded phase
+steps, which gives the same winding integers, and node by node from a
+failing step on.  This is the iterated eta sweep's rule (_Walk serves
+both).  A
 table zero with a wrong multiplicity, or one zeta lacks, moves the model's
 argument by pi where the ray passes it, which the insertion resolves, never
 by a multiple of 2 pi that the pin would alias.
@@ -97,19 +100,50 @@ class _Walk:
         dx = self.direction * np.asarray(x, dtype=np.float64)
         return self.mu @ np.log(np.add.outer(self.rel, dx))
 
-    def principal(self, xs: np.ndarray, vals) -> np.ndarray:
+    def principal(self, xs: np.ndarray, vals, model=None) -> np.ndarray:
         """Principal log zeta minus the model at the nodes xs, from their
-        zeta values (a list or an array); a value of exactly 0 is
-        refused."""
+        zeta values (a list or an array) and, if given, the model's values
+        there; a value of exactly 0 is refused."""
         if 0 in vals:
-            s = self.origin + self.direction * xs[list(vals).index(0)]
+            s = self.origin + self.direction * np.ravel(xs)[
+                list(np.ravel(vals)).index(0)]
             raise OnSingularity(f"zeta({s}) = 0 at working precision")
-        return np.log(vals) - self.model(xs)
+        return np.log(vals) - (self.model(xs) if model is None else model)
 
-    def pin(self, xs: np.ndarray, vals: list, depth: int) -> np.ndarray:
-        """G at the nodes xs, walked in order from the last node."""
-        return np.array([self._pin(x, p, depth) for x, p in
-                         zip(xs.tolist(), self.principal(xs, vals).tolist())])
+    def pin(self, xs: np.ndarray, principal: np.ndarray, depth: int,
+            step=None, enter=None) -> np.ndarray:
+        """G at the nodes xs from their principal values, walked in order
+        from the last node.
+
+        step[j], where given, is added to the previous node's G before node
+        j is pinned: the rebase where the sweep's window moves.  One unwrap
+        pins every node: the winding integers are the running sums of the
+        rounded phase steps, which are the integers _pin takes node by
+        node, since round(x + k) = round(x) + k for an integer k.  From the
+        first step of G above _CONT_STEP on, _pin takes the nodes one at a
+        time and inserts midpoints; enter(j), where given, first moves the
+        window to node j's.
+        """
+        before = np.concatenate(((self.g_prev,), principal[:-1]))
+        if step is not None:
+            before += step
+        k = np.rint((before.imag - principal.imag) / _TWO_PI).cumsum()
+        g = principal.copy()
+        g.imag += _TWO_PI * k
+        before = np.concatenate(((self.g_prev,), g[:-1]))
+        if step is not None:
+            before += step
+        far = np.flatnonzero(np.abs(g - before) > _CONT_STEP)
+        n = int(far[0]) if far.size else xs.size
+        if n:
+            self.x_prev, self.g_prev = float(xs[n - 1]), complex(g[n - 1])
+        for j in range(n, xs.size):
+            if enter is not None:
+                enter(j)
+            if step is not None:
+                self.g_prev += complex(step[j])
+            g[j] = self._pin(float(xs[j]), complex(principal[j]), depth)
+        return g
 
     def _pin(self, x: float, principal: complex, depth: int) -> complex:
         """The branch of principal at x next to the last node; a step above
@@ -167,10 +201,10 @@ class BranchPath(_Walk):
         xs = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
         self.spend(xs.size, float(xs[0]))
         vals, _, _ = _zeta_em(self.ray, xs, self.walk_prec, want_deriv=False)
+        principal = self.principal(xs, vals)
         if anchor:
-            self.x_prev = float(xs[0])
-            self.g_prev = complex(self.principal(xs[:1], vals[:1])[0])
-        for x, g in zip(xs.tolist(), self.pin(xs, vals, depth).tolist()):
+            self.x_prev, self.g_prev = float(xs[0]), complex(principal[0])
+        for x, g in zip(xs.tolist(), self.pin(xs, principal, depth).tolist()):
             i = bisect.bisect(self.xs, x)
             self.xs.insert(i, x)
             self.gs.insert(i, g)

@@ -44,21 +44,25 @@ subtracting every zero at once would balloon the two halves by a factor
 A panel hands its integrand all 21 nodes at once, in ascending order.  All
 nodes lie on the one vertical line Re s = sigma, and quadrature._nodes
 places them for the sweep as for the panel rule.  So the sweep counts every
-panel's nodes against the walk's budget first, and then evaluates zeta a
-block of panels (zeta._BLOCK_NODES nodes) ahead of its walk in one pass on
-its zeta._Line: one Taylor expansion of the Dirichlet sum per group of
-nearby nodes, a few groups' moments per matrix product, the
-Euler-Maclaurin correction one array pass.  A panel takes its nodes' values from the block
-and evaluates the window model at all of them with one logarithm of the
-window-rows x nodes matrix.  It then walks the nodes in order: continuity
-of G along the ascending node sequence pins the winding integer of the
-principal logarithm at each sample, replacing a horizontal ray walk per
-sample.  A node whose step exceeds _CONT_STEP first gets the midpoint
-inserted as a node of its own, evaluated on demand.  This is the rule,
-and branch._Walk the code, by which a horizontal ray pins its branch; the
-sweep's model keeps the table's multiplicities, which its closed-form
-integrals need, and moves its window from panel to panel.  The
-sweep is anchored at u = 0 (closed-form branch value) and re-verified
+panel's nodes against the walk's budget first, and then works a block of
+panels (zeta._BLOCK_NODES nodes) at a time: zeta at the block's nodes in
+one pass on its zeta._Line (one Taylor expansion of the Dirichlet sum per
+group of nearby nodes, a few groups' moments per matrix product, the
+Euler-Maclaurin correction one array pass); every panel's window model at
+its nodes from one logarithm over the block's (panel, row) pairs; and the
+block's panels through quadrature._panel in one call, whose Kronrod and
+Gauss sums are one product with the weights.  The walk pins the block's
+nodes in order: continuity of G along the ascending node sequence pins the
+winding integer of the principal logarithm at each sample, replacing a
+horizontal ray walk per sample.  Where the window moves, from one panel to
+the next, the previous node's G is rebased by the old model minus the new
+one at that node.  One unwrap pins the block, the winding integers being
+the running sums of the rounded phase steps; from a step above _CONT_STEP
+on, the nodes are walked one at a time, and the midpoint is inserted as a
+node of its own, evaluated on demand.  This is the rule, and branch._Walk
+the code, by which a horizontal ray pins its branch; the sweep's model
+keeps the table's multiplicities, which its closed-form integrals need.
+The sweep is anchored at u = 0 (closed-form branch value) and re-verified
 against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) are split at a0, 3.5-4.25
@@ -79,7 +83,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -357,28 +360,32 @@ _PANEL_MAX = 1.0
 
 
 class _Sweep(_Walk):
-    """Branch tracker for log zeta(sigma + iu), u ascending; its window's
-    rows weigh each zero by its multiplicity (the closed-form model
-    integrals need them)."""
+    """Branch tracker for log zeta(sigma + iu), u ascending, a block of
+    panels at a time.
 
-    def __init__(self, sigma: float, prec: EvalPrecision):
+    Its model is one table of rows (mu, rel = sigma - rho), a zero weighed
+    by its multiplicity (the closed-form model integrals need it), and a
+    panel's window is a run of its rows.
+    """
+
+    def __init__(self, sigma: float, prec: EvalPrecision, mu: np.ndarray,
+                 rel: np.ndarray):
         super().__init__(float(sigma), 1j)
         self.sigma = float(sigma)
         self.prec = prec
         self.line = _Line(self.sigma, prec.abs_err)
-        self.anchored = False
-        # The fetched block: its nodes, their zeta values and remainder
-        # bounds, and the index of the first node not yet walked.
-        self._block = self._vals = self._rems = np.empty(0)
-        self._next = 0
+        self.table = mu, rel
+        # The fetched block: its nodes (a row per panel), their zeta values
+        # and remainder bounds, and each panel's window rows lo:hi.  last is
+        # the last walked panel's last node and its model there, None
+        # before the first block.
+        self._block = self._vals = self._rems = np.empty((0, _NODES.size))
+        self._lo = self._hi = np.empty(0, dtype=np.int64)
+        self._last = None
 
-    def set_window(self, mu, rel) -> None:
-        old = self.model(self.x_prev) if self.anchored else 0j
-        self.mu, self.rel = mu, rel
-        if self.anchored:
-            # Rebasing against the new model keeps the tracked branch exact:
-            # the swapped terms are principal logs of points >= 1 away.
-            self.g_prev = complex(self.g_prev + old - self.model(self.x_prev))
+    def window(self, lo: int, hi: int) -> None:
+        """Make the model the table's rows lo:hi."""
+        self.mu, self.rel = self.table[0][lo:hi], self.table[1][lo:hi]
 
     def anchor(self) -> None:
         """Branch value at u = 0 from the closed form (limit from above)."""
@@ -390,22 +397,49 @@ class _Sweep(_Walk):
             f0, _ = log_zeta_with_err(complex(self.sigma, 0.0), self.prec)
             g0 = f0 - self.model(0.0)
         self.x_prev, self.g_prev = 0.0, complex(g0)
-        self.anchored = True
 
-    def fetch(self, us: np.ndarray) -> None:
-        """zeta at the next block of nodes us, ascending and already
-        spent: one _zeta_em pass on the sweep's line."""
-        vals, _, rems = _zeta_em(self.line, us, self.prec, want_deriv=False)
-        self._block, self._vals, self._rems = us, np.array(vals), np.array(rems)
-        self._next = 0
+    def fetch(self, ends: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """zeta at the nodes of the next block of panels, a row (a, b) of
+        ends each, already spent: one _zeta_em pass on the sweep's line.
+        Panel p's window is rows lo[p]:hi[p] of the table."""
+        us = _nodes(ends[:, :1], ends[:, 1:])
+        vals, _, rems = _zeta_em(self.line, us.ravel(), self.prec,
+                                 want_deriv=False)
+        self._block, self._lo, self._hi = us, lo, hi
+        self._vals = np.reshape(vals, us.shape)
+        self._rems = np.reshape(rems, us.shape)
+
+    def _block_model(self) -> np.ndarray:
+        """Each panel's window model at the previous panel's last node and
+        at its own nodes, a row per panel: one np.log over the block's
+        (panel, row) pairs x 22 nodes, summed per panel by one real product
+        on the logarithms' (re, im) pairs."""
+        us, lo, hi = self._block, self._lo, self._hi
+        counts = hi - lo
+        pair_panel = np.repeat(np.arange(us.shape[0]), counts)
+        pair_row = np.arange(counts.sum()) + np.repeat(
+            lo - (np.cumsum(counts) - counts), counts)
+        # The first sweep panel has no previous node; its own first node
+        # stands in (x = 0 would put the pole row at log 0 on sigma = 1).
+        before = us[0, 0] if self._last is None else self._last[0]
+        xs = np.column_stack((np.append(before, us[:-1, -1]), us))
+        mu, rel = self.table
+        weights = np.zeros((us.shape[0], pair_row.size))
+        weights[pair_panel, np.arange(pair_row.size)] = mu[pair_row]
+        logs = np.log(rel[pair_row, None] + 1j * xs[pair_panel])
+        return (weights @ logs.view(np.float64)).view(np.complex128)
 
     def eval(self, u, depth: int = 0):
         """G(u) = log zeta(sigma+iu) - model(u), branch pinned by continuity,
         with each node's error bound.
 
         u is a float, spent and evaluated here (a midpoint insertion, the
-        check at the end), answered with (complex, float); or an array, the
-        next nodes of the fetched block, answered with two arrays.
+        check at the end), answered with (complex, float) in the current
+        window; or the fetched block's nodes, a row per panel, each panel in
+        its own window, answered with two arrays of their shape.  Where the
+        window moves, from a panel to the next, the previous node's G is
+        rebased by the old model minus the new one at that node, since the
+        swapped terms are principal logs of points >= 1 away.
         """
         if np.ndim(u) == 0:
             us = np.array([u], dtype=np.float64)
@@ -413,33 +447,54 @@ class _Sweep(_Walk):
             vals, _, rems = _zeta_em(self.line, us, self.prec,
                                      want_deriv=False)
             vals, rems = np.array(vals), np.array(rems)
-        else:
-            us, take = u, slice(self._next, self._next + np.size(u))
-            if not np.array_equal(us, self._block[take]):
-                raise NumericalError("sweep nodes out of step with the "
-                                     "fetched block")
-            vals, rems = self._vals[take], self._rems[take]
-            self._next = take.stop
-        g = self.pin(us, vals, depth)
-        err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
-        if np.ndim(u) == 0:
+            g = self.pin(us, self.principal(us, vals), depth)
+            err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
             return complex(g[0]), float(err[0])
+        if not np.array_equal(u, self._block):
+            raise NumericalError("sweep nodes out of step with the fetched "
+                                 "block")
+        vals, rems = self._vals, self._rems
+        model = self._block_model()
+        principal = self.principal(u, vals, model[:, 1:])
+        rebase = np.zeros(u.shape, dtype=np.complex128)
+        rebase[1:, 0] = model[:-1, -1] - model[1:, 0]
+        if self._last is not None:
+            rebase[0, 0] = self._last[1] - model[0, 0]
+        width = u.shape[1]
+
+        def enter(j: int) -> None:
+            p = j // width
+            self.window(self._lo[p], self._hi[p])
+
+        g = self.pin(u.ravel(), principal.ravel(), depth, rebase.ravel(),
+                     enter).reshape(u.shape)
+        self.window(self._lo[-1], self._hi[-1])
+        self._last = u[-1, -1], model[-1, -1]
+        err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
         return g, err
 
 
 def _line_panels(t_eff: float, store: ZeroStore) -> np.ndarray:
     """Panels over [0, t_eff], edges at interior ordinates, width <= 1: a
-    row (a, b) per panel."""
+    row (a, b) per panel.
+
+    An interval [a, b] between edges is cut into n equal panels as
+    np.linspace(a, b, n + 1) cuts it, a + j (b - a)/n with the end b, for
+    all intervals at once.
+    """
     gs = store.gammas
     inner = gs[(gs > 0.0) & (gs < t_eff)]
     edges = np.unique(np.concatenate(([0.0, t_eff], inner)))
-    lo, hi = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        n_sub = max(1, int(math.ceil((b - a) / _PANEL_MAX)))
-        sub = np.linspace(a, b, n_sub + 1)
-        lo.append(sub[:-1])
-        hi.append(sub[1:])
-    return np.column_stack((np.concatenate(lo), np.concatenate(hi)))
+    a, b = edges[:-1], edges[1:]
+    n_sub = np.maximum(1, np.ceil((b - a) / _PANEL_MAX)).astype(np.int64)
+    start = np.cumsum(n_sub) - n_sub
+    j = np.arange(n_sub.sum()) - np.repeat(start, n_sub)
+    a_rep = np.repeat(a, n_sub)
+    step = np.repeat((b - a) / n_sub, n_sub)
+    lo = j * step + a_rep
+    hi = (j + 1) * step + a_rep
+    hi[start + n_sub - 1] = b
+    return np.column_stack((lo, hi))
 
 
 def _segment_poly_log(j_max: int, a: float, b: float, c: float) -> list[complex]:
@@ -509,12 +564,12 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     mu_all = np.append(-1.0, ms[near])
     cc_all = np.append(sigma - 1.0, sigma - bs[near])
     gam_all = np.append(0.0, gs[near])
-    rel_all = cc_all - 1j * gam_all
 
-    sweep = _Sweep(sigma, prec)
+    sweep = _Sweep(sigma, prec, mu_all, cc_all - 1j * gam_all)
 
     def integrand(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # In ascending order: the sweep pins the branch node by node.
+        # A row of ascending nodes per panel: the sweep pins the branch
+        # along them in panel order.
         g_val, g_err = sweep.eval(us)
         w = (t_eff - us) ** (m - 1)
         return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
@@ -529,41 +584,33 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     first = np.searchsorted(hi_edge, gam_all)
     stop = np.searchsorted(lo_edge, gam_all, side="right")
     # Every panel's nodes counted against the walk's budget before any zeta
-    # work; zeta comes a block of panels at a time, at the nodes _panel
-    # will hand the integrand.
+    # work; then a block of panels at a time, zeta at the nodes _panel will
+    # hand the integrand, and the block's panels through _panel at once.
     sweep.spend(len(panels) * _NODES.size, 0.0)
+    sweep.window(lo[0], hi[0])
+    sweep.anchor()
     block = _BLOCK_NODES // _NODES.size
     # Every panel's G integral and every row's model piece, summed exactly
     # at the end: the G integrals and the pieces each total about t^m and
     # cancel to the answer, so two running sums would carry t^m rounding
-    # into it.  Their real and imaginary parts are kept as doubles in two
-    # arrays.
-    parts = (array("d"), array("d"))
-
-    def keep(z: complex) -> None:
-        parts[0].append(z.real)
-        parts[1].append(z.imag)
-
+    # into it.
+    parts = []
     disc = 0.0
     node_est = 0.0
-    mag = 0.0
-    for p, (a, b) in enumerate(panels):
-        if p % block == 0:
-            ends = panels[p:p + block]
-            sweep.fetch(_nodes(ends[:, :1], ends[:, 1:]).ravel())
-        sweep.set_window(mu_all[lo[p]:hi[p]], rel_all[lo[p]:hi[p]])
-        if p == 0:
-            sweep.anchor()
-        val, p_disc, p_err = _panel(integrand, a, b)
-        keep(val)
-        disc += p_disc
-        node_est += p_err
+    for p in range(0, len(panels), block):
+        ends = panels[p:p + block]
+        sweep.fetch(ends, lo[p:p + block], hi[p:p + block])
+        vals, p_disc, p_err = _panel(integrand, ends[:, 0], ends[:, 1])
+        parts += vals.tolist()
+        disc += math.fsum(p_disc)
+        node_est += math.fsum(p_err)
     # Each row's model integral in closed form, once over its run of panels.
+    mag = 0.0
     for r in np.flatnonzero(first < stop).tolist():
         piece, piece_mag = _model_piece(
             m, t_eff, panels[first[r], 0], panels[stop[r] - 1, 1],
             mu_all[r], cc_all[r], gam_all[r])
-        keep(piece)
+        parts.append(piece)
         mag += piece_mag
 
     # The sweep's branch must land on the horizontal-ray branch at u = t.
@@ -579,7 +626,8 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
                 f"{f_end} vs {f_auth}")
 
     fact = math.factorial(m - 1)
-    value = complex(*map(math.fsum, parts)) / fact
+    value = complex(math.fsum(z.real for z in parts),
+                    math.fsum(z.imag for z in parts)) / fact
     est = (disc + node_est + 2e-16 * mag) / fact + 1e-15 * (1.0 + abs(value))
     return value, est
 

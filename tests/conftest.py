@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zeta_eta.precision import EvalPrecision
@@ -19,3 +20,21 @@ def off_line_store():
 @pytest.fixture(scope="session")
 def tight():
     return EvalPrecision(abs_err=1e-12)
+
+
+def _pin_node_by_node(self, xs, principal, depth, step=None, enter=None):
+    """branch._Walk.pin as _pin alone: each node pinned from the last, the
+    window moved and the previous G rebased first where given."""
+    out = np.empty_like(principal)
+    for j in range(xs.size):
+        if enter is not None:
+            enter(j)
+        if step is not None:
+            self.g_prev += complex(step[j])
+        out[j] = self._pin(float(xs[j]), complex(principal[j]), depth)
+    return out
+
+
+@pytest.fixture
+def node_by_node_pin():
+    return _pin_node_by_node

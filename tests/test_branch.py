@@ -12,7 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zeta_eta.branch import big_s, branch_path, log_zeta, log_zeta_with_err
+from zeta_eta.branch import (_Walk, big_s, branch_path, log_zeta,
+                             log_zeta_with_err)
 from zeta_eta.errors import (BudgetExceeded, NearSingularity, NumericalError,
                              OnSingularity, ValidationError)
 from zeta_eta.precision import EvalPrecision
@@ -384,3 +385,67 @@ def test_log_zeta_far_right(store):
     assert abs(vals[0] - one) <= ests[0] + one_est
     assert (vals[1:] == 0j).all()
     assert path.winding(xs).tolist() == [path.winding(0.5), 0, 0, 0]
+
+
+# --- the walk's pin: one unwrap, _pin from the first failing step ----------------
+
+def test_march_nodes_unchanged_by_the_unwrap(store, monkeypatch,
+                                             node_by_node_pin):
+    # every node of the ray's march bit-identical to pinning node by node
+    rng = np.random.default_rng(8)
+    rays = [(float(rng.uniform(0.0, 2140.0)), float(rng.uniform(-1.0, 1.0)))
+            for _ in range(8)]
+    rays += [(1.2, -0.9), (0.4, 0.5), (float(store.gammas[3]), 0.5)]
+    paths = [branch_path(t, sigma, store=store) for t, sigma in rays]
+    monkeypatch.setattr(_Walk, "pin", node_by_node_pin)
+    for path, (t, sigma) in zip(paths, rays):
+        ref = branch_path(t, sigma, store=store)
+        assert path.xs == ref.xs and path.gs == ref.gs, (t, sigma)
+
+
+class _ToyWalk(_Walk):
+    """A walk whose G in window w is i (10 x - 5 w): its model is 5 i w.
+    Values are handed over as principal logarithms, and a midpoint is
+    evaluated in the current window."""
+
+    def __init__(self):
+        super().__init__(0j, 1.0)
+        self.w = 0
+        self.mids = []
+
+    def g(self, x, w):
+        return 1j * (10.0 * x - 5.0 * w)
+
+    def principal_at(self, x, w):
+        return complex(0.0, math.remainder(self.g(x, w).imag, 2 * math.pi))
+
+    def eval(self, x, depth):
+        self.mids.append((x, self.w))
+        self.pin(np.array([x]), np.array([self.principal_at(x, self.w)]),
+                 depth)
+
+
+def test_a_failing_step_where_the_window_moves_inserts_the_midpoint():
+    # Nodes 0-4 in window 0, 0.5 of G apart; node 5, the first of window 1,
+    # lies 4.5 of G past node 4 once rebased: more than pi, so the unwrap
+    # alone would pin it on the wrong branch.  The walk falls back there,
+    # moves the window, rebases, and inserts midpoints in window 1.
+    xs = np.array([0.0, 0.05, 0.1, 0.15, 0.2, 0.65, 0.7, 0.75])
+    ws = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+    walk = _ToyWalk()
+    walk.x_prev, walk.g_prev = 0.0, 0j
+    principal = np.array([walk.principal_at(x, w) for x, w in zip(xs, ws)])
+    step = np.zeros(xs.size, dtype=complex)
+    step[5] = -5j                       # old model - new model at node 4
+    entered = []
+
+    def enter(j):
+        entered.append(j)
+        walk.w = int(ws[j])
+
+    g = walk.pin(xs, principal, 0, step, enter)
+    truth = np.array([walk.g(x, w) for x, w in zip(xs, ws)])
+    assert np.max(np.abs(g - truth)) <= 1e-14
+    assert entered == [5, 6, 7]
+    assert walk.mids and all(0.2 < x < 0.65 and w == 1 for x, w in walk.mids)
+    assert (walk.x_prev, walk.g_prev) == (0.75, g[-1])

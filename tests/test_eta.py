@@ -24,7 +24,7 @@ from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
                           eta_vertical, route_check, s_m,
                           zero_sum_polynomial)
-from zeta_eta.precision import EvalPrecision
+from zeta_eta.precision import DEFAULT_PRECISION, EvalPrecision
 from zeta_eta.zeros import ZeroRecord, ZeroStore, builtin_store
 
 C_M_ORACLE = {
@@ -430,3 +430,123 @@ def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
     monkeypatch.setattr(eta_module, "_zeta_em", with_zero)
     with pytest.raises(OnSingularity, match="= 0 at working precision"):
         eta_iterated(complex(0.5, 30.0), 1, store)
+
+
+def _linspace_panels(t_eff, store):
+    # the panels as cut one interval at a time by np.linspace
+    gs = store.gammas
+    edges = np.unique(np.concatenate(([0.0, t_eff],
+                                      gs[(gs > 0.0) & (gs < t_eff)])))
+    lo, hi = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        sub = np.linspace(a, b, max(1, math.ceil((b - a) / 1.0)) + 1)
+        lo.append(sub[:-1])
+        hi.append(sub[1:])
+    return np.column_stack((np.concatenate(lo), np.concatenate(hi)))
+
+
+# 1.7 + 3 ((3.89 - 1.7) / 3) is 3.8900000000000006: linspace sets the end
+# of [1.7, 3.89] to 3.89
+_OFF_END = ZeroStore([ZeroRecord(1.7), ZeroRecord(30.0)], "test")
+
+
+@pytest.mark.parametrize("table, top", [
+    (None, None), (None, 2140.0), (None, 0.7), (None, 14.134725141734694),
+    (_OFF_END, 3.89)])
+def test_line_panels_are_the_linspace_panels(store, table, top):
+    table = table or store
+    t_eff = table.t_max - 2.5 if top is None else top
+    assert eta_module._PANEL_MAX == 1.0
+    assert np.array_equal(eta_module._line_panels(t_eff, table),
+                          _linspace_panels(t_eff, table))
+
+
+def test_sweep_unwrap_matches_the_node_walk(store, monkeypatch,
+                                            node_by_node_pin):
+    # every node of every block: the same winding integer as pinning node
+    # by node, and G equal to rounding; the pole row is in the window at
+    # t <= 1.5, and sigma = 1 anchors G without it
+    rng = np.random.default_rng(6)
+    sweeps = [(float(rng.uniform(-0.9, 2.0)), float(rng.uniform(2.0, 2140.0)))
+              for _ in range(4)]
+    sweeps += [(1.0, 700.3), (1.0, 1.2), (-0.5, 1.5), (0.5, 2140.0)]
+    walk = eta_module._Walk.pin
+    single_pins = []
+
+    def runs(pin):
+        seen = []
+
+        def recorded(self, xs, principal, depth, step=None, enter=None):
+            g = pin(self, xs, principal, depth, step, enter)
+            if step is not None:
+                seen.append((principal.copy(), g.copy()))
+            return g
+
+        monkeypatch.setattr(eta_module._Walk, "pin", recorded)
+        for sigma, t in sweeps:
+            eta_module._iterated_integral(sigma, store.snap(t), 1, store,
+                                          DEFAULT_PRECISION)
+        return seen
+
+    walk_one = eta_module._Walk._pin
+
+    def counted(self, x, principal, depth):
+        single_pins.append(x)
+        return walk_one(self, x, principal, depth)
+
+    monkeypatch.setattr(eta_module._Walk, "_pin", counted)
+    block = runs(walk)
+    nodes = sum(g.size for _, g in block)
+    assert len(single_pins) <= 0.01 * nodes      # the unwrap pins the rest
+    monkeypatch.setattr(eta_module._Walk, "_pin", walk_one)
+    ref = runs(node_by_node_pin)
+    assert len(block) == len(ref)
+    for (p1, g1), (p2, g2) in zip(block, ref):
+        assert np.array_equal(p1, p2)
+        k1 = np.rint((g1.imag - p1.imag) / (2 * math.pi))
+        k2 = np.rint((g2.imag - p2.imag) / (2 * math.pi))
+        assert np.array_equal(k1, k2)
+        assert np.all(np.abs(g1 - g2) <= 1e-15 * (1.0 + np.abs(g2)))
+
+
+def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
+                                                   node_by_node_pin):
+    # zeta scaled by exp(+-0.4) past two panel edges, by ramps across the
+    # gap between the panel's last node and the next one's first, where the
+    # previous G is rebased into the new window: at panel 5, inside the
+    # first block, and at panel 32, the second block's first.  With
+    # _CONT_STEP at 0.3 only those two steps fail; the walk falls back
+    # there, inserts midpoints in the gaps, and pins every node as the node
+    # walk does.
+    t_eff = store.snap(40.0)
+    us = quadrature._nodes(*eta_module._line_panels(t_eff, store).T[:, :, None])
+    gaps = [(us[p - 1, -1], us[p, 0]) for p in (5, 32)]
+    real_em = eta_module._zeta_em
+
+    def ramped(line, coords, prec, want_deriv):
+        vals, ders, rems = real_em(line, coords, prec, want_deriv)
+        x = np.atleast_1d(coords)
+        lift = sum(sign * 0.4 * np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+                   for sign, (lo, hi) in zip((1, -1), gaps))
+        return np.asarray(vals) * np.exp(lift), ders, rems
+
+    inserted = []
+    walk = eta_module._Sweep.eval
+
+    def counted(self, u, depth=0):
+        if depth > 0:
+            inserted.append(u)
+        return walk(self, u, depth)
+
+    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_CONT_STEP", 0.3)
+    monkeypatch.setattr(eta_module, "_zeta_em", ramped)
+    monkeypatch.setattr(eta_module._Sweep, "eval", counted)
+    got, _ = eta_module._iterated_integral(0.5, t_eff, 1, store,
+                                           DEFAULT_PRECISION)
+    for lo, hi in gaps:
+        assert any(lo < u < hi for u in inserted), (lo, hi)
+    assert all(any(lo < u < hi for lo, hi in gaps) for u in inserted)
+    monkeypatch.setattr(eta_module._Walk, "pin", node_by_node_pin)
+    ref, _ = eta_module._iterated_integral(0.5, t_eff, 1, store,
+                                           DEFAULT_PRECISION)
+    assert abs(got - ref) <= 1e-14 * (1.0 + abs(ref))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from zeta_eta.errors import BudgetExceeded
-from zeta_eta.quadrature import _NODES, _WEIGHTS, _panel, integrate_adaptive
+from zeta_eta.quadrature import (_NODES, _WEIGHTS, _nodes, _panel,
+                                  integrate_adaptive)
 
 
 def test_rule_nodes_ascending_symmetric_weights_sum_to_two():
@@ -114,3 +115,48 @@ def test_adaptive_panel_budget(monkeypatch):
     monkeypatch.setattr(sys.modules["zeta_eta.quadrature"], "_MAX_PANELS", 4)
     with pytest.raises(BudgetExceeded, match="hit 4 panels"):
         integrate_adaptive(f, 0.0, 10.0, 1e-12)
+
+
+def test_panel_batch_equals_single_panels():
+    # P panels through one call of the rule, a row of nodes per panel, give
+    # what P single calls give, value, discrepancy and node error alike
+    rng = np.random.default_rng(21)
+    a = np.sort(rng.uniform(-50.0, 2000.0, 32))
+    b = a + rng.uniform(1e-3, 1.0, a.size)
+
+    def f(x):
+        return np.exp(3j * x) / (1.0 + x * x), 1e-16 * (1.0 + np.abs(x))
+
+    calls = []
+
+    def seen(x):
+        calls.append(x.shape)
+        return f(x)
+
+    val, disc, node_err = _panel(seen, a, b)
+    assert calls == [(a.size, _NODES.size)]
+    for p in range(a.size):
+        v1, d1, e1 = _panel(f, a[p], b[p])
+        mass = 0.5 * (b[p] - a[p]) * float(
+            _WEIGHTS[0] @ np.abs(f(_nodes(a[p], b[p]))[0]))
+        assert abs(val[p] - v1) <= 8e-16 * mass, p
+        assert abs(disc[p] - d1) <= 8e-16 * mass, p
+        assert node_err[p] == pytest.approx(e1, rel=1e-15, abs=0.0), p
+
+
+def test_panel_batch_exact_on_degree_19_in_every_row():
+    rng = np.random.default_rng(1919)
+    re, im = rng.standard_normal(20), rng.standard_normal(20)
+    poly = np.polynomial.Polynomial(re + 1j * im)
+    a = rng.uniform(-1.0, 1.0, 8)
+    b = a + rng.uniform(0.1, 1.5, a.size)
+    val, disc, node_err = _panel(
+        lambda x: (poly(x), np.full(x.shape, 1e-3)), a, b)
+    assert val.shape == disc.shape == node_err.shape == a.shape
+    for p in range(a.size):
+        exact = complex(poly.integ()(b[p]) - poly.integ()(a[p]))
+        top = max(abs(a[p]), abs(b[p]))
+        scale = float(np.sum(np.abs(re + 1j * im) * top ** np.arange(20)))
+        assert abs(val[p] - exact) <= 1e-14 * scale, p
+        assert disc[p] <= 1e-14 * scale, p
+        assert node_err[p] == pytest.approx(1e-3 * (b[p] - a[p]), rel=1e-14)
