@@ -27,9 +27,11 @@ down to sigma_end in one Euler-Maclaurin pass on the ray's phases, and the
 path keeps the nodes.  A value is the
 principal log zeta of its own evaluation + 2 pi i k; the walk only pins k.
 eval_log and winding take a float or an array of abscissae, evaluate zeta
-at all of them in one pass and pin each from its nearest node, so a
-prepared ray answers on [sigma_end, infinity); an abscissa whose error
-bound reaches |zeta|/2 is refused, since its phase is noise.  Every walk,
+at all of them in one pass and pin each from its nearest node (a batch of
+zeta._ARRAY_NODES or more in one array step, with _pin only where a step
+fails), so a prepared ray answers on [sigma_end, infinity); an abscissa
+whose error bound reaches |zeta|/2 is refused, since its phase is noise,
+and one whose value is exactly 0 before that.  Every walk,
 the sweep's too, evaluates at most _WALK_BUDGET nodes.
 
 The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
@@ -50,7 +52,7 @@ from .errors import (BudgetExceeded, NearSingularity, NumericalError,
                      OnSingularity, ValidationError, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
-from .zeta import _Ray, _zeta_em
+from .zeta import _ARRAY_NODES, _Ray, _zeta_em
 
 # For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
 # positive coefficients), and log zeta(1.25) = 1.525 < pi/2: from here right
@@ -214,9 +216,10 @@ class BranchPath(_Walk):
         their remainder bounds and their winding integers, each pinned from
         its nearest node; 0 from SIGMA_START up.
 
-        A remainder of |zeta|/2 or more is refused: the phase of such a
-        value, and the pin with it, is noise.  Below it the error of its
-        logarithm is under log 2 < _CONT_STEP, so the pin converges.
+        A value of exactly 0 is refused first.  Then a remainder of |zeta|/2
+        or more is refused: the phase of such a value, and the pin with it,
+        is noise.  Below it the error of its logarithm is under
+        log 2 < _CONT_STEP, so the pin converges.
         """
         if np.ndim(alpha) == 0:
             xs = np.array([_real(alpha, "alpha", self.sigma_end)])
@@ -225,23 +228,49 @@ class BranchPath(_Walk):
             for end in (xs.min(), xs.max()):
                 _real(end, "alpha", self.sigma_end)
         vals, _, rems = _zeta_em(self.ray, xs, self.prec, want_deriv=False)
-        k = np.zeros(xs.size, dtype=np.int64)
-        for j, (x, p) in enumerate(zip(xs.tolist(),
-                                       self.principal(xs, vals).tolist())):
-            if rems[j] >= 0.5 * abs(vals[j]):
-                s = complex(x, -self.t if self.conjugate else self.t)
+        principal = self.principal(xs, vals)
+        for j, (v, r) in enumerate(zip(vals, rems)):
+            if r >= 0.5 * abs(v):
+                s = complex(xs[j], -self.t if self.conjugate else self.t)
                 raise NearSingularity(
-                    f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
-                    f"bound {rems[j]:.3g} at abs_err={self.prec.abs_err:g}",
+                    f"|zeta({s})| = {abs(v):.3g} is within its error "
+                    f"bound {r:.3g} at abs_err={self.prec.abs_err:g}",
                     where=s)
-            if x < SIGMA_START:
-                i = bisect.bisect(self.xs, x)
-                if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]
-                                         < self.xs[i] - x):
-                    i -= 1
-                self.x_prev, self.g_prev = self.xs[i], self.gs[i]
-                k[j] = round((self._pin(x, p, 0).imag - p.imag) / _TWO_PI)
-        return vals, rems, k
+        return vals, rems, self._wind(xs, principal)
+
+    def _wind(self, xs: np.ndarray, principal: np.ndarray) -> np.ndarray:
+        """The winding integers at xs, each pinned from its nearest node
+        (the right one on a tie) by _pin; 0 from SIGMA_START up.
+
+        A batch of _ARRAY_NODES or more takes _pin's rule in one array
+        step; only the abscissae whose step of G exceeds _CONT_STEP go
+        through _pin itself, which inserts midpoints.
+        """
+        k = np.zeros(xs.size, dtype=np.int64)
+        walk = xs < SIGMA_START
+        todo = np.flatnonzero(walk)
+        if todo.size >= _ARRAY_NODES:
+            nodes = np.array(self.xs)
+            i = np.searchsorted(nodes, xs, side="right")
+            left = np.maximum(i - 1, 0)
+            right = np.minimum(i, nodes.size - 1)
+            near = np.where((i == nodes.size) | ((i > 0) & (
+                xs - nodes[left] < nodes[right] - xs)), left, right)
+            g_near = np.array(self.gs)[near]
+            steps = np.rint((g_near.imag - principal.imag) / _TWO_PI)
+            g = principal.copy()
+            g.imag += _TWO_PI * steps
+            k[walk] = steps[walk]
+            todo = np.flatnonzero(walk & (np.abs(g - g_near) > _CONT_STEP))
+        for j in todo.tolist():
+            x, p = float(xs[j]), complex(principal[j])
+            i = bisect.bisect(self.xs, x)
+            if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]
+                                     < self.xs[i] - x):
+                i -= 1
+            self.x_prev, self.g_prev = self.xs[i], self.gs[i]
+            k[j] = round((self._pin(x, p, 0).imag - p.imag) / _TWO_PI)
+        return k
 
     def winding(self, alpha):
         """The winding integer at alpha, a float or an array (same shape)."""
@@ -265,7 +294,9 @@ class BranchPath(_Walk):
 
 def _log_with_err(vals: list, rems: list, k) -> tuple[np.ndarray, np.ndarray]:
     """log zeta = principal log of the zeta values + 2 pi i k, and its error
-    estimate rem/|zeta| + 1e-15 (1 + |log zeta|)."""
+    estimate rem/|zeta| + 1e-15 (1 + |log zeta|).  cmath.log, not np.log:
+    near |zeta| = 1 numpy's complex log loses the last bits that cmath's
+    log1p branch keeps."""
     out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
     return out, np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
 

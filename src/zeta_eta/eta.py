@@ -66,12 +66,16 @@ The sweep is anchored at u = 0 (closed-form branch value) and re-verified
 against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) are split at a0, 3.5-4.25
-at the usual targets.  On [sigma, a0] they run on one horizontal ray each: a
-panel's 21 abscissae are one batched zeta evaluation on the ray's phases
-(BranchPath.eval_log), or on the real axis for c_m.  Above a0 log zeta is
-its Dirichlet series, and the integral is a closed-form sum over the prime
-powers up to _TAIL_N; a0 is derived from that sum's truncation bound, and
-from sigma >= a0 on no quadrature runs at all.
+at the usual targets.  On [sigma, a0] they run on one horizontal ray each,
+split at 1.  The adaptive integrator hands the integrand the 42 abscissae of
+both starting panels in one call, and then both halves of each panel it
+bisects in one call; each call is one batched zeta evaluation on the ray's
+phases (BranchPath.eval_log: the Euler-Maclaurin correction on arrays, the
+branch pinned from the walk's nodes in one array step), or on the real axis
+for c_m.  Above a0 log zeta is its Dirichlet series, and the integral is a
+closed-form sum over the prime powers up to _TAIL_N; a0 is derived from
+that sum's truncation bound, and from sigma >= a0 on no quadrature runs at
+all.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
@@ -128,9 +132,9 @@ def _vertical_integral(log_f, m: int, sigma: float, a0: float, t: float,
     with an error estimate: panels on [sigma, a0], split at 1, and the
     Dirichlet series above a0 = _tail_start(m, sigma, abs_err).
 
-    log_f takes an array of abscissae in [sigma, a0] and returns (values,
-    error bounds) as arrays, one pass for a panel's 21 nodes; it is not
-    called when sigma >= a0.
+    log_f takes an array of abscissae in [sigma, a0], a row of 21 per
+    panel, and returns (values, error bounds) as arrays of its shape, one
+    pass for all of them; it is not called when sigma >= a0.
     """
     val, est = _vertical_tail(m, sigma, a0, t)
     if sigma >= a0:
@@ -406,8 +410,8 @@ class _Sweep(_Walk):
         vals, _, rems = _zeta_em(self.line, us.ravel(), self.prec,
                                  want_deriv=False)
         self._block, self._lo, self._hi = us, lo, hi
-        self._vals = np.reshape(vals, us.shape)
-        self._rems = np.reshape(rems, us.shape)
+        self._vals = np.array(vals, dtype=np.complex128).reshape(us.shape)
+        self._rems = np.array(rems).reshape(us.shape)
 
     def _block_model(self) -> np.ndarray:
         """Each panel's window model at the previous panel's last node and

@@ -4,10 +4,11 @@ An integrand takes an array of abscissae, a row of strictly ascending nodes
 per panel, and returns (values, pointwise_error_bounds) as two arrays of
 that shape; a call of the panel rule calls it once, with the 21 nodes of the
 Kronrod(21) rule, ten of which are the Gauss(10) nodes, for each of its
-panels.  The adaptive integrator calls the rule a panel at a time.  The
-returned estimate sums the panel Gauss(10)-vs-Kronrod(21) discrepancies
-with the integrated pointwise bounds, so callers can propagate honest error
-budgets.
+panels.  The adaptive integrator calls the rule once for its whole starting
+partition and once for the two halves of each panel it bisects, so the
+integrand sees a row of nodes per panel.  The returned estimate sums the
+panel Gauss(10)-vs-Kronrod(21) discrepancies with the integrated pointwise
+bounds, so callers can propagate honest error budgets.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
 
     splits lists interior points that must be panel boundaries (integrand
     kinks or one-sided limits); they are clamped to (a, b) and deduplicated.
+    f is called with a row of nodes per panel: once for the starting
+    panels, then once per bisection for both halves of the panel with the
+    largest discrepancy.
     """
     edges = [a, b]
     if splits:
@@ -118,13 +122,18 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
 
     # Max-heap of (-(discrepancy), a, b, value, discrepancy, node_err).
     heap: list[tuple[float, float, float, complex, float, float]] = []
-    total = 0.0 + 0.0j
-    n_panels = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, disc, nerr = _panel(f, lo, hi)
-        heapq.heappush(heap, (-disc, lo, hi, val, disc, nerr))
-        n_panels += 1
 
+    def push(lo: list[float], hi: list[float]) -> None:
+        if len(lo) == 1:        # the rule's scalar path costs less
+            sums = [_panel(f, lo[0], hi[0])]
+        else:
+            sums = zip(*(x.tolist() for x in _panel(f, np.array(lo),
+                                                    np.array(hi))))
+        for lo_p, hi_p, (val, disc, nerr) in zip(lo, hi, sums):
+            heapq.heappush(heap, (-disc, lo_p, hi_p, val, disc, nerr))
+
+    push(edges[:-1], edges[1:])
+    n_panels = len(heap)
     while True:
         disc_sum = sum(item[4] for item in heap)
         if disc_sum <= tol or -heap[0][0] <= 0.0:
@@ -135,11 +144,10 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
                 f"(residual {disc_sum:.3e} > tol {tol:.3e})")
         _, lo, hi, _, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, disc, nerr = _panel(f, seg[0], seg[1])
-            heapq.heappush(heap, (-disc, seg[0], seg[1], val, disc, nerr))
+        push([lo, mid], [mid, hi])
         n_panels += 1
 
+    total = 0.0 + 0.0j
     est = 0.0
     for _, _, _, val, disc, nerr in heap:
         total += val

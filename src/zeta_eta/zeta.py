@@ -26,9 +26,12 @@ takes its partial sums from one Taylor expansion of the Dirichlet sum about
 its centre (the local step of Odlyzko-Schoenhage), whose truncation bound
 joins each node's remainder; a few groups' moments are one matrix
 product.  The N^-s and Bernoulli terms and the remainder bound
-(_em_correction) are written once: a _Ray applies them node by node, a
-_Line to a whole pass as arrays.  Every node is certified on its own: the
-nodes that miss the target go on together at the escalated cutoff.
+(_em_correction) are written once.  A _Line's pass applies them to its
+nodes as arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more
+(a vertical integral's panels); a smaller batch (a single point, a branch
+walk's grid, a few escalated nodes) takes them node by node on complex
+numbers.  Every node is certified on its own: the nodes that miss the
+target go on together at the escalated cutoff.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # about 95 us plus 0.13 us a node, so a block of 672 nodes pays 0.28 us a
 # node where the loop over complex numbers pays 6-7 us.
 _BLOCK_NODES = 672
+# Nodes from which a _Ray's batch takes the correction as arrays.  On 2
+# cores at N = 400, t = 1234.5, _em_correction took 65-125 us as one array
+# call at every size from 12 to 84 nodes (150-200 us at 672), and 4.5-7.8 us
+# a node on complex numbers: 70-100 us at 16 nodes, 85-130 us at 21 and
+# 210-270 us at 42.  So single points keep the loop, and a panel's 21 nodes
+# take arrays.
+_ARRAY_NODES = 16
 # Groups of a pass whose moments one product takes: their phases n^-ic are
 # (cutoff x 2 x _GROUP_CHUNK) doubles whatever the pass's size.  This keeps
 # the sweep's peak memory at t = 2140 below that of one pass per panel
@@ -142,10 +152,12 @@ class _Ray:
         self.t = t
         self._phase = _NO_PHASES            # rows (Re, Im) of n^-it
 
-    def points(self, alphas: list[float]) -> list[complex]:
-        return [complex(min(a, _SIGMA_ONE), self.t) for a in alphas]
+    def points(self, alphas) -> list[complex]:
+        return [complex(min(a, _SIGMA_ONE), self.t)
+                for a in np.asarray(alphas).tolist()]
 
-    def first_cutoff(self, alphas: list[float], abs_err: float) -> int:
+    def first_cutoff(self, alphas: np.ndarray, abs_err: float) -> int:
+        alphas = alphas.tolist()
         return _initial_cutoff(min(min(alphas), _SIGMA_ONE),
                                min(max(alphas), _SIGMA_ONE), self.t, abs_err)
 
@@ -161,7 +173,7 @@ class _Ray:
                            else phase)
         return self._phase[:n_cut - 1]
 
-    def partial_sums(self, n_cut: int, sigmas: list[float],
+    def partial_sums(self, n_cut: int, sigmas,
                      want_deriv: bool) -> tuple[list, list, list, list]:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
         at each node, exact up to rounding (last list: 0.0 per node)."""
@@ -215,9 +227,9 @@ class _Line:
     def points(self, ts) -> np.ndarray:
         return self.sigma + 1j * np.asarray(ts, dtype=np.float64)
 
-    def first_cutoff(self, ts: list[float], abs_err: float) -> int:
-        return _initial_cutoff(self.sigma, self.sigma, max(map(abs, ts)),
-                               abs_err)
+    def first_cutoff(self, ts: np.ndarray, abs_err: float) -> int:
+        return _initial_cutoff(self.sigma, self.sigma,
+                               float(np.abs(ts).max()), abs_err)
 
     def reach(self, mass: float) -> float:
         """The largest x = |d| log N a group may reach at a cutoff where
@@ -346,16 +358,17 @@ def _em_correction(n_cut: int, logN: float, s, partial, trunc,
     return val, der, rem
 
 
-def _euler_maclaurin(line, n_cut: int, coords: list[float],
+def _euler_maclaurin(line, n_cut: int, coords,
                      want_deriv: bool) -> tuple[list, list, list]:
     """One Euler-Maclaurin pass at the nodes of line (a _Ray or a _Line)
-    with coordinates coords.
+    with coordinates coords (an array or a list).
 
     Returns lists (zeta, zeta', remainder_bound), one entry per node, and
     refuses a cutoff above _MAX_CUTOFF.  The line supplies the partial sums
-    of all its nodes at once.  A _Ray's batches are small, so the
-    correction runs node by node on complex numbers; a _Line's runs once,
-    on arrays.  zeta' is only meaningful when want_deriv is set.
+    of all its nodes at once: a _Ray as lists, a _Line as arrays.  The
+    correction runs once, on arrays, for a _Line's pass and a _Ray's batch
+    of _ARRAY_NODES nodes or more, and node by node on complex numbers for
+    a smaller batch.  zeta' is only meaningful when want_deriv is set.
     """
     if n_cut > _MAX_CUTOFF:
         raise BudgetExceeded(
@@ -364,9 +377,12 @@ def _euler_maclaurin(line, n_cut: int, coords: list[float],
     points, sums, dsums, truncs = line.partial_sums(n_cut, coords,
                                                     want_deriv)
     logN = math.log(n_cut)
-    if isinstance(points, np.ndarray):
-        val, _, rem = _em_correction(n_cut, logN, points, sums, truncs)
-        return val.tolist(), [0j] * val.size, rem.tolist()
+    if isinstance(points, np.ndarray) or len(points) >= _ARRAY_NODES:
+        val, der, rem = _em_correction(
+            n_cut, logN, np.asarray(points), np.asarray(sums),
+            np.asarray(truncs), np.asarray(dsums) if want_deriv else None)
+        return (val.tolist(), der.tolist() if want_deriv else
+                [0j] * val.size, rem.tolist())
     vals, ders, rems = [], [], []
     for node in zip(points, sums, truncs,
                     dsums if want_deriv else [None] * len(sums)):
@@ -388,8 +404,8 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     covers all nodes at one cutoff chosen for their whole range; the nodes
     whose bound misses the target go on together at the escalated cutoff.
     """
-    coords = (coords.ravel().tolist() if isinstance(coords, np.ndarray)
-              else [float(coords)])
+    coords = (coords.ravel() if isinstance(coords, np.ndarray)
+              else np.array([float(coords)]))
     n_cut = line.first_cutoff(coords, prec.abs_err)
     target = 0.25 * prec.abs_err
     val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
@@ -397,7 +413,7 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     while todo:
         n_cut = max(n_cut + 32, int(n_cut * 1.5))
         for i, v, d, r in zip(todo, *_euler_maclaurin(
-                line, n_cut, [coords[i] for i in todo], want_deriv)):
+                line, n_cut, coords[todo], want_deriv)):
             val[i], der[i], rem[i] = v, d, r
         todo = [i for i in todo if rem[i] > target]
     return val, der, rem

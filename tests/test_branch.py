@@ -4,6 +4,7 @@ Reference values frozen from an independent high-precision horizontal-ray
 march (adaptive step, winding tracked by quotient arguments, 30 digits).
 """
 
+import bisect
 import cmath
 import math
 import sys
@@ -449,3 +450,58 @@ def test_a_failing_step_where_the_window_moves_inserts_the_midpoint():
     assert entered == [5, 6, 7]
     assert walk.mids and all(0.2 < x < 0.65 and w == 1 for x, w in walk.mids)
     assert (walk.x_prev, walk.g_prev) == (0.75, g[-1])
+
+
+# --- a query's pin: one array step, _pin where a step fails ----------------------
+
+def _windings_node_by_node(path, xs):
+    """The winding integers of path's query at xs as _pin gives them, one
+    abscissa at a time, each pinned from its nearest node (the right one
+    on a tie) among the nodes the path has by then."""
+    branch = sys.modules["zeta_eta.branch"]
+    vals, _, _ = branch._zeta_em(path.ray, xs, path.prec, False)
+    out = []
+    for x, p in zip(xs.tolist(), path.principal(xs, vals).tolist()):
+        if x >= branch.SIGMA_START:
+            out.append(0)
+            continue
+        i = bisect.bisect(path.xs, x)
+        if i == len(path.xs) or (i > 0 and x - path.xs[i - 1]
+                                 < path.xs[i] - x):
+            i -= 1
+        path.x_prev, path.g_prev = path.xs[i], path.gs[i]
+        out.append(round((path._pin(x, p, 0).imag - p.imag) / (2 * math.pi)))
+    return out
+
+
+def test_a_query_pins_as_its_nodes_walked_one_by_one(store, monkeypatch,
+                                                      node_by_node_pin):
+    # 42 seeded abscissae (as many as a vertical integral's first call) on
+    # seeded rays, on a ray past the table's first ordinate and one near
+    # the pole, against rays marched and queried node by node; on the last
+    # two rays _CONT_STEP at 0.02 fails most steps of the array pin, and the
+    # fallback inserts midpoints, as many as the node walk inserts
+    branch = sys.modules["zeta_eta.branch"]
+    rng = np.random.default_rng(18)
+    rays = [(float(rng.uniform(0.0, 2140.0)), float(rng.uniform(-1.0, 1.0)))
+            for _ in range(6)]
+    rays += [(float(store.gammas[0]), 0.2), (0.4, -0.5), (800.5, 0.0),
+             (float(store.gammas[7]), 0.5)]
+    for n, (t, end) in enumerate(rays):
+        path = branch_path(t, end, store=store)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Walk, "pin", node_by_node_pin)
+            ref = branch_path(t, end, store=store)
+        assert path.xs == ref.xs
+        xs = np.sort(rng.uniform(path.sigma_end, 1.4, 42))
+        nodes = len(path.xs)
+        with monkeypatch.context() as patch:
+            if n >= len(rays) - 2:
+                patch.setattr(branch, "_CONT_STEP", 0.02)
+            got = path.winding(xs)
+            assert got.tolist() == _windings_node_by_node(ref, xs), (t, end)
+        if n >= len(rays) - 2:
+            assert len(path.xs) > nodes
+            assert len(path.xs) == len(ref.xs)
+        else:
+            assert len(path.xs) == nodes

@@ -2,6 +2,7 @@
 integrator and the iterated-eta sweep."""
 
 import cmath
+import heapq
 import subprocess
 import sys
 from fractions import Fraction
@@ -160,3 +161,122 @@ def test_panel_batch_exact_on_degree_19_in_every_row():
         assert abs(val[p] - exact) <= 1e-14 * scale, p
         assert disc[p] <= 1e-14 * scale, p
         assert node_err[p] == pytest.approx(1e-3 * (b[p] - a[p]), rel=1e-14)
+
+
+# --- the adaptive integrator against a panel at a time ---------------------------
+
+def _panel_at_a_time(f, a, b, tol, splits=None):
+    """integrate_adaptive with the rule called once per panel: the same
+    start, the same heap and the same bisections.  Returns the value and
+    the final panels' (a, b, value) in ascending order."""
+    edges = sorted(set([a, b] + [x for x in splits or [] if a < x < b]))
+    heap = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, disc, nerr = _panel(f, lo, hi)
+        heapq.heappush(heap, (-disc, lo, hi, val, disc, nerr))
+    while sum(item[4] for item in heap) > tol and -heap[0][0] > 0.0:
+        _, lo, hi, _, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for seg in ((lo, mid), (mid, hi)):
+            val, disc, nerr = _panel(f, *seg)
+            heapq.heappush(heap, (-disc, *seg, val, disc, nerr))
+    total = 0j
+    for item in heap:
+        total += item[3]
+    return total, sorted((lo, hi, val) for _, lo, hi, val, _, _ in heap)
+
+
+def _final_panels(calls):
+    """The panels an integral ends on, from the ends (a, b) of every call
+    of the rule: every panel evaluated, less those bisected."""
+    evaluated = {(lo, hi) for a, b in calls
+                 for lo, hi in zip(a.tolist(), b.tolist())}
+    split = {(a, b) for a, b in evaluated
+             if any(lo == a and hi < b for lo, hi in evaluated)}
+    return sorted(evaluated - split)
+
+
+def _vertical_route_integrand():
+    """The vertical route's integrand (a - sigma) log zeta(a + it) for
+    m = 2 at 1/2 + 1234.5i, log zeta taken a panel row at a time so that a
+    node's value does not depend on the other panels of the call."""
+    from zeta_eta.branch import branch_path
+
+    path = branch_path(1234.5, 0.5)
+
+    def f(alpha):
+        rows = np.reshape(alpha, (-1, _NODES.size))
+        v, e = (np.concatenate(x) for x in zip(*map(path.eval_log, rows)))
+        w = (rows.ravel() - 0.5)
+        return (w * v).reshape(alpha.shape), (w * e).reshape(alpha.shape)
+
+    return f, 0.5, 4.0, 2.5e-11, [1.0]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (lambda x: (np.exp(40j * x), np.zeros(x.shape)),
+             0.0, 10.0, 1e-12, None),
+    lambda: (lambda x: (np.exp(3j * x) / (1.0 + x * x),
+                        1e-16 * (1.0 + np.abs(x))), -50.0, 60.0, 1e-13,
+             [0.0, 7.5]),
+    lambda: (lambda x: (np.sqrt(np.abs(x)) + 0j, np.zeros(x.shape)),
+             -1.0, 2.0, 1e-12, [0.0]),
+    _vertical_route_integrand,
+], ids=["oscillating", "lorentzian", "kink", "vertical-route"])
+def test_adaptive_batches_end_on_the_panels_of_one_at_a_time(case,
+                                                           monkeypatch):
+    # the starting panels in one call of the rule, then both halves of each
+    # bisected panel in one: the heap sees the same discrepancies, so the
+    # integral ends on the same panels, and its value differs from the
+    # panel-at-a-time one only by the rounding of the batched weight sums
+    f, a, b, tol, splits = case()
+    calls = []
+
+    def rule(f, a, b):
+        calls.append((np.atleast_1d(a), np.atleast_1d(b)))
+        return _panel(f, a, b)
+
+    monkeypatch.setattr(sys.modules["zeta_eta.quadrature"], "_panel", rule)
+    val, _ = integrate_adaptive(f, a, b, tol, splits)
+    monkeypatch.undo()
+    ref, panels = _panel_at_a_time(f, a, b, tol, splits)
+    start = calls[0][0].size
+    assert start == 1 + len([x for x in splits or [] if a < x < b])
+    assert [lo.size for lo, _ in calls[1:]] == [2] * (len(panels) - start)
+    assert _final_panels(calls) == [(lo, hi) for lo, hi, _ in panels]
+    mass = sum(abs(v) for _, _, v in panels)
+    assert abs(val - ref) <= 8 * 2.0 ** -52 * mass
+
+
+def test_every_library_integrand_takes_a_row_per_panel(monkeypatch, store):
+    # integrate_adaptive hands an integrand a (P x 21) batch of panel rows;
+    # each library integrand (U_m's, and the vertical integral's of
+    # eta_vertical and of c_m) answers it in that shape, each row as it
+    # answers that row alone, within the two answers' own error bounds
+    from zeta_eta import eta as eta_module
+    from zeta_eta import kernels
+    from zeta_eta.eta import _c_m_cached
+
+    seen = []
+
+    def probe(f, a, b, tol, splits=None):
+        ends = np.linspace(a, b, 4)
+        rows = _nodes(ends[:-1, None], ends[1:, None])
+        vals, errs = f(rows)
+        assert vals.shape == errs.shape == rows.shape == (3, _NODES.size)
+        for p in range(3):
+            one, one_err = f(rows[p])
+            slack = errs[p] + one_err + 1e-15 * np.abs(one)
+            assert np.all(np.abs(vals[p] - one) <= slack), (a, b, p)
+        seen.append(f.__module__)
+        return integrate_adaptive(f, a, b, tol, splits)
+
+    monkeypatch.setattr(kernels, "integrate_adaptive", probe)
+    monkeypatch.setattr(eta_module, "integrate_adaptive", probe)
+    from zeta_eta import eta_vertical, u_m_eval
+    for m in (0, 1, 2):
+        u_m_eval(m, 0.3 - 0.6j)
+    eta_vertical(complex(0.5, 700.3), 2, store)
+    _c_m_cached.cache_clear()
+    eta_module.c_m(0.5, 2)
+    assert seen == ["zeta_eta.kernels"] * 3 + ["zeta_eta.eta"] * 2
