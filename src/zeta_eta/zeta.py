@@ -173,20 +173,23 @@ class _Ray:
                            else phase)
         return self._phase[:n_cut - 1]
 
-    def partial_sums(self, n_cut: int, sigmas,
-                     want_deriv: bool) -> tuple[list, list, list, list]:
+    def partial_sums(self, n_cut: int, sigmas, want_deriv: bool) -> tuple:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
-        at each node, exact up to rounding (last list: 0.0 per node)."""
+        at each node, exact up to rounding, and 0.0 per node: arrays for a
+        batch of _ARRAY_NODES nodes or more, which takes the correction on
+        arrays, and lists for a smaller one, which takes it node by node."""
         points = self.points(sigmas)
         logn = _LOG_N[:n_cut - 1]
         phase = self.phases(n_cut)
         amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
-        sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
+        sums = (amp @ phase).view(np.complex128)[:, 0]
         dsums = None
         if want_deriv:
-            dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
-                     ).tolist()
-        return points, sums, dsums, [0.0] * len(sums)
+            dsums = -((amp * logn) @ phase).view(np.complex128)[:, 0]
+        if len(points) >= _ARRAY_NODES:
+            return np.array(points), sums, dsums, np.zeros(len(points))
+        return (points, sums.tolist(), None if dsums is None else
+                dsums.tolist(), [0.0] * len(points))
 
 
 _NO_PHASES = np.empty((0, 2))
@@ -365,10 +368,11 @@ def _euler_maclaurin(line, n_cut: int, coords,
 
     Returns lists (zeta, zeta', remainder_bound), one entry per node, and
     refuses a cutoff above _MAX_CUTOFF.  The line supplies the partial sums
-    of all its nodes at once: a _Ray as lists, a _Line as arrays.  The
-    correction runs once, on arrays, for a _Line's pass and a _Ray's batch
-    of _ARRAY_NODES nodes or more, and node by node on complex numbers for
-    a smaller batch.  zeta' is only meaningful when want_deriv is set.
+    of all its nodes at once, as arrays for a _Line's pass and a _Ray's
+    batch of _ARRAY_NODES nodes or more, and then the correction runs once,
+    on arrays; a _Ray's smaller batch comes as lists and takes it node by
+    node on complex numbers.  zeta' is only meaningful when want_deriv is
+    set.
     """
     if n_cut > _MAX_CUTOFF:
         raise BudgetExceeded(
@@ -377,10 +381,9 @@ def _euler_maclaurin(line, n_cut: int, coords,
     points, sums, dsums, truncs = line.partial_sums(n_cut, coords,
                                                     want_deriv)
     logN = math.log(n_cut)
-    if isinstance(points, np.ndarray) or len(points) >= _ARRAY_NODES:
-        val, der, rem = _em_correction(
-            n_cut, logN, np.asarray(points), np.asarray(sums),
-            np.asarray(truncs), np.asarray(dsums) if want_deriv else None)
+    if isinstance(points, np.ndarray):
+        val, der, rem = _em_correction(n_cut, logN, points, sums, truncs,
+                                       dsums)
         return (val.tolist(), der.tolist() if want_deriv else
                 [0j] * val.size, rem.tolist())
     vals, ders, rems = [], [], []
