@@ -227,8 +227,8 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
 
     def g(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         big_l = 1.0 + tau / h
-        e = np.array([e_star(m, z * x, inner)
-                      for x in big_l.ravel().tolist()]).reshape(tau.shape)
+        e = np.array([e_star(m, z * x, inner) for x in big_l.ravel().tolist()])
+        e.shape = tau.shape
         return kernel.f(tau) * e / big_l ** m, np.zeros(tau.shape)
 
     val, _ = integrate_adaptive(g, 0.0, 1.0, 0.1 * prec.abs_err)

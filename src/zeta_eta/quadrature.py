@@ -105,6 +105,19 @@ def _panel(f: Integrand, a, b):
     return v21 * half, abs(v21 - v10) * half, node_err * half
 
 
+def _push(heap: list, f: Integrand, lo: list[float], hi: list[float]) -> None:
+    """Push the panels [lo[p], hi[p]] onto the heap of integrate_adaptive
+    with their sums from one call of the rule: its scalar path for one
+    panel, which costs less, and its batch path for more."""
+    if len(lo) == 1:
+        sums = [_panel(f, lo[0], hi[0])]
+    else:
+        sums = zip(*(x.tolist() for x in _panel(f, np.array(lo),
+                                                np.array(hi))))
+    for a, b, (val, disc, nerr) in zip(lo, hi, sums):
+        heapq.heappush(heap, (-disc, a, b, val, disc, nerr))
+
+
 def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
                        splits: list[float] | None = None) -> tuple[complex, float]:
     """Integral of f over [a, b], a < b, with panel bisection down to tol.
@@ -122,17 +135,7 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
 
     # Max-heap of (-(discrepancy), a, b, value, discrepancy, node_err).
     heap: list[tuple[float, float, float, complex, float, float]] = []
-
-    def push(lo: list[float], hi: list[float]) -> None:
-        if len(lo) == 1:        # the rule's scalar path costs less
-            sums = [_panel(f, lo[0], hi[0])]
-        else:
-            sums = zip(*(x.tolist() for x in _panel(f, np.array(lo),
-                                                    np.array(hi))))
-        for lo_p, hi_p, (val, disc, nerr) in zip(lo, hi, sums):
-            heapq.heappush(heap, (-disc, lo_p, hi_p, val, disc, nerr))
-
-    push(edges[:-1], edges[1:])
+    _push(heap, f, edges[:-1], edges[1:])
     n_panels = len(heap)
     while True:
         disc_sum = sum(item[4] for item in heap)
@@ -144,7 +147,7 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
                 f"(residual {disc_sum:.3e} > tol {tol:.3e})")
         _, lo, hi, _, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        push([lo, mid], [mid, hi])
+        _push(heap, f, [lo, mid], [mid, hi])
         n_panels += 1
 
     total = 0.0 + 0.0j

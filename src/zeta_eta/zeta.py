@@ -153,11 +153,9 @@ class _Ray:
         self._phase = _NO_PHASES            # rows (Re, Im) of n^-it
 
     def points(self, alphas) -> list[complex]:
-        return [complex(min(a, _SIGMA_ONE), self.t)
-                for a in np.asarray(alphas).tolist()]
+        return [complex(min(a, _SIGMA_ONE), self.t) for a in alphas]
 
-    def first_cutoff(self, alphas: np.ndarray, abs_err: float) -> int:
-        alphas = alphas.tolist()
+    def first_cutoff(self, alphas, abs_err: float) -> int:
         return _initial_cutoff(min(min(alphas), _SIGMA_ONE),
                                min(max(alphas), _SIGMA_ONE), self.t, abs_err)
 
@@ -178,16 +176,21 @@ class _Ray:
         at each node, exact up to rounding, and 0.0 per node: arrays for a
         batch of _ARRAY_NODES nodes or more, which takes the correction on
         arrays, and lists for a smaller one, which takes it node by node."""
-        points = self.points(sigmas)
         logn = _LOG_N[:n_cut - 1]
         phase = self.phases(n_cut)
-        amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
+        if len(sigmas) >= _ARRAY_NODES:
+            alphas = np.minimum(sigmas, _SIGMA_ONE)
+            points = alphas + 1j * self.t
+            amp = np.exp(np.multiply.outer(-alphas, logn))
+        else:
+            points = self.points(sigmas)
+            amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
         sums = (amp @ phase).view(np.complex128)[:, 0]
         dsums = None
         if want_deriv:
             dsums = -((amp * logn) @ phase).view(np.complex128)[:, 0]
-        if len(points) >= _ARRAY_NODES:
-            return np.array(points), sums, dsums, np.zeros(len(points))
+        if isinstance(points, np.ndarray):
+            return points, sums, dsums, np.zeros(points.size)
         return (points, sums.tolist(), None if dsums is None else
                 dsums.tolist(), [0.0] * len(points))
 
@@ -230,7 +233,7 @@ class _Line:
     def points(self, ts) -> np.ndarray:
         return self.sigma + 1j * np.asarray(ts, dtype=np.float64)
 
-    def first_cutoff(self, ts: np.ndarray, abs_err: float) -> int:
+    def first_cutoff(self, ts, abs_err: float) -> int:
         return _initial_cutoff(self.sigma, self.sigma,
                                float(np.abs(ts).max()), abs_err)
 
@@ -407,8 +410,12 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     covers all nodes at one cutoff chosen for their whole range; the nodes
     whose bound misses the target go on together at the escalated cutoff.
     """
-    coords = (coords.ravel() if isinstance(coords, np.ndarray)
-              else np.array([float(coords)]))
+    if not isinstance(coords, np.ndarray):
+        coords = [float(coords)]
+    elif coords.size < _ARRAY_NODES:        # a small batch runs on lists
+        coords = coords.ravel().tolist()
+    else:
+        coords = coords.ravel()
     n_cut = line.first_cutoff(coords, prec.abs_err)
     target = 0.25 * prec.abs_err
     val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
@@ -416,7 +423,7 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     while todo:
         n_cut = max(n_cut + 32, int(n_cut * 1.5))
         for i, v, d, r in zip(todo, *_euler_maclaurin(
-                line, n_cut, coords[todo], want_deriv)):
+                line, n_cut, [coords[i] for i in todo], want_deriv)):
             val[i], der[i], rem[i] = v, d, r
         todo = [i for i in todo if rem[i] > target]
     return val, der, rem

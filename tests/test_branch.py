@@ -470,7 +470,8 @@ def _windings_node_by_node(path, xs):
                                  < path.xs[i] - x):
             i -= 1
         path.x_prev, path.g_prev = path.xs[i], path.gs[i]
-        out.append(round((path._pin(x, p, 0).imag - p.imag) / (2 * math.pi)))
+        g = path._pin(x, p, 0)
+        out.append(round((g.imag - p.imag) / (2 * math.pi)))
     return out
 
 
