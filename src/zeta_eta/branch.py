@@ -242,30 +242,37 @@ class BranchPath(_Walk):
         """The winding integers at xs, each pinned from its nearest node
         (the right one on a tie) by _pin; 0 from SIGMA_START up.
 
-        A batch of _ARRAY_NODES or more takes _pin's rule in one array
-        step; only the abscissae whose step of G exceeds _CONT_STEP go
+        _ARRAY_NODES or more abscissae left of SIGMA_START take _pin's rule
+        in one array step; only those whose step of G exceeds _CONT_STEP go
         through _pin itself, which inserts midpoints.  The array step costs
         about 35-40 us at any size up to 42 and _pin about 2.5 us a node
         (2 cores, t = 1234.5), so zeta's crossover serves here too.
         """
         k = np.zeros(xs.size, dtype=np.int64)
-        walk = xs < SIGMA_START
-        todo = np.flatnonzero(walk)
-        if todo.size >= _ARRAY_NODES:
-            nodes = np.array(self.xs)
-            i = np.searchsorted(nodes, xs, side="right")
-            left = np.maximum(i - 1, 0)
-            right = np.minimum(i, nodes.size - 1)
-            near = np.where((i == nodes.size) | ((i > 0) & (
-                xs - nodes[left] < nodes[right] - xs)), left, right)
-            g_near = np.array(self.gs)[near]
-            steps = np.rint((g_near.imag - principal.imag) / _TWO_PI)
-            g = principal.copy()
-            g.imag += _TWO_PI * steps
-            k[walk] = steps[walk]
-            todo = np.flatnonzero(walk & (np.abs(g - g_near) > _CONT_STEP))
-        for j in todo.tolist():
-            x, p = float(xs[j]), complex(principal[j])
+        todo = range(xs.size)
+        if xs.size >= _ARRAY_NODES:
+            walk = xs < SIGMA_START
+            todo = walk.nonzero()[0]
+            if todo.size >= _ARRAY_NODES:
+                nodes = np.array(self.xs)
+                i = np.searchsorted(nodes, xs, side="right")
+                left = np.maximum(i - 1, 0)
+                right = np.minimum(i, nodes.size - 1)
+                near = np.where((i == nodes.size) | ((i > 0) & (
+                    xs - nodes[left] < nodes[right] - xs)), left, right)
+                g_near = np.array(self.gs)[near]
+                steps = np.rint((g_near.imag - principal.imag) / _TWO_PI)
+                g = principal.copy()
+                g.imag += _TWO_PI * steps
+                k[walk] = steps[walk]
+                far = np.abs(g - g_near) > _CONT_STEP
+                todo = (walk & far).nonzero()[0]
+            todo = todo.tolist()
+        for j in todo:
+            x = float(xs[j])
+            if x >= SIGMA_START:
+                continue
+            p = complex(principal[j])
             i = bisect.bisect(self.xs, x)
             if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]
                                      < self.xs[i] - x):

@@ -88,12 +88,13 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # about 95 us plus 0.13 us a node, so a block of 672 nodes pays 0.28 us a
 # node where the loop over complex numbers pays 6-7 us.
 _BLOCK_NODES = 672
-# Nodes from which a _Ray's batch takes the correction as arrays.  On 2
-# cores at N = 400, t = 1234.5, _em_correction took 65-125 us as one array
-# call at every size from 12 to 84 nodes (150-200 us at 672), and 4.5-7.8 us
-# a node on complex numbers: 70-100 us at 16 nodes, 85-130 us at 21 and
-# 210-270 us at 42.  So single points keep the loop, and a panel's 21 nodes
-# take arrays.
+# Nodes from which a _Ray's batch runs on arrays (its correction here, its
+# pin in branch.BranchPath); a smaller batch runs on Python lists and complex
+# numbers.  On 2 cores at N = 400, t = 1234.5, _em_correction took 65-125 us
+# as one array call at every size from 12 to 84 nodes (150-200 us at 672),
+# and 4.5-7.8 us a node on complex numbers: 70-100 us at 16 nodes, 85-130 us
+# at 21 and 210-270 us at 42.  So single points keep the loop, and a panel's
+# 21 nodes take arrays.
 _ARRAY_NODES = 16
 # Groups of a pass whose moments one product takes: their phases n^-ic are
 # (cutoff x 2 x _GROUP_CHUNK) doubles whatever the pass's size.  This keeps
