@@ -496,13 +496,19 @@ def test_a_query_pins_as_its_nodes_walked_one_by_one(store, monkeypatch,
         assert path.xs == ref.xs
         xs = np.sort(rng.uniform(path.sigma_end, 1.4, 42))
         nodes = len(path.xs)
+        walked = []
+        pin = _Walk._pin
         with monkeypatch.context() as patch:
             if n >= len(rays) - 2:
                 patch.setattr(branch, "_CONT_STEP", 0.02)
+            want = _windings_node_by_node(ref, xs)
+            patch.setattr(_Walk, "_pin", lambda self, *a: (
+                walked.append(a[0]), pin(self, *a))[1])
             got = path.winding(xs)
-            assert got.tolist() == _windings_node_by_node(ref, xs), (t, end)
+        assert got.tolist() == want, (t, end)
         if n >= len(rays) - 2:
-            assert len(path.xs) > nodes
+            assert len(path.xs) > nodes and walked
             assert len(path.xs) == len(ref.xs)
         else:
-            assert len(path.xs) == nodes
+            # the array step pinned every abscissa: none went to _pin
+            assert len(path.xs) == nodes and not walked
