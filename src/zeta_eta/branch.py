@@ -249,29 +249,22 @@ class BranchPath(_Walk):
         (2 cores, t = 1234.5), so zeta's crossover serves here too.
         """
         k = np.zeros(xs.size, dtype=np.int64)
-        todo = range(xs.size)
-        if xs.size >= _ARRAY_NODES:
-            walk = xs < SIGMA_START
-            todo = walk.nonzero()[0]
-            if todo.size >= _ARRAY_NODES:
-                nodes = np.array(self.xs)
-                i = np.searchsorted(nodes, xs, side="right")
-                left = np.maximum(i - 1, 0)
-                right = np.minimum(i, nodes.size - 1)
-                near = np.where((i == nodes.size) | ((i > 0) & (
-                    xs - nodes[left] < nodes[right] - xs)), left, right)
-                g_near = np.array(self.gs)[near]
-                steps = np.rint((g_near.imag - principal.imag) / _TWO_PI)
-                g = principal.copy()
-                g.imag += _TWO_PI * steps
-                k[walk] = steps[walk]
-                far = np.abs(g - g_near) > _CONT_STEP
-                todo = (walk & far).nonzero()[0]
-            todo = todo.tolist()
-        for j in todo:
+        walk = np.flatnonzero(xs < SIGMA_START)
+        if walk.size >= _ARRAY_NODES:
+            x, g = xs[walk], principal[walk]
+            nodes = np.array(self.xs)
+            i = np.searchsorted(nodes, x, side="right")
+            left = np.maximum(i - 1, 0)
+            right = np.minimum(i, nodes.size - 1)
+            near = np.where((i == nodes.size) | ((i > 0) & (
+                x - nodes[left] < nodes[right] - x)), left, right)
+            g_near = np.array(self.gs)[near]
+            steps = np.rint((g_near.imag - g.imag) / _TWO_PI)
+            g.imag += _TWO_PI * steps
+            k[walk] = steps
+            walk = walk[np.abs(g - g_near) > _CONT_STEP]
+        for j in walk.tolist():
             x = float(xs[j])
-            if x >= SIGMA_START:
-                continue
             p = complex(principal[j])
             i = bisect.bisect(self.xs, x)
             if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]

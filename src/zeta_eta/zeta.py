@@ -176,7 +176,11 @@ class _Ray:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
         at each node, exact up to rounding, and 0.0 per node: arrays for a
         batch of _ARRAY_NODES nodes or more, which takes the correction on
-        arrays, and lists for a smaller one, which takes it node by node."""
+        arrays, and lists for a smaller one, which takes it node by node.
+
+        A small batch builds its points as Python complex numbers: for one
+        node at N = 400 that took 3.6-3.8 us against 4.8-6.4 us through
+        arrays and tolist() (2 cores), about 1.5% of a single zeta() call."""
         logn = _LOG_N[:n_cut - 1]
         phase = self.phases(n_cut)
         if len(sigmas) >= _ARRAY_NODES:
@@ -324,8 +328,9 @@ def _em_correction(n_cut: int, logN: float, s, partial, trunc,
                    dpartial=None):
     """zeta at the nodes s from their partial sums sum_{n<N} n^-s, at the
     cutoff N = n_cut with logN = log N: the N^-s and Bernoulli terms and
-    the remainder bound, on one complex node (a _Ray's, with zeta' when
-    dpartial = -sum log n n^-s is given) or on arrays of nodes (a _Line's).
+    the remainder bound, on one complex node (a small _Ray batch's) or on
+    arrays of nodes (a _Line pass, or a _Ray batch of _ARRAY_NODES or more),
+    with zeta' in either form when dpartial = -sum log n n^-s is given.
     Returns (zeta, zeta' or 0, bound); the bound covers the value (the
     derivative bound is within a factor log N + order of it, folded in
     here) plus the partial sums' own trunc.

@@ -13,7 +13,7 @@ For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err, est_err being the old tree's, and exits 1
 when a call answers in one tree and is refused in the other:
 
-    python tools/value_shift.py OLD_SRC NEW_SRC [--count N] [--seed S]
+    python tools/value_shift.py OLD_SRC NEW_SRC [--count N]
 
 OLD_SRC and NEW_SRC are the src directories of the two trees (each holds
 the zeta_eta package).  --count is the number of points per function and
@@ -29,10 +29,12 @@ import sys
 
 import numpy as np
 
+SEED = 18
 
-def calls(count: int, seed: int) -> list[tuple[str, int, complex]]:
+
+def calls(count: int) -> list[tuple[str, int, complex]]:
     """(function, m, s) for the fixed seeded set; s is real for c_m."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     out = []
     for m in (1, 2, 3):
         out += [("eta_vertical", m, complex(rng.uniform(0.5, 2.0),
@@ -50,12 +52,12 @@ def calls(count: int, seed: int) -> list[tuple[str, int, complex]]:
     return out
 
 
-def evaluate(count: int, seed: int) -> list:
+def evaluate(count: int) -> list:
     """[re, im, est_err] per call of the set, or the refusal's class name,
     from the zeta_eta package on sys.path."""
     import zeta_eta as lib
     out = []
-    for name, m, s in calls(count, seed):
+    for name, m, s in calls(count):
         try:
             if name == "c_m":
                 val, est = lib.c_m_with_err(s.real, m)
@@ -71,21 +73,21 @@ def evaluate(count: int, seed: int) -> list:
     return out
 
 
-def run_tree(src: str, count: int, seed: int) -> list:
+def run_tree(src: str, count: int) -> list:
     """evaluate() in a fresh interpreter importing the package from src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--values", "--count",
-         str(count), "--seed", str(seed)],
+         str(count)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def shifts(count: int, seed: int, old: list, new: list) -> dict:
+def shifts(count: int, old: list, new: list) -> dict:
     """Per function: calls compared, largest |delta| and |delta|/est_err,
     and the calls answered in one tree only."""
     out = {}
-    for (name, m, s), a, b in zip(calls(count, seed), old, new):
+    for (name, m, s), a, b in zip(calls(count), old, new):
         row = out.setdefault(name, {"calls": 0, "abs": 0.0, "rel": 0.0,
                                     "mismatched": []})
         row["calls"] += 1
@@ -105,20 +107,19 @@ def main(argv=None) -> int:
     ap.add_argument("old_src", nargs="?")
     ap.add_argument("new_src", nargs="?")
     ap.add_argument("--count", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=18)
     ap.add_argument("--values", action="store_true",
                     help="evaluate the set with the package on sys.path "
                          "and print it as JSON (the subprocess's side)")
     args = ap.parse_args(argv)
     if args.values:
-        print(json.dumps(evaluate(args.count, args.seed)))
+        print(json.dumps(evaluate(args.count)))
         return 0
     if args.old_src is None or args.new_src is None:
         ap.error("OLD_SRC and NEW_SRC are required")
-    old = run_tree(args.old_src, args.count, args.seed)
-    new = run_tree(args.new_src, args.count, args.seed)
+    old = run_tree(args.old_src, args.count)
+    new = run_tree(args.new_src, args.count)
     failed = 0
-    for name, row in shifts(args.count, args.seed, old, new).items():
+    for name, row in shifts(args.count, old, new).items():
         print(f"{name}: {row['calls']} calls, largest |delta| "
               f"{row['abs']:.3e}, largest |delta|/est_err {row['rel']:.4g}")
         for line in row["mismatched"]:
