@@ -41,29 +41,30 @@ the model local also keeps both pieces the same size as the answer --
 subtracting every zero at once would balloon the two halves by a factor
 ~ N(t) log t and drown the result in rounding noise.
 
-A panel hands its integrand all 21 nodes at once, in ascending order.  All
-nodes lie on the one vertical line Re s = sigma, and quadrature._nodes
-places them for the sweep as for the panel rule.  So the sweep counts every
-panel's nodes against the walk's budget first, and then works a block of
-panels (zeta._BLOCK_NODES nodes) at a time: zeta at the block's nodes in
-one pass on its zeta._Line (one Taylor expansion of the Dirichlet sum per
-group of nearby nodes, a few groups' moments per matrix product, the
-Euler-Maclaurin correction one array pass); every panel's window model at
-its nodes from one logarithm over the block's (panel, row) pairs; and the
-block's panels through quadrature._panel in one call, whose Kronrod and
-Gauss sums are one product with the weights.  The walk pins the block's
-nodes in order: continuity of G along the ascending node sequence pins the
-winding integer of the principal logarithm at each sample, replacing a
-horizontal ray walk per sample.  Where the window moves, from one panel to
-the next, the previous node's G is rebased by the old model minus the new
-one at that node.  One unwrap pins the block, the winding integers being
-the running sums of the rounded phase steps; from a step above _CONT_STEP
-on, the nodes are walked one at a time, and the midpoint is inserted as a
-node of its own, evaluated on demand.  This is the rule, and branch._Walk
-the code, by which a horizontal ray pins its branch; the sweep's model
-keeps the table's multiplicities, which its closed-form integrals need.
-The sweep is anchored at u = 0 (closed-form branch value) and re-verified
-against the horizontal-ray branch at u = t.
+A panel hands its integrand all 21 nodes at once, in ascending order, all
+on the one vertical line Re s = sigma.  The sweep counts every panel's
+nodes against the walk's budget first, and then hands a block of panels
+(zeta._BLOCK_NODES nodes) to quadrature._panel at a time, whose Kronrod and
+Gauss sums are one product with the weights.  Its one call of the integrand
+receives the block's nodes, and the sweep works them there: zeta at all of
+them in one pass on its zeta._Line (one Taylor expansion of the Dirichlet
+sum per group of nearby nodes, a few groups' moments per matrix product,
+the Euler-Maclaurin correction one array pass), and every panel's window
+model at its nodes from one logarithm over the block's (panel, row) pairs;
+no zeta value outlives the call.  The sweep knows every panel's window rows
+and takes each block as the next panels in order.  The walk pins the
+block's nodes in order: continuity of G along the ascending node sequence
+pins the winding integer of the principal logarithm at each sample,
+replacing a horizontal ray walk per sample.  Where the window moves, from
+one panel to the next, the previous node's G is rebased by the old model
+minus the new one at that node.  One unwrap pins the block, the winding
+integers being the running sums of the rounded phase steps; from a step
+above _CONT_STEP on, the nodes are walked one at a time, and the midpoint
+is inserted as a node of its own, evaluated on demand.  This is the rule,
+and branch._Walk the code, by which a horizontal ray pins its branch; the
+sweep's model keeps the table's multiplicities, which its closed-form
+integrals need.  The sweep is anchored at u = 0 (closed-form branch value)
+and re-verified against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) are split at a0, 3.5-4.25
 at the usual targets.  On [sigma, a0] they run on one horizontal ray each,
@@ -96,7 +97,7 @@ from .branch import (_WINDOW, SIGMA_START, _log_zeta_real, _Walk,
                      branch_path, log_zeta_with_err)
 from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .quadrature import _NODES, _nodes, _panel, integrate_adaptive
+from .quadrature import _NODES, _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, builtin_store
 from .zeta import _BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _zeta_em
 
@@ -368,24 +369,24 @@ class _Sweep(_Walk):
     panels at a time.
 
     Its model is one table of rows (mu, rel = sigma - rho), a zero weighed
-    by its multiplicity (the closed-form model integrals need it), and a
-    panel's window is a run of its rows.
+    by its multiplicity (the closed-form model integrals need it), and
+    panel p's window is the table's rows lo[p]:hi[p].  The blocks eval
+    receives are the sweep's panels in order, each taken once.
     """
 
     def __init__(self, sigma: float, prec: EvalPrecision, mu: np.ndarray,
-                 rel: np.ndarray):
+                 rel: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         super().__init__(float(sigma), 1j)
         self.sigma = float(sigma)
         self.prec = prec
         self.line = _Line(self.sigma, prec.abs_err)
         self.table = mu, rel
-        # The fetched block: its nodes (a row per panel), their zeta values
-        # and remainder bounds, and each panel's window rows lo:hi.  last is
-        # the last walked panel's last node and its model there, None
-        # before the first block.
-        self._block = self._vals = self._rems = np.empty((0, _NODES.size))
-        self._lo = self._hi = np.empty(0, dtype=np.int64)
+        self.rows = lo, hi
+        # The panels walked so far, and the last one's last node and its
+        # model there, None before the first block.
+        self._done = 0
         self._last = None
+        self.window(lo[0], hi[0])
 
     def window(self, lo: int, hi: int) -> None:
         """Make the model the table's rows lo:hi."""
@@ -402,23 +403,13 @@ class _Sweep(_Walk):
             g0 = f0 - self.model(0.0)
         self.x_prev, self.g_prev = 0.0, complex(g0)
 
-    def fetch(self, ends: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """zeta at the nodes of the next block of panels, a row (a, b) of
-        ends each, already spent: one _zeta_em pass on the sweep's line.
-        Panel p's window is rows lo[p]:hi[p] of the table."""
-        us = _nodes(ends[:, :1], ends[:, 1:])
-        vals, _, rems = _zeta_em(self.line, us.ravel(), self.prec,
-                                 want_deriv=False)
-        self._block, self._lo, self._hi = us, lo, hi
-        self._vals = np.array(vals, dtype=np.complex128).reshape(us.shape)
-        self._rems = np.array(rems).reshape(us.shape)
-
-    def _block_model(self) -> np.ndarray:
+    def _block_model(self, us: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
         """Each panel's window model at the previous panel's last node and
-        at its own nodes, a row per panel: one np.log over the block's
-        (panel, row) pairs x 22 nodes, summed per panel by one real product
-        on the logarithms' (re, im) pairs."""
-        us, lo, hi = self._block, self._lo, self._hi
+        at its own nodes us, a row per panel, panel p's window being rows
+        lo[p]:hi[p]: one np.log over the block's (panel, row) pairs x 22
+        nodes, summed per panel by one real product on the logarithms'
+        (re, im) pairs."""
         counts = hi - lo
         pair_panel = np.repeat(np.arange(us.shape[0]), counts)
         pair_row = np.arange(counts.sum()) + np.repeat(
@@ -435,47 +426,48 @@ class _Sweep(_Walk):
 
     def eval(self, u, depth: int = 0):
         """G(u) = log zeta(sigma+iu) - model(u), branch pinned by continuity,
-        with each node's error bound.
+        with each node's error bound, from one _zeta_em pass at u.
 
-        u is a float, spent and evaluated here (a midpoint insertion, the
-        check at the end), answered with (complex, float) in the current
-        window; or the fetched block's nodes, a row per panel, each panel in
-        its own window, answered with two arrays of their shape.  Where the
-        window moves, from a panel to the next, the previous node's G is
-        rebased by the old model minus the new one at that node, since the
-        swapped terms are principal logs of points >= 1 away.
+        u is a float, spent here (a midpoint insertion, the check at the
+        end), answered with (complex, float) in the current window; or the
+        nodes of the next panels, a row per panel, each panel in its own
+        window, answered with two arrays of their shape.  Where the window
+        moves, from a panel to the next, the previous node's G is rebased
+        by the old model minus the new one at that node, since the swapped
+        terms are principal logs of points >= 1 away.
         """
-        if np.ndim(u) == 0:
-            us = np.array([u], dtype=np.float64)
+        single = np.ndim(u) == 0
+        if single:
             self.spend(1, u)
-            vals, _, rems = _zeta_em(self.line, us, self.prec,
-                                     want_deriv=False)
-            vals, rems = np.array(vals), np.array(rems)
+        else:
+            p, self._done = self._done, self._done + len(u)
+            if self._done > self.rows[0].size:
+                raise NumericalError("sweep nodes past the sweep's last panel")
+        us = np.atleast_1d(u)
+        vals, _, rems = _zeta_em(self.line, us.ravel(), self.prec,
+                                 want_deriv=False)
+        vals, rems = np.array(vals), np.array(rems)
+        if single:
             g = self.pin(us, self.principal(us, vals), depth)
-            err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
-            return complex(g[0]), float(err[0])
-        if not np.array_equal(u, self._block):
-            raise NumericalError("sweep nodes out of step with the fetched "
-                                 "block")
-        vals, rems = self._vals, self._rems
-        model = self._block_model()
-        principal = self.principal(u, vals, model[:, 1:])
-        rebase = np.zeros(u.shape, dtype=np.complex128)
-        rebase[1:, 0] = model[:-1, -1] - model[1:, 0]
-        if self._last is not None:
-            rebase[0, 0] = self._last[1] - model[0, 0]
-        width = u.shape[1]
+        else:
+            lo, hi = self.rows[0][p:self._done], self.rows[1][p:self._done]
+            model = self._block_model(us, lo, hi)
+            principal = self.principal(us, vals, model[:, 1:].ravel())
+            # The first sweep panel has no previous window: no rebase.
+            prev = model[0, 0] if self._last is None else self._last[1]
+            rebase = np.zeros(us.shape, dtype=np.complex128)
+            rebase[:, 0] = np.append(prev, model[:-1, -1]) - model[:, 0]
 
-        def enter(j: int) -> None:
-            p = j // width
-            self.window(self._lo[p], self._hi[p])
+            def enter(j: int) -> None:
+                self.window(lo[j // _NODES.size], hi[j // _NODES.size])
 
-        g = self.pin(u.ravel(), principal.ravel(), depth, rebase.ravel(),
-                     enter).reshape(u.shape)
-        self.window(self._lo[-1], self._hi[-1])
-        self._last = u[-1, -1], model[-1, -1]
+            g = self.pin(us.ravel(), principal, depth, rebase.ravel(), enter)
+            self.window(lo[-1], hi[-1])
+            self._last = us[-1, -1], model[-1, -1]
         err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
-        return g, err
+        if single:
+            return complex(g[0]), float(err[0])
+        return g.reshape(us.shape), err.reshape(us.shape)
 
 
 def _line_panels(t_eff: float, store: ZeroStore) -> np.ndarray:
@@ -568,16 +560,6 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     mu_all = np.append(-1.0, ms[near])
     cc_all = np.append(sigma - 1.0, sigma - bs[near])
     gam_all = np.append(0.0, gs[near])
-
-    sweep = _Sweep(sigma, prec, mu_all, cc_all - 1j * gam_all)
-
-    def integrand(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # A row of ascending nodes per panel: the sweep pins the branch
-        # along them in panel order.
-        g_val, g_err = sweep.eval(us)
-        w = (t_eff - us) ** (m - 1)
-        return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
-
     panels = _line_panels(t_eff, store)
     # Panel p holds rows lo[p]:hi[p], and row r lies in panels
     # first[r]:stop[r], both from the same window edges: a zero exactly on
@@ -587,11 +569,19 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     hi = np.searchsorted(gam_all, hi_edge, side="right")
     first = np.searchsorted(hi_edge, gam_all)
     stop = np.searchsorted(lo_edge, gam_all, side="right")
+    sweep = _Sweep(sigma, prec, mu_all, cc_all - 1j * gam_all, lo, hi)
+
+    def integrand(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # A row of ascending nodes per panel, the sweep's next panels: the
+        # sweep pins the branch along them in panel order.
+        g_val, g_err = sweep.eval(us)
+        w = (t_eff - us) ** (m - 1)
+        return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
+
     # Every panel's nodes counted against the walk's budget before any zeta
-    # work; then a block of panels at a time, zeta at the nodes _panel will
-    # hand the integrand, and the block's panels through _panel at once.
+    # work; then a block of panels at a time through _panel, whose one call
+    # of the integrand is the block's one zeta pass.
     sweep.spend(len(panels) * _NODES.size, 0.0)
-    sweep.window(lo[0], hi[0])
     sweep.anchor()
     block = _BLOCK_NODES // _NODES.size
     # Every panel's G integral and every row's model piece, summed exactly
@@ -603,7 +593,6 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     node_est = 0.0
     for p in range(0, len(panels), block):
         ends = panels[p:p + block]
-        sweep.fetch(ends, lo[p:p + block], hi[p:p + block])
         vals, p_disc, p_err = _panel(integrand, ends[:, 0], ends[:, 1])
         parts += vals.tolist()
         disc += math.fsum(p_disc)

@@ -155,17 +155,35 @@ class ZeroStore:
         out = np.where(ts < tol, ORDINATE_OFFSET, out)
         return float(out) if out.ndim == 0 else out
 
+    def nearest_zero(self, s: complex) -> tuple[float, complex]:
+        """The distance from s to the nearest zero, reflections included,
+        and that zero (beta - i gamma for a reflection).
+
+        For each of t and -t, the ordinates of s and of its reflection, the
+        zeros on both sides of it bound the distance by d, and every zero
+        with |gamma - t| <= d is measured: zeros whose ordinates lie closer
+        together than their betas differ are all seen.
+        """
+        g = self._gammas
+        best = (math.inf, 0j)
+        for sign in (1.0, -1.0):
+            tt = sign * s.imag
+            i = int(np.searchsorted(g, tt))
+            lo, hi = max(i - 1, 0), i + 1
+            d = np.hypot(s.real - self._betas[lo:hi], tt - g[lo:hi]).min()
+            # The neighbours stay in, whichever way tt -+ d rounds.
+            lo = min(lo, int(np.searchsorted(g, tt - d)))
+            hi = max(hi, int(np.searchsorted(g, tt + d, side="right")))
+            dist = np.hypot(s.real - self._betas[lo:hi], tt - g[lo:hi])
+            j = int(np.argmin(dist))
+            if dist[j] < best[0]:
+                best = float(dist[j]), complex(self._betas[lo + j],
+                                               sign * g[lo + j])
+        return best
+
     def zero_distance(self, s: complex) -> float:
         """Distance from s to the nearest zero, reflections included."""
-        t = s.imag
-        d = math.inf
-        for tt in (t, -t):
-            i = int(np.searchsorted(self._gammas, tt))
-            for j in (i - 1, i):
-                if 0 <= j < len(self._gammas):
-                    d = min(d, abs(complex(s.real, tt)
-                                   - complex(self._betas[j], self._gammas[j])))
-        return d
+        return self.nearest_zero(s)[0]
 
     def lorentz_sum(self, t: float) -> float:
         """sum over zeros (both signs of gamma) of 1/(1 + (t - gamma)^2)."""
@@ -223,6 +241,16 @@ class ZeroStore:
 
 # --- ingestion ----------------------------------------------------------------
 
+def _check_ordinate(gamma: float, prev: float, ln: int) -> None:
+    """Refuse an ordinate on line ln that is not finite and positive, or
+    not strictly above the previous record's, prev."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ParseError(f"ordinate must be positive and finite, got {gamma}", ln)
+    if gamma <= prev:
+        raise NotSorted(
+            f"ordinate {gamma} not strictly above previous {prev}", ln)
+
+
 def _parse_plain(lines: list[str]) -> list[ZeroRecord]:
     records: list[ZeroRecord] = []
     prev = -math.inf
@@ -234,11 +262,7 @@ def _parse_plain(lines: list[str]) -> list[ZeroRecord]:
             gamma = float(text)
         except ValueError:
             raise ParseError(f"expected one ordinate, got {text!r}", ln) from None
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ParseError(f"ordinate must be positive and finite, got {gamma}", ln)
-        if gamma <= prev:
-            raise NotSorted(
-                f"ordinate {gamma} not strictly above previous {prev}", ln)
+        _check_ordinate(gamma, prev, ln)
         prev = gamma
         records.append(ZeroRecord(gamma))
     return records
@@ -266,15 +290,11 @@ def _parse_csv(lines: list[str]) -> list[ZeroRecord]:
             gamma, beta, mult = float(row[0]), float(row[1]), int(row[2])
         except ValueError:
             raise ParseError(f"bad record {row!r}", ln) from None
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ParseError(f"ordinate must be positive and finite, got {gamma}", ln)
+        _check_ordinate(gamma, prev, ln)
         if not (0.0 < beta < 1.0):
             raise ParseError(f"beta must lie in (0, 1), got {beta}", ln)
         if mult < 1:
             raise ParseError(f"multiplicity must be >= 1, got {mult}", ln)
-        if gamma <= prev:
-            raise NotSorted(
-                f"ordinate {gamma} not strictly above previous {prev}", ln)
         prev = gamma
         records.append(ZeroRecord(gamma, beta, mult))
     if header is None:

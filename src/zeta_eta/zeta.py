@@ -82,11 +82,12 @@ _TAYLOR_SHARE = 1e-3
 # average in 116 passes, and that at 2 + 1900i 1,172 of 46 in 83.
 _TAYLOR_REACH = 2.0
 _UNIT_ROUNDOFF = 2.0 ** -53
-# Nodes a _Line pass takes at most: the iterated eta sweep evaluates zeta a
-# block of 32 panels ahead of its walk, and _zeta_line its sorted ordinates,
-# in blocks of this many.  The array Euler-Maclaurin correction costs a pass
-# about 95 us plus 0.13 us a node, so a block of 672 nodes pays 0.28 us a
-# node where the loop over complex numbers pays 6-7 us.
+# Nodes a _Line pass takes at most: the iterated eta sweep evaluates zeta at
+# a block of 32 panels' nodes, in the one call of its integrand that receives
+# them, and _zeta_line its sorted ordinates, in blocks of this many.  The
+# array Euler-Maclaurin correction costs a pass about 95 us plus 0.13 us a
+# node, so a block of 672 nodes pays 0.28 us a node where the loop over
+# complex numbers pays 6-7 us.
 _BLOCK_NODES = 672
 # Nodes from which a _Ray's batch runs on arrays (its correction here, its
 # pin in branch.BranchPath); a smaller batch runs on Python lists and complex
@@ -441,15 +442,19 @@ def _zeta_line(sigma: float, ts,
     in their order.
 
     An ordinate that zeta sends to extended precision goes there, its bound
-    the target 0.25 abs_err.  The others are sorted and go through _zeta_em
-    on one _Line in blocks of _BLOCK_NODES, each block one pass (and one
-    more for the nodes that miss the target), which groups them.
+    the target 0.25 abs_err; that rule grows with |t|, so it is asked once,
+    at the largest |t|, and ordinate by ordinate only when that one goes.
+    The others are sorted and go through _zeta_em on one _Line in blocks of
+    _BLOCK_NODES, each block one pass (and one more for the nodes that miss
+    the target), which groups them.
     """
     abs_err = prec.abs_err
     ts = np.asarray(ts, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
-    extended = np.array([_needs_extended(complex(sigma, t), abs_err)
-                         for t in ts[order]], dtype=bool)
+    extended = np.zeros(ts.size, dtype=bool)
+    if _needs_extended(complex(sigma, np.abs(ts).max(initial=0.0)), abs_err):
+        extended = np.array([_needs_extended(complex(sigma, t), abs_err)
+                             for t in ts[order]], dtype=bool)
     # Objects only where extended values must be kept as mpmath gives them.
     vals = np.empty(ts.size, dtype=object if extended.any() else complex)
     rems = np.full(ts.size, 0.25 * abs_err)
@@ -517,15 +522,11 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
     if abs(z - 1.0) <= guard:
         raise NearSingularity(
             f"s={s} within {guard:g} of the pole at 1", where=1.0 + 0.0j)
-    if store is not None and len(store) > 0:
-        j = int(np.argmin(np.abs(store.gammas - abs(z.imag))))
-        for i in range(max(0, j - 1), min(len(store), j + 2)):
-            rec = store.record(i)
-            for gamma in (rec.gamma, -rec.gamma):
-                rho = complex(rec.beta, gamma)
-                if abs(z - rho) <= guard:
-                    raise NearSingularity(
-                        f"s={s} within {guard:g} of zero {rho}", where=rho)
+    if store is not None:
+        dist, rho = store.nearest_zero(z)
+        if dist <= guard:
+            raise NearSingularity(
+                f"s={s} within {guard:g} of zero {rho}", where=rho)
     if _needs_extended(z, prec.abs_err):
         return _extended(prec.abs_err, lambda mp, w: mp.zeta(
             w, derivative=1) / mp.zeta(w), z)

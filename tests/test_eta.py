@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -418,7 +419,7 @@ def test_sweep_peak_memory_at_the_table_top(store):
 
 
 def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
-    # one node of a fetched block of panels evaluating to exactly zero
+    # one node of a block of panels evaluating to exactly zero
     real_em = eta_module._zeta_em
 
     def with_zero(line, coords, prec, want_deriv):
@@ -430,6 +431,52 @@ def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
     monkeypatch.setattr(eta_module, "_zeta_em", with_zero)
     with pytest.raises(OnSingularity, match="= 0 at working precision"):
         eta_iterated(complex(0.5, 30.0), 1, store)
+
+
+def test_sweep_takes_one_zeta_pass_per_call(store, monkeypatch):
+    # every call of the sweep, a block of panels or a single node, makes
+    # one _zeta_em pass, within that call, at exactly the nodes it is
+    # handed: no zeta is evaluated ahead of the call
+    real_em = eta_module._zeta_em
+    walk = eta_module._Sweep.eval
+    passes, handed, open_calls = [], [], []
+
+    def counted_em(line, coords, prec, want_deriv):
+        passes.append((len(open_calls), np.array(coords)))
+        return real_em(line, coords, prec, want_deriv)
+
+    def counted(self, u, depth=0):
+        handed.append(np.ravel(u))
+        open_calls.append(u)
+        try:
+            return walk(self, u, depth)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(eta_module, "_zeta_em", counted_em)
+    monkeypatch.setattr(eta_module._Sweep, "eval", counted)
+    eta_iterated(complex(0.5, 700.3), 1, store)
+    assert len(handed) > 2 and len(passes) == len(handed)
+    for (inside, coords), nodes in zip(passes, handed):
+        assert inside > 0 and np.array_equal(coords, nodes)
+
+
+def test_sweep_refuses_a_block_past_its_last_panel():
+    # a sweep of two panels at sigma = 2, its window the pole row alone,
+    # takes both in one block and refuses a third panel
+    panels = np.array([[0.25, 0.5], [0.5, 1.0]])
+    sweep = eta_module._Sweep(2.0, DEFAULT_PRECISION, np.array([-1.0]),
+                              np.array([1.0 + 0j]), np.zeros(2, dtype=int),
+                              np.ones(2, dtype=int))
+    sweep.anchor()
+    us = quadrature._nodes(panels[:, :1], panels[:, 1:])
+    g, err = sweep.eval(us)
+    assert g.shape == err.shape == us.shape
+    log_zeta = g - np.log(1.0 + 1j * us)
+    assert abs(log_zeta[1, -1] - cmath.log(complex(
+        mpmath.zeta(complex(2.0, us[1, -1]))))) <= 1e-12
+    with pytest.raises(NumericalError, match="past the sweep's last panel"):
+        sweep.eval(us[1:] + 0.5)
 
 
 def _linspace_panels(t_eff, store):

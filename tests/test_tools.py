@@ -21,3 +21,37 @@ def test_value_shift_of_a_tree_against_itself_is_zero():
     for line in out:
         assert line.endswith("largest |delta| 0.000e+00, "
                              "largest |delta|/est_err 0"), line
+
+
+def test_code_lines_leaves_out_comments_docstrings_and_blanks(tmp_path):
+    # a module docstring, a comment line, a blank line, a class and a
+    # function docstring of two lines each are left out; a trailing
+    # comment, a string that is not a docstring and a statement over two
+    # lines count
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        '"""Module."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # trailing\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Two\n'
+        '    lines."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Also\n'
+        '        two."""\n'
+        '        s = """not a\n'
+        '        docstring"""\n'
+        "        return (s,\n"
+        "                X)\n")
+    (pkg / "empty.py").write_text('"""Only a docstring."""\n')
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "code_lines.py"),
+         str(tmp_path)],
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == [os.path.join("pkg", "empty.py") + " 0",
+                   os.path.join("pkg", "mod.py") + " 7", "total 7"]

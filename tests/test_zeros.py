@@ -71,6 +71,25 @@ def test_csv_parse_errors(tmp_path):
         load_zeros(str(p), "nonsense-format")
 
 
+def test_csv_ordinate_errors_as_plain(tmp_path):
+    # the csv reader refuses ordinates as the plain one does: same class,
+    # message and line
+    for rows, plain, exc, msg in [
+            ("14.1,0.5,1\n-3.0,0.5,1\n", "14.1\n-3.0\n", ParseError,
+             "ordinate must be positive and finite, got -3.0"),
+            ("14.1,0.5,1\ninf,0.5,1\n", "14.1\ninf\n", ParseError,
+             "ordinate must be positive and finite, got inf"),
+            ("14.1,0.5,1\n13.0,0.5,1\n", "14.1\n13.0\n", NotSorted,
+             "ordinate 13.0 not strictly above previous 14.1")]:
+        for text, fmt, line in ((f"gamma,beta,multiplicity\n{rows}", "csv", 3),
+                                (plain, "plain-ordinates", 2)):
+            p = tmp_path / "bad.txt"
+            p.write_text(text)
+            with pytest.raises(exc, match=msg) as ei:
+                load_zeros(str(p), fmt)
+            assert ei.value.line == line
+
+
 def test_builtin_store(store):
     assert len(store) >= 1600
     assert store.t_max > 2150.0
@@ -107,6 +126,27 @@ def test_nearest_and_distance(store):
     # reflected zeros count too
     d = store.zero_distance(complex(0.5, -GAMMA_1))
     assert d < 1e-9
+
+
+# A zero on the line at 100 and three at beta = 0.9 just above it, their
+# ordinates closer together than their betas differ: from 0.5 + 100.000005i
+# the ordinates next to t are the 0.9 zeros, 0.4 away, and the nearest zero
+# is 5e-6 away, two ordinates further down.
+_CROWDED = ZeroStore([ZeroRecord(100.0), ZeroRecord(100.000002, 0.9),
+                      ZeroRecord(100.000003, 0.9),
+                      ZeroRecord(100.000004, 0.9)], "test")
+
+
+def test_nearest_zero_past_crowded_ordinates():
+    for sign in (1.0, -1.0):
+        s = complex(0.5, sign * 100.000005)
+        assert _CROWDED.zero_distance(s) == pytest.approx(5e-6, rel=1e-6)
+        assert _CROWDED.nearest_zero(s) == (_CROWDED.zero_distance(s),
+                                            complex(0.5, sign * 100.0))
+    d, rho = _CROWDED.nearest_zero(complex(0.9, 100.0000031))
+    assert d == pytest.approx(1e-7, rel=1e-6) and rho == 0.9 + 100.000003j
+    # far below every ordinate the lowest zero is nearest
+    assert _CROWDED.nearest_zero(0.5 + 1j) == (99.0, 0.5 + 100j)
 
 
 def test_rvmf_check_counts(store):

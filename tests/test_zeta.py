@@ -20,6 +20,7 @@ from zeta_eta.precision import EvalPrecision
 from zeta_eta import eta as _ETA_MODULE
 from zeta_eta.quadrature import _NODES
 from zeta_eta.quadrature import _nodes as _quadrature_nodes
+from zeta_eta.zeros import ZeroRecord, ZeroStore
 from zeta_eta.zeta import hardy_z, log_gamma, theta, zeta, zeta_log_deriv
 
 # 40-digit oracle values, rounded to double precision.
@@ -130,6 +131,17 @@ def test_log_deriv_guards(store):
             zeta_log_deriv(complex(0.5, t), store=store)
     # away from singularities the store guard stays quiet
     zeta_log_deriv(complex(0.5, 16.0), store=store)
+
+
+def test_log_deriv_guard_past_crowded_ordinates():
+    # three zeros at beta = 0.9 lie between t and the zero 0.5 + 100i, 5e-6
+    # from s, inside the guard sqrt(1e-10) = 1e-5; the guard names it
+    crowded = ZeroStore([ZeroRecord(100.0), ZeroRecord(100.000002, 0.9),
+                         ZeroRecord(100.000003, 0.9),
+                         ZeroRecord(100.000004, 0.9)], "test")
+    with pytest.raises(NearSingularity) as info:
+        zeta_log_deriv(complex(0.5, 100.000005), store=crowded)
+    assert info.value.where == complex(0.5, 100.0)
 
 
 def test_log_gamma_oracle():
@@ -368,6 +380,33 @@ def test_line_tables_grow_only_the_short_axis():
     assert line._rows.shape == (15, 99)
     line._tables(101, 3)
     assert line._rows.shape == (15, 123)
+
+
+def test_line_sampler_asks_the_extended_rule_once(monkeypatch):
+    # the extended-precision rule grows with |t|: 10^4 ordinates at abs_err
+    # 1e-8 ask it once, at the largest; at abs_err 1e-12 the ordinate above
+    # t = 500 goes to mpmath, as zeta sends it, and the others stay in
+    # doubles
+    rule = _ZETA_MODULE._needs_extended
+    calls = []
+
+    def counted(z, abs_err):
+        calls.append(z)
+        return rule(z, abs_err)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_needs_extended", counted)
+    ts = np.random.default_rng(3).uniform(10.0, 2000.0, 10_000)
+    _ZETA_MODULE._zeta_line(0.5, ts, EvalPrecision(abs_err=1e-8))
+    assert calls == [complex(0.5, ts.max())]
+    prec = EvalPrecision(abs_err=1e-12)
+    vals, rems = _ZETA_MODULE._zeta_line(0.5, [400.25, 600.5, 20.5], prec)
+    assert isinstance(vals[1], mp.mpc) and vals[1] == zeta(0.5 + 600.5j, prec)
+    for v, t in ((vals[0], 400.25), (vals[2], 20.5)):
+        assert isinstance(v, complex)
+        with mp.workdps(30):
+            ref = complex(mp.zeta(mp.mpc(0.5, t)))
+        assert abs(v - ref) <= 0.25e-12
+    assert rems[1] == 0.25e-12 and np.all(rems <= 0.25e-12)
 
 
 # --- zeta at many ordinates of one vertical line -------------------------------
