@@ -6,11 +6,12 @@ The double-precision path is a direct Euler-Maclaurin sum
     zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
               + sum_{k=1..K} B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1) + R,
 
-with correction order 2K = 20 and the classical remainder bound
-|R| <= |first omitted term| * |s+2K+1|/(sigma+2K+1).  N is chosen from the
-target error and escalated until the bound certifies it.  Precision requests
-below 5e-14 are delegated to software extended precision (mpmath), which the
-double path is also tested against.
+with correction order 2K = 20 and Backlund's remainder bound
+|R| <= |first omitted term| * |s+2K+1|/(sigma+2K+1) (Edwards, Riemann's Zeta
+Function, 6.4).  The bound is A(s) N^-(2K+1+sigma) in closed form, so N is
+solved from it: the smallest cutoff at which it meets the target at the
+pass's worst node.  Precision requests below 5e-14 are delegated to software
+extended precision (mpmath), which the double path is also tested against.
 
 One kernel evaluates the sum at any set of nodes on one line, which
 supplies their partial sums sum_{n<N} n^-s together.  A horizontal line
@@ -30,8 +31,9 @@ product.  The N^-s and Bernoulli terms and the remainder bound
 nodes as arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more
 (a vertical integral's panels); a smaller batch (a single point, a branch
 walk's grid, a few escalated nodes) takes them node by node on complex
-numbers.  Every node is certified on its own: the nodes that miss the
-target go on together at the escalated cutoff.
+numbers.  Every node is certified on its own: a node whose bound still
+misses the target (none on a solved cutoff, up to rounding) goes on with
+the others that miss at an escalated cutoff.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import bisect
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -66,11 +67,16 @@ _CORRECTION_ORDER = 10          # K: number of Bernoulli correction terms
 # (B_2k/(2k)!, 2k-1, 2k) for k = 1..K: the steps of the correction sum.
 _STEPS = [(_BFRAC[k - 1], 2 * k - 1, 2 * k)
           for k in range(1, _CORRECTION_ORDER + 1)]
+# log |B_2K+2/(2K+2)!|, the first omitted term's coefficient, and the
+# variance of j = 0 .. 2K+1: the constants of the cutoff's solve.
+_LOG_TAIL_COEF = math.log(abs(_BFRAC[_CORRECTION_ORDER]))
+_J_VARIANCE = ((2 * _CORRECTION_ORDER + 2) ** 2 - 1) / 12.0
 _EXTENDED_THRESHOLD = 5e-14     # below this, switch to software precision
 _POLE_RADIUS = 1e-12
 _MAX_CUTOFF = 200_000           # largest Euler-Maclaurin cutoff N tried
+_MIN_CUTOFF = 16                # smallest cutoff N a pass takes
 # A _Line's expansion truncation may use this share of the certification
-# target, so it never decides an escalation.
+# target; the line's cutoff is solved for the rest.
 _TAYLOR_SHARE = 1e-3
 # A _Line group reaches x = |d| log N from its centre, and its expansion
 # rounds off about mass (e^x - 1) u more than the direct sum, where
@@ -110,27 +116,27 @@ _SIGMA_ONE = 1100.0
 
 def _initial_cutoff(sigma_lo: float, sigma_hi: float, t: float,
                     abs_err: float) -> int:
-    """A cutoff for every node sigma + it with sigma in [sigma_lo, sigma_hi]."""
-    # Remainder ~ (2/(2pi)^(2K+2)) * (|s|+2K)^(2K+1) * N^(-sigma-2K-1); solve
-    # (t_eff/N)^(2K+1) <= abs_err (2pi)^(2K+2)/16 for N at the largest |s|,
-    # then one fixup pass for the N^-sigma factor at the smallest sigma.  The
-    # escalation loop covers any shortfall.
-    k2 = 2 * _CORRECTION_ORDER + 1
-    t_eff = math.hypot(max(-sigma_lo, sigma_hi), t) + k2 + 1
-    n = t_eff / _cutoff_ratio(abs_err)
-    if sigma_lo < 0:
-        # N^-sigma inflates the remainder; compensate once.
-        n *= math.exp(-sigma_lo * math.log(max(n, 2.0)) / k2)
-    return max(16, int(math.ceil(n)))
+    """The smallest cutoff N >= _MIN_CUTOFF at which _em_correction's bound
+    meets 0.25 abs_err at sigma_lo + it and at sigma_hi + it.
 
-
-@lru_cache(maxsize=8)
-def _cutoff_ratio(abs_err: float) -> float:
-    """|s|/N at which the remainder meets abs_err (4.3 at the coarsest
-    abs_err EvalPrecision allows, 1e-3)."""
-    k2 = 2 * _CORRECTION_ORDER + 1
-    return math.exp((math.log(abs_err / 16.0)
-                     + (k2 + 1) * math.log(2 * math.pi)) / k2)
+    On a ray the N the bound asks for is largest at one end of the
+    abscissae wherever it exceeds _MIN_CUTOFF, so the two ends stand for
+    every node between them.
+    """
+    # u_{K+1} N^-s = s(s+1)...(s+2K) N^(-s-2K), so the bound is
+    # A N^-(2K+1+sigma) with A = |B_2K+2/(2K+2)!| prod_{j<=2K+1} |s+j|
+    # / (sigma+2K+1): solved for N.  The product's log is bounded by
+    # (K+1) log of the mean of |s+j|^2 (Jensen), one log where the exact
+    # sum takes 2K+2: it gives at most 0.5% more N where N > _MIN_CUTOFF.
+    log_target = math.log(0.25 * abs_err)
+    n = _MIN_CUTOFF
+    for sigma in {sigma_lo, sigma_hi}:
+        power = sigma + 2 * _CORRECTION_ORDER + 1
+        log_a = (_LOG_TAIL_COEF - math.log(power) + (_CORRECTION_ORDER + 1)
+                 * math.log((sigma + _CORRECTION_ORDER + 0.5) ** 2
+                            + _J_VARIANCE + t * t))
+        n = max(n, math.ceil(math.exp((log_a - log_target) / power)))
+    return n
 
 
 # log n for n = 1 .. _MAX_CUTOFF - 1; every pass takes its first N - 1.
@@ -141,11 +147,12 @@ class _Ray:
     """One horizontal line Im s = t and the phases n^-it of its terms.  Its
     nodes are the abscissae alpha.
 
-    The phases are computed once and grown when a pass needs a larger
-    cutoff, so an escalated pass reuses those of the first; the nodes
-    alpha + it cost one real exponential n^-alpha per term and node and one
-    real matrix product.  A node right of _SIGMA_ONE is evaluated at
-    _SIGMA_ONE, where zeta is 1 to double precision.
+    The phases are computed once and grown when a later pass on the ray
+    needs a larger cutoff, so every pass reuses those of the ones before;
+    the nodes alpha + it cost one real exponential n^-alpha per term and
+    node and one real matrix product.  A node right of _SIGMA_ONE is
+    evaluated, and its cutoff sized, at _SIGMA_ONE, where zeta is 1 to
+    double precision.
     """
 
     __slots__ = ("t", "_phase")
@@ -240,8 +247,11 @@ class _Line:
         return self.sigma + 1j * np.asarray(ts, dtype=np.float64)
 
     def first_cutoff(self, ts, abs_err: float) -> int:
+        # The bound grows with |t|; the expansion's truncation keeps
+        # _TAYLOR_SHARE of the target.
         return _initial_cutoff(self.sigma, self.sigma,
-                               float(np.abs(ts).max()), abs_err)
+                               float(np.abs(ts).max()),
+                               (1.0 - _TAYLOR_SHARE) * abs_err)
 
     def reach(self, mass: float) -> float:
         """The largest x = |d| log N a group may reach at a cutoff where
@@ -414,8 +424,9 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     order of coords.
 
     Every node is certified to 0.25 abs_err on its own.  The first pass
-    covers all nodes at one cutoff chosen for their whole range; the nodes
-    whose bound misses the target go on together at the escalated cutoff.
+    covers all nodes at the cutoff solved from the bound for the worst of
+    them; the nodes whose bound still misses the target go on together at
+    the escalated cutoff.
     """
     if not isinstance(coords, np.ndarray):
         coords = [float(coords)]
@@ -424,6 +435,12 @@ def _zeta_em(line, coords, prec: EvalPrecision,
     else:
         coords = coords.ravel()
     n_cut = line.first_cutoff(coords, prec.abs_err)
+    if want_deriv:
+        # zeta''s bound is the value's times log N + 2K + 2: two fixed-point
+        # steps settle N.
+        for _ in range(2):
+            n_cut = line.first_cutoff(coords, prec.abs_err / (
+                math.log(n_cut) + 2 * _CORRECTION_ORDER + 2))
     target = 0.25 * prec.abs_err
     val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
     todo = [i for i, r in enumerate(rem) if r > target]

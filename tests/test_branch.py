@@ -327,24 +327,30 @@ def test_a_query_whose_phase_is_noise_is_refused(store):
     # |zeta| ~ 1e-9 |zeta'(rho)|, so at abs_err 1e-3 the value's phase is
     # noise.  Where the error bound reaches |zeta|/2 the query is refused;
     # pinned anyway, it stalls with a NumericalError or answers with
-    # est_err 5 to 32
+    # est_err 5 to 32.  At 1e-6 the rule decides from the remainder the
+    # query's own zeta pass certifies, in both directions
+    branch = sys.modules["zeta_eta.branch"]
     rng = np.random.default_rng(8)
     refused = {1e-3: 0, 1e-6: 0}
     for i in rng.choice(len(store), 8, replace=False).tolist():
         s = complex(0.5, float(store.gammas[i]) + 5e-10)
         ref, _ = log_zeta_with_err(s, store=store)
         for abs_err in refused:
+            prec = EvalPrecision(abs_err=abs_err)
+            (val,), _, (rem,) = branch._zeta_em(
+                branch._Ray(store.snap(s.imag)), s.real, prec, False)
             try:
-                got, est = log_zeta_with_err(
-                    s, EvalPrecision(abs_err=abs_err), store)
+                got, est = log_zeta_with_err(s, prec, store)
             except NearSingularity as exc:
+                assert rem >= 0.5 * abs(val), (s, abs_err, rem / abs(val))
                 assert exc.where.imag == pytest.approx(s.imag, abs=1e-8)
                 refused[abs_err] += 1
                 continue
             except NumericalError:
                 pytest.fail(f"stalled at {s}, abs_err={abs_err}")
+            assert rem < 0.5 * abs(val), (s, abs_err, rem / abs(val))
             assert est < 0.5 and abs(got - ref) <= est, (s, abs_err)
-    assert refused == {1e-3: 8, 1e-6: 4}
+    assert refused[1e-3] == 8
     # the refusal names the point asked for, below the real axis too
     with pytest.raises(NearSingularity) as info:
         log_zeta_with_err(s.conjugate(), EvalPrecision(abs_err=1e-3), store)

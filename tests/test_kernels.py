@@ -7,6 +7,7 @@ E* reference values come from an independent special-function library
 import cmath
 import math
 import signal
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,8 @@ from zeta_eta.errors import (InvalidFamily, OnNegativeRealAxisCut,
                              ValidationError)
 from zeta_eta.kernels import (DEFAULT_KERNEL, boundary_derivative, e_star,
                               make_kernel, u_f_h, u_m_eval, v_f_h)
-from zeta_eta.quadrature import integrate_adaptive
+from zeta_eta.precision import DEFAULT_PRECISION
+from zeta_eta.quadrature import _NODES, integrate_adaptive
 
 E1_ORACLE = {
     (0.3, 0.0): 0.9056766516758468 + 0j,
@@ -323,6 +325,40 @@ def test_u_m_answers_where_its_nodes_cross_the_radius():
     # the limit from below the cut: Im U_0(-2.5) = Im E_1(-x - i0) = pi
     im = got[(0, complex(-2.5))].imag
     assert 0.0 < math.pi - im < 1e-6, im
+
+
+def _e_star_one_by_one(m, w, prec):
+    return np.array([e_star(m, x, prec) for x in w.ravel().tolist()]
+                    ).reshape(w.shape)
+
+
+def test_e_star_on_a_panel_matches_node_by_node(monkeypatch):
+    # a block of panels' nodes w = z L, L in [1, 2]: inside the radius in
+    # one call of the closed form on the array, within a few ulps of the
+    # scalar path, on the scale (1 + |w|)^m of the sum's terms; a block
+    # that straddles the radius (|z| = 3) or reaches the cut goes node by
+    # node, bit for bit the scalar path or its refusal
+    kernels = sys.modules["zeta_eta.kernels"]
+    big_l = 1.0 + np.stack([0.5 + 0.5 * _NODES, 0.25 + 0.25 * _NODES])
+    rng = np.random.default_rng(20)
+    for m in (0, 1, 2, 3):
+        for z in [complex(*rng.uniform(-1.4, 1.4, 2)) for _ in range(6)]:
+            w = z * big_l
+            got = kernels._e_star_nodes(m, w, DEFAULT_PRECISION)
+            want = _e_star_one_by_one(m, w, DEFAULT_PRECISION)
+            scale = (1.0 + np.abs(w)) ** m
+            assert np.all(np.abs(got - want) <= 8 * 2.0 ** -52 * scale), (m, z)
+        w = complex(2.4, -1.8) * big_l
+        assert np.array_equal(kernels._e_star_nodes(m, w, DEFAULT_PRECISION),
+                              _e_star_one_by_one(m, w, DEFAULT_PRECISION))
+        with pytest.raises(OnNegativeRealAxisCut):
+            kernels._e_star_nodes(m, -0.5 * big_l, DEFAULT_PRECISION)
+    # U_m through the panels agrees with U_m taken node by node
+    zs = (complex(0.4, 0.6), complex(-1.2, 0.1), complex(2.5, 1.0))
+    plain = {(m, z): u_m_eval(m, z) for m in (0, 1, 2) for z in zs}
+    monkeypatch.setattr(kernels, "_e_star_nodes", _e_star_one_by_one)
+    for (m, z), val in plain.items():
+        assert abs(val - u_m_eval(m, z)) <= 1e-14 * max(1.0, abs(val)), (m, z)
 
 
 def test_u_m_cut_side_and_validation():

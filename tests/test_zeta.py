@@ -252,6 +252,62 @@ def test_ray_escalates_only_the_nodes_that_miss(monkeypatch):
         assert abs(v - ref) <= r + _rounding_bound(a, 500.0)
 
 
+def _cutoff_cases(rng, abs_err):
+    """(line, coords, want_deriv) for seeded passes of every kind: single
+    ray points at sigma in [-1, 3], t in [0, 2150]; ray batches of 16 to 42
+    abscissae spanning [1/2, 4]; line blocks of 64 ordinates over a width
+    of 2; and single points with zeta'."""
+    cases = []
+    for _ in range(24):
+        cases.append((_ZETA_MODULE._Ray(float(rng.uniform(0.0, 2150.0))),
+                      float(rng.uniform(-1.0, 3.0)), False))
+    for size in (16, 21, 42, 16, 21, 42):
+        alphas = np.concatenate(([0.5, 4.0], rng.uniform(0.5, 4.0, size - 2)))
+        cases.append((_ZETA_MODULE._Ray(float(rng.uniform(15.0, 2150.0))),
+                      np.sort(alphas), False))
+    for _ in range(6):
+        a = float(rng.uniform(0.0, 2148.0))
+        cases.append((_ZETA_MODULE._Line(float(rng.uniform(-1.0, 3.0)),
+                                         abs_err),
+                      np.sort(rng.uniform(a, a + 2.0, 64)), False))
+    for _ in range(8):
+        cases.append((_ZETA_MODULE._Ray(float(rng.uniform(0.0, 2150.0))),
+                      float(rng.uniform(-1.0, 3.0)), True))
+    return cases
+
+
+@pytest.mark.parametrize("abs_err", [1e-3, 1e-8, 1e-10])
+def test_first_cutoff_certifies_every_node_and_is_near_minimal(abs_err,
+                                                               monkeypatch):
+    # the cutoff solved from the bound certifies every node of the pass at
+    # once, so no pass is repeated at a larger cutoff; and it is near the
+    # smallest that does: at 0.97 N the bound misses at the pass's worst node
+    prec = EvalPrecision(abs_err=abs_err)
+    target = 0.25 * abs_err
+    kernel = _ZETA_MODULE._euler_maclaurin
+    passes = []
+
+    def recorded(line, n_cut, coords, want_deriv):
+        passes.append(n_cut)
+        return kernel(line, n_cut, coords, want_deriv)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
+    minimal = 0
+    for line, coords, want_deriv in _cutoff_cases(
+            np.random.default_rng(int(-math.log10(abs_err))), abs_err):
+        passes.clear()
+        _, _, rems = _ZETA_MODULE._zeta_em(line, coords, prec, want_deriv)
+        assert len(passes) == 1, (line, coords, passes)
+        assert max(rems) <= target
+        n_cut = passes[0]
+        if n_cut >= 64:     # the rounding up of N is then below 1.6%
+            nodes = np.atleast_1d(coords).tolist()
+            _, _, short = kernel(line, int(0.97 * n_cut), nodes, want_deriv)
+            assert max(short) > target, (line, coords, n_cut)
+            minimal += 1
+    assert minimal >= 20
+
+
 # --- the Euler-Maclaurin kernel on a vertical line -----------------------------
 
 def _panel_nodes(a: float, b: float) -> np.ndarray:

@@ -10,8 +10,11 @@ seeded set of calls and hands back every value with its est_err:
   log_zeta_with_err  at sigma in [-1, 3], t in [0, 2150]
 
 For each function the script prints the largest |new - old| and the
-largest |new - old| / est_err, est_err being the old tree's, and exits 1
-when a call answers in one tree and is refused in the other:
+largest |new - old| / est_err three ways: against the old tree's est_err,
+the new tree's, and the larger of the two.  The last is the honest reading
+of a move to a coarser cutoff, whose est_err is larger: when both values
+lie within their own est_err of the truth, it is at most 2.  The script
+exits 1 when a call answers in one tree and is refused in the other:
 
     python tools/value_shift.py OLD_SRC NEW_SRC [--count N]
 
@@ -83,12 +86,20 @@ def run_tree(src: str, count: int) -> list:
     return json.loads(proc.stdout)
 
 
+def _ratio(delta: float, est: float) -> float:
+    if est > 0:
+        return delta / est
+    return 0.0 if delta == 0 else math.inf
+
+
 def shifts(count: int, old: list, new: list) -> dict:
-    """Per function: calls compared, largest |delta| and |delta|/est_err,
+    """Per function: calls compared, largest |delta|, largest |delta|/est_err
+    against the old tree's est_err, the new tree's and the larger of them,
     and the calls answered in one tree only."""
     out = {}
     for (name, m, s), a, b in zip(calls(count), old, new):
-        row = out.setdefault(name, {"calls": 0, "abs": 0.0, "rel": 0.0,
+        row = out.setdefault(name, {"calls": 0, "abs": 0.0, "rel_old": 0.0,
+                                    "rel_new": 0.0, "rel_larger": 0.0,
                                     "mismatched": []})
         row["calls"] += 1
         if isinstance(a, str) or isinstance(b, str):
@@ -97,8 +108,10 @@ def shifts(count: int, old: list, new: list) -> dict:
             continue
         delta = math.hypot(b[0] - a[0], b[1] - a[1])
         row["abs"] = max(row["abs"], delta)
-        row["rel"] = max(row["rel"], delta / a[2] if a[2] > 0 else
-                         (0.0 if delta == 0 else math.inf))
+        row["rel_old"] = max(row["rel_old"], _ratio(delta, a[2]))
+        row["rel_new"] = max(row["rel_new"], _ratio(delta, b[2]))
+        row["rel_larger"] = max(row["rel_larger"],
+                                _ratio(delta, max(a[2], b[2])))
     return out
 
 
@@ -121,7 +134,9 @@ def main(argv=None) -> int:
     failed = 0
     for name, row in shifts(args.count, old, new).items():
         print(f"{name}: {row['calls']} calls, largest |delta| "
-              f"{row['abs']:.3e}, largest |delta|/est_err {row['rel']:.4g}")
+              f"{row['abs']:.3e}, largest |delta|/est_err "
+              f"{row['rel_old']:.4g} (old), {row['rel_new']:.4g} (new), "
+              f"{row['rel_larger']:.4g} (larger)")
         for line in row["mismatched"]:
             print(f"  answered in one tree only: {line}")
         failed += len(row["mismatched"])
