@@ -83,6 +83,8 @@ class _Walk:
     def __init__(self, origin: complex, direction: complex):
         self.origin = origin
         self.direction = direction
+        # The window's table, empty until a subclass fills it.
+        self.mu, self.rel = np.empty(0), np.empty(0, dtype=np.complex128)
         self.x_prev = 0.0
         self.g_prev = 0j
         self.nodes = 0
@@ -149,13 +151,16 @@ class _Walk:
 
     def _pin(self, x: float, principal: complex, depth: int) -> complex:
         """The branch of principal at x next to the last node; a step above
-        _CONT_STEP first inserts the midpoint as a node of its own."""
+        _CONT_STEP first inserts the midpoint as a node of its own, unless
+        the midpoint is a root of a model row, where the model has no
+        logarithm."""
         k = round((self.g_prev.imag - principal.imag) / _TWO_PI)
         g_here = principal + _TWO_PI * 1j * k
         if abs(g_here - self.g_prev) > _CONT_STEP:
             mid = 0.5 * (self.x_prev + x)
             lo, hi = sorted((self.x_prev, x))
-            if depth > 60 or not lo < mid < hi:
+            if (depth > 60 or not lo < mid < hi
+                    or 0 in self.rel + self.direction * mid):
                 s = self.origin + self.direction * x
                 raise NumericalError(
                     f"continuation of log zeta stalled near s = {s}")

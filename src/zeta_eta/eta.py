@@ -36,7 +36,8 @@ model reproduces every nearby jump and logarithmic singularity exactly, so
 G is analytic on a neighborhood of the panel of radius 1.5; G is integrated
 panel by panel with quadrature._panel, the library's one
 Gauss(10)/Kronrod(21) rule.  A row lies in one contiguous run of panels,
-and its model term integrates in closed form once over the run.  Keeping
+and its model term integrates in closed form once over the run, every
+row's closed form in one array pass over the rows.  Keeping
 the model local also keeps both pieces the same size as the answer --
 subtracting every zero at once would balloon the two halves by a factor
 ~ N(t) log t and drown the result in rounding noise.
@@ -493,62 +494,70 @@ def _line_panels(t_eff: float, store: ZeroStore) -> np.ndarray:
     return np.column_stack((lo, hi))
 
 
-def _segment_poly_log(j_max: int, a: float, b: float, c: float) -> list[complex]:
-    """[int_a^b w^j Log(c+iw) dw for j = 0..j_max] on a cut-free segment.
+def _model_pieces(m: int, t_eff: float, a: np.ndarray, b: np.ndarray,
+                  mu: np.ndarray, c: np.ndarray, gam: np.ndarray):
+    """Every row's mu int_a^b (t_eff-u)^(m-1) Log(c + i(u-gamma)) du, one
+    array pass over the rows, with two rounding masses per row.
 
-    An endpoint exactly at w = 0 takes the principal value approached from
-    the segment's interior (signed zero), which is the side the c <= 0 cut
-    is viewed from; its boundary term w^(j+1) Log vanishes and is skipped.
+    With w = u - gamma and base = t_eff - gamma, (t_eff-u)^(m-1) = sum_j
+    C(m-1, j) base^(m-1-j) (-w)^j, so the piece is mu times the binomial
+    terms C(m-1, j) base^(m-1-j) (-1)^j L_j, summed, over
+    L_j = int w^j Log(c+iw) dw = (w^(j+1) Log(c+iw) |_wa^wb - i J_{j+1})/(j+1),
+    J_k = int w^k/(c+iw) dw = ((wb^k - wa^k)/k - c J_(k-1))/i from J_0 =
+    (Log(c+iwb) - Log(c+iwa))/i.  A run across the cut (c <= 0, wa < 0 <
+    wb) is the two segments (wa, 0) and (0, wb), whose L_j are summed per
+    row.  An end at w = 0 takes the principal log approached from the
+    segment's interior (signed zero), the side the cut is viewed from; with
+    c = 0 its log is not taken (its boundary term vanishes, and J_0 is
+    consumed only times c).
+
+    Returns the pieces, the |term| mass of the binomial terms and the mass
+    carried inside the L_j (their boundary terms and the magnitudes the J_k
+    recurrence carries), each weighed as its L_j is in the piece.
     """
-    interior = math.copysign(1.0, a + b)
-
-    def plog(w: float) -> complex:
-        ww = w if w != 0.0 else math.copysign(0.0, interior)
-        return cmath.log(complex(c, ww))
-
-    la = plog(a) if (c != 0.0 or a != 0.0) else 0j
-    lb = plog(b) if (c != 0.0 or b != 0.0) else 0j
-    # J_k = int w^k/(c+iw) dw; J_0 is never consumed when c = 0 (each L_j
-    # uses only J_{j+1}, j >= 0).
-    js = [0j] * (j_max + 2)
-    if c == 0.0:
-        for k in range(1, j_max + 2):
-            js[k] = (b ** k - a ** k) / (1j * k)
-    else:
-        js[0] = (lb - la) / 1j
-        for k in range(1, j_max + 2):
-            js[k] = ((b ** k - a ** k) / k - c * js[k - 1]) / 1j
-    out = []
-    for j in range(j_max + 1):
-        boundary = 0j
-        if b != 0.0:
-            boundary += b ** (j + 1) * lb
-        if a != 0.0:
-            boundary -= a ** (j + 1) * la
-        out.append((boundary - 1j * js[j + 1]) / (j + 1))
-    return out
-
-
-def _model_piece(m: int, t_eff: float, a: float, b: float,
-                 mu: float, c: float, gam: float) -> tuple[complex, float]:
-    """mu int_a^b (t-u)^(m-1) Log(c + i(u-gamma)) du and its |term| mass."""
     wa, wb = a - gam, b - gam
-    if c <= 0.0 and wa < 0.0 < wb:
-        segs = [(wa, 0.0), (0.0, wb)]
-    else:
-        segs = [(wa, wb)]
-    ls = [0j] * m
-    for lo, hi in segs:
-        for j, v in enumerate(_segment_poly_log(m - 1, lo, hi, c)):
-            ls[j] += v
+    cut = (c <= 0.0) & (wa < 0.0) & (wb > 0.0)
+    lo = np.append(wa, np.zeros(np.count_nonzero(cut)))
+    hi = np.append(np.where(cut, 0.0, wb), wb[cut])
+    cs = np.append(c, c[cut])
+    # The ends' points c + iw, built from the pairs (c + 1j*w drops the
+    # sign of a zero w), and their logs in their place: cmath.log, not
+    # np.log, as branch._log_with_err.
+    logs = np.empty((2, lo.size), dtype=np.complex128)
+    logs.real = cs
+    logs.imag = np.where(np.stack((lo, hi)) == 0.0,
+                         np.copysign(0.0, lo + hi), (lo, hi))
+    logs.flat = np.fromiter((cmath.log(z) if z else 0j for z in logs.flat),
+                            dtype=np.complex128, count=logs.size)
+    la, lb = logs
+    abs_la, abs_lb, abs_c = np.abs(la), np.abs(lb), np.abs(cs)
+    jk = (lb - la) / 1j
+    jk_mag = abs_la + abs_lb
     base = t_eff - gam
-    total = 0j
-    mag = 0.0
-    for j in range(m):
-        term = math.comb(m - 1, j) * base ** (m - 1 - j) * (-1.0) ** j * ls[j]
+    total = np.zeros(a.size, dtype=np.complex128)
+    term_mass = np.zeros(a.size)
+    inner_mass = np.zeros(a.size)
+    for k in range(1, m + 1):
+        # np.float_power is C's pow, as Python's **; np.power's
+        # vectorised loop may differ from it in the last bit.
+        pw_lo, pw_hi = np.float_power(lo, k), np.float_power(hi, k)
+        jk = ((pw_hi - pw_lo) / k - cs * jk) / 1j
+        jk_mag = (np.abs(pw_hi) + np.abs(pw_lo)) / k + abs_c * jk_mag
+        # L_(k-1) per segment, divided by k part by part, as Python's
+        # complex division does; then summed per row.
+        lj = ((pw_hi * lb - pw_lo * la - 1j * jk).view(np.float64)
+              / k).view(np.complex128)
+        lj_mag = (np.abs(pw_hi) * abs_lb + np.abs(pw_lo) * abs_la
+                  + jk_mag) / k
+        l_row, mag_row = lj[:a.size], lj_mag[:a.size]
+        l_row[cut] += lj[a.size:]
+        mag_row[cut] += lj_mag[a.size:]
+        weight = math.comb(m - 1, k - 1) * np.float_power(base, m - k)
+        term = weight * (-1.0) ** (k - 1) * l_row
         total += term
-        mag += abs(term)
-    return mu * total, abs(mu) * mag
+        term_mass += np.abs(term)
+        inner_mass += np.abs(weight) * mag_row
+    return mu * total, np.abs(mu) * term_mass, np.abs(mu) * inner_mass
 
 
 def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
@@ -583,28 +592,29 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     # of the integrand is the block's one zeta pass.
     sweep.spend(len(panels) * _NODES.size, 0.0)
     sweep.anchor()
-    block = _BLOCK_NODES // _NODES.size
-    # Every panel's G integral and every row's model piece, summed exactly
-    # at the end: the G integrals and the pieces each total about t^m and
+    # Every row's model integral in closed form, once over its run of
+    # panels: one pass over the rows, made while no panel's value is held
+    # yet, which keeps the pass's arrays out of the sweep's peak memory.
+    # The rounding allowance weighs both its masses.
+    rows = first < stop
+    pieces, term_mass, inner_mass = _model_pieces(
+        m, t_eff, panels[first[rows], 0], panels[stop[rows] - 1, 1],
+        mu_all[rows], cc_all[rows], gam_all[rows])
+    mag = float(term_mass.sum() + inner_mass.sum())
+    # Every row's model piece and every panel's G integral, summed exactly
+    # at the end: the pieces and the G integrals each total about t^m and
     # cancel to the answer, so two running sums would carry t^m rounding
     # into it.
-    parts = []
+    parts = pieces.tolist()
     disc = 0.0
     node_est = 0.0
+    block = _BLOCK_NODES // _NODES.size
     for p in range(0, len(panels), block):
         ends = panels[p:p + block]
         vals, p_disc, p_err = _panel(integrand, ends[:, 0], ends[:, 1])
         parts += vals.tolist()
         disc += math.fsum(p_disc)
         node_est += math.fsum(p_err)
-    # Each row's model integral in closed form, once over its run of panels.
-    mag = 0.0
-    for r in np.flatnonzero(first < stop).tolist():
-        piece, piece_mag = _model_piece(
-            m, t_eff, panels[first[r], 0], panels[stop[r] - 1, 1],
-            mu_all[r], cc_all[r], gam_all[r])
-        parts.append(piece)
-        mag += piece_mag
 
     # The sweep's branch must land on the horizontal-ray branch at u = t.
     # (Skipped for very short sweeps, where the ray walk would itself pass

@@ -95,6 +95,19 @@ def test_numerical_failure_exits_one(capsys, monkeypatch):
     assert code == 1 and out == "" and "exceeds 16" in err
 
 
+def test_stalled_sweep_exits_one(capsys, tmp_path):
+    # a sweep midpoint on the model root of a hypothetical zero, one zeta
+    # lacks: the continuation's refusal, not a traceback
+    table = tmp_path / "zeros.csv"
+    table.write_text(builtin_store().inject_hypothetical(0.75,
+                                                         30.0).dump_csv())
+    code, out, err = _run(capsys, ["--zeros", str(table), "eval", "--what",
+                                   "eta", "--s", "0.75+45i", "--m", "1",
+                                   "--check-routes"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: continuation of log zeta stalled")
+
+
 def test_eval_s_m(capsys):
     code, out, _ = _run(capsys, ["eval", "--what", "s_m", "--t", "30",
                                  "--m", "0"])

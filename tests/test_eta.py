@@ -360,19 +360,90 @@ _RUN_POLE = np.linspace(0.0, 14.134725141734693, 16)[:3].tolist()
 ])
 def test_model_piece_over_a_run_is_the_sum_of_its_panels(m, mu, c, gam,
                                                           edges):
-    # The sweep allows each piece 2e-16 of its |term| mass for rounding, so
-    # the run's piece and its panels' exact sum may differ by 2e-16 of the
-    # two sides' masses (600 random t_eff up to 2100 on these runs, m <= 3:
-    # at most 1.5e-16 of them).
+    # One call, the run and its panels as rows: the run's piece and its
+    # panels' exact sum may differ by 2e-16 of the final binomial terms'
+    # mass of both sides (measured at most 1.6e-16 of it, the pole at
+    # sigma = 0.5 with m = 3).
     t_eff = 103.9
-    whole, mass = eta_module._model_piece(m, t_eff, edges[0], edges[-1], mu,
-                                          c, gam)
-    pieces = [eta_module._model_piece(m, t_eff, a, b, mu, c, gam)
-              for a, b in zip(edges[:-1], edges[1:])]
-    total = complex(math.fsum(p.real for p, _ in pieces),
-                    math.fsum(p.imag for p, _ in pieces))
-    mass += sum(mag for _, mag in pieces)
-    assert abs(whole - total) <= 2e-16 * mass, (whole, total, mass)
+    rows = len(edges)
+    pieces, terms, _ = eta_module._model_pieces(
+        m, t_eff, np.array(edges[:1] + edges[:-1]),
+        np.array(edges[-1:] + edges[1:]), np.full(rows, mu),
+        np.full(rows, c), np.full(rows, gam))
+    whole = pieces[0]
+    total = complex(math.fsum(pieces[1:].real), math.fsum(pieces[1:].imag))
+    assert abs(whole - total) <= 2e-16 * terms.sum(), (whole, total, terms)
+
+
+def _model_piece_by_row(m, t_eff, a, b, mu, c, gam):
+    """One row's piece in Python scalars, segment by segment and term by
+    term: the reference the array pass must equal bit for bit."""
+    wa, wb = a - gam, b - gam
+    ls = [0j] * m
+    for lo, hi in ([(wa, 0.0), (0.0, wb)] if c <= 0.0 and wa < 0.0 < wb
+                   else [(wa, wb)]):
+        la, lb = (cmath.log(complex(c, w or math.copysign(0.0, lo + hi)))
+                  if c != 0.0 or w != 0.0 else 0j for w in (lo, hi))
+        js = [(lb - la) / 1j]
+        for k in range(1, m + 1):
+            js.append(((hi ** k - lo ** k) / k - c * js[-1]) / 1j)
+        for j in range(m):
+            ls[j] += (hi ** (j + 1) * lb - lo ** (j + 1) * la
+                      - 1j * js[j + 1]) / (j + 1)
+    total = 0j
+    for j in range(m):
+        total += (math.comb(m - 1, j) * (t_eff - gam) ** (m - 1 - j)
+                  * (-1.0) ** j * ls[j])
+    return mu * total
+
+
+def _sweep_row(rng, family, t_eff):
+    """A row (a, b, mu, c, gamma) with its run [a, b] as the sweep makes
+    them below t_eff: zero rows with c = -0.25 across the cut at gamma,
+    zero rows with c = 0 and 0.25, and pole rows from u = 0 at sigma = 0.5
+    and 2, by family 0-4."""
+    if family >= 3:
+        return 0.0, float(rng.uniform(0.1, 2.5)), -1.0, (-0.5, 1.0)[
+            family - 3], 0.0
+    gam = float(rng.uniform(14.0, t_eff - 1.5 if family == 0
+                            else t_eff + 1.4))
+    return (max(0.0, gam - float(rng.uniform(1.5, 2.5))),
+            min(t_eff, gam + float(rng.uniform(1.5, 2.5))), 1.0,
+            (-0.25, 0.0, 0.25)[family], gam)
+
+
+def test_model_pieces_are_the_row_by_row_closed_form():
+    # the array pass does the row-by-row arithmetic: 2,000 rows, m <= 5,
+    # t_eff <= 2100, equal bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(80):
+        m, t_eff = int(rng.integers(1, 6)), float(rng.uniform(20.0, 2100.0))
+        rows = [_sweep_row(rng, k % 5, t_eff) for k in range(25)]
+        got = eta_module._model_pieces(m, t_eff, *map(np.array, zip(*rows)))
+        assert got[0].tolist() == [_model_piece_by_row(m, t_eff, *row)
+                                   for row in rows], (m, t_eff)
+
+
+def test_model_pieces_within_their_allowance_of_mpmath():
+    # The sweep allows each piece 2e-16 of its two masses (measured at
+    # most 6.4e-17 of them); the binomial terms' mass alone misses the
+    # cancellation inside the L_j, by up to 3.7e-15 of it on 43 of these
+    # runs.  m <= 3, t_eff <= 2100, a row of each family in turn.
+    rng = np.random.default_rng(5)
+    with mpmath.workdps(40):
+        for run in range(100):
+            m = int(rng.integers(1, 4))
+            t_eff = float(rng.uniform(20.0, 2100.0))
+            a, b, mu, c, gam = _sweep_row(rng, run % 5, t_eff)
+            piece, terms, inner = eta_module._model_pieces(
+                m, t_eff, *(np.array([x]) for x in (a, b, mu, c, gam)))
+            ref = mu * mpmath.quad(
+                lambda u: (t_eff - u) ** (m - 1) * mpmath.log(
+                    c + 1j * (u - gam)),
+                [a, gam, b] if a < gam < b else [a, b])
+            err = float(abs(mpmath.mpc(piece[0]) - ref))
+            assert err <= 2e-16 * (terms[0] + inner[0]), (
+                run, m, t_eff, a, b, c, gam, err, terms[0], inner[0])
 
 
 # --- the iterated sweep's batched walk -----------------------------------------
@@ -395,6 +466,16 @@ def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
     got = eta_iterated(s, 2, store)
     assert len(inserted) > 100
     assert abs(got.value - ref.value) <= ref.est_err
+
+
+def test_sweep_midpoint_on_a_model_root_is_refused(store):
+    # sigma = beta of a hypothetical zero at 0.75 + 30i, which zeta lacks:
+    # G steps at u = 30, and the midpoint insertion reaches u = 30, where
+    # the zero's model row has no logarithm
+    injected = store.inject_hypothetical(0.75, 30.0)
+    with pytest.raises(NumericalError,
+                       match="continuation of log zeta stalled"):
+        eta_iterated(complex(0.75, 45.0), 1, injected)
 
 
 def test_sweep_budget_counts_nodes(store, monkeypatch):

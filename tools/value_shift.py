@@ -8,6 +8,11 @@ seeded set of calls and hands back every value with its est_err:
   c_m           m = 1, 2, 3 at sigma in [-1/2, 2]
   eta_iterated  m = 1, 2 at sigma in [1/2, 2], t in [15, 600]
   log_zeta_with_err  at sigma in [-1, 3], t in [0, 2150]
+  eta_iterated  m = 3 at sigma in [1/2, 2], t in [600, 2140]
+
+The m = 3 draws of eta_iterated are drawn last, after all the others.
+They are where the iterated route's model pieces and panel integrals,
+each about t^m in size, amplify a last-bit change most.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -51,6 +56,9 @@ def calls(count: int) -> list[tuple[str, int, complex]]:
                 for _ in range(count)]
     out += [("log_zeta_with_err", 0, complex(rng.uniform(-1.0, 3.0),
                                              rng.uniform(0.0, 2150.0)))
+            for _ in range(count)]
+    out += [("eta_iterated", 3, complex(rng.uniform(0.5, 2.0),
+                                        rng.uniform(600.0, 2140.0)))
             for _ in range(count)]
     return out
 
