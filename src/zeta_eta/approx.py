@@ -52,9 +52,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BeyondSieve, BeyondTable, HypothesisViolated,
-                     ValidationError, ZeroCoincidesWithS, _integer, _point,
-                     _real)
+from .errors import (BeyondSieve, HypothesisViolated, ValidationError,
+                     ZeroCoincidesWithS, _integer, _point, _real)
 from .eta import (_I_POW, _lambda_table, _prime_mask, eta_vertical,
                   zero_sum_polynomial)
 from .kernels import DEFAULT_KERNEL, Kernel
@@ -159,17 +158,11 @@ def y_m(s, X: float, m: int, store: ZeroStore | None = None) -> complex:
     if store is None:
         store = builtin_store()
     sigma, t = z.real, z.imag
+    radius = 1.0 / math.log(X)
+    store.require_height(t if m >= 1 else t + radius, "y_m", t=t, m=m)
     if m >= 1:
-        if t > store.t_max:
-            raise BeyondTable(
-                f"t={t} above zero-table height {store.t_max}")
         return zero_sum_polynomial(m, sigma, t, store)[0]
 
-    radius = 1.0 / math.log(X)
-    if t + radius > store.t_max:
-        raise BeyondTable(
-            f"the window around t={t} leaves the zero table "
-            f"(height {store.t_max})")
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     near = np.abs(gs - t) <= radius        # cheap pre-filter
     total = 0j
@@ -223,10 +216,7 @@ def _bound_esrm(sigma: float, t: float, cfg: ApproxConfig,
     X, H, m = cfg.X, cfg.H, cfg.m
     d = min(cfg.kernel.d_smooth, 4)
     lx = math.log(X)
-    if t * 1.5 > store.t_max:
-        raise BeyondTable(
-            f"bound needs table zeros up to 1.5 t = {1.5 * t}, "
-            f"above height {store.t_max}")
+    store.require_height(t * 1.5, "residual", t=t)
 
     def xpow(b: np.ndarray | float):
         return X ** (2.0 * (b - sigma)) + X ** (b - sigma)
@@ -341,10 +331,7 @@ def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,
     llt = math.log(math.log(t))
     r_in = 1.0 / math.log(X)
     r_out = 1.0 / llt
-    if t + r_out > store.t_max:
-        raise BeyondTable(
-            f"the window around t={t} leaves the zero table "
-            f"(height {store.t_max})")
+    store.require_height(t + r_out, "relzz_decompose", t=t)
     lhs = p_f(complex(0.5, t), X, kernel)
     ntilde = store.count_window(t, r_in)
     main1 = math.log(llt / math.log(X)) * ntilde

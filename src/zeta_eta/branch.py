@@ -52,7 +52,7 @@ from .errors import (BudgetExceeded, NearSingularity, NumericalError,
                      OnSingularity, ValidationError, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
-from .zeta import _ARRAY_NODES, _Ray, _zeta_em
+from .zeta import _ARRAY_NODES, _POLE_RADIUS, _Ray, _zeta_em
 
 # For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
 # positive coefficients), and log zeta(1.25) = 1.525 < pi/2: from here right
@@ -327,11 +327,9 @@ def branch_path(t: float, sigma_end: float,
     if sigma_end >= SIGMA_START:
         raise ValidationError(
             f"sigma_end < {SIGMA_START} required, got sigma_end={sigma_end}")
+    store.require_height(abs(t), "branch_path", t=t)
     conjugate = t < 0.0
     t = abs(t)
-    if t > store.t_max:
-        raise ValidationError(
-            f"|t|={t} above zero-table height {store.t_max}; extend the table")
     # An ordinate is approached from below; for the reflected ray this
     # conjugates into approach from above, matching the convention at
     # negative ordinates.  Exact zeros on the ray (sigma_end below a zero's
@@ -347,7 +345,7 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     """log zeta(s) on the branch, plus an absolute error estimate."""
     z = _point(s)
     _real(z.real, "sigma", -1.0)
-    if abs(z - 1.0) <= 1e-12:
+    if abs(z - 1.0) <= _POLE_RADIUS:
         raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
     if store is None:
         from .zeros import builtin_store
@@ -376,7 +374,7 @@ def _log_zeta_real(sigma, prec: EvalPrecision):
     negative exactly on (-1, 1), and the continuation across the pole
     contributes the phase -pi there.
     """
-    if np.any(np.abs(np.asarray(sigma) - 1.0) <= 1e-12):
+    if np.any(np.abs(np.asarray(sigma) - 1.0) <= _POLE_RADIUS):
         raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
     vals, _, rems = _zeta_em(_Ray(0.0), sigma, prec, want_deriv=False)
     xs = [v.real for v in vals]

@@ -49,8 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import prime_power_poly, y_m
-from .errors import (BeyondTable, HypothesisViolated, ValidationError,
-                     _integer, _real)
+from .errors import HypothesisViolated, ValidationError, _integer, _real
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ORDINATE_TOL, ZeroStore, builtin_store
@@ -126,17 +125,14 @@ def _estimate(V: float, values: np.ndarray, T: float) -> MeasureEstimate:
                            ref_gaussian=gaussian_tail(V / sd), stderr=stderr)
 
 
-def _check_grid(T: float, grid: GridSpec, store: ZeroStore,
+def _check_grid(entry: str, T: float, grid: GridSpec, store: ZeroStore,
                 min_count: int = 100, hi: float | None = None) -> None:
     """Refuse T <= e or non-finite, too few samples, or samples up to hi
-    (default 2T) above the zero table."""
+    (default 2T) above the zero table; entry names the caller."""
     if _real(T, "T") <= math.e:
         raise ValidationError(f"T > e required (loglog T > 0), got T={T!r}")
-    hi = 2.0 * T if hi is None else hi
     _integer(grid.count, "count", min_count)
-    if hi > store.t_max:
-        raise BeyondTable(f"samples up to {hi} above zero-table height "
-                          f"{store.t_max}")
+    store.require_height(2.0 * T if hi is None else hi, entry, T=T)
 
 
 def _log_abs_zeta_samples(T: float, grid: GridSpec, store: ZeroStore,
@@ -156,7 +152,7 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
     if store is None:
         store = builtin_store()
     _real(V, "threshold V")
-    _check_grid(T, grid, store)
+    _check_grid("measure_sigma", T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     return _estimate(V, values, T)
 
@@ -205,7 +201,7 @@ def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec, *,
         store = builtin_store()
     _check_residual_call(T, X, m, m_min=0, t_min=14.0)
     _real(V, "threshold V")
-    _check_grid(T, grid, store)
+    _check_grid("measure_t_m", T, grid, store)
     values = _residual_samples(grid, T, 2.0 * T, 0.5, X, m, store, prec)
     return _estimate(V, values, T)
 
@@ -234,7 +230,7 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
                               f"got {interval!r}")
     lo, hi = (14.0, T) if interval == "theorem" else (T, 2.0 * T)
     _check_residual_call(T, X, m, m_min=1, t_min=28.0)
-    _check_grid(T, grid, store, min_count=1, hi=hi)
+    _check_grid("moment_residual", T, grid, store, min_count=1, hi=hi)
     waived = bool(X > T ** (1.0 / (135.0 * k)))
     if waived and enforce_range:
         raise HypothesisViolated(
@@ -265,7 +261,7 @@ def tail_table(T: float, v_list, grid: GridSpec,
     if store is None:
         store = builtin_store()
     v_list = [_real(v, "threshold V") for v in v_list]
-    _check_grid(T, grid, store)
+    _check_grid("tail_table", T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     llt = math.log(math.log(T))
     rows = []

@@ -298,6 +298,7 @@ def zero_sum_polynomial(m: int, sigma: float, t: float,
     """
     m = _order(m, 1)
     sigma, t = _real(sigma, "sigma"), _real(t, "t")
+    store.require_height(t, "zero_sum_polynomial", t=t)
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     mask = (gs > 0.0) & (gs < t) & (bs > sigma)
     if not np.any(mask):
@@ -338,9 +339,7 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
         val, est = c_m_with_err(sigma, m, prec)
         return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
 
-    if t > store.t_max:
-        raise ValidationError(
-            f"t={t} above zero-table height {store.t_max}; extend the table")
+    store.require_height(t, "eta_vertical", t=t)
     a0 = _tail_start(m, sigma, prec.abs_err)
     log_f = None
     if sigma < a0:
@@ -504,19 +503,21 @@ def _model_pieces(m: int, t_eff: float, a: np.ndarray, b: np.ndarray,
     terms C(m-1, j) base^(m-1-j) (-1)^j L_j, summed, over
     L_j = int w^j Log(c+iw) dw = (w^(j+1) Log(c+iw) |_wa^wb - i J_{j+1})/(j+1),
     J_k = int w^k/(c+iw) dw = ((wb^k - wa^k)/k - c J_(k-1))/i from J_0 =
-    (Log(c+iwb) - Log(c+iwa))/i.  A run across the cut (c <= 0, wa < 0 <
+    (Log(c+iwb) - Log(c+iwa))/i.  A run across the cut (c < 0, wa < 0 <
     wb) is the two segments (wa, 0) and (0, wb), whose L_j are summed per
-    row.  An end at w = 0 takes the principal log approached from the
-    segment's interior (signed zero), the side the cut is viewed from; with
-    c = 0 its log is not taken (its boundary term vanishes, and J_0 is
-    consumed only times c).
+    row; with c = 0 the boundary term w^(j+1) Log(iw) is continuous at
+    w = 0, so such a run is one segment.  An end at w = 0 takes the
+    principal log approached from the segment's interior (signed zero), the
+    side the cut is viewed from; with c = 0 (the pole row at sigma = 1) its
+    log is not taken (its boundary term vanishes, and J_0 is consumed only
+    times c).
 
     Returns the pieces, the |term| mass of the binomial terms and the mass
     carried inside the L_j (their boundary terms and the magnitudes the J_k
     recurrence carries), each weighed as its L_j is in the piece.
     """
     wa, wb = a - gam, b - gam
-    cut = (c <= 0.0) & (wa < 0.0) & (wb > 0.0)
+    cut = (c < 0.0) & (wa < 0.0) & (wb > 0.0)
     lo = np.append(wa, np.zeros(np.count_nonzero(cut)))
     hi = np.append(np.where(cut, 0.0, wb), wb[cut])
     cs = np.append(c, c[cut])
@@ -654,9 +655,7 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
     if sigma <= -1.0:
         raise ValidationError(
             f"the iterated route needs sigma > -1, got sigma={sigma}")
-    if t > store.t_max - 2.5:
-        raise ValidationError(
-            f"t={t} needs table zeros up to t+2, above height {store.t_max}")
+    store.require_height(t + 2.5, "eta_iterated", t=t)
 
     poly = 0j
     est = 0.0

@@ -101,11 +101,23 @@ class ZeroStore:
         return ZeroRecord(float(self._gammas[i]), float(self._betas[i]),
                           int(self._mults[i]))
 
+    def require_height(self, top: float, entry: str, **params) -> None:
+        """Refuse, with BeyondTable, an entry that needs the table's zeros
+        up to a height top above the table's; the message names the entry
+        and its params as name=value.  The one rule for heights: nothing
+        is extrapolated."""
+        if top > self.t_max:
+            given = ", ".join(f"{k}={v}" for k, v in params.items())
+            raise BeyondTable(
+                f"{entry}: {given} needs zeros up to {top}, above the "
+                f"table's height {self.t_max}")
+
     # -- queries ---------------------------------------------------------------
 
     def count_below(self, t: float) -> int:
         """Zeros with gamma < t, counted with multiplicity."""
         t = _real(t, "t")
+        self.require_height(t, "count_below", t=t)
         hi = int(np.searchsorted(self._gammas, t, side="left"))
         return int(self._mults[:hi].sum())
 
@@ -115,9 +127,7 @@ class ZeroStore:
         Raises BeyondTable when the window pokes above the table.
         """
         t, h = _real(t, "t"), _real(h, "h", 0.0)
-        if t + h > self.t_max:
-            raise BeyondTable(
-                f"window [{t - h}, {t + h}] exceeds table height {self.t_max}")
+        self.require_height(t + h, "count_window", t=t, h=h)
         lo = int(np.searchsorted(self._gammas, t - h, side="left"))
         hi = int(np.searchsorted(self._gammas, t + h, side="right"))
         return int(self._mults[lo:hi].sum())
@@ -206,6 +216,7 @@ class ZeroStore:
         if not (gamma > 0.0 and math.isfinite(gamma)):
             raise OutOfStrip(f"finite gamma > 0 required, got gamma={gamma}")
         multiplicity = _integer(multiplicity, "multiplicity", 1, OutOfStrip)
+        self.require_height(gamma, "inject_hypothetical", gamma=gamma)
         records = [self.record(i) for i in range(len(self))]
         records.append(ZeroRecord(float(gamma), float(beta), multiplicity))
         records.sort(key=lambda r: r.gamma)
@@ -218,9 +229,7 @@ class ZeroStore:
         t, x = _real(t, "t"), _real(x, "X", 3.0)
         logx = math.log(x)
         widths = np.power(x, 3.0 * (self._betas - 0.5)) / logx
-        if t + float(widths.max()) > self.t_max:
-            raise BeyondTable(
-                f"candidate window at t={t} exceeds table height {self.t_max}")
+        self.require_height(t + float(widths.max()), "sigma_xt", t=t, X=x)
         inside = np.abs(t - self._gammas) <= widths
         peak = 2.0 / logx
         if np.any(inside):
@@ -348,9 +357,7 @@ def rvmf_check(store: ZeroStore, t_height: float,
     from .zeta import theta as rs_theta
 
     t_height = _real(t_height, "T", 2.0)
-    if t_height > store.t_max:
-        raise BeyondTable(
-            f"T={t_height} above table height {store.t_max}")
+    store.require_height(t_height, "rvmf_check", T=t_height)
     g = store.nearest_gamma(t_height)
     if g is not None and abs(t_height - g) <= ORDINATE_TOL:
         raise ValidationError(

@@ -147,10 +147,10 @@ class _Ray:
     """One horizontal line Im s = t and the phases n^-it of its terms.  Its
     nodes are the abscissae alpha.
 
-    The phases are computed once and grown when a later pass on the ray
-    needs a larger cutoff, so every pass reuses those of the ones before;
-    the nodes alpha + it cost one real exponential n^-alpha per term and
-    node and one real matrix product.  A node right of _SIGMA_ONE is
+    The phases are kept, and rebuilt when a later pass on the ray needs a
+    larger cutoff, so a pass reuses those of any pass before it at the same
+    or a larger cutoff; the nodes alpha + it cost one real exponential
+    n^-alpha per term and node and one real matrix product.  A node right of _SIGMA_ONE is
     evaluated, and its cutoff sized, at _SIGMA_ONE, where zeta is 1 to
     double precision.
     """
@@ -159,7 +159,7 @@ class _Ray:
 
     def __init__(self, t: float):
         self.t = t
-        self._phase = _NO_PHASES            # rows (Re, Im) of n^-it
+        self._phase = np.empty((0, 2))      # rows (Re, Im) of n^-it
 
     def points(self, alphas) -> list[complex]:
         return [complex(min(a, _SIGMA_ONE), self.t) for a in alphas]
@@ -170,14 +170,11 @@ class _Ray:
 
     def phases(self, n_cut: int) -> np.ndarray:
         """The rows of n^-it for n = 1 .. n_cut - 1."""
-        have = len(self._phase)
-        if have < n_cut - 1:
-            arg = _LOG_N[have:n_cut - 1] * -self.t
-            phase = np.empty((arg.size, 2))
-            np.cos(arg, out=phase[:, 0])
-            np.sin(arg, out=phase[:, 1])
-            self._phase = (np.concatenate((self._phase, phase)) if have
-                           else phase)
+        if len(self._phase) < n_cut - 1:
+            arg = _LOG_N[:n_cut - 1] * -self.t
+            self._phase = np.empty((arg.size, 2))
+            np.cos(arg, out=self._phase[:, 0])
+            np.sin(arg, out=self._phase[:, 1])
         return self._phase[:n_cut - 1]
 
     def partial_sums(self, n_cut: int, sigmas, want_deriv: bool) -> tuple:
@@ -208,7 +205,6 @@ class _Ray:
                 dsums.tolist(), [0.0] * len(points))
 
 
-_NO_PHASES = np.empty((0, 2))
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
 
 

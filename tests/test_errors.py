@@ -8,15 +8,17 @@ import pytest
 import zeta_eta.kernels as kernels
 from zeta_eta.approx import (ApproxConfig, dirichlet_poly, lambda_prime_x, p_f,
                              relzz_decompose, residual, y_m)
-from zeta_eta.distribution import GridSpec
-from zeta_eta.errors import (InvalidFamily, OutOfStrip, ValidationError,
-                             _integer, _point, _real)
+from zeta_eta.branch import branch_path
+from zeta_eta.distribution import GridSpec, tail_table
+from zeta_eta.errors import (BeyondTable, InvalidFamily, OutOfStrip,
+                             ValidationError, _integer, _point, _real)
 from zeta_eta.eta import (eta_iterated, eta_vertical, s_m,
                           zero_sum_polynomial)
 from zeta_eta.kernels import (DEFAULT_KERNEL, boundary_derivative, e_star,
                               make_kernel, u_f_h, u_m_eval, v_f_h)
 from zeta_eta.precision import EvalPrecision
-from zeta_eta.zeros import builtin_store, inject_hypothetical, rvmf_check
+from zeta_eta.zeros import (builtin_store, count_window, inject_hypothetical,
+                            rvmf_check, sigma_xt)
 from zeta_eta.zeta import log_gamma, theta
 
 NAN, INF = math.nan, math.inf
@@ -130,3 +132,44 @@ def test_library_refusals_name_the_parameter(monkeypatch, call, exc, name):
     with pytest.raises(exc) as info:
         call()
     assert name in str(info.value)
+
+
+# Each entry that needs the zero table up to some height, asked just above
+# the bundled table's top (1e-6 above it where the entry's height is t).
+_HEIGHT_CASES = [
+    (lambda st, top: st.count_below(top + 1e-6), "count_below", "t="),
+    (lambda st, top: count_window(st, top, 1e-6), "count_window", "h=1e-06"),
+    (lambda st, top: sigma_xt(st, top - 0.2, 100.0), "sigma_xt", "X=100.0"),
+    (lambda st, top: rvmf_check(st, top + 1e-6), "rvmf_check", "T="),
+    (lambda st, top: inject_hypothetical(st, 0.75, top + 1e-6),
+     "inject_hypothetical", "gamma="),
+    (lambda st, top: zero_sum_polynomial(1, 0.5, top + 1e-6, st),
+     "zero_sum_polynomial", "t="),
+    (lambda st, top: branch_path(-top - 1e-6, 0.5, store=st), "branch_path",
+     "t=-"),
+    (lambda st, top: eta_vertical(complex(0.5, top + 1e-6), 1, st),
+     "eta_vertical", "t="),
+    (lambda st, top: eta_iterated(complex(0.5, top - 2.5 + 1e-6), 1, st),
+     "eta_iterated", "t="),
+    (lambda st, top: y_m(complex(0.5, top + 1e-6), 10.0, 1, st), "y_m",
+     "m=1"),
+    (lambda st, top: y_m(complex(0.5, top - 0.4), 10.0, 0, st), "y_m", "m=0"),
+    (lambda st, top: residual(complex(0.5, top / 1.5 + 1e-6), _CFG, st),
+     "residual", "t="),
+    (lambda st, top: relzz_decompose(top - 0.4, 100.0, store=st),
+     "relzz_decompose", "t="),
+    (lambda st, top: tail_table(top / 2.0 + 1e-6, [0.0], GridSpec(count=100),
+                                st), "tail_table", "T="),
+]
+
+
+@pytest.mark.parametrize("call, entry, name", _HEIGHT_CASES,
+                         ids=[case[1] for case in _HEIGHT_CASES])
+def test_height_refusals_name_the_entry(call, entry, name):
+    st = builtin_store()
+    with pytest.raises(BeyondTable) as info:
+        call(st, st.t_max)
+    message = str(info.value)
+    assert message.startswith(f"{entry}: ") and name in message, message
+    assert " needs zeros up to " in message, message
+    assert message.endswith(f"above the table's height {st.t_max}"), message

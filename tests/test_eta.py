@@ -380,7 +380,7 @@ def _model_piece_by_row(m, t_eff, a, b, mu, c, gam):
     term: the reference the array pass must equal bit for bit."""
     wa, wb = a - gam, b - gam
     ls = [0j] * m
-    for lo, hi in ([(wa, 0.0), (0.0, wb)] if c <= 0.0 and wa < 0.0 < wb
+    for lo, hi in ([(wa, 0.0), (0.0, wb)] if c < 0.0 and wa < 0.0 < wb
                    else [(wa, wb)]):
         la, lb = (cmath.log(complex(c, w or math.copysign(0.0, lo + hi)))
                   if c != 0.0 or w != 0.0 else 0j for w in (lo, hi))
