@@ -216,7 +216,6 @@ def _bound_esrm(sigma: float, t: float, cfg: ApproxConfig,
     X, H, m = cfg.X, cfg.H, cfg.m
     d = min(cfg.kernel.d_smooth, 4)
     lx = math.log(X)
-    store.require_height(t * 1.5, "residual", t=t)
 
     def xpow(b: np.ndarray | float):
         return X ** (2.0 * (b - sigma)) + X ** (b - sigma)
@@ -255,22 +254,24 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
     Needs t >= 14, sigma >= 1/2 and the hypothesis 1 <= H <= t/2 of the
     bounds; an H above t/2 raises HypothesisViolated.
     """
-    z = _residual_point(s, cfg.H)
     if store is None:
         store = builtin_store()
+    z = _residual_point(s, cfg.H, store)
     eta_val = eta_vertical(z, cfg.m, store, prec).value
     return _residual_split(z, eta_val, cfg, store)
 
 
-def _residual_point(s, H: float) -> complex:
-    """s = sigma + it as residual takes it (t >= 14, sigma >= 1/2, and
-    H <= t/2 for the bounds), checked before any numerics."""
+def _residual_point(s, H: float, store: ZeroStore) -> complex:
+    """s = sigma + it as residual takes it (t >= 14, sigma >= 1/2, H <= t/2
+    for the bounds, and the table's zeros up to 1.5 t for the unconditional
+    shape), checked before any numerics."""
     z = _point(s, "s = sigma + it")
     t = _real(z.imag, "t", 14.0)
     _real(z.real, "sigma", 0.5)
     if H > 0.5 * t:
         raise HypothesisViolated(
             f"the remainder bounds assume 1 <= H <= t/2, got H={H} at t={t}")
+    store.require_height(t * 1.5, "residual", t=t)
     return z
 
 

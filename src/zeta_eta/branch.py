@@ -24,7 +24,9 @@ by a multiple of 2 pi that the pin would alias.
 
 A BranchPath is that walk on one ray: _march walks a fixed grid 1/4 apart
 down to sigma_end in one Euler-Maclaurin pass on the ray's phases, and the
-path keeps the nodes.  A value is the
+path keeps the nodes.  branch_path decides where a ray walks: a ray that
+ends at or right of SIGMA_START has no nodes, since its branch is the
+principal logarithm.  A value is the
 principal log zeta of its own evaluation + 2 pi i k; the walk only pins k.
 eval_log and winding take a float or an array of abscissae, evaluate zeta
 at all of them in one pass and pin each from its nearest node (a batch of
@@ -37,7 +39,8 @@ the sweep's too, evaluates at most _WALK_BUDGET nodes.
 The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
 on a tabulated ordinate uses the one-sided limit, approached from below for
 gamma > 0 and from above for gamma < 0, and t = 0 is the limit from above.
-Rays refuse heights above the zero table, whose zeros the model needs.
+A ray that walks refuses heights above the zero table, whose zeros the
+model needs; one without a walk answers at any height.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import (BudgetExceeded, NearSingularity, NumericalError,
-                     OnSingularity, ValidationError, _point, _real)
+                     OnSingularity, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore
 from .zeta import _ARRAY_NODES, _POLE_RADIUS, _Ray, _zeta_em
@@ -310,24 +313,27 @@ def _log_with_err(vals: list, rems: list, k) -> tuple[np.ndarray, np.ndarray]:
 
 def _march(path: BranchPath) -> None:
     """Walk the ray down the grid to sigma_end from SIGMA_START, where G is
-    pinned from the principal log zeta."""
-    path.eval(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
-                        path.sigma_end), anchor=True)
+    pinned from the principal log zeta.  A ray that ends at or right of
+    SIGMA_START has no walk: its branch is the principal log zeta."""
+    if path.sigma_end < SIGMA_START:
+        path.eval(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
+                            path.sigma_end), anchor=True)
 
 
 def branch_path(t: float, sigma_end: float,
                 prec: EvalPrecision = DEFAULT_PRECISION,
                 store: ZeroStore | None = None) -> BranchPath:
-    """Prepare the ray at height t down to sigma_end for repeated queries."""
+    """Prepare the ray at height t down to sigma_end >= -1 for repeated
+    queries.  Only a ray that ends left of SIGMA_START walks, and only it
+    needs the zero table up to |t|; right of it no zero enters the answer.
+    """
     if store is None:
         from .zeros import builtin_store
         store = builtin_store()
     t = _real(t, "t")
     sigma_end = _real(sigma_end, "sigma_end", -1.0)
-    if sigma_end >= SIGMA_START:
-        raise ValidationError(
-            f"sigma_end < {SIGMA_START} required, got sigma_end={sigma_end}")
-    store.require_height(abs(t), "branch_path", t=t)
+    if sigma_end < SIGMA_START:
+        store.require_height(abs(t), "branch_path", t=t)
     conjugate = t < 0.0
     t = abs(t)
     # An ordinate is approached from below; for the reflected ray this

@@ -128,8 +128,10 @@ def _line(*values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-def _emit(args, meta: dict, header: list[str], rows: list[dict]) -> None:
-    """CSV (+ JSON mirror) to --out, or metadata-comment + CSV to stdout."""
+def _emit(args, meta: dict, rows: list[dict]) -> None:
+    """CSV (+ JSON mirror) to --out, or metadata-comment + CSV to stdout.
+    The CSV columns are the first row's keys, in order."""
+    header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[h]) for h in header))
@@ -216,14 +218,16 @@ def cmd_residual_scan(args) -> int:
                          args.kernel_d if args.kernel == "poly_bump" else None)
 
     cfgs = [ApproxConfig(m=args.m, X=x, H=args.h, kernel=kernel) for x in xs]
+    # Every height is refused or accepted before the first eta.
+    points = [_residual_point(complex(args.sigma, t), args.h, store)
+              for t in ts]
 
-    def at_height(t):
+    def at_height(z):
         # eta_m does not depend on X: one evaluation serves the whole X-list
-        z = _residual_point(complex(args.sigma, t), args.h)
         eta = eta_vertical(z, args.m, store, prec).value
         for x, cfg in zip(xs, cfgs):
             rep = _residual_split(z, eta, cfg, store)
-            yield {"t": t, "x": x,
+            yield {"t": z.imag, "x": x,
                    "eta_re": rep.eta.real, "eta_im": rep.eta.imag,
                    "poly_re": rep.poly.real, "poly_im": rep.poly.imag,
                    "y_re": rep.y_m.real, "y_im": rep.y_m.imag,
@@ -231,13 +235,11 @@ def cmd_residual_scan(args) -> int:
                    "bound_esrm": rep.bound_esrm,
                    "bound_esrm2": rep.bound_esrm2, "ratio": rep.ratio}
 
-    rows = [row for t in ts for row in at_height(t)]
-    header = ["t", "x", "eta_re", "eta_im", "poly_re", "poly_im", "y_re",
-              "y_im", "r_re", "r_im", "bound_esrm", "bound_esrm2", "ratio"]
+    rows = [row for z in points for row in at_height(z)]
     meta = _meta(store, "residual-scan", m=args.m, x_list=xs, h=args.h,
                  kernel=kernel.name, sigma=args.sigma, t_from=args.t_from,
                  t_to=args.t_to, t_step=args.t_step, abs_err=prec.abs_err)
-    _emit(args, meta, header, rows)
+    _emit(args, meta, rows)
     return 0
 
 
@@ -253,9 +255,8 @@ def cmd_dist(args) -> int:
         if not vs:
             raise _UsageError("--v-list is empty")
         rows = tail_table(args.t_big, vs, grid, store, prec)
-        header = ["V", "fraction", "stderr", "gaussian_ref", "jutila_ref"]
         meta = _meta(store, "dist tails", v_list=vs, **common)
-        _emit(args, meta, header, rows)
+        _emit(args, meta, rows)
         return 0
 
     if args.sub == "tmeasure":
@@ -264,25 +265,20 @@ def cmd_dist(args) -> int:
         rows = [{"V": est.V, "fraction": est.fraction,
                  "stderr": est.stderr, "gaussian_ref": est.ref_gaussian,
                  "count_exceed": est.count_exceed}]
-        header = ["V", "fraction", "stderr", "gaussian_ref", "count_exceed"]
         meta = _meta(store, "dist tmeasure", x=args.x, v=args.v,
                      m=args.m, **common)
-        _emit(args, meta, header, rows)
+        _emit(args, meta, rows)
         return 0
 
     # moments
-    out = moment_residual(args.t_big, args.x, args.m, args.k, grid,
+    row = moment_residual(args.t_big, args.x, args.m, args.k, grid,
                           store=store, prec=prec, sigma=args.sigma,
                           trial_c=args.c, interval=args.interval,
                           enforce_range=not args.waive_range)
-    rows = [{"empirical": out["empirical"], "bound": out["bound"],
-             "interval": out["interval"],
-             "hypothesis_waived": out["hypothesis_waived"]}]
-    header = ["empirical", "bound", "interval", "hypothesis_waived"]
     meta = _meta(store, "dist moments", x=args.x, m=args.m, k=args.k,
                  sigma=args.sigma, c=args.c, interval=args.interval,
                  waive_range=args.waive_range, **common)
-    _emit(args, meta, header, rows)
+    _emit(args, meta, [row])
     return 0
 
 

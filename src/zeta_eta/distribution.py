@@ -99,13 +99,9 @@ def _samples(grid: GridSpec, lo: float, hi: float,
         strata = max(1, int(round(math.sqrt(n))))
         edges = np.linspace(lo, hi, strata + 1)
         per, extra = divmod(n, strata)
-        parts = []
-        for i in range(strata):
-            k = per + (1 if i < extra else 0)
-            if k:
-                parts.append(edges[i] + (edges[i + 1] - edges[i])
-                             * rng.random(k))
-        t = np.concatenate(parts)
+        # The first extra strata take one sample more; one draw serves all.
+        i = np.repeat(np.arange(strata), per + (np.arange(strata) < extra))
+        t = edges[i] + (edges[i + 1] - edges[i]) * rng.random(n)
     return store.snap(t, ORDINATE_TOL)
 
 

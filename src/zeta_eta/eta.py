@@ -94,8 +94,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .branch import (_WINDOW, SIGMA_START, _log_zeta_real, _Walk,
-                     branch_path, log_zeta_with_err)
+from .branch import (_WINDOW, _log_zeta_real, _Walk, branch_path,
+                     log_zeta_with_err)
 from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _NODES, _panel, integrate_adaptive
@@ -340,16 +340,11 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
         return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
 
     store.require_height(t, "eta_vertical", t=t)
+    path = branch_path(t, sigma, prec, store)
     a0 = _tail_start(m, sigma, prec.abs_err)
-    log_f = None
-    if sigma < a0:
-        # A path ends left of SIGMA_START, right of which it needs no node.
-        path = branch_path(t, min(sigma, SIGMA_START - 0.25), prec, store)
-        t, log_f = path.t, path.eval_log
-    else:
-        t = store.snap(t)
-    val, est = _vertical_integral(log_f, m, sigma, a0, t, prec.abs_err)
-    zsum, zs_est = zero_sum_polynomial(m, sigma, t, store)
+    val, est = _vertical_integral(path.eval_log, m, sigma, a0, path.t,
+                                  prec.abs_err)
+    zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
     return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
                     est_err=est + zs_est)
 

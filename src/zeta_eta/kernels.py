@@ -154,15 +154,14 @@ def boundary_derivative(kernel: Kernel, order: int, side: int,
             f"order <= {SMOOTHNESS_CHECK_CAP} required, got order={order}")
     if _real(step, "step") <= 0.0:
         raise ValidationError(f"step > 0 required, got step={step}")
-    # Forward-difference coefficients: Delta^n f(x0) / h^n.
+    if side not in (0, 1):
+        raise ValidationError(f"side 0 or 1 required, got side={side}")
+    # Forward-difference coefficients: Delta^n f(x0) / h^n, from x0 = 0 on
+    # side 0 and x0 = 1 - n h on side 1.
     coeffs = [(-1) ** (order - j) * math.comb(order, j) for j in range(order + 1)]
-    if side == 0:
-        pts = [kernel.f(j * step) for j in range(order + 1)]
-        return sum(c * p for c, p in zip(coeffs, pts)) / step ** order
-    if side == 1:
-        pts = [kernel.f(1.0 - (order - j) * step) for j in range(order + 1)]
-        return sum(c * p for c, p in zip(coeffs, pts)) / step ** order
-    raise ValidationError(f"side 0 or 1 required, got side={side}")
+    pts = [kernel.f(j * step if side == 0 else 1.0 - (order - j) * step)
+           for j in range(order + 1)]
+    return sum(c * p for c, p in zip(coeffs, pts)) / step ** order
 
 
 # --- E*_{m+1} -----------------------------------------------------------------

@@ -132,17 +132,22 @@ class ZeroStore:
         hi = int(np.searchsorted(self._gammas, t + h, side="right"))
         return int(self._mults[lo:hi].sum())
 
+    def _nearest(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The tabulated ordinate nearest each of ts (a float or an array),
+        the lower one on a tie, and its distance; arrays of ts's shape."""
+        g = self._gammas
+        i = np.searchsorted(g, ts)
+        lo = g[np.maximum(i - 1, 0)]
+        hi = g[np.minimum(i, len(g) - 1)]
+        d_lo = np.where(i > 0, np.abs(ts - lo), np.inf)
+        d_hi = np.where(i < len(g), np.abs(ts - hi), np.inf)
+        upper = d_hi < d_lo
+        return np.where(upper, hi, lo), np.where(upper, d_hi, d_lo)
+
     def nearest_gamma(self, t: float) -> float:
-        """Tabulated ordinate closest to t (reflections not considered)."""
-        t = _real(t, "t")
-        i = int(np.searchsorted(self._gammas, t))
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self._gammas):
-                g = float(self._gammas[j])
-                if best is None or abs(t - g) < abs(t - best):
-                    best = g
-        return best
+        """Tabulated ordinate closest to t (reflections not considered), the
+        lower one on a tie."""
+        return float(self._nearest(_real(t, "t"))[0])
 
     def snap(self, t, tol: float = SNAP_TOL):
         """The height at which t is evaluated (the ordinate convention).
@@ -153,15 +158,8 @@ class ZeroStore:
         from above.  Takes a scalar or an array and returns the same shape.
         """
         ts = np.asarray(t, dtype=np.float64)
-        g = self._gammas
-        i = np.searchsorted(g, ts)
-        lo = g[np.maximum(i - 1, 0)]
-        hi = g[np.minimum(i, len(g) - 1)]
-        d_lo = np.where(i > 0, np.abs(ts - lo), np.inf)
-        d_hi = np.where(i < len(g), np.abs(ts - hi), np.inf)
-        near = np.where(d_hi < d_lo, hi, lo)
-        out = np.where(np.minimum(d_lo, d_hi) < tol,
-                       near - ORDINATE_OFFSET, ts)
+        near, dist = self._nearest(ts)
+        out = np.where(dist < tol, near - ORDINATE_OFFSET, ts)
         out = np.where(ts < tol, ORDINATE_OFFSET, out)
         return float(out) if out.ndim == 0 else out
 
@@ -359,7 +357,7 @@ def rvmf_check(store: ZeroStore, t_height: float,
     t_height = _real(t_height, "T", 2.0)
     store.require_height(t_height, "rvmf_check", T=t_height)
     g = store.nearest_gamma(t_height)
-    if g is not None and abs(t_height - g) <= ORDINATE_TOL:
+    if abs(t_height - g) <= ORDINATE_TOL:
         raise ValidationError(
             f"T={t_height} sits on ordinate {g}; move off by > {ORDINATE_TOL}")
     n_store = store.count_below(t_height)

@@ -15,8 +15,8 @@ import pytest
 
 from zeta_eta.branch import (_Walk, big_s, branch_path, log_zeta,
                              log_zeta_with_err)
-from zeta_eta.errors import (BudgetExceeded, NearSingularity, NumericalError,
-                             OnSingularity, ValidationError)
+from zeta_eta.errors import (BeyondTable, BudgetExceeded, NearSingularity,
+                             NumericalError, OnSingularity, ValidationError)
 from zeta_eta.precision import EvalPrecision
 from zeta_eta.zeros import ZeroRecord, ZeroStore, builtin_store, rvmf_check
 
@@ -115,9 +115,19 @@ def test_branch_path_eval_and_domain(store):
         with pytest.raises(ValidationError):
             path.eval_log(bad)
     with pytest.raises(ValidationError):
-        branch_path(30.0, 41.0, store=store)
-    with pytest.raises(ValidationError):
         branch_path(1e9, 0.5, store=store)   # beyond the table
+
+
+def test_a_ray_ending_right_of_the_walk_start_does_not_walk(store):
+    # there the branch is the principal log, and no zero enters the answer
+    far = branch_path(30.0, 41.0, store=store)
+    assert far.xs == [] and far.nodes == 0
+    assert far.eval_log(41.0) == log_zeta_with_err(41 + 30j, store=store)
+    above = branch_path(3000.0, 2.0, store=store)    # above the table
+    assert above.xs == []
+    assert above.eval_log(2.0) == log_zeta_with_err(2 + 3000j, store=store)
+    with pytest.raises(BeyondTable, match="branch_path: t=3000.0"):
+        branch_path(3000.0, 1.0, store=store)
 
 
 def test_right_of_the_walk_start_the_branch_is_the_principal_log(store):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zeta_eta.cli as cli
 from zeta_eta.approx import ApproxConfig, residual
 from zeta_eta.cli import (MAX_GRID_POINTS, _parse_complex, _parse_floats,
                           _t_grid, main)
@@ -364,6 +365,19 @@ def test_residual_scan_grid_keeps_accumulated_points(capsys):
     assert code == 0
     ts = [float(line.split(",")[0]) for line in out.strip().splitlines()[2:]]
     assert ts == [100.125, 100.25, 100.375, 100.5, 100.625]
+
+
+def test_residual_scan_refuses_every_height_before_eta(capsys, monkeypatch):
+    def no_eta(*args, **kwargs):
+        raise AssertionError("evaluated eta before refusing")
+
+    # the grid is 100, 800, 1500: only 1.5 t at the last is above the table
+    monkeypatch.setattr(cli, "eta_vertical", no_eta)
+    code, out, err = _run(capsys, ["residual-scan", "--m", "1", "--x-list",
+                                   "10,100,1000", "--t-from", "100", "--t-to",
+                                   "1500", "--t-step", "700"])
+    assert code == 3 and out == "", err
+    assert err.startswith("error: residual: t=1500.0 needs zeros up to"), err
 
 
 @pytest.mark.parametrize("sub", ["tmeasure", "moments"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import zeta_eta.approx as approx
 import zeta_eta.kernels as kernels
 from zeta_eta.approx import (ApproxConfig, dirichlet_poly, lambda_prime_x, p_f,
                              relzz_decompose, residual, y_m)
@@ -173,3 +174,12 @@ def test_height_refusals_name_the_entry(call, entry, name):
     assert message.startswith(f"{entry}: ") and name in message, message
     assert " needs zeros up to " in message, message
     assert message.endswith(f"above the table's height {st.t_max}"), message
+
+
+def test_residual_refuses_a_height_before_eta(monkeypatch):
+    def no_eta(*args, **kwargs):
+        raise AssertionError("evaluated eta before refusing")
+
+    monkeypatch.setattr(approx, "eta_vertical", no_eta)
+    with pytest.raises(BeyondTable, match="residual: t=2000.0"):
+        residual(complex(0.5, 2000.0), ApproxConfig(m=1, X=10.0))

@@ -128,6 +128,26 @@ def test_nearest_and_distance(store):
     assert d < 1e-9
 
 
+def test_nearest_gamma_takes_the_lower_ordinate_on_a_tie(store):
+    g = store.gammas
+    mids = 0.5 * (g[:-1] + g[1:])
+    ties = np.flatnonzero(mids - g[:-1] == g[1:] - mids)
+    assert ties.size == 840
+    for i in ties.tolist():
+        assert store.nearest_gamma(mids[i]) == g[i]
+    # outside the table the end ordinate is the nearest
+    assert store.nearest_gamma(1.0) == g[0]
+    assert store.nearest_gamma(store.t_max + 50.0) == g[-1]
+
+
+def test_nearest_gamma_is_the_snapped_ordinate(store):
+    # with a tolerance above every gap, snap moves each t >= 20 below the
+    # ordinate it takes as nearest
+    ts = np.random.default_rng(23).uniform(20.0, store.t_max + 10.0, 1000)
+    near = np.array([store.nearest_gamma(t) for t in ts.tolist()])
+    assert (store.snap(ts, 20.0) == near - ORDINATE_OFFSET).all()
+
+
 # A zero on the line at 100 and three at beta = 0.9 just above it, their
 # ordinates closer together than their betas differ: from 0.5 + 100.000005i
 # the ordinates next to t are the 0.9 zeros, 0.4 away, and the nearest zero
