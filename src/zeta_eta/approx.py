@@ -54,16 +54,16 @@ import numpy as np
 
 from .errors import (BeyondSieve, HypothesisViolated, ValidationError,
                      ZeroCoincidesWithS, _integer, _point, _real)
-from .eta import (_I_POW, _lambda_table, _prime_mask, eta_vertical,
-                  zero_sum_polynomial)
+# _lambda_table and _prime_mask are not called here, but stay importable by
+# name: the bench's layer tracer looks the sieve up in this module.
+from .eta import (_I_POW, SIEVE_LIMIT, _lambda_table, _prime_mask, _sieve,
+                  eta_vertical, zero_sum_polynomial)
 from .kernels import DEFAULT_KERNEL, Kernel
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .zeros import ZeroStore, builtin_store
-
-SIEVE_LIMIT = 2_000_000
+from .zeros import ZeroStore, store_or_builtin
 
 
-# --- von Mangoldt via the sieve (eta._lambda_table) ----------------------------
+# --- von Mangoldt via the sieve (eta._sieve) --------------------------------------
 
 def _check_sieve_range(n: float, what: str) -> None:
     if n > SIEVE_LIMIT:
@@ -71,11 +71,20 @@ def _check_sieve_range(n: float, what: str) -> None:
             f"{what} needs the sieve up to {n:.0f} > limit {SIEVE_LIMIT}")
 
 
+def _check_sieve_power(X: float, power: float, what: str) -> None:
+    """Refuse, with BeyondSieve naming X, a sum over n <= X^power past the
+    sieve, before any numerics.  A log far past the sieve's is refused
+    without forming X^power, which overflows for a large X."""
+    top = (math.floor(X ** power)
+           if power * math.log(X) <= math.log(SIEVE_LIMIT) + 1.0 else math.inf)
+    _check_sieve_range(top, f"{what} with X={X}")
+
+
 def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n is a prime power p^k, else 0."""
     n = _integer(n, "n", 1)
     _check_sieve_range(n, "von_mangoldt")
-    return float(_lambda_table(SIEVE_LIMIT)[n])
+    return float(_sieve(n)[0][n])
 
 
 # --- configuration ----------------------------------------------------------------
@@ -95,6 +104,7 @@ class ApproxConfig:
         _real(self.H, "H", 1.0)
         if not isinstance(self.kernel, Kernel):
             raise ValidationError("kernel must be a Kernel instance")
+        _check_sieve_power(self.X, 1.0 + 1.0 / self.H, "ApproxConfig")
 
     @property
     def n_max(self) -> int:
@@ -121,8 +131,8 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
         raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
     _check_sieve_range(n_max, what)
     top = int(math.floor(n_max)) + 1
-    lam = _lambda_table(SIEVE_LIMIT)
-    support = _prime_mask(SIEVE_LIMIT) if primes_only else lam
+    lam, primes = _sieve(n_max)
+    support = primes if primes_only else lam
     idx = np.nonzero(support[:top])[0]
     n = idx.astype(float)
     log_n = np.log(n)
@@ -155,8 +165,7 @@ def y_m(s, X: float, m: int, store: ZeroStore | None = None) -> complex:
     z = _point(s)
     m = _integer(m, "m")
     X = _real(X, "X", 3.0)
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     sigma, t = z.real, z.imag
     radius = 1.0 / math.log(X)
     store.require_height(t if m >= 1 else t + radius, "y_m", t=t, m=m)
@@ -254,8 +263,7 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
     Needs t >= 14, sigma >= 1/2 and the hypothesis 1 <= H <= t/2 of the
     bounds; an H above t/2 raises HypothesisViolated.
     """
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     z = _residual_point(s, cfg.H, store)
     eta_val = eta_vertical(z, cfg.m, store, prec).value
     return _residual_split(z, eta_val, cfg, store)
@@ -301,6 +309,7 @@ def p_f(s, X: float, kernel: Kernel | None = None) -> complex:
     X = _real(X, "X", 3.0)
     if kernel is None:
         kernel = DEFAULT_KERNEL
+    _check_sieve_power(X, 2.0, "p_f")
     log_x = math.log(X)
     p_max = int(math.floor(X * X))
     poly = prime_power_poly(
@@ -324,8 +333,7 @@ def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,
     X = _real(X, "X")
     if not (math.log(t) <= X <= t):
         raise ValidationError(f"log t <= X <= t required, got X={X}, t={t}")
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     if not store.all_on_line:
         raise HypothesisViolated(
             "the decomposition assumes every table zero is on the line")

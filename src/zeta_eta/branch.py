@@ -54,7 +54,7 @@ import numpy as np
 from .errors import (BudgetExceeded, NearSingularity, NumericalError,
                      OnSingularity, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .zeros import ZeroStore
+from .zeros import ZeroStore, store_or_builtin
 from .zeta import _ARRAY_NODES, _POLE_RADIUS, _Ray, _zeta_em
 
 # For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
@@ -327,9 +327,7 @@ def branch_path(t: float, sigma_end: float,
     queries.  Only a ray that ends left of SIGMA_START walks, and only it
     needs the zero table up to |t|; right of it no zero enters the answer.
     """
-    if store is None:
-        from .zeros import builtin_store
-        store = builtin_store()
+    store = store_or_builtin(store)
     t = _real(t, "t")
     sigma_end = _real(sigma_end, "sigma_end", -1.0)
     if sigma_end < SIGMA_START:
@@ -353,9 +351,7 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     _real(z.real, "sigma", -1.0)
     if abs(z - 1.0) <= _POLE_RADIUS:
         raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
-    if store is None:
-        from .zeros import builtin_store
-        store = builtin_store()
+    store = store_or_builtin(store)
     if store.zero_distance(z) <= 1e-12:
         raise OnSingularity(f"s={s} sits on a zero of the table")
     if z.imag == 0.0:

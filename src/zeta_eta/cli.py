@@ -262,9 +262,7 @@ def cmd_dist(args) -> int:
     if args.sub == "tmeasure":
         est = measure_t_m(args.t_big, args.x, args.v, args.m, grid,
                           store=store, prec=prec)
-        rows = [{"V": est.V, "fraction": est.fraction,
-                 "stderr": est.stderr, "gaussian_ref": est.ref_gaussian,
-                 "count_exceed": est.count_exceed}]
+        rows = [est.row(count_exceed=est.count_exceed)]
         meta = _meta(store, "dist tmeasure", x=args.x, v=args.v,
                      m=args.m, **common)
         _emit(args, meta, rows)

@@ -52,7 +52,7 @@ from .approx import prime_power_poly, y_m
 from .errors import HypothesisViolated, ValidationError, _integer, _real
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .zeros import ORDINATE_TOL, ZeroStore, builtin_store
+from .zeros import ORDINATE_TOL, ZeroStore, store_or_builtin
 from .zeta import _zeta_line
 
 _SCHEMES = ("uniform", "stratified-jitter", "seeded-random")
@@ -84,6 +84,12 @@ class MeasureEstimate:
     count_exceed: int
     ref_gaussian: float
     stderr: float
+
+    def row(self, **extra) -> dict:
+        """The estimate as a CSV row: V, fraction, stderr, gaussian_ref,
+        then extra's keys in order."""
+        return {"V": self.V, "fraction": self.fraction, "stderr": self.stderr,
+                "gaussian_ref": self.ref_gaussian, **extra}
 
 
 def _samples(grid: GridSpec, lo: float, hi: float,
@@ -145,8 +151,7 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
 
     The Gaussian reference is the tail of N(0, (1/2) loglog T) above V.
     """
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     _real(V, "threshold V")
     _check_grid("measure_sigma", T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
@@ -193,8 +198,7 @@ def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec, *,
     |eta_m - i^m sum_{2<=n<=X} Lambda(n)/(n^(1/2+it)(log n)^(m+1)) - Y_m|
     exceeds V.  The sum is unsmoothed: weight 1 up to X, nothing beyond.
     """
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     _check_residual_call(T, X, m, m_min=0, t_min=14.0)
     _real(V, "threshold V")
     _check_grid("measure_t_m", T, grid, store)
@@ -215,8 +219,7 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
     enforce_range=False to waive it (the returned record keeps both the
     interval convention and the waiver).
     """
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     _integer(k, "k", 1)
     _real(sigma, "sigma", 0.5)
     if _real(trial_c, "trial_c") <= 0.0:
@@ -232,16 +235,21 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
         raise HypothesisViolated(
             f"X = {X} exceeds T^(1/(135k)) = {T ** (1.0 / (135.0 * k)):.4g}"
             f"; pass enforce_range=False to waive")
+    # The majorant first: a k past the double range is refused unsampled.
+    lx, lt = math.log(X), math.log(T)
+    try:
+        bound = (2.0 ** k * math.factorial(k)
+                 * ((2.0 * m + 1.0) / (2.0 * m) + trial_c / lx) ** k
+                 * X ** (k * (1.0 - 2.0 * sigma)) / lx ** (2 * k * m)
+                 + trial_c ** k * float(k) ** (2 * k * (m + 1))
+                 * T ** ((1.0 - 2.0 * sigma) / 135.0) / lt ** (2 * k * m))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValidationError(f"the moment majorant overflows at k={k}, m={m}")
     values = _residual_samples(grid, lo, hi, sigma, X, m, store, prec)
     empirical = (math.fsum(r ** (2 * k) for r in values.tolist())
                  / len(values) * (hi - lo) / T)
-
-    lx, lt = math.log(X), math.log(T)
-    bound = (2.0 ** k * math.factorial(k)
-             * ((2.0 * m + 1.0) / (2.0 * m) + trial_c / lx) ** k
-             * X ** (k * (1.0 - 2.0 * sigma)) / lx ** (2 * k * m)
-             + trial_c ** k * float(k) ** (2 * k * (m + 1))
-             * T ** ((1.0 - 2.0 * sigma) / 135.0) / lt ** (2 * k * m))
     return {"empirical": empirical, "bound": bound, "interval": interval,
             "hypothesis_waived": waived}
 
@@ -251,19 +259,13 @@ def tail_table(T: float, v_list, grid: GridSpec,
                prec: EvalPrecision = DEFAULT_PRECISION) -> list[dict]:
     """One row per V: empirical log|zeta| tail vs Gaussian and raw shapes.
 
-    Row keys: V, fraction, stderr, gaussian_ref, jutila_ref with
-    jutila_ref = exp(-V^2/loglog T).  A single scan is shared by all V.
+    Row keys: those of MeasureEstimate.row, then jutila_ref =
+    exp(-V^2/loglog T).  A single scan is shared by all V.
     """
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     v_list = [_real(v, "threshold V") for v in v_list]
     _check_grid("tail_table", T, grid, store)
     values = _log_abs_zeta_samples(T, grid, store, prec)
     llt = math.log(math.log(T))
-    rows = []
-    for v in v_list:
-        est = _estimate(v, values, T)
-        rows.append({"V": est.V, "fraction": est.fraction,
-                     "stderr": est.stderr, "gaussian_ref": est.ref_gaussian,
-                     "jutila_ref": math.exp(-v * v / llt)})
-    return rows
+    return [_estimate(v, values, T).row(jutila_ref=math.exp(-v * v / llt))
+            for v in v_list]

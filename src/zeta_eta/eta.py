@@ -99,7 +99,7 @@ from .branch import (_WINDOW, _log_zeta_real, _Walk, branch_path,
 from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _NODES, _panel, integrate_adaptive
-from .zeros import SNAP_TOL, ZeroStore, builtin_store
+from .zeros import SNAP_TOL, ZeroStore, store_or_builtin
 from .zeta import _BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
@@ -128,7 +128,7 @@ class EtaValue:
             raise ValidationError(f"unknown route {self.route!r}")
 
 
-def _vertical_integral(log_f, m: int, sigma: float, a0: float, t: float,
+def _vertical_integral(log_f, m: int, sigma: float, t: float,
                        abs_err: float) -> tuple[complex, float]:
     """i^m/(m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a+it) da, m >= 1,
     with an error estimate: panels on [sigma, a0], split at 1, and the
@@ -138,6 +138,7 @@ def _vertical_integral(log_f, m: int, sigma: float, a0: float, t: float,
     panel, and returns (values, error bounds) as arrays of its shape, one
     pass for all of them; it is not called when sigma >= a0.
     """
+    a0 = _tail_start(m, sigma, abs_err)
     val, est = _vertical_tail(m, sigma, a0, t)
     if sigma >= a0:
         return val, est
@@ -170,6 +171,9 @@ def _vertical_integral(log_f, m: int, sigma: float, a0: float, t: float,
 _TAIL_N = 8192
 _TAIL_SHARE = 1e-3
 
+#: The largest n a prime-power sum may reach (approx refuses beyond it).
+SIEVE_LIMIT = 2_000_000
+
 
 @lru_cache(maxsize=2)
 def _prime_mask(limit: int) -> np.ndarray:
@@ -200,10 +204,18 @@ def _lambda_table(limit: int) -> np.ndarray:
     return lam
 
 
+def _sieve(n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda and the prime mask from the smaller cached sieve that covers
+    n <= SIEVE_LIMIT: the one up to _TAIL_N, else the one up to
+    SIEVE_LIMIT.  The two agree where both reach."""
+    limit = _TAIL_N if n <= _TAIL_N else SIEVE_LIMIT
+    return _lambda_table(limit), _prime_mask(limit)
+
+
 @lru_cache(maxsize=1)
 def _dirichlet_terms() -> tuple[np.ndarray, np.ndarray]:
     """log n and c_n = Lambda(n)/log n over the prime powers n <= _TAIL_N."""
-    lam = _lambda_table(_TAIL_N)
+    lam, _ = _sieve(_TAIL_N)
     n = np.nonzero(lam)[0]
     log_n = np.log(n)
     c = lam[n] / log_n
@@ -261,7 +273,7 @@ def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
     # On the real axis the limit from above is available in closed form;
     # no branch walk runs anywhere near the pole.
     return _vertical_integral(lambda a: _log_zeta_real(a, prec), m, sigma,
-                              _tail_start(m, sigma, abs_err), 0.0, abs_err)
+                              0.0, abs_err)
 
 
 def _order(m, lo: int) -> int:
@@ -328,8 +340,7 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
     """
     m = _order(m, 0)
     z = _point(s)
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     if m == 0:
         val, est = log_zeta_with_err(z, prec, store)
         return EtaValue(s=z, m=0, value=val, route="vertical", est_err=est)
@@ -341,8 +352,7 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
 
     store.require_height(t, "eta_vertical", t=t)
     path = branch_path(t, sigma, prec, store)
-    a0 = _tail_start(m, sigma, prec.abs_err)
-    val, est = _vertical_integral(path.eval_log, m, sigma, a0, path.t,
+    val, est = _vertical_integral(path.eval_log, m, sigma, path.t,
                                   prec.abs_err)
     zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
     return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
@@ -641,8 +651,7 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
     """
     m = _order(m, 0)
     z = _point(s)
-    if store is None:
-        store = builtin_store()
+    store = store_or_builtin(store)
     if m == 0:
         val, est = log_zeta_with_err(z, prec, store)
         return EtaValue(s=z, m=0, value=val, route="iterated", est_err=est)

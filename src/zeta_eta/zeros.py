@@ -339,6 +339,11 @@ def builtin_store() -> ZeroStore:
     return store
 
 
+def store_or_builtin(store: ZeroStore | None) -> ZeroStore:
+    """The table an entry reads: store, or the bundled one for None."""
+    return builtin_store() if store is None else store
+
+
 # --- zero-counting cross-check -------------------------------------------------
 
 def rvmf_check(store: ZeroStore, t_height: float,

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from zeta_eta.precision import EvalPrecision
+from zeta_eta import eta as eta_module
+from zeta_eta.precision import DEFAULT_PRECISION, EvalPrecision
 from zeta_eta.zeros import ZeroRecord, ZeroStore, builtin_store
 
 
@@ -38,3 +41,17 @@ def _pin_node_by_node(self, xs, principal, depth, step=None, enter=None):
 @pytest.fixture
 def node_by_node_pin():
     return _pin_node_by_node
+
+
+@pytest.fixture
+def slipped_branch(monkeypatch):
+    """log zeta as the eta module reads it, off by 2 pi i above the real
+    axis: the iterated sweep's anchor at u = 0 is untouched, and its end
+    check at u = t sees the slip."""
+    log_zeta = eta_module.log_zeta_with_err
+
+    def slipped(s, prec=DEFAULT_PRECISION, store=None):
+        val, est = log_zeta(s, prec, store)
+        return (val + 2j * math.pi if s.imag > 0.0 else val), est
+
+    monkeypatch.setattr(eta_module, "log_zeta_with_err", slipped)

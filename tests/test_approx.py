@@ -7,6 +7,8 @@ The von Mangoldt oracle below is trial division, independent of the sieve.
 import cmath
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +71,31 @@ def test_prime_power_poly_support_and_refusals():
             prime_power_poly(bad, lambda n, log_n, lam: lam, "test")
     with pytest.raises(BeyondSieve):
         prime_power_poly(SIEVE_LIMIT + 1, lambda n, log_n, lam: lam, "test")
+
+
+def test_short_sums_leave_the_full_sieve_unbuilt():
+    # sums up to _TAIL_N read the sieve eta's tail built; the SIEVE_LIMIT
+    # one, about 18 MB, is built only for a sum that reaches past it
+    code = ("from zeta_eta import approx, distribution, eta\n"
+            "def built():\n"
+            "    sieves = (approx._lambda_table, approx._prime_mask)\n"
+            "    sizes = [f.cache_info().currsize for f in sieves]\n"
+            "    hits = [f.cache_info().hits for f in sieves]\n"
+            "    for f in sieves:\n"
+            "        f(eta._TAIL_N)\n"
+            "    return sizes, [f.cache_info().hits - h\n"
+            "                   for f, h in zip(sieves, hits)]\n"
+            "grid = distribution.GridSpec(count=100, seed=1)\n"
+            "distribution.measure_t_m(100.0, 100.0, 0.5, 1, grid)\n"
+            "approx.p_f(0.5 + 20j, 10.0)\n"
+            "print(built())\n"
+            "cfg = approx.ApproxConfig(m=1, X=1e3)\n"
+            "approx.dirichlet_poly(0.5 + 20j, cfg)\n"
+            "print(built())\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["([1, 1], [1, 1])",
+                                          "([2, 2], [1, 1])"]
 
 
 def test_config_validation_and_n_max():

@@ -380,6 +380,37 @@ def test_residual_scan_refuses_every_height_before_eta(capsys, monkeypatch):
     assert err.startswith("error: residual: t=1500.0 needs zeros up to"), err
 
 
+@pytest.mark.parametrize("x", ["5e6", "1e200"])
+def test_residual_scan_refuses_an_x_beyond_the_sieve_before_eta(
+        capsys, monkeypatch, x):
+    def no_eta(*args, **kwargs):
+        raise AssertionError("evaluated eta before refusing")
+
+    monkeypatch.setattr(cli, "eta_vertical", no_eta)
+    code, out, err = _run(capsys, ["residual-scan", "--m", "1", "--x-list",
+                                   f"10,{x}", "--t-from", "100", "--t-to",
+                                   "100", "--t-step", "1"])
+    assert code == 3 and out == "", err
+    assert f"X={float(x)} needs the sieve" in err, err
+
+
+@pytest.mark.parametrize("k", ["42", "60"])
+def test_dist_moments_refuses_a_majorant_past_a_double(capsys, k):
+    code, out, err = _run(capsys, ["dist", "moments", "--t-big", "100",
+                                   "--seed", "1", "--count", "5", "--x", "10",
+                                   "--m", "1", "--k", k, "--waive-range"])
+    assert code == 3 and out == "", err
+    assert f"k={k}, m=1" in err, err
+
+
+def test_check_routes_exits_1_when_the_sweep_leaves_the_branch(
+        capsys, slipped_branch):
+    # the iterated route's end check refuses, and the command exits 1
+    code, out, err = _run(capsys, ["eval", "--what", "eta", "--s", "0.8+40i",
+                                   "--m", "1", "--check-routes"])
+    assert code == 1 and "winding sweep disagrees" in err, err
+
+
 @pytest.mark.parametrize("sub", ["tmeasure", "moments"])
 @pytest.mark.parametrize("x", ["nan", "inf", "-5", "1"])
 def test_dist_refuses_bad_x(capsys, sub, x):

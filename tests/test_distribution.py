@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from zeta_eta import distribution
 from zeta_eta.distribution import (GridSpec, MeasureEstimate, _samples,
                                    gaussian_tail, measure_sigma, measure_t_m,
                                    moment_residual, tail_table)
@@ -262,6 +263,29 @@ def test_moment_residual_validation(store):
     with pytest.raises(BeyondTable):
         moment_residual(1200.0, 10.0, 1, 1, tall, store=store,
                         enforce_range=False, interval="dyadic")
+
+
+@pytest.mark.parametrize("m, k, first", [
+    (1, 42, True), (2, 31, True), (3, 26, True), (5, 19, True),
+    (1, 60, False), (1, 200, False)])
+def test_moment_majorant_past_a_double_is_refused_unsampled(store, monkeypatch,
+                                                            m, k, first):
+    # at X = 10 and T = 100 the majorant is inf from the first k on, one k
+    # less it is finite; at k = 60 and 200 forming it raises OverflowError
+    def no_samples(*args, **kwargs):
+        raise AssertionError("drew samples before refusing")
+
+    grid = GridSpec(count=5, scheme="uniform", seed=1)
+    monkeypatch.setattr(distribution, "_residual_samples", no_samples)
+    with pytest.raises(ValidationError, match=f"k={k}, m={m}"):
+        moment_residual(100.0, 10.0, m, k, grid, store=store,
+                        enforce_range=False)
+    if first:
+        monkeypatch.setattr(distribution, "_residual_samples",
+                            lambda *args: np.ones(5))
+        out = moment_residual(100.0, 10.0, m, k - 1, grid, store=store,
+                              enforce_range=False)
+        assert math.isfinite(out["bound"]) and out["empirical"] > 0.0
 
 
 def test_tail_table_rows(store):

@@ -1,6 +1,7 @@
 """The shared argument checkers and the library refusals routed through them."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from zeta_eta.approx import (ApproxConfig, dirichlet_poly, lambda_prime_x, p_f,
                              relzz_decompose, residual, y_m)
 from zeta_eta.branch import branch_path
 from zeta_eta.distribution import GridSpec, tail_table
-from zeta_eta.errors import (BeyondTable, InvalidFamily, OutOfStrip,
-                             ValidationError, _integer, _point, _real)
+from zeta_eta.errors import (BeyondSieve, BeyondTable, InvalidFamily,
+                             OutOfStrip, ValidationError, _integer, _point,
+                             _real)
 from zeta_eta.eta import (eta_iterated, eta_vertical, s_m,
                           zero_sum_polynomial)
 from zeta_eta.kernels import (DEFAULT_KERNEL, boundary_derivative, e_star,
@@ -183,3 +185,18 @@ def test_residual_refuses_a_height_before_eta(monkeypatch):
     monkeypatch.setattr(approx, "eta_vertical", no_eta)
     with pytest.raises(BeyondTable, match="residual: t=2000.0"):
         residual(complex(0.5, 2000.0), ApproxConfig(m=1, X=10.0))
+
+
+@pytest.mark.parametrize("X", [5e6, 1e200])
+def test_an_x_beyond_the_sieve_is_refused_before_any_numerics(X, monkeypatch):
+    def no_eta(*args, **kwargs):
+        raise AssertionError("evaluated eta before refusing")
+
+    monkeypatch.setattr(approx, "eta_vertical", no_eta)
+    named = re.escape(f"X={X}")
+    for call in (lambda: residual(complex(0.5, 100.0), ApproxConfig(m=1, X=X)),
+                 lambda: dirichlet_poly(complex(0.5, 20.0),
+                                        ApproxConfig(m=1, X=X)),
+                 lambda: p_f(complex(0.5, 20.0), X)):
+        with pytest.raises(BeyondSieve, match=named):
+            call()

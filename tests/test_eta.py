@@ -131,6 +131,22 @@ def test_tail_start_is_where_the_dropped_terms_meet_their_share():
     assert eta_module._tail_start(1, 6.0, 1e-10) == 6.0
 
 
+@pytest.mark.parametrize("sigma", [4.5, 6.0, 10.0])
+def test_c_m_right_of_the_tail_start_is_the_sum_alone(sigma, monkeypatch):
+    # from sigma >= a0 on, c_1 is the Dirichlet sum with no quadrature;
+    # its est_err covers the error against 30-digit mpmath
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("ran a quadrature right of the tail start")
+
+    monkeypatch.setattr(eta_module, "integrate_adaptive", no_quadrature)
+    eta_module._c_m_cached.cache_clear()
+    got, est = c_m_with_err(sigma, 1)
+    with mpmath.workdps(30):
+        ref = 1j * complex(mpmath.quad(
+            lambda a: mpmath.log(mpmath.zeta(a)), [sigma, mpmath.inf]))
+    assert abs(got - ref) <= est, (got, ref, est)
+
+
 def test_vertical_route_leaves_the_full_sieve_unbuilt():
     # The tail's prime powers come from the sieve up to _TAIL_N; the
     # SIEVE_LIMIT table would add about 18 MB to every eta caller.
@@ -447,6 +463,11 @@ def test_model_pieces_within_their_allowance_of_mpmath():
 
 
 # --- the iterated sweep's batched walk -----------------------------------------
+
+def test_sweep_refuses_an_end_off_the_ray_branch(store, slipped_branch):
+    with pytest.raises(NumericalError, match="winding sweep disagrees"):
+        eta_iterated(complex(0.8, 40.0), 1, store)
+
 
 def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
     # a small continuity step makes nodes of a batch fall back to midpoint

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from zeta_eta.approx import relzz_decompose, y_m
+from zeta_eta.distribution import (GridSpec, measure_sigma, measure_t_m,
+                                   moment_residual, tail_table)
 from zeta_eta.errors import (BeyondTable, EmptyFile, NotSorted, OutOfStrip,
                              ParseError, ValidationError)
 from zeta_eta.zeros import (ORDINATE_OFFSET, ORDINATE_TOL, SNAP_TOL,
@@ -88,6 +91,27 @@ def test_csv_ordinate_errors_as_plain(tmp_path):
             with pytest.raises(exc, match=msg) as ei:
                 load_zeros(str(p), fmt)
             assert ei.value.line == line
+
+
+_GRID = GridSpec(count=100, seed=1)
+
+_STORE_DEFAULTS = {
+    "y_m": lambda st: y_m(complex(0.5, 49.9), 10.0, 0, st),
+    "relzz_decompose": lambda st: relzz_decompose(100.0, 10.0, store=st),
+    "measure_sigma": lambda st: measure_sigma(100.0, 0.5, _GRID, st),
+    "measure_t_m": lambda st: measure_t_m(100.0, 10.0, 0.5, 1, _GRID,
+                                          store=st),
+    "moment_residual": lambda st: moment_residual(
+        100.0, 10.0, 1, 1, GridSpec(count=5, seed=1), store=st,
+        enforce_range=False),
+    "tail_table": lambda st: tail_table(100.0, [0.0, 0.5], _GRID, st),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STORE_DEFAULTS))
+def test_store_none_is_the_bundled_table(entry):
+    call = _STORE_DEFAULTS[entry]
+    assert call(None) == call(builtin_store())
 
 
 def test_builtin_store(store):

@@ -186,6 +186,22 @@ def test_hardy_z_sign_change_at_first_zero():
     assert hardy_z(14.0) * hardy_z(14.3) < 0.0
 
 
+@pytest.mark.parametrize("t", [0.0, 3.7, 100.3, 1500.2])
+def test_hardy_z_is_even_and_theta_odd(t):
+    assert hardy_z(-t) == hardy_z(t)
+    assert theta(-t) == -theta(t)
+
+
+def test_log_deriv_extended_path_against_mpmath():
+    # abs_err 1e-20 is below the double threshold: software precision
+    s = complex(0.5, 100.3)
+    got = zeta_log_deriv(s, EvalPrecision(abs_err=1e-20))
+    with mp.workdps(40):
+        w = mp.mpc(s.real, s.imag)
+        ref = mp.zeta(w, derivative=1) / mp.zeta(w)
+        assert abs(got - ref) <= 1e-20
+
+
 # --- the Euler-Maclaurin kernel on a ray ---------------------------------------
 
 _ZETA_MODULE = sys.modules["zeta_eta.zeta"]
