@@ -144,18 +144,30 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
     return poly
 
 
-def dirichlet_poly(s, cfg: ApproxConfig) -> complex:
-    """i^m sum_{2<=n<=X^(1+1/H)} Lambda(n) v_{f,H}(.) / (n^s (log n)^(m+1))."""
-    z = _point(s)
+def dirichlet_poly(s, cfg: ApproxConfig) -> complex | list[complex]:
+    """i^m sum_{2<=n<=X^(1+1/H)} Lambda(n) v_{f,H}(.) / (n^s (log n)^(m+1)).
+
+    s is one point, or a sequence of points on one vertical line
+    Re s = sigma, for which the list of values comes back in order: the
+    coefficients are built once for sigma and summed at every height.
+    """
+    one = np.ndim(s) == 0
+    zs = [_point(s)] if one else [_point(v) for v in s]
+    sigmas = {z.real for z in zs}
+    if len(sigmas) != 1:
+        raise ValidationError(f"dirichlet_poly needs points on one vertical "
+                              f"line, got sigma in {sorted(sigmas)}")
+    sigma = sigmas.pop()
     log_x = math.log(cfg.X)
 
     def coef(n, log_n, lam):
         v = _v_weights(cfg.kernel, cfg.H, log_n, log_x)
-        return lam * v / (np.exp(z.real * log_n) * log_n ** (cfg.m + 1))
+        return lam * v / (np.exp(sigma * log_n) * log_n ** (cfg.m + 1))
 
     poly = prime_power_poly(cfg.n_max, coef,
                             f"dirichlet_poly with X^(1+1/H)={cfg.n_max}")
-    return _I_POW[cfg.m % 4] * poly(z.imag)
+    values = [_I_POW[cfg.m % 4] * poly(z.imag) for z in zs]
+    return values[0] if one else values
 
 
 # --- local zero term Y_m ----------------------------------------------------------
@@ -266,7 +278,7 @@ def residual(s, cfg: ApproxConfig, store: ZeroStore | None = None,
     store = store_or_builtin(store)
     z = _residual_point(s, cfg.H, store)
     eta_val = eta_vertical(z, cfg.m, store, prec).value
-    return _residual_split(z, eta_val, cfg, store)
+    return _residual_split(z, eta_val, dirichlet_poly(z, cfg), cfg, store)
 
 
 def _residual_point(s, H: float, store: ZeroStore) -> complex:
@@ -283,15 +295,17 @@ def _residual_point(s, H: float, store: ZeroStore) -> complex:
     return z
 
 
-def _residual_split(z: complex, eta_val: complex, cfg: ApproxConfig,
-                    store: ZeroStore) -> ResidualReport:
-    """The part of residual that depends on X: eta_m(z) given as eta_val,
-    split into polynomial, Y_m and remainder, with the two bound shapes.
+def _residual_split(z: complex, eta_val: complex, poly: complex,
+                    cfg: ApproxConfig, store: ZeroStore) -> ResidualReport:
+    """residual's report at z from eta_m(z), given as eta_val, and the
+    smoothed polynomial dirichlet_poly(z, cfg), given as poly: Y_m, the
+    remainder and the two bound shapes are computed here.
 
-    eta_m does not depend on X, so a scan over X computes it once per
-    height and splits it here for every X.
+    eta_m does not depend on X and the polynomial's coefficients do not
+    depend on t, so a scan computes eta once per height, sums each X's
+    polynomial at all its heights in one dirichlet_poly call, and splits
+    every (t, X) pair here.
     """
-    poly = dirichlet_poly(z, cfg)
     y_val = y_m(z, cfg.X, cfg.m, store)
     r_val = eta_val - poly - y_val
     b1 = _bound_esrm(z.real, z.imag, cfg, store)

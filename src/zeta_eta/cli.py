@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approx import ApproxConfig, _residual_point, _residual_split
+from .approx import (ApproxConfig, ResidualReport, _residual_point,
+                     _residual_split, dirichlet_poly)
 from .branch import log_zeta_with_err
 from .distribution import (GridSpec, measure_t_m, moment_residual, tail_table)
 from .errors import NumericalError, ValidationError, ZetaEtaError
@@ -207,6 +208,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _scan_row(rep: ResidualReport) -> dict:
+    """One residual-scan CSV row, for the (t, X) of the report rep."""
+    return {"t": rep.s.imag, "x": rep.cfg.X,
+            "eta_re": rep.eta.real, "eta_im": rep.eta.imag,
+            "poly_re": rep.poly.real, "poly_im": rep.poly.imag,
+            "y_re": rep.y_m.real, "y_im": rep.y_m.imag,
+            "r_re": rep.r_m.real, "r_im": rep.r_m.imag,
+            "bound_esrm": rep.bound_esrm,
+            "bound_esrm2": rep.bound_esrm2, "ratio": rep.ratio}
+
+
 def cmd_residual_scan(args) -> int:
     store = _load_store(args)
     prec = _precision(args, SCAN_PRECISION)
@@ -222,20 +234,16 @@ def cmd_residual_scan(args) -> int:
     points = [_residual_point(complex(args.sigma, t), args.h, store)
               for t in ts]
 
-    def at_height(z):
-        # eta_m does not depend on X: one evaluation serves the whole X-list
-        eta = eta_vertical(z, args.m, store, prec).value
-        for x, cfg in zip(xs, cfgs):
-            rep = _residual_split(z, eta, cfg, store)
-            yield {"t": z.imag, "x": x,
-                   "eta_re": rep.eta.real, "eta_im": rep.eta.imag,
-                   "poly_re": rep.poly.real, "poly_im": rep.poly.imag,
-                   "y_re": rep.y_m.real, "y_im": rep.y_m.imag,
-                   "r_re": rep.r_m.real, "r_im": rep.r_m.imag,
-                   "bound_esrm": rep.bound_esrm,
-                   "bound_esrm2": rep.bound_esrm2, "ratio": rep.ratio}
+    # eta_m does not depend on X: one evaluation serves the whole X-list
+    etas = [eta_vertical(z, args.m, store, prec).value for z in points]
 
-    rows = [row for z in points for row in at_height(z)]
+    # One polynomial per X, summed at every height and dropped before the
+    # next X's is built; the rows go out t-major.
+    columns = [[_scan_row(_residual_split(z, eta, poly, cfg, store))
+                for z, eta, poly in zip(points, etas,
+                                        dirichlet_poly(points, cfg))]
+               for cfg in cfgs]
+    rows = [row for per_t in zip(*columns) for row in per_t]
     meta = _meta(store, "residual-scan", m=args.m, x_list=xs, h=args.h,
                  kernel=kernel.name, sigma=args.sigma, t_from=args.t_from,
                  t_to=args.t_to, t_step=args.t_step, abs_err=prec.abs_err)

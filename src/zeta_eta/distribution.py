@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import prime_power_poly, y_m
+from .approx import _check_sieve_power, prime_power_poly, y_m
 from .errors import HypothesisViolated, ValidationError, _integer, _real
 from .eta import _I_POW, eta_vertical
 from .precision import DEFAULT_PRECISION, EvalPrecision
@@ -160,9 +160,11 @@ def measure_sigma(T: float, V: float, grid: GridSpec,
 
 def _check_residual_call(T: float, X: float, m: int, m_min: int,
                          t_min: float) -> None:
-    """Refusals shared by the residual estimators."""
+    """Refusals shared by the residual estimators, the sieve's included:
+    all come before a sample is drawn."""
     _integer(m, "m", m_min)
     _real(X, "X", 2.0)
+    _check_sieve_power(X, 1.0, "the plain polynomial")
     if m == 0 and X < 3.0:
         raise ValidationError(
             f"m = 0 needs X >= 3 for the zero term Y_0(s, X), got X={X!r}")

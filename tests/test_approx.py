@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from zeta_eta import approx
 from zeta_eta.approx import (SIEVE_LIMIT, ApproxConfig, ResidualReport,
                              dirichlet_poly, lambda_prime_x, lambda_x, p_f,
                              prime_power_poly, relzz_decompose, residual,
@@ -124,6 +125,27 @@ def test_dirichlet_poly_term_by_term():
     ref *= 1j
     got = dirichlet_poly(s, cfg)
     assert abs(got - ref) < 1e-12, (got, ref)
+
+
+def test_dirichlet_poly_on_a_line_matches_each_point(monkeypatch):
+    # one build for the whole line, and every value bit for bit the one a
+    # single point gets
+    cfg = ApproxConfig(m=3, X=100.0, H=2.0, kernel=make_kernel("tent"))
+    points = [complex(0.75, t) for t in (20.0, 333.5, 1400.0)]
+    each = [dirichlet_poly(z, cfg) for z in points]
+    built = []
+
+    def counting_poly(*args, **kwargs):
+        built.append(args[0])
+        return prime_power_poly(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "prime_power_poly", counting_poly)
+    assert dirichlet_poly(points, cfg) == each
+    assert dirichlet_poly(np.array(points), cfg) == each
+    assert built == [cfg.n_max, cfg.n_max]
+    for bad in ([], [complex(0.75, 20.0), complex(0.5, 30.0)]):
+        with pytest.raises(ValidationError, match="one vertical line"):
+            dirichlet_poly(bad, cfg)
 
 
 def test_dirichlet_poly_m0_tracks_log_zeta_at_sigma_two():

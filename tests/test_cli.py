@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeta_eta.cli as cli
-from zeta_eta.approx import ApproxConfig, residual
+from zeta_eta import approx, distribution
+from zeta_eta.approx import ApproxConfig, prime_power_poly, residual
 from zeta_eta.cli import (MAX_GRID_POINTS, _parse_complex, _parse_floats,
                           _t_grid, main)
+from zeta_eta.distribution import _samples
 from zeta_eta.errors import ValidationError
 from zeta_eta.eta import eta_vertical
+from zeta_eta.kernels import DEFAULT_KERNEL, make_kernel
 from zeta_eta.precision import DEFAULT_PRECISION, SCAN_PRECISION
 from zeta_eta.zeros import builtin_store
 
@@ -253,24 +256,54 @@ def test_residual_scan_rows_and_threads(capsys):
 
 
 def test_residual_scan_rows_are_the_residual_reports(capsys):
-    # eta is computed once per height and split for every X: each row must
-    # still be exactly what residual() reports for its (t, X)
-    argv = ["residual-scan", "--m", "1", "--x-list", "10,30,100", "--h", "2",
-            "--t-from", "50", "--t-to", "60", "--t-step", "5"]
-    code, out, _ = _run(capsys, argv)
-    assert code == 0
-    lines = out.strip().splitlines()
-    header = lines[1].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
-    assert len(rows) == 9
+    # eta is computed once per height and each X's polynomial once per
+    # scan: every column of every row must still be exactly what residual()
+    # reports for its (t, X), on the line and off it with the other kernel
     store = builtin_store()
-    for row in rows:
-        t, x = float(row["t"]), float(row["x"])
-        rep = residual(complex(0.5, t), ApproxConfig(m=1, X=x, H=2.0),
-                       store, SCAN_PRECISION)
-        assert row["eta_re"] == repr(rep.eta.real)
-        assert row["r_im"] == repr(rep.r_m.imag)
-        assert row["ratio"] == repr(rep.ratio)
+    for extra, sigma, kernel in [
+            ([], 0.5, DEFAULT_KERNEL),
+            (["--sigma", "0.75", "--kernel", "tent"], 0.75,
+             make_kernel("tent"))]:
+        code, out, _ = _run(capsys, [
+            "residual-scan", "--m", "1", "--x-list", "10,30,100", "--h", "2",
+            "--t-from", "50", "--t-to", "60", "--t-step", "5"] + extra)
+        assert code == 0
+        lines = out.strip().splitlines()
+        header = lines[1].split(",")
+        assert header == ["t", "x", "eta_re", "eta_im", "poly_re", "poly_im",
+                          "y_re", "y_im", "r_re", "r_im", "bound_esrm",
+                          "bound_esrm2", "ratio"]
+        rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        assert [(row["t"], row["x"]) for row in rows] == [
+            (repr(t), repr(x)) for t in (50.0, 55.0, 60.0)
+            for x in (10.0, 30.0, 100.0)]
+        for row in rows:
+            t, x = float(row["t"]), float(row["x"])
+            rep = residual(complex(sigma, t),
+                           ApproxConfig(m=1, X=x, H=2.0, kernel=kernel),
+                           store, SCAN_PRECISION)
+            want = [t, x]
+            for value in (rep.eta, rep.poly, rep.y_m, rep.r_m):
+                want += [value.real, value.imag]
+            want += [rep.bound_esrm, rep.bound_esrm2, rep.ratio]
+            assert [row[h] for h in header] == [repr(v) for v in want], row
+
+
+def test_residual_scan_builds_each_polynomial_once(capsys, monkeypatch):
+    # 3 heights x 3 X: one prime-power polynomial per X, not one per row
+    built = []
+
+    def counting_poly(*args, **kwargs):
+        built.append(args[0])
+        return prime_power_poly(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "prime_power_poly", counting_poly)
+    code, out, err = _run(capsys, ["residual-scan", "--m", "1", "--x-list",
+                                   "10,100,1000", "--t-from", "100",
+                                   "--t-to", "1400", "--t-step", "650"])
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 2 + 9
+    assert built == [100, 10000, 1000000]
 
 
 def test_residual_scan_refuses_h_above_half_t(capsys):
@@ -392,6 +425,23 @@ def test_residual_scan_refuses_an_x_beyond_the_sieve_before_eta(
                                    "100", "--t-step", "1"])
     assert code == 3 and out == "", err
     assert f"X={float(x)} needs the sieve" in err, err
+
+
+def test_dist_tmeasure_refuses_an_x_beyond_the_sieve_unsampled(capsys,
+                                                               monkeypatch):
+    drawn = []
+
+    def counting_samples(*args):
+        drawn.append(args)
+        return _samples(*args)
+
+    monkeypatch.setattr(distribution, "_samples", counting_samples)
+    code, out, err = _run(capsys, ["dist", "tmeasure", "--t-big", "1000",
+                                   "--seed", "1", "--count", "100",
+                                   "--x", "5e6", "--v", "0.5", "--m", "1"])
+    assert code == 3 and out == "", err
+    assert "X=5000000.0 needs the sieve" in err, err
+    assert drawn == []
 
 
 @pytest.mark.parametrize("k", ["42", "60"])

@@ -1,6 +1,7 @@
 """Value-distribution estimators: sampling grids, tail measures, moments."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from zeta_eta import distribution
 from zeta_eta.distribution import (GridSpec, MeasureEstimate, _samples,
                                    gaussian_tail, measure_sigma, measure_t_m,
                                    moment_residual, tail_table)
-from zeta_eta.errors import (BeyondTable, HypothesisViolated,
+from zeta_eta.errors import (BeyondSieve, BeyondTable, HypothesisViolated,
                              ValidationError)
 from zeta_eta.precision import (DEFAULT_PRECISION, SCAN_PRECISION,
                                 EvalPrecision)
@@ -141,6 +142,26 @@ def test_residual_estimators_refuse_bad_x(store, X):
     with pytest.raises(ValidationError, match="X >= 2"):
         moment_residual(100.0, X, 1, 1, grid, store=store,
                         enforce_range=False)
+
+
+@pytest.mark.parametrize("X", [5e6, 1e200])
+def test_residual_estimators_refuse_an_x_beyond_the_sieve_unsampled(
+        store, monkeypatch, X):
+    drawn = []
+
+    def counting_samples(*args):
+        drawn.append(args)
+        return _samples(*args)
+
+    monkeypatch.setattr(distribution, "_samples", counting_samples)
+    grid = GridSpec(count=100, scheme="uniform", seed=1)
+    named = re.escape(f"X={X!r} needs the sieve")
+    with pytest.raises(BeyondSieve, match=named):
+        measure_t_m(1000.0, X, 0.5, 1, grid, store=store)
+    with pytest.raises(BeyondSieve, match=named):
+        moment_residual(1000.0, X, 1, 1, grid, store=store,
+                        enforce_range=False)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf])
