@@ -54,8 +54,9 @@ import numpy as np
 
 from .errors import (BeyondSieve, HypothesisViolated, ValidationError,
                      ZeroCoincidesWithS, _integer, _point, _real)
-# _lambda_table and _prime_mask are not called here, but stay importable by
-# name: the bench's layer tracer looks the sieve up in this module.
+# _lambda_table (Lambda and its sorted support) and _prime_mask are not
+# called here, but stay importable by name: the bench builds the full sieve
+# through approx._lambda_table, and its layer tracer looks both up here.
 from .eta import (_I_POW, SIEVE_LIMIT, _lambda_table, _prime_mask, _sieve,
                   eta_vertical, zero_sum_polynomial)
 from .kernels import DEFAULT_KERNEL, Kernel
@@ -84,7 +85,7 @@ def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n is a prime power p^k, else 0."""
     n = _integer(n, "n", 1)
     _check_sieve_range(n, "von_mangoldt")
-    return float(_sieve(n)[0][n])
+    return float(_sieve(n).lam[n])
 
 
 # --- configuration ----------------------------------------------------------------
@@ -123,20 +124,20 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
     """t -> sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the
     primes alone if primes_only), with a_n = coef(n, log n, Lambda(n)).
 
-    The one evaluator of the library's prime-power polynomials: support and
-    coefficients are built once, and the returned function sums them at any
-    height t.  n_max below 2 or beyond the sieve is refused.
+    The one evaluator of the library's prime-power polynomials: the support
+    is a slice of the sieve's sorted one, the coefficients are built once,
+    and the returned function sums them at any height t.  n_max below 2 or
+    beyond the sieve is refused.
     """
     if not n_max >= 2.0:
         raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
     _check_sieve_range(n_max, what)
-    top = int(math.floor(n_max)) + 1
-    lam, primes = _sieve(n_max)
-    support = primes if primes_only else lam
-    idx = np.nonzero(support[:top])[0]
+    sieve = _sieve(n_max)
+    support = sieve.primes if primes_only else sieve.powers
+    idx = support[:np.searchsorted(support, math.floor(n_max), "right")]
     n = idx.astype(float)
     log_n = np.log(n)
-    a = coef(n, log_n, lam[idx])
+    a = coef(n, log_n, sieve.lam[idx])
 
     def poly(t: float) -> complex:
         return complex(np.sum(a * np.exp(-1j * t * log_n)))

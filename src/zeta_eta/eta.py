@@ -91,6 +91,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,36 +188,51 @@ def _prime_mask(limit: int) -> np.ndarray:
     return mask
 
 
+class _Sieve(NamedTuple):
+    """Lambda(n) for n = 0 .. limit and its support: the primes and the
+    prime powers p^k (k >= 1) up to limit, as ascending index arrays, all
+    read-only."""
+
+    lam: np.ndarray
+    primes: np.ndarray
+    powers: np.ndarray
+
+
 @lru_cache(maxsize=2)
-def _lambda_table(limit: int) -> np.ndarray:
-    """Lambda(n) for n = 0 .. limit, read-only."""
+def _lambda_table(limit: int) -> _Sieve:
+    """Lambda(n) for n = 0 .. limit with its sorted support.  The support is
+    the sieve's primes merged with the higher powers its loop visits, so no
+    sum scans the table for it."""
     mask = _prime_mask(limit)
     lam = np.zeros(limit + 1)
     primes = np.nonzero(mask)[0]
     lam[primes] = np.log(primes)
+    higher = []
     for p in primes[primes <= math.isqrt(limit)]:
         lp = math.log(p)
         q = int(p) * int(p)
         while q <= limit:
             lam[q] = lp
+            higher.append(q)
             q *= int(p)
-    lam.setflags(write=False)
-    return lam
+    higher = np.sort(np.array(higher, dtype=primes.dtype))
+    powers = np.insert(primes, np.searchsorted(primes, higher), higher)
+    for a in (lam, primes, powers):
+        a.setflags(write=False)
+    return _Sieve(lam, primes, powers)
 
 
-def _sieve(n: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda and the prime mask from the smaller cached sieve that covers
-    n <= SIEVE_LIMIT: the one up to _TAIL_N, else the one up to
-    SIEVE_LIMIT.  The two agree where both reach."""
-    limit = _TAIL_N if n <= _TAIL_N else SIEVE_LIMIT
-    return _lambda_table(limit), _prime_mask(limit)
+def _sieve(n: float) -> _Sieve:
+    """The smaller cached sieve that covers n <= SIEVE_LIMIT: the one up to
+    _TAIL_N, else the one up to SIEVE_LIMIT.  The two agree where both
+    reach."""
+    return _lambda_table(_TAIL_N if n <= _TAIL_N else SIEVE_LIMIT)
 
 
 @lru_cache(maxsize=1)
 def _dirichlet_terms() -> tuple[np.ndarray, np.ndarray]:
     """log n and c_n = Lambda(n)/log n over the prime powers n <= _TAIL_N."""
-    lam, _ = _sieve(_TAIL_N)
-    n = np.nonzero(lam)[0]
+    lam, _, n = _sieve(_TAIL_N)
     log_n = np.log(n)
     c = lam[n] / log_n
     for a in (log_n, c):

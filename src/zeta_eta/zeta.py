@@ -181,7 +181,8 @@ class _Ray:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
         at each node, exact up to rounding, and 0.0 per node: arrays for a
         batch of _ARRAY_NODES nodes or more, which takes the correction on
-        arrays, and lists for a smaller one, which takes it node by node.
+        arrays and serves values only, and lists for a smaller one, which
+        takes it node by node.
 
         A small batch builds its points as Python complex numbers: for one
         node at N = 400 that took 3.6-3.8 us against 4.8-6.4 us through
@@ -189,20 +190,22 @@ class _Ray:
         logn = _LOG_N[:n_cut - 1]
         phase = self.phases(n_cut)
         if len(sigmas) >= _ARRAY_NODES:
+            if want_deriv:
+                raise NotImplementedError(
+                    "a _Ray batch on arrays evaluates no derivative")
             alphas = np.minimum(sigmas, _SIGMA_ONE)
-            points = alphas + 1j * self.t
             amp = np.exp(np.multiply.outer(-alphas, logn))
-        else:
-            points = self.points(sigmas)
-            amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
-        sums = (amp @ phase).view(np.complex128)[:, 0]
+            return (alphas + 1j * self.t,
+                    (amp @ phase).view(np.complex128)[:, 0], None,
+                    np.zeros(alphas.size))
+        points = self.points(sigmas)
+        amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
+        sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
         dsums = None
         if want_deriv:
-            dsums = -((amp * logn) @ phase).view(np.complex128)[:, 0]
-        if isinstance(points, np.ndarray):
-            return points, sums, dsums, np.zeros(points.size)
-        return (points, sums.tolist(), None if dsums is None else
-                dsums.tolist(), [0.0] * len(points))
+            dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
+                     ).tolist()
+        return points, sums, dsums, [0.0] * len(points)
 
 
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
@@ -337,7 +340,8 @@ def _em_correction(n_cut: int, logN: float, s, partial, trunc,
     cutoff N = n_cut with logN = log N: the N^-s and Bernoulli terms and
     the remainder bound, on one complex node (a small _Ray batch's) or on
     arrays of nodes (a _Line pass, or a _Ray batch of _ARRAY_NODES or more),
-    with zeta' in either form when dpartial = -sum log n n^-s is given.
+    with zeta' on one complex node when dpartial = -sum log n n^-s is given
+    (no array pass asks for it).
     Returns (zeta, zeta' or 0, bound); the bound covers the value (the
     derivative bound is within a factor log N + order of it, folded in
     here) plus the partial sums' own trunc.
@@ -388,7 +392,7 @@ def _euler_maclaurin(line, n_cut: int, coords,
     batch of _ARRAY_NODES nodes or more, and then the correction runs once,
     on arrays; a _Ray's smaller batch comes as lists and takes it node by
     node on complex numbers.  zeta' is only meaningful when want_deriv is
-    set.
+    set, which only a small _Ray batch takes: an array pass refuses it.
     """
     if n_cut > _MAX_CUTOFF:
         raise BudgetExceeded(
@@ -398,10 +402,8 @@ def _euler_maclaurin(line, n_cut: int, coords,
                                                     want_deriv)
     logN = math.log(n_cut)
     if isinstance(points, np.ndarray):
-        val, der, rem = _em_correction(n_cut, logN, points, sums, truncs,
-                                       dsums)
-        return (val.tolist(), der.tolist() if want_deriv else
-                [0j] * val.size, rem.tolist())
+        val, _, rem = _em_correction(n_cut, logN, points, sums, truncs)
+        return val.tolist(), [0j] * val.size, rem.tolist()
     vals, ders, rems = [], [], []
     for node in zip(points, sums, truncs,
                     dsums if want_deriv else [None] * len(sums)):

@@ -74,6 +74,43 @@ def test_prime_power_poly_support_and_refusals():
         prime_power_poly(SIEVE_LIMIT + 1, lambda n, log_n, lam: lam, "test")
 
 
+@pytest.mark.parametrize("n_max", [2, 10, 100.7, 8192, 8193, 10 ** 6,
+                                   SIEVE_LIMIT])
+def test_prime_power_poly_support_is_the_tables_nonzero_entries(n_max):
+    # the support sliced from the sieve's sorted arrays is what a scan of
+    # the Lambda table (and of the prime mask, for primes_only) finds
+    lam = approx._sieve(n_max).lam
+    mask = approx._prime_mask(lam.size - 1)
+    top = int(math.floor(n_max)) + 1
+    for primes_only, table in ((False, lam), (True, mask)):
+        seen = []
+
+        def coef(n, log_n, lam_n):
+            seen.append((n, lam_n))
+            return np.zeros_like(n)
+
+        prime_power_poly(n_max, coef, "test", primes_only=primes_only)
+        (n, lam_n), = seen
+        want = np.flatnonzero(table[:top])
+        assert np.array_equal(n, want.astype(float)), (n_max, primes_only)
+        assert np.array_equal(lam_n, lam[want])
+
+
+def test_dirichlet_poly_matches_the_sum_over_a_table_scan():
+    # X = 1000: the coefficients over the support found by scanning the
+    # table, summed as prime_power_poly sums them, give the same bits
+    cfg = ApproxConfig(m=1, X=1000.0)
+    lam = approx._lambda_table(SIEVE_LIMIT).lam
+    idx = np.nonzero(lam[:cfg.n_max + 1])[0]
+    n = idx.astype(float)
+    log_n = np.log(n)
+    v = 1.0 - cfg.kernel.f_cdf(cfg.H * (log_n / math.log(cfg.X) - 1.0))
+    a = lam[idx] * v / (np.exp(0.5 * log_n) * log_n ** 2)
+    ts = [100.0, 750.0, 1400.0]
+    want = [1j * complex(np.sum(a * np.exp(-1j * t * log_n))) for t in ts]
+    assert dirichlet_poly([complex(0.5, t) for t in ts], cfg) == want
+
+
 def test_short_sums_leave_the_full_sieve_unbuilt():
     # sums up to _TAIL_N read the sieve eta's tail built; the SIEVE_LIMIT
     # one, about 18 MB, is built only for a sum that reaches past it

@@ -699,3 +699,13 @@ def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
     ref, _ = eta_module._iterated_integral(0.5, t_eff, 1, store,
                                            DEFAULT_PRECISION)
     assert abs(got - ref) <= 1e-14 * (1.0 + abs(ref))
+
+
+def test_tail_terms_are_those_of_a_table_scan():
+    # the tail's prime powers are the small sieve's sorted support, the
+    # indices a scan of its Lambda table finds, so its terms keep their bits
+    lam = eta_module._lambda_table(eta_module._TAIL_N).lam
+    n = np.nonzero(lam)[0]
+    log_n, c = eta_module._dirichlet_terms()
+    assert np.array_equal(log_n, np.log(n))
+    assert np.array_equal(c, lam[n] / np.log(n))

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from zeta_eta.errors import (InvalidFamily, OnNegativeRealAxisCut,
-                             ValidationError)
+from zeta_eta.errors import (BudgetExceeded, InvalidFamily,
+                             OnNegativeRealAxisCut, ValidationError)
 from zeta_eta.kernels import (DEFAULT_KERNEL, boundary_derivative, e_star,
                               make_kernel, u_f_h, u_m_eval, v_f_h)
 from zeta_eta.precision import DEFAULT_PRECISION
@@ -325,6 +325,23 @@ def test_u_m_answers_where_its_nodes_cross_the_radius():
     # the limit from below the cut: Im U_0(-2.5) = Im E_1(-x - i0) = pi
     im = got[(0, complex(-2.5))].imag
     assert 0.0 < math.pi - im < 1e-6, im
+
+
+def test_u_m_refuses_a_tol_below_its_rounding_floor_at_once():
+    # E*_1(z L) reaches 5e7 over the panel at z = -12 + i, so the rounding
+    # floor of the rule's sums, 5.6e-9, is 561 times the tol 1e-11: refused
+    # after the first panel, where it once took a minute to reach 4000
+    def hang(signum, frame):
+        raise TimeoutError("u_m_eval did not refuse within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(BudgetExceeded, match="rounding floor"):
+            u_m_eval(0, complex(-12.0, 1.0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _e_star_one_by_one(m, w, prec):

@@ -118,6 +118,25 @@ def test_adaptive_panel_budget(monkeypatch):
         integrate_adaptive(f, 0.0, 10.0, 1e-12)
 
 
+def test_adaptive_refuses_a_tol_below_its_rounding_floor_at_once():
+    # |f| = 1e12 over a length of 10: the rule's sums round off far more
+    # than 1e-12, so the first call of the rule settles the refusal
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return 1e12 * np.exp(40j * x), np.zeros(x.shape)
+
+    with pytest.raises(BudgetExceeded, match="rounding floor is 1.110e-03"):
+        integrate_adaptive(f, 0.0, 10.0, 1e-12)
+    assert calls == [(21,)]
+    # at unit scale the same integrand's floor is far below the tol
+    val, _ = integrate_adaptive(lambda x: (np.exp(40j * x),
+                                           np.zeros(x.shape)),
+                                0.0, 10.0, 1e-12)
+    assert abs(val - (cmath.exp(400j) - 1.0) / 40j) <= 1e-11
+
+
 def test_panel_batch_equals_single_panels():
     # P panels through one call of the rule, a row of nodes per panel, give
     # what P single calls give, value, discrepancy and node error alike

@@ -442,6 +442,21 @@ def test_em_correction_on_arrays_matches_node_by_node():
             assert abs(rems[j] - r) <= 16 * 2.0 ** -52 * r, (n_cut, j)
 
 
+def test_array_passes_refuse_zeta_prime():
+    # zeta' is served on the scalar path only: a _Ray batch on arrays
+    # refuses it, as a _Line does, and a small batch still gives it
+    alphas = np.linspace(0.5, 4.0, _ZETA_MODULE._ARRAY_NODES)
+    for line, coords in ((_ZETA_MODULE._Ray(123.4), alphas),
+                         (_ZETA_MODULE._Line(0.5, _PREC.abs_err),
+                          np.linspace(100.0, 101.0, 21))):
+        with pytest.raises(NotImplementedError):
+            _ZETA_MODULE._zeta_em(line, coords, _PREC, True)
+    _, ders, _ = _ZETA_MODULE._zeta_em(_ZETA_MODULE._Ray(123.4), alphas[:3],
+                                       _PREC, True)
+    z = complex(alphas[1], 123.4)
+    assert abs(ders[1] - zeta_log_deriv(z) * zeta(z)) < 1e-9
+
+
 def test_line_tables_grow_only_the_short_axis():
     # a higher order at a cutoff the tables cover adds rows, not terms; a
     # larger cutoff adds terms, with headroom, and keeps the rows

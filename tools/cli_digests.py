@@ -14,8 +14,10 @@ The invocations: `dist tails`, `dist tmeasure` and `dist moments` at the
 benchmark's sizes (T = 1000) for seeds 1-3, the `residual-scan` grid
 m = 1, X in {10, 100, 1000}, t = 100, 750, 1400 at sigma = 1/2 and again
 at sigma = 3/4 with H = 2 and the tent kernel (the coefficients read
-sigma, H and the kernel), and `eval --what eta --check-routes` at
-0.8 + 700.3i for m = 1, 2.  The exit status is 1 when an invocation exits
+sigma, H and the kernel), the same grid at sigma = 1/2 with X in {90, 91},
+whose polynomials reach n = 8100 and 8281 on either side of the switch
+from the sieve up to 8192 to the full one, and `eval --what eta
+--check-routes` at 0.8 + 700.3i for m = 1, 2.  The exit status is 1 when an invocation exits
 non-zero.
 """
 
@@ -37,6 +39,9 @@ DIST = {
 SCAN = ["residual-scan", "--m", "1", "--x-list", "10,100,1000",
         "--sigma", "0.5", "--t-from", "100", "--t-to", "1400",
         "--t-step", "650"]
+SCAN_SIEVE_SWITCH = ["residual-scan", "--m", "1", "--x-list", "90,91",
+                     "--sigma", "0.5", "--t-from", "100", "--t-to", "1400",
+                     "--t-step", "650"]
 SCAN_OFF_LINE = ["residual-scan", "--m", "1", "--x-list", "10,100,1000",
                  "--sigma", "0.75", "--h", "2", "--kernel", "tent",
                  "--t-from", "100", "--t-to", "1400", "--t-step", "650"]
@@ -47,7 +52,7 @@ def invocations() -> list[tuple[list[str], bool]]:
     runs = [(["dist", sub, "--t-big", "1000", "--seed", str(seed)] + extra,
              True)
             for seed in (1, 2, 3) for sub, extra in DIST.items()]
-    runs += [(SCAN, True), (SCAN_OFF_LINE, True)]
+    runs += [(SCAN, True), (SCAN_OFF_LINE, True), (SCAN_SIEVE_SWITCH, True)]
     runs += [(["eval", "--what", "eta", "--s", "0.8+700.3i", "--m", str(m),
                "--check-routes"], False) for m in (1, 2)]
     return runs
