@@ -62,6 +62,7 @@ from .eta import (_I_POW, SIEVE_LIMIT, _lambda_table, _prime_mask, _sieve,
 from .kernels import DEFAULT_KERNEL, Kernel
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore, store_or_builtin
+from .zeta import _phases
 
 
 # --- von Mangoldt via the sieve (eta._sieve) --------------------------------------
@@ -140,7 +141,7 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
     a = coef(n, log_n, sieve.lam[idx])
 
     def poly(t: float) -> complex:
-        return complex(np.sum(a * np.exp(-1j * t * log_n)))
+        return complex(np.sum(a * _phases(log_n, t)))
 
     return poly
 

@@ -55,7 +55,7 @@ from .errors import (BudgetExceeded, NearSingularity, NumericalError,
                      OnSingularity, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore, store_or_builtin
-from .zeta import _ARRAY_NODES, _POLE_RADIUS, _Ray, _zeta_em
+from .zeta import _ARRAY_NODES, _POLE_RADIUS, _Ray, _check_height, _zeta_em
 
 # For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
 # positive coefficients), and log zeta(1.25) = 1.525 < pi/2: from here right
@@ -357,6 +357,7 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     if z.imag == 0.0:
         return _log_zeta_real(z.real, prec)
     if z.real >= SIGMA_START:
+        _check_height(z.imag)
         # The principal value, on the ray that branch_path would prepare.
         vals, _, rems = _zeta_em(_Ray(store.snap(abs(z.imag))), z.real, prec,
                                  want_deriv=False)

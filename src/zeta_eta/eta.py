@@ -101,7 +101,7 @@ from .errors import NumericalError, ValidationError, _integer, _point, _real
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _NODES, _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, store_or_builtin
-from .zeta import _BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _zeta_em
+from .zeta import _BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _phases, _zeta_em
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
 
@@ -275,7 +275,7 @@ def _vertical_tail(m: int, sigma: float, a0: float,
     (their phases t log n, amplitudes a0 log n, W and the sum)."""
     log_n, c = _dirichlet_terms()
     terms = c * np.exp(-a0 * log_n) * _tail_weight(m, a0 - sigma, 1.0 / log_n)
-    val = complex(terms @ np.exp(-1j * t * log_n))
+    val = complex(terms @ _phases(log_n, t))
     rnd = 2.0 * _UNIT_ROUNDOFF * float(
         terms @ ((abs(t) + a0) * log_n + m + 8))
     return _I_POW[m % 4] * val, _tail_bound(m, sigma, a0) + rnd

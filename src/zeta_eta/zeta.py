@@ -34,6 +34,13 @@ walk's grid, a few escalated nodes) takes them node by node on complex
 numbers.  Every node is certified on its own: a node whose bound still
 misses the target (none on a solved cutoff, up to rounding) goes on with
 the others that miss at an escalated cutoff.
+
+Every phase n^-it in the library is formed by one function, _phases, as
+the cos and sin of t log n rounded to a double: a ray's, a _Line group
+centre's, the correction's N^-it, and those of eta's vertical tail and of
+approx's prime-power polynomials.  The rounding of that argument, an
+error of about u |t| log n in each phase (u the unit roundoff), is what
+limits the double path at large height.
 """
 
 from __future__ import annotations
@@ -108,6 +115,13 @@ _ARRAY_NODES = 16
 # the sweep's peak memory at t = 2140 below that of one pass per panel
 # (1.2 against 1.6 MB under tracemalloc), and ran no slower than more.
 _GROUP_CHUNK = 4
+# Heights above this are refused.  Beyond the double path's reach every
+# height goes to mpmath, whose Riemann-Siegel sum grows in time and memory
+# about as sqrt(t).  On 2 cores zeta(0.5 + it) took 0.38 s and peaked at
+# 62 MB at t = 1e10 (56 MB after the imports), 1.5 s and 88 MB at 1e12,
+# 20 s and 319 MB at 1e14, and ran out of a 2 GB address space at 1e20;
+# at 1e300 mpmath overflows.
+_MAX_HEIGHT = 1e10
 # Here every term n^-s with n >= 2 underflows, and with N^-s every
 # correction term, so zeta = 1 in double precision; a _Ray evaluates a node
 # further right here, before the correction factors s^2k/N^2k overflow.
@@ -143,6 +157,21 @@ def _initial_cutoff(sigma_lo: float, sigma_hi: float, t: float,
 _LOG_N = np.log(np.arange(1, _MAX_CUTOFF, dtype=np.float64))
 
 
+def _phases(log_n, t):
+    """n^-it as cos + i sin of log_n * -t: the one place the library forms
+    a phase.  log_n and t are floats or arrays that broadcast (a column of
+    log n against a row of t gives every pair); two floats give a complex
+    (cmath.rect takes libm's cos and sin), anything else a complex array,
+    whose float64 view is its (Re, Im) pairs."""
+    arg = log_n * -t
+    if isinstance(arg, float):
+        return cmath.rect(1.0, arg)
+    phase = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase
+
+
 class _Ray:
     """One horizontal line Im s = t and the phases n^-it of its terms.  Its
     nodes are the abscissae alpha.
@@ -168,15 +197,6 @@ class _Ray:
         return _initial_cutoff(min(min(alphas), _SIGMA_ONE),
                                min(max(alphas), _SIGMA_ONE), self.t, abs_err)
 
-    def phases(self, n_cut: int) -> np.ndarray:
-        """The rows of n^-it for n = 1 .. n_cut - 1."""
-        if len(self._phase) < n_cut - 1:
-            arg = _LOG_N[:n_cut - 1] * -self.t
-            self._phase = np.empty((arg.size, 2))
-            np.cos(arg, out=self._phase[:, 0])
-            np.sin(arg, out=self._phase[:, 1])
-        return self._phase[:n_cut - 1]
-
     def partial_sums(self, n_cut: int, sigmas, want_deriv: bool) -> tuple:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
         at each node, exact up to rounding, and 0.0 per node: arrays for a
@@ -188,7 +208,9 @@ class _Ray:
         node at N = 400 that took 3.6-3.8 us against 4.8-6.4 us through
         arrays and tolist() (2 cores), about 1.5% of a single zeta() call."""
         logn = _LOG_N[:n_cut - 1]
-        phase = self.phases(n_cut)
+        if len(self._phase) < n_cut - 1:
+            self._phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
+        phase = self._phase[:n_cut - 1]
         if len(sigmas) >= _ARRAY_NODES:
             if want_deriv:
                 raise NotImplementedError(
@@ -317,16 +339,12 @@ class _Line:
         for g in range(0, centre.size, _GROUP_CHUNK):
             c = centre[g:g + _GROUP_CHUNK]
             nodes = slice(ends[g], ends[g + c.size])
-            # (Re, Im) of n^-ic, a column pair per group centre c.
-            phases = np.empty((logn.size, c.size, 2))
-            arg = np.multiply.outer(logn, -c, out=phases[..., 1])
-            np.cos(arg, out=phases[..., 0])
-            np.sin(arg, out=phases[..., 1])
             # (-i)^k M_k, so that the node sums are real powers d^k times
-            # it; every node against every group's moments, as real
+            # it, from the (Re, Im) pairs of n^-ic, a column pair per group
+            # centre c; every node against every group's moments, as real
             # pairs, and each node keeps its own group's sum.
-            moments = (rows @ phases.reshape(logn.size, -1)).view(
-                np.complex128) * minus_i_pow
+            moments = (rows @ _phases(logn[:, None], c).view(
+                np.float64)).view(np.complex128) * minus_i_pow
             part = (np.vander(d[nodes], order, increasing=True)
                     @ moments.view(np.float64)).view(np.complex128)
             sums[nodes] = part[np.arange(part.shape[0]), group[nodes] - g]
@@ -346,10 +364,14 @@ def _em_correction(n_cut: int, logN: float, s, partial, trunc,
     derivative bound is within a factor log N + order of it, folded in
     here) plus the partial sums' own trunc.
     """
-    exp = cmath.exp if type(s) is complex else np.exp
     order = _CORRECTION_ORDER
     inv_N2 = 1.0 / (n_cut * n_cut)
-    npow_N = exp(-s * logN)             # N^-s
+    # N^-s = N^-sigma N^-it, N^-sigma libm's exp at every node, as in the
+    # complex exp that formed N^-s: numpy's float exp is off by an ulp at
+    # about 4% of arguments, and its complex exp of a real is libm's.
+    amp = (math.exp(-s.real * logN) if type(s) is complex
+           else np.exp(s.real * -logN + 0j).real)
+    npow_N = amp * _phases(logN, s.imag)
     sm1 = s - 1.0
     val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
     # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, where u_1 = s/N
@@ -499,10 +521,17 @@ def _extended(abs_err: float, evaluate, x, extra: int = 0):
         return evaluate(mp, mp.mpmathify(x))
 
 
+def _check_height(t: float) -> None:
+    """Refuse a height above _MAX_HEIGHT."""
+    if abs(t) > _MAX_HEIGHT:
+        raise ValidationError(
+            f"|t| <= {_MAX_HEIGHT:g} required, got t={t!r}")
+
+
 def _needs_extended(z: complex, abs_err: float) -> bool:
-    # Double-precision argument reduction in exp(-s log n) costs about
-    # |t| * eps per term, so very tight requests at large height must go
-    # to software precision.
+    # The phases' rounded argument t log n (_phases) costs about |t| * eps
+    # per term, so very tight requests at large height must go to software
+    # precision.
     return abs_err < max(_EXTENDED_THRESHOLD, abs(z.imag) * 2e-15)
 
 
@@ -517,6 +546,7 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
     if abs(z - 1.0) <= _POLE_RADIUS:
         raise PoleAtOne(f"s={s} is within {_POLE_RADIUS} of the pole at 1")
     _real(z.real, "sigma", -1.0)
+    _check_height(z.imag)
     if _needs_extended(z, prec.abs_err):
         return _zeta_extended(z, prec.abs_err)
     (val,), _, _ = _zeta_em(_Ray(z.imag), z.real, prec, want_deriv=False)
@@ -533,6 +563,7 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
     """
     z = _point(s)
     _real(z.real, "sigma", -1.0)
+    _check_height(z.imag)
     guard = math.sqrt(prec.abs_err)
     if abs(z - 1.0) <= guard:
         raise NearSingularity(
@@ -581,6 +612,7 @@ def hardy_z(t: float, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
     sit at tolerance level; Z(0) = zeta(1/2).
     """
     t = _real(t, "t")
+    _check_height(t)
     if t < 0:
         return hardy_z(-t, prec)
     if _needs_extended(complex(0.5, t), prec.abs_err):

@@ -181,6 +181,14 @@ def test_eval_zeta_far_right_exits_zero(capsys):
     assert out.split(",")[:2] == ["1.0", "0.0"]
 
 
+def test_eval_zeta_above_the_height_cap_exits_three(capsys):
+    # it used to exit 1 with mpmath's OverflowError
+    code, out, err = _run(capsys, ["eval", "--what", "zeta",
+                                   "--s", "2+1e300i"])
+    assert code == 3 and out == "" and "t=" in err
+    assert "Traceback" not in err
+
+
 def test_logzeta_with_a_phase_of_noise_exits_three(capsys):
     # 1e-9 below the zero at gamma = 530.87, where |zeta| is far below
     # abs_err = 1e-3: refused as near a singularity, not stalled (exit 1)

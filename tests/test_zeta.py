@@ -457,6 +457,61 @@ def test_array_passes_refuse_zeta_prime():
     assert abs(ders[1] - zeta_log_deriv(z) * zeta(z)) < 1e-9
 
 
+def test_phases_match_the_libm_forms_in_each_shape():
+    # the one phase kernel gives bit for bit the complex exponentials the
+    # library used to form, in each of its four shapes, over n < 200,000
+    # at t = 0, negative t and seeded t up to 2200: the whole table at each
+    # t, a seeded column of it against a row of every t (an outer
+    # product), one log n against every t, and one against one; N^-s
+    # rebuilt as libm's exp(-sigma log N) times the phase is cmath's
+    # exp(-s log N)
+    phases, log_n = _ZETA_MODULE._phases, _ZETA_MODULE._LOG_N
+    rng = np.random.default_rng(28)
+    ts = np.concatenate(([0.0, -1.5, -2199.3], rng.uniform(0.0, 2200.0, 7)))
+    for t in ts.tolist():
+        assert np.array_equal(phases(log_n, t), np.exp(-1j * t * log_n)), t
+    sample = log_n[rng.integers(0, log_n.size, 5000)]
+    assert np.array_equal(phases(sample[:, None], ts),
+                          np.exp(-1j * np.multiply.outer(sample, ts)))
+    for n in rng.integers(1, 200_000, 40).tolist():
+        assert np.array_equal(phases(math.log(n), ts),
+                              np.exp(-1j * ts * math.log(n))), n
+    for n, sigma, t in zip(rng.integers(1, 200_000, 2000).tolist(),
+                           rng.uniform(-1.0, 3.0, 2000).tolist(),
+                           rng.uniform(-2200.0, 2200.0, 2000).tolist()):
+        log_n1 = math.log(n)
+        phase = phases(log_n1, t)
+        assert type(phase) is complex
+        assert phase == cmath.exp(-1j * t * log_n1), (n, t)
+        assert (math.exp(-sigma * log_n1) * phase
+                == cmath.exp(-complex(sigma, t) * log_n1)), (n, sigma, t)
+    assert phases(0.0, 0.0) == phases(math.log(7), 0.0) == 1.0
+
+
+def test_heights_above_the_cap_are_refused_at_once(monkeypatch):
+    # zeta, zeta'/zeta, log zeta right of sigma = 1.25 and Hardy Z refuse
+    # |t| above the cap by name: at 1e300 they died in a raw OverflowError,
+    # and at 1e20 mpmath's Riemann-Siegel sum grows without bound, so the
+    # extended path raises here if it is reached at all
+    from zeta_eta.branch import log_zeta_with_err
+
+    def unbounded(*args, **kwargs):
+        raise AssertionError("extended precision reached above the cap")
+
+    monkeypatch.setattr(_ZETA_MODULE, "_extended", unbounded)
+    for t in (1e20, 1e300, -1e300):
+        for call in (lambda: zeta(complex(2.0, t)),
+                     lambda: zeta(complex(0.5, t)),
+                     lambda: zeta_log_deriv(complex(2.0, t)),
+                     lambda: log_zeta_with_err(complex(2.0, t)),
+                     lambda: hardy_z(t)):
+            with pytest.raises(ValidationError, match="t="):
+                call()
+    # the cap itself still reaches the extended path
+    with pytest.raises(AssertionError, match="extended precision"):
+        zeta(complex(0.5, _ZETA_MODULE._MAX_HEIGHT))
+
+
 def test_line_tables_grow_only_the_short_axis():
     # a higher order at a cutoff the tables cover adds rows, not terms; a
     # larger cutoff adds terms, with headroom, and keeps the rows

@@ -16,9 +16,12 @@ m = 1, X in {10, 100, 1000}, t = 100, 750, 1400 at sigma = 1/2 and again
 at sigma = 3/4 with H = 2 and the tent kernel (the coefficients read
 sigma, H and the kernel), the same grid at sigma = 1/2 with X in {90, 91},
 whose polynomials reach n = 8100 and 8281 on either side of the switch
-from the sieve up to 8192 to the full one, and `eval --what eta
---check-routes` at 0.8 + 700.3i for m = 1, 2.  The exit status is 1 when an invocation exits
-non-zero.
+from the sieve up to 8192 to the full one, `eval --what eta
+--check-routes` at 0.8 + 700.3i for m = 1, 2, and two single points, each
+one small ray batch whose N^-s is taken on complex numbers: `eval --what
+zeta` at -0.7 + 1234.5i, left of sigma = 0, and `eval --what logzeta` at
+0.5 + 777.7i, 0.4 from the nearest ordinate.  The exit status is 1 when an
+invocation exits non-zero.
 """
 
 import contextlib
@@ -55,6 +58,8 @@ def invocations() -> list[tuple[list[str], bool]]:
     runs += [(SCAN, True), (SCAN_OFF_LINE, True), (SCAN_SIEVE_SWITCH, True)]
     runs += [(["eval", "--what", "eta", "--s", "0.8+700.3i", "--m", str(m),
                "--check-routes"], False) for m in (1, 2)]
+    runs += [(["eval", "--what", "zeta", "--s=-0.7+1234.5i"], False),
+             (["eval", "--what", "logzeta", "--s", "0.5+777.7i"], False)]
     return runs
 
 

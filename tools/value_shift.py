@@ -9,10 +9,16 @@ seeded set of calls and hands back every value with its est_err:
   eta_iterated  m = 1, 2 at sigma in [1/2, 2], t in [15, 600]
   log_zeta_with_err  at sigma in [-1, 3], t in [0, 2150]
   eta_iterated  m = 3 at sigma in [1/2, 2], t in [600, 2140]
+  zeta          at sigma in [-1, 3], t in [0, 2150]
+  dirichlet_poly  X = 1000, H = 1, m = 1 at sigma in [1/2, 2], t in [0, 2150]
 
-The m = 3 draws of eta_iterated are drawn last, after all the others.
-They are where the iterated route's model pieces and panel integrals,
-each about t^m in size, amplify a last-bit change most.
+The m = 3 draws of eta_iterated come after the four lines above them:
+they are where the iterated route's model pieces and panel integrals, each
+about t^m in size, amplify a last-bit change most.  The zeta and
+dirichlet_poly draws come last, so every earlier draw keeps its seeded
+point.  zeta's est_err is the abs_err it was asked for, as in the bench's
+points check; dirichlet_poly has no estimate, so its est_err is 0 and any
+move reads inf.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -60,6 +66,12 @@ def calls(count: int) -> list[tuple[str, int, complex]]:
     out += [("eta_iterated", 3, complex(rng.uniform(0.5, 2.0),
                                         rng.uniform(600.0, 2140.0)))
             for _ in range(count)]
+    out += [("zeta", 0, complex(rng.uniform(-1.0, 3.0),
+                                rng.uniform(0.0, 2150.0)))
+            for _ in range(count)]
+    out += [("dirichlet_poly", 1, complex(rng.uniform(0.5, 2.0),
+                                          rng.uniform(0.0, 2150.0)))
+            for _ in range(count)]
     return out
 
 
@@ -74,6 +86,11 @@ def evaluate(count: int) -> list:
                 val, est = lib.c_m_with_err(s.real, m)
             elif name == "log_zeta_with_err":
                 val, est = lib.log_zeta_with_err(s)
+            elif name == "zeta":
+                val, est = lib.zeta(s), lib.DEFAULT_PRECISION.abs_err
+            elif name == "dirichlet_poly":
+                cfg = lib.ApproxConfig(m=m, X=1000.0, H=1.0)
+                val, est = lib.dirichlet_poly(s, cfg), 0.0
             else:
                 got = getattr(lib, name)(s, m)
                 val, est = got.value, got.est_err
