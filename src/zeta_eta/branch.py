@@ -219,10 +219,10 @@ class BranchPath(_Walk):
             self.xs.insert(i, x)
             self.gs.insert(i, g)
 
-    def _query(self, alpha) -> tuple[list, list, np.ndarray]:
+    def _query(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """zeta at the abscissae alpha (flattened; finite and >= sigma_end),
         their remainder bounds and their winding integers, each pinned from
-        its nearest node; 0 from SIGMA_START up.
+        its nearest node, as arrays; 0 from SIGMA_START up.
 
         A value of exactly 0 is refused first.  Then a remainder of |zeta|/2
         or more is refused: the phase of such a value, and the pin with it,
@@ -237,13 +237,15 @@ class BranchPath(_Walk):
                 _real(end, "alpha", self.sigma_end)
         vals, _, rems = _zeta_em(self.ray, xs, self.prec, want_deriv=False)
         principal = self.principal(xs, vals)
-        for j, (v, r) in enumerate(zip(vals, rems)):
-            if r >= 0.5 * abs(v):
-                s = complex(xs[j], -self.t if self.conjugate else self.t)
-                raise NearSingularity(
-                    f"|zeta({s})| = {abs(v):.3g} is within its error "
-                    f"bound {r:.3g} at abs_err={self.prec.abs_err:g}",
-                    where=s)
+        vals, rems = np.asarray(vals), np.asarray(rems)
+        noise = np.flatnonzero(rems >= 0.5 * np.abs(vals))
+        if noise.size:
+            j = noise[0]
+            s = complex(xs[j], -self.t if self.conjugate else self.t)
+            raise NearSingularity(
+                f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
+                f"bound {rems[j]:.3g} at abs_err={self.prec.abs_err:g}",
+                where=s)
         return vals, rems, self._wind(xs, principal)
 
     def _wind(self, xs: np.ndarray, principal: np.ndarray) -> np.ndarray:
@@ -302,13 +304,15 @@ class BranchPath(_Walk):
         return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
-def _log_with_err(vals: list, rems: list, k) -> tuple[np.ndarray, np.ndarray]:
+def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:
     """log zeta = principal log of the zeta values + 2 pi i k, and its error
-    estimate rem/|zeta| + 1e-15 (1 + |log zeta|).  cmath.log, not np.log:
-    near |zeta| = 1 numpy's complex log loses the last bits that cmath's
-    log1p branch keeps."""
-    out = np.array([cmath.log(v) for v in vals]) + 2j * math.pi * k
-    return out, np.array(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
+    estimate rem/|zeta| + 1e-15 (1 + |log zeta|); vals and rems are arrays
+    or lists.  cmath.log, not np.log: near |zeta| = 1 numpy's complex log
+    loses the last bits that cmath's log1p branch keeps, so the values go
+    to Python complex numbers once."""
+    vals = np.asarray(vals)
+    out = np.array([cmath.log(v) for v in vals.tolist()]) + 2j * math.pi * k
+    return out, np.asarray(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
 
 
 def _march(path: BranchPath) -> None:
@@ -355,7 +359,14 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     if store.zero_distance(z) <= 1e-12:
         raise OnSingularity(f"s={s} sits on a zero of the table")
     if z.imag == 0.0:
-        return _log_zeta_real(z.real, prec)
+        # The limit from above, in closed form: zeta(sigma) is real and
+        # nonzero on (-1, 1) u (1, inf), negative exactly on (-1, 1), and
+        # the continuation across the pole contributes the phase -pi there.
+        (val,), _, (rem,) = _zeta_em(_Ray(0.0), z.real, prec,
+                                     want_deriv=False)
+        x = val.real
+        return (complex(math.log(abs(x)), -math.pi if x < 0 else 0.0),
+                rem / max(abs(x), 1e-300) + 1e-15)
     if z.real >= SIGMA_START:
         _check_height(z.imag)
         # The principal value, on the ray that branch_path would prepare.
@@ -366,27 +377,6 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
         return (val.conjugate() if z.imag < 0.0 else val), float(est[0])
     path = branch_path(z.imag, z.real, prec, store)
     return path.eval_log(z.real)
-
-
-def _log_zeta_real(sigma, prec: EvalPrecision):
-    """log zeta(sigma) on the real axis, the limit from above, with error
-    estimates; sigma is a float, answered with (complex, float), or an
-    array, answered with two arrays of its shape.
-
-    The closed form: zeta(sigma) is real and nonzero on (-1, 1) u (1, inf),
-    negative exactly on (-1, 1), and the continuation across the pole
-    contributes the phase -pi there.
-    """
-    if np.any(np.abs(np.asarray(sigma) - 1.0) <= _POLE_RADIUS):
-        raise OnSingularity("log zeta has a logarithmic singularity at s = 1")
-    vals, _, rems = _zeta_em(_Ray(0.0), sigma, prec, want_deriv=False)
-    xs = [v.real for v in vals]
-    out = [complex(math.log(abs(x)), -math.pi if x < 0 else 0.0) for x in xs]
-    est = [r / max(abs(x), 1e-300) + 1e-15 for x, r in zip(xs, rems)]
-    if np.ndim(sigma) == 0:
-        return out[0], est[0]
-    return (np.reshape(out, np.shape(sigma)),
-            np.reshape(est, np.shape(sigma)))
 
 
 def log_zeta(s, prec: EvalPrecision = DEFAULT_PRECISION,

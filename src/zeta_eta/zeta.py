@@ -27,13 +27,16 @@ takes its partial sums from one Taylor expansion of the Dirichlet sum about
 its centre (the local step of Odlyzko-Schoenhage), whose truncation bound
 joins each node's remainder; a few groups' moments are one matrix
 product.  The N^-s and Bernoulli terms and the remainder bound
-(_em_correction) are written once.  A _Line's pass applies them to its
-nodes as arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more
-(a vertical integral's panels); a smaller batch (a single point, a branch
-walk's grid, a few escalated nodes) takes them node by node on complex
-numbers.  Every node is certified on its own: a node whose bound still
-misses the target (none on a solved cutoff, up to rounding) goes on with
-the others that miss at an escalated cutoff.
+(_em_correction) are written once.  N^-s takes the factor a pass's nodes
+share once, from the line: a ray's one phase N^-it, a vertical line's one
+amplitude N^-sigma.  A _Line's pass applies the correction to its nodes as
+arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more (a
+vertical integral's panels), and such an array pass answers in arrays; a
+smaller batch (a single point, a branch walk's grid, a few escalated
+nodes) takes it node by node on complex numbers and answers in lists.
+Every node is certified on its own: a node whose bound still misses the
+target (none on a solved cutoff, up to rounding) goes on with the others
+that miss at an escalated cutoff.
 
 Every phase n^-it in the library is formed by one function, _phases, as
 the cos and sin of t log n rounded to a double: a ray's, a _Line group
@@ -229,6 +232,18 @@ class _Ray:
                      ).tolist()
         return points, sums, dsums, [0.0] * len(points)
 
+    def cutoff_powers(self, logN: float, points):
+        """N^-s at the points, an array or a list as partial_sums gave them:
+        the ray's one phase N^-it times each node's amplitude N^-alpha.
+
+        N^-alpha is libm's exp at every node, as in the complex exp that
+        once formed N^-s: numpy's float exp is off by an ulp at about 4% of
+        arguments, and its complex exp of a real is libm's."""
+        phase = _phases(logN, self.t)
+        if isinstance(points, np.ndarray):
+            return np.exp(points.real * -logN + 0j).real * phase
+        return [math.exp(-s.real * logN) * phase for s in points]
+
 
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
 
@@ -351,27 +366,26 @@ class _Line:
         trunc = mass * x ** order / math.factorial(order) * np.exp(x)
         return self.points(t), sums, None, trunc
 
+    def cutoff_powers(self, logN: float, points: np.ndarray) -> np.ndarray:
+        """N^-s at the points: the line's one amplitude N^-sigma, libm's
+        exp as on a ray, times each node's phase N^-it."""
+        return math.exp(self.sigma * -logN) * _phases(logN, points.imag)
 
-def _em_correction(n_cut: int, logN: float, s, partial, trunc,
+
+def _em_correction(n_cut: int, logN: float, s, npow_N, partial, trunc,
                    dpartial=None):
-    """zeta at the nodes s from their partial sums sum_{n<N} n^-s, at the
-    cutoff N = n_cut with logN = log N: the N^-s and Bernoulli terms and
-    the remainder bound, on one complex node (a small _Ray batch's) or on
-    arrays of nodes (a _Line pass, or a _Ray batch of _ARRAY_NODES or more),
-    with zeta' on one complex node when dpartial = -sum log n n^-s is given
-    (no array pass asks for it).
+    """zeta at the nodes s from their partial sums sum_{n<N} n^-s and N^-s
+    (npow_N), at the cutoff N = n_cut with logN = log N: the N^-s and
+    Bernoulli terms and the remainder bound, on one complex node (a small
+    _Ray batch's) or on arrays of nodes (a _Line pass, or a _Ray batch of
+    _ARRAY_NODES or more), with zeta' on one complex node when dpartial =
+    -sum log n n^-s is given (no array pass asks for it).
     Returns (zeta, zeta' or 0, bound); the bound covers the value (the
     derivative bound is within a factor log N + order of it, folded in
     here) plus the partial sums' own trunc.
     """
     order = _CORRECTION_ORDER
     inv_N2 = 1.0 / (n_cut * n_cut)
-    # N^-s = N^-sigma N^-it, N^-sigma libm's exp at every node, as in the
-    # complex exp that formed N^-s: numpy's float exp is off by an ulp at
-    # about 4% of arguments, and its complex exp of a real is libm's.
-    amp = (math.exp(-s.real * logN) if type(s) is complex
-           else np.exp(s.real * -logN + 0j).real)
-    npow_N = amp * _phases(logN, s.imag)
     sm1 = s - 1.0
     val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
     # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, where u_1 = s/N
@@ -403,18 +417,20 @@ def _em_correction(n_cut: int, logN: float, s, partial, trunc,
     return val, der, rem
 
 
-def _euler_maclaurin(line, n_cut: int, coords,
-                     want_deriv: bool) -> tuple[list, list, list]:
+def _euler_maclaurin(line, n_cut: int, coords, want_deriv: bool) -> tuple:
     """One Euler-Maclaurin pass at the nodes of line (a _Ray or a _Line)
     with coordinates coords (an array or a list).
 
-    Returns lists (zeta, zeta', remainder_bound), one entry per node, and
-    refuses a cutoff above _MAX_CUTOFF.  The line supplies the partial sums
-    of all its nodes at once, as arrays for a _Line's pass and a _Ray's
-    batch of _ARRAY_NODES nodes or more, and then the correction runs once,
-    on arrays; a _Ray's smaller batch comes as lists and takes it node by
-    node on complex numbers.  zeta' is only meaningful when want_deriv is
-    set, which only a small _Ray batch takes: an array pass refuses it.
+    Returns (zeta, zeta', remainder_bound), one entry per node, and refuses
+    a cutoff above _MAX_CUTOFF.  The line supplies the partial sums of all
+    its nodes at once, and N^-s with the factor its nodes share taken once
+    (N^-it on a ray, N^-sigma on a vertical line).  A _Line's pass and a
+    _Ray's batch of _ARRAY_NODES nodes or more come as arrays, and the
+    correction runs once, on arrays: the answer is two arrays and None for
+    zeta'.  A _Ray's smaller batch comes as lists, takes it node by node on
+    complex numbers, and answers in three lists.  zeta' is only meaningful
+    when want_deriv is set, which only a small _Ray batch takes: an array
+    pass refuses it.
     """
     if n_cut > _MAX_CUTOFF:
         raise BudgetExceeded(
@@ -423,11 +439,12 @@ def _euler_maclaurin(line, n_cut: int, coords,
     points, sums, dsums, truncs = line.partial_sums(n_cut, coords,
                                                     want_deriv)
     logN = math.log(n_cut)
+    npows = line.cutoff_powers(logN, points)
     if isinstance(points, np.ndarray):
-        val, _, rem = _em_correction(n_cut, logN, points, sums, truncs)
-        return val.tolist(), [0j] * val.size, rem.tolist()
+        val, _, rem = _em_correction(n_cut, logN, points, npows, sums, truncs)
+        return val, None, rem
     vals, ders, rems = [], [], []
-    for node in zip(points, sums, truncs,
+    for node in zip(points, npows, sums, truncs,
                     dsums if want_deriv else [None] * len(sums)):
         val, der, rem = _em_correction(n_cut, logN, *node)
         vals.append(val)
@@ -436,22 +453,28 @@ def _euler_maclaurin(line, n_cut: int, coords,
     return vals, ders, rems
 
 
-def _zeta_em(line, coords, prec: EvalPrecision,
-             want_deriv: bool) -> tuple[list, list, list]:
+def _escalated(n_cut: int) -> int:
+    """The next cutoff for the nodes a pass left uncertified."""
+    return max(n_cut + 32, int(n_cut * 1.5))
+
+
+def _zeta_em(line, coords, prec: EvalPrecision, want_deriv: bool) -> tuple:
     """zeta (and zeta') at the nodes of line (a _Ray or a _Line) with
-    coordinates coords, a float or an array; returns lists (value,
-    derivative, remainder bound), one entry per node in the flattened
-    order of coords.
+    coordinates coords, a float (on a _Ray) or an array; returns (value,
+    derivative, remainder bound), one entry per node in the flattened order
+    of coords: lists for a float and a _Ray batch of fewer than
+    _ARRAY_NODES nodes, and for any other pass two arrays with None for the
+    derivative.
 
     Every node is certified to 0.25 abs_err on its own.  The first pass
     covers all nodes at the cutoff solved from the bound for the worst of
     them; the nodes whose bound still misses the target go on together at
-    the escalated cutoff.
+    the escalated cutoff, picked by index arrays in an array pass.
     """
     if not isinstance(coords, np.ndarray):
         coords = [float(coords)]
-    elif coords.size < _ARRAY_NODES:        # a small batch runs on lists
-        coords = coords.ravel().tolist()
+    elif isinstance(line, _Ray) and coords.size < _ARRAY_NODES:
+        coords = coords.ravel().tolist()    # a small _Ray batch runs on lists
     else:
         coords = coords.ravel()
     n_cut = line.first_cutoff(coords, prec.abs_err)
@@ -463,9 +486,17 @@ def _zeta_em(line, coords, prec: EvalPrecision,
                 math.log(n_cut) + 2 * _CORRECTION_ORDER + 2))
     target = 0.25 * prec.abs_err
     val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
+    if isinstance(rem, np.ndarray):
+        todo = np.flatnonzero(rem > target)
+        while todo.size:
+            n_cut = _escalated(n_cut)
+            val[todo], _, rem[todo] = _euler_maclaurin(line, n_cut,
+                                                       coords[todo], False)
+            todo = todo[rem[todo] > target]
+        return val, der, rem
     todo = [i for i, r in enumerate(rem) if r > target]
     while todo:
-        n_cut = max(n_cut + 32, int(n_cut * 1.5))
+        n_cut = _escalated(n_cut)
         for i, v, d, r in zip(todo, *_euler_maclaurin(
                 line, n_cut, [coords[i] for i in todo], want_deriv)):
             val[i], der[i], rem[i] = v, d, r

@@ -92,6 +92,29 @@ def test_eval_eta_prints_the_vertical_route(capsys):
     assert out == ",".join(map(repr, want)) + "\n"
 
 
+def test_parser_built_once_and_commands_looked_up_when_run(capsys,
+                                                          monkeypatch):
+    # one parser serves every call, and it binds no command: a cmd_
+    # function replaced after it was built is the one that runs, each
+    # subcommand's by its name, with the exit code it returns; a usage
+    # error still exits 3
+    parser = cli._build_parser()
+    ran = []
+    for name in ("zeros_import", "eval", "residual_scan", "dist"):
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args, name=name: ran.append(name) or 7)
+    argvs = [["zeros-import", "t.csv"], ["eval", "--what", "zeta"],
+             ["residual-scan", "--m", "1", "--x-list", "10", "--t-from", "1",
+              "--t-to", "2", "--t-step", "1"],
+             ["dist", "tails", "--t-big", "100", "--seed", "1", "--v-list",
+              "0"]]
+    assert [cli.main(argv) for argv in argvs] == [7, 7, 7, 7]
+    assert ran == ["zeros_import", "eval", "residual_scan", "dist"]
+    assert cli._build_parser() is parser
+    code, out, err = _run(capsys, ["eval", "--what", "nothing"])
+    assert code == 3 and err.startswith("error: argument --what")
+
+
 def test_numerical_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(sys.modules["zeta_eta.zeta"], "_MAX_CUTOFF", 16)
     code, out, err = _run(capsys, ["eval", "--what", "zeta", "--s",

@@ -407,6 +407,38 @@ def test_line_escalates_only_the_nodes_that_miss(monkeypatch):
     _check_line_batch(0.5, ts, vals, rems, prec)
 
 
+def test_escalated_array_pass_fills_each_nodes_slot(monkeypatch):
+    # the forced cutoff above: the array pass answers in arrays, its
+    # escalation picks the nodes that miss by index arrays, and every slot
+    # holds bit for bit what the escalation over Python lists gave, pass by
+    # pass on the nodes that still missed, each node's answer put back in
+    # its own slot
+    prec = EvalPrecision(abs_err=1.8e-9)
+    target = 0.25 * prec.abs_err
+    ts = _panel_nodes(10.0, 10.5)
+    monkeypatch.setattr(_ZETA_MODULE, "_initial_cutoff", lambda *a: 6)
+    vals, ders, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Line(0.5, prec.abs_err), ts, prec, False)
+    assert isinstance(vals, np.ndarray) and isinstance(rems, np.ndarray)
+    assert ders is None
+    line = _ZETA_MODULE._Line(0.5, prec.abs_err)
+    n_cut = 6
+    first, _, first_rems = _ZETA_MODULE._euler_maclaurin(
+        line, n_cut, ts.tolist(), False)
+    ref_vals, ref_rems = first.tolist(), first_rems.tolist()
+    todo = [i for i, r in enumerate(ref_rems) if r > target]
+    escalated = len(todo)
+    while todo:
+        n_cut = max(n_cut + 32, int(n_cut * 1.5))
+        v, _, r = _ZETA_MODULE._euler_maclaurin(
+            line, n_cut, [float(ts[i]) for i in todo], False)
+        for i, vi, ri in zip(todo, v.tolist(), r.tolist()):
+            ref_vals[i], ref_rems[i] = vi, ri
+        todo = [i for i in todo if ref_rems[i] > target]
+    assert 0 < escalated < ts.size
+    assert vals.tolist() == ref_vals and rems.tolist() == ref_rems
+
+
 @pytest.mark.parametrize("sigma", [-0.9, 0.5, 2.0])
 def test_line_block_of_sweep_panels_against_mpmath(sigma, store):
     # the block of iterated-sweep panels that ends at t = 2140, its nodes
@@ -425,21 +457,50 @@ def test_line_block_of_sweep_panels_against_mpmath(sigma, store):
 def test_em_correction_on_arrays_matches_node_by_node():
     # the one correction body, on arrays (a _Line's pass) and on complex
     # numbers (a _Ray's nodes), at three cutoffs over sigma in [-1, 3],
-    # t in [0, 2150]: values and bounds agree to a few ulps
+    # t in [0, 2150], each given N^-s as libm's exp(-sigma log N) times the
+    # phase: values and bounds agree to a few ulps
     rng = np.random.default_rng(15)
     for n_cut in (16, 300, 5000):
         s = rng.uniform(-1.0, 3.0, 100) + 1j * rng.uniform(0.0, 2150.0, 100)
         trunc = rng.uniform(0.0, 1e-12, 100)
         log_n = math.log(n_cut)
+        npows = [math.exp(-z.real * log_n) * _ZETA_MODULE._phases(
+            log_n, z.imag) for z in s.tolist()]
         vals, ders, rems = _ZETA_MODULE._em_correction(
-            n_cut, log_n, s, np.zeros(100, dtype=complex), trunc)
+            n_cut, log_n, s, np.array(npows), np.zeros(100, dtype=complex),
+            trunc)
         assert ders == 0j
         for j in range(100):
             v, _, r = _ZETA_MODULE._em_correction(
-                n_cut, log_n, complex(s[j]), 0j, float(trunc[j]))
+                n_cut, log_n, complex(s[j]), npows[j], 0j, float(trunc[j]))
             scale = abs(v) + n_cut ** (1.0 - s[j].real) / abs(s[j] - 1.0)
             assert abs(vals[j] - v) <= 16 * 2.0 ** -52 * scale, (n_cut, j)
             assert abs(rems[j] - r) <= 16 * 2.0 ** -52 * r, (n_cut, j)
+
+
+def test_cutoff_powers_share_one_factor_bit_for_bit():
+    # N^-s with the factor a pass's nodes share taken once -- a ray's phase
+    # N^-it, a vertical line's amplitude N^-sigma -- is bit for bit the
+    # per-node form, libm's exp of -sigma log N times the phase of each
+    # node, on arrays and on a small ray batch's complex numbers
+    rng = np.random.default_rng(29)
+    for n_cut in (16, 401, 20_000):
+        log_n = math.log(n_cut)
+        ts = np.sort(rng.uniform(0.0, 2150.0, 672))
+        alphas = np.sort(rng.uniform(-1.0, 45.0, 42))
+        for line, points in (
+                (_ZETA_MODULE._Line(0.37, _PREC.abs_err),
+                 _ZETA_MODULE._Line(0.37, _PREC.abs_err).points(ts)),
+                (_ZETA_MODULE._Ray(1234.5), alphas + 1234.5j)):
+            per_node = (np.exp(points.real * -log_n + 0j).real
+                        * _ZETA_MODULE._phases(log_n, points.imag))
+            assert np.array_equal(line.cutoff_powers(log_n, points),
+                                  per_node)
+        ray = _ZETA_MODULE._Ray(1234.5)
+        points = ray.points(alphas[:5].tolist())
+        assert ray.cutoff_powers(log_n, points) == [
+            math.exp(-z.real * log_n) * _ZETA_MODULE._phases(log_n, z.imag)
+            for z in points]
 
 
 def test_array_passes_refuse_zeta_prime():
@@ -571,7 +632,8 @@ def test_line_sampler_against_mpmath():
         vals, rems = _ZETA_MODULE._zeta_line(0.5, ts, prec)
         wide, _, wide_rems = _ZETA_MODULE._zeta_em(
             _ZETA_MODULE._Line(0.5, abs_err), ts[40:], prec, False)
-        for v, r, ref in zip(vals.tolist() + wide, rems.tolist() + wide_rems,
+        for v, r, ref in zip(np.concatenate((vals, wide)),
+                             np.concatenate((rems, wide_rems)),
                              refs + refs[40:]):
             assert r <= target
             assert abs(v - ref) <= target, (abs_err, v, ref)
