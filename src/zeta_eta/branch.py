@@ -16,9 +16,9 @@ varies slowly, and the branch at a node is the one whose G lies within pi
 of the last node's; a step of G above _CONT_STEP first inserts the
 midpoint.  A run of nodes is pinned by one unwrap of its rounded phase
 steps, which gives the same winding integers, and node by node from a
-failing step on.  This is the iterated eta sweep's rule (_Walk serves
-both).  A
-table zero with a wrong multiplicity, or one zeta lacks, moves the model's
+failing step on.  This is the iterated eta sweep's rule too: both walks
+are a _Walk, whose one node step evaluates and pins a node.  A table zero
+with a wrong multiplicity, or one zeta lacks, moves the model's
 argument by pi where the ray passes it, which the insertion resolves, never
 by a multiple of 2 pi that the pin would alias.
 
@@ -77,15 +77,20 @@ class _Walk:
     x.  The window is one table of log terms, the model mu @ Log(rel + x
     direction), with a row per term: a weight mu and rel = origin - rho.  A
     zero's row weighs 1 on a ray and its multiplicity in the sweep; the
-    pole, when in the window, is the first row, weight -1 at rho = 1.  A
-    subclass evaluates zeta on its line in eval(x, depth), which counts the
-    nodes with spend and pins them in order with pin; _pin inserts a
-    midpoint through eval.
+    pole, when in the window, is the first row, weight -1 at rho = 1.
+
+    zeta is evaluated on line, the walk's zeta._Ray or zeta._Line, at
+    walk_prec.  step is the one node step: it counts nodes, evaluates them
+    in one pass and pins them in order, and _pin inserts each midpoint
+    through it, so every walk evaluates and pins a node by one rule.
     """
 
-    def __init__(self, origin: complex, direction: complex):
+    def __init__(self, origin: complex, direction: complex, line,
+                 walk_prec: EvalPrecision):
         self.origin = origin
         self.direction = direction
+        self.line = line
+        self.walk_prec = walk_prec
         # The window's table, empty until a subclass fills it.
         self.mu, self.rel = np.empty(0), np.empty(0, dtype=np.complex128)
         self.x_prev = 0.0
@@ -100,6 +105,18 @@ class _Walk:
             s = self.origin + self.direction * x
             raise BudgetExceeded(f"the walk of log zeta near s = {s} "
                                  f"exceeded {_WALK_BUDGET} nodes")
+
+    def step(self, xs, depth: int = 0, anchor: bool = False) -> np.ndarray:
+        """G at the nodes xs (a float or an array, in walking order), pinned
+        from the last node, or with anchor from the principal value at the
+        first: spent, then one zeta pass on the line for all of them."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+        self.spend(xs.size, float(xs[0]))
+        vals, _, _ = _zeta_em(self.line, xs, self.walk_prec, want_deriv=False)
+        principal = self.principal(xs, vals)
+        if anchor:
+            self.x_prev, self.g_prev = float(xs[0]), complex(principal[0])
+        return self.pin(xs, principal, depth)
 
     def model(self, x):
         """The window's log terms at x, a float or an array: one np.log of
@@ -167,7 +184,7 @@ class _Walk:
                 s = self.origin + self.direction * x
                 raise NumericalError(
                     f"continuation of log zeta stalled near s = {s}")
-            self.eval(mid, depth + 1)
+            self.step(mid, depth + 1)
             return self._pin(x, principal, depth + 1)
         self.x_prev, self.g_prev = x, g_here
         return g_here
@@ -179,20 +196,19 @@ class BranchPath(_Walk):
     t is the snapped height |t|; conjugate marks a ray requested at t < 0.
     The walk keeps every node it pinned in ascending alpha (xs) and the
     node's G (gs).  A pin needs the phase of zeta, which an absolute error
-    near |zeta| destroys next to a zero, so the nodes take walk_prec: the
-    caller's precision prec or the default, whichever is finer.  eval_log
-    and winding answer anywhere on [sigma_end, infinity) from one zeta
+    near |zeta| destroys next to a zero, so the walk runs at the caller's
+    precision prec or the default, whichever is finer.  eval_log and
+    winding answer anywhere on [sigma_end, infinity) from one zeta
     evaluation per abscissa at prec, on the ray's phases, each pinned from
     its nearest node.
     """
 
     def __init__(self, t: float, sigma_end: float, conjugate: bool,
                  prec: EvalPrecision, store: ZeroStore):
-        super().__init__(1j * t, 1.0)
+        super().__init__(1j * t, 1.0, _Ray(t),
+                         min(prec, DEFAULT_PRECISION, key=lambda p: p.abs_err))
         self.t, self.sigma_end, self.conjugate = t, sigma_end, conjugate
-        self.ray = _Ray(t)
         self.prec = prec
-        self.walk_prec = min(prec, DEFAULT_PRECISION, key=lambda p: p.abs_err)
         lo = int(np.searchsorted(store.gammas, t - _WINDOW))
         hi = int(np.searchsorted(store.gammas, t + _WINDOW, side="right"))
         rows = [(-1.0, 1.0, 0.0)] if t <= _WINDOW else []
@@ -204,20 +220,14 @@ class BranchPath(_Walk):
         self.xs: list[float] = []
         self.gs: list[complex] = []
 
-    def eval(self, alpha, depth: int = 0, anchor: bool = False) -> None:
-        """Pin the nodes alpha (a float or an array, in walking order) from
-        the last node, or with anchor from the principal value at the first:
-        one zeta evaluation on the ray for all of them."""
-        xs = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-        self.spend(xs.size, float(xs[0]))
-        vals, _, _ = _zeta_em(self.ray, xs, self.walk_prec, want_deriv=False)
-        principal = self.principal(xs, vals)
-        if anchor:
-            self.x_prev, self.g_prev = float(xs[0]), complex(principal[0])
-        for x, g in zip(xs.tolist(), self.pin(xs, principal, depth).tolist()):
+    def step(self, xs, depth: int = 0, anchor: bool = False) -> np.ndarray:
+        """_Walk.step, keeping each node it pins in xs and gs."""
+        g = super().step(xs, depth, anchor)
+        for x, g_x in zip(np.atleast_1d(xs).tolist(), g.tolist()):
             i = bisect.bisect(self.xs, x)
             self.xs.insert(i, x)
-            self.gs.insert(i, g)
+            self.gs.insert(i, g_x)
+        return g
 
     def _query(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """zeta at the abscissae alpha (flattened; finite and >= sigma_end),
@@ -235,7 +245,7 @@ class BranchPath(_Walk):
             xs = np.ravel(np.asarray(alpha, dtype=np.float64))
             for end in (xs.min(), xs.max()):
                 _real(end, "alpha", self.sigma_end)
-        vals, _, rems = _zeta_em(self.ray, xs, self.prec, want_deriv=False)
+        vals, _, rems = _zeta_em(self.line, xs, self.prec, want_deriv=False)
         principal = self.principal(xs, vals)
         vals, rems = np.asarray(vals), np.asarray(rems)
         noise = np.flatnonzero(rems >= 0.5 * np.abs(vals))
@@ -320,7 +330,7 @@ def _march(path: BranchPath) -> None:
     pinned from the principal log zeta.  A ray that ends at or right of
     SIGMA_START has no walk: its branch is the principal log zeta."""
     if path.sigma_end < SIGMA_START:
-        path.eval(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
+        path.step(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
                             path.sigma_end), anchor=True)
 
 

@@ -47,25 +47,26 @@ on the one vertical line Re s = sigma.  The sweep counts every panel's
 nodes against the walk's budget first, and then hands a block of panels
 (zeta._BLOCK_NODES nodes) to quadrature._panel at a time, whose Kronrod and
 Gauss sums are one product with the weights.  Its one call of the integrand
-receives the block's nodes, and the sweep works them there: zeta at all of
-them in one pass on its zeta._Line (one Taylor expansion of the Dirichlet
-sum per group of nearby nodes, a few groups' moments per matrix product,
-the Euler-Maclaurin correction one array pass), and every panel's window
-model at its nodes from one logarithm over the block's (panel, row) pairs;
-no zeta value outlives the call.  The sweep knows every panel's window rows
-and takes each block as the next panels in order.  The walk pins the
-block's nodes in order: continuity of G along the ascending node sequence
-pins the winding integer of the principal logarithm at each sample,
-replacing a horizontal ray walk per sample.  Where the window moves, from
-one panel to the next, the previous node's G is rebased by the old model
-minus the new one at that node.  One unwrap pins the block, the winding
-integers being the running sums of the rounded phase steps; from a step
-above _CONT_STEP on, the nodes are walked one at a time, and the midpoint
-is inserted as a node of its own, evaluated on demand.  This is the rule,
-and branch._Walk the code, by which a horizontal ray pins its branch; the
-sweep's model keeps the table's multiplicities, which its closed-form
-integrals need.  The sweep is anchored at u = 0 (closed-form branch value)
-and re-verified against the horizontal-ray branch at u = t.
+receives the block's nodes with the block's window rows, and the sweep
+works them there: zeta at all of them in one pass on its zeta._Line (one
+Taylor expansion of the Dirichlet sum per group of nearby nodes, a few
+groups' moments per matrix product, the Euler-Maclaurin correction one
+array pass), and every panel's window model at its nodes from one
+logarithm over the block's (panel, row) pairs; no zeta value outlives the
+call.  The walk pins the block's nodes in order: continuity of G along the
+ascending node sequence pins the winding integer of the principal
+logarithm at each sample, so no sample needs a horizontal ray walk of its
+own.  Where the window moves, from one panel to the next, the previous
+node's G is rebased by the old model minus the new one at that node.  One
+unwrap pins the block, the winding integers being the running sums of the
+rounded phase steps; from a step above _CONT_STEP on, the nodes are walked
+one at a time, and the midpoint is inserted as a node of its own.  The
+sweep is a branch._Walk, as a horizontal ray's walk is: a midpoint, and
+the check at u = t, go through the node step both walks share, so one
+rule evaluates and pins a node on either line.  The sweep's model keeps
+the table's multiplicities, which its closed-form integrals need.  The
+sweep is anchored at u = 0 (closed-form branch value) and re-verified
+against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) are split at a0, 3.5-4.25
 at the usual targets.  On [sigma, a0] they run on one horizontal ray each,
@@ -76,12 +77,11 @@ phases (BranchPath.eval_log: the Euler-Maclaurin correction on arrays, the
 branch pinned from the walk's nodes in one array step).  For c_m, on the
 real axis, the panels integrate only the regular part log((a-1) zeta(a)),
 analytic on (-1, inf), and the pole's part -log|a-1| - pi i [a < 1] is
-integrated in closed form, its rounding added to est_err: the pole rule,
-which takes a few panels where the pole's logarithm took about a hundred
-bisections.  Above a0 log zeta is its Dirichlet series, and the integral is a
-closed-form sum over the prime powers up to _TAIL_N; a0 is derived from
-that sum's truncation bound, and from sigma >= a0 on no quadrature runs at
-all.
+integrated in closed form, its rounding added to est_err, so the panels
+see an analytic integrand and never bisect into the pole.  Above a0 log
+zeta is its Dirichlet series, and the integral is a closed-form sum over
+the prime powers up to _TAIL_N; a0 is derived from that sum's truncation
+bound, and from sigma >= a0 on no quadrature runs at all.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
@@ -94,7 +94,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -466,37 +466,36 @@ class _Sweep(_Walk):
     panels at a time.
 
     Its model is one table of rows (mu, rel = sigma - rho), a zero weighed
-    by its multiplicity (the closed-form model integrals need it), and
-    panel p's window is the table's rows lo[p]:hi[p].  The blocks eval
-    receives are the sweep's panels in order, each taken once.
+    by its multiplicity (the closed-form model integrals need it); a
+    panel's window is a run of the table's rows.  The blocks eval receives
+    are the sweep's panels in order, each taken once; a midpoint and the
+    check at the end are _Walk.step's, in the current window.
     """
 
     def __init__(self, sigma: float, prec: EvalPrecision, mu: np.ndarray,
-                 rel: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        super().__init__(float(sigma), 1j)
+                 rel: np.ndarray):
+        super().__init__(float(sigma), 1j, _Line(float(sigma), prec.abs_err),
+                         prec)
         self.sigma = float(sigma)
-        self.prec = prec
-        self.line = _Line(self.sigma, prec.abs_err)
         self.table = mu, rel
-        self.rows = lo, hi
-        # The panels walked so far, and the last one's last node and its
-        # model there, None before the first block.
-        self._done = 0
+        # The last block's last node and its model there, None before the
+        # first block.
         self._last = None
-        self.window(lo[0], hi[0])
 
     def window(self, lo: int, hi: int) -> None:
         """Make the model the table's rows lo:hi."""
         self.mu, self.rel = self.table[0][lo:hi], self.table[1][lo:hi]
 
-    def anchor(self) -> None:
-        """Branch value at u = 0 from the closed form (limit from above)."""
+    def anchor(self, lo: int, hi: int) -> None:
+        """Branch value at u = 0 from the closed form (limit from above), in
+        the first panel's window, the table's rows lo:hi."""
+        self.window(lo, hi)
         if abs(self.sigma - 1.0) <= 1e-9:
             # log zeta + Log(s-1) -> log((s-1) zeta(s)) -> 0 at s = 1: G
             # is minus the zero rows, row 0 being the pole.
             g0 = -(self.mu[1:] @ np.log(self.rel[1:]))
         else:
-            f0, _ = log_zeta_with_err(complex(self.sigma, 0.0), self.prec)
+            f0, _ = log_zeta_with_err(complex(self.sigma, 0.0), self.walk_prec)
             g0 = f0 - self.model(0.0)
         self.x_prev, self.g_prev = 0.0, complex(g0)
 
@@ -521,48 +520,34 @@ class _Sweep(_Walk):
         logs = np.log(rel[pair_row, None] + 1j * xs[pair_panel])
         return (weights @ logs.view(np.float64)).view(np.complex128)
 
-    def eval(self, u, depth: int = 0):
+    def eval(self, us: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G(u) = log zeta(sigma+iu) - model(u), branch pinned by continuity,
-        with each node's error bound, from one _zeta_em pass at u.
+        with each node's error bound, from one _zeta_em pass.
 
-        u is a float, spent here (a midpoint insertion, the check at the
-        end), answered with (complex, float) in the current window; or the
-        nodes of the next panels, a row per panel, each panel in its own
-        window, answered with two arrays of their shape.  Where the window
-        moves, from a panel to the next, the previous node's G is rebased
-        by the old model minus the new one at that node, since the swapped
-        terms are principal logs of points >= 1 away.
+        us holds the nodes of the next panels, a row per panel, panel p's
+        window being the table's rows lo[p]:hi[p]; the answer is two arrays
+        of us's shape.  Where the window moves, from a panel to the next,
+        the previous node's G is rebased by the old model minus the new one
+        at that node, since the swapped terms are principal logs of points
+        >= 1 away.
         """
-        single = np.ndim(u) == 0
-        if single:
-            self.spend(1, u)
-        else:
-            p, self._done = self._done, self._done + len(u)
-            if self._done > self.rows[0].size:
-                raise NumericalError("sweep nodes past the sweep's last panel")
-        us = np.atleast_1d(u)
-        vals, _, rems = _zeta_em(self.line, us.ravel(), self.prec,
+        vals, _, rems = _zeta_em(self.line, us.ravel(), self.walk_prec,
                                  want_deriv=False)
-        if single:
-            g = self.pin(us, self.principal(us, vals), depth)
-        else:
-            lo, hi = self.rows[0][p:self._done], self.rows[1][p:self._done]
-            model = self._block_model(us, lo, hi)
-            principal = self.principal(us, vals, model[:, 1:].ravel())
-            # The first sweep panel has no previous window: no rebase.
-            prev = model[0, 0] if self._last is None else self._last[1]
-            rebase = np.zeros(us.shape, dtype=np.complex128)
-            rebase[:, 0] = np.append(prev, model[:-1, -1]) - model[:, 0]
+        model = self._block_model(us, lo, hi)
+        principal = self.principal(us, vals, model[:, 1:].ravel())
+        # The first sweep panel has no previous window: no rebase.
+        prev = model[0, 0] if self._last is None else self._last[1]
+        rebase = np.zeros(us.shape, dtype=np.complex128)
+        rebase[:, 0] = np.append(prev, model[:-1, -1]) - model[:, 0]
 
-            def enter(j: int) -> None:
-                self.window(lo[j // _NODES.size], hi[j // _NODES.size])
+        def enter(j: int) -> None:
+            self.window(lo[j // _NODES.size], hi[j // _NODES.size])
 
-            g = self.pin(us.ravel(), principal, depth, rebase.ravel(), enter)
-            self.window(lo[-1], hi[-1])
-            self._last = us[-1, -1], model[-1, -1]
+        g = self.pin(us.ravel(), principal, 0, rebase.ravel(), enter)
+        self.window(lo[-1], hi[-1])
+        self._last = us[-1, -1], model[-1, -1]
         err = rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(g))
-        if single:
-            return complex(g[0]), float(err[0])
         return g.reshape(us.shape), err.reshape(us.shape)
 
 
@@ -675,12 +660,14 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     hi = np.searchsorted(gam_all, hi_edge, side="right")
     first = np.searchsorted(hi_edge, gam_all)
     stop = np.searchsorted(lo_edge, gam_all, side="right")
-    sweep = _Sweep(sigma, prec, mu_all, cc_all - 1j * gam_all, lo, hi)
+    sweep = _Sweep(sigma, prec, mu_all, cc_all - 1j * gam_all)
 
-    def integrand(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # A row of ascending nodes per panel, the sweep's next panels: the
-        # sweep pins the branch along them in panel order.
-        g_val, g_err = sweep.eval(us)
+    def integrand(us: np.ndarray, row_lo: np.ndarray,
+                  row_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # A row of ascending nodes per panel, the sweep's next panels, and
+        # their windows' rows: the sweep pins the branch along them in
+        # panel order.
+        g_val, g_err = sweep.eval(us, row_lo, row_hi)
         w = (t_eff - us) ** (m - 1)
         return w * g_val, np.abs(w) * (g_err + 2e-16 * np.abs(g_val))
 
@@ -688,7 +675,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     # work; then a block of panels at a time through _panel, whose one call
     # of the integrand is the block's one zeta pass.
     sweep.spend(len(panels) * _NODES.size, 0.0)
-    sweep.anchor()
+    sweep.anchor(lo[0], hi[0])
     # Every row's model integral in closed form, once over its run of
     # panels: one pass over the rows, made while no panel's value is held
     # yet, which keeps the pass's arrays out of the sweep's peak memory.
@@ -708,7 +695,10 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     block = _BLOCK_NODES // _NODES.size
     for p in range(0, len(panels), block):
         ends = panels[p:p + block]
-        vals, p_disc, p_err = _panel(integrand, ends[:, 0], ends[:, 1])
+        vals, p_disc, p_err = _panel(
+            partial(integrand, row_lo=lo[p:p + block],
+                    row_hi=hi[p:p + block]),
+            ends[:, 0], ends[:, 1])
         parts += vals.tolist()
         disc += math.fsum(p_disc)
         node_est += math.fsum(p_err)
@@ -717,8 +707,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     # (Skipped for very short sweeps, where the ray walk would itself pass
     # within t of the pole; a winding slip needs room to happen anyway.)
     if t_eff >= 0.05:
-        g_end, _ = sweep.eval(t_eff)
-        f_end = g_end + sweep.model(t_eff)
+        f_end = sweep.step(t_eff)[0] + sweep.model(t_eff)
         f_auth, auth_est = log_zeta_with_err(complex(sigma, t_eff), prec, store)
         if abs(f_end - f_auth) > max(0.5, 100.0 * auth_est):
             raise NumericalError(

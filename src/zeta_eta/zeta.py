@@ -26,10 +26,11 @@ into groups as wide as the expansion's rounding allows, and each group
 takes its partial sums from one Taylor expansion of the Dirichlet sum about
 its centre (the local step of Odlyzko-Schoenhage), whose truncation bound
 joins each node's remainder; a few groups' moments are one matrix
-product.  The N^-s and Bernoulli terms and the remainder bound
-(_em_correction) are written once.  N^-s takes the factor a pass's nodes
-share once, from the line: a ray's one phase N^-it, a vertical line's one
-amplitude N^-sigma.  A _Line's pass applies the correction to its nodes as
+product.  The line hands over N^-s with the partial sums, and takes the
+factor its nodes share once: a ray's one phase N^-it, a vertical line's one
+amplitude N^-sigma, one libm call per pass where every node would pay one.
+The N^-s and Bernoulli terms and the remainder bound (_em_correction) are
+written once.  A _Line's pass applies the correction to its nodes as
 arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more (a
 vertical integral's panels), and such an array pass answers in arrays; a
 smaller batch (a single point, a branch walk's grid, a few escalated
@@ -202,18 +203,24 @@ class _Ray:
 
     def partial_sums(self, n_cut: int, sigmas, want_deriv: bool) -> tuple:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
-        at each node, exact up to rounding, and 0.0 per node: arrays for a
-        batch of _ARRAY_NODES nodes or more, which takes the correction on
-        arrays and serves values only, and lists for a smaller one, which
-        takes it node by node.
+        at each node, exact up to rounding, 0.0 per node, and N^-s: arrays
+        for a batch of _ARRAY_NODES nodes or more, which takes the
+        correction on arrays and serves values only, and lists for a
+        smaller one, which takes it node by node.
 
-        A small batch builds its points as Python complex numbers: for one
-        node at N = 400 that took 3.6-3.8 us against 4.8-6.4 us through
-        arrays and tolist() (2 cores), about 1.5% of a single zeta() call."""
+        N^-s is the ray's one phase N^-it times each node's amplitude
+        N^-alpha, libm's exp at every node: numpy's float exp is off by an
+        ulp at about 4% of arguments, and its complex exp of a real is
+        libm's, so a node's N^-s has the same bits in either batch.  A small
+        batch builds its points as Python complex numbers: for one node at
+        N = 400 that took 3.6-3.8 us against 4.8-6.4 us through arrays and
+        tolist() (2 cores), about 1.5% of a single zeta() call."""
         logn = _LOG_N[:n_cut - 1]
         if len(self._phase) < n_cut - 1:
             self._phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
         phase = self._phase[:n_cut - 1]
+        logN = math.log(n_cut)
+        phase_N = _phases(logN, self.t)
         if len(sigmas) >= _ARRAY_NODES:
             if want_deriv:
                 raise NotImplementedError(
@@ -222,7 +229,8 @@ class _Ray:
             amp = np.exp(np.multiply.outer(-alphas, logn))
             return (alphas + 1j * self.t,
                     (amp @ phase).view(np.complex128)[:, 0], None,
-                    np.zeros(alphas.size))
+                    np.zeros(alphas.size),
+                    np.exp(alphas * -logN + 0j).real * phase_N)
         points = self.points(sigmas)
         amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
         sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
@@ -230,19 +238,8 @@ class _Ray:
         if want_deriv:
             dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
                      ).tolist()
-        return points, sums, dsums, [0.0] * len(points)
-
-    def cutoff_powers(self, logN: float, points):
-        """N^-s at the points, an array or a list as partial_sums gave them:
-        the ray's one phase N^-it times each node's amplitude N^-alpha.
-
-        N^-alpha is libm's exp at every node, as in the complex exp that
-        once formed N^-s: numpy's float exp is off by an ulp at about 4% of
-        arguments, and its complex exp of a real is libm's."""
-        phase = _phases(logN, self.t)
-        if isinstance(points, np.ndarray):
-            return np.exp(points.real * -logN + 0j).real * phase
-        return [math.exp(-s.real * logN) * phase for s in points]
+        return (points, sums, dsums, [0.0] * len(points),
+                [math.exp(-s.real * logN) * phase_N for s in points])
 
 
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
@@ -325,11 +322,12 @@ class _Line:
             starts.append(nxt)
         return starts
 
-    def partial_sums(self, n_cut: int, ts, want_deriv: bool
-                     ) -> tuple[np.ndarray, np.ndarray, None, np.ndarray]:
-        """The nodes s, sum_{n<N} n^-s at each node, and the truncation
-        bound of each node's expansion, as arrays.  The line serves values
-        only, no zeta'."""
+    def partial_sums(self, n_cut: int, ts, want_deriv: bool) -> tuple[
+            np.ndarray, np.ndarray, None, np.ndarray, np.ndarray]:
+        """The nodes s, sum_{n<N} n^-s at each node, the truncation bound of
+        each node's expansion, and N^-s, the line's one amplitude N^-sigma
+        (libm's exp, as on a ray) times each node's phase N^-it, as arrays.
+        The line serves values only, no zeta'."""
         if want_deriv:
             raise NotImplementedError("a _Line evaluates no derivative")
         t = np.asarray(ts, dtype=np.float64)
@@ -364,12 +362,8 @@ class _Line:
                     @ moments.view(np.float64)).view(np.complex128)
             sums[nodes] = part[np.arange(part.shape[0]), group[nodes] - g]
         trunc = mass * x ** order / math.factorial(order) * np.exp(x)
-        return self.points(t), sums, None, trunc
-
-    def cutoff_powers(self, logN: float, points: np.ndarray) -> np.ndarray:
-        """N^-s at the points: the line's one amplitude N^-sigma, libm's
-        exp as on a ray, times each node's phase N^-it."""
-        return math.exp(self.sigma * -logN) * _phases(logN, points.imag)
+        return (self.points(t), sums, None, trunc,
+                math.exp(self.sigma * -log_cut) * _phases(log_cut, t))
 
 
 def _em_correction(n_cut: int, logN: float, s, npow_N, partial, trunc,
@@ -436,10 +430,9 @@ def _euler_maclaurin(line, n_cut: int, coords, want_deriv: bool) -> tuple:
         raise BudgetExceeded(
             f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
             f"at s={line.points(coords[:1])[0]}")
-    points, sums, dsums, truncs = line.partial_sums(n_cut, coords,
-                                                    want_deriv)
+    points, sums, dsums, truncs, npows = line.partial_sums(n_cut, coords,
+                                                           want_deriv)
     logN = math.log(n_cut)
-    npows = line.cutoff_powers(logN, points)
     if isinstance(points, np.ndarray):
         val, _, rem = _em_correction(n_cut, logN, points, npows, sums, truncs)
         return val, None, rem

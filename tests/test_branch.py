@@ -426,7 +426,7 @@ class _ToyWalk(_Walk):
     evaluated in the current window."""
 
     def __init__(self):
-        super().__init__(0j, 1.0)
+        super().__init__(0j, 1.0, None, None)
         self.w = 0
         self.mids = []
 
@@ -436,10 +436,10 @@ class _ToyWalk(_Walk):
     def principal_at(self, x, w):
         return complex(0.0, math.remainder(self.g(x, w).imag, 2 * math.pi))
 
-    def eval(self, x, depth):
+    def step(self, x, depth=0, anchor=False):
         self.mids.append((x, self.w))
-        self.pin(np.array([x]), np.array([self.principal_at(x, self.w)]),
-                 depth)
+        return self.pin(np.array([x]),
+                        np.array([self.principal_at(x, self.w)]), depth)
 
 
 def test_a_failing_step_where_the_window_moves_inserts_the_midpoint():
@@ -475,7 +475,7 @@ def _windings_node_by_node(path, xs):
     abscissa at a time, each pinned from its nearest node (the right one
     on a tie) among the nodes the path has by then."""
     branch = sys.modules["zeta_eta.branch"]
-    vals, _, _ = branch._zeta_em(path.ray, xs, path.prec, False)
+    vals, _, _ = branch._zeta_em(path.line, xs, path.prec, False)
     out = []
     for x, p in zip(xs.tolist(), path.principal(xs, vals).tolist()):
         if x >= branch.SIGMA_START:

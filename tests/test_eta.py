@@ -560,15 +560,15 @@ def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
     s = complex(0.5, 40.0)
     ref = eta_iterated(s, 2, store)
     inserted = []
-    walk = eta_module._Sweep.eval
+    walk = eta_module._Sweep.step
 
-    def counted(self, u, depth=0):
+    def counted(self, u, depth=0, anchor=False):
         if depth > 0:
             inserted.append(u)
-        return walk(self, u, depth)
+        return walk(self, u, depth, anchor)
 
     monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_CONT_STEP", 0.02)
-    monkeypatch.setattr(eta_module._Sweep, "eval", counted)
+    monkeypatch.setattr(eta_module._Sweep, "step", counted)
     got = eta_iterated(s, 2, store)
     assert len(inserted) > 100
     assert abs(got.value - ref.value) <= ref.est_err
@@ -622,48 +622,52 @@ def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
 
 def test_sweep_takes_one_zeta_pass_per_call(store, monkeypatch):
     # every call of the sweep, a block of panels or a single node, makes
-    # one _zeta_em pass, within that call, at exactly the nodes it is
-    # handed: no zeta is evaluated ahead of the call
+    # one _zeta_em pass on its line, within that call, at exactly the nodes
+    # it is handed: no zeta is evaluated ahead of the call.  Passes on the
+    # sweep's vertical line alone are counted, so the real-axis passes of
+    # a cold c_1 and the ray's at the end check stay out.
     real_em = eta_module._zeta_em
-    walk = eta_module._Sweep.eval
+    block, step = eta_module._Sweep.eval, eta_module._Sweep.step
     passes, handed, open_calls = [], [], []
 
     def counted_em(line, coords, prec, want_deriv):
-        passes.append((len(open_calls), np.array(coords)))
+        if isinstance(line, eta_module._Line):
+            passes.append((len(open_calls), np.array(coords)))
         return real_em(line, coords, prec, want_deriv)
 
-    def counted(self, u, depth=0):
-        handed.append(np.ravel(u))
-        open_calls.append(u)
-        try:
-            return walk(self, u, depth)
-        finally:
-            open_calls.pop()
+    def counted(walk):
+        def call(self, u, *args, **kwargs):
+            handed.append(np.ravel(u))
+            open_calls.append(u)
+            try:
+                return walk(self, u, *args, **kwargs)
+            finally:
+                open_calls.pop()
+        return call
 
-    monkeypatch.setattr(eta_module, "_zeta_em", counted_em)
-    monkeypatch.setattr(eta_module._Sweep, "eval", counted)
+    for module in (eta_module, sys.modules["zeta_eta.branch"]):
+        monkeypatch.setattr(module, "_zeta_em", counted_em)
+    monkeypatch.setattr(eta_module._Sweep, "eval", counted(block))
+    monkeypatch.setattr(eta_module._Sweep, "step", counted(step))
     eta_iterated(complex(0.5, 700.3), 1, store)
     assert len(handed) > 2 and len(passes) == len(handed)
     for (inside, coords), nodes in zip(passes, handed):
         assert inside > 0 and np.array_equal(coords, nodes)
 
 
-def test_sweep_refuses_a_block_past_its_last_panel():
+def test_sweep_answers_a_block_in_its_panels_shape():
     # a sweep of two panels at sigma = 2, its window the pole row alone,
-    # takes both in one block and refuses a third panel
+    # takes both in one block and answers a row per panel
     panels = np.array([[0.25, 0.5], [0.5, 1.0]])
     sweep = eta_module._Sweep(2.0, DEFAULT_PRECISION, np.array([-1.0]),
-                              np.array([1.0 + 0j]), np.zeros(2, dtype=int),
-                              np.ones(2, dtype=int))
-    sweep.anchor()
+                              np.array([1.0 + 0j]))
+    sweep.anchor(0, 1)
     us = quadrature._nodes(panels[:, :1], panels[:, 1:])
-    g, err = sweep.eval(us)
+    g, err = sweep.eval(us, np.zeros(2, dtype=int), np.ones(2, dtype=int))
     assert g.shape == err.shape == us.shape
     log_zeta = g - np.log(1.0 + 1j * us)
     assert abs(log_zeta[1, -1] - cmath.log(complex(
         mpmath.zeta(complex(2.0, us[1, -1]))))) <= 1e-12
-    with pytest.raises(NumericalError, match="past the sweep's last panel"):
-        sweep.eval(us[1:] + 0.5)
 
 
 def _linspace_panels(t_eff, store):
@@ -765,16 +769,19 @@ def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
         return np.asarray(vals) * np.exp(lift), ders, rems
 
     inserted = []
-    walk = eta_module._Sweep.eval
+    walk = eta_module._Sweep.step
 
-    def counted(self, u, depth=0):
+    def counted(self, u, depth=0, anchor=False):
         if depth > 0:
             inserted.append(u)
-        return walk(self, u, depth)
+        return walk(self, u, depth, anchor)
 
-    monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_CONT_STEP", 0.3)
-    monkeypatch.setattr(eta_module, "_zeta_em", ramped)
-    monkeypatch.setattr(eta_module._Sweep, "eval", counted)
+    branch = sys.modules["zeta_eta.branch"]
+    monkeypatch.setattr(branch, "_CONT_STEP", 0.3)
+    # the blocks' passes and the midpoints' (branch._Walk.step's)
+    for module in (eta_module, branch):
+        monkeypatch.setattr(module, "_zeta_em", ramped)
+    monkeypatch.setattr(eta_module._Sweep, "step", counted)
     got, _ = eta_module._iterated_integral(0.5, t_eff, 1, store,
                                            DEFAULT_PRECISION)
     for lo, hi in gaps:

@@ -368,7 +368,7 @@ def test_line_widest_panel_at_the_table_top(sigma):
     ts = _panel_nodes(2100.0, 2100.5)
     line = _ZETA_MODULE._Line(sigma, _PREC.abs_err)
     n_cut = _ZETA_MODULE._initial_cutoff(sigma, sigma, 2100.5, _PREC.abs_err)
-    _, _, _, truncs = line.partial_sums(n_cut, ts.tolist(), False)
+    _, _, _, truncs, _ = line.partial_sums(n_cut, ts.tolist(), False)
     assert 0.0 < max(truncs) <= 1e-3 * 0.25 * _PREC.abs_err
     # each node's remainder is its Euler-Maclaurin bound plus its truncation
     _, _, rems = _ZETA_MODULE._euler_maclaurin(line, n_cut, ts.tolist(), False)
@@ -479,26 +479,26 @@ def test_em_correction_on_arrays_matches_node_by_node():
 
 
 def test_cutoff_powers_share_one_factor_bit_for_bit():
-    # N^-s with the factor a pass's nodes share taken once -- a ray's phase
-    # N^-it, a vertical line's amplitude N^-sigma -- is bit for bit the
-    # per-node form, libm's exp of -sigma log N times the phase of each
-    # node, on arrays and on a small ray batch's complex numbers
+    # N^-s as partial_sums hands it over, with the factor a pass's nodes
+    # share taken once -- a ray's phase N^-it, a vertical line's amplitude
+    # N^-sigma -- is bit for bit the per-node form, libm's exp of
+    # -sigma log N times the phase of each node, on arrays and on a small
+    # ray batch's complex numbers
     rng = np.random.default_rng(29)
     for n_cut in (16, 401, 20_000):
         log_n = math.log(n_cut)
         ts = np.sort(rng.uniform(0.0, 2150.0, 672))
         alphas = np.sort(rng.uniform(-1.0, 45.0, 42))
-        for line, points in (
-                (_ZETA_MODULE._Line(0.37, _PREC.abs_err),
-                 _ZETA_MODULE._Line(0.37, _PREC.abs_err).points(ts)),
-                (_ZETA_MODULE._Ray(1234.5), alphas + 1234.5j)):
+        for line, coords in ((_ZETA_MODULE._Line(0.37, _PREC.abs_err), ts),
+                             (_ZETA_MODULE._Ray(1234.5), alphas)):
+            points, _, _, _, npows = line.partial_sums(n_cut, coords, False)
             per_node = (np.exp(points.real * -log_n + 0j).real
                         * _ZETA_MODULE._phases(log_n, points.imag))
-            assert np.array_equal(line.cutoff_powers(log_n, points),
-                                  per_node)
+            assert np.array_equal(npows, per_node)
         ray = _ZETA_MODULE._Ray(1234.5)
-        points = ray.points(alphas[:5].tolist())
-        assert ray.cutoff_powers(log_n, points) == [
+        points, _, _, _, npows = ray.partial_sums(n_cut, alphas[:5].tolist(),
+                                                  False)
+        assert npows == [
             math.exp(-z.real * log_n) * _ZETA_MODULE._phases(log_n, z.imag)
             for z in points]
 
