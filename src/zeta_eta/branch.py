@@ -229,10 +229,11 @@ class BranchPath(_Walk):
             self.gs.insert(i, g_x)
         return g
 
-    def _query(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _query(self, alpha) -> tuple[np.ndarray, ...]:
         """zeta at the abscissae alpha (flattened; finite and >= sigma_end),
-        their remainder bounds and their winding integers, each pinned from
-        its nearest node, as arrays; 0 from SIGMA_START up.
+        their remainder bounds, their winding integers, each pinned from
+        its nearest node (0 from SIGMA_START up), and the window's log
+        terms there, a row per term, as arrays.
 
         A value of exactly 0 is refused first.  Then a remainder of |zeta|/2
         or more is refused: the phase of such a value, and the pin with it,
@@ -246,7 +247,8 @@ class BranchPath(_Walk):
             for end in (xs.min(), xs.max()):
                 _real(end, "alpha", self.sigma_end)
         vals, _, rems = _zeta_em(self.line, xs, self.prec, want_deriv=False)
-        principal = self.principal(xs, vals)
+        terms = np.log(np.add.outer(self.rel, xs))
+        principal = self.principal(xs, vals, self.mu @ terms)
         vals, rems = np.asarray(vals), np.asarray(rems)
         noise = np.flatnonzero(rems >= 0.5 * np.abs(vals))
         if noise.size:
@@ -256,7 +258,7 @@ class BranchPath(_Walk):
                 f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
                 f"bound {rems[j]:.3g} at abs_err={self.prec.abs_err:g}",
                 where=s)
-        return vals, rems, self._wind(xs, principal)
+        return vals, rems, self._wind(xs, principal), terms
 
     def _wind(self, xs: np.ndarray, principal: np.ndarray) -> np.ndarray:
         """The winding integers at xs, each pinned from its nearest node
@@ -296,7 +298,7 @@ class BranchPath(_Walk):
 
     def winding(self, alpha):
         """The winding integer at alpha, a float or an array (same shape)."""
-        _, _, k = self._query(alpha)
+        _, _, k, _ = self._query(alpha)
         return int(k[0]) if np.ndim(alpha) == 0 else k.reshape(np.shape(alpha))
 
     def eval_log(self, alpha):
@@ -306,12 +308,28 @@ class BranchPath(_Walk):
         answered with two arrays of its shape; an array takes one
         Euler-Maclaurin pass for all its abscissae.
         """
-        out, est = _log_with_err(*self._query(alpha))
+        out, est = _log_with_err(*self._query(alpha)[:3])
         if self.conjugate:
             out = out.conjugate()
         if np.ndim(alpha) == 0:
             return complex(out[0]), float(est[0])
         return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
+
+    def _log_less_model(self, alpha: np.ndarray) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+        """G = log zeta - model on the branch at the array of abscissae
+        alpha, the model being the window's log terms sum mu Log(rel +
+        alpha) the pin subtracts, and its error bounds, as two arrays of
+        alpha's shape: eval_log's values and bounds less the model that
+        their query formed, whose rounding adds 1e-15 (1 + |Log|) per term.
+        On a conjugate ray G is conjugated, the model with it."""
+        vals, rems, k, terms = self._query(alpha)
+        out, est = _log_with_err(vals, rems, k)
+        g = out - self.mu @ terms
+        est += 1e-15 * (np.abs(self.mu) @ (1.0 + np.abs(terms)))
+        if self.conjugate:
+            g = g.conjugate()
+        return g.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
 def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:

@@ -70,18 +70,25 @@ against the horizontal-ray branch at u = t.
 
 The vertical integrals (the route's own and c_m's) are split at a0, 3.5-4.25
 at the usual targets.  On [sigma, a0] they run on one horizontal ray each,
-split at 1.  The adaptive integrator hands the integrand the 42 abscissae of
-both starting panels in one call, and then both halves of each panel it
-bisects in one call; each call is one batched zeta evaluation on the ray's
-phases (BranchPath.eval_log: the Euler-Maclaurin correction on arrays, the
-branch pinned from the walk's nodes in one array step).  For c_m, on the
-real axis, the panels integrate only the regular part log((a-1) zeta(a)),
-analytic on (-1, inf), and the pole's part -log|a-1| - pi i [a < 1] is
-integrated in closed form, its rounding added to est_err, so the panels
-see an analytic integrand and never bisect into the pole.  Above a0 log
-zeta is its Dirichlet series, and the integral is a closed-form sum over
-the prime powers up to _TAIL_N; a0 is derived from that sum's truncation
-bound, and from sigma >= a0 on no quadrature runs at all.
+split at 1, and subtract the ray's window model as the sweep subtracts its
+panels': the rows (mu, rho) of the ray's window, the zeros within 1.5 of
+its height and the pole at heights up to 1.5, which BranchPath holds for
+its pin.  The panels integrate G = log zeta - model, analytic near
+[sigma, a0], and each row's term mu Log(a + it - rho) is integrated in
+closed form (_window_integrals), its rounding allowance added to est_err;
+so the panels never bisect toward a zero next to the ray.  The adaptive
+integrator hands the integrand the 42 abscissae of both starting panels in
+one call, and then both halves of each panel it bisects in one call; each
+call is one batched zeta evaluation on the ray's phases
+(BranchPath._log_less_model: the Euler-Maclaurin correction on arrays, the
+branch pinned from the walk's nodes in one array step, less the model the
+query formed for its pin).  c_m is the same integral on the real axis, the
+limit from above, whose window is the pole's row alone: its panels
+integrate the regular part log((a-1) zeta(a)), analytic on (-1, inf), and
+the pole's term -log|a-1| - pi i [a < 1] is the same closed form.  Above a0
+log zeta is its Dirichlet series, and the integral is a closed-form sum
+over the prime powers up to _TAIL_N; a0 is derived from that sum's
+truncation bound, and from sigma >= a0 on no quadrature runs at all.
 
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
@@ -133,17 +140,18 @@ class EtaValue:
             raise ValidationError(f"unknown route {self.route!r}")
 
 
-def _vertical_integral(log_f, m: int, sigma: float, t: float,
-                       abs_err: float) -> tuple[complex, float]:
+def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
+                       mu: np.ndarray, rel: np.ndarray) -> tuple[complex, float]:
     """i^m/(m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a+it) da, m >= 1,
     with an error estimate: panels on [sigma, a0], split at 1, and the
     Dirichlet series above a0 = _tail_start(m, sigma, abs_err).
 
-    log_f takes an array of abscissae in [sigma, a0], a row of 21 per
-    panel, and returns (values, error bounds) as arrays of its shape, one
-    pass for all of them; it is not called when sigma >= a0.  The panels
-    integrate log_f: log zeta(a+it) itself on the route, and for c_m only
-    its regular part, whose pole part _c_m_cached adds.
+    On [sigma, a0] log zeta is split as G + model, the model being the
+    window's log terms sum mu Log(rel + a), a row (mu, rel) per term.  The
+    panels integrate G: log_g takes an array of abscissae in [sigma, a0], a
+    row of 21 per panel, and returns G's values and error bounds as arrays
+    of its shape, one pass for all of them; it is not called when sigma >=
+    a0.  The model's integral is _window_integrals', in closed form.
     """
     a0 = _tail_start(m, sigma, abs_err)
     val, est = _vertical_tail(m, sigma, a0, t)
@@ -151,14 +159,17 @@ def _vertical_integral(log_f, m: int, sigma: float, t: float,
         return val, est
 
     def g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v, e = log_f(alpha)
+        v, e = log_g(alpha)
         w = (alpha - sigma) ** (m - 1)
         return w * v, np.abs(w) * e
 
     fact = math.factorial(m - 1)
     pv, pest = integrate_adaptive(g, sigma, a0, 0.25 * abs_err * fact,
                                   splits=[1.0])
-    return val + _I_POW[m % 4] * pv / fact, est + pest / fact
+    pieces, allowance = _window_integrals(m, a0 - sigma, mu, sigma + rel)
+    pv += complex(math.fsum(pieces.real), math.fsum(pieces.imag))
+    return (val + _I_POW[m % 4] * pv / fact,
+            est + (pest + math.fsum(allowance)) / fact)
 
 
 # --- the vertical integrals above a0: the Dirichlet series of log zeta ---------
@@ -287,30 +298,76 @@ def _vertical_tail(m: int, sigma: float, a0: float,
     return _I_POW[m % 4] * val, _tail_bound(m, sigma, a0) + rnd
 
 
+# --- the window model's integral on [sigma, a0] -------------------------------
+#
+# On [sigma, a0] the vertical integrals subtract from log zeta(a + it) the log
+# terms of the singularities near their ray, mu Log(a + rel) with rel =
+# it - rho, and integrate each term in closed form (Davis and Rabinowitz,
+# Methods of Numerical Integration, 2.12: subtract the singularity and
+# integrate it exactly).  With x = a - sigma, c = sigma + rel and L = a0 -
+# sigma, a term's integral is mu int_0^L x^(m-1) Log(x + c) dx.
+
+def _window_integrals(m: int, span: float, mu: np.ndarray,
+                      c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's mu int_0^span x^(m-1) Log(x + c) dx, m >= 1, one array
+    pass over the rows, and each row's rounding allowance.
+
+    By parts, and dividing x^m by x + c, with L = span,
+
+        m int_0^L x^(m-1) Log(x+c) dx = L^m Log(L+c)
+            - sum_{j<m} (-c)^j L^(m-j)/(m-j) - (-c)^m (Log(L+c) - Log c),
+
+    the last difference being int_0^L dx/(x+c) along the path x + c, which
+    crosses the cut only for c < 0 and there runs above it: c's imaginary
+    part +0 takes each Log from above, as the model's own Log is taken.  At
+    c = 0 (the pole row at sigma = 1) that term vanishes and Log c is not
+    taken.  The logs are cmath.log's, as branch._log_with_err's.
+
+    The allowance is (5.25 m + 8) u (u the unit roundoff) times the row's
+    mass, the sum of |mu|/m times L^m (1 + |Log(L+c)|), the terms |(-c)^j|
+    L^(m-j)/(m-j) and |c|^m (2 + |Log(L+c)| + |Log c|).  Each term rounds
+    off by at most (2.25 m + 3) u of its share (a complex product rounds by
+    at most sqrt 5 u, and (-c)^j takes j of them; a log by u and u of its
+    size); the running sums by (m + 3) u of the mass; the roundings of c =
+    sigma + rel and of L move the exact integral by at most m u of it each,
+    and the divisions by m and the product with mu add 2 u.
+    """
+    ends = np.stack((span + c, c))
+    logs = np.fromiter((cmath.log(z) if z else 0j for z in ends.flat),
+                       dtype=np.complex128, count=ends.size)
+    log_end, log_c = logs.reshape(ends.shape)
+    power = np.ones_like(c)             # (-c)^j
+    poly = np.zeros_like(c)
+    mass = span ** m * (1.0 + np.abs(log_end))
+    for j in range(m):
+        term = power * (span ** (m - j) / (m - j))
+        poly += term
+        mass += np.abs(term)
+        power = power * -c
+    total = span ** m * log_end - poly - power * (log_end - log_c)
+    mass += np.abs(power) * (2.0 + np.abs(log_end) + np.abs(log_c))
+    return (mu * total / m,
+            (5.25 * m + 8.0) * _UNIT_ROUNDOFF * np.abs(mu) * mass / m)
+
+
 # --- integration constants c_m(sigma) ------------------------------------------
 #
-# On the real axis (the limit from above) log zeta(a) = h(a) - log|a-1|
-# - pi i [a < 1], with h(a) = log((a-1) zeta(a)) real and analytic on
-# (-1, inf): its nearest singularities are the trivial zero at -2 and the
-# zeros at 1/2 +- 14.13i.  So on [sigma, a0] the quadrature integrates
-# (a-sigma)^(m-1) h(a), and the pole's part is in closed form: with
-# L = 1 - sigma and x = a - 1,
-#
-#   int (a-sigma)^(m-1) log|a-1| da = F(x),
-#   F(x) = ((x+L)^m - L^m)/m log|x| - 1/m sum_{j=1..m} C(m,j) L^(m-j) x^j/j,
-#
-# continuous across x = 0, with F(-L) = (L^m/m)(H_m - log|L|) (0 at L = 0,
-# H_m the harmonic number), and int_sigma^1 (a-sigma)^(m-1) da = L^m/m.
-# (Davis and Rabinowitz, Methods of Numerical Integration, 2.12: subtract
-# the singularity and integrate it exactly.)
+# On the real axis (the limit from above) the one singularity near [sigma,
+# a0] is the pole, the row mu = -1, rel = -1 + 0i of the window model: log
+# zeta(a) = h(a) - Log(a - 1 + 0i), with h(a) = log((a-1) zeta(a)) real and
+# analytic on (-1, inf) (its nearest singularities are the trivial zero at
+# -2 and the zeros at 1/2 +- 14.13i).  So the quadrature integrates h, and
+# the pole's term -log|a-1| - pi i [a < 1] is _window_integrals' closed
+# form, its cut crossed from above.
 
 _ONE_UP = math.nextafter(1.0, 2.0)
 
 
 def _log_regular_real(alpha: np.ndarray,
                       prec: EvalPrecision) -> tuple[np.ndarray, np.ndarray]:
-    """h(a) = log((a-1) zeta(a)) at the abscissae alpha and its error
-    bounds, as arrays of alpha's shape: one zeta pass on the real axis.
+    """h(a) = log((a-1) zeta(a)), log zeta less the pole's row, at the
+    abscissae alpha and its error bounds, as arrays of alpha's shape: one
+    zeta pass on the real axis.
 
     A node that rounds onto a = 1 (a panel [sigma, 1] narrower than about
     3e-14) is taken one ulp up, which moves h by about 0.58 ulp, inside
@@ -324,48 +381,15 @@ def _log_regular_real(alpha: np.ndarray,
     return h.reshape(alpha.shape), est.reshape(alpha.shape)
 
 
-def _log_pole_part(m: int, sigma: float, a0: float) -> tuple[complex, float]:
-    """-int_sigma^a0 (a-sigma)^(m-1) (log|a-1| + pi i [a < 1]) da, a0 > 1,
-    in closed form, and its rounding allowance.
-
-    The value is -(F(a0 - 1) - F(-L)), summed by fsum from its terms.  Each
-    term rounds off by at most (m + 6) u (u the unit roundoff): m u from
-    the rounding of L or x + L carried through an m-th power, 6 u from its
-    own operations; fsum adds u.  So (m + 8) u times the terms' mass covers
-    the value.
-    """
-    lead = 1.0 - sigma
-    x = a0 - 1.0
-    lead_m = lead ** m
-    terms = [(x + lead) ** m / m * math.log(x), -lead_m / m * math.log(x)]
-    terms += [-math.comb(m, j) * lead ** (m - j) * x ** j / (j * m)
-              for j in range(1, m + 1)]
-    if lead:
-        harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-        terms += [-lead_m / m * harmonic, lead_m / m * math.log(abs(lead))]
-    mass = math.fsum(map(abs, terms))
-    pole = complex(-math.fsum(terms), 0.0)
-    if sigma < 1.0:
-        pole -= 1j * math.pi * lead_m / m
-        mass += math.pi * lead_m / m
-    return pole, (m + 8) * _UNIT_ROUNDOFF * mass
-
-
 @lru_cache(maxsize=512)
 def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
     prec = EvalPrecision(abs_err=abs_err)
     # On the real axis the limit from above is available in closed form;
     # no branch walk runs anywhere near the pole, and the quadrature sees
     # the regular part h alone.
-    val, est = _vertical_integral(lambda a: _log_regular_real(a, prec), m,
-                                  sigma, 0.0, abs_err)
-    a0 = _tail_start(m, sigma, abs_err)
-    if sigma < a0:
-        pole, rnd = _log_pole_part(m, sigma, a0)
-        fact = math.factorial(m - 1)
-        val += _I_POW[m % 4] * pole / fact
-        est += rnd / fact
-    return val, est
+    return _vertical_integral(lambda a: _log_regular_real(a, prec), m, sigma,
+                              0.0, abs_err, np.array([-1.0]),
+                              np.array([complex(-1.0, 0.0)]))
 
 
 def _order(m, lo: int) -> int:
@@ -444,8 +468,8 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
 
     store.require_height(t, "eta_vertical", t=t)
     path = branch_path(t, sigma, prec, store)
-    val, est = _vertical_integral(path.eval_log, m, sigma, path.t,
-                                  prec.abs_err)
+    val, est = _vertical_integral(path._log_less_model, m, sigma, path.t,
+                                  prec.abs_err, path.mu, path.rel)
     zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
     return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
                     est_err=est + zs_est)

@@ -25,7 +25,8 @@ from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
                           eta_vertical, route_check, s_m,
                           zero_sum_polynomial)
-from zeta_eta.precision import DEFAULT_PRECISION, EvalPrecision
+from zeta_eta.precision import (DEFAULT_PRECISION, SCAN_PRECISION,
+                                 EvalPrecision)
 from zeta_eta.zeros import ZeroRecord, ZeroStore, builtin_store
 
 C_M_ORACLE = {
@@ -212,16 +213,18 @@ def test_c_m_takes_few_panels_left_of_the_pole(monkeypatch):
 @pytest.mark.parametrize("sigma", [-0.9, 0.1, 0.5, 0.999999, 1.0, 1.000001,
                                    1.3, 2.2])
 def test_log_pole_part_against_mpmath(sigma):
-    # the closed form -int_sigma^a0 (a-sigma)^(m-1) (log|a-1| + pi i [a<1])
-    # da alone, at m <= 10 and at the tail starts of two targets and two
-    # more ends: within the rounding allowance it states of the 30-digit
-    # quadrature split at 1
+    # the pole's row of the window model alone, its closed form
+    # -int_sigma^a0 (a-sigma)^(m-1) (log|a-1| + pi i [a<1]) da at m <= 10
+    # and at the tail starts of two targets and two more ends: within the
+    # rounding allowance it states of the 30-digit quadrature split at 1
     for m in range(1, 11):
         ends = {eta_module._tail_start(m, sigma, 1e-10),
                 eta_module._tail_start(m, sigma, 1e-3),
                 max(sigma, 1.0) + 0.25, 6.5}
         for a0 in sorted(a for a in ends if a > sigma):
-            got, rnd = eta_module._log_pole_part(m, sigma, a0)
+            (got,), (rnd,) = eta_module._window_integrals(
+                m, a0 - sigma, np.array([-1.0]),
+                sigma + np.array([complex(-1.0, 0.0)]))
             with mpmath.workdps(30):
                 s, b = mpmath.mpf(sigma), mpmath.mpf(a0)
                 real = -mpmath.quad(lambda a: (a - s) ** (m - 1) * (
@@ -230,6 +233,122 @@ def test_log_pole_part_against_mpmath(sigma):
                 pole = -mpmath.pi * (1 - s) ** m / m if sigma < 1 else 0
                 ref = complex(mpmath.mpc(real, pole))
             assert abs(got - ref) <= rnd, (sigma, m, a0, got, ref, rnd)
+
+
+def _window_row(rng, family: int, k: int):
+    """(m, span, mu, c) of a seeded window row, m cycling over {1, 2, 3, 5}:
+    a zero of a ray on sigma = 1/2 (c = i(t - gamma)), a zero right of
+    sigma next to the cut (c = -r -+ i eps, eps down to 1e-9), the pole
+    row on the real axis left or right of a = 1 (c = sigma - 1 + 0i, as c_m
+    has it), and a zero left or right of sigma, by family 0-3."""
+    m = (1, 2, 3, 5)[k % 4]
+    span = float(rng.uniform(0.25, 4.0))
+    if family == 0:
+        return m, span, 1.0, complex(0.0, rng.uniform(-1.5, 1.5))
+    if family == 1:
+        eps = (1e-9, 1e-6, 1e-3)[k % 3] * (-1.0) ** k
+        return m, span, 1.0, complex(-rng.uniform(0.05, span - 0.05), eps)
+    if family == 2:
+        sigma = float(rng.uniform(-1.0, 1.0) if k % 2 else
+                      rng.uniform(1.0, 3.0))
+        a0 = max(sigma, 1.0) + 0.25 * int(rng.integers(1, 16))
+        return m, a0 - sigma, -1.0, complex(sigma - 1.0, 0.0)
+    return m, span, 1.0, complex(rng.uniform(-0.75, 3.5),
+                                 rng.uniform(-1.5, 1.5))
+
+
+def _window_reference(m, span, mu, c):
+    """mu int_0^span x^(m-1) Log(x + c) dx by 40-digit mpmath.quad, split
+    where x + c passes nearest 0; a node that rounds onto a zero of x + c
+    is left out."""
+    with mpmath.workdps(40):
+        cc = mpmath.mpc(c.real, c.imag)
+        pts = [0, -c.real, span] if 0 < -c.real < span else [0, span]
+        return mu * mpmath.quad(lambda x: x ** (m - 1) * mpmath.log(x + cc)
+                                if x + cc else 0, pts)
+
+
+def test_window_integrals_within_their_allowance_of_mpmath():
+    # 80 seeded rows, 20 of each family: each closed form within its
+    # allowance of 40-digit mpmath (measured at most 0.053 of it)
+    rng = np.random.default_rng(31)
+    for k in range(80):
+        m, span, mu, c = _window_row(rng, k % 4, k // 4)
+        (got,), (allowance,) = eta_module._window_integrals(
+            m, span, np.array([mu]), np.array([c]))
+        err = float(abs(mpmath.mpc(got) - _window_reference(m, span, mu, c)))
+        assert err <= allowance, (k, m, span, c, err, allowance)
+
+
+def test_window_integrals_cover_their_error_on_the_first_ordinate(store):
+    # at 1/2 + i gamma_1 the ray passes 1e-9 below the zero, the row c =
+    # -1e-9 i: the closed form of each of its rows is within its allowance
+    # of 40-digit mpmath at m <= 5
+    gamma = float(store.gammas[0])
+    for m in (1, 2, 3, 5):
+        path = eta_module.branch_path(gamma, 0.5, store=store)
+        span = eta_module._tail_start(m, 0.5, 1e-10) - 0.5
+        c = 0.5 + path.rel
+        pieces, allowance = eta_module._window_integrals(m, span, path.mu, c)
+        for got, allow, mu, row in zip(pieces, allowance, path.mu, c):
+            ref = _window_reference(m, span, mu, row)
+            assert float(abs(mpmath.mpc(got) - ref)) <= allow, (m, row)
+
+
+# eta_vertical where the window model is unusual, from 30-digit mpmath
+# tanh-sinh quadrature of the principal log zeta on the snapped ray (its
+# argument does not cross the cut there) up to a = 150: the pole row in the
+# window (t <= 1.5), a ray snapped below an ordinate (the 1st and the 10th),
+# rays right of 1.25 with window rows but no walk, and sigma >= a0, the
+# tail alone.
+EDGES = {
+    (0.7, 1.2, 2): -0.740815135490433 + 1.5438739101644814j,
+    (0.5, 0, 1): -0.27260127164681175 - 2.1097518015351118j,
+    (0.5, 0, 2): 2.036048779833026 - 0.44080848648831916j,
+    (0.6, 9, 2): 1.5302956613051582 - 0.3980130546510218j,
+    (2.0, 500.3, 2): -0.09682692745112272 + 0.5199237648334082j,
+    (1.4, 300.7, 1): 0.4471228796890975 + 0.1477648266432739j,
+    (5.0, 300.0, 1): 0.026619108715633236 + 0.03390195902132433j,
+    (4.5, 777.7, 3): 0.12833199431347403 - 0.04142648071265876j,
+}
+
+
+@pytest.mark.parametrize("sigma,t,m", sorted(EDGES))
+def test_eta_vertical_at_the_window_edges(store, sigma, t, m, monkeypatch):
+    # an integer t is the index of the ordinate the ray is snapped below
+    height = float(store.gammas[t]) if isinstance(t, int) else t
+    path = eta_module.branch_path(height, sigma, store=store)
+    a0 = eta_module._tail_start(m, sigma, DEFAULT_PRECISION.abs_err)
+    if sigma >= a0:
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("ran a quadrature right of the tail start")
+
+        monkeypatch.setattr(eta_module, "integrate_adaptive", no_quadrature)
+    elif sigma >= 1.25:
+        assert path.mu.size and not path.xs
+    got = eta_vertical(complex(sigma, height), m, store)
+    assert abs(got.value - EDGES[(sigma, t, m)]) <= got.est_err, (
+        got.value, got.est_err)
+
+
+def test_vertical_route_takes_one_panel_call_on_dist_heights(store,
+                                                             monkeypatch):
+    # dist's line: 40 seeded heights t in [1000, 2000] on sigma = 1/2 at
+    # SCAN_PRECISION.  With the window subtracted, G is analytic near
+    # [1/2, a0], and the starting panels [1/2, 1] and [1, a0] meet the
+    # tolerance in one call of the rule; log zeta itself took up to 10.
+    pushes = []
+    push = quadrature._push
+
+    def counted(*args):
+        pushes.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(quadrature, "_push", counted)
+    for t in np.random.default_rng(31).uniform(1000.0, 2000.0, 40):
+        pushes.clear()
+        eta_vertical(complex(0.5, t), 1, store, SCAN_PRECISION)
+        assert len(pushes) == 1, t
 
 
 def test_vertical_route_leaves_the_full_sieve_unbuilt():

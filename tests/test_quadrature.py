@@ -216,9 +216,11 @@ def _final_panels(calls):
 
 
 def _vertical_route_integrand():
-    """The vertical route's integrand (a - sigma) log zeta(a + it) for
-    m = 2 at 1/2 + 1234.5i, log zeta taken a panel row at a time so that a
-    node's value does not depend on the other panels of the call."""
+    """The vertical integrand (a - sigma) log zeta(a + it) for m = 2 at
+    1/2 + 1234.5i with log zeta itself, whose zeros near the ray make the
+    integrator bisect (the vertical route subtracts its window model
+    first), log zeta taken a panel row at a time so that a node's value
+    does not depend on the other panels of the call."""
     from zeta_eta.branch import branch_path
 
     path = branch_path(1234.5, 0.5)

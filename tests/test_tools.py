@@ -39,13 +39,15 @@ def test_value_shift_reads_a_shift_against_both_estimates():
     calls = tool.calls(1)
     old = [[1.0, 0.0, 1e-12]] + [[0.5, 0.5, 0.0]] * (len(calls) - 1)
     new = [[1.0 + 1e-9, 0.0, 1e-9]] + [[0.5, 0.5, 0.0]] * (len(calls) - 1)
-    new[-1] = "NearSingularity"
+    # the last call of a function other than the first call's
+    other = max(j for j, call in enumerate(calls) if call[0] != calls[0][0])
+    new[other] = "NearSingularity"
     rows = tool.shifts(1, old, new)
     first = rows[calls[0][0]]
     assert first["rel_old"] == pytest.approx(1000.0, rel=1e-6)
     assert first["rel_new"] == pytest.approx(1.0, rel=1e-6)
     assert first["rel_larger"] == pytest.approx(1.0, rel=1e-6)
-    last = rows[calls[-1][0]]
+    last = rows[calls[other][0]]
     assert last["rel_old"] == last["rel_new"] == last["rel_larger"] == 0.0
     assert len(last["mismatched"]) == 1
     assert last["mismatched"][0].endswith("vs NearSingularity")

@@ -20,10 +20,11 @@ from the sieve up to 8192 to the full one, `eval --what eta
 --check-routes` at 0.8 + 700.3i for m = 1, 2, and two single points, each
 one small ray batch whose N^-s is taken on complex numbers: `eval --what
 zeta` at -0.7 + 1234.5i, left of sigma = 0, and `eval --what logzeta` at
-0.5 + 777.7i, 0.4 from the nearest ordinate; and `eval --what eta` at
+0.5 + 777.7i, 0.4 from the nearest ordinate; `eval --what eta` at
 s = 0.6, m = 2, which at t = 0 is the integration constant c_2(0.6) itself,
-its real-axis integral across the pole at 1.  The exit status is 1 when an
-invocation exits non-zero.
+its real-axis integral across the pole at 1; and `eval --what eta` at
+s = 0.7 + 1.2i, m = 2, whose ray has the pole in its window model.  The
+exit status is 1 when an invocation exits non-zero.
 """
 
 import contextlib
@@ -62,7 +63,9 @@ def invocations() -> list[tuple[list[str], bool]]:
                "--check-routes"], False) for m in (1, 2)]
     runs += [(["eval", "--what", "zeta", "--s=-0.7+1234.5i"], False),
              (["eval", "--what", "logzeta", "--s", "0.5+777.7i"], False),
-             (["eval", "--what", "eta", "--s", "0.6", "--m", "2"], False)]
+             (["eval", "--what", "eta", "--s", "0.6", "--m", "2"], False),
+             (["eval", "--what", "eta", "--s", "0.7+1.2i", "--m", "2"],
+              False)]
     return runs
 
 

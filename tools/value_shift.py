@@ -11,14 +11,16 @@ seeded set of calls and hands back every value with its est_err:
   eta_iterated  m = 3 at sigma in [1/2, 2], t in [600, 2140]
   zeta          at sigma in [-1, 3], t in [0, 2150]
   dirichlet_poly  X = 1000, H = 1, m = 1 at sigma in [1/2, 2], t in [0, 2150]
+  eta_vertical  m = 1 at sigma = 1/2, t in [1000, 2000], abs_err 1e-8
 
 The m = 3 draws of eta_iterated come after the four lines above them:
 they are where the iterated route's model pieces and panel integrals, each
 about t^m in size, amplify a last-bit change most.  The zeta and
 dirichlet_poly draws come last, so every earlier draw keeps its seeded
-point.  zeta's est_err is the abs_err it was asked for, as in the bench's
-points check; dirichlet_poly has no estimate, so its est_err is 0 and any
-move reads inf.
+point.  The last eta_vertical draws are dist's line and precision; they
+are read with the first ones.  zeta's est_err is the abs_err it was asked
+for, as in the bench's points check; dirichlet_poly has no estimate, so its
+est_err is 0 and any move reads inf.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -46,8 +48,9 @@ import numpy as np
 SEED = 18
 
 
-def calls(count: int) -> list[tuple[str, int, complex]]:
-    """(function, m, s) for the fixed seeded set; s is real for c_m."""
+def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
+    """(function, m, s, abs_err) for the fixed seeded set; s is real for
+    c_m, and abs_err None is the default precision."""
     rng = np.random.default_rng(SEED)
     out = []
     for m in (1, 2, 3):
@@ -72,6 +75,9 @@ def calls(count: int) -> list[tuple[str, int, complex]]:
     out += [("dirichlet_poly", 1, complex(rng.uniform(0.5, 2.0),
                                           rng.uniform(0.0, 2150.0)))
             for _ in range(count)]
+    out = [call + (None,) for call in out]
+    out += [("eta_vertical", 1, complex(0.5, rng.uniform(1000.0, 2000.0)),
+             1e-8) for _ in range(count)]
     return out
 
 
@@ -80,7 +86,9 @@ def evaluate(count: int) -> list:
     from the zeta_eta package on sys.path."""
     import zeta_eta as lib
     out = []
-    for name, m, s in calls(count):
+    for name, m, s, abs_err in calls(count):
+        prec = (lib.DEFAULT_PRECISION if abs_err is None
+                else lib.EvalPrecision(abs_err=abs_err))
         try:
             if name == "c_m":
                 val, est = lib.c_m_with_err(s.real, m)
@@ -92,7 +100,7 @@ def evaluate(count: int) -> list:
                 cfg = lib.ApproxConfig(m=m, X=1000.0, H=1.0)
                 val, est = lib.dirichlet_poly(s, cfg), 0.0
             else:
-                got = getattr(lib, name)(s, m)
+                got = getattr(lib, name)(s, m, prec=prec)
                 val, est = got.value, got.est_err
         except lib.ZetaEtaError as exc:
             out.append(type(exc).__name__)
@@ -122,7 +130,7 @@ def shifts(count: int, old: list, new: list) -> dict:
     against the old tree's est_err, the new tree's and the larger of them,
     and the calls answered in one tree only."""
     out = {}
-    for (name, m, s), a, b in zip(calls(count), old, new):
+    for (name, m, s, _), a, b in zip(calls(count), old, new):
         row = out.setdefault(name, {"calls": 0, "abs": 0.0, "rel_old": 0.0,
                                     "rel_new": 0.0, "rel_larger": 0.0,
                                     "mismatched": []})
