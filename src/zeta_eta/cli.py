@@ -35,7 +35,8 @@ from .precision import DEFAULT_PRECISION, SCAN_PRECISION, EvalPrecision
 from .zeros import builtin_store, load_zeros
 from .zeta import zeta
 
-#: residual-scan refuses t-grids with more points than this.
+#: residual-scan refuses t-grids with more points than this, and dist a
+#: larger --count.
 MAX_GRID_POINTS = 100_000
 
 
@@ -253,6 +254,8 @@ def cmd_residual_scan(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    if args.count > MAX_GRID_POINTS:
+        raise _UsageError(f"--count {args.count} exceeds {MAX_GRID_POINTS}")
     store = _load_store(args)
     prec = _precision(args, SCAN_PRECISION)
     grid = GridSpec(count=args.count, scheme=args.scheme, seed=args.seed)

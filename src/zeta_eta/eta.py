@@ -37,7 +37,8 @@ G is analytic on a neighborhood of the panel of radius 1.5; G is integrated
 panel by panel with quadrature._panel, the library's one
 Gauss(10)/Kronrod(21) rule.  A row lies in one contiguous run of panels,
 and its model term integrates in closed form once over the run, every
-row's closed form in one array pass over the rows.  Keeping
+row's closed form in one array pass over the rows (_model_pieces, the one
+closed form both routes take).  Keeping
 the model local also keeps both pieces the same size as the answer --
 subtracting every zero at once would balloon the two halves by a factor
 ~ N(t) log t and drown the result in rounding noise.
@@ -74,12 +75,13 @@ split at 1, and subtract the ray's window model as the sweep subtracts its
 panels': the rows (mu, rho) of the ray's window, the zeros within 1.5 of
 its height and the pole at heights up to 1.5, which BranchPath holds for
 its pin.  The panels integrate G = log zeta - model, analytic near
-[sigma, a0], and each row's term mu Log(a + it - rho) is integrated in
-closed form (_window_integrals), its rounding allowance added to est_err;
-so the panels never bisect toward a zero next to the ray.  The adaptive
-integrator hands the integrand the 42 abscissae of both starting panels in
-one call, and then both halves of each panel it bisects in one call; each
-call is one batched zeta evaluation on the ray's phases
+[sigma, a0], and each row's term mu Log(a + it - rho) is integrated by
+the sweep's closed form, _model_pieces, taken along the ray; its rounding
+allowance, (3m + 9) u of the row's two masses as in the sweep, goes into
+est_err.  So the panels never bisect toward a zero next to the ray.  The
+adaptive integrator hands the integrand the 42 abscissae of both starting
+panels in one call, and then both halves of each panel it bisects in one
+call; each call is one batched zeta evaluation on the ray's phases
 (BranchPath._log_less_model: the Euler-Maclaurin correction on arrays, the
 branch pinned from the walk's nodes in one array step, less the model the
 query formed for its pin).  c_m is the same integral on the real axis, the
@@ -151,7 +153,7 @@ def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
     panels integrate G: log_g takes an array of abscissae in [sigma, a0], a
     row of 21 per panel, and returns G's values and error bounds as arrays
     of its shape, one pass for all of them; it is not called when sigma >=
-    a0.  The model's integral is _window_integrals', in closed form.
+    a0.  The model's integral is _model_pieces', in closed form.
     """
     a0 = _tail_start(m, sigma, abs_err)
     val, est = _vertical_tail(m, sigma, a0, t)
@@ -166,10 +168,13 @@ def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
     fact = math.factorial(m - 1)
     pv, pest = integrate_adaptive(g, sigma, a0, 0.25 * abs_err * fact,
                                   splits=[1.0])
-    pieces, allowance = _window_integrals(m, a0 - sigma, mu, sigma + rel)
-    pv += complex(math.fsum(pieces.real), math.fsum(pieces.imag))
+    # (a-sigma)^(m-1) = (-1)^(m-1) (sigma-a)^(m-1), an exact sign.
+    pieces, terms, inner = _model_pieces(m, sigma, sigma, a0, mu, rel, 1.0)
+    pv += (-1) ** (m - 1) * complex(math.fsum(pieces.real),
+                                    math.fsum(pieces.imag))
+    allowance = _piece_rounding(m) * math.fsum(terms + inner)
     return (val + _I_POW[m % 4] * pv / fact,
-            est + (pest + math.fsum(allowance)) / fact)
+            est + (pest + allowance) / fact)
 
 
 # --- the vertical integrals above a0: the Dirichlet series of log zeta ---------
@@ -298,56 +303,123 @@ def _vertical_tail(m: int, sigma: float, a0: float,
     return _I_POW[m % 4] * val, _tail_bound(m, sigma, a0) + rnd
 
 
-# --- the window model's integral on [sigma, a0] -------------------------------
+# --- the window model's integral ---------------------------------------------
 #
-# On [sigma, a0] the vertical integrals subtract from log zeta(a + it) the log
-# terms of the singularities near their ray, mu Log(a + rel) with rel =
-# it - rho, and integrate each term in closed form (Davis and Rabinowitz,
-# Methods of Numerical Integration, 2.12: subtract the singularity and
-# integrate it exactly).  With x = a - sigma, c = sigma + rel and L = a0 -
-# sigma, a term's integral is mu int_0^L x^(m-1) Log(x + c) dx.
+# Both routes subtract from log zeta the log terms of the singularities near
+# their line, a row mu Log(rel + d x) per term, and integrate each term in
+# closed form (Davis and Rabinowitz, Methods of Numerical Integration, 2.12:
+# subtract the singularity and integrate it exactly): the vertical integrals
+# on [sigma, a0] along a ray (d = 1, x the abscissa), the sweep over each
+# row's run of panels on the line Re s = sigma (d = i, x = u).
 
-def _window_integrals(m: int, span: float, mu: np.ndarray,
-                      c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's mu int_0^span x^(m-1) Log(x + c) dx, m >= 1, one array
-    pass over the rows, and each row's rounding allowance.
+def _model_pieces(m: int, p, a, b, mu: np.ndarray, rel: np.ndarray,
+                  d: complex):
+    """Every row's mu int_a^b (p-x)^(m-1) Log(rel + d x) dx, m >= 1, one
+    array pass over the rows, with two rounding masses per row; p, a and
+    b are floats or arrays of the rows' own.
 
-    By parts, and dividing x^m by x + c, with L = span,
+    A row is taken about its foot, w = x - foot: rel + d x = c + d w, with
+    foot beta = -Re rel and c = i Im rel on a ray, foot gamma = -Im rel
+    and c = Re rel on the sweep.  With base = p - foot, (p-x)^(m-1) = sum_j
+    C(m-1, j) base^(m-1-j) (-w)^j, so the piece is mu times the binomial
+    terms C(m-1, j) base^(m-1-j) (-1)^j L_j, summed, over
+    L_j = int w^j Log(c+dw) dw = (w^(j+1) Log(c+dw) |_wa^wb - d J_{j+1})/(j+1),
+    J_k = int w^k/(c+dw) dw = ((wb^k - wa^k)/k - c J_(k-1))/d from J_0 =
+    (Log(c+d wb) - Log(c+d wa))/d.  The path c + dw crosses the cut only on
+    the sweep, for c < 0 and wa < 0 < wb: such a run is the two segments
+    (wa, 0) and (0, wb), whose L_j are summed per row.  On a ray the path
+    runs at height Im rel; at Im rel = +0 (the pole row on the real axis,
+    c_m's) it runs along the cut, each Log taken from above, as the model's
+    own Log is taken.  An end at w = 0 takes the principal log approached
+    from the segment's interior (signed zero), the side the cut is viewed
+    from; at c + dw = 0 (the pole row at sigma = 1) its log is not taken
+    (its boundary term vanishes, and J_0 is consumed only times c = 0).
+    The logs are cmath.log's, as branch._log_with_err's.
 
-        m int_0^L x^(m-1) Log(x+c) dx = L^m Log(L+c)
-            - sum_{j<m} (-c)^j L^(m-j)/(m-j) - (-c)^m (Log(L+c) - Log c),
-
-    the last difference being int_0^L dx/(x+c) along the path x + c, which
-    crosses the cut only for c < 0 and there runs above it: c's imaginary
-    part +0 takes each Log from above, as the model's own Log is taken.  At
-    c = 0 (the pole row at sigma = 1) that term vanishes and Log c is not
-    taken.  The logs are cmath.log's, as branch._log_with_err's.
-
-    The allowance is (5.25 m + 8) u (u the unit roundoff) times the row's
-    mass, the sum of |mu|/m times L^m (1 + |Log(L+c)|), the terms |(-c)^j|
-    L^(m-j)/(m-j) and |c|^m (2 + |Log(L+c)| + |Log c|).  Each term rounds
-    off by at most (2.25 m + 3) u of its share (a complex product rounds by
-    at most sqrt 5 u, and (-c)^j takes j of them; a log by u and u of its
-    size); the running sums by (m + 3) u of the mass; the roundings of c =
-    sigma + rel and of L move the exact integral by at most m u of it each,
-    and the divisions by m and the product with mu add 2 u.
+    Returns the pieces, the |term| mass of the binomial terms and the mass
+    carried inside the L_j (their boundary terms and the magnitudes the J_k
+    recurrence carries), each weighed as its L_j is in the piece.  A
+    piece's rounding allowance is _piece_rounding(m) = (3 m + 9) u (u the
+    unit roundoff) times the sum of its two masses, to first order in u:
+    - a log errs by at most 4u of its size (cmath.log takes log1p near
+      |z| = 1; against 40-digit mpmath it erred by up to 3.3u), so J_0 by
+      5u of its mass |Log a| + |Log b|;
+    - a step of the recurrence adds 3u of its powers' share (pow, the
+      difference, the division by k), and u of c J_(k-1)'s (one of c's
+      parts is 0, so a product rounds once per part) before the difference
+      rounds by u of the whole: J_k errs by at most (5 + 2k) u of its mass;
+    - L_(k-1)'s boundary products err by 6u (pow, log, product), and its
+      two differences and the division by k add 3u: (8 + 2k) u of its
+      mass, and one more u where a cut run's two segments are summed;
+    - the roundings of wa and wb move the exact piece by u |w| times the
+      integrand at an end, at most k u of L_(k-1)'s mass: (9 + 3k) u of
+      the inner mass in all, k <= m;
+    - the binomial terms err by (2m + 3) u of their mass: the rounding of
+      base moves the exact terms by (m - 1) u, the weight C(m-1, j)
+      base^(m-1-j) takes 2u, its product with L_j u, the running sum m u
+      and the product with mu u.
     """
-    ends = np.stack((span + c, c))
-    logs = np.fromiter((cmath.log(z) if z else 0j for z in ends.flat),
-                       dtype=np.complex128, count=ends.size)
-    log_end, log_c = logs.reshape(ends.shape)
-    power = np.ones_like(c)             # (-c)^j
-    poly = np.zeros_like(c)
-    mass = span ** m * (1.0 + np.abs(log_end))
-    for j in range(m):
-        term = power * (span ** (m - j) / (m - j))
-        poly += term
-        mass += np.abs(term)
-        power = power * -c
-    total = span ** m * log_end - poly - power * (log_end - log_c)
-    mass += np.abs(power) * (2.0 + np.abs(log_end) + np.abs(log_c))
-    return (mu * total / m,
-            (5.25 * m + 8.0) * _UNIT_ROUNDOFF * np.abs(mu) * mass / m)
+    along = d == 1j
+    foot, c = (-rel.imag, rel.real) if along else (-rel.real, 1j * rel.imag)
+    ends = np.array((a - foot, b - foot))     # a segment's (wa, wb) per column
+    split = False
+    if along:
+        # A run across the cut is split at w = 0, its second segment after
+        # the rows, and an end at w = 0 takes the sign of its segment's
+        # interior.  (On a ray no run crosses the cut, and the sign of a
+        # zero real part is not seen by a log.)
+        cut = (c < 0.0) & (ends[0] < 0.0) & (ends[1] > 0.0)
+        split = cut.any()
+        if split:
+            wb = ends[1, cut]
+            ends[1, cut] = 0.0
+            ends = np.concatenate((ends, (np.zeros(wb.size), wb)), axis=1)
+            c = np.concatenate((c, c[cut]))
+        ends = np.where(ends == 0.0, np.copysign(0.0, ends[0] + ends[1]),
+                        ends)
+    # The ends' points c + dw, built from their parts (c + 1j*w drops the
+    # sign of a zero w), and their logs: cmath.log, not np.log, as
+    # branch._log_with_err.
+    points = np.empty(ends.shape, dtype=np.complex128)
+    points.real, points.imag = (c, ends) if along else (ends, c.imag)
+    la, lb = logs = np.array([cmath.log(z) if z else 0j
+                              for z in points.ravel().tolist()]
+                             ).reshape(ends.shape)
+    abs_la, abs_lb = np.abs(logs)
+    abs_c = np.abs(c)
+    jk = (lb - la) / d
+    jk_mag = abs_la + abs_lb
+    base = p - foot
+    total = term_mass = inner_mass = 0.0
+    for k in range(1, m + 1):
+        # np.float_power is C's pow, as Python's **; np.power's
+        # vectorised loop may differ from it in the last bit.
+        pw_lo, pw_hi = pw = np.float_power(ends, k)
+        abs_lo, abs_hi = np.abs(pw)
+        jk = ((pw_hi - pw_lo) / k - c * jk) / d
+        jk_mag = (abs_hi + abs_lo) / k + abs_c * jk_mag
+        # L_(k-1) per segment, divided by k part by part, as Python's
+        # complex division does; then summed per row.
+        lj = ((pw_hi * lb - pw_lo * la - d * jk).view(np.float64)
+              / k).view(np.complex128)
+        lj_mag = (abs_hi * abs_lb + abs_lo * abs_la + jk_mag) / k
+        l_row, mag_row = lj[:rel.size], lj_mag[:rel.size]
+        if split:
+            l_row[cut] += lj[rel.size:]
+            mag_row[cut] += lj_mag[rel.size:]
+        weight = (-1.0) ** (k - 1) * math.comb(m - 1, k - 1) * (
+            np.float_power(base, m - k))
+        term = weight * l_row
+        total = total + term
+        term_mass = term_mass + np.abs(term)
+        inner_mass = inner_mass + np.abs(weight) * mag_row
+    return mu * total, np.abs(mu) * term_mass, np.abs(mu) * inner_mass
+
+
+def _piece_rounding(m: int) -> float:
+    """(3 m + 9) u: a _model_pieces piece's rounding allowance per unit of
+    its two masses."""
+    return (3.0 * m + 9.0) * _UNIT_ROUNDOFF
 
 
 # --- integration constants c_m(sigma) ------------------------------------------
@@ -357,8 +429,8 @@ def _window_integrals(m: int, span: float, mu: np.ndarray,
 # zeta(a) = h(a) - Log(a - 1 + 0i), with h(a) = log((a-1) zeta(a)) real and
 # analytic on (-1, inf) (its nearest singularities are the trivial zero at
 # -2 and the zeros at 1/2 +- 14.13i).  So the quadrature integrates h, and
-# the pole's term -log|a-1| - pi i [a < 1] is _window_integrals' closed
-# form, its cut crossed from above.
+# the pole's term -log|a-1| - pi i [a < 1] is _model_pieces' closed form,
+# its path along the cut taken from above.
 
 _ONE_UP = math.nextafter(1.0, 2.0)
 
@@ -598,83 +670,15 @@ def _line_panels(t_eff: float, store: ZeroStore) -> np.ndarray:
     return np.column_stack((lo, hi))
 
 
-def _model_pieces(m: int, t_eff: float, a: np.ndarray, b: np.ndarray,
-                  mu: np.ndarray, c: np.ndarray, gam: np.ndarray):
-    """Every row's mu int_a^b (t_eff-u)^(m-1) Log(c + i(u-gamma)) du, one
-    array pass over the rows, with two rounding masses per row.
-
-    With w = u - gamma and base = t_eff - gamma, (t_eff-u)^(m-1) = sum_j
-    C(m-1, j) base^(m-1-j) (-w)^j, so the piece is mu times the binomial
-    terms C(m-1, j) base^(m-1-j) (-1)^j L_j, summed, over
-    L_j = int w^j Log(c+iw) dw = (w^(j+1) Log(c+iw) |_wa^wb - i J_{j+1})/(j+1),
-    J_k = int w^k/(c+iw) dw = ((wb^k - wa^k)/k - c J_(k-1))/i from J_0 =
-    (Log(c+iwb) - Log(c+iwa))/i.  A run across the cut (c < 0, wa < 0 <
-    wb) is the two segments (wa, 0) and (0, wb), whose L_j are summed per
-    row; with c = 0 the boundary term w^(j+1) Log(iw) is continuous at
-    w = 0, so such a run is one segment.  An end at w = 0 takes the
-    principal log approached from the segment's interior (signed zero), the
-    side the cut is viewed from; with c = 0 (the pole row at sigma = 1) its
-    log is not taken (its boundary term vanishes, and J_0 is consumed only
-    times c).
-
-    Returns the pieces, the |term| mass of the binomial terms and the mass
-    carried inside the L_j (their boundary terms and the magnitudes the J_k
-    recurrence carries), each weighed as its L_j is in the piece.
-    """
-    wa, wb = a - gam, b - gam
-    cut = (c < 0.0) & (wa < 0.0) & (wb > 0.0)
-    lo = np.append(wa, np.zeros(np.count_nonzero(cut)))
-    hi = np.append(np.where(cut, 0.0, wb), wb[cut])
-    cs = np.append(c, c[cut])
-    # The ends' points c + iw, built from the pairs (c + 1j*w drops the
-    # sign of a zero w), and their logs in their place: cmath.log, not
-    # np.log, as branch._log_with_err.
-    logs = np.empty((2, lo.size), dtype=np.complex128)
-    logs.real = cs
-    logs.imag = np.where(np.stack((lo, hi)) == 0.0,
-                         np.copysign(0.0, lo + hi), (lo, hi))
-    logs.flat = np.fromiter((cmath.log(z) if z else 0j for z in logs.flat),
-                            dtype=np.complex128, count=logs.size)
-    la, lb = logs
-    abs_la, abs_lb, abs_c = np.abs(la), np.abs(lb), np.abs(cs)
-    jk = (lb - la) / 1j
-    jk_mag = abs_la + abs_lb
-    base = t_eff - gam
-    total = np.zeros(a.size, dtype=np.complex128)
-    term_mass = np.zeros(a.size)
-    inner_mass = np.zeros(a.size)
-    for k in range(1, m + 1):
-        # np.float_power is C's pow, as Python's **; np.power's
-        # vectorised loop may differ from it in the last bit.
-        pw_lo, pw_hi = np.float_power(lo, k), np.float_power(hi, k)
-        jk = ((pw_hi - pw_lo) / k - cs * jk) / 1j
-        jk_mag = (np.abs(pw_hi) + np.abs(pw_lo)) / k + abs_c * jk_mag
-        # L_(k-1) per segment, divided by k part by part, as Python's
-        # complex division does; then summed per row.
-        lj = ((pw_hi * lb - pw_lo * la - 1j * jk).view(np.float64)
-              / k).view(np.complex128)
-        lj_mag = (np.abs(pw_hi) * abs_lb + np.abs(pw_lo) * abs_la
-                  + jk_mag) / k
-        l_row, mag_row = lj[:a.size], lj_mag[:a.size]
-        l_row[cut] += lj[a.size:]
-        mag_row[cut] += lj_mag[a.size:]
-        weight = math.comb(m - 1, k - 1) * np.float_power(base, m - k)
-        term = weight * (-1.0) ** (k - 1) * l_row
-        total += term
-        term_mass += np.abs(term)
-        inner_mass += np.abs(weight) * mag_row
-    return mu * total, np.abs(mu) * term_mass, np.abs(mu) * inner_mass
-
-
 def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
                        prec: EvalPrecision) -> tuple[complex, float]:
     """1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du by the sweep."""
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     near = (gs > 0.0) & (gs <= t_eff + 2.0)
-    # The model's rows (mu, c = sigma - beta, gamma); row 0 is the pole.
+    # The model's rows (mu, rel = sigma - beta - i gamma); row 0 is the pole.
     mu_all = np.append(-1.0, ms[near])
-    cc_all = np.append(sigma - 1.0, sigma - bs[near])
     gam_all = np.append(0.0, gs[near])
+    rel_all = np.append(sigma - 1.0, sigma - bs[near]) - 1j * gam_all
     panels = _line_panels(t_eff, store)
     # Panel p holds rows lo[p]:hi[p], and row r lies in panels
     # first[r]:stop[r], both from the same window edges: a zero exactly on
@@ -684,7 +688,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     hi = np.searchsorted(gam_all, hi_edge, side="right")
     first = np.searchsorted(hi_edge, gam_all)
     stop = np.searchsorted(lo_edge, gam_all, side="right")
-    sweep = _Sweep(sigma, prec, mu_all, cc_all - 1j * gam_all)
+    sweep = _Sweep(sigma, prec, mu_all, rel_all)
 
     def integrand(us: np.ndarray, row_lo: np.ndarray,
                   row_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -703,12 +707,11 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     # Every row's model integral in closed form, once over its run of
     # panels: one pass over the rows, made while no panel's value is held
     # yet, which keeps the pass's arrays out of the sweep's peak memory.
-    # The rounding allowance weighs both its masses.
     rows = first < stop
     pieces, term_mass, inner_mass = _model_pieces(
         m, t_eff, panels[first[rows], 0], panels[stop[rows] - 1, 1],
-        mu_all[rows], cc_all[rows], gam_all[rows])
-    mag = float(term_mass.sum() + inner_mass.sum())
+        mu_all[rows], rel_all[rows], 1j)
+    allowance = _piece_rounding(m) * math.fsum(term_mass + inner_mass)
     # Every row's model piece and every panel's G integral, summed exactly
     # at the end: the pieces and the G integrals each total about t^m and
     # cancel to the answer, so two running sums would carry t^m rounding
@@ -741,7 +744,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     fact = math.factorial(m - 1)
     value = complex(math.fsum(z.real for z in parts),
                     math.fsum(z.imag for z in parts)) / fact
-    est = (disc + node_est + 2e-16 * mag) / fact + 1e-15 * (1.0 + abs(value))
+    est = (disc + node_est + allowance) / fact + 1e-15 * (1.0 + abs(value))
     return value, est
 
 

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (BeyondTable, EmptyFile, NotSorted, OutOfStrip,
-                     ParseError, ValidationError, _integer, _real)
+                     ParseError, ValidationError, _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 
 #: A height closer than this to a tabulated gamma is that ordinate: the
@@ -154,10 +154,13 @@ class ZeroStore:
 
         A t within tol of a tabulated gamma becomes gamma - ORDINATE_OFFSET,
         the limit from below, with the nearer gamma taken (the lower one on
-        a tie); a t below tol becomes ORDINATE_OFFSET, so t = 0 is the limit
-        from above.  Takes a scalar or an array and returns the same shape.
+        a tie); 0 <= t < tol becomes ORDINATE_OFFSET, so t = 0 is the limit
+        from above.  Takes a scalar or an array and returns the same shape;
+        a negative, NaN or infinite t is refused.
         """
         ts = np.asarray(t, dtype=np.float64)
+        for end in (ts.min(initial=0.0), ts.max(initial=0.0)):
+            _real(float(end), "t", 0.0)
         near, dist = self._nearest(ts)
         out = np.where(dist < tol, near - ORDINATE_OFFSET, ts)
         out = np.where(ts < tol, ORDINATE_OFFSET, out)
@@ -172,6 +175,7 @@ class ZeroStore:
         with |gamma - t| <= d is measured: zeros whose ordinates lie closer
         together than their betas differ are all seen.
         """
+        s = _point(s)
         g = self._gammas
         best = (math.inf, 0j)
         for sign in (1.0, -1.0):

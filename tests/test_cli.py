@@ -475,6 +475,29 @@ def test_dist_tmeasure_refuses_an_x_beyond_the_sieve_unsampled(capsys,
     assert drawn == []
 
 
+@pytest.mark.parametrize("sub", [
+    ["tails", "--v-list", "0.5"],
+    ["tmeasure", "--x", "10", "--v", "0.5", "--m", "1"],
+    ["moments", "--x", "10", "--m", "1", "--k", "1"],
+])
+def test_dist_refuses_a_count_above_the_cap_unsampled(capsys, monkeypatch,
+                                                      sub):
+    # one over the cap residual-scan's t-grid has: exit 3 before any draw
+    drawn = []
+
+    def counting_samples(*args):
+        drawn.append(args)
+        return _samples(*args)
+
+    monkeypatch.setattr(distribution, "_samples", counting_samples)
+    code, out, err = _run(capsys, ["dist", sub[0], "--t-big", "1000",
+                                   "--seed", "1", "--count",
+                                   str(MAX_GRID_POINTS + 1)] + sub[1:])
+    assert code == 3 and out == "", err
+    assert f"--count {MAX_GRID_POINTS + 1}" in err, err
+    assert drawn == []
+
+
 @pytest.mark.parametrize("k", ["42", "60"])
 def test_dist_moments_refuses_a_majorant_past_a_double(capsys, k):
     code, out, err = _run(capsys, ["dist", "moments", "--t-big", "100",

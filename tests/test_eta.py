@@ -222,9 +222,7 @@ def test_log_pole_part_against_mpmath(sigma):
                 eta_module._tail_start(m, sigma, 1e-3),
                 max(sigma, 1.0) + 0.25, 6.5}
         for a0 in sorted(a for a in ends if a > sigma):
-            (got,), (rnd,) = eta_module._window_integrals(
-                m, a0 - sigma, np.array([-1.0]),
-                sigma + np.array([complex(-1.0, 0.0)]))
+            got, rnd = _ray_piece(m, sigma, a0, -1.0, complex(-1.0, 0.0))
             with mpmath.workdps(30):
                 s, b = mpmath.mpf(sigma), mpmath.mpf(a0)
                 real = -mpmath.quad(lambda a: (a - s) ** (m - 1) * (
@@ -233,6 +231,16 @@ def test_log_pole_part_against_mpmath(sigma):
                 pole = -mpmath.pi * (1 - s) ** m / m if sigma < 1 else 0
                 ref = complex(mpmath.mpc(real, pole))
             assert abs(got - ref) <= rnd, (sigma, m, a0, got, ref, rnd)
+
+
+def _ray_piece(m, sigma, a0, mu, rel):
+    """One ray row's mu int_sigma^a0 (a-sigma)^(m-1) Log(rel + a) da by
+    the one closed form, as the vertical route takes it, and its rounding
+    allowance."""
+    (piece,), (terms,), (inner,) = eta_module._model_pieces(
+        m, sigma, sigma, a0, np.array([mu]), np.array([rel]), 1.0)
+    return ((-1) ** (m - 1) * piece,
+            eta_module._piece_rounding(m) * (terms + inner))
 
 
 def _window_row(rng, family: int, k: int):
@@ -270,12 +278,11 @@ def _window_reference(m, span, mu, c):
 
 def test_window_integrals_within_their_allowance_of_mpmath():
     # 80 seeded rows, 20 of each family: each closed form within its
-    # allowance of 40-digit mpmath (measured at most 0.053 of it)
+    # allowance of 40-digit mpmath (measured at most 0.083 of it)
     rng = np.random.default_rng(31)
     for k in range(80):
         m, span, mu, c = _window_row(rng, k % 4, k // 4)
-        (got,), (allowance,) = eta_module._window_integrals(
-            m, span, np.array([mu]), np.array([c]))
+        got, allowance = _ray_piece(m, 0.0, span, mu, c)
         err = float(abs(mpmath.mpc(got) - _window_reference(m, span, mu, c)))
         assert err <= allowance, (k, m, span, c, err, allowance)
 
@@ -288,11 +295,10 @@ def test_window_integrals_cover_their_error_on_the_first_ordinate(store):
     for m in (1, 2, 3, 5):
         path = eta_module.branch_path(gamma, 0.5, store=store)
         span = eta_module._tail_start(m, 0.5, 1e-10) - 0.5
-        c = 0.5 + path.rel
-        pieces, allowance = eta_module._window_integrals(m, span, path.mu, c)
-        for got, allow, mu, row in zip(pieces, allowance, path.mu, c):
-            ref = _window_reference(m, span, mu, row)
-            assert float(abs(mpmath.mpc(got) - ref)) <= allow, (m, row)
+        for mu, rel in zip(path.mu, path.rel):
+            got, allow = _ray_piece(m, 0.5, 0.5 + span, mu, rel)
+            ref = _window_reference(m, span, mu, 0.5 + rel)
+            assert float(abs(mpmath.mpc(got) - ref)) <= allow, (m, rel)
 
 
 # eta_vertical where the window model is unusual, from 30-digit mpmath
@@ -589,30 +595,34 @@ def test_model_piece_over_a_run_is_the_sum_of_its_panels(m, mu, c, gam,
     pieces, terms, _ = eta_module._model_pieces(
         m, t_eff, np.array(edges[:1] + edges[:-1]),
         np.array(edges[-1:] + edges[1:]), np.full(rows, mu),
-        np.full(rows, c), np.full(rows, gam))
+        np.full(rows, c - 1j * gam), 1j)
     whole = pieces[0]
     total = complex(math.fsum(pieces[1:].real), math.fsum(pieces[1:].imag))
     assert abs(whole - total) <= 2e-16 * terms.sum(), (whole, total, terms)
 
 
-def _model_piece_by_row(m, t_eff, a, b, mu, c, gam):
+def _model_piece_by_row(m, p, a, b, mu, rel, d):
     """One row's piece in Python scalars, segment by segment and term by
     term: the reference the array pass must equal bit for bit."""
-    wa, wb = a - gam, b - gam
+    foot, c = (-rel.imag, rel.real) if d == 1j else (-rel.real,
+                                                      1j * rel.imag)
+    wa, wb = a - foot, b - foot
     ls = [0j] * m
-    for lo, hi in ([(wa, 0.0), (0.0, wb)] if c < 0.0 and wa < 0.0 < wb
-                   else [(wa, wb)]):
-        la, lb = (cmath.log(complex(c, w or math.copysign(0.0, lo + hi)))
-                  if c != 0.0 or w != 0.0 else 0j for w in (lo, hi))
-        js = [(lb - la) / 1j]
+    for lo, hi in ([(wa, 0.0), (0.0, wb)]
+                   if d == 1j and c < 0.0 and wa < 0.0 < wb else [(wa, wb)]):
+        ends = [w or math.copysign(0.0, lo + hi) for w in (lo, hi)]
+        points = [complex(c, w) if d == 1j else complex(w, c.imag)
+                  for w in ends]
+        la, lb = (cmath.log(z) if z else 0j for z in points)
+        js = [(lb - la) / d]
         for k in range(1, m + 1):
-            js.append(((hi ** k - lo ** k) / k - c * js[-1]) / 1j)
+            js.append(((hi ** k - lo ** k) / k - c * js[-1]) / d)
         for j in range(m):
             ls[j] += (hi ** (j + 1) * lb - lo ** (j + 1) * la
-                      - 1j * js[j + 1]) / (j + 1)
+                      - d * js[j + 1]) / (j + 1)
     total = 0j
     for j in range(m):
-        total += (math.comb(m - 1, j) * (t_eff - gam) ** (m - 1 - j)
+        total += (math.comb(m - 1, j) * (p - foot) ** (m - 1 - j)
                   * (-1.0) ** j * ls[j])
     return mu * total
 
@@ -632,38 +642,94 @@ def _sweep_row(rng, family, t_eff):
             (-0.25, 0.0, 0.25)[family], gam)
 
 
+def _ray_row(rng, family, k):
+    """A row (sigma, a0, mu, rel) of a ray's window as the vertical route
+    takes it: a zero beside the ray, t - gamma = -+1e-9 to -+1.5 at sigma in
+    [1/2, 2], or the pole row on the real axis with sigma left or right of
+    1, by family 0-1."""
+    if family == 0:
+        sigma = float(rng.uniform(0.5, 2.0))
+        dt = (1e-9, 1e-6, 1e-3, 0.1, 1.0, 1.5)[k % 6] * (-1.0) ** (k // 6)
+        rel = complex(-0.5, dt * float(rng.uniform(0.5, 1.0)))
+        return (sigma, max(sigma, 1.0) + 0.25 * int(rng.integers(1, 16)),
+                1.0, rel)
+    sigma = float(rng.uniform(-1.0, 1.0) if k % 2 else rng.uniform(1.0, 3.0))
+    return (sigma, max(sigma, 1.0) + 0.25 * int(rng.integers(1, 16)), -1.0,
+            complex(-1.0, 0.0))
+
+
 def test_model_pieces_are_the_row_by_row_closed_form():
-    # the array pass does the row-by-row arithmetic: 2,000 rows, m <= 5,
-    # t_eff <= 2100, equal bit for bit
+    # the array pass does the row-by-row arithmetic, equal bit for bit:
+    # 2,000 sweep rows, m <= 5, t_eff <= 2100, and 960 ray rows, m <= 8
     rng = np.random.default_rng(21)
     for _ in range(80):
         m, t_eff = int(rng.integers(1, 6)), float(rng.uniform(20.0, 2100.0))
         rows = [_sweep_row(rng, k % 5, t_eff) for k in range(25)]
-        got = eta_module._model_pieces(m, t_eff, *map(np.array, zip(*rows)))
-        assert got[0].tolist() == [_model_piece_by_row(m, t_eff, *row)
-                                   for row in rows], (m, t_eff)
+        a, b, mu, c, gam = map(np.array, zip(*rows))
+        got = eta_module._model_pieces(m, t_eff, a, b, mu, c - 1j * gam, 1j)
+        assert got[0].tolist() == [
+            _model_piece_by_row(m, t_eff, a, b, mu, c - 1j * gam, 1j)
+            for a, b, mu, c, gam in rows], (m, t_eff)
+    for _ in range(40):
+        m = int(rng.integers(1, 9))
+        for family in (0, 1):
+            rows = [_ray_row(rng, family, k) for k in range(12)]
+            sigma, a0, mu, rel = map(np.array, zip(*rows))
+            got = eta_module._model_pieces(m, sigma, sigma, a0, mu, rel, 1.0)
+            assert got[0].tolist() == [
+                _model_piece_by_row(m, *row[:1], *row, 1.0)
+                for row in rows], (m, family)
+
+
+def _sweep_reference(m, t_eff, a, b, mu, c, gam):
+    """A sweep row's piece by 40-digit mpmath.quad, split at gamma."""
+    with mpmath.workdps(40):
+        return mu * mpmath.quad(
+            lambda u: (t_eff - u) ** (m - 1) * mpmath.log(c + 1j * (u - gam)),
+            [a, gam, b] if a < gam < b else [a, b])
 
 
 def test_model_pieces_within_their_allowance_of_mpmath():
-    # The sweep allows each piece 2e-16 of its two masses (measured at
-    # most 6.4e-17 of them); the binomial terms' mass alone misses the
-    # cancellation inside the L_j, by up to 3.7e-15 of it on 43 of these
-    # runs.  m <= 3, t_eff <= 2100, a row of each family in turn.
+    # Each sweep piece lies within 2e-16 of its two masses (measured at
+    # most 6.4e-17 of them), far inside its (3m + 9) u allowance; the
+    # binomial terms' mass alone misses the cancellation inside the L_j,
+    # by up to 3.7e-15 of it on 43 of these runs.  m <= 3, t_eff <= 2100,
+    # a row of each family in turn.
     rng = np.random.default_rng(5)
-    with mpmath.workdps(40):
-        for run in range(100):
-            m = int(rng.integers(1, 4))
+    for run in range(100):
+        m = int(rng.integers(1, 4))
+        t_eff = float(rng.uniform(20.0, 2100.0))
+        a, b, mu, c, gam = _sweep_row(rng, run % 5, t_eff)
+        piece, terms, inner = eta_module._model_pieces(
+            m, t_eff, *(np.array([x]) for x in (a, b, mu, c - 1j * gam)), 1j)
+        ref = _sweep_reference(m, t_eff, a, b, mu, c, gam)
+        err = float(abs(mpmath.mpc(piece[0]) - ref))
+        assert err <= 2e-16 * (terms[0] + inner[0]), (
+            run, m, t_eff, a, b, c, gam, err, terms[0], inner[0])
+
+
+def test_model_pieces_within_half_their_derived_allowance():
+    # The one closed form's allowance, (3m + 9) u of a piece's two masses,
+    # against 40-digit mpmath at m up to 8: each window row family and each
+    # sweep row family once per order, every error at most half of it
+    # (measured at most 0.045 of it here)
+    rng = np.random.default_rng(32)
+    for m in (1, 2, 3, 5, 8):
+        for k in range(4):
+            _, span, mu, c = _window_row(rng, k % 4, k // 4)
+            got, allowance = _ray_piece(m, 0.0, span, mu, c)
+            err = float(abs(mpmath.mpc(got)
+                            - _window_reference(m, span, mu, c)))
+            assert err <= 0.5 * allowance, (m, span, c, err, allowance)
+        for family in range(5):
             t_eff = float(rng.uniform(20.0, 2100.0))
-            a, b, mu, c, gam = _sweep_row(rng, run % 5, t_eff)
-            piece, terms, inner = eta_module._model_pieces(
-                m, t_eff, *(np.array([x]) for x in (a, b, mu, c, gam)))
-            ref = mu * mpmath.quad(
-                lambda u: (t_eff - u) ** (m - 1) * mpmath.log(
-                    c + 1j * (u - gam)),
-                [a, gam, b] if a < gam < b else [a, b])
-            err = float(abs(mpmath.mpc(piece[0]) - ref))
-            assert err <= 2e-16 * (terms[0] + inner[0]), (
-                run, m, t_eff, a, b, c, gam, err, terms[0], inner[0])
+            a, b, mu, c, gam = _sweep_row(rng, family, t_eff)
+            (piece,), (terms,), (inner,) = eta_module._model_pieces(
+                m, t_eff, a, b, np.array([mu]), np.array([c - 1j * gam]), 1j)
+            err = float(abs(mpmath.mpc(piece)
+                            - _sweep_reference(m, t_eff, a, b, mu, c, gam)))
+            allowance = eta_module._piece_rounding(m) * (terms + inner)
+            assert err <= 0.5 * allowance, (m, a, b, c, gam, err, allowance)
 
 
 # --- the iterated sweep's batched walk -----------------------------------------

@@ -1,6 +1,7 @@
 """Zero-table ingestion, queries, counting cross-check, derived stores."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,19 @@ def test_nearest_zero_past_crowded_ordinates():
     assert _CROWDED.nearest_zero(0.5 + 1j) == (99.0, 0.5 + 100j)
 
 
+@pytest.mark.parametrize("s", [complex(math.nan, 1.0), complex(0.5, math.nan),
+                               complex(math.inf, 14.0),
+                               complex(0.5, -math.inf), "0.5+14j"])
+def test_nearest_zero_refuses_a_point_that_is_not_finite(store, s):
+    # refused before any arithmetic: no numpy warning, no (inf, 0j) answer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="s="):
+            store.nearest_zero(s)
+        with pytest.raises(ValidationError, match="s="):
+            store.zero_distance(s)
+
+
 def test_rvmf_check_counts(store):
     for t_height in (50.0, 100.0, 230.0):
         rep = rvmf_check(store, t_height)
@@ -304,6 +318,20 @@ def test_snap_defaults_and_limits(store):
     assert store.snap(g + 1e-7, ORDINATE_TOL) == g - ORDINATE_OFFSET
     out = store.snap(np.array([[g, 30.0]]))
     assert out.shape == (1, 2)
+
+
+@pytest.mark.parametrize("t, shown", [
+    (-5.0, "t=-5.0"), (-1e-12, "t=-1e-12"), (math.nan, "t=nan"),
+    (math.inf, "t=inf"), (-math.inf, "t=-inf"),
+    (np.array([1.0, 30.0, -5.0]), "t=-5.0"),
+    (np.array([[20.0, math.nan]]), "t=nan"), (np.array([math.inf]), "t=inf"),
+])
+def test_snap_refuses_a_negative_or_non_finite_height(store, t, shown):
+    # a float or an array: refused, never replaced by the limit at 0
+    with pytest.raises(ValidationError, match=shown):
+        store.snap(t)
+    with pytest.raises(ValidationError, match=shown):
+        store.snap(t, ORDINATE_TOL)
 
 
 @pytest.mark.parametrize("tol", [SNAP_TOL, ORDINATE_TOL])
