@@ -22,30 +22,33 @@ with a wrong multiplicity, or one zeta lacks, moves the model's
 argument by pi where the ray passes it, which the insertion resolves, never
 by a multiple of 2 pi that the pin would alias.
 
-A BranchPath is that walk on one ray: _march walks a fixed grid 1/4 apart
-down to sigma_end in one Euler-Maclaurin pass on the ray's phases, and the
-path keeps the nodes.  branch_path decides where a ray walks: a ray that
-ends at or right of SIGMA_START has no nodes, since its branch is the
-principal logarithm.  A value is the
-principal log zeta of its own evaluation + 2 pi i k; the walk only pins k.
-eval_log and winding take a float or an array of abscissae, evaluate zeta
-at all of them in one pass and pin each from its nearest node (a batch of
-zeta._ARRAY_NODES or more in one array step, with _pin only where a step
-fails), so a prepared ray answers on [sigma_end, infinity); an abscissa
-whose error bound reaches |zeta|/2 is refused, since its phase is noise,
-and one whose value is exactly 0 before that.  Every walk,
-the sweep's too, evaluates at most _WALK_BUDGET nodes.
+A BranchPath is one ray, and each query on it is one walk: _march
+evaluates zeta at the query's abscissae and at the fixed grid 1/4 apart
+right of the leftmost of them, in one Euler-Maclaurin pass on the ray's
+phases at the query's precision, and pins those left of SIGMA_START in
+descending order from the principal value there; a midpoint is evaluated
+at the query's precision or the default, whichever is finer.  The path
+keeps no nodes, so a
+prepared ray answers on [sigma_end, infinity) whatever it was asked
+before.  A query right of SIGMA_START walks nothing, since its branch is
+the principal logarithm, and branch_path, which evaluates nothing,
+decides where a ray may walk.  A value is the principal log zeta of its
+own evaluation + 2 pi i k; the walk only pins k.  An abscissa whose error
+bound reaches |zeta|/2 is refused, since its phase is noise, and one whose
+value is exactly 0 before that; a grid node whose bound reaches |zeta|/2
+is left out of the walk.  Every walk, the sweep's too, evaluates at most
+_WALK_BUDGET nodes, a ray's counted afresh for each query.
 
 The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
 on a tabulated ordinate uses the one-sided limit, approached from below for
 gamma > 0 and from above for gamma < 0, and t = 0 is the limit from above.
-A ray that walks refuses heights above the zero table, whose zeros the
-model needs; one without a walk answers at any height.
+A ray that may walk, one ending left of SIGMA_START, refuses heights above
+the zero table, whose zeros the model needs; any other answers at any
+height.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 
@@ -55,7 +58,7 @@ from .errors import (BudgetExceeded, NearSingularity, NumericalError,
                      OnSingularity, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore, store_or_builtin
-from .zeta import _ARRAY_NODES, _POLE_RADIUS, _Ray, _check_height, _zeta_em
+from .zeta import _POLE_RADIUS, _Ray, _check_height, _zeta_em
 
 # For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
 # positive coefficients), and log zeta(1.25) = 1.525 < pi/2: from here right
@@ -106,17 +109,14 @@ class _Walk:
             raise BudgetExceeded(f"the walk of log zeta near s = {s} "
                                  f"exceeded {_WALK_BUDGET} nodes")
 
-    def step(self, xs, depth: int = 0, anchor: bool = False) -> np.ndarray:
+    def step(self, xs, depth: int = 0) -> np.ndarray:
         """G at the nodes xs (a float or an array, in walking order), pinned
-        from the last node, or with anchor from the principal value at the
-        first: spent, then one zeta pass on the line for all of them."""
+        from the last node: spent, then one zeta pass on the line for all of
+        them."""
         xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
         self.spend(xs.size, float(xs[0]))
         vals, _, _ = _zeta_em(self.line, xs, self.walk_prec, want_deriv=False)
-        principal = self.principal(xs, vals)
-        if anchor:
-            self.x_prev, self.g_prev = float(xs[0]), complex(principal[0])
-        return self.pin(xs, principal, depth)
+        return self.pin(xs, self.principal(xs, vals), depth)
 
     def model(self, x):
         """The window's log terms at x, a float or an array: one np.log of
@@ -191,16 +191,15 @@ class _Walk:
 
 
 class BranchPath(_Walk):
-    """The walk down one horizontal ray Im s = t, and the queries it answers.
+    """One horizontal ray Im s = t, and the queries it answers.
 
     t is the snapped height |t|; conjugate marks a ray requested at t < 0.
-    The walk keeps every node it pinned in ascending alpha (xs) and the
-    node's G (gs).  A pin needs the phase of zeta, which an absolute error
-    near |zeta| destroys next to a zero, so the walk runs at the caller's
-    precision prec or the default, whichever is finer.  eval_log and
-    winding answer anywhere on [sigma_end, infinity) from one zeta
-    evaluation per abscissa at prec, on the ray's phases, each pinned from
-    its nearest node.
+    The path holds the ray's phases and its window and keeps no nodes:
+    eval_log and winding answer anywhere on [sigma_end, infinity), each
+    query one walk (_march) at the caller's precision prec.  A pin needs
+    the phase of zeta, which an absolute error near |zeta| destroys next to
+    a zero, so a midpoint the walk inserts is evaluated at walk_prec, prec
+    or the default, whichever is finer.
     """
 
     def __init__(self, t: float, sigma_end: float, conjugate: bool,
@@ -217,84 +216,17 @@ class BranchPath(_Walk):
         self.mu = np.array([mu for mu, _, _ in rows])
         self.rel = np.array([complex(-beta, t - gamma)
                              for _, beta, gamma in rows], dtype=np.complex128)
-        self.xs: list[float] = []
-        self.gs: list[complex] = []
-
-    def step(self, xs, depth: int = 0, anchor: bool = False) -> np.ndarray:
-        """_Walk.step, keeping each node it pins in xs and gs."""
-        g = super().step(xs, depth, anchor)
-        for x, g_x in zip(np.atleast_1d(xs).tolist(), g.tolist()):
-            i = bisect.bisect(self.xs, x)
-            self.xs.insert(i, x)
-            self.gs.insert(i, g_x)
-        return g
 
     def _query(self, alpha) -> tuple[np.ndarray, ...]:
-        """zeta at the abscissae alpha (flattened; finite and >= sigma_end),
-        their remainder bounds, their winding integers, each pinned from
-        its nearest node (0 from SIGMA_START up), and the window's log
-        terms there, a row per term, as arrays.
-
-        A value of exactly 0 is refused first.  Then a remainder of |zeta|/2
-        or more is refused: the phase of such a value, and the pin with it,
-        is noise.  Below it the error of its logarithm is under
-        log 2 < _CONT_STEP, so the pin converges.
-        """
+        """_march at the abscissae alpha, flattened, once each is checked
+        finite and >= sigma_end."""
         if np.ndim(alpha) == 0:
             xs = np.array([_real(alpha, "alpha", self.sigma_end)])
         else:
             xs = np.ravel(np.asarray(alpha, dtype=np.float64))
             for end in (xs.min(), xs.max()):
                 _real(end, "alpha", self.sigma_end)
-        vals, _, rems = _zeta_em(self.line, xs, self.prec, want_deriv=False)
-        terms = np.log(np.add.outer(self.rel, xs))
-        principal = self.principal(xs, vals, self.mu @ terms)
-        vals, rems = np.asarray(vals), np.asarray(rems)
-        noise = np.flatnonzero(rems >= 0.5 * np.abs(vals))
-        if noise.size:
-            j = noise[0]
-            s = complex(xs[j], -self.t if self.conjugate else self.t)
-            raise NearSingularity(
-                f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
-                f"bound {rems[j]:.3g} at abs_err={self.prec.abs_err:g}",
-                where=s)
-        return vals, rems, self._wind(xs, principal), terms
-
-    def _wind(self, xs: np.ndarray, principal: np.ndarray) -> np.ndarray:
-        """The winding integers at xs, each pinned from its nearest node
-        (the right one on a tie) by _pin; 0 from SIGMA_START up.
-
-        _ARRAY_NODES or more abscissae left of SIGMA_START take _pin's rule
-        in one array step; only those whose step of G exceeds _CONT_STEP go
-        through _pin itself, which inserts midpoints.  The array step costs
-        about 35-40 us at any size up to 42 and _pin about 2.5 us a node
-        (2 cores, t = 1234.5), so zeta's crossover serves here too.
-        """
-        k = np.zeros(xs.size, dtype=np.int64)
-        walk = np.flatnonzero(xs < SIGMA_START)
-        if walk.size >= _ARRAY_NODES:
-            x, g = xs[walk], principal[walk]
-            nodes = np.array(self.xs)
-            i = np.searchsorted(nodes, x, side="right")
-            left = np.maximum(i - 1, 0)
-            right = np.minimum(i, nodes.size - 1)
-            near = np.where((i == nodes.size) | ((i > 0) & (
-                x - nodes[left] < nodes[right] - x)), left, right)
-            g_near = np.array(self.gs)[near]
-            steps = np.rint((g_near.imag - g.imag) / _TWO_PI)
-            g.imag += _TWO_PI * steps
-            k[walk] = steps
-            walk = walk[np.abs(g - g_near) > _CONT_STEP]
-        for j in walk.tolist():
-            x = float(xs[j])
-            p = complex(principal[j])
-            i = bisect.bisect(self.xs, x)
-            if i == len(self.xs) or (i > 0 and x - self.xs[i - 1]
-                                     < self.xs[i] - x):
-                i -= 1
-            self.x_prev, self.g_prev = self.xs[i], self.gs[i]
-            k[j] = round((self._pin(x, p, 0).imag - p.imag) / _TWO_PI)
-        return k
+        return _march(self, xs)
 
     def winding(self, alpha):
         """The winding integer at alpha, a float or an array (same shape)."""
@@ -343,21 +275,61 @@ def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:
     return out, np.asarray(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
 
 
-def _march(path: BranchPath) -> None:
-    """Walk the ray down the grid to sigma_end from SIGMA_START, where G is
-    pinned from the principal log zeta.  A ray that ends at or right of
-    SIGMA_START has no walk: its branch is the principal log zeta."""
-    if path.sigma_end < SIGMA_START:
-        path.step(np.append(_RAY_GRID[_RAY_GRID > path.sigma_end],
-                            path.sigma_end), anchor=True)
+def _march(path: BranchPath, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """zeta at the abscissae xs (an array), their remainder bounds, their
+    winding integers and the window's log terms there, a row per term, as
+    arrays: one walk down the ray.
+
+    zeta is evaluated at xs and at the _RAY_GRID nodes right of min(xs) in
+    one pass at path.prec.  A value of exactly 0 is refused first.  Then an
+    abscissa of xs whose remainder reaches |zeta|/2 is refused, before any
+    pin: the phase of such a value, and the pin with it, is noise.  Below
+    it the error of its logarithm is under log 2 < _CONT_STEP, so the pin
+    converges.  A grid node whose bound reaches |zeta|/2 is left out of the
+    walk.  The nodes left of SIGMA_START are then pinned in descending
+    order, from the principal value at SIGMA_START; from there right the
+    winding is 0, and a query there walks nothing.  The walk's nodes,
+    midpoints included, count against _WALK_BUDGET from 0.
+    """
+    n = xs.size
+    nodes = np.concatenate((xs, _RAY_GRID[_RAY_GRID > xs.min()]))
+    path.nodes = 0
+    if nodes.size > n:
+        path.spend(nodes.size, float(xs.min()))
+    vals, _, rems = _zeta_em(path.line, nodes, path.prec, want_deriv=False)
+    vals, rems = np.asarray(vals), np.asarray(rems)
+    terms = np.log(np.add.outer(path.rel, xs))
+    principal = path.principal(xs, vals[:n], path.mu @ terms)
+    noise = rems >= 0.5 * np.abs(vals)
+    if noise[:n].any():
+        j = int(np.argmax(noise))
+        s = complex(xs[j], -path.t if path.conjugate else path.t)
+        raise NearSingularity(
+            f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
+            f"bound {rems[j]:.3g} at abs_err={path.prec.abs_err:g}", where=s)
+    k = np.zeros(nodes.size, dtype=np.int64)
+    if nodes.size > n:
+        # The grid starts at SIGMA_START, never noise: there |zeta| >=
+        # zeta(2.5) / zeta(1.25) > 0.29.
+        p = np.empty(nodes.size, dtype=np.complex128)
+        p[:n] = principal
+        grid = n + np.flatnonzero(~noise[n:])
+        p[grid] = path.principal(nodes[grid], vals[grid])
+        walk = np.flatnonzero((nodes < SIGMA_START) & ~noise)
+        walk = walk[np.argsort(-nodes[walk])]
+        path.x_prev, path.g_prev = SIGMA_START, complex(p[n])
+        g = path.pin(nodes[walk], p[walk], 0)
+        k[walk] = np.rint((g.imag - p[walk].imag) / _TWO_PI)
+    return vals[:n], rems[:n], k[:n], terms
 
 
 def branch_path(t: float, sigma_end: float,
                 prec: EvalPrecision = DEFAULT_PRECISION,
                 store: ZeroStore | None = None) -> BranchPath:
     """Prepare the ray at height t down to sigma_end >= -1 for repeated
-    queries.  Only a ray that ends left of SIGMA_START walks, and only it
-    needs the zero table up to |t|; right of it no zero enters the answer.
+    queries: its snapped height, phases and window, and no zeta pass.  Only
+    a ray that ends left of SIGMA_START may walk, and only it needs the zero
+    table up to |t|; right of it no zero enters the answer.
     """
     store = store_or_builtin(store)
     t = _real(t, "t")
@@ -371,9 +343,7 @@ def branch_path(t: float, sigma_end: float,
     # negative ordinates.  Exact zeros on the ray (sigma_end below a zero's
     # beta at this height) are fine -- the ray passes at vertical distance
     # >= the snap offset.
-    path = BranchPath(store.snap(t), sigma_end, conjugate, prec, store)
-    _march(path)
-    return path
+    return BranchPath(store.snap(t), sigma_end, conjugate, prec, store)
 
 
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,

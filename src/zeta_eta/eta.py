@@ -83,8 +83,8 @@ adaptive integrator hands the integrand the 42 abscissae of both starting
 panels in one call, and then both halves of each panel it bisects in one
 call; each call is one batched zeta evaluation on the ray's phases
 (BranchPath._log_less_model: the Euler-Maclaurin correction on arrays, the
-branch pinned from the walk's nodes in one array step, less the model the
-query formed for its pin).  c_m is the same integral on the real axis, the
+branch pinned by the call's own walk down the ray, whose grid nodes share
+the pass, less the model the query formed for its pin).  c_m is the same integral on the real axis, the
 limit from above, whose window is the pole's row alone: its panels
 integrate the regular part log((a-1) zeta(a)), analytic on (-1, inf), and
 the pole's term -log|a-1| - pi i [a < 1] is the same closed form.  Above a0

@@ -137,10 +137,11 @@ class ZeroStore:
         the lower one on a tie, and its distance; arrays of ts's shape."""
         g = self._gammas
         i = np.searchsorted(g, ts)
+        # Past either end both neighbours are the end ordinate, which the
+        # tie rule then takes.
         lo = g[np.maximum(i - 1, 0)]
         hi = g[np.minimum(i, len(g) - 1)]
-        d_lo = np.where(i > 0, np.abs(ts - lo), np.inf)
-        d_hi = np.where(i < len(g), np.abs(ts - hi), np.inf)
+        d_lo, d_hi = np.abs(ts - lo), np.abs(ts - hi)
         upper = d_hi < d_lo
         return np.where(upper, hi, lo), np.where(upper, d_hi, d_lo)
 

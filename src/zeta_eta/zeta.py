@@ -33,8 +33,8 @@ The N^-s and Bernoulli terms and the remainder bound (_em_correction) are
 written once.  A _Line's pass applies the correction to its nodes as
 arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more (a
 vertical integral's panels), and such an array pass answers in arrays; a
-smaller batch (a single point, a branch walk's grid, a few escalated
-nodes) takes it node by node on complex numbers and answers in lists.
+smaller batch (a single point with the grid nodes its branch walk adds, a
+few escalated nodes) takes it node by node on complex numbers and answers in lists.
 Every node is certified on its own: a node whose bound still misses the
 target (none on a solved cutoff, up to rounding) goes on with the others
 that miss at an escalated cutoff.
@@ -106,9 +106,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # node, so a block of 672 nodes pays 0.28 us a node where the loop over
 # complex numbers pays 6-7 us.
 _BLOCK_NODES = 672
-# Nodes from which a _Ray's batch runs on arrays (its correction here, its
-# pin in branch.BranchPath); a smaller batch runs on Python lists and complex
-# numbers.  On 2 cores at N = 400, t = 1234.5, _em_correction took 65-125 us
+# Nodes from which a _Ray's batch runs its correction on arrays; a smaller
+# batch runs on Python lists and complex numbers.  On 2 cores at N = 400, t = 1234.5, _em_correction took 65-125 us
 # as one array call at every size from 12 to 84 nodes (150-200 us at 672),
 # and 4.5-7.8 us a node on complex numbers: 70-100 us at 16 nodes, 85-130 us
 # at 21 and 210-270 us at 42.  So single points keep the loop, and a panel's

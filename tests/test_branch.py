@@ -4,7 +4,6 @@ Reference values frozen from an independent high-precision horizontal-ray
 march (adaptive step, winding tracked by quotient arguments, 30 digits).
 """
 
-import bisect
 import cmath
 import math
 import sys
@@ -13,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zeta_eta.branch import (_Walk, big_s, branch_path, log_zeta,
+from zeta_eta.branch import (_RAY_GRID, _Walk, big_s, branch_path, log_zeta,
                              log_zeta_with_err)
 from zeta_eta.errors import (BeyondTable, BudgetExceeded, NearSingularity,
                              NumericalError, OnSingularity, ValidationError)
@@ -121,11 +120,11 @@ def test_branch_path_eval_and_domain(store):
 def test_a_ray_ending_right_of_the_walk_start_does_not_walk(store):
     # there the branch is the principal log, and no zero enters the answer
     far = branch_path(30.0, 41.0, store=store)
-    assert far.xs == [] and far.nodes == 0
     assert far.eval_log(41.0) == log_zeta_with_err(41 + 30j, store=store)
+    assert far.nodes == 0
     above = branch_path(3000.0, 2.0, store=store)    # above the table
-    assert above.xs == []
     assert above.eval_log(2.0) == log_zeta_with_err(2 + 3000j, store=store)
+    assert above.nodes == 0
     with pytest.raises(BeyondTable, match="branch_path: t=3000.0"):
         branch_path(3000.0, 1.0, store=store)
 
@@ -148,8 +147,9 @@ def test_right_of_the_walk_start_the_branch_is_the_principal_log(store):
 
 def test_branch_march_budget(store, monkeypatch):
     monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_WALK_BUDGET", 3)
+    path = branch_path(30.0, 0.5, store=store)
     with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):
-        branch_path(30.0, 0.5, store=store)
+        path.eval_log(0.5)
 
 
 def test_big_s_values_and_jump(store):
@@ -198,7 +198,7 @@ def test_array_winding_equals_scalar_winding_at_the_walk_nodes(store):
     g1 = float(store.gammas[0])
     for t, end in ((500.0, -1.0), (0.3, -1.0), (g1, 0.2)):
         path = branch_path(t, end, store=store)
-        nodes = np.array(path.xs)
+        nodes = np.append(_RAY_GRID[_RAY_GRID > end], end)[::-1]
         between = 0.5 * (nodes[:-1] + nodes[1:])
         xs = np.concatenate(([x for n in nodes.tolist() for x in _around(n)
                               if x >= path.sigma_end], between,
@@ -373,13 +373,14 @@ def test_eval_log_refuses_where_the_bound_reaches_half_of_zeta(store,
     path = branch_path(30.0, 0.5, store=store)
     evaluate = branch._zeta_em
 
-    def second_is_uncertain(ray, alpha, prec, want_deriv):
+    def two_is_uncertain(ray, alpha, prec, want_deriv):
         vals, ders, rems = evaluate(ray, alpha, prec, want_deriv)
-        if len(vals) == 3:
-            rems[1] = 0.5 * abs(vals[1])
+        for j, x in enumerate(np.ravel(alpha).tolist()):
+            if x == 2.0:
+                rems[j] = 0.5 * abs(vals[j])
         return vals, ders, rems
 
-    monkeypatch.setattr(branch, "_zeta_em", second_is_uncertain)
+    monkeypatch.setattr(branch, "_zeta_em", two_is_uncertain)
     with pytest.raises(NearSingularity, match=r"zeta\(\(2\+30j\)\)"):
         path.eval_log(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(NearSingularity):
@@ -408,16 +409,21 @@ def test_log_zeta_far_right(store):
 
 def test_march_nodes_unchanged_by_the_unwrap(store, monkeypatch,
                                              node_by_node_pin):
-    # every node of the ray's march bit-identical to pinning node by node
+    # a query at every node of the ray's march bit-identical to pinning
+    # node by node
     rng = np.random.default_rng(8)
     rays = [(float(rng.uniform(0.0, 2140.0)), float(rng.uniform(-1.0, 1.0)))
             for _ in range(8)]
     rays += [(1.2, -0.9), (0.4, 0.5), (float(store.gammas[3]), 0.5)]
-    paths = [branch_path(t, sigma, store=store) for t, sigma in rays]
-    monkeypatch.setattr(_Walk, "pin", node_by_node_pin)
-    for path, (t, sigma) in zip(paths, rays):
-        ref = branch_path(t, sigma, store=store)
-        assert path.xs == ref.xs and path.gs == ref.gs, (t, sigma)
+    for t, sigma in rays:
+        path = branch_path(t, sigma, store=store)
+        xs = np.append(_RAY_GRID[_RAY_GRID > sigma], sigma)
+        got = path.winding(xs), *path.eval_log(xs)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Walk, "pin", node_by_node_pin)
+            want = path.winding(xs), *path.eval_log(xs)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist(), (t, sigma)
 
 
 class _ToyWalk(_Walk):
@@ -436,7 +442,7 @@ class _ToyWalk(_Walk):
     def principal_at(self, x, w):
         return complex(0.0, math.remainder(self.g(x, w).imag, 2 * math.pi))
 
-    def step(self, x, depth=0, anchor=False):
+    def step(self, x, depth=0):
         self.mids.append((x, self.w))
         return self.pin(np.array([x]),
                         np.array([self.principal_at(x, self.w)]), depth)
@@ -468,35 +474,14 @@ def test_a_failing_step_where_the_window_moves_inserts_the_midpoint():
     assert (walk.x_prev, walk.g_prev) == (0.75, g[-1])
 
 
-# --- a query's pin: one array step, _pin where a step fails ----------------------
-
-def _windings_node_by_node(path, xs):
-    """The winding integers of path's query at xs as _pin gives them, one
-    abscissa at a time, each pinned from its nearest node (the right one
-    on a tie) among the nodes the path has by then."""
-    branch = sys.modules["zeta_eta.branch"]
-    vals, _, _ = branch._zeta_em(path.line, xs, path.prec, False)
-    out = []
-    for x, p in zip(xs.tolist(), path.principal(xs, vals).tolist()):
-        if x >= branch.SIGMA_START:
-            out.append(0)
-            continue
-        i = bisect.bisect(path.xs, x)
-        if i == len(path.xs) or (i > 0 and x - path.xs[i - 1]
-                                 < path.xs[i] - x):
-            i -= 1
-        path.x_prev, path.g_prev = path.xs[i], path.gs[i]
-        g = path._pin(x, p, 0)
-        out.append(round((g.imag - p.imag) / (2 * math.pi)))
-    return out
-
+# --- a query's walk: one unwrap, _pin where a step fails ------------------------
 
 def test_a_query_pins_as_its_nodes_walked_one_by_one(store, monkeypatch,
                                                       node_by_node_pin):
     # 42 seeded abscissae (as many as a vertical integral's first call) on
     # seeded rays, on a ray past the table's first ordinate and one near
-    # the pole, against rays marched and queried node by node; on the last
-    # two rays _CONT_STEP at 0.02 fails most steps of the array pin, and the
+    # the pole, against the same queries pinned node by node; on the last
+    # two rays _CONT_STEP at 0.02 fails most steps of the unwrap, and the
     # fallback inserts midpoints, as many as the node walk inserts
     branch = sys.modules["zeta_eta.branch"]
     rng = np.random.default_rng(18)
@@ -506,25 +491,97 @@ def test_a_query_pins_as_its_nodes_walked_one_by_one(store, monkeypatch,
              (float(store.gammas[7]), 0.5)]
     for n, (t, end) in enumerate(rays):
         path = branch_path(t, end, store=store)
-        with monkeypatch.context() as patch:
-            patch.setattr(_Walk, "pin", node_by_node_pin)
-            ref = branch_path(t, end, store=store)
-        assert path.xs == ref.xs
         xs = np.sort(rng.uniform(path.sigma_end, 1.4, 42))
-        nodes = len(path.xs)
+        grid = int((_RAY_GRID > xs.min()).sum())
         walked = []
         pin = _Walk._pin
         with monkeypatch.context() as patch:
             if n >= len(rays) - 2:
                 patch.setattr(branch, "_CONT_STEP", 0.02)
-            want = _windings_node_by_node(ref, xs)
+            with monkeypatch.context() as by_node:
+                by_node.setattr(_Walk, "pin", node_by_node_pin)
+                want = path.winding(xs), *path.eval_log(xs)
+                ref_nodes = path.nodes
             patch.setattr(_Walk, "_pin", lambda self, *a: (
                 walked.append(a[0]), pin(self, *a))[1])
-            got = path.winding(xs)
-        assert got.tolist() == want, (t, end)
+            got = path.winding(xs), *path.eval_log(xs)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist(), (t, end)
         if n >= len(rays) - 2:
-            assert len(path.xs) > nodes and walked
-            assert len(path.xs) == len(ref.xs)
+            assert path.nodes > xs.size + grid and walked
+            assert path.nodes == ref_nodes
         else:
-            # the array step pinned every abscissa: none went to _pin
-            assert len(path.xs) == nodes and not walked
+            # the unwrap pinned every node: none went to _pin
+            assert path.nodes == xs.size + grid and not walked
+
+
+def test_branch_path_evaluates_nothing_until_its_first_query(store,
+                                                             monkeypatch):
+    # the path holds the ray and its window; each query is a walk of its own
+    branch = sys.modules["zeta_eta.branch"]
+    evaluate = branch._zeta_em
+
+    def no_pass(*args):
+        raise AssertionError("evaluated zeta before the first query")
+
+    monkeypatch.setattr(branch, "_zeta_em", no_pass)
+    paths = [branch_path(t, end, store=store)
+             for t, end in ((500.0, -1.0), (0.4, -0.5), (14.1, 0.5),
+                            (30.0, 41.0), (-700.3, 0.8))]
+    monkeypatch.setattr(branch, "_zeta_em", evaluate)
+    for path in paths:
+        assert path.nodes == 0
+        val, _ = path.eval_log(path.sigma_end)
+        s = complex(path.sigma_end, -path.t if path.conjugate else path.t)
+        assert val == log_zeta_with_err(s, store=store)[0]
+
+
+def test_the_budget_counts_each_query_from_zero(store, monkeypatch):
+    # 200 queries of 42 abscissae (and the grid's 9 nodes) stay within 60
+    # nodes each; one query of 61 abscissae is refused before its zeta pass
+    branch = sys.modules["zeta_eta.branch"]
+    monkeypatch.setattr(branch, "_WALK_BUDGET", 60)
+    path = branch_path(500.0, -1.0, store=store)
+    rng = np.random.default_rng(60)
+    for _ in range(200):
+        path.winding(rng.uniform(-1.0, 1.4, 42))
+        assert 42 < path.nodes <= 60
+    evaluate = branch._zeta_em
+
+    def no_pass(*args):
+        raise AssertionError("evaluated zeta past the budget")
+
+    monkeypatch.setattr(branch, "_zeta_em", no_pass)
+    with pytest.raises(BudgetExceeded, match="exceeded 60 nodes"):
+        path.eval_log(np.linspace(-1.0, 1.4, 61))
+    monkeypatch.setattr(branch, "_zeta_em", evaluate)
+    assert path.winding(np.linspace(-1.0, 1.4, 42)).shape == (42,)
+
+
+def test_an_array_query_winds_as_each_abscissa_alone(store, monkeypatch):
+    # seeded rays down to sigma = -1, one near the pole, and rays on
+    # ordinates (1e-9 below a zero) at abs_err 1e-3, 1e-6 and the default.
+    # Queried alone, a coarse abscissa left of 1/2 on an ordinate solves
+    # its cutoff there, where the grid node at 1/2 has a bound of |zeta|/2
+    # or more: its walk leaves that node out and walks past it
+    rng = np.random.default_rng(33)
+    cases = [(float(rng.uniform(0.0, 2140.0)), None) for _ in range(4)]
+    cases += [(0.4, None)]
+    for i in rng.choice(len(store), 3, replace=False).tolist():
+        cases += [(float(store.gammas[i]), abs_err)
+                  for abs_err in (1e-3, 1e-6, None)]
+    pinned = []
+    pin = _Walk.pin
+    monkeypatch.setattr(_Walk, "pin", lambda self, xs, *a: (
+        pinned.append(xs.tolist()), pin(self, xs, *a))[1])
+    for t, abs_err in cases:
+        prec = EvalPrecision() if abs_err is None else EvalPrecision(abs_err)
+        path = branch_path(t, -1.0, prec, store)
+        xs = rng.uniform(-1.0, 1.4, 42)
+        xs = xs[np.abs(xs - 0.5) > 0.1]     # a query at 1/2 would be noise
+        got = path.winding(xs)
+        pinned.clear()
+        assert got.tolist() == [path.winding(x) for x in xs.tolist()], t
+        passed = [n for n in pinned
+                  if len(n) > 1 and n[-1] < 0.5 and 0.5 not in n]
+        assert bool(passed) == (abs_err is not None), (t, abs_err)

@@ -331,7 +331,11 @@ def test_eta_vertical_at_the_window_edges(store, sigma, t, m, monkeypatch):
 
         monkeypatch.setattr(eta_module, "integrate_adaptive", no_quadrature)
     elif sigma >= 1.25:
-        assert path.mu.size and not path.xs
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked a ray right of the walk start")
+
+        assert path.mu.size
+        monkeypatch.setattr(eta_module._Walk, "spend", no_walk)
     got = eta_vertical(complex(sigma, height), m, store)
     assert abs(got.value - EDGES[(sigma, t, m)]) <= got.est_err, (
         got.value, got.est_err)
@@ -747,10 +751,10 @@ def test_sweep_midpoint_insertion_inside_panels(store, monkeypatch):
     inserted = []
     walk = eta_module._Sweep.step
 
-    def counted(self, u, depth=0, anchor=False):
+    def counted(self, u, depth=0):
         if depth > 0:
             inserted.append(u)
-        return walk(self, u, depth, anchor)
+        return walk(self, u, depth)
 
     monkeypatch.setattr(sys.modules["zeta_eta.branch"], "_CONT_STEP", 0.02)
     monkeypatch.setattr(eta_module._Sweep, "step", counted)
@@ -956,10 +960,10 @@ def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
     inserted = []
     walk = eta_module._Sweep.step
 
-    def counted(self, u, depth=0, anchor=False):
+    def counted(self, u, depth=0):
         if depth > 0:
             inserted.append(u)
-        return walk(self, u, depth, anchor)
+        return walk(self, u, depth)
 
     branch = sys.modules["zeta_eta.branch"]
     monkeypatch.setattr(branch, "_CONT_STEP", 0.3)

@@ -23,8 +23,12 @@ zeta` at -0.7 + 1234.5i, left of sigma = 0, and `eval --what logzeta` at
 0.5 + 777.7i, 0.4 from the nearest ordinate; `eval --what eta` at
 s = 0.6, m = 2, which at t = 0 is the integration constant c_2(0.6) itself,
 its real-axis integral across the pole at 1; and `eval --what eta` at
-s = 0.7 + 1.2i, m = 2, whose ray has the pole in its window model.  The
-exit status is 1 when an invocation exits non-zero.
+s = 0.7 + 1.2i, m = 2, whose ray has the pole in its window model; and
+`--abs-err 1e-6 eval --what logzeta` at 0.25 + 917.8253775704268i, a
+coarse query left of sigma = 1/2 on a ray snapped below an ordinate, whose
+walk leaves out the grid node at 1/2, where the node's bound reaches
+|zeta|/2 at that precision, and inserts 1/2 as a midpoint at the default
+one.  The exit status is 1 when an invocation exits non-zero.
 """
 
 import contextlib
@@ -65,7 +69,9 @@ def invocations() -> list[tuple[list[str], bool]]:
              (["eval", "--what", "logzeta", "--s", "0.5+777.7i"], False),
              (["eval", "--what", "eta", "--s", "0.6", "--m", "2"], False),
              (["eval", "--what", "eta", "--s", "0.7+1.2i", "--m", "2"],
-              False)]
+              False),
+             (["--abs-err", "1e-6", "eval", "--what", "logzeta", "--s",
+               "0.25+917.8253775704268i"], False)]
     return runs
 
 
