@@ -24,15 +24,15 @@ by a multiple of 2 pi that the pin would alias.
 
 A BranchPath is one ray, and each query on it is one walk: _march
 evaluates zeta at the query's abscissae and at the fixed grid 1/4 apart
-right of the leftmost of them, in one Euler-Maclaurin pass on the ray's
-phases at the query's precision, and pins those left of SIGMA_START in
-descending order from the principal value there; a midpoint is evaluated
-at the query's precision or the default, whichever is finer.  The path
-keeps no nodes, so a
-prepared ray answers on [sigma_end, infinity) whatever it was asked
-before.  A query right of SIGMA_START walks nothing, since its branch is
-the principal logarithm, and branch_path, which evaluates nothing,
-decides where a ray may walk.  A value is the principal log zeta of its
+right of the leftmost of them, in one Euler-Maclaurin pass at the query's
+precision, and pins those left of SIGMA_START in descending order from the
+principal value there; a midpoint is evaluated at the query's precision or
+the default, whichever is finer.  The path keeps no nodes, so a prepared
+ray answers on [sigma_end, infinity) whatever it was asked before.  A
+query right of SIGMA_START walks nothing, since its branch is the
+principal logarithm, and branch_path, which evaluates nothing, decides
+where a ray may walk.  log_zeta_with_err answers every point off the real
+axis by its ray's query.  A value is the principal log zeta of its
 own evaluation + 2 pi i k; the walk only pins k.  An abscissa whose error
 bound reaches |zeta|/2 is refused, since its phase is noise, and one whose
 value is exactly 0 before that; a grid node whose bound reaches |zeta|/2
@@ -43,8 +43,14 @@ The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
 on a tabulated ordinate uses the one-sided limit, approached from below for
 gamma > 0 and from above for gamma < 0, and t = 0 is the limit from above.
 A ray that may walk, one ending left of SIGMA_START, refuses heights above
-the zero table, whose zeros the model needs; any other answers at any
-height.
+the zero table, whose zeros the model needs; any other answers up to
+zeta's height limit, |t| <= 1e10.
+
+On the real axis log zeta is the limit from above, h(sigma) - Log(sigma -
+1 + 0i): h(a) = log((a - 1) zeta(a)) is real and analytic on (-1, inf),
+and the Log term is the pole's row of the window model.  h is the one
+real-axis rule (_log_regular_real): log_zeta_with_err at t = 0, the
+sweep's anchor at u = 0 and the panels of c_m take it.
 """
 
 from __future__ import annotations
@@ -194,7 +200,7 @@ class BranchPath(_Walk):
     """One horizontal ray Im s = t, and the queries it answers.
 
     t is the snapped height |t|; conjugate marks a ray requested at t < 0.
-    The path holds the ray's phases and its window and keeps no nodes:
+    The path holds the ray and its window and keeps no nodes:
     eval_log and winding answer anywhere on [sigma_end, infinity), each
     query one walk (_march) at the caller's precision prec.  A pin needs
     the phase of zeta, which an absolute error near |zeta| destroys next to
@@ -327,15 +333,17 @@ def branch_path(t: float, sigma_end: float,
                 prec: EvalPrecision = DEFAULT_PRECISION,
                 store: ZeroStore | None = None) -> BranchPath:
     """Prepare the ray at height t down to sigma_end >= -1 for repeated
-    queries: its snapped height, phases and window, and no zeta pass.  Only
-    a ray that ends left of SIGMA_START may walk, and only it needs the zero
-    table up to |t|; right of it no zero enters the answer.
+    queries: its snapped height and window, and no zeta pass.  Only a ray
+    that ends left of SIGMA_START may walk, and only it needs the zero table
+    up to |t|; right of it no zero enters the answer.  Every ray refuses
+    |t| above zeta's limit, 1e10, the table's refusal first.
     """
     store = store_or_builtin(store)
     t = _real(t, "t")
     sigma_end = _real(sigma_end, "sigma_end", -1.0)
     if sigma_end < SIGMA_START:
         store.require_height(abs(t), "branch_path", t=t)
+    _check_height(t)
     conjugate = t < 0.0
     t = abs(t)
     # An ordinate is approached from below; for the reflected ray this
@@ -346,9 +354,32 @@ def branch_path(t: float, sigma_end: float,
     return BranchPath(store.snap(t), sigma_end, conjugate, prec, store)
 
 
+_ONE_UP = math.nextafter(1.0, 2.0)
+
+
+def _log_regular_real(alpha: np.ndarray,
+                      prec: EvalPrecision) -> tuple[np.ndarray, np.ndarray]:
+    """h(a) = log((a-1) zeta(a)), log zeta less the pole's row, at the
+    abscissae alpha and its error bounds, as arrays of alpha's shape: one
+    zeta pass on the real axis.
+
+    A node that rounds onto a = 1 (a panel [sigma, 1] narrower than about
+    3e-14) is taken one ulp up, which moves h by about 0.58 ulp, inside
+    the 1e-15 every bound carries.
+    """
+    a = np.where(alpha == 1.0, _ONE_UP, alpha).ravel()
+    vals, _, rems = _zeta_em(_Ray(0.0), a, prec, want_deriv=False)
+    x = np.asarray(vals).real
+    h = np.log(x * (a - 1.0))
+    est = np.asarray(rems) / np.abs(x) + 1e-15
+    return h.reshape(alpha.shape), est.reshape(alpha.shape)
+
+
 def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
                       store: ZeroStore | None = None) -> tuple[complex, float]:
-    """log zeta(s) on the branch, plus an absolute error estimate."""
+    """log zeta(s) on the branch, plus an absolute error estimate: on the
+    real axis h(sigma) - Log(sigma - 1 + 0i), the error of h plus 1e-15
+    (1 + |log zeta|), and off it its ray's eval_log."""
     z = _point(s)
     _real(z.real, "sigma", -1.0)
     if abs(z - 1.0) <= _POLE_RADIUS:
@@ -357,24 +388,10 @@ def log_zeta_with_err(s, prec: EvalPrecision = DEFAULT_PRECISION,
     if store.zero_distance(z) <= 1e-12:
         raise OnSingularity(f"s={s} sits on a zero of the table")
     if z.imag == 0.0:
-        # The limit from above, in closed form: zeta(sigma) is real and
-        # nonzero on (-1, 1) u (1, inf), negative exactly on (-1, 1), and
-        # the continuation across the pole contributes the phase -pi there.
-        (val,), _, (rem,) = _zeta_em(_Ray(0.0), z.real, prec,
-                                     want_deriv=False)
-        x = val.real
-        return (complex(math.log(abs(x)), -math.pi if x < 0 else 0.0),
-                rem / max(abs(x), 1e-300) + 1e-15)
-    if z.real >= SIGMA_START:
-        _check_height(z.imag)
-        # The principal value, on the ray that branch_path would prepare.
-        vals, _, rems = _zeta_em(_Ray(store.snap(abs(z.imag))), z.real, prec,
-                                 want_deriv=False)
-        out, est = _log_with_err(vals, rems, 0)
-        val = complex(out[0])
-        return (val.conjugate() if z.imag < 0.0 else val), float(est[0])
-    path = branch_path(z.imag, z.real, prec, store)
-    return path.eval_log(z.real)
+        h, est = _log_regular_real(np.array([z.real]), prec)
+        val = complex(h[0]) - cmath.log(complex(z.real - 1.0, 0.0))
+        return val, float(est[0]) + 1e-15 * (1.0 + abs(val))
+    return branch_path(z.imag, z.real, prec, store).eval_log(z.real)
 
 
 def log_zeta(s, prec: EvalPrecision = DEFAULT_PRECISION,

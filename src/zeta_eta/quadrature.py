@@ -135,8 +135,8 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
                        splits: list[float] | None = None) -> tuple[complex, float]:
     """Integral of f over [a, b], a < b, with panel bisection down to tol.
 
-    splits lists interior points that must be panel boundaries (integrand
-    kinks or one-sided limits); they are clamped to (a, b) and deduplicated.
+    splits lists interior points that must be panel boundaries, where the
+    starting panels are cut; they are clamped to (a, b) and deduplicated.
     f is called with a row of nodes per panel: once for the starting
     panels, then once per bisection for both halves of the panel with the
     largest discrepancy.  A tol below 1/_FLOOR_MARGIN of the rule's

@@ -14,18 +14,18 @@ pass's worst node.  Precision requests below 5e-14 are delegated to software
 extended precision (mpmath), which the double path is also tested against.
 
 One kernel evaluates the sum at any set of nodes on one line, which
-supplies their partial sums sum_{n<N} n^-s together.  A horizontal line
-Im s = t (a _Ray) -- a branch path's, or a single point's -- keeps the
-phases n^-it, and a batch of nodes alpha + it on it is one real matrix
-product of the amplitudes n^-alpha with them; zeta' is the same product
-with the amplitudes times -log n.  A vertical line Re s = sigma (a _Line)
--- the iterated eta sweep's, and that of _zeta_line, which evaluates zeta
-at many ordinates of one line for the distribution sampler -- takes a
-block of up to _BLOCK_NODES ascending ordinates per pass.  It cuts them
-into groups as wide as the expansion's rounding allows, and each group
-takes its partial sums from one Taylor expansion of the Dirichlet sum about
-its centre (the local step of Odlyzko-Schoenhage), whose truncation bound
-joins each node's remainder; a few groups' moments are one matrix
+supplies their partial sums sum_{n<N} n^-s together.  On a horizontal
+line Im s = t (a _Ray) -- a branch path's, or a single point's -- a pass
+forms the phases n^-it of its cutoff, and its batch of nodes alpha + it is
+one real matrix product of the amplitudes n^-alpha with them; zeta' is the
+same product with the amplitudes times -log n.  A vertical line Re s =
+sigma (a _Line) -- the iterated eta sweep's, and that of _zeta_line, which
+evaluates zeta at many ordinates of one line for the distribution sampler
+-- takes a block of up to _BLOCK_NODES ascending ordinates per pass.  It
+cuts them into groups as wide as the expansion's rounding allows, and each
+group takes its partial sums from one Taylor expansion of the Dirichlet sum
+about its centre (the local step of Odlyzko-Schoenhage), whose truncation
+bound joins each node's remainder; a few groups' moments are one matrix
 product.  The line hands over N^-s with the partial sums, and takes the
 factor its nodes share once: a ray's one phase N^-it, a vertical line's one
 amplitude N^-sigma, one libm call per pass where every node would pay one.
@@ -176,22 +176,18 @@ def _phases(log_n, t):
 
 
 class _Ray:
-    """One horizontal line Im s = t and the phases n^-it of its terms.  Its
-    nodes are the abscissae alpha.
+    """One horizontal line Im s = t.  Its nodes are the abscissae alpha.
 
-    The phases are kept, and rebuilt when a later pass on the ray needs a
-    larger cutoff, so a pass reuses those of any pass before it at the same
-    or a larger cutoff; the nodes alpha + it cost one real exponential
-    n^-alpha per term and node and one real matrix product.  A node right of _SIGMA_ONE is
-    evaluated, and its cutoff sized, at _SIGMA_ONE, where zeta is 1 to
-    double precision.
+    A pass forms the phases n^-it of its own cutoff, and its nodes alpha +
+    it cost one real exponential n^-alpha per term and node and one real
+    matrix product with them.  A node right of _SIGMA_ONE is evaluated, and
+    its cutoff sized, at _SIGMA_ONE, where zeta is 1 to double precision.
     """
 
-    __slots__ = ("t", "_phase")
+    __slots__ = ("t",)
 
     def __init__(self, t: float):
         self.t = t
-        self._phase = np.empty((0, 2))      # rows (Re, Im) of n^-it
 
     def points(self, alphas) -> list[complex]:
         return [complex(min(a, _SIGMA_ONE), self.t) for a in alphas]
@@ -215,9 +211,7 @@ class _Ray:
         N = 400 that took 3.6-3.8 us against 4.8-6.4 us through arrays and
         tolist() (2 cores), about 1.5% of a single zeta() call."""
         logn = _LOG_N[:n_cut - 1]
-        if len(self._phase) < n_cut - 1:
-            self._phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
-        phase = self._phase[:n_cut - 1]
+        phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
         logN = math.log(n_cut)
         phase_N = _phases(logN, self.t)
         if len(sigmas) >= _ARRAY_NODES:

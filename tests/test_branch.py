@@ -62,6 +62,19 @@ def test_real_axis_closed_form():
     assert got.imag == pytest.approx(-math.pi, abs=1e-15)
 
 
+def test_real_axis_estimate_covers_the_error_right_of_zero():
+    # t = 0: h(sigma) - Log(sigma - 1 + 0i) against 40-digit mpmath at 200
+    # seeded sigma in [0, 3), within est_err.  Left of 0 it is not covered:
+    # rem leaves out the rounding of the partial sums there.
+    rng = np.random.default_rng(34)
+    for sigma in rng.uniform(0.0, 3.0, 200).tolist():
+        got, est = log_zeta_with_err(sigma)
+        with mp.workdps(40):
+            z = mp.zeta(sigma)
+            ref = complex(float(mp.log(abs(z))), -math.pi if z < 0 else 0.0)
+        assert abs(got - ref) <= est, (sigma, got, ref, est)
+
+
 def test_conjugate_symmetry(store):
     # values at -t are conjugates of values at t (real axis convention aside)
     for (sig, t) in [(0.5, 30.0), (2.0, 10.0)]:
@@ -125,8 +138,11 @@ def test_a_ray_ending_right_of_the_walk_start_does_not_walk(store):
     above = branch_path(3000.0, 2.0, store=store)    # above the table
     assert above.eval_log(2.0) == log_zeta_with_err(2 + 3000j, store=store)
     assert above.nodes == 0
-    with pytest.raises(BeyondTable, match="branch_path: t=3000.0"):
-        branch_path(3000.0, 1.0, store=store)
+    # a ray that walks refuses the table's height first, above zeta's
+    # height cap too
+    for t in (3000.0, 1e12):
+        with pytest.raises(BeyondTable, match=f"branch_path: t={t!r}"):
+            branch_path(t, 1.0, store=store)
 
 
 def test_right_of_the_walk_start_the_branch_is_the_principal_log(store):

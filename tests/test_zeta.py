@@ -550,21 +550,22 @@ def test_phases_match_the_libm_forms_in_each_shape():
 
 
 def test_heights_above_the_cap_are_refused_at_once(monkeypatch):
-    # zeta, zeta'/zeta, log zeta right of sigma = 1.25 and Hardy Z refuse
-    # |t| above the cap by name: at 1e300 they died in a raw OverflowError,
-    # and at 1e20 mpmath's Riemann-Siegel sum grows without bound, so the
-    # extended path raises here if it is reached at all
-    from zeta_eta.branch import log_zeta_with_err
+    # zeta, zeta'/zeta, log zeta and a ray right of sigma = 1.25 and Hardy
+    # Z refuse |t| above the cap by name: at 1e300 they died in a raw
+    # OverflowError, and at 1e20 mpmath's Riemann-Siegel sum grows without
+    # bound, so the extended path raises here if it is reached at all
+    from zeta_eta.branch import branch_path, log_zeta_with_err
 
     def unbounded(*args, **kwargs):
         raise AssertionError("extended precision reached above the cap")
 
     monkeypatch.setattr(_ZETA_MODULE, "_extended", unbounded)
-    for t in (1e20, 1e300, -1e300):
+    for t in (1e12, 1e20, 1e300, -1e300):
         for call in (lambda: zeta(complex(2.0, t)),
                      lambda: zeta(complex(0.5, t)),
                      lambda: zeta_log_deriv(complex(2.0, t)),
                      lambda: log_zeta_with_err(complex(2.0, t)),
+                     lambda: branch_path(t, 2.0).eval_log(2.0),
                      lambda: hardy_z(t)):
             with pytest.raises(ValidationError, match="t="):
                 call()

@@ -12,15 +12,17 @@ seeded set of calls and hands back every value with its est_err:
   zeta          at sigma in [-1, 3], t in [0, 2150]
   dirichlet_poly  X = 1000, H = 1, m = 1 at sigma in [1/2, 2], t in [0, 2150]
   eta_vertical  m = 1 at sigma = 1/2, t in [1000, 2000], abs_err 1e-8
+  log_zeta_with_err  at sigma in [-0.99, 3], t = 0
 
 The m = 3 draws of eta_iterated come after the four lines above them:
 they are where the iterated route's model pieces and panel integrals, each
-about t^m in size, amplify a last-bit change most.  The zeta and
-dirichlet_poly draws come last, so every earlier draw keeps its seeded
-point.  The last eta_vertical draws are dist's line and precision; they
-are read with the first ones.  zeta's est_err is the abs_err it was asked
-for, as in the bench's points check; dirichlet_poly has no estimate, so its
-est_err is 0 and any move reads inf.
+about t^m in size, amplify a last-bit change most.  Each later line was
+appended after the others, so every earlier draw keeps its seeded point.
+The last eta_vertical draws are dist's line and precision, and the last
+log_zeta_with_err draws the real axis, the limit from above; each is read
+with its function's first draws.  zeta's est_err is the abs_err it was
+asked for, as in the bench's points check; dirichlet_poly has no estimate,
+so its est_err is 0 and any move reads inf.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -78,6 +80,8 @@ def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
     out = [call + (None,) for call in out]
     out += [("eta_vertical", 1, complex(0.5, rng.uniform(1000.0, 2000.0)),
              1e-8) for _ in range(count)]
+    out += [("log_zeta_with_err", 0, complex(rng.uniform(-0.99, 3.0), 0.0),
+             None) for _ in range(count)]
     return out
 
 
