@@ -48,45 +48,31 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import (BeyondSieve, HypothesisViolated, ValidationError,
-                     ZeroCoincidesWithS, _integer, _point, _real)
-# _lambda_table (Lambda and its sorted support) and _prime_mask are not
-# called here, but stay importable by name: the bench builds the full sieve
-# through approx._lambda_table, and its layer tracer looks both up here.
-from .eta import (_I_POW, SIEVE_LIMIT, _lambda_table, _prime_mask, _sieve,
-                  eta_vertical, zero_sum_polynomial)
+from .errors import (HypothesisViolated, ValidationError, ZeroCoincidesWithS,
+                     _integer, _point, _real)
+# _lambda_table, _prime_mask, _check_sieve_range and SIEVE_LIMIT stay
+# importable here by name: the bench's set-up builds the full sieve through
+# approx._lambda_table(approx.SIEVE_LIMIT), and its layer tracer looks the
+# three functions up here.
+from .eta import (_I_POW, SIEVE_LIMIT, _check_sieve_power, _check_sieve_range,
+                  _lambda_table, _prime_mask, _sieve, eta_vertical,
+                  prime_power_poly, zero_sum_polynomial)
 from .kernels import DEFAULT_KERNEL, Kernel
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore, store_or_builtin
-from .zeta import _phases
 
 
 # --- von Mangoldt via the sieve (eta._sieve) --------------------------------------
 
-def _check_sieve_range(n: float, what: str) -> None:
-    if n > SIEVE_LIMIT:
-        raise BeyondSieve(
-            f"{what} needs the sieve up to {n:.0f} > limit {SIEVE_LIMIT}")
-
-
-def _check_sieve_power(X: float, power: float, what: str) -> None:
-    """Refuse, with BeyondSieve naming X, a sum over n <= X^power past the
-    sieve, before any numerics.  A log far past the sieve's is refused
-    without forming X^power, which overflows for a large X."""
-    top = (math.floor(X ** power)
-           if power * math.log(X) <= math.log(SIEVE_LIMIT) + 1.0 else math.inf)
-    _check_sieve_range(top, f"{what} with X={X}")
-
-
 def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n is a prime power p^k, else 0."""
     n = _integer(n, "n", 1)
-    _check_sieve_range(n, "von_mangoldt")
-    return float(_sieve(n).lam[n])
+    sieve = _sieve(n, "von_mangoldt")
+    j = np.searchsorted(sieve.n, n, "right") - 1
+    return float(sieve.lam[j]) if sieve.n[j] == n else 0.0
 
 
 # --- configuration ----------------------------------------------------------------
@@ -120,32 +106,6 @@ def _v_weights(kernel: Kernel, h: float, log_n: np.ndarray,
     return 1.0 - kernel.f_cdf(h * (log_n / log_x - 1.0))
 
 
-def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
-                     primes_only: bool = False) -> Callable[[float], complex]:
-    """t -> sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the
-    primes alone if primes_only), with a_n = coef(n, log n, Lambda(n)).
-
-    The one evaluator of the library's prime-power polynomials: the support
-    is a slice of the sieve's sorted one, the coefficients are built once,
-    and the returned function sums them at any height t.  n_max below 2 or
-    beyond the sieve is refused.
-    """
-    if not n_max >= 2.0:
-        raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
-    _check_sieve_range(n_max, what)
-    sieve = _sieve(n_max)
-    support = sieve.primes if primes_only else sieve.powers
-    idx = support[:np.searchsorted(support, math.floor(n_max), "right")]
-    n = idx.astype(float)
-    log_n = np.log(n)
-    a = coef(n, log_n, sieve.lam[idx])
-
-    def poly(t: float) -> complex:
-        return complex(np.sum(a * _phases(log_n, t)))
-
-    return poly
-
-
 def dirichlet_poly(s, cfg: ApproxConfig) -> complex | list[complex]:
     """i^m sum_{2<=n<=X^(1+1/H)} Lambda(n) v_{f,H}(.) / (n^s (log n)^(m+1)).
 
@@ -160,10 +120,9 @@ def dirichlet_poly(s, cfg: ApproxConfig) -> complex | list[complex]:
         raise ValidationError(f"dirichlet_poly needs points on one vertical "
                               f"line, got sigma in {sorted(sigmas)}")
     sigma = sigmas.pop()
-    log_x = math.log(cfg.X)
 
     def coef(n, log_n, lam):
-        v = _v_weights(cfg.kernel, cfg.H, log_n, log_x)
+        v = _v_weights(cfg.kernel, cfg.H, log_n, math.log(cfg.X))
         return lam * v / (np.exp(sigma * log_n) * log_n ** (cfg.m + 1))
 
     poly = prime_power_poly(cfg.n_max, coef,
@@ -326,13 +285,10 @@ def p_f(s, X: float, kernel: Kernel | None = None) -> complex:
     if kernel is None:
         kernel = DEFAULT_KERNEL
     _check_sieve_power(X, 2.0, "p_f")
-    log_x = math.log(X)
-    p_max = int(math.floor(X * X))
-    poly = prime_power_poly(
-        p_max, lambda p, log_p, lam: (_v_weights(kernel, 1.0, log_p, log_x)
-                                      / np.exp(z.real * log_p)),
-        f"p_f with X^2={p_max}", primes_only=True)
-    return poly(z.imag)
+    return prime_power_poly(
+        math.floor(X * X), lambda p, log_p, lam: _v_weights(
+            kernel, 1.0, log_p, math.log(X)) / np.exp(z.real * log_p),
+        "p_f", primes_only=True)(z.imag)
 
 
 def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,

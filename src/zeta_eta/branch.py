@@ -44,7 +44,9 @@ on a tabulated ordinate uses the one-sided limit, approached from below for
 gamma > 0 and from above for gamma < 0, and t = 0 is the limit from above.
 A ray that may walk, one ending left of SIGMA_START, refuses heights above
 the zero table, whose zeros the model needs; any other answers up to
-zeta's height limit, |t| <= 1e10.
+zeta's height limit, |t| <= 1e10.  Every ray evaluates in doubles, so a
+target that zeta would send to extended precision at the ray's height is
+refused (zeta._check_doubles), as the iterated sweep refuses it.
 
 On the real axis log zeta is the limit from above, h(sigma) - Log(sigma -
 1 + 0i): h(a) = log((a - 1) zeta(a)) is real and analytic on (-1, inf),
@@ -64,7 +66,7 @@ from .errors import (BudgetExceeded, NearSingularity, NumericalError,
                      OnSingularity, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ZeroStore, store_or_builtin
-from .zeta import _POLE_RADIUS, _Ray, _check_height, _zeta_em
+from .zeta import _POLE_RADIUS, _Ray, _check_doubles, _check_height, _zeta_em
 
 # For sigma > 1, |log zeta(s)| <= log zeta(sigma) (its Dirichlet series has
 # positive coefficients), and log zeta(1.25) = 1.525 < pi/2: from here right
@@ -225,11 +227,14 @@ class BranchPath(_Walk):
 
     def _query(self, alpha) -> tuple[np.ndarray, ...]:
         """_march at the abscissae alpha, flattened, once each is checked
-        finite and >= sigma_end."""
+        finite and >= sigma_end; no abscissae are answered with empty
+        arrays and no zeta pass."""
         if np.ndim(alpha) == 0:
             xs = np.array([_real(alpha, "alpha", self.sigma_end)])
         else:
             xs = np.ravel(np.asarray(alpha, dtype=np.float64))
+            if xs.size == 0:
+                return xs + 0j, xs, xs.astype(int), np.empty((self.mu.size, 0))
             for end in (xs.min(), xs.max()):
                 _real(end, "alpha", self.sigma_end)
         return _march(self, xs)
@@ -336,7 +341,8 @@ def branch_path(t: float, sigma_end: float,
     queries: its snapped height and window, and no zeta pass.  Only a ray
     that ends left of SIGMA_START may walk, and only it needs the zero table
     up to |t|; right of it no zero enters the answer.  Every ray refuses
-    |t| above zeta's limit, 1e10, the table's refusal first.
+    |t| above zeta's limit, 1e10, the table's refusal first, and then a
+    prec that zeta would take to extended precision at its height.
     """
     store = store_or_builtin(store)
     t = _real(t, "t")
@@ -345,13 +351,14 @@ def branch_path(t: float, sigma_end: float,
         store.require_height(abs(t), "branch_path", t=t)
     _check_height(t)
     conjugate = t < 0.0
-    t = abs(t)
     # An ordinate is approached from below; for the reflected ray this
     # conjugates into approach from above, matching the convention at
     # negative ordinates.  Exact zeros on the ray (sigma_end below a zero's
     # beta at this height) are fine -- the ray passes at vertical distance
     # >= the snap offset.
-    return BranchPath(store.snap(t), sigma_end, conjugate, prec, store)
+    t = store.snap(abs(t))
+    _check_doubles(t, prec.abs_err)
+    return BranchPath(t, sigma_end, conjugate, prec, store)
 
 
 _ONE_UP = math.nextafter(1.0, 2.0)

@@ -38,7 +38,10 @@ The log|zeta| estimators evaluate all their samples together on the line
 sigma = 1/2 (zeta._zeta_line): sorted, cut into groups, and each group's
 partial sums taken from one Taylor expansion of the Dirichlet sum, each
 value certified to the target like a single zeta call.  The residual
-estimators take one eta_vertical per sample.
+estimators take one eta_vertical per sample, whose ray walks in doubles:
+a target that zeta would send to extended precision at their top sample
+is refused before any sample (zeta._check_doubles).  Their plain
+polynomial is eta.prime_power_poly's, built once per call.
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _check_sieve_power, prime_power_poly, y_m
+from .approx import y_m
 from .errors import HypothesisViolated, ValidationError, _integer, _real
-from .eta import _I_POW, eta_vertical
+from .eta import _I_POW, _check_sieve_power, eta_vertical, prime_power_poly
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ORDINATE_TOL, ZeroStore, store_or_builtin
-from .zeta import _zeta_line
+from .zeta import _check_doubles, _zeta_line
 
 _SCHEMES = ("uniform", "stratified-jitter", "seeded-random")
 
@@ -204,6 +207,7 @@ def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec, *,
     _check_residual_call(T, X, m, m_min=0, t_min=14.0)
     _real(V, "threshold V")
     _check_grid("measure_t_m", T, grid, store)
+    _check_doubles(2.0 * T, prec.abs_err)
     values = _residual_samples(grid, T, 2.0 * T, 0.5, X, m, store, prec)
     return _estimate(V, values, T)
 
@@ -232,6 +236,7 @@ def moment_residual(T: float, X: float, m: int, k: int, grid: GridSpec, *,
     lo, hi = (14.0, T) if interval == "theorem" else (T, 2.0 * T)
     _check_residual_call(T, X, m, m_min=1, t_min=28.0)
     _check_grid("moment_residual", T, grid, store, min_count=1, hi=hi)
+    _check_doubles(hi, prec.abs_err)
     waived = bool(X > T ** (1.0 / (135.0 * k)))
     if waived and enforce_range:
         raise HypothesisViolated(

@@ -94,6 +94,14 @@ log zeta is its Dirichlet series, and the integral is a closed-form sum
 over the prime powers up to _TAIL_N; a0 is derived from that sum's
 truncation bound, and from sigma >= a0 on no quadrature runs at all.
 
+That sum is one of the library's prime-power polynomials, all of which
+prime_power_poly evaluates here over a prefix of one cached sieve record:
+the prime powers with log n and Lambda(n), held once.
+
+A target that zeta sends to extended precision at a height t > 0 is
+refused (zeta._check_doubles) before any zeta pass: the sweep and the ray
+walks evaluate in doubles.
+
 Error floor: the iterated route adds pieces of size ~ |c_1| t^(m-1)/(m-1)!
 that cancel down to the O(1)-size answer, so its achievable absolute error
 grows like t^(m-1) ulp; est_err accounts for this.  The vertical route has
@@ -106,17 +114,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .branch import (_WINDOW, _Walk, _log_regular_real, branch_path,
                      log_zeta_with_err)
-from .errors import NumericalError, ValidationError, _integer, _point, _real
+from .errors import (BeyondSieve, NumericalError, ValidationError, _integer,
+                     _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import _NODES, _panel, integrate_adaptive
 from .zeros import SNAP_TOL, ZeroStore, store_or_builtin
-from .zeta import _BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _phases, _zeta_em
+from .zeta import (_BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _check_doubles,
+                   _phases, _zeta_em)
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)     # exact i^m
 
@@ -188,24 +198,13 @@ def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
             est + (pest + allowance) / fact)
 
 
-# --- the vertical integrals above a0: the Dirichlet series of log zeta ---------
+# --- the sieve and the one prime-power evaluator -----------------------------
 #
-# For a > 1, log zeta(a + it) = sum_n c_n n^-(a+it) with c_n = Lambda(n)/log n
-# (Edwards, Riemann's Zeta Function, 1.6), so with d = a0 - sigma
-#
-#   i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da
-#       = i^m sum_n c_n n^-(a0+it) W(log n),
-#   W(L) = sum_{j<m} d^(m-1-j) / ((m-1-j)! L^(j+1)).
-#
-# The sum stops at n = _TAIL_N.  Since 0 <= c_n <= 1 and W decreases in L,
-# the terms dropped total at most W(log N) N^(1-a0)/(a0-1); a0 is the first
-# point of sigma + k/4 past 1 where that is _TAIL_SHARE of the target.  It is
-# 3.5-4.25 at abs_err 1e-8 and 1e-10 for m <= 5 and sigma = 1/2.
+# Every prime-power sum of the library, sum_n a_n n^-it over n <= n_max, is
+# prime_power_poly over a prefix of one cached sieve: the vertical tail here,
+# and approx's and distribution's polynomials.
 
-_TAIL_N = 8192
-_TAIL_SHARE = 1e-3
-
-#: The largest n a prime-power sum may reach (approx refuses beyond it).
+#: The largest n a prime-power sum may reach (beyond it sums are refused).
 SIEVE_LIMIT = 2_000_000
 
 
@@ -222,55 +221,100 @@ def _prime_mask(limit: int) -> np.ndarray:
 
 
 class _Sieve(NamedTuple):
-    """Lambda(n) for n = 0 .. limit and its support: the primes and the
-    prime powers p^k (k >= 1) up to limit, as ascending index arrays, all
+    """The prime powers 2 <= n <= limit in ascending order, a column each
+    of n (floats), log n, Lambda(n) and whether n is prime, all
     read-only."""
 
+    n: np.ndarray
+    log_n: np.ndarray
     lam: np.ndarray
-    primes: np.ndarray
-    powers: np.ndarray
+    prime: np.ndarray
 
 
 @lru_cache(maxsize=2)
 def _lambda_table(limit: int) -> _Sieve:
-    """Lambda(n) for n = 0 .. limit with its sorted support.  The support is
-    the sieve's primes merged with the higher powers its loop visits, so no
-    sum scans the table for it."""
+    """The sieve up to limit: the primes of _prime_mask, Lambda = np.log
+    there, merged in order with the higher powers p^k, Lambda = math.log(p)
+    there."""
     mask = _prime_mask(limit)
-    lam = np.zeros(limit + 1)
-    primes = np.nonzero(mask)[0]
-    lam[primes] = np.log(primes)
-    higher = []
-    for p in primes[primes <= math.isqrt(limit)]:
-        lp = math.log(p)
-        q = int(p) * int(p)
-        while q <= limit:
-            lam[q] = lp
-            higher.append(q)
-            q *= int(p)
-    higher = np.sort(np.array(higher, dtype=primes.dtype))
-    powers = np.insert(primes, np.searchsorted(primes, higher), higher)
-    for a in (lam, primes, powers):
+    primes = np.flatnonzero(mask)
+    q, lq = np.array([(p ** k, math.log(p))
+                      for p in range(2, math.isqrt(limit) + 1) if mask[p]
+                      for k in range(2, limit.bit_length()) if p ** k <= limit]
+                     ).reshape(-1, 2).T
+    order = np.argsort(np.concatenate((primes, q)), kind="stable")
+    n = np.concatenate((primes, q))[order]
+    cols = _Sieve(n, np.log(n), np.concatenate((np.log(primes), lq))[order],
+                  order < primes.size)
+    for a in cols:
         a.setflags(write=False)
-    return _Sieve(lam, primes, powers)
+    return cols
 
 
-def _sieve(n: float) -> _Sieve:
+def _sieve(n: float, what: str) -> _Sieve:
     """The smaller cached sieve that covers n <= SIEVE_LIMIT: the one up to
     _TAIL_N, else the one up to SIEVE_LIMIT.  The two agree where both
-    reach."""
+    reach.  Beyond SIEVE_LIMIT, BeyondSieve names what."""
+    _check_sieve_range(n, what)
     return _lambda_table(_TAIL_N if n <= _TAIL_N else SIEVE_LIMIT)
 
 
-@lru_cache(maxsize=1)
-def _dirichlet_terms() -> tuple[np.ndarray, np.ndarray]:
-    """log n and c_n = Lambda(n)/log n over the prime powers n <= _TAIL_N."""
-    lam, _, n = _sieve(_TAIL_N)
-    log_n = np.log(n)
-    c = lam[n] / log_n
-    for a in (log_n, c):
-        a.setflags(write=False)
-    return log_n, c
+def _check_sieve_range(n: float, what: str) -> None:
+    if n > SIEVE_LIMIT:
+        raise BeyondSieve(
+            f"{what} needs the sieve up to {n:.0f} > limit {SIEVE_LIMIT}")
+
+
+def _check_sieve_power(X: float, power: float, what: str) -> None:
+    """Refuse, with BeyondSieve naming X, a sum over n <= X^power past the
+    sieve, before any numerics.  A log far past the sieve's is refused
+    without forming X^power, which overflows for a large X."""
+    top = (math.floor(X ** power)
+           if power * math.log(X) <= math.log(SIEVE_LIMIT) + 1.0 else math.inf)
+    _check_sieve_range(top, f"{what} with X={X}")
+
+
+def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
+                     primes_only: bool = False) -> Callable[[float], complex]:
+    """t -> sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the
+    primes alone if primes_only), with a_n = coef(n, log n, Lambda(n)).
+
+    The one evaluator of the library's prime-power polynomials: n, log n
+    and Lambda(n) are a prefix of the sieve's columns (the primes among it
+    for primes_only), the coefficients are built once, and the returned
+    function sums them at any height t.  n_max below 2 or beyond the sieve
+    is refused.
+    """
+    if not n_max >= 2.0:
+        raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
+    sieve = _sieve(n_max, what)
+    top = np.searchsorted(sieve.n, n_max, "right")
+    n, log_n, lam = (col[:top][sieve.prime[:top]] if primes_only
+                     else col[:top] for col in sieve[:3])
+    a = coef(n, log_n, lam)
+
+    def poly(t: float) -> complex:
+        return complex(np.sum(a * _phases(log_n, t)))
+
+    return poly
+
+
+# --- the vertical integrals above a0: the Dirichlet series of log zeta ---------
+#
+# For a > 1, log zeta(a + it) = sum_n c_n n^-(a+it) with c_n = Lambda(n)/log n
+# (Edwards, Riemann's Zeta Function, 1.6), so with d = a0 - sigma
+#
+#   i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da
+#       = i^m sum_n c_n n^-(a0+it) W(log n),
+#   W(L) = sum_{j<m} d^(m-1-j) / ((m-1-j)! L^(j+1)).
+#
+# The sum stops at n = _TAIL_N.  Since 0 <= c_n <= 1 and W decreases in L,
+# the terms dropped total at most W(log N) N^(1-a0)/(a0-1); a0 is the first
+# point of sigma + k/4 past 1 where that is _TAIL_SHARE of the target.  It is
+# 3.5-4.25 at abs_err 1e-8 and 1e-10 for m <= 5 and sigma = 1/2.
+
+_TAIL_N = 8192
+_TAIL_SHARE = 1e-3
 
 
 def _tail_weight(m: int, d: float, x):
@@ -305,12 +349,19 @@ def _vertical_tail(m: int, sigma: float, a0: float,
                    t: float) -> tuple[complex, float]:
     """i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da, a0 > 1, and
     its error bound: the dropped terms, and the rounding of the kept ones
-    (their phases t log n, amplitudes a0 log n, W and the sum)."""
-    log_n, c = _dirichlet_terms()
-    terms = c * np.exp(-a0 * log_n) * _tail_weight(m, a0 - sigma, 1.0 / log_n)
-    val = complex(terms @ _phases(log_n, t))
-    rnd = 2.0 * _UNIT_ROUNDOFF * float(
-        terms @ ((abs(t) + a0) * log_n + m + 8))
+    (their phases t log n, amplitudes a0 log n, W and the sum).  The kept
+    terms c_n n^-a0 W(log n), n <= _TAIL_N, are prime_power_poly's
+    coefficients, and its coefficient callback forms their rounding mass."""
+    mass = []
+
+    def coef(n, log_n, lam):
+        terms = (lam / log_n * np.exp(-a0 * log_n)
+                 * _tail_weight(m, a0 - sigma, 1.0 / log_n))
+        mass.append(float(terms @ ((abs(t) + a0) * log_n + m + 8)))
+        return terms
+
+    val = prime_power_poly(_TAIL_N, coef, "the vertical tail")(t)
+    rnd = 2.0 * _UNIT_ROUNDOFF * mass[0]
     return _I_POW[m % 4] * val, _tail_bound(m, sigma, a0) + rnd
 
 
@@ -742,7 +793,8 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
 
     m = 0 is log_zeta; t = 0 is c_m(sigma).  Requires sigma > -1 and
     0 <= t <= table height - 2.5 (the sweep's model needs zeros slightly
-    above t).
+    above t); a t > 0 at which zeta would take extended precision for
+    prec is refused before c_m and the sweep.
     """
     m = _order(m, 0)
     z = _point(s)
@@ -756,9 +808,9 @@ def eta_iterated(s, m: int, store: ZeroStore | None = None,
             f"the iterated route needs sigma > -1, got sigma={sigma}")
     store.require_height(t + 2.5, "eta_iterated", t=t)
 
+    _check_doubles(t, prec.abs_err)
     poly = 0j
-    est = 0.0
-    poly_mag = 0.0
+    est = poly_mag = 0.0
     on_axis = t < SNAP_TOL
     t_eff = t if on_axis else store.snap(t)
     for j in range(1, m + 1):

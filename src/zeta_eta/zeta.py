@@ -41,10 +41,13 @@ that miss at an escalated cutoff.
 
 Every phase n^-it in the library is formed by one function, _phases, as
 the cos and sin of t log n rounded to a double: a ray's, a _Line group
-centre's, the correction's N^-it, and those of eta's vertical tail and of
-approx's prime-power polynomials.  The rounding of that argument, an
-error of about u |t| log n in each phase (u the unit roundoff), is what
-limits the double path at large height.
+centre's, the correction's N^-it, and those of eta.prime_power_poly, the
+one evaluator of the prime-power polynomials (eta's vertical tail
+included).  The rounding of that argument, an error of about u |t| log n
+in each phase (u the unit roundoff), is what limits the double path at
+large height: zeta goes to extended precision where _needs_extended
+holds, and _check_doubles refuses such a target to the ray walks and the
+iterated sweep, which evaluate in doubles.
 """
 
 from __future__ import annotations
@@ -543,6 +546,15 @@ def _check_height(t: float) -> None:
     if abs(t) > _MAX_HEIGHT:
         raise ValidationError(
             f"|t| <= {_MAX_HEIGHT:g} required, got t={t!r}")
+
+
+def _check_doubles(t: float, abs_err: float) -> None:
+    """Refuse abs_err at a height t > 0 where zeta goes to extended
+    precision: the ray walks and the iterated sweep evaluate in doubles,
+    whose error there exceeds the estimates they report."""
+    if t > 0.0 and _needs_extended(complex(0.0, t), abs_err):
+        raise ValidationError(f"abs_err={abs_err:g} at t={t!r} needs "
+                              f"extended precision, which a walk lacks")
 
 
 def _needs_extended(z: complex, abs_err: float) -> bool:

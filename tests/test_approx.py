@@ -5,6 +5,7 @@ The von Mangoldt oracle below is trial division, independent of the sieve.
 """
 
 import cmath
+import functools
 import math
 import re
 import subprocess
@@ -22,6 +23,7 @@ from zeta_eta.approx import (SIEVE_LIMIT, ApproxConfig, ResidualReport,
                              von_mangoldt, w_x, y_m)
 from zeta_eta.errors import (BeyondSieve, BeyondTable, HypothesisViolated,
                              ValidationError, ZeroCoincidesWithS)
+from zeta_eta.eta import _TAIL_N
 from zeta_eta.kernels import DEFAULT_KERNEL, make_kernel, v_f_h
 from zeta_eta.zeros import ZeroRecord, ZeroStore
 
@@ -57,6 +59,35 @@ def test_von_mangoldt_validation():
         von_mangoldt(SIEVE_LIMIT + 1)
 
 
+@functools.lru_cache(maxsize=2)
+def _dense_lambda(limit: int) -> np.ndarray:
+    """Lambda(n) for n = 0 .. limit as a dense table, filled as the sieve
+    fills its column: np.log at the primes, math.log(p) at p^k, k >= 2."""
+    primes = np.flatnonzero(approx._prime_mask(limit))
+    lam = np.zeros(limit + 1)
+    lam[primes] = np.log(primes)
+    for p in primes[primes <= math.isqrt(limit)].tolist():
+        q = p * p
+        while q <= limit:
+            lam[q] = math.log(p)
+            q *= p
+    return lam
+
+
+def test_von_mangoldt_keeps_the_dense_tables_bits():
+    # every n up to 10^4, each higher power up to the sieve's limit, and the
+    # limit itself read the bits of the dense table; one past it is refused
+    lam = _dense_lambda(SIEVE_LIMIT)
+    prime = approx._prime_mask(SIEVE_LIMIT)
+    higher = [p ** k for p in range(2, math.isqrt(SIEVE_LIMIT) + 1)
+              if prime[p] for k in range(2, 21) if p ** k <= SIEVE_LIMIT]
+    assert len(higher) == 302
+    for n in list(range(1, 10_001)) + higher + [SIEVE_LIMIT]:
+        assert von_mangoldt(n) == lam[n], n
+    with pytest.raises(BeyondSieve):
+        von_mangoldt(SIEVE_LIMIT + 1)
+
+
 def test_prime_power_poly_support_and_refusals():
     lam = prime_power_poly(100.7, lambda n, log_n, lam: lam, "test")
     assert lam(0.0) == pytest.approx(PSI_100, abs=1e-10)
@@ -77,30 +108,32 @@ def test_prime_power_poly_support_and_refusals():
 @pytest.mark.parametrize("n_max", [2, 10, 100.7, 8192, 8193, 10 ** 6,
                                    SIEVE_LIMIT])
 def test_prime_power_poly_support_is_the_tables_nonzero_entries(n_max):
-    # the support sliced from the sieve's sorted arrays is what a scan of
-    # the Lambda table (and of the prime mask, for primes_only) finds
-    lam = approx._sieve(n_max).lam
+    # the support sliced from the sieve's columns is what a scan of the
+    # dense Lambda table (and of the prime mask, for primes_only) finds,
+    # with the table's Lambda bits and np.log's log n
+    lam = _dense_lambda(_TAIL_N if n_max <= _TAIL_N else SIEVE_LIMIT)
     mask = approx._prime_mask(lam.size - 1)
     top = int(math.floor(n_max)) + 1
     for primes_only, table in ((False, lam), (True, mask)):
         seen = []
 
         def coef(n, log_n, lam_n):
-            seen.append((n, lam_n))
+            seen.append((n, log_n, lam_n))
             return np.zeros_like(n)
 
         prime_power_poly(n_max, coef, "test", primes_only=primes_only)
-        (n, lam_n), = seen
+        (n, log_n, lam_n), = seen
         want = np.flatnonzero(table[:top])
         assert np.array_equal(n, want.astype(float)), (n_max, primes_only)
+        assert np.array_equal(log_n, np.log(want.astype(float)))
         assert np.array_equal(lam_n, lam[want])
 
 
 def test_dirichlet_poly_matches_the_sum_over_a_table_scan():
     # X = 1000: the coefficients over the support found by scanning the
-    # table, summed as prime_power_poly sums them, give the same bits
+    # dense table, summed as prime_power_poly sums them, give the same bits
     cfg = ApproxConfig(m=1, X=1000.0)
-    lam = approx._lambda_table(SIEVE_LIMIT).lam
+    lam = _dense_lambda(SIEVE_LIMIT)
     idx = np.nonzero(lam[:cfg.n_max + 1])[0]
     n = idx.astype(float)
     log_n = np.log(n)
@@ -113,7 +146,8 @@ def test_dirichlet_poly_matches_the_sum_over_a_table_scan():
 
 def test_short_sums_leave_the_full_sieve_unbuilt():
     # sums up to _TAIL_N read the sieve eta's tail built; the SIEVE_LIMIT
-    # one, about 18 MB, is built only for a sum that reaches past it
+    # one, about 5.7 MB with its prime mask, is built only for a sum that
+    # reaches past it
     code = ("from zeta_eta import approx, distribution, eta\n"
             "def built():\n"
             "    sieves = (approx._lambda_table, approx._prime_mask)\n"

@@ -552,6 +552,23 @@ def test_branch_path_evaluates_nothing_until_its_first_query(store,
         assert val == log_zeta_with_err(s, store=store)[0]
 
 
+def test_an_empty_query_is_answered_without_a_zeta_pass(store, monkeypatch):
+    # as ZeroStore.snap answers an empty array: empty arrays of its shape
+    branch = sys.modules["zeta_eta.branch"]
+
+    def no_pass(*args):
+        raise AssertionError("evaluated zeta for no abscissae")
+
+    path = branch_path(100.0, 0.5, store=store)
+    monkeypatch.setattr(branch, "_zeta_em", no_pass)
+    for alpha in (np.array([]), np.empty((2, 0))):
+        val, est = path.eval_log(alpha)
+        k = path.winding(alpha)
+        assert val.shape == est.shape == k.shape == alpha.shape
+        assert (val.dtype.kind, est.dtype.kind, k.dtype.kind) == ("c", "f",
+                                                                  "i")
+
+
 def test_the_budget_counts_each_query_from_zero(store, monkeypatch):
     # 200 queries of 42 abscissae (and the grid's 9 nodes) stay within 60
     # nodes each; one query of 61 abscissae is refused before its zeta pass

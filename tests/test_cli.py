@@ -222,6 +222,15 @@ def test_logzeta_with_a_phase_of_noise_exits_three(capsys):
     assert code == 3 and out == "" and "error:" in err
 
 
+def test_logzeta_at_a_target_sent_to_extended_precision_exits_three(capsys):
+    # at abs_err 1e-13 and t = 1500.5 zeta goes to mpmath; the ray walks in
+    # doubles, so the target is refused, naming abs_err and t
+    code, out, err = _run(capsys, ["--abs-err", "1e-13", "eval", "--what",
+                                   "logzeta", "--s", "0.3+1500.5i"])
+    assert code == 3 and out == ""
+    assert "abs_err=1e-13 at t=1500.5" in err and "Traceback" not in err
+
+
 def test_malformed_zeros_file_exits_three(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("14.13\n25.01\n21.02\n")        # out of order

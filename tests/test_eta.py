@@ -17,9 +17,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from zeta_eta import distribution
 from zeta_eta import eta as eta_module
 from zeta_eta import quadrature
 from zeta_eta.approx import y_m
+from zeta_eta.branch import branch_path, log_zeta_with_err
 from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
                              ValidationError)
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
@@ -363,7 +365,7 @@ def test_vertical_route_takes_one_panel_call_on_dist_heights(store,
 
 def test_vertical_route_leaves_the_full_sieve_unbuilt():
     # The tail's prime powers come from the sieve up to _TAIL_N; the
-    # SIEVE_LIMIT table would add about 18 MB to every eta caller.
+    # SIEVE_LIMIT one would add about 5.7 MB to every eta caller.
     code = ("from zeta_eta import approx, eta\n"
             "eta.eta_vertical(0.5 + 30j, 2)\n"
             "eta.c_m(0.5, 3)\n"
@@ -982,11 +984,39 @@ def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
     assert abs(got - ref) <= 1e-14 * (1.0 + abs(ref))
 
 
-def test_tail_terms_are_those_of_a_table_scan():
-    # the tail's prime powers are the small sieve's sorted support, the
-    # indices a scan of its Lambda table finds, so its terms keep their bits
-    lam = eta_module._lambda_table(eta_module._TAIL_N).lam
-    n = np.nonzero(lam)[0]
-    log_n, c = eta_module._dirichlet_terms()
-    assert np.array_equal(log_n, np.log(n))
-    assert np.array_equal(c, lam[n] / np.log(n))
+def test_targets_zeta_sends_to_extended_precision_are_refused(
+        store, tight, monkeypatch):
+    # At abs_err 1e-12 zeta goes to mpmath above t = 500.  The ray walks
+    # and the sweep evaluate in doubles, whose error there exceeds their
+    # estimates, so each entry refuses at t = 700, naming abs_err and t,
+    # before any zeta pass or sample; at t = 20 the answer is within its
+    # est_err of 40-digit mpmath, and the two routes agree.
+    def no_pass(*args, **kwargs):
+        raise AssertionError("evaluated before the refusal")
+
+    for module in (eta_module, sys.modules["zeta_eta.branch"],
+                   sys.modules["zeta_eta.zeta"]):
+        monkeypatch.setattr(module, "_zeta_em", no_pass)
+    monkeypatch.setattr(distribution, "_samples", no_pass)
+    grid = distribution.GridSpec(count=100, seed=35)
+    for call in (
+            lambda: branch_path(700.0, 0.5, tight, store),
+            lambda: branch_path(-700.0, 2.0, tight, store),
+            lambda: log_zeta_with_err(0.3 + 700j, tight, store),
+            lambda: eta_vertical(0.7 + 700j, 1, store, tight),
+            lambda: eta_iterated(0.7 + 700j, 2, store, tight),
+            lambda: distribution.measure_t_m(350.0, 10.0, 0.5, 1, grid,
+                                             store=store, prec=tight),
+            lambda: distribution.moment_residual(
+                700.0, 10.0, 1, 1, grid, store=store, prec=tight,
+                enforce_range=False)):
+        with pytest.raises(ValidationError, match="abs_err=1e-12 at t=700"):
+            call()
+    monkeypatch.undo()
+    for sigma in (-0.5, 0.0, 0.3, 0.7, 1.5):
+        got, est = log_zeta_with_err(complex(sigma, 20.0), tight, store)
+        with mpmath.workdps(40):
+            ref = complex(mpmath.log(mpmath.zeta(mpmath.mpc(sigma, 20.0))))
+        k = round((got.imag - ref.imag) / (2.0 * math.pi))
+        assert abs(got - ref - 2j * math.pi * k) <= est, sigma
+    assert route_check(0.7 + 20j, 1, store, tight)["agree"]
