@@ -32,12 +32,16 @@ ray answers on [sigma_end, infinity) whatever it was asked before.  A
 query right of SIGMA_START walks nothing, since its branch is the
 principal logarithm, and branch_path, which evaluates nothing, decides
 where a ray may walk.  log_zeta_with_err answers every point off the real
-axis by its ray's query.  A value is the principal log zeta of its
-own evaluation + 2 pi i k; the walk only pins k.  An abscissa whose error
-bound reaches |zeta|/2 is refused, since its phase is noise, and one whose
-value is exactly 0 before that; a grid node whose bound reaches |zeta|/2
-is left out of the walk.  Every walk, the sweep's too, evaluates at most
-_WALK_BUDGET nodes, a ray's counted afresh for each query.
+axis by its ray's query.  _march walks the rays of many heights at once
+too (_log_less_model_many): one pass on all of them and one unwrap of
+all their rows, each ray then pinned as its own walk pins it.  A value is
+the principal log zeta of its own evaluation + 2 pi i k; the walk only
+pins k.  An abscissa
+whose error bound reaches |zeta|/2 is refused, since its phase is noise,
+and one whose value is exactly 0 before that; a grid node whose bound
+reaches |zeta|/2 is left out of the walk.  Every walk, the sweep's too,
+evaluates at most _WALK_BUDGET nodes, a ray's counted afresh for each
+query.
 
 The height of a ray is ZeroStore.snap(|t|), the one ordinate convention: t
 on a tabulated ordinate uses the one-sided limit, approached from below for
@@ -136,11 +140,15 @@ class _Walk:
         """Principal log zeta minus the model at the nodes xs, from their
         zeta values (a list or an array) and, if given, the model's values
         there; a value of exactly 0 is refused."""
+        self.refuse_zero(xs, vals)
+        return np.log(vals) - (self.model(xs) if model is None else model)
+
+    def refuse_zero(self, xs: np.ndarray, vals) -> None:
+        """Refuse a zeta value of exactly 0 among vals, at the nodes xs."""
         if 0 in vals:
             s = self.origin + self.direction * np.ravel(xs)[
                 list(np.ravel(vals)).index(0)]
             raise OnSingularity(f"zeta({s}) = 0 at working precision")
-        return np.log(vals) - (self.model(xs) if model is None else model)
 
     def pin(self, xs: np.ndarray, principal: np.ndarray, depth: int,
             step=None, enter=None) -> np.ndarray:
@@ -156,16 +164,8 @@ class _Walk:
         time and inserts midpoints; enter(j), where given, first moves the
         window to node j's.
         """
-        before = np.concatenate(((self.g_prev,), principal[:-1]))
-        if step is not None:
-            before += step
-        k = np.rint((before.imag - principal.imag) / _TWO_PI).cumsum()
-        g = principal.copy()
-        g.imag += _TWO_PI * k
-        before = np.concatenate(((self.g_prev,), g[:-1]))
-        if step is not None:
-            before += step
-        far = np.flatnonzero(np.abs(g - before) > _CONT_STEP)
+        g, far = _unwrap(np.array([self.g_prev]), principal, step)
+        far = np.flatnonzero(far)
         n = int(far[0]) if far.size else xs.size
         if n:
             self.x_prev, self.g_prev = float(xs[n - 1]), complex(g[n - 1])
@@ -198,6 +198,25 @@ class _Walk:
         return g_here
 
 
+def _unwrap(g_prev: np.ndarray, principal: np.ndarray,
+            step=None) -> tuple[np.ndarray, np.ndarray]:
+    """G from the principal values by one unwrap along the last axis, from
+    the last node's G, g_prev (that axis of length 1), with step added to
+    each previous node's G where given; and whether each node's step of G
+    exceeds _CONT_STEP.  The winding integers are the running sums of the
+    rounded phase steps."""
+    before = np.concatenate((g_prev, principal[..., :-1]), axis=-1)
+    if step is not None:
+        before += step
+    k = np.rint((before.imag - principal.imag) / _TWO_PI).cumsum(axis=-1)
+    g = principal.copy()
+    g.imag += _TWO_PI * k
+    before = np.concatenate((g_prev, g[..., :-1]), axis=-1)
+    if step is not None:
+        before += step
+    return g, np.abs(g - before) > _CONT_STEP
+
+
 class BranchPath(_Walk):
     """One horizontal ray Im s = t, and the queries it answers.
 
@@ -226,9 +245,9 @@ class BranchPath(_Walk):
                              for _, beta, gamma in rows], dtype=np.complex128)
 
     def _query(self, alpha) -> tuple[np.ndarray, ...]:
-        """_march at the abscissae alpha, flattened, once each is checked
-        finite and >= sigma_end; no abscissae are answered with empty
-        arrays and no zeta pass."""
+        """_march on this ray alone at the abscissae alpha, flattened, once
+        each is checked finite and >= sigma_end; no abscissae are answered
+        with empty arrays and no zeta pass."""
         if np.ndim(alpha) == 0:
             xs = np.array([_real(alpha, "alpha", self.sigma_end)])
         else:
@@ -237,7 +256,8 @@ class BranchPath(_Walk):
                 return xs + 0j, xs, xs.astype(int), np.empty((self.mu.size, 0))
             for end in (xs.min(), xs.max()):
                 _real(end, "alpha", self.sigma_end)
-        return _march(self, xs)
+        vals, rems, k, (terms,) = _march([self], xs)
+        return vals[0], rems[0], k[0], terms
 
     def winding(self, alpha):
         """The winding integer at alpha, a float or an array (same shape)."""
@@ -266,72 +286,120 @@ class BranchPath(_Walk):
         alpha's shape: eval_log's values and bounds less the model that
         their query formed, whose rounding adds 1e-15 (1 + |Log|) per term.
         On a conjugate ray G is conjugated, the model with it."""
-        vals, rems, k, terms = self._query(alpha)
-        out, est = _log_with_err(vals, rems, k)
-        g = out - self.mu @ terms
-        est += 1e-15 * (np.abs(self.mu) @ (1.0 + np.abs(terms)))
-        if self.conjugate:
-            g = g.conjugate()
+        g, est = _less_model(self, *self._query(alpha))
         return g.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
 
 def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:
     """log zeta = principal log of the zeta values + 2 pi i k, and its error
     estimate rem/|zeta| + 1e-15 (1 + |log zeta|); vals and rems are arrays
-    or lists.  cmath.log, not np.log: near |zeta| = 1 numpy's complex log
-    loses the last bits that cmath's log1p branch keeps, so the values go
-    to Python complex numbers once."""
+    of any one shape, or lists.  cmath.log, not np.log: near |zeta| = 1
+    numpy's complex log loses the last bits that cmath's log1p branch
+    keeps, so the values go to Python complex numbers once."""
     vals = np.asarray(vals)
-    out = np.array([cmath.log(v) for v in vals.tolist()]) + 2j * math.pi * k
+    out = np.array([cmath.log(v) for v in vals.ravel().tolist()]
+                   ).reshape(vals.shape) + 2j * math.pi * k
     return out, np.asarray(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
 
 
-def _march(path: BranchPath, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """zeta at the abscissae xs (an array), their remainder bounds, their
-    winding integers and the window's log terms there, a row per term, as
-    arrays: one walk down the ray.
+def _less_model(path: BranchPath, vals, rems, k,
+                terms) -> tuple[np.ndarray, np.ndarray]:
+    """G = log zeta - model on path's ray and its error bounds, from a
+    walk's zeta values, remainder bounds, winding integers and the window's
+    log terms there (_march's row for the ray): _log_with_err's values and
+    bounds less the model, whose rounding adds 1e-15 (1 + |Log|) per term,
+    G conjugated, the model with it, on a conjugate ray."""
+    out, est = _log_with_err(vals, rems, k)
+    g = out - path.mu @ terms
+    est += 1e-15 * (np.abs(path.mu) @ (1.0 + np.abs(terms)))
+    return (g.conjugate() if path.conjugate else g), est
+
+
+def _march(paths: list[BranchPath], xs: np.ndarray) -> tuple:
+    """zeta at the abscissae xs (an array) on each ray of paths, their
+    remainder bounds, their winding integers and each ray's window log
+    terms there, a row per term: three arrays of a row per ray and a list
+    of a terms array per ray, from one walk down every ray.  The rays
+    share one prec.
 
     zeta is evaluated at xs and at the _RAY_GRID nodes right of min(xs) in
-    one pass at path.prec.  A value of exactly 0 is refused first.  Then an
-    abscissa of xs whose remainder reaches |zeta|/2 is refused, before any
-    pin: the phase of such a value, and the pin with it, is noise.  Below
-    it the error of its logarithm is under log 2 < _CONT_STEP, so the pin
-    converges.  A grid node whose bound reaches |zeta|/2 is left out of the
-    walk.  The nodes left of SIGMA_START are then pinned in descending
-    order, from the principal value at SIGMA_START; from there right the
-    winding is 0, and a query there walks nothing.  The walk's nodes,
-    midpoints included, count against _WALK_BUDGET from 0.
+    one pass at that prec, on the ray's own line for one ray and on a
+    zeta._Ray over all their heights for more, each height at its own
+    cutoff.  Ray by ray, a value of exactly 0 at xs is refused first, then
+    an abscissa whose remainder reaches |zeta|/2, before any pin: the phase
+    of such a value, and the pin with it, is noise.  Below it the error of
+    its logarithm is under log 2 < _CONT_STEP, so the pin converges.  A grid
+    node whose bound reaches |zeta|/2 is left out of its ray's walk.  The
+    nodes left of SIGMA_START are then pinned in descending order, from the
+    principal value at SIGMA_START; from there right the winding is 0, and
+    a query there walks nothing.  One unwrap pins every ray's row; a ray
+    with a noise grid node or a step of G above _CONT_STEP is pinned by its
+    own _Walk.pin instead, which leaves those nodes out and inserts
+    midpoints.  Each walk's nodes, midpoints included, count against
+    _WALK_BUDGET from 0.
     """
     n = xs.size
     nodes = np.concatenate((xs, _RAY_GRID[_RAY_GRID > xs.min()]))
-    path.nodes = 0
-    if nodes.size > n:
-        path.spend(nodes.size, float(xs.min()))
-    vals, _, rems = _zeta_em(path.line, nodes, path.prec, want_deriv=False)
-    vals, rems = np.asarray(vals), np.asarray(rems)
-    terms = np.log(np.add.outer(path.rel, xs))
-    principal = path.principal(xs, vals[:n], path.mu @ terms)
+    for path in paths:
+        path.nodes = 0
+        if nodes.size > n:
+            path.spend(nodes.size, float(xs.min()))
+    line = (paths[0].line if len(paths) == 1
+            else _Ray(np.array([p.t for p in paths])))
+    vals, _, rems = _zeta_em(line, nodes, paths[0].prec, want_deriv=False)
+    vals, rems = (np.asarray(x).T.reshape(len(paths), -1)
+                  for x in (vals, rems))
     noise = rems >= 0.5 * np.abs(vals)
-    if noise[:n].any():
-        j = int(np.argmax(noise))
-        s = complex(xs[j], -path.t if path.conjugate else path.t)
-        raise NearSingularity(
-            f"|zeta({s})| = {abs(vals[j]):.3g} is within its error "
-            f"bound {rems[j]:.3g} at abs_err={path.prec.abs_err:g}", where=s)
-    k = np.zeros(nodes.size, dtype=np.int64)
+    for path, row, bad, rem in zip(paths, vals, noise, rems):
+        path.refuse_zero(xs, row[:n])
+        if bad[:n].any():
+            j = int(np.argmax(bad))
+            s = complex(xs[j], -path.t if path.conjugate else path.t)
+            raise NearSingularity(
+                f"|zeta({s})| = {abs(row[j]):.3g} is within its error "
+                f"bound {rem[j]:.3g} at abs_err={path.prec.abs_err:g}",
+                where=s)
+    terms = [np.log(np.add.outer(p.rel, nodes)) for p in paths]
+    k = np.zeros(vals.shape, dtype=np.int64)
     if nodes.size > n:
         # The grid starts at SIGMA_START, never noise: there |zeta| >=
-        # zeta(2.5) / zeta(1.25) > 0.29.
-        p = np.empty(nodes.size, dtype=np.complex128)
-        p[:n] = principal
-        grid = n + np.flatnonzero(~noise[n:])
-        p[grid] = path.principal(nodes[grid], vals[grid])
-        walk = np.flatnonzero((nodes < SIGMA_START) & ~noise)
+        # zeta(2.5) / zeta(1.25) > 0.29.  A noise node's value, left out
+        # of its walk, is replaced by 1 before the logarithm.
+        principal = np.log(np.where(noise, 1.0, vals)) - np.array(
+            [p.mu @ rows for p, rows in zip(paths, terms)])
+        walk = np.flatnonzero(nodes < SIGMA_START)
         walk = walk[np.argsort(-nodes[walk])]
-        path.x_prev, path.g_prev = SIGMA_START, complex(p[n])
-        g = path.pin(nodes[walk], p[walk], 0)
-        k[walk] = np.rint((g.imag - p[walk].imag) / _TWO_PI)
-    return vals[:n], rems[:n], k[:n], terms
+        g, far = _unwrap(principal[:, n:n + 1], principal[:, walk])
+        k[:, walk] = np.rint((g.imag - principal[:, walk].imag) / _TWO_PI)
+        alone = far.any(axis=1) | noise[:, walk].any(axis=1)
+        for i in np.flatnonzero(alone).tolist():
+            path, own = paths[i], walk[~noise[i, walk]]
+            path.x_prev, path.g_prev = SIGMA_START, complex(principal[i, n])
+            g = path.pin(nodes[own], principal[i, own], 0)
+            k[i, own] = np.rint((g.imag - principal[i, own].imag) / _TWO_PI)
+    return vals[:, :n], rems[:, :n], k[:, :n], [x[:, :n] for x in terms]
+
+
+def _window_rows(paths: list[BranchPath]) -> tuple[np.ndarray, np.ndarray]:
+    """The rays' window rows (mu, rel) as two arrays of a row per ray,
+    padded to one count with rows of weight 0 at rel = i, whose log terms
+    are finite on every ray and add nothing."""
+    mu = np.zeros((len(paths), max(p.mu.size for p in paths)))
+    rel = np.full(mu.shape, 1j)
+    for i, p in enumerate(paths):
+        mu[i, :p.mu.size], rel[i, :p.mu.size] = p.mu, p.rel
+    return mu, rel
+
+
+def _log_less_model_many(paths: list[BranchPath],
+                         xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_log_less_model at the abscissae xs (a flat array) on every ray of
+    paths at once, from one _march of them all: G and its bounds as two
+    arrays of a row per ray, each row with the bits of the ray's own
+    query.  The rays share one prec."""
+    rows = [_less_model(p, *walk) for p, *walk in zip(paths, *_march(paths,
+                                                                      xs))]
+    return np.array([g for g, _ in rows]), np.array([e for _, e in rows])
 
 
 def branch_path(t: float, sigma_end: float,

@@ -29,7 +29,7 @@ from .approx import (ApproxConfig, ResidualReport, _residual_point,
 from .branch import log_zeta_with_err
 from .distribution import (GridSpec, measure_t_m, moment_residual, tail_table)
 from .errors import NumericalError, ValidationError, ZetaEtaError
-from .eta import eta_vertical, route_check
+from .eta import _vertical_many, eta_vertical, route_check
 from .kernels import make_kernel
 from .precision import DEFAULT_PRECISION, SCAN_PRECISION, EvalPrecision
 from .zeros import builtin_store, load_zeros
@@ -236,8 +236,10 @@ def cmd_residual_scan(args) -> int:
     points = [_residual_point(complex(args.sigma, t), args.h, store)
               for t in ts]
 
-    # eta_m does not depend on X: one evaluation serves the whole X-list
-    etas = [eta_vertical(z, args.m, store, prec).value for z in points]
+    # eta_m does not depend on X: one evaluation serves the whole X-list,
+    # every height's in one batch
+    etas = _vertical_many(args.sigma, [z.imag for z in points], args.m,
+                          store, prec)[0].tolist()
 
     # One polynomial per X, summed at every height and dropped before the
     # next X's is built; the rows go out t-major.

@@ -38,10 +38,13 @@ The log|zeta| estimators evaluate all their samples together on the line
 sigma = 1/2 (zeta._zeta_line): sorted, cut into groups, and each group's
 partial sums taken from one Taylor expansion of the Dirichlet sum, each
 value certified to the target like a single zeta call.  The residual
-estimators take one eta_vertical per sample, whose ray walks in doubles:
-a target that zeta would send to extended precision at their top sample
-is refused before any sample (zeta._check_doubles).  Their plain
-polynomial is eta.prime_power_poly's, built once per call.
+estimators take eta_m at all their samples by the vertical route at
+once (eta._vertical_many: one zeta pass on the rays of all the heights,
+each height pinned by its own walk), whose rays walk in doubles: a target
+that zeta would send to extended precision at their top sample is refused
+before any sample (zeta._check_doubles).  Their plain polynomial is
+eta.prime_power_poly's, built once per call and summed at every sample
+at once.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 
 from .approx import y_m
 from .errors import HypothesisViolated, ValidationError, _integer, _real
-from .eta import _I_POW, _check_sieve_power, eta_vertical, prime_power_poly
+from .eta import _I_POW, _check_sieve_power, _vertical_many, prime_power_poly
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .zeros import ORDINATE_TOL, ZeroStore, store_or_builtin
 from .zeta import _check_doubles, _zeta_line
@@ -186,14 +189,15 @@ def _residual_samples(grid: GridSpec, lo: float, hi: float, sigma: float,
         X, lambda n, log_n, lam: (lam / (np.sqrt(n) * log_n ** (m + 1))
                                   * np.exp((0.5 - sigma) * log_n)),
         "the plain polynomial")
-    im = _I_POW[m % 4]
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts.tolist()):
-        s = complex(sigma, t)
-        # X < 3 only reaches here for m >= 1, where Y_m does not read X.
-        out[i] = abs(eta_vertical(s, m, store, prec).value
-                     - im * poly(t) - y_m(s, max(X, 3.0), m, store))
-    return out
+    eta, _ = _vertical_many(sigma, ts, m, store, prec)
+    # X < 3 only reaches here for m >= 1, where Y_m does not read X.
+    y = np.array([y_m(complex(sigma, t), max(X, 3.0), m, store)
+                  for t in ts.tolist()])
+    r = eta - _I_POW[m % 4] * poly(ts) - y
+    # |r| by libm's hypot, as Python's abs of a complex takes it; numpy's
+    # complex absolute differs from it in the last bit at about a third of
+    # points.
+    return np.hypot(r.real, r.imag)
 
 
 def measure_t_m(T: float, X: float, V: float, m: int, grid: GridSpec, *,

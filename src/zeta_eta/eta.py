@@ -98,6 +98,21 @@ That sum is one of the library's prime-power polynomials, all of which
 prime_power_poly evaluates here over a prefix of one cached sieve record:
 the prime powers with log n and Lambda(n), held once.
 
+The vertical route takes the heights of one line in batches
+(_vertical_many; eta_vertical is its one-height case, and dist and
+residual-scan pass it all their heights).  On one line sigma, m and the
+target fix a0, the starting panels, their 42 abscissae and the tail's
+coefficients, and only the phases n^-it differ between heights.  So a
+batch builds the tail's coefficients once and sums them at every height
+in one (heights x terms) phase array, integrates every height's window
+rows in one _model_pieces pass, and takes G at every height's 42
+abscissae in one walk of all their rays (branch._log_less_model_many:
+one zeta pass on a zeta._Ray over all the heights, each ray pinned as its
+own walk pins it), inside the one call of the rule that
+integrate_adaptive starts with (quadrature._start), whose stopping rule
+(quadrature._settled) it shares.  A height whose starting panels are not
+settled goes on alone by the adaptive path above.
+
 A target that zeta sends to extended precision at a height t > 0 is
 refused (zeta._check_doubles) before any zeta pass: the sweep and the ray
 walks evaluate in doubles.
@@ -118,12 +133,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .branch import (_WINDOW, _Walk, _log_regular_real, branch_path,
-                     log_zeta_with_err)
-from .errors import (BeyondSieve, NumericalError, ValidationError, _integer,
-                     _point, _real)
+from .branch import (_WINDOW, _Walk, _log_less_model_many, _log_regular_real,
+                     _window_rows, branch_path, log_zeta_with_err)
+from .errors import (BeyondSieve, NumericalError, ValidationError,
+                     ZetaEtaError, _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .quadrature import _NODES, _panel, integrate_adaptive
+from .quadrature import (_NODES, _panel, _settled, _start,
+                         integrate_adaptive)
 from .zeros import SNAP_TOL, ZeroStore, store_or_builtin
 from .zeta import (_BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _check_doubles,
                    _phases, _zeta_em)
@@ -154,6 +170,10 @@ class EtaValue:
             raise ValidationError(f"unknown route {self.route!r}")
 
 
+# The starting panels' cut on [sigma, a0]: see _vertical_integral.
+_SPLITS = [1.0]
+
+
 def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
                        mu: np.ndarray, rel: np.ndarray) -> tuple[complex, float]:
     """i^m/(m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a+it) da, m >= 1,
@@ -180,17 +200,36 @@ def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
     val, est = _vertical_tail(m, sigma, a0, t)
     if sigma >= a0:
         return val, est
+    pv, pest = integrate_adaptive(_weighted(log_g, m, sigma), sigma, a0,
+                                  _panel_tol(m, abs_err), splits=_SPLITS)
+    return _vertical_sum(m, val, est, pv, pest, *_model_pieces(
+        m, sigma, sigma, a0, mu, rel, 1.0))
 
+
+def _weighted(log_g, m: int, sigma: float):
+    """The panels' integrand (a-sigma)^(m-1) G at an array of abscissae,
+    and its error bounds, from log_g's G and bounds there."""
     def g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v, e = log_g(alpha)
         w = (alpha - sigma) ** (m - 1)
         return w * v, np.abs(w) * e
 
+    return g
+
+
+def _panel_tol(m: int, abs_err: float) -> float:
+    """The tolerance of the panels' integral on [sigma, a0]."""
+    return 0.25 * abs_err * math.factorial(m - 1)
+
+
+def _vertical_sum(m: int, val, est, pv, pest, pieces: np.ndarray,
+                  terms: np.ndarray, inner: np.ndarray) -> tuple[complex,
+                                                                 float]:
+    """The vertical integral and its estimate from its three parts: the
+    tail above a0 (val, est), the panels' integral of G (pv, pest) and the
+    window model's, from its rows' _model_pieces."""
     fact = math.factorial(m - 1)
-    pv, pest = integrate_adaptive(g, sigma, a0, 0.25 * abs_err * fact,
-                                  splits=[1.0])
     # (a-sigma)^(m-1) = (-1)^(m-1) (sigma-a)^(m-1), an exact sign.
-    pieces, terms, inner = _model_pieces(m, sigma, sigma, a0, mu, rel, 1.0)
     pv += (-1) ** (m - 1) * complex(math.fsum(pieces.real),
                                     math.fsum(pieces.imag))
     allowance = _piece_rounding(m) * math.fsum(terms + inner)
@@ -274,6 +313,13 @@ def _check_sieve_power(X: float, power: float, what: str) -> None:
     _check_sieve_range(top, f"{what} with X={X}")
 
 
+# The largest phase array a prime-power polynomial forms at once over an
+# array of heights: its product with the coefficients and its arguments
+# add 1.5 times as much.  At the sieve's limit (149,235 prime powers) one
+# height's phases take 2.4 MB, so a slice is one height, as at one t.
+_POLY_PHASE_BYTES = 2 ** 21
+
+
 def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
                      primes_only: bool = False) -> Callable[[float], complex]:
     """t -> sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the
@@ -282,8 +328,8 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
     The one evaluator of the library's prime-power polynomials: n, log n
     and Lambda(n) are a prefix of the sieve's columns (the primes among it
     for primes_only), the coefficients are built once, and the returned
-    function sums them at any height t.  n_max below 2 or beyond the sieve
-    is refused.
+    function sums them at any height t, or at every height of an array at
+    once.  n_max below 2 or beyond the sieve is refused.
     """
     if not n_max >= 2.0:
         raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
@@ -293,8 +339,19 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
                      else col[:top] for col in sieve[:3])
     a = coef(n, log_n, lam)
 
-    def poly(t: float) -> complex:
-        return complex(np.sum(a * _phases(log_n, t)))
+    def poly(t):
+        """The sum at t, a float (a complex), or at each height of an array
+        of them (an array): a row of terms per height, in slices of heights
+        whose phases take at most _POLY_PHASE_BYTES."""
+        if not np.ndim(t):
+            return complex(np.sum(a * _phases(log_n, t)))
+        ts = np.ravel(t)
+        rows = max(1, _POLY_PHASE_BYTES // (16 * log_n.size))
+        out = np.empty(ts.size, dtype=np.complex128)
+        for lo in range(0, ts.size, rows):
+            out[lo:lo + rows] = np.sum(
+                a * _phases(log_n, ts[lo:lo + rows, None]), axis=1)
+        return out
 
     return poly
 
@@ -345,24 +402,26 @@ def _tail_start(m: int, sigma: float, abs_err: float) -> float:
     return sigma + 0.25 * k
 
 
-def _vertical_tail(m: int, sigma: float, a0: float,
-                   t: float) -> tuple[complex, float]:
+def _vertical_tail(m: int, sigma: float, a0: float, t):
     """i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da, a0 > 1, and
     its error bound: the dropped terms, and the rounding of the kept ones
-    (their phases t log n, amplitudes a0 log n, W and the sum).  The kept
-    terms c_n n^-a0 W(log n), n <= _TAIL_N, are prime_power_poly's
-    coefficients, and its coefficient callback forms their rounding mass."""
+    (their phases t log n, amplitudes a0 log n, W and the sum).  t is a
+    float, answered with two scalars, or an array of heights, answered with
+    two arrays.  The kept terms c_n n^-a0 W(log n), n <= _TAIL_N, are
+    prime_power_poly's coefficients, built once, and its coefficient
+    callback forms their rounding mass at each height."""
     mass = []
 
     def coef(n, log_n, lam):
         terms = (lam / log_n * np.exp(-a0 * log_n)
                  * _tail_weight(m, a0 - sigma, 1.0 / log_n))
-        mass.append(float(terms @ ((abs(t) + a0) * log_n + m + 8)))
+        mass.extend(float(terms @ ((abs(x) + a0) * log_n + m + 8))
+                    for x in np.ravel(t).tolist())
         return terms
 
     val = prime_power_poly(_TAIL_N, coef, "the vertical tail")(t)
-    rnd = 2.0 * _UNIT_ROUNDOFF * mass[0]
-    return _I_POW[m % 4] * val, _tail_bound(m, sigma, a0) + rnd
+    est = _tail_bound(m, sigma, a0) + 2.0 * _UNIT_ROUNDOFF * np.array(mass)
+    return _I_POW[m % 4] * val, est if np.ndim(t) else float(est[0])
 
 
 # --- the window model's integral ---------------------------------------------
@@ -536,11 +595,14 @@ def zero_sum_polynomial(m: int, sigma: float, t: float,
     """2 pi sum_k i^(m-1-k)/((m-k)!k!) sum_{beta>sigma, 0<gamma<t} (...) term.
 
     Returns (value, rounding estimate).  Exactly 0 whenever no table zero
-    has beta > sigma -- in particular for an on-line table and sigma >= 1/2.
+    has beta > sigma -- in particular for an on-line table and sigma >= 1/2,
+    which is answered at once from sigma >= the table's largest beta.
     """
     m = _order(m, 1)
     sigma, t = _real(sigma, "sigma"), _real(t, "t")
     store.require_height(t, "zero_sum_polynomial", t=t)
+    if sigma >= store.beta_max:
+        return 0j, 0.0
     gs, bs, ms = store.gammas, store.betas, store.multiplicities
     mask = (gs > 0.0) & (gs < t) & (bs > sigma)
     if not np.any(mask):
@@ -571,22 +633,125 @@ def eta_vertical(s, m: int, store: ZeroStore | None = None,
     m = _order(m, 0)
     z = _point(s)
     store = store_or_builtin(store)
-    if m == 0:
-        val, est = log_zeta_with_err(z, prec, store)
-        return EtaValue(s=z, m=0, value=val, route="vertical", est_err=est)
-    t = _real(z.imag, "t", 0.0)
-    sigma = _real(z.real, "sigma", 0.5)
-    if t < SNAP_TOL:
-        val, est = c_m_with_err(sigma, m, prec)
-        return EtaValue(s=z, m=m, value=val, route="vertical", est_err=est)
+    if m:
+        _real(z.imag, "t", 0.0)
+        _real(z.real, "sigma", 0.5)
+    (val,), (est,) = _vertical_many(z.real, [z.imag], m, store, prec)
+    return EtaValue(s=z, m=m, value=complex(val), route="vertical",
+                    est_err=float(est))
 
+
+# Heights one batch takes at most.  Its largest arrays are the tail's
+# phases, (heights x 1078 prime powers) complex doubles, 1.1 MB at 64
+# heights, their product with the coefficients and their arguments: about
+# 2.2 MB at once.  A height's zeta phases are formed and used one height at
+# a time.  On the dist bench (100 samples a call) 120 heights raised the
+# peak RSS by 1.7 MB where 64 left it flat, at the same items/s within the
+# runs' spread.
+_BATCH_HEIGHTS = 64
+
+
+def _vertical_many(sigma: float, ts, m: int, store: ZeroStore,
+                   prec: EvalPrecision) -> tuple[np.ndarray, np.ndarray]:
+    """eta_m(sigma + it) by the vertical route and its est_err at each
+    height t of ts, as two arrays in the order of ts: eta_vertical at every
+    height, which is its one-height case.
+
+    m = 0 is log zeta at each point.  For m >= 1, sigma >= 1/2, and a
+    height below SNAP_TOL is c_m(sigma).  The other heights go in batches
+    of up to _BATCH_HEIGHTS consecutive heights, each refused as
+    eta_vertical refuses it before the batch runs, and the batch takes
+    their tails, window models and starting panels at once
+    (_vertical_first).  A height whose starting panels miss the tolerance
+    goes alone by the adaptive path, and so does every height of a batch
+    whose shared walk is refused.  The heights are
+    answered in order and a refusal is raised once the heights before it
+    are answered, so the first exception is the one a loop over the
+    heights would raise.
+    """
+    m = _order(m, 0)
+    ts = np.ravel(ts).tolist()
+    out, est = np.empty(len(ts), dtype=np.complex128), np.empty(len(ts))
+    if m == 0:
+        for i, t in enumerate(ts):
+            out[i], est[i] = log_zeta_with_err(complex(sigma, t), prec, store)
+        return out, est
+    sigma = _real(sigma, "sigma", 0.5)
+    a0 = _tail_start(m, sigma, prec.abs_err)
+    for lo in range(0, len(ts), _BATCH_HEIGHTS):
+        paths, failure = [], None
+        for t in ts[lo:lo + _BATCH_HEIGHTS]:
+            try:
+                paths.append(_vertical_path(sigma, t, store, prec))
+            except ZetaEtaError as exc:
+                failure = exc
+                break
+        rays = [p for p in paths if p is not None]
+        try:
+            first = iter(_vertical_first(rays, m, sigma, a0, prec))
+        except ZetaEtaError:
+            first = iter([None] * len(rays))
+        for i, path in enumerate(paths, lo):
+            if path is None:
+                out[i], est[i] = c_m_with_err(sigma, m, prec)
+                continue
+            val_est = next(first)
+            if val_est is None:
+                val_est = _vertical_integral(path._log_less_model, m, sigma,
+                                             path.t, prec.abs_err, path.mu,
+                                             path.rel)
+            zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
+            out[i], est[i] = val_est[0] + zsum, val_est[1] + zs_est
+        if failure is not None:
+            raise failure
+    return out, est
+
+
+def _vertical_path(sigma: float, t, store: ZeroStore,
+                   prec: EvalPrecision):
+    """The ray of the vertical integral at height t, refused as
+    eta_vertical refuses t, or None at t < SNAP_TOL, where eta_m is
+    c_m(sigma)."""
+    t = _real(t, "t", 0.0)
+    if t < SNAP_TOL:
+        return None
     store.require_height(t, "eta_vertical", t=t)
-    path = branch_path(t, sigma, prec, store)
-    val, est = _vertical_integral(path._log_less_model, m, sigma, path.t,
-                                  prec.abs_err, path.mu, path.rel)
-    zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
-    return EtaValue(s=z, m=m, value=val + zsum, route="vertical",
-                    est_err=est + zs_est)
+    return branch_path(t, sigma, prec, store)
+
+
+def _vertical_first(rays: list, m: int, sigma: float, a0: float,
+                    prec: EvalPrecision) -> list:
+    """_vertical_integral at the height of each of rays, a (value,
+    estimate) pair per ray, or None for a ray whose starting panels are not
+    _settled, which then goes alone.
+
+    Every ray's tail is one (heights x terms) phase product, its model's
+    rows one _model_pieces pass, and its G at the starting panels' nodes
+    one _log_less_model_many walk of all the rays, inside one call of the
+    rule that integrate_adaptive starts with (quadrature._start): the same
+    panels, sums and stopping rule as each ray's own integral.
+    """
+    if not rays:
+        return []
+    val, est = _vertical_tail(m, sigma, a0, np.array([p.t for p in rays]))
+    if sigma >= a0:
+        return list(zip(val, est))
+
+    def log_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The panels of every ray in turn, at the same abscissae on each.
+        g, e = _log_less_model_many(rays, alpha.reshape(len(rays), -1)[0])
+        return g.reshape(alpha.shape), e.reshape(alpha.shape)
+
+    heaps = _start(_weighted(log_g, m, sigma), sigma, a0, _SPLITS, len(rays))
+    tol = _panel_tol(m, prec.abs_err)
+    pieces, terms, inner = (x.reshape(len(rays), -1) for x in _model_pieces(
+        m, sigma, sigma, a0, *(x.ravel() for x in _window_rows(rays)), 1.0))
+    out = []
+    for v, e, heap, *model in zip(val, est, heaps, pieces, terms, inner):
+        panels = _settled(heap, tol)
+        out.append(None if panels is None
+                   else _vertical_sum(m, v, e, *panels, *model))
+    return out
 
 
 # --- iterated route: windowed sweep along the horizontal segment ---------------

@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import betainc, exp1
 
 from .errors import (InvalidFamily, OnNegativeRealAxisCut, ValidationError,
                      _integer, _point, _real)
@@ -42,6 +41,16 @@ from .zeta import _extended
 
 #: Orders above this are never probed by smoothness verification.
 SMOOTHNESS_CHECK_CAP = 10
+
+
+def betainc(a, b, x):
+    """scipy.special.betainc, the regularized incomplete beta function.
+
+    scipy.special is imported on first use, here and in E*'s two callers
+    of exp1: it takes about 0.2 s of a process's start, which a process
+    that evaluates no poly-bump CDF and no E* never pays."""
+    from scipy.special import betainc as incomplete_beta
+    return incomplete_beta(a, b, x)
 
 
 @dataclass(frozen=True)
@@ -192,6 +201,7 @@ def e_star(m: int, z, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
         raise OnNegativeRealAxisCut(
             f"E*_{m + 1} is not defined on the nonpositive real axis (z={z})")
     if abs(z) <= _CLOSED_FORM_RADIUS:
+        from scipy.special import exp1
         return _closed_form(m, z, complex(exp1(z)), cmath.exp(-z))
     # The sum loses about log10(|z|^m/m!) digits to cancellation.
     return complex(_extended(
@@ -205,6 +215,7 @@ def _e_star_nodes(m: int, w: np.ndarray, prec: EvalPrecision) -> np.ndarray:
     _CLOSED_FORM_RADIUS and off the cut, else node by node through e_star."""
     if (np.abs(w) <= _CLOSED_FORM_RADIUS).all() and not (
             (w.imag == 0.0) & (w.real <= 0.0)).any():
+        from scipy.special import exp1
         return _closed_form(m, w, exp1(w), np.exp(-w))
     return np.array([e_star(m, x, prec) for x in w.ravel().tolist()]
                     ).reshape(w.shape)

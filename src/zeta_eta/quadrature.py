@@ -118,17 +118,51 @@ def _panel(f: Integrand, a, b):
     return v21 * half, abs(v21 - v10) * half, node_err * half
 
 
-def _push(heap: list, f: Integrand, lo: list[float], hi: list[float]) -> None:
-    """Push the panels [lo[p], hi[p]] onto the heap of integrate_adaptive
-    with their sums from one call of the rule: its scalar path for one
-    panel, which costs less, and its batch path for more."""
+def _sums(f: Integrand, lo: list[float], hi: list[float]) -> list[tuple]:
+    """The rule's (value, discrepancy, node error) on each panel [lo[p],
+    hi[p]] from one call: its scalar path for one panel, which costs less,
+    and its batch path for more."""
     if len(lo) == 1:
-        sums = [_panel(f, lo[0], hi[0])]
-    else:
-        sums = zip(*(x.tolist() for x in _panel(f, np.array(lo),
-                                                np.array(hi))))
+        return [_panel(f, lo[0], hi[0])]
+    return list(zip(*(x.tolist() for x in _panel(f, np.array(lo),
+                                                  np.array(hi)))))
+
+
+def _push(heap: list, lo: list[float], hi: list[float], sums) -> None:
+    """Push the panels [lo[p], hi[p]] with their sums onto a heap of
+    integrate_adaptive."""
     for a, b, (val, disc, nerr) in zip(lo, hi, sums):
         heapq.heappush(heap, (-disc, a, b, val, disc, nerr))
+
+
+def _start(f: Integrand, a: float, b: float, splits: list[float] | None,
+           rows: int = 1) -> list[list]:
+    """The heaps of integrate_adaptive's starting panels on [a, b], cut at
+    the splits inside (a, b), for rows integrands at once: one heap per
+    integrand from one call of the rule.  Its nodes hold the panels of
+    every integrand in turn, a row per panel, and f answers each
+    integrand's rows with its values."""
+    edges = sorted({a, b, *(x for x in splits or () if a < x < b)})
+    lo, hi = edges[:-1], edges[1:]
+    sums = _sums(f, lo * rows, hi * rows)
+    heaps = [[] for _ in range(rows)]
+    for i, heap in enumerate(heaps):
+        _push(heap, lo, hi, sums[i * len(lo):(i + 1) * len(lo)])
+    return heaps
+
+
+def _settled(heap: list, tol: float) -> tuple[complex, float] | None:
+    """The integral and its estimate from a heap of integrate_adaptive once
+    its panels meet tol -- their discrepancies sum to at most tol, or the
+    largest is 0 -- else None."""
+    if not (sum(item[4] for item in heap) <= tol or -heap[0][0] <= 0.0):
+        return None
+    total = 0.0 + 0.0j
+    est = 0.0
+    for _, _, _, val, disc, nerr in heap:
+        total += val
+        est += disc + nerr
+    return total, est
 
 
 def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
@@ -138,12 +172,12 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
     splits lists interior points that must be panel boundaries, where the
     starting panels are cut; they are clamped to (a, b) and deduplicated.
     f is called with a row of nodes per panel: once for the starting
-    panels, then once per bisection for both halves of the panel with the
-    largest discrepancy.  A tol below 1/_FLOOR_MARGIN of the rule's
-    rounding floor over the values seen so far, u max|f| (b - a), is
-    refused with BudgetExceeded as soon as a bisection would be needed,
-    since no bisection meets it honestly; so is a bisection past
-    _MAX_PANELS panels.
+    panels (_start), then once per bisection for both halves of the panel
+    with the largest discrepancy, until the panels are _settled.  A tol
+    below 1/_FLOOR_MARGIN of the rule's rounding floor over the values
+    seen so far, u max|f| (b - a), is refused with BudgetExceeded as soon
+    as a bisection would be needed, since no bisection meets it honestly;
+    so is a bisection past _MAX_PANELS panels.
     """
     peak = 0.0
 
@@ -153,19 +187,11 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
         peak = max(peak, float(np.abs(vals).max()))
         return vals, errs
 
-    edges = [a, b]
-    if splits:
-        edges.extend(x for x in splits if a < x < b)
-    edges = sorted(set(edges))
-
     # Max-heap of (-(discrepancy), a, b, value, discrepancy, node_err).
-    heap: list[tuple[float, float, float, complex, float, float]] = []
-    _push(heap, seen, edges[:-1], edges[1:])
+    (heap,) = _start(seen, a, b, splits)
     n_panels = len(heap)
-    while True:
+    while (done := _settled(heap, tol)) is None:
         disc_sum = sum(item[4] for item in heap)
-        if disc_sum <= tol or -heap[0][0] <= 0.0:
-            break
         floor = _UNIT_ROUNDOFF * peak * (b - a)
         if tol * _FLOOR_MARGIN < floor:
             raise BudgetExceeded(
@@ -178,15 +204,9 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
                 f"(residual {disc_sum:.3e} > tol {tol:.3e})")
         _, lo, hi, _, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        _push(heap, seen, [lo, mid], [mid, hi])
+        _push(heap, [lo, mid], [mid, hi], _sums(seen, [lo, mid], [mid, hi]))
         n_panels += 1
-
-    total = 0.0 + 0.0j
-    est = 0.0
-    for _, _, _, val, disc, nerr in heap:
-        total += val
-        est += disc + nerr
-    return total, est
+    return done
 
 
 def integrate_fixed(f: Callable[[np.ndarray], np.ndarray],

@@ -14,6 +14,7 @@ with the max over zeros rho = beta + i gamma satisfying
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -70,6 +71,8 @@ class ZeroStore:
             raise ValidationError("records must be sorted by gamma")
         for arr in (self._gammas, self._betas, self._mults):
             arr.setflags(write=False)
+        # The largest beta: no table zero lies right of it.
+        self.beta_max = float(self._betas.max())
         self.source = source
 
     # -- basic views ---------------------------------------------------------
@@ -132,10 +135,17 @@ class ZeroStore:
         hi = int(np.searchsorted(self._gammas, t + h, side="right"))
         return int(self._mults[lo:hi].sum())
 
-    def _nearest(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """The tabulated ordinate nearest each of ts (a float or an array),
-        the lower one on a tie, and its distance; arrays of ts's shape."""
+    def _nearest(self, ts):
+        """The tabulated ordinate nearest each of ts, the lower one on a
+        tie, and its distance: two floats for a float, by bisect on the
+        ordinates, or two arrays of ts's shape for an array."""
         g = self._gammas
+        if isinstance(ts, float):
+            i = bisect.bisect_left(g, ts)
+            # Past either end both neighbours are the end ordinate.
+            lo, hi = float(g[max(i - 1, 0)]), float(g[min(i, g.size - 1)])
+            d_lo, d_hi = abs(ts - lo), abs(ts - hi)
+            return (hi, d_hi) if d_hi < d_lo else (lo, d_lo)
         i = np.searchsorted(g, ts)
         # Past either end both neighbours are the end ordinate, which the
         # tie rule then takes.
@@ -148,7 +158,7 @@ class ZeroStore:
     def nearest_gamma(self, t: float) -> float:
         """Tabulated ordinate closest to t (reflections not considered), the
         lower one on a tie."""
-        return float(self._nearest(_real(t, "t"))[0])
+        return self._nearest(_real(t, "t"))[0]
 
     def snap(self, t, tol: float = SNAP_TOL):
         """The height at which t is evaluated (the ordinate convention).
@@ -159,13 +169,18 @@ class ZeroStore:
         from above.  Takes a scalar or an array and returns the same shape;
         a negative, NaN or infinite t is refused.
         """
+        if np.ndim(t) == 0:
+            t = _real(float(t), "t", 0.0)
+            if t < tol:
+                return ORDINATE_OFFSET
+            near, dist = self._nearest(t)
+            return near - ORDINATE_OFFSET if dist < tol else t
         ts = np.asarray(t, dtype=np.float64)
         for end in (ts.min(initial=0.0), ts.max(initial=0.0)):
             _real(float(end), "t", 0.0)
         near, dist = self._nearest(ts)
         out = np.where(dist < tol, near - ORDINATE_OFFSET, ts)
-        out = np.where(ts < tol, ORDINATE_OFFSET, out)
-        return float(out) if out.ndim == 0 else out
+        return np.where(ts < tol, ORDINATE_OFFSET, out)
 
     def nearest_zero(self, s: complex) -> tuple[float, complex]:
         """The distance from s to the nearest zero, reflections included,

@@ -18,7 +18,11 @@ supplies their partial sums sum_{n<N} n^-s together.  On a horizontal
 line Im s = t (a _Ray) -- a branch path's, or a single point's -- a pass
 forms the phases n^-it of its cutoff, and its batch of nodes alpha + it is
 one real matrix product of the amplitudes n^-alpha with them; zeta' is the
-same product with the amplitudes times -log n.  A vertical line Re s =
+same product with the amplitudes times -log n.  A _Ray may hold several
+heights at once, the same abscissae on each (the vertical eta route's
+batch of heights): the amplitudes and the correction are formed once for
+all of them, and each height takes its own cutoff, phases and product, so
+its values have the bits of its own pass.  A vertical line Re s =
 sigma (a _Line) -- the iterated eta sweep's, and that of _zeta_line, which
 evaluates zeta at many ordinates of one line for the distribution sampler
 -- takes a block of up to _BLOCK_NODES ascending ordinates per pass.  It
@@ -58,7 +62,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import (BudgetExceeded, NearSingularity, PoleAtOne,
                      ValidationError, _point, _real)
@@ -179,63 +182,92 @@ def _phases(log_n, t):
 
 
 class _Ray:
-    """One horizontal line Im s = t.  Its nodes are the abscissae alpha.
+    """One horizontal line Im s = t, or one per height when t is an array
+    of heights.  Its nodes are the abscissae alpha, the same on every
+    height.
 
     A pass forms the phases n^-it of its own cutoff, and its nodes alpha +
     it cost one real exponential n^-alpha per term and node and one real
-    matrix product with them.  A node right of _SIGMA_ONE is evaluated, and
-    its cutoff sized, at _SIGMA_ONE, where zeta is 1 to double precision.
+    matrix product with them.  On several heights the amplitudes are formed
+    once, for the largest cutoff, and each height keeps its own cutoff and
+    takes its own product with their first columns: one product over every
+    height would pass numpy's BLAS threshold for threads, whose waiting
+    workers took the batch of dist's 100 heights from 19 to 51 ms on 2
+    cores, and it changes each height's sums in the last bits.  A node
+    right of _SIGMA_ONE is evaluated, and its cutoff sized, at _SIGMA_ONE,
+    where zeta is 1 to double precision.
     """
 
     __slots__ = ("t",)
 
-    def __init__(self, t: float):
+    def __init__(self, t):
         self.t = t
 
-    def points(self, alphas) -> list[complex]:
+    def points(self, alphas):
+        if isinstance(self.t, np.ndarray):
+            return np.minimum(alphas, _SIGMA_ONE)[:, None] + 1j * self.t
         return [complex(min(a, _SIGMA_ONE), self.t) for a in alphas]
 
-    def first_cutoff(self, alphas, abs_err: float) -> int:
-        return _initial_cutoff(min(min(alphas), _SIGMA_ONE),
-                               min(max(alphas), _SIGMA_ONE), self.t, abs_err)
+    def first_cutoff(self, alphas, abs_err: float):
+        """The cutoff _initial_cutoff solves for the abscissae alphas: an
+        int, or on several heights an array of each height's own."""
+        lo, hi = min(min(alphas), _SIGMA_ONE), min(max(alphas), _SIGMA_ONE)
+        if isinstance(self.t, np.ndarray):
+            return np.array([_initial_cutoff(lo, hi, t, abs_err)
+                             for t in self.t.tolist()])
+        return _initial_cutoff(lo, hi, self.t, abs_err)
 
-    def partial_sums(self, n_cut: int, sigmas, want_deriv: bool) -> tuple:
+    def partial_sums(self, n_cut, sigmas, want_deriv: bool) -> tuple:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
         at each node, exact up to rounding, 0.0 per node, and N^-s: arrays
-        for a batch of _ARRAY_NODES nodes or more, which takes the
-        correction on arrays and serves values only, and lists for a
-        smaller one, which takes it node by node.
+        for a batch of _ARRAY_NODES nodes or more, or on several heights,
+        which take the correction on arrays and serve values only (a column
+        per height on several heights, n_cut an array of their cutoffs), and
+        lists for a smaller batch on one height, which takes it node by
+        node.  A height's column has the bits of a pass on its own ray.
 
-        N^-s is the ray's one phase N^-it times each node's amplitude
+        N^-s is the height's one phase N^-it times each node's amplitude
         N^-alpha, libm's exp at every node: numpy's float exp is off by an
         ulp at about 4% of arguments, and its complex exp of a real is
         libm's, so a node's N^-s has the same bits in either batch.  A small
         batch builds its points as Python complex numbers: for one node at
         N = 400 that took 3.6-3.8 us against 4.8-6.4 us through arrays and
         tolist() (2 cores), about 1.5% of a single zeta() call."""
-        logn = _LOG_N[:n_cut - 1]
-        phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
-        logN = math.log(n_cut)
-        phase_N = _phases(logN, self.t)
-        if len(sigmas) >= _ARRAY_NODES:
+        several = isinstance(self.t, np.ndarray)
+        if len(sigmas) < _ARRAY_NODES and not several:
+            logn = _LOG_N[:n_cut - 1]
+            phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
+            logN = math.log(n_cut)
+            phase_N = _phases(logN, self.t)
+            points = self.points(sigmas)
+            amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
+            sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
+            dsums = None
             if want_deriv:
-                raise NotImplementedError(
-                    "a _Ray batch on arrays evaluates no derivative")
-            alphas = np.minimum(sigmas, _SIGMA_ONE)
-            amp = np.exp(np.multiply.outer(-alphas, logn))
-            return (alphas + 1j * self.t,
-                    (amp @ phase).view(np.complex128)[:, 0], None,
-                    np.zeros(alphas.size),
-                    np.exp(alphas * -logN + 0j).real * phase_N)
-        points = self.points(sigmas)
-        amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
-        sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
-        dsums = None
+                dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
+                         ).tolist()
+            return (points, sums, dsums, [0.0] * len(points),
+                    [math.exp(-s.real * logN) * phase_N for s in points])
         if want_deriv:
-            dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
-                     ).tolist()
-        return (points, sums, dsums, [0.0] * len(points),
-                [math.exp(-s.real * logN) * phase_N for s in points])
+            raise NotImplementedError(
+                "a _Ray batch on arrays evaluates no derivative")
+        ts = np.atleast_1d(self.t).tolist()
+        cuts = np.atleast_1d(n_cut).tolist()
+        alphas = np.minimum(sigmas, _SIGMA_ONE)
+        logn = _LOG_N[:max(cuts) - 1]
+        amp = np.exp(np.multiply.outer(-alphas, logn))
+        sums = np.empty((alphas.size, len(ts)), dtype=np.complex128)
+        for j, (n, t) in enumerate(zip(cuts, ts)):
+            phase = _phases(logn[:n - 1], t).view(np.float64).reshape(-1, 2)
+            sums[:, j] = (amp[:, :n - 1] @ phase).view(np.complex128)[:, 0]
+        log_cut = [math.log(n) for n in cuts]
+        phase_N = np.array([_phases(x, t) for x, t in zip(log_cut, ts)])
+        npow_N = np.exp(np.multiply.outer(alphas, np.negative(log_cut))
+                        + 0j).real * phase_N
+        points = alphas[:, None] + 1j * np.array(ts)
+        if not several:
+            points, sums, npow_N = points[:, 0], sums[:, 0], npow_N[:, 0]
+        return points, sums, None, np.zeros(points.shape), npow_N
 
 
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
@@ -422,16 +454,17 @@ def _euler_maclaurin(line, n_cut: int, coords, want_deriv: bool) -> tuple:
     when want_deriv is set, which only a small _Ray batch takes: an array
     pass refuses it.
     """
-    if n_cut > _MAX_CUTOFF:
+    top = n_cut.max() if isinstance(n_cut, np.ndarray) else n_cut
+    if top > _MAX_CUTOFF:
         raise BudgetExceeded(
-            f"Euler-Maclaurin cutoff {n_cut} exceeds {_MAX_CUTOFF} "
+            f"Euler-Maclaurin cutoff {top} exceeds {_MAX_CUTOFF} "
             f"at s={line.points(coords[:1])[0]}")
     points, sums, dsums, truncs, npows = line.partial_sums(n_cut, coords,
                                                            want_deriv)
-    logN = math.log(n_cut)
     if isinstance(points, np.ndarray):
-        val, _, rem = _em_correction(n_cut, logN, points, npows, sums, truncs)
+        val, _, rem = _em_correction(n_cut, None, points, npows, sums, truncs)
         return val, None, rem
+    logN = math.log(n_cut)
     vals, ders, rems = [], [], []
     for node in zip(points, npows, sums, truncs,
                     dsums if want_deriv else [None] * len(sums)):
@@ -447,22 +480,37 @@ def _escalated(n_cut: int) -> int:
     return max(n_cut + 32, int(n_cut * 1.5))
 
 
+def _escalate(line, n_cut: int, coords: np.ndarray, val: np.ndarray,
+              rem: np.ndarray, target: float) -> None:
+    """Take the nodes of an array pass whose bound misses target on at
+    escalated cutoffs, together, until each meets it; val and rem are
+    updated in place."""
+    todo = np.flatnonzero(rem > target)
+    while todo.size:
+        n_cut = _escalated(n_cut)
+        val[todo], _, rem[todo] = _euler_maclaurin(line, n_cut, coords[todo],
+                                                   False)
+        todo = todo[rem[todo] > target]
+
+
 def _zeta_em(line, coords, prec: EvalPrecision, want_deriv: bool) -> tuple:
     """zeta (and zeta') at the nodes of line (a _Ray or a _Line) with
     coordinates coords, a float (on a _Ray) or an array; returns (value,
     derivative, remainder bound), one entry per node in the flattened order
     of coords: lists for a float and a _Ray batch of fewer than
     _ARRAY_NODES nodes, and for any other pass two arrays with None for the
-    derivative.
+    derivative, on a _Ray over several heights with a column per height.
 
     Every node is certified to 0.25 abs_err on its own.  The first pass
     covers all nodes at the cutoff solved from the bound for the worst of
-    them; the nodes whose bound still misses the target go on together at
-    the escalated cutoff, picked by index arrays in an array pass.
+    them, each height's own on several heights; the nodes whose bound
+    still misses the target go on together at the escalated cutoff, picked
+    by index arrays in an array pass, and a height's column on its own ray.
     """
     if not isinstance(coords, np.ndarray):
         coords = [float(coords)]
-    elif isinstance(line, _Ray) and coords.size < _ARRAY_NODES:
+    elif (isinstance(line, _Ray) and coords.size < _ARRAY_NODES
+          and not isinstance(line.t, np.ndarray)):
         coords = coords.ravel().tolist()    # a small _Ray batch runs on lists
     else:
         coords = coords.ravel()
@@ -476,12 +524,12 @@ def _zeta_em(line, coords, prec: EvalPrecision, want_deriv: bool) -> tuple:
     target = 0.25 * prec.abs_err
     val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
     if isinstance(rem, np.ndarray):
-        todo = np.flatnonzero(rem > target)
-        while todo.size:
-            n_cut = _escalated(n_cut)
-            val[todo], _, rem[todo] = _euler_maclaurin(line, n_cut,
-                                                       coords[todo], False)
-            todo = todo[rem[todo] > target]
+        if rem.ndim == 1:
+            _escalate(line, n_cut, coords, val, rem, target)
+        else:
+            for j in np.flatnonzero((rem > target).any(axis=0)).tolist():
+                _escalate(_Ray(float(line.t[j])), int(n_cut[j]), coords,
+                          val[:, j], rem[:, j], target)
         return val, der, rem
     todo = [i for i, r in enumerate(rem) if r > target]
     while todo:
@@ -615,11 +663,13 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
 # --- Riemann-Siegel theta ----------------------------------------------------
 
 def log_gamma(z) -> complex:
-    """Principal log Gamma on Re z > 0 (scipy.special.loggamma): continuous
-    there, so Im log Gamma(1/4 + it/2) is theta's unwrapped phase."""
+    """Principal log Gamma on Re z > 0 (scipy.special.loggamma, imported on
+    first use): continuous there, so Im log Gamma(1/4 + it/2) is theta's
+    unwrapped phase."""
     w = _point(z, "z")
     if w.real <= 0:
         raise ValidationError(f"log_gamma requires Re z > 0, got z={z!r}")
+    from scipy.special import loggamma
     return complex(loggamma(w))
 
 

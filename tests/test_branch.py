@@ -426,7 +426,7 @@ def test_log_zeta_far_right(store):
 def test_march_nodes_unchanged_by_the_unwrap(store, monkeypatch,
                                              node_by_node_pin):
     # a query at every node of the ray's march bit-identical to pinning
-    # node by node
+    # node by node, every row sent from the march's one unwrap to its pin
     rng = np.random.default_rng(8)
     rays = [(float(rng.uniform(0.0, 2140.0)), float(rng.uniform(-1.0, 1.0)))
             for _ in range(8)]
@@ -437,9 +437,16 @@ def test_march_nodes_unchanged_by_the_unwrap(store, monkeypatch,
         got = path.winding(xs), *path.eval_log(xs)
         with monkeypatch.context() as patch:
             patch.setattr(_Walk, "pin", node_by_node_pin)
+            patch.setattr(sys.modules["zeta_eta.branch"], "_unwrap",
+                          _every_step_far)
             want = path.winding(xs), *path.eval_log(xs)
         for a, b in zip(got, want):
             assert a.tolist() == b.tolist(), (t, sigma)
+
+
+def _every_step_far(g_prev, principal, step=None):
+    """branch._unwrap with every step above _CONT_STEP."""
+    return principal.copy(), np.ones(principal.shape, dtype=bool)
 
 
 class _ToyWalk(_Walk):

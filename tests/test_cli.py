@@ -2,6 +2,7 @@
 
 import json
 import math
+import subprocess
 import sys
 
 import pytest
@@ -33,6 +34,30 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_a_process_that_evaluates_no_scipy_function_loads_no_scipy(
+        tmp_path):
+    # scipy.special is imported on first use: importing the CLI and a whole
+    # dist tails run leave it unloaded, and the poly-bump CDF loads it
+    out = tmp_path / "tails.csv"
+    code = ("import sys\n"
+            "import zeta_eta.cli as cli\n"
+            "print('scipy', 'scipy.special' in sys.modules)\n"
+            f"argv = ['--out', {str(out)!r}, 'dist', 'tails', '--t-big',\n"
+            "        '1000', '--seed', '1', '--count', '100', '--v-list',\n"
+            "        '0,0.5']\n"
+            "assert cli.main(argv) == 0\n"
+            "print('scipy', 'scipy.special' in sys.modules)\n"
+            "from zeta_eta.kernels import make_kernel\n"
+            "make_kernel('poly_bump', 3).f_cdf(0.25)\n"
+            "print('scipy', 'scipy.special' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    loaded = [line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith("scipy ")]
+    assert loaded == ["False", "False", "True"], run.stdout
+    assert out.read_text().count("\n") == 3
 
 
 def test_eval_zeta_point(capsys):
@@ -445,7 +470,7 @@ def test_residual_scan_refuses_every_height_before_eta(capsys, monkeypatch):
         raise AssertionError("evaluated eta before refusing")
 
     # the grid is 100, 800, 1500: only 1.5 t at the last is above the table
-    monkeypatch.setattr(cli, "eta_vertical", no_eta)
+    monkeypatch.setattr(cli, "_vertical_many", no_eta)
     code, out, err = _run(capsys, ["residual-scan", "--m", "1", "--x-list",
                                    "10,100,1000", "--t-from", "100", "--t-to",
                                    "1500", "--t-step", "700"])
@@ -459,7 +484,7 @@ def test_residual_scan_refuses_an_x_beyond_the_sieve_before_eta(
     def no_eta(*args, **kwargs):
         raise AssertionError("evaluated eta before refusing")
 
-    monkeypatch.setattr(cli, "eta_vertical", no_eta)
+    monkeypatch.setattr(cli, "_vertical_many", no_eta)
     code, out, err = _run(capsys, ["residual-scan", "--m", "1", "--x-list",
                                    f"10,{x}", "--t-from", "100", "--t-to",
                                    "100", "--t-step", "1"])

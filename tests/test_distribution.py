@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,3 +378,22 @@ def test_measure_sigma_keeps_zetas_extended_path(store):
     assert list(vals) == alone
     exceed = sum(math.log(abs(a)) > 0.0 for a in alone)
     assert measure_sigma(100.0, 0.0, grid, store, prec).count_exceed == exceed
+
+
+def test_residual_samples_memory_is_flat_at_the_sieve_limit(store):
+    # At X = SIEVE_LIMIT the plain polynomial has 149,235 prime powers, so
+    # its phases at all 64 samples at once would take 153 MB; summed in
+    # slices of heights they take one height's, 2.4 MB.
+    from zeta_eta.eta import SIEVE_LIMIT, _sieve
+    _sieve(SIEVE_LIMIT, "the test")     # the cached sieve is not the call's
+    grid = GridSpec(count=64, scheme="uniform", seed=3)
+    tracemalloc.start()
+    try:
+        out = distribution._residual_samples(grid, 1000.0, 2000.0, 0.5,
+                                             float(SIEVE_LIMIT), 1, store,
+                                             DEFAULT_PRECISION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (64,) and np.isfinite(out).all()
+    assert peak < 16e6, peak

@@ -22,8 +22,8 @@ from zeta_eta import eta as eta_module
 from zeta_eta import quadrature
 from zeta_eta.approx import y_m
 from zeta_eta.branch import branch_path, log_zeta_with_err
-from zeta_eta.errors import (BudgetExceeded, NumericalError, OnSingularity,
-                             ValidationError)
+from zeta_eta.errors import (BeyondTable, BudgetExceeded, NumericalError,
+                             OnSingularity, ValidationError)
 from zeta_eta.eta import (EtaValue, c_m, c_m_with_err, eta_iterated,
                           eta_vertical, route_check, s_m,
                           zero_sum_polynomial)
@@ -349,18 +349,168 @@ def test_vertical_route_takes_one_panel_call_on_dist_heights(store,
     # SCAN_PRECISION.  With the window subtracted, G is analytic near
     # [1/2, a0], and the starting panels [1/2, 1] and [1, a0] meet the
     # tolerance in one call of the rule; log zeta itself took up to 10.
-    pushes = []
-    push = quadrature._push
+    # The batch takes every height's panels in that one call, and no
+    # height goes on alone by the adaptive path.
+    panels = []
+    panel = quadrature._panel
 
     def counted(*args):
-        pushes.append(args)
-        return push(*args)
+        panels.append(args)
+        return panel(*args)
 
-    monkeypatch.setattr(quadrature, "_push", counted)
-    for t in np.random.default_rng(31).uniform(1000.0, 2000.0, 40):
-        pushes.clear()
+    def alone(*args):
+        raise AssertionError("a height went on alone")
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    monkeypatch.setattr(eta_module, "integrate_adaptive", alone)
+    ts = np.random.default_rng(31).uniform(1000.0, 2000.0, 40)
+    eta_module._vertical_many(0.5, ts, 1, store, SCAN_PRECISION)
+    assert len(panels) == 1
+    for t in ts:
+        panels.clear()
         eta_vertical(complex(0.5, t), 1, store, SCAN_PRECISION)
-        assert len(pushes) == 1, t
+        assert len(panels) == 1, t
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("abs_err", [1e-8, 1e-10])
+def test_vertical_batch_agrees_with_each_height_alone(store, m, abs_err):
+    # 100 seeded heights on dist's line, all in one batch
+    prec = EvalPrecision(abs_err=abs_err)
+    ts = np.random.default_rng(36).uniform(1000.0, 2000.0, 100)
+    vals, ests = eta_module._vertical_many(0.5, ts, m, store, prec)
+    for t, val, est in zip(ts.tolist(), vals, ests):
+        one = eta_vertical(complex(0.5, t), m, store, prec)
+        assert abs(val - one.value) <= max(est, one.est_err), t
+
+
+def _nan_rows_at(heights):
+    """_log_less_model_many with NaN in the rows of the given snapped
+    heights: those rays go on alone."""
+    walk = eta_module._log_less_model_many
+
+    def forced(paths, xs):
+        g, e = walk(paths, xs)
+        g[[p.t in heights for p in paths]] = np.nan
+        return g, e
+
+    return forced
+
+
+def test_a_height_the_batch_sends_alone_is_its_own_value(store,
+                                                         monkeypatch):
+    # a height whose first panels the batch cannot take goes alone by the
+    # adaptive path, bit for bit the value and estimate of the one-height
+    # call sent alone the same way; the batch's other heights keep theirs
+    prec = SCAN_PRECISION
+    ts = np.random.default_rng(37).uniform(1000.0, 2000.0, 20)
+    vals, ests = eta_module._vertical_many(0.75, ts, 2, store, prec)
+    forced = {store.snap(float(ts[3])), store.snap(float(ts[11]))}
+    monkeypatch.setattr(eta_module, "_log_less_model_many",
+                        _nan_rows_at(forced))
+    got, got_est = eta_module._vertical_many(0.75, ts, 2, store, prec)
+    for i, t in enumerate(ts.tolist()):
+        if store.snap(t) in forced:
+            one = eta_vertical(complex(0.75, t), 2, store, prec)
+            assert (got[i], got_est[i]) == (one.value, one.est_err), t
+        else:
+            assert (got[i], got_est[i]) == (vals[i], ests[i]), t
+
+
+def test_a_step_above_the_continuity_bound_inserts_midpoints_in_the_batch(
+        store, monkeypatch):
+    # with the continuity bound lowered, the rays whose walk steps past it
+    # insert midpoints inside the batch's walk, as their own walks do:
+    # every row keeps the bits of its ray's own walk, and every height the
+    # value of its one-height call
+    branch = sys.modules["zeta_eta.branch"]
+    monkeypatch.setattr(branch, "_CONT_STEP", 0.17)
+    prec = SCAN_PRECISION
+    ts = np.random.default_rng(38).uniform(1000.0, 2000.0, 12)
+    paths = [branch_path(t, 0.5, prec, store) for t in ts]
+    xs = quadrature._nodes(np.array([[0.5], [1.0]]),
+                           np.array([[1.0], [3.5]])).ravel()
+    g, e = branch._log_less_model_many(paths, xs)
+    grid = np.count_nonzero(branch._RAY_GRID > xs.min())
+    inserted = np.array([p.nodes > xs.size + grid for p in paths])
+    assert inserted.any() and not inserted.all()
+    for path, row, err in zip(paths, g, e):
+        one, one_err = path._log_less_model(xs)
+        assert np.array_equal(row, one) and np.array_equal(err, one_err)
+    vals, _ = eta_module._vertical_many(0.5, ts, 1, store, prec)
+    for t, val in zip(ts.tolist(), vals):
+        assert val == eta_vertical(complex(0.5, t), 1, store, prec).value
+
+
+def test_the_batch_walk_keeps_each_rays_bits(store):
+    # G and its bound at one query's abscissae, ray by ray, as the ray's
+    # own walk gives them: each height takes its own cutoff and phases
+    prec = EvalPrecision(abs_err=1e-10)
+    ts = np.random.default_rng(39).uniform(20.0, 2140.0, 30)
+    paths = [branch_path(t, 0.6, prec, store) for t in ts]
+    xs = np.linspace(0.61, 3.9, 42)
+    g, e = sys.modules["zeta_eta.branch"]._log_less_model_many(paths, xs)
+    for path, row, err in zip(paths, g, e):
+        one, one_err = path._log_less_model(xs)
+        assert np.array_equal(row, one) and np.array_equal(err, one_err)
+
+
+def _first_refusal(heights, evaluate):
+    try:
+        evaluate(heights)
+    except Exception as exc:            # noqa: BLE001 - compared below
+        return type(exc), str(exc)
+    return None
+
+
+def test_a_batch_whose_shared_pass_is_refused_goes_height_by_height(
+        store, monkeypatch):
+    # with the cutoff limit between the cutoffs at 1300.75 and 1900.25,
+    # the batch's shared zeta pass is refused; its heights then go one by
+    # one, and the refusal raised is the loop's, at 1900.25
+    zeta = sys.modules["zeta_eta.zeta"]
+    low, high = (zeta._initial_cutoff(0.5, 3.75, t, SCAN_PRECISION.abs_err)
+                 for t in (1300.75, 1900.25))
+    monkeypatch.setattr(zeta, "_MAX_CUTOFF", (low + high) // 2)
+    heights = [1200.5, 1300.75, 1900.25, 1250.25]
+    loop = _first_refusal(heights, lambda ts: [
+        eta_vertical(complex(0.5, t), 1, store, SCAN_PRECISION) for t in ts])
+    batch = _first_refusal(heights, lambda ts: eta_module._vertical_many(
+        0.5, ts, 1, store, SCAN_PRECISION))
+    assert loop[0] is BudgetExceeded and batch == loop
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 3, 2, 1)])
+def test_a_batch_raises_what_the_loop_over_its_heights_raises_first(
+        store, monkeypatch, order):
+    # one height near-singular (its bound is made to reach |zeta|/2 on
+    # every ray at that height) and one above the table: the batch raises
+    # the exception, message included, that eta_vertical height by height
+    # meets first
+    branch = sys.modules["zeta_eta.branch"]
+    evaluate = branch._zeta_em
+    near = 1403.25
+    uncertain = store.snap(near)
+
+    def near_singular(ray, alpha, prec, want_deriv):
+        vals, ders, rems = evaluate(ray, alpha, prec, want_deriv)
+        if np.ndim(ray.t):
+            hit = ray.t == uncertain
+            rems[:, hit] = 0.5 * np.abs(vals[:, hit])
+        elif ray.t == uncertain:
+            rems[:] = 0.5 * np.abs(np.asarray(vals))
+        return vals, ders, rems
+
+    monkeypatch.setattr(branch, "_zeta_em", near_singular)
+    heights = [1200.5, near, 1700.25, store.t_max + 1.0]
+    heights = [heights[i] for i in order]
+    loop = _first_refusal(heights, lambda ts: [
+        eta_vertical(complex(0.5, t), 1, store, SCAN_PRECISION) for t in ts])
+    batch = _first_refusal(heights, lambda ts: eta_module._vertical_many(
+        0.5, ts, 1, store, SCAN_PRECISION))
+    assert loop is not None and batch == loop
+    assert loop[0].__name__ == ("NearSingularity" if order[1] == 1
+                                else "BeyondTable")
 
 
 def test_vertical_route_leaves_the_full_sieve_unbuilt():
@@ -424,6 +574,27 @@ def test_zero_sum_polynomial_refuses_m_above_the_limit():
     val, est = zero_sum_polynomial(eta_module._M_MAX, 0.5, 30.0, st)
     assert eta_module._M_MAX == 82
     assert cmath.isfinite(val) and math.isfinite(est)
+
+
+def test_zero_sum_right_of_every_zero_is_answered_at_once(monkeypatch):
+    # sigma at or right of the table's largest beta answers (0j, 0.0)
+    # without reading the zeros; m, sigma, t and the height are refused
+    # first, and left of that beta the sum is formed
+    st = ZeroStore([ZeroRecord(10.0, 0.8), ZeroRecord(40.0, 0.5)], "test")
+    assert st.beta_max == 0.8
+    assert zero_sum_polynomial(2, 0.7, 30.0, st)[0] != 0j
+    monkeypatch.setattr(ZeroStore, "gammas", property(
+        lambda self: pytest.fail("read the zeros")))
+    for sigma in (0.8, 0.9, 40.0):
+        assert zero_sum_polynomial(2, sigma, 30.0, st) == (0j, 0.0)
+    with pytest.raises(ValidationError, match="m=200"):
+        zero_sum_polynomial(200, 0.9, 30.0, st)
+    with pytest.raises(ValidationError, match="sigma="):
+        zero_sum_polynomial(1, math.inf, 30.0, st)
+    with pytest.raises(ValidationError, match="t="):
+        zero_sum_polynomial(1, 0.9, math.nan, st)
+    with pytest.raises(BeyondTable, match="zero_sum_polynomial"):
+        zero_sum_polynomial(1, 0.9, 41.0, st)
 
 
 def test_zero_sum_empty_is_exact_zero(store):

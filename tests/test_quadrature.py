@@ -273,10 +273,18 @@ def test_every_library_integrand_takes_a_row_per_panel(monkeypatch, store):
     # integrate_adaptive hands an integrand a (P x 21) batch of panel rows;
     # each library integrand (U_m's, and the vertical integral's of
     # eta_vertical and of c_m) answers it in that shape, each row as it
-    # answers that row alone, within the two answers' own error bounds
+    # answers that row alone, within the two answers' own error bounds.
+    # eta_vertical's height is sent on alone (its batch walk answers NaN),
+    # the one way its integral reaches integrate_adaptive.
     from zeta_eta import eta as eta_module
     from zeta_eta import kernels
     from zeta_eta.eta import _c_m_cached
+
+    walk = eta_module._log_less_model_many
+
+    def alone(paths, xs):
+        g, e = walk(paths, xs)
+        return np.full_like(g, np.nan), e
 
     seen = []
 
@@ -294,6 +302,7 @@ def test_every_library_integrand_takes_a_row_per_panel(monkeypatch, store):
 
     monkeypatch.setattr(kernels, "integrate_adaptive", probe)
     monkeypatch.setattr(eta_module, "integrate_adaptive", probe)
+    monkeypatch.setattr(eta_module, "_log_less_model_many", alone)
     from zeta_eta import eta_vertical, u_m_eval
     for m in (0, 1, 2):
         u_m_eval(m, 0.3 - 0.6j)

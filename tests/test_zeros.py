@@ -165,6 +165,23 @@ def test_nearest_gamma_takes_the_lower_ordinate_on_a_tie(store):
     assert store.nearest_gamma(store.t_max + 50.0) == g[-1]
 
 
+def test_nearest_of_one_float_is_the_array_paths(store):
+    # one float goes by bisect on the ordinates, an array by numpy: the
+    # same ordinate and distance, the lower ordinate on a tie, at seeded
+    # heights, exact ties, the ordinates themselves and past both ends
+    g = store.gammas
+    mids = 0.5 * (g[:-1] + g[1:])
+    ties = mids[mids - g[:-1] == g[1:] - mids]
+    ts = np.concatenate((
+        np.random.default_rng(24).uniform(0.0, store.t_max + 5.0, 2000),
+        ties, g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
+        [0.0, 1.0, g[0], store.t_max, store.t_max + 50.0, 1e12]))
+    near, dist = store._nearest(ts)
+    for t, n, d in zip(ts.tolist(), near.tolist(), dist.tolist()):
+        assert store._nearest(t) == (n, d), t
+    assert store._nearest(float(ties[0]))[0] < ties[0]
+
+
 def test_nearest_gamma_is_the_snapped_ordinate(store):
     # with a tolerance above every gap, snap moves each t >= 20 below the
     # ordinate it takes as nearest

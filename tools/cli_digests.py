@@ -28,7 +28,10 @@ s = 0.7 + 1.2i, m = 2, whose ray has the pole in its window model; and
 coarse query left of sigma = 1/2 on a ray snapped below an ordinate, whose
 walk leaves out the grid node at 1/2, where the node's bound reaches
 |zeta|/2 at that precision, and inserts 1/2 as a midpoint at the default
-one.  The exit status is 1 when an invocation exits non-zero.
+one; and `dist moments` at m = 2 on sigma = 3/4 over the dyadic interval
+(seed 1), whose batch of heights runs off the critical line, where the
+plain polynomial reads sigma.  The exit status is 1 when an invocation
+exits non-zero.
 """
 
 import contextlib
@@ -71,7 +74,11 @@ def invocations() -> list[tuple[list[str], bool]]:
              (["eval", "--what", "eta", "--s", "0.7+1.2i", "--m", "2"],
               False),
              (["--abs-err", "1e-6", "eval", "--what", "logzeta", "--s",
-               "0.25+917.8253775704268i"], False)]
+               "0.25+917.8253775704268i"], False),
+             (["dist", "moments", "--t-big", "1000", "--seed", "1",
+               "--count", "100", "--x", "10", "--m", "2", "--k", "1",
+               "--sigma", "0.75", "--interval", "dyadic", "--waive-range"],
+              True)]
     return runs
 
 
