@@ -33,8 +33,9 @@ query right of SIGMA_START walks nothing, since its branch is the
 principal logarithm, and branch_path, which evaluates nothing, decides
 where a ray may walk.  log_zeta_with_err answers every point off the real
 axis by its ray's query.  _march walks the rays of many heights at once
-too (_log_less_model_many): one pass on all of them and one unwrap of
-all their rows, each ray then pinned as its own walk pins it.  A value is
+too, and _log_less_model, the vertical integral's G, takes one ray or
+many by it: one pass on all of them and one unwrap of all their rows,
+each ray then pinned as its own walk pins it.  A value is
 the principal log zeta of its own evaluation + 2 pi i k; the walk only
 pins k.  An abscissa
 whose error bound reaches |zeta|/2 is refused, since its phase is noise,
@@ -278,17 +279,6 @@ class BranchPath(_Walk):
             return complex(out[0]), float(est[0])
         return out.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
 
-    def _log_less_model(self, alpha: np.ndarray) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-        """G = log zeta - model on the branch at the array of abscissae
-        alpha, the model being the window's log terms sum mu Log(rel +
-        alpha) the pin subtracts, and its error bounds, as two arrays of
-        alpha's shape: eval_log's values and bounds less the model that
-        their query formed, whose rounding adds 1e-15 (1 + |Log|) per term.
-        On a conjugate ray G is conjugated, the model with it."""
-        g, est = _less_model(self, *self._query(alpha))
-        return g.reshape(np.shape(alpha)), est.reshape(np.shape(alpha))
-
 
 def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:
     """log zeta = principal log of the zeta values + 2 pi i k, and its error
@@ -300,19 +290,6 @@ def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:
     out = np.array([cmath.log(v) for v in vals.ravel().tolist()]
                    ).reshape(vals.shape) + 2j * math.pi * k
     return out, np.asarray(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
-
-
-def _less_model(path: BranchPath, vals, rems, k,
-                terms) -> tuple[np.ndarray, np.ndarray]:
-    """G = log zeta - model on path's ray and its error bounds, from a
-    walk's zeta values, remainder bounds, winding integers and the window's
-    log terms there (_march's row for the ray): _log_with_err's values and
-    bounds less the model, whose rounding adds 1e-15 (1 + |Log|) per term,
-    G conjugated, the model with it, on a conjugate ray."""
-    out, est = _log_with_err(vals, rems, k)
-    g = out - path.mu @ terms
-    est += 1e-15 * (np.abs(path.mu) @ (1.0 + np.abs(terms)))
-    return (g.conjugate() if path.conjugate else g), est
 
 
 def _march(paths: list[BranchPath], xs: np.ndarray) -> tuple:
@@ -391,15 +368,24 @@ def _window_rows(paths: list[BranchPath]) -> tuple[np.ndarray, np.ndarray]:
     return mu, rel
 
 
-def _log_less_model_many(paths: list[BranchPath],
-                         xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_log_less_model at the abscissae xs (a flat array) on every ray of
-    paths at once, from one _march of them all: G and its bounds as two
-    arrays of a row per ray, each row with the bits of the ray's own
-    query.  The rays share one prec."""
-    rows = [_less_model(p, *walk) for p, *walk in zip(paths, *_march(paths,
-                                                                      xs))]
-    return np.array([g for g, _ in rows]), np.array([e for _, e in rows])
+def _log_less_model(paths: list[BranchPath],
+                    xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = log zeta - model at the abscissae xs (a flat array) on every ray
+    of paths, the model being a ray's window log terms sum mu Log(rel + x)
+    that its pin subtracts, and G's error bounds: two arrays of a row per
+    ray from one _march of them all, each row with the bits of the ray's
+    own walk.  A row is _log_with_err's values and bounds less the model
+    that the walk formed, whose rounding adds 1e-15 (1 + |Log|) per term,
+    G conjugated, the model with it, on a conjugate ray.  The rays share
+    one prec."""
+    vals, rems, k, terms = _march(paths, xs)
+    g, est = _log_with_err(vals, rems, k)
+    for i, (path, rows) in enumerate(zip(paths, terms)):
+        g[i] -= path.mu @ rows
+        est[i] += 1e-15 * (np.abs(path.mu) @ (1.0 + np.abs(rows)))
+        if path.conjugate:
+            g[i] = g[i].conjugate()
+    return g, est
 
 
 def branch_path(t: float, sigma_end: float,

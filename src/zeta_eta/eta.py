@@ -80,12 +80,13 @@ its pin.  The panels integrate G = log zeta - model, analytic near
 the sweep's closed form, _model_pieces, taken along the ray; its rounding
 allowance, (3m + 9) u of the row's two masses as in the sweep, goes into
 est_err.  So the panels never bisect toward a zero next to the ray.  The
-adaptive integrator hands the integrand the 42 abscissae of both starting
-panels in one call, and then both halves of each panel it bisects in one
-call; each call is one batched zeta evaluation on the ray
-(BranchPath._log_less_model: the Euler-Maclaurin correction on arrays, the
-branch pinned by the call's own walk down the ray, whose grid nodes share
-the pass, less the model the query formed for its pin).  c_m is the same
+integral's start hands the integrand the 42 abscissae of both starting
+panels in one call (quadrature._start), and each bisection both halves
+of the panel it splits in one call (quadrature._refine); each call is one
+batched zeta evaluation on the ray (branch._log_less_model: the
+Euler-Maclaurin correction on arrays, the branch pinned by the call's own
+walk down the ray, whose grid nodes share the pass, less the model the
+walk formed for its pin).  c_m is the same
 integral on the real axis, the limit from above, whose window is the
 pole's row alone: its panels integrate the regular part h(a) = log((a-1)
 zeta(a)), analytic on (-1, inf), by branch's one real-axis rule, and the
@@ -98,20 +99,24 @@ That sum is one of the library's prime-power polynomials, all of which
 prime_power_poly evaluates here over a prefix of one cached sieve record:
 the prime powers with log n and Lambda(n), held once.
 
-The vertical route takes the heights of one line in batches
-(_vertical_many; eta_vertical is its one-height case, and dist and
-residual-scan pass it all their heights).  On one line sigma, m and the
-target fix a0, the starting panels, their 42 abscissae and the tail's
-coefficients, and only the phases n^-it differ between heights.  So a
-batch builds the tail's coefficients once and sums them at every height
-in one (heights x terms) phase array, integrates every height's window
-rows in one _model_pieces pass, and takes G at every height's 42
-abscissae in one walk of all their rays (branch._log_less_model_many:
-one zeta pass on a zeta._Ray over all the heights, each ray pinned as its
-own walk pins it), inside the one call of the rule that
-integrate_adaptive starts with (quadrature._start), whose stopping rule
-(quadrature._settled) it shares.  A height whose starting panels are not
-settled goes on alone by the adaptive path above.
+The vertical integral takes the heights of one line at once
+(_vertical_integral): c_m is its one height on the real axis,
+eta_vertical its one ray, and each batch of _vertical_many, to which dist
+and residual-scan pass all their heights, its many rays.  On one line
+sigma, m and the target fix a0, the starting panels, their 42 abscissae
+and the tail's coefficients, and only the phases n^-it differ between
+heights.  So the integral builds the tail's coefficients once and sums
+them at every height in one (heights x terms) phase array, integrates
+every height's window rows in one _model_pieces pass, and takes G at
+every height's 42 starting abscissae in one call of the rule, one walk
+of all their rays (one zeta pass on a zeta._Ray over all the heights,
+each ray pinned as its own walk pins it).  A height whose starting panels
+are not settled is bisected on from the heap that start built, by the
+adaptive integrator's own loop (quadrature._refine), each bisection a
+walk of its ray alone.  Below sigma = 1 a height's value has the bits of
+its one-height call; its est_err may differ in the last bit or two,
+since the rule's node-error sum rounds with the number of panels it
+sums.
 
 A target that zeta sends to extended precision at a height t > 0 is
 refused (zeta._check_doubles) before any zeta pass: the sweep and the ray
@@ -133,13 +138,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .branch import (_WINDOW, _Walk, _log_less_model_many, _log_regular_real,
+from .branch import (_WINDOW, _Walk, _log_less_model, _log_regular_real,
                      _window_rows, branch_path, log_zeta_with_err)
 from .errors import (BeyondSieve, NumericalError, ValidationError,
                      ZetaEtaError, _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
-from .quadrature import (_NODES, _panel, _settled, _start,
-                         integrate_adaptive)
+from .quadrature import _NODES, _panel, _refine, _start
 from .zeros import SNAP_TOL, ZeroStore, store_or_builtin
 from .zeta import (_BLOCK_NODES, _UNIT_ROUNDOFF, _Line, _check_doubles,
                    _phases, _zeta_em)
@@ -174,11 +178,13 @@ class EtaValue:
 _SPLITS = [1.0]
 
 
-def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
-                       mu: np.ndarray, rel: np.ndarray) -> tuple[complex, float]:
+def _vertical_integral(log_g, m: int, sigma: float, ts: list[float],
+                       abs_err: float, mu: np.ndarray, rel: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """i^m/(m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a+it) da, m >= 1,
-    with an error estimate: panels on [sigma, a0], split at 1, and the
-    Dirichlet series above a0 = _tail_start(m, sigma, abs_err).
+    at each height t of ts with an error estimate, two arrays in the order
+    of ts: panels on [sigma, a0], split at 1, and the Dirichlet series
+    above a0 = _tail_start(m, sigma, abs_err).
 
     G has no kink or one-sided limit at 1: the model holds the pole, and
     on the real axis h is analytic there.  The split is kept because it
@@ -189,32 +195,44 @@ def _vertical_integral(log_g, m: int, sigma: float, t: float, abs_err: float,
     (4.6e-13 to 6.0e-12; over m <= 3 at 40 sigma in [-0.9, 3], 3.4e-13 to
     2.5e-11).
 
-    On [sigma, a0] log zeta is split as G + model, the model being the
-    window's log terms sum mu Log(rel + a), a row (mu, rel) per term.  The
-    panels integrate G: log_g takes an array of abscissae in [sigma, a0], a
-    row of 21 per panel, and returns G's values and error bounds as arrays
-    of its shape, one pass for all of them; it is not called when sigma >=
-    a0.  The model's integral is _model_pieces', in closed form.
+    On [sigma, a0] log zeta is split as G + model, the model at ts[i]
+    being the window's log terms sum mu[i] Log(rel[i] + a), a row of terms
+    per height.  The panels integrate G: log_g(rows, xs) takes indices into
+    ts and a flat array of abscissae in [sigma, a0], and returns G's values
+    and error bounds there on each height of rows, a row per height, from
+    one pass for them all; it is not called when sigma >= a0.  One call
+    of it takes the starting panels of every height (quadrature._start),
+    and a height they leave unsettled is bisected on from its own heap,
+    one call per bisection at that height alone (quadrature._refine).
+    The model's integral is _model_pieces', in closed form, one pass over
+    every height's rows.
     """
     a0 = _tail_start(m, sigma, abs_err)
-    val, est = _vertical_tail(m, sigma, a0, t)
+    val, est = _vertical_tail(m, sigma, a0, np.array(ts))
     if sigma >= a0:
         return val, est
-    pv, pest = integrate_adaptive(_weighted(log_g, m, sigma), sigma, a0,
-                                  _panel_tol(m, abs_err), splits=_SPLITS)
-    return _vertical_sum(m, val, est, pv, pest, *_model_pieces(
-        m, sigma, sigma, a0, mu, rel, 1.0))
 
+    def weighted(rows):
+        """The panels' integrand (a-sigma)^(m-1) G and its bounds on the
+        panels of each height of rows in turn, at the same abscissae on
+        each."""
+        def f(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            v, e = log_g(rows, alpha.reshape(len(rows), -1)[0])
+            w = (alpha - sigma) ** (m - 1)
+            return w * v.reshape(alpha.shape), np.abs(w) * e.reshape(
+                alpha.shape)
 
-def _weighted(log_g, m: int, sigma: float):
-    """The panels' integrand (a-sigma)^(m-1) G at an array of abscissae,
-    and its error bounds, from log_g's G and bounds there."""
-    def g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v, e = log_g(alpha)
-        w = (alpha - sigma) ** (m - 1)
-        return w * v, np.abs(w) * e
+        return f
 
-    return g
+    heaps, peaks = _start(weighted(range(len(ts))), sigma, a0, _SPLITS,
+                          len(ts))
+    tol = _panel_tol(m, abs_err)
+    model = (x.reshape(len(ts), -1) for x in _model_pieces(
+        m, sigma, sigma, a0, mu.ravel(), rel.ravel(), 1.0))
+    for i, (heap, peak, *pieces) in enumerate(zip(heaps, peaks, *model)):
+        pv, pest = _refine(weighted([i]), heap, peak, sigma, a0, tol)
+        val[i], est[i] = _vertical_sum(m, val[i], est[i], pv, pest, *pieces)
+    return val, est
 
 
 def _panel_tol(m: int, abs_err: float) -> float:
@@ -560,9 +578,10 @@ def _c_m_cached(m: int, sigma: float, abs_err: float) -> tuple[complex, float]:
     # On the real axis the limit from above is available in closed form;
     # no branch walk runs anywhere near the pole, and the quadrature sees
     # the regular part h alone.
-    return _vertical_integral(lambda a: _log_regular_real(a, prec), m, sigma,
-                              0.0, abs_err, np.array([-1.0]),
-                              np.array([complex(-1.0, 0.0)]))
+    (val,), (est,) = _vertical_integral(
+        lambda rows, a: _log_regular_real(a, prec), m, sigma, [0.0], abs_err,
+        np.array([[-1.0]]), np.array([[complex(-1.0, 0.0)]]))
+    return complex(val), float(est)
 
 
 def _order(m, lo: int) -> int:
@@ -660,14 +679,14 @@ def _vertical_many(sigma: float, ts, m: int, store: ZeroStore,
     m = 0 is log zeta at each point.  For m >= 1, sigma >= 1/2, and a
     height below SNAP_TOL is c_m(sigma).  The other heights go in batches
     of up to _BATCH_HEIGHTS consecutive heights, each refused as
-    eta_vertical refuses it before the batch runs, and the batch takes
-    their tails, window models and starting panels at once
-    (_vertical_first).  A height whose starting panels miss the tolerance
-    goes alone by the adaptive path, and so does every height of a batch
-    whose shared walk is refused.  The heights are
-    answered in order and a refusal is raised once the heights before it
-    are answered, so the first exception is the one a loop over the
-    heights would raise.
+    eta_vertical refuses it before the batch runs, and a batch is one
+    _vertical_integral on all their rays: G from one walk of them all
+    (branch._log_less_model) for the starting panels, and each height's
+    bisections, if any, from its ray's own walk.  A batch whose
+    integral is refused goes height by height, each height its own
+    _vertical_integral.  The heights are answered in order and a refusal
+    is raised once the heights before it are answered, so the first
+    exception is the one a loop over the heights would raise.
     """
     m = _order(m, 0)
     ts = np.ravel(ts).tolist()
@@ -677,7 +696,15 @@ def _vertical_many(sigma: float, ts, m: int, store: ZeroStore,
             out[i], est[i] = log_zeta_with_err(complex(sigma, t), prec, store)
         return out, est
     sigma = _real(sigma, "sigma", 0.5)
-    a0 = _tail_start(m, sigma, prec.abs_err)
+
+    def integral(rays: list):
+        """An iterator of (value, estimate) at the height of each of rays."""
+        if not rays:
+            return iter(())
+        return zip(*_vertical_integral(
+            lambda rows, xs: _log_less_model([rays[i] for i in rows], xs),
+            m, sigma, [p.t for p in rays], prec.abs_err, *_window_rows(rays)))
+
     for lo in range(0, len(ts), _BATCH_HEIGHTS):
         paths, failure = [], None
         for t in ts[lo:lo + _BATCH_HEIGHTS]:
@@ -688,20 +715,16 @@ def _vertical_many(sigma: float, ts, m: int, store: ZeroStore,
                 break
         rays = [p for p in paths if p is not None]
         try:
-            first = iter(_vertical_first(rays, m, sigma, a0, prec))
+            answers = integral(rays)
         except ZetaEtaError:
-            first = iter([None] * len(rays))
+            answers = (next(integral([p])) for p in rays)
         for i, path in enumerate(paths, lo):
             if path is None:
                 out[i], est[i] = c_m_with_err(sigma, m, prec)
                 continue
-            val_est = next(first)
-            if val_est is None:
-                val_est = _vertical_integral(path._log_less_model, m, sigma,
-                                             path.t, prec.abs_err, path.mu,
-                                             path.rel)
+            val, v_est = next(answers)
             zsum, zs_est = zero_sum_polynomial(m, sigma, path.t, store)
-            out[i], est[i] = val_est[0] + zsum, val_est[1] + zs_est
+            out[i], est[i] = val + zsum, v_est + zs_est
         if failure is not None:
             raise failure
     return out, est
@@ -717,41 +740,6 @@ def _vertical_path(sigma: float, t, store: ZeroStore,
         return None
     store.require_height(t, "eta_vertical", t=t)
     return branch_path(t, sigma, prec, store)
-
-
-def _vertical_first(rays: list, m: int, sigma: float, a0: float,
-                    prec: EvalPrecision) -> list:
-    """_vertical_integral at the height of each of rays, a (value,
-    estimate) pair per ray, or None for a ray whose starting panels are not
-    _settled, which then goes alone.
-
-    Every ray's tail is one (heights x terms) phase product, its model's
-    rows one _model_pieces pass, and its G at the starting panels' nodes
-    one _log_less_model_many walk of all the rays, inside one call of the
-    rule that integrate_adaptive starts with (quadrature._start): the same
-    panels, sums and stopping rule as each ray's own integral.
-    """
-    if not rays:
-        return []
-    val, est = _vertical_tail(m, sigma, a0, np.array([p.t for p in rays]))
-    if sigma >= a0:
-        return list(zip(val, est))
-
-    def log_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The panels of every ray in turn, at the same abscissae on each.
-        g, e = _log_less_model_many(rays, alpha.reshape(len(rays), -1)[0])
-        return g.reshape(alpha.shape), e.reshape(alpha.shape)
-
-    heaps = _start(_weighted(log_g, m, sigma), sigma, a0, _SPLITS, len(rays))
-    tol = _panel_tol(m, prec.abs_err)
-    pieces, terms, inner = (x.reshape(len(rays), -1) for x in _model_pieces(
-        m, sigma, sigma, a0, *(x.ravel() for x in _window_rows(rays)), 1.0))
-    out = []
-    for v, e, heap, *model in zip(val, est, heaps, pieces, terms, inner):
-        panels = _settled(heap, tol)
-        out.append(None if panels is None
-                   else _vertical_sum(m, v, e, *panels, *model))
-    return out
 
 
 # --- iterated route: windowed sweep along the horizontal segment ---------------

@@ -4,11 +4,17 @@ An integrand takes an array of abscissae, a row of strictly ascending nodes
 per panel, and returns (values, pointwise_error_bounds) as two arrays of
 that shape; a call of the panel rule calls it once, with the 21 nodes of the
 Kronrod(21) rule, ten of which are the Gauss(10) nodes, for each of its
-panels.  The adaptive integrator calls the rule once for its whole starting
-partition and once for the two halves of each panel it bisects, so the
-integrand sees a row of nodes per panel.  The returned estimate sums the
-panel Gauss(10)-vs-Kronrod(21) discrepancies with the integrated pointwise
-bounds, so callers can propagate honest error budgets.
+panels.  The adaptive integrator is two steps: its start (_start) calls
+the rule once for the whole starting partition, and builds a heap of the
+panels; its bisection loop (_refine) then calls it once for the two
+halves of each panel it bisects, until the heap is settled.  The start
+takes the partitions of several integrands on the same [a, b] in that
+one call too, a heap each, and the loop then continues each row's heap
+with that row's integrand alone: the vertical eta integral at many
+heights of one line.  The integrand sees a row of nodes per panel.  The
+returned estimate sums the panel Gauss(10)-vs-Kronrod(21) discrepancies
+with the integrated pointwise bounds, so callers can propagate honest
+error budgets.
 """
 
 from __future__ import annotations
@@ -136,19 +142,26 @@ def _push(heap: list, lo: list[float], hi: list[float], sums) -> None:
 
 
 def _start(f: Integrand, a: float, b: float, splits: list[float] | None,
-           rows: int = 1) -> list[list]:
+           rows: int = 1) -> tuple[list[list], list[float]]:
     """The heaps of integrate_adaptive's starting panels on [a, b], cut at
-    the splits inside (a, b), for rows integrands at once: one heap per
-    integrand from one call of the rule.  Its nodes hold the panels of
-    every integrand in turn, a row per panel, and f answers each
-    integrand's rows with its values."""
+    the splits inside (a, b), for rows integrands at once, and each
+    integrand's max|f| there: one heap per integrand from one call of the
+    rule.  Its nodes hold the panels of every integrand in turn, a row per
+    panel, and f answers each integrand's rows with its values."""
     edges = sorted({a, b, *(x for x in splits or () if a < x < b)})
     lo, hi = edges[:-1], edges[1:]
-    sums = _sums(f, lo * rows, hi * rows)
+    peaks = []
+
+    def seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals, errs = f(x)
+        peaks.extend(np.abs(vals).reshape(rows, -1).max(axis=1).tolist())
+        return vals, errs
+
+    sums = _sums(seen, lo * rows, hi * rows)
     heaps = [[] for _ in range(rows)]
     for i, heap in enumerate(heaps):
         _push(heap, lo, hi, sums[i * len(lo):(i + 1) * len(lo)])
-    return heaps
+    return heaps, peaks
 
 
 def _settled(heap: list, tol: float) -> tuple[complex, float] | None:
@@ -165,21 +178,17 @@ def _settled(heap: list, tol: float) -> tuple[complex, float] | None:
     return total, est
 
 
-def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
-                       splits: list[float] | None = None) -> tuple[complex, float]:
-    """Integral of f over [a, b], a < b, with panel bisection down to tol.
-
-    splits lists interior points that must be panel boundaries, where the
-    starting panels are cut; they are clamped to (a, b) and deduplicated.
-    f is called with a row of nodes per panel: once for the starting
-    panels (_start), then once per bisection for both halves of the panel
-    with the largest discrepancy, until the panels are _settled.  A tol
-    below 1/_FLOOR_MARGIN of the rule's rounding floor over the values
-    seen so far, u max|f| (b - a), is refused with BudgetExceeded as soon
-    as a bisection would be needed, since no bisection meets it honestly;
-    so is a bisection past _MAX_PANELS panels.
-    """
-    peak = 0.0
+def _refine(f: Integrand, heap: list, peak: float, a: float, b: float,
+            tol: float) -> tuple[complex, float]:
+    """The integral of f over [a, b] and its estimate from a heap of its
+    panels there, a max-heap of (-(discrepancy), a, b, value, discrepancy,
+    node_err), and peak, max|f| over the values seen so far: each step
+    calls f once for both halves of the panel with the largest
+    discrepancy, until the panels are _settled.  A tol below
+    1/_FLOOR_MARGIN of the rule's rounding floor u max|f| (b - a) is
+    refused with BudgetExceeded as soon as a bisection would be needed,
+    since no bisection meets it honestly; so is a bisection past
+    _MAX_PANELS panels."""
 
     def seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal peak
@@ -187,8 +196,6 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
         peak = max(peak, float(np.abs(vals).max()))
         return vals, errs
 
-    # Max-heap of (-(discrepancy), a, b, value, discrepancy, node_err).
-    (heap,) = _start(seen, a, b, splits)
     n_panels = len(heap)
     while (done := _settled(heap, tol)) is None:
         disc_sum = sum(item[4] for item in heap)
@@ -207,6 +214,21 @@ def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
         _push(heap, [lo, mid], [mid, hi], _sums(seen, [lo, mid], [mid, hi]))
         n_panels += 1
     return done
+
+
+def integrate_adaptive(f: Integrand, a: float, b: float, tol: float,
+                       splits: list[float] | None = None) -> tuple[complex, float]:
+    """Integral of f over [a, b], a < b, with panel bisection down to tol.
+
+    splits lists interior points that must be panel boundaries, where the
+    starting panels are cut; they are clamped to (a, b) and deduplicated.
+    f is called with a row of nodes per panel: once for the starting
+    panels (_start), then once per bisection (_refine), which refuses a
+    tol below the rule's rounding floor and a bisection past _MAX_PANELS
+    panels with BudgetExceeded.
+    """
+    (heap,), (peak,) = _start(f, a, b, splits)
+    return _refine(f, heap, peak, a, b, tol)
 
 
 def integrate_fixed(f: Callable[[np.ndarray], np.ndarray],

@@ -210,8 +210,11 @@ class _Ray:
 
     def first_cutoff(self, alphas, abs_err: float):
         """The cutoff _initial_cutoff solves for the abscissae alphas: an
-        int, or on several heights an array of each height's own."""
-        lo, hi = min(min(alphas), _SIGMA_ONE), min(max(alphas), _SIGMA_ONE)
+        int, or on several heights an array of each height's own.  An
+        array's ends are its own min and max, a list's the builtins'."""
+        ends = ((alphas.min(), alphas.max()) if isinstance(alphas, np.ndarray)
+                else (min(alphas), max(alphas)))
+        lo, hi = (min(x, _SIGMA_ONE) for x in ends)
         if isinstance(self.t, np.ndarray):
             return np.array([_initial_cutoff(lo, hi, t, abs_err)
                              for t in self.t.tolist()])

@@ -141,7 +141,7 @@ def test_c_m_right_of_the_tail_start_is_the_sum_alone(sigma, monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("ran a quadrature right of the tail start")
 
-    monkeypatch.setattr(eta_module, "integrate_adaptive", no_quadrature)
+    monkeypatch.setattr(eta_module, "_start", no_quadrature)
     eta_module._c_m_cached.cache_clear()
     got, est = c_m_with_err(sigma, 1)
     with mpmath.workdps(30):
@@ -331,7 +331,7 @@ def test_eta_vertical_at_the_window_edges(store, sigma, t, m, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("ran a quadrature right of the tail start")
 
-        monkeypatch.setattr(eta_module, "integrate_adaptive", no_quadrature)
+        monkeypatch.setattr(eta_module, "_start", no_quadrature)
     elif sigma >= 1.25:
         def no_walk(*args, **kwargs):
             raise AssertionError("walked a ray right of the walk start")
@@ -350,7 +350,7 @@ def test_vertical_route_takes_one_panel_call_on_dist_heights(store,
     # [1/2, a0], and the starting panels [1/2, 1] and [1, a0] meet the
     # tolerance in one call of the rule; log zeta itself took up to 10.
     # The batch takes every height's panels in that one call, and no
-    # height goes on alone by the adaptive path.
+    # height bisects, which would take a call of its own.
     panels = []
     panel = quadrature._panel
 
@@ -358,11 +358,7 @@ def test_vertical_route_takes_one_panel_call_on_dist_heights(store,
         panels.append(args)
         return panel(*args)
 
-    def alone(*args):
-        raise AssertionError("a height went on alone")
-
     monkeypatch.setattr(quadrature, "_panel", counted)
-    monkeypatch.setattr(eta_module, "integrate_adaptive", alone)
     ts = np.random.default_rng(31).uniform(1000.0, 2000.0, 40)
     eta_module._vertical_many(0.5, ts, 1, store, SCAN_PRECISION)
     assert len(panels) == 1
@@ -384,37 +380,31 @@ def test_vertical_batch_agrees_with_each_height_alone(store, m, abs_err):
         assert abs(val - one.value) <= max(est, one.est_err), t
 
 
-def _nan_rows_at(heights):
-    """_log_less_model_many with NaN in the rows of the given snapped
-    heights: those rays go on alone."""
-    walk = eta_module._log_less_model_many
+def test_a_height_its_start_leaves_unsettled_bisects_from_the_batch(
+        store, monkeypatch):
+    # the first call of the rule holds every height's two starting panels;
+    # a height they leave unsettled is bisected on from its own heap, both
+    # halves of a panel in one call, and no height's start is evaluated
+    # again; every value is its one-height call's, bit for bit
+    ts = np.random.default_rng(7).uniform(1000.0, 2000.0, 60)
+    a0 = eta_module._tail_start(2, 0.75, DEFAULT_PRECISION.abs_err)
+    calls = []
+    panel = quadrature._panel
 
-    def forced(paths, xs):
-        g, e = walk(paths, xs)
-        g[[p.t in heights for p in paths]] = np.nan
-        return g, e
+    def counted(f, a, b):
+        calls.append((np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+        return panel(f, a, b)
 
-    return forced
-
-
-def test_a_height_the_batch_sends_alone_is_its_own_value(store,
-                                                         monkeypatch):
-    # a height whose first panels the batch cannot take goes alone by the
-    # adaptive path, bit for bit the value and estimate of the one-height
-    # call sent alone the same way; the batch's other heights keep theirs
-    prec = SCAN_PRECISION
-    ts = np.random.default_rng(37).uniform(1000.0, 2000.0, 20)
-    vals, ests = eta_module._vertical_many(0.75, ts, 2, store, prec)
-    forced = {store.snap(float(ts[3])), store.snap(float(ts[11]))}
-    monkeypatch.setattr(eta_module, "_log_less_model_many",
-                        _nan_rows_at(forced))
-    got, got_est = eta_module._vertical_many(0.75, ts, 2, store, prec)
-    for i, t in enumerate(ts.tolist()):
-        if store.snap(t) in forced:
-            one = eta_vertical(complex(0.75, t), 2, store, prec)
-            assert (got[i], got_est[i]) == (one.value, one.est_err), t
-        else:
-            assert (got[i], got_est[i]) == (vals[i], ests[i]), t
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    vals, _ = eta_module._vertical_many(0.75, ts, 2, store, DEFAULT_PRECISION)
+    monkeypatch.undo()
+    assert calls[0] == ([0.75, 1.0] * ts.size, [1.0, a0] * ts.size)
+    assert len(calls) > 1
+    for lo, hi in calls[1:]:
+        assert (lo, hi) != ([0.75, 1.0], [1.0, a0])
+        assert len(lo) == 2 and lo[1] == hi[0] == 0.5 * (lo[0] + hi[1])
+    for t, val in zip(ts.tolist(), vals):
+        assert val == eta_vertical(complex(0.75, t), 2, store).value, t
 
 
 def test_a_step_above_the_continuity_bound_inserts_midpoints_in_the_batch(
@@ -430,12 +420,12 @@ def test_a_step_above_the_continuity_bound_inserts_midpoints_in_the_batch(
     paths = [branch_path(t, 0.5, prec, store) for t in ts]
     xs = quadrature._nodes(np.array([[0.5], [1.0]]),
                            np.array([[1.0], [3.5]])).ravel()
-    g, e = branch._log_less_model_many(paths, xs)
+    g, e = branch._log_less_model(paths, xs)
     grid = np.count_nonzero(branch._RAY_GRID > xs.min())
     inserted = np.array([p.nodes > xs.size + grid for p in paths])
     assert inserted.any() and not inserted.all()
     for path, row, err in zip(paths, g, e):
-        one, one_err = path._log_less_model(xs)
+        (one,), (one_err,) = branch._log_less_model([path], xs)
         assert np.array_equal(row, one) and np.array_equal(err, one_err)
     vals, _ = eta_module._vertical_many(0.5, ts, 1, store, prec)
     for t, val in zip(ts.tolist(), vals):
@@ -449,9 +439,10 @@ def test_the_batch_walk_keeps_each_rays_bits(store):
     ts = np.random.default_rng(39).uniform(20.0, 2140.0, 30)
     paths = [branch_path(t, 0.6, prec, store) for t in ts]
     xs = np.linspace(0.61, 3.9, 42)
-    g, e = sys.modules["zeta_eta.branch"]._log_less_model_many(paths, xs)
+    walk = sys.modules["zeta_eta.branch"]._log_less_model
+    g, e = walk(paths, xs)
     for path, row, err in zip(paths, g, e):
-        one, one_err = path._log_less_model(xs)
+        (one,), (one_err,) = walk([path], xs)
         assert np.array_equal(row, one) and np.array_equal(err, one_err)
 
 

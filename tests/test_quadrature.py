@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zeta_eta.errors import BudgetExceeded
-from zeta_eta.quadrature import (_NODES, _WEIGHTS, _nodes, _panel,
+from zeta_eta.quadrature import (_NODES, _WEIGHTS, _nodes, _panel, _start,
                                   integrate_adaptive)
 
 
@@ -270,25 +270,19 @@ def test_adaptive_batches_end_on_the_panels_of_one_at_a_time(case,
 
 
 def test_every_library_integrand_takes_a_row_per_panel(monkeypatch, store):
-    # integrate_adaptive hands an integrand a (P x 21) batch of panel rows;
-    # each library integrand (U_m's, and the vertical integral's of
-    # eta_vertical and of c_m) answers it in that shape, each row as it
-    # answers that row alone, within the two answers' own error bounds.
-    # eta_vertical's height is sent on alone (its batch walk answers NaN),
-    # the one way its integral reaches integrate_adaptive.
+    # the rule hands an integrand a (P x 21) batch of panel rows; each
+    # library integrand (U_m's, and the vertical integral's of eta_vertical
+    # and of c_m) answers it in that shape, each row as it answers that row
+    # alone, within the two answers' own error bounds.  U_m's is probed
+    # where integrate_adaptive receives it, the vertical integral's where
+    # its start (quadrature._start) does.
     from zeta_eta import eta as eta_module
     from zeta_eta import kernels
     from zeta_eta.eta import _c_m_cached
 
-    walk = eta_module._log_less_model_many
-
-    def alone(paths, xs):
-        g, e = walk(paths, xs)
-        return np.full_like(g, np.nan), e
-
     seen = []
 
-    def probe(f, a, b, tol, splits=None):
+    def check(f, a, b):
         ends = np.linspace(a, b, 4)
         rows = _nodes(ends[:-1, None], ends[1:, None])
         vals, errs = f(rows)
@@ -298,11 +292,17 @@ def test_every_library_integrand_takes_a_row_per_panel(monkeypatch, store):
             slack = errs[p] + one_err + 1e-15 * np.abs(one)
             assert np.all(np.abs(vals[p] - one) <= slack), (a, b, p)
         seen.append(f.__module__)
+
+    def probe(f, a, b, tol, splits=None):
+        check(f, a, b)
         return integrate_adaptive(f, a, b, tol, splits)
 
+    def probe_start(f, a, b, splits, rows=1):
+        check(f, a, b)
+        return _start(f, a, b, splits, rows)
+
     monkeypatch.setattr(kernels, "integrate_adaptive", probe)
-    monkeypatch.setattr(eta_module, "integrate_adaptive", probe)
-    monkeypatch.setattr(eta_module, "_log_less_model_many", alone)
+    monkeypatch.setattr(eta_module, "_start", probe_start)
     from zeta_eta import eta_vertical, u_m_eval
     for m in (0, 1, 2):
         u_m_eval(m, 0.3 - 0.6j)

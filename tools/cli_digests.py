@@ -30,8 +30,11 @@ walk leaves out the grid node at 1/2, where the node's bound reaches
 |zeta|/2 at that precision, and inserts 1/2 as a midpoint at the default
 one; and `dist moments` at m = 2 on sigma = 3/4 over the dyadic interval
 (seed 1), whose batch of heights runs off the critical line, where the
-plain polynomial reads sigma.  The exit status is 1 when an invocation
-exits non-zero.
+plain polynomial reads sigma; and `--abs-err 1e-10 residual-scan` at m = 2,
+X = 10 on sigma = 3/4 over t = 100, 150, ..., 1400, where six of the 27
+heights miss the tolerance on their starting panels and are bisected on
+from the batch's own.  The exit status is 1 when an invocation exits
+non-zero.
 """
 
 import contextlib
@@ -78,7 +81,10 @@ def invocations() -> list[tuple[list[str], bool]]:
              (["dist", "moments", "--t-big", "1000", "--seed", "1",
                "--count", "100", "--x", "10", "--m", "2", "--k", "1",
                "--sigma", "0.75", "--interval", "dyadic", "--waive-range"],
-              True)]
+              True),
+             (["--abs-err", "1e-10", "residual-scan", "--m", "2", "--x-list",
+               "10", "--sigma", "0.75", "--t-from", "100", "--t-to", "1400",
+               "--t-step", "50"], True)]
     return runs
 
 
