@@ -24,7 +24,7 @@ they use different integrals and different continuation sweeps.
 The u-integral of the iterated route runs through every ordinate below t,
 where log zeta(sigma+iu) jumps (by 2 pi i per zero strictly right of sigma)
 or has a logarithmic singularity (zero at sigma itself).  The line [0, t]
-is cut into panels of width <= 1 with edges at the ordinates, and on each
+is cut into panels of width <= 2 with edges at the ordinates, and on each
 panel the integrand splits as
 
     log zeta(sigma+iu) = G(u) + sum_rows mu Log(sigma-beta + i(u-gamma)),
@@ -113,10 +113,8 @@ of all their rays (one zeta pass on a zeta._Ray over all the heights,
 each ray pinned as its own walk pins it).  A height whose starting panels
 are not settled is bisected on from the heap that start built, by the
 adaptive integrator's own loop (quadrature._refine), each bisection a
-walk of its ray alone.  Below sigma = 1 a height's value has the bits of
-its one-height call; its est_err may differ in the last bit or two,
-since the rule's node-error sum rounds with the number of panels it
-sums.
+walk of its ray alone.  Below sigma = 1 a height's value and est_err
+have the bits of its one-height call.
 
 A target that zeta sends to extended precision at a height t > 0 is
 refused (zeta._check_doubles) before any zeta pass: the sweep and the ray
@@ -744,12 +742,15 @@ def _vertical_path(sigma: float, t, store: ZeroStore,
 
 # --- iterated route: windowed sweep along the horizontal segment ---------------
 
-# Panel width cap on the u-line.  No singularity of G lies within _WINDOW =
-# 1.5 of a panel, so on a panel of width w G is analytic inside the Bernstein
-# ellipse through z = 1 + 3/w on the panel's [-1, 1], and Gauss(10) errs by
-# about rho^-20, rho = z + sqrt(z^2 - 1).  That stays below the unit roundoff
-# up to w = 1.34: 1.2e-18 at w = 1, 2.6e-14 at w = 2.
-_PANEL_MAX = 1.0
+# Panel width cap on the u-line, set by the rule's own error.  No singularity
+# of G lies within _WINDOW = 1.5 of a panel, so on a panel of width w G is
+# analytic inside the Bernstein ellipse through z = 1 + 3/w on the panel's
+# [-1, 1], rho = z + sqrt(z^2 - 1), and a rule exact to degree d errs by
+# about rho^-(d+1) relative (Trefethen 2008).  At w = 2 the returned
+# Kronrod(21) value (d = 31) errs by about rho^-32 = 1.6e-22, below
+# rounding; Gauss(10)'s rho^-20 = 2.6e-14 is in est_err already, as the
+# panel's |Kronrod - Gauss| term.
+_PANEL_MAX = 2.0
 
 
 class _Sweep(_Walk):
@@ -840,8 +841,8 @@ class _Sweep(_Walk):
 
 
 def _line_panels(t_eff: float, store: ZeroStore) -> np.ndarray:
-    """Panels over [0, t_eff], edges at interior ordinates, width <= 1: a
-    row (a, b) per panel.
+    """Panels over [0, t_eff], edges at interior ordinates, width <=
+    _PANEL_MAX = 2: a row (a, b) per panel.
 
     An interval [a, b] between edges is cut into n equal panels as
     np.linspace(a, b, n + 1) cuts it, a + j (b - a)/n with the end b, for

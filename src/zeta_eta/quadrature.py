@@ -113,14 +113,16 @@ def _panel(f: Integrand, a, b):
     half = 0.5 * (b - a)
     batch = isinstance(a, np.ndarray)
     vals, errs = f(_nodes(a[:, None], b[:, None]) if batch else _nodes(a, b))
-    node_err = _WEIGHTS[0] @ errs.T
     if batch:
         # Not _WEIGHTS @ vals.T: a complex matrix product takes BLAS's GEMM
-        # path, whose work buffer adds about 0.3 MB of resident memory.
+        # path, whose work buffer adds about 0.3 MB of resident memory.  Nor
+        # _WEIGHTS[0] @ errs.T: BLAS's GEMV rounds by the number of panels,
+        # so a panel's node error would depend on the batch around it.
         v21, v10 = np.einsum("kn,pn->kp", _WEIGHTS, vals)
+        node_err = np.einsum("n,pn->p", _WEIGHTS[0], errs)
     else:
         v21, v10 = (_WEIGHTS @ vals).tolist()
-        node_err = float(node_err)
+        node_err = float(_WEIGHTS[0] @ errs)
     return v21 * half, abs(v21 - v10) * half, node_err * half
 
 

@@ -189,24 +189,33 @@ class ZeroStore:
         For each of t and -t, the ordinates of s and of its reflection, the
         zeros on both sides of it bound the distance by d, and every zero
         with |gamma - t| <= d is measured: zeros whose ordinates lie closer
-        together than their betas differ are all seen.
+        together than their betas differ are all seen.  A point takes
+        bisects of the ordinates and np.hypot at a few zeros: math.hypot
+        rounds some distances differently.
         """
         s = _point(s)
-        g = self._gammas
+        # Views that index to floats, which cost less than numpy scalars.
+        g, b = memoryview(self._gammas), memoryview(self._betas)
+
+        def dists(tt: float, lo: int, hi: int) -> list[float]:
+            return [float(np.hypot(s.real - b[j], tt - g[j]))
+                    for j in range(lo, hi)]
+
         best = (math.inf, 0j)
         for sign in (1.0, -1.0):
             tt = sign * s.imag
-            i = int(np.searchsorted(g, tt))
-            lo, hi = max(i - 1, 0), i + 1
-            d = np.hypot(s.real - self._betas[lo:hi], tt - g[lo:hi]).min()
+            i = bisect.bisect_left(g, tt)
+            lo, hi = max(i - 1, 0), min(i + 1, len(g))
+            near = dists(tt, lo, hi)
+            d = min(near)
             # The neighbours stay in, whichever way tt -+ d rounds.
-            lo = min(lo, int(np.searchsorted(g, tt - d)))
-            hi = max(hi, int(np.searchsorted(g, tt + d, side="right")))
-            dist = np.hypot(s.real - self._betas[lo:hi], tt - g[lo:hi])
-            j = int(np.argmin(dist))
-            if dist[j] < best[0]:
-                best = float(dist[j]), complex(self._betas[lo + j],
-                                               sign * g[lo + j])
+            first = min(lo, bisect.bisect_left(g, tt - d))
+            stop = max(hi, bisect.bisect_right(g, tt + d))
+            dist = dists(tt, first, lo) + near + dists(tt, hi, stop)
+            d = min(dist)
+            if d < best[0]:
+                j = first + dist.index(d)
+                best = d, complex(b[j], sign * g[j])
         return best
 
     def zero_distance(self, s: complex) -> float:

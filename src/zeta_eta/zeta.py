@@ -101,8 +101,8 @@ _TAYLOR_SHARE = 1e-3
 # the x where that is _TAYLOR_SHARE of the target too, and at least
 # _TAYLOR_REACH, where it is at most 6.4 mass u: less than the rounding of
 # the direct sum's own phases, mass |t| log N u, at every t >= 2.3 (N >= 16).
-# The sweep of eta_iterated(0.5 + 2140i, 1) takes 3,450 groups of 20 nodes on
-# average in 116 passes, and that at 2 + 1900i 1,172 of 46 in 83.
+# The sweep of eta_iterated(0.5 + 2140i, 1) takes 2,981 groups of 13 nodes on
+# average in 59 passes, and that at 2 + 1900i 1,072 of 31 in 52.
 _TAYLOR_REACH = 2.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Nodes a _Line pass takes at most: the iterated eta sweep evaluates zeta at

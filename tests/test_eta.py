@@ -407,6 +407,20 @@ def test_a_height_its_start_leaves_unsettled_bisects_from_the_batch(
         assert val == eta_vertical(complex(0.75, t), 2, store).value, t
 
 
+@pytest.mark.parametrize("sigma, m", [(0.75, 2), (0.55, 1)])
+def test_a_batch_height_has_its_one_height_value_and_estimate(store, sigma,
+                                                              m):
+    # the rule sums each panel's node errors as it sums its values, whatever
+    # the number of panels beside it: a batch height's est_err, like its
+    # value, has the bits of its one-height call
+    ts = np.random.default_rng(7).uniform(1000.0, 2000.0, 120)
+    vals, ests = eta_module._vertical_many(sigma, ts, m, store,
+                                           DEFAULT_PRECISION)
+    for t, val, est in zip(ts.tolist(), vals, ests):
+        one = eta_vertical(complex(sigma, t), m, store)
+        assert (val, est) == (one.value, one.est_err), t
+
+
 def test_a_step_above_the_continuity_bound_inserts_midpoints_in_the_batch(
         store, monkeypatch):
     # with the continuity bound lowered, the rays whose walk steps past it
@@ -1030,14 +1044,15 @@ def _linspace_panels(t_eff, store):
                                       gs[(gs > 0.0) & (gs < t_eff)])))
     lo, hi = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(a, b, max(1, math.ceil((b - a) / 1.0)) + 1)
+        n = max(1, math.ceil((b - a) / eta_module._PANEL_MAX))
+        sub = np.linspace(a, b, n + 1)
         lo.append(sub[:-1])
         hi.append(sub[1:])
     return np.column_stack((np.concatenate(lo), np.concatenate(hi)))
 
 
-# 1.7 + 3 ((3.89 - 1.7) / 3) is 3.8900000000000006: linspace sets the end
-# of [1.7, 3.89] to 3.89
+# 1.7 + 2 ((3.89 - 1.7) / 2) is 3.8900000000000006: linspace sets the end
+# of [1.7, 3.89], two panels at the cap of 2, to 3.89
 _OFF_END = ZeroStore([ZeroRecord(1.7), ZeroRecord(30.0)], "test")
 
 
@@ -1047,9 +1062,28 @@ _OFF_END = ZeroStore([ZeroRecord(1.7), ZeroRecord(30.0)], "test")
 def test_line_panels_are_the_linspace_panels(store, table, top):
     table = table or store
     t_eff = table.t_max - 2.5 if top is None else top
-    assert eta_module._PANEL_MAX == 1.0
     assert np.array_equal(eta_module._line_panels(t_eff, table),
                           _linspace_panels(t_eff, table))
+
+
+def test_sweep_value_does_not_depend_on_its_panel_width(store, monkeypatch):
+    # G is analytic within _WINDOW of every panel, so the Kronrod value of
+    # a panel at the cap is exact to rounding: halving the cap moves
+    # eta_iterated by no more than either run's est_err
+    panels = eta_module._line_panels(700.3, store)
+    assert np.all(panels[:, 1] - panels[:, 0] <= eta_module._PANEL_MAX)
+    rng = np.random.default_rng(12)
+    points = [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(15.0, 1000.0)),
+               m) for m in (1, 2) for _ in range(3)]
+    wide = [eta_iterated(complex(sigma, t), m, store)
+            for sigma, t, m in points]
+    monkeypatch.setattr(eta_module, "_PANEL_MAX", 0.5 * eta_module._PANEL_MAX)
+    narrow = [eta_iterated(complex(sigma, t), m, store)
+              for sigma, t, m in points]
+    for a, b in zip(wide, narrow):
+        assert abs(a.value - b.value) <= min(a.est_err, b.est_err), (a, b)
+    monkeypatch.setattr(eta_module, "_PANEL_MAX", 1.0)
+    assert len(panels) < len(eta_module._line_panels(700.3, store))
 
 
 def test_sweep_unwrap_matches_the_node_walk(store, monkeypatch,
@@ -1105,13 +1139,15 @@ def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
     # zeta scaled by exp(+-0.4) past two panel edges, by ramps across the
     # gap between the panel's last node and the next one's first, where the
     # previous G is rebased into the new window: at panel 5, inside the
-    # first block, and at panel 32, the second block's first.  With
-    # _CONT_STEP at 0.3 only those two steps fail; the walk falls back
-    # there, inserts midpoints in the gaps, and pins every node as the node
-    # walk does.
-    t_eff = store.snap(40.0)
+    # first block, and at the second block's first panel, on a sweep of two
+    # blocks.  With _CONT_STEP at 0.3 only those two steps fail; the walk
+    # falls back there, inserts midpoints in the gaps, and pins every node
+    # as the node walk does.
+    t_eff = store.snap(60.0)
     us = quadrature._nodes(*eta_module._line_panels(t_eff, store).T[:, :, None])
-    gaps = [(us[p - 1, -1], us[p, 0]) for p in (5, 32)]
+    second = eta_module._BLOCK_NODES // quadrature._NODES.size
+    assert second < len(us) <= 2 * second
+    gaps = [(us[p - 1, -1], us[p, 0]) for p in (5, second)]
     real_em = eta_module._zeta_em
 
     def ramped(line, coords, prec, want_deriv):

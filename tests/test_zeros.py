@@ -211,6 +211,45 @@ def test_nearest_zero_past_crowded_ordinates():
     assert _CROWDED.nearest_zero(0.5 + 1j) == (99.0, 0.5 + 100j)
 
 
+def _nearest_zero_by_arrays(store, s):
+    # the query on whole arrays: searchsorted for the neighbours and the
+    # bound's ends, np.hypot over each slice, the first minimum taken
+    g, b = store.gammas, store.betas
+    best = (math.inf, 0j)
+    for sign in (1.0, -1.0):
+        tt = sign * s.imag
+        i = int(np.searchsorted(g, tt))
+        lo, hi = max(i - 1, 0), i + 1
+        d = np.hypot(s.real - b[lo:hi], tt - g[lo:hi]).min()
+        lo = min(lo, int(np.searchsorted(g, tt - d)))
+        hi = max(hi, int(np.searchsorted(g, tt + d, side="right")))
+        dist = np.hypot(s.real - b[lo:hi], tt - g[lo:hi])
+        j = int(np.argmin(dist))
+        if dist[j] < best[0]:
+            best = float(dist[j]), complex(b[lo + j], sign * g[lo + j])
+    return best
+
+
+def test_nearest_zero_is_the_array_computation(store):
+    # bit for bit at seeded points of both half-planes, at the ordinates
+    # and past both ends of the table, on the table, the crowded one and a
+    # table with zeros off the line
+    rng = np.random.default_rng(16)
+    g = store.gammas
+    ts = np.concatenate((rng.uniform(-store.t_max - 5.0, store.t_max + 5.0,
+                                     1500),
+                         g[:20], -g[:20], g[-20:], -g[-20:],
+                         [0.0, 1.0, -1.0, store.t_max + 50.0,
+                          -store.t_max - 50.0]))
+    points = [complex(x, t) for x, t in
+              zip(rng.uniform(-1.0, 3.0, ts.size).tolist(), ts.tolist())]
+    off_line = store.inject_hypothetical(0.8, 100.0).inject_hypothetical(
+        0.3, 14.2)
+    for table in (store, _CROWDED, off_line):
+        for s in points + [0.9 + 100.0000031j, 0.5 - 100.000005j]:
+            assert table.nearest_zero(s) == _nearest_zero_by_arrays(table, s), s
+
+
 @pytest.mark.parametrize("s", [complex(math.nan, 1.0), complex(0.5, math.nan),
                                complex(math.inf, 14.0),
                                complex(0.5, -math.inf), "0.5+14j"])

@@ -9,8 +9,8 @@ first matter.  Each check evaluates eta_m by the vertical route and by the
 iterated sweep and compares them within their combined error estimates.
 The script prints each check that disagrees, then per m how many
 ordinates it checked, the largest difference/tolerance and its wall time,
-and exits 1 when any check disagrees.  It took about five minutes on one
-core of a 2-core x86-64 box (m = 1 in 154 s, m = 2 in 138 s):
+and exits 1 when any check disagrees.  It took about four minutes on one
+core of a 2-core x86-64 box (m = 1 in 104-141 s, m = 2 in 115-122 s):
 
     PYTHONPATH=src python tools/route_scan.py
 """
