@@ -127,7 +127,8 @@ def dirichlet_poly(s, cfg: ApproxConfig) -> complex | list[complex]:
 
     poly = prime_power_poly(cfg.n_max, coef,
                             f"dirichlet_poly with X^(1+1/H)={cfg.n_max}")
-    values = [_I_POW[cfg.m % 4] * poly(z.imag) for z in zs]
+    ts = np.array([z.imag for z in zs])
+    values = (_I_POW[cfg.m % 4] * poly(ts)).tolist()
     return values[0] if one else values
 
 

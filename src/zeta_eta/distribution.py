@@ -146,8 +146,10 @@ def _check_grid(entry: str, T: float, grid: GridSpec, store: ZeroStore,
 def _log_abs_zeta_samples(T: float, grid: GridSpec, store: ZeroStore,
                           prec: EvalPrecision) -> np.ndarray:
     vals, _ = _zeta_line(0.5, _samples(grid, T, 2.0 * T, store), prec)
-    return np.fromiter((math.log(abs(v)) if v != 0 else -math.inf
-                        for v in vals), np.float64, len(vals))
+    # Extended-precision values come as objects; their doubles will do.
+    vals = np.asarray(vals, dtype=np.complex128)
+    with np.errstate(divide="ignore"):      # log 0 = -inf at a zero
+        return np.log(np.hypot(vals.real, vals.imag))
 
 
 def measure_sigma(T: float, V: float, grid: GridSpec,

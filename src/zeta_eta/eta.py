@@ -330,9 +330,10 @@ def _check_sieve_power(X: float, power: float, what: str) -> None:
 
 
 # The largest phase array a prime-power polynomial forms at once over an
-# array of heights: its product with the coefficients and its arguments
-# add 1.5 times as much.  At the sieve's limit (149,235 prime powers) one
-# height's phases take 2.4 MB, so a slice is one height, as at one t.
+# array of heights: its arguments add half as much, and its product with
+# the coefficients is taken in place.  At the sieve's limit (149,235 prime
+# powers) one height's phases take 2.4 MB, so a slice is one height, as at
+# one t.
 _POLY_PHASE_BYTES = 2 ** 21
 
 
@@ -365,8 +366,12 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
         rows = max(1, _POLY_PHASE_BYTES // (16 * log_n.size))
         out = np.empty(ts.size, dtype=np.complex128)
         for lo in range(0, ts.size, rows):
-            out[lo:lo + rows] = np.sum(
-                a * _phases(log_n, ts[lo:lo + rows, None]), axis=1)
+            # In place, and freed before the next slice: numpy does not
+            # reuse the 2-d phases for their product with the 1-d a.
+            terms = _phases(log_n, ts[lo:lo + rows, None])
+            terms *= a
+            out[lo:lo + rows] = np.sum(terms, axis=1)
+            del terms
         return out
 
     return poly

@@ -6,7 +6,10 @@ lives on [e, e^(1+1/H)]:
 
     u_{f,H}(x) = H f(H log(x/e)) / x,        v_{f,H}(y) = int_y^inf u_{f,H},
 
-so v = 1 on (0, e] and v = 0 on [e^(1+1/H), inf).  The transforms
+so v = 1 on (0, e] and v = 0 on [e^(1+1/H), inf).  The poly bump's CDF,
+I_x(d+1, d+1), is a finite binomial sum at integer d and is taken in
+closed form (betainc), within 2 units of 2^-53 of the exact value for
+d <= 10 and 13 at d = 600.  The transforms
 
     E*_{m+1}(z) = int_z^(z+inf) (w - z)^m e^-w / w dw     (horizontal ray)
     U_m(z)      = (1/m!) int u_{f,H}(x) E*_{m+1}(z log x) / (log x)^m dx
@@ -20,7 +23,10 @@ with Gamma(k, z) the upper incomplete gamma (entire for integer k >= 1),
 formed by Gamma(k+1, z) = k Gamma(k, z) + z^k e^-z.  The reduction holds at
 every z off the cut.  For |z| <= 4 it runs in doubles with E_1 from
 scipy.special.exp1; beyond that it cancels like |z|^m/m!, and runs in
-mpmath with m log10|z| + 1 more digits than zeta's extended path.
+mpmath with m log10|z| + 1 more digits than zeta's extended path.  exp1
+is this module's one use of scipy, imported on first use: it takes about
+0.2 s of a process's start, which a process that evaluates no E* never
+pays.
 """
 
 from __future__ import annotations
@@ -43,14 +49,59 @@ from .zeta import _extended
 SMOOTHNESS_CHECK_CAP = 10
 
 
-def betainc(a, b, x):
-    """scipy.special.betainc, the regularized incomplete beta function.
+def betainc(a: int, x: ArrayLike) -> np.ndarray:
+    """I_x(a, a), the regularized incomplete beta function at equal integer
+    parameters a >= 2, with x clamped to [0, 1]; a scalar or an array in, the
+    same shape out.
 
-    scipy.special is imported on first use, here and in E*'s two callers
-    of exp1: it takes about 0.2 s of a process's start, which a process
-    that evaluates no poly-bump CDF and no E* never pays."""
-    from scipy.special import betainc as incomplete_beta
-    return incomplete_beta(a, b, x)
+    With d = a - 1 and lo = min(x, 1 - x) <= 1/2, the finite binomial sum
+    of DLMF 8.17(i), factored about its last term, reads
+
+        I_lo = [C(2d, d)/4^d] lo (4 lo (1 - lo))^d S,
+        S    = 1 + q_d (1 + q_(d-1) (... (1 + q_1))),   q_k = k/((d+k)(1-lo)),
+
+    and I_x = I_lo for x <= 1/2, 1 - I_lo above (I_(1-x) = 1 - I_x).  The
+    bracket is one exact integer ratio rounded once, each q_k <= 1 keeps S
+    in [1, d+1], and (4 lo (1 - lo))^d is taken as exp(d log1p(-(2x-1)^2)),
+    exact to the last bit of (2x-1)^2 near x = 1/2, so every d answers:
+    against 40-digit mpmath the absolute error is at most 2 units of 2^-53
+    for d <= 10, 4 at d = 50 and 13 at d = 600 (scipy.special.betainc's:
+    3, 7 and 16), and x = 0, 1 give exactly 0, 1.  It works in place on
+    three arrays of x's shape.
+    """
+    d = a - 1
+    xs, b, s = (np.empty(np.shape(x)) for _ in range(3))
+    np.clip(x, 0.0, 1.0, out=xs)
+    # 1 - lo = max(x, 1 - x) exactly: above 1/2, 1 - x is exact.
+    np.subtract(1.0, xs, out=b)
+    np.maximum(b, xs, out=b)
+    np.reciprocal(b, out=b)
+    np.multiply(b, 1.0 / (d + 1), out=s)
+    s += 1.0
+    for k in range(2, d + 1):
+        s *= b
+        s *= k / (d + k)
+        s += 1.0
+    # -(2x - 1)^2 as -4 (x - 1/2)^2, which rounds the same.
+    np.subtract(xs, 0.5, out=b)
+    np.square(b, out=b)
+    b *= -4.0
+    with np.errstate(divide="ignore"):      # log1p(-1) = -inf at lo = 0
+        np.log1p(b, out=b)
+    b *= d
+    np.exp(b, out=b)
+    s *= b
+    np.subtract(1.0, xs, out=b)
+    np.minimum(b, xs, out=b)
+    s *= b
+    s *= math.comb(2 * d, d) / 4 ** d
+    # x > 1/2 as 0 or 1 picks I_lo or 1 - I_lo by arithmetic.
+    np.greater(xs, 0.5, out=b)
+    np.multiply(b, -2.0, out=xs)
+    xs += 1.0
+    xs *= s
+    xs += b
+    return xs[()]
 
 
 @dataclass(frozen=True)
@@ -88,8 +139,7 @@ def _poly_bump(d: int) -> Kernel:
         return np.where(inside, norm * (4.0 * x * (1.0 - x)) ** d, 0.0)[()]
 
     def f_cdf(x: ArrayLike) -> np.ndarray:
-        # I_x(d+1, d+1) is exactly 0 at x = 0 and 1 at x = 1.
-        return betainc(d + 1, d + 1, np.clip(x, 0.0, 1.0))
+        return betainc(d + 1, x)
 
     return Kernel(family="poly_bump", d=d, d_smooth=d, f=f, f_cdf=f_cdf)
 

@@ -38,26 +38,34 @@ def _run(capsys, argv):
 
 def test_a_process_that_evaluates_no_scipy_function_loads_no_scipy(
         tmp_path):
-    # scipy.special is imported on first use: importing the CLI and a whole
-    # dist tails run leave it unloaded, and the poly-bump CDF loads it
-    out = tmp_path / "tails.csv"
+    # scipy.special is imported on first use: importing the CLI, a whole
+    # dist tails run, a poly-bump CDF and a whole residual-scan leave it
+    # unloaded, and one E* evaluation loads it
+    tails, scan = tmp_path / "tails.csv", tmp_path / "scan.csv"
     code = ("import sys\n"
             "import zeta_eta.cli as cli\n"
             "print('scipy', 'scipy.special' in sys.modules)\n"
-            f"argv = ['--out', {str(out)!r}, 'dist', 'tails', '--t-big',\n"
+            f"argv = ['--out', {str(tails)!r}, 'dist', 'tails', '--t-big',\n"
             "        '1000', '--seed', '1', '--count', '100', '--v-list',\n"
             "        '0,0.5']\n"
             "assert cli.main(argv) == 0\n"
             "print('scipy', 'scipy.special' in sys.modules)\n"
-            "from zeta_eta.kernels import make_kernel\n"
+            "from zeta_eta.kernels import e_star, make_kernel\n"
             "make_kernel('poly_bump', 3).f_cdf(0.25)\n"
+            f"argv = ['--out', {str(scan)!r}, 'residual-scan', '--m', '1',\n"
+            "        '--x-list', '10,100', '--sigma', '0.5', '--t-from',\n"
+            "        '100', '--t-to', '200', '--t-step', '100']\n"
+            "assert cli.main(argv) == 0\n"
+            "print('scipy', 'scipy.special' in sys.modules)\n"
+            "e_star(1, 1 + 1j)\n"
             "print('scipy', 'scipy.special' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     loaded = [line.split()[1] for line in run.stdout.splitlines()
               if line.startswith("scipy ")]
-    assert loaded == ["False", "False", "True"], run.stdout
-    assert out.read_text().count("\n") == 3
+    assert loaded == ["False", "False", "False", "True"], run.stdout
+    assert tails.read_text().count("\n") == 3
+    assert scan.read_text().count("\n") == 5
 
 
 def test_eval_zeta_point(capsys):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
 
 from zeta_eta.errors import (BudgetExceeded, InvalidFamily,
                              OnNegativeRealAxisCut, ValidationError)
@@ -93,14 +92,13 @@ def test_f_takes_arrays():
         assert np.all(got[(xs <= 0.0) | (xs >= 1.0)] == 0.0)
 
 
-def _scalar_cdf(k, x: float) -> float:
-    """The clamped CDF one point at a time, with Python float arithmetic."""
+def _scalar_tent_cdf(x: float) -> float:
+    """The clamped tent CDF one point at a time, with Python float
+    arithmetic."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    if k.family == "poly_bump":
-        return float(betainc(k.d + 1, k.d + 1, x))
     return 2.0 * x * x if x <= 0.5 else 1.0 - 2.0 * (1.0 - x) ** 2
 
 
@@ -114,13 +112,33 @@ def test_cdf_takes_arrays():
         assert got.shape == xs.shape
         assert np.array_equal(got, [k.f_cdf(x) for x in xs.tolist()])
         assert np.ndim(k.f_cdf(0.3)) == 0
-        want = np.array([_scalar_cdf(k, x) for x in xs.tolist()])
+        assert np.all(got[xs <= 0.0] == 0.0) and np.all(got[xs >= 1.0] == 1.0)
         if k is tent:
             # numpy squares 1 - x exactly rounded where libm's pow(., 2)
             # may land one ulp away
+            want = np.array([_scalar_tent_cdf(x) for x in xs.tolist()])
             assert np.all(np.abs(got - want) <= np.spacing(want))
-        else:
-            assert np.array_equal(got, want)          # bit for bit
+
+
+def test_poly_bump_cdf_against_mpmath():
+    # I_x(d+1, d+1) in closed form, against 40 digits: within 8 units of
+    # 2^-53 absolutely up to d = 10 and 32 up to d = 600, and finite in
+    # [0, 1] far beyond
+    rng = np.random.default_rng(11)
+    edges = [0.0, 5e-324, 1e-300, 1e-10, 0.25, 0.5 - 2 ** -54, 0.5,
+             0.5 + 2 ** -53, 0.75, 1.0 - 1e-10, 1.0 - 2 ** -53, 1.0]
+    xs = np.concatenate([edges, rng.uniform(0.0, 1.0, 200)])
+    for d in [*range(1, 11), 50, 510, 600]:
+        got = make_kernel("poly_bump", d).f_cdf(xs)
+        with mp.workdps(40):
+            want = np.array([float(mp.betainc(d + 1, d + 1, 0, x,
+                                              regularized=True))
+                             for x in xs.tolist()])
+        units = 8 if d <= 10 else 32
+        assert np.max(np.abs(got - want)) <= units * 2.0 ** -53, d
+    far = make_kernel("poly_bump", 5000).f_cdf(np.linspace(0.0, 1.0, 1001))
+    assert np.all((far >= 0.0) & (far <= 1.0))
+    assert far[0] == 0.0 and far[-1] == 1.0
 
 
 def test_v_anchor_identities():

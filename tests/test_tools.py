@@ -20,7 +20,8 @@ def test_value_shift_of_a_tree_against_itself_is_zero():
         capture_output=True, text=True, check=True).stdout.splitlines()
     names = [line.split(":")[0] for line in out]
     assert names == ["eta_vertical", "c_m", "eta_iterated",
-                     "log_zeta_with_err", "zeta", "dirichlet_poly", "p_f"]
+                     "log_zeta_with_err", "zeta", "dirichlet_poly", "p_f",
+                     "f_cdf"]
     for line in out:
         assert line.endswith("largest |delta| 0.000e+00, largest "
                              "|delta|/est_err 0 (old), 0 (new), 0 (larger)"

@@ -33,8 +33,10 @@ one; and `dist moments` at m = 2 on sigma = 3/4 over the dyadic interval
 plain polynomial reads sigma; and `--abs-err 1e-10 residual-scan` at m = 2,
 X = 10 on sigma = 3/4 over t = 100, 150, ..., 1400, where six of the 27
 heights miss the tolerance on their starting panels and are bisected on
-from the batch's own.  The exit status is 1 when an invocation exits
-non-zero.
+from the batch's own; and the first `residual-scan` grid again with
+`--kernel-d 600`, whose poly-bump CDF weights the polynomial at a degree
+where the CDF's plain binomial sum overflows.  The exit status is 1 when
+an invocation exits non-zero.
 """
 
 import contextlib
@@ -84,7 +86,8 @@ def invocations() -> list[tuple[list[str], bool]]:
               True),
              (["--abs-err", "1e-10", "residual-scan", "--m", "2", "--x-list",
                "10", "--sigma", "0.75", "--t-from", "100", "--t-to", "1400",
-               "--t-step", "50"], True)]
+               "--t-step", "50"], True),
+             (SCAN + ["--kernel-d", "600"], True)]
     return runs
 
 

@@ -14,6 +14,7 @@ seeded set of calls and hands back every value with its est_err:
   eta_vertical  m = 1 at sigma = 1/2, t in [1000, 2000], abs_err 1e-8
   log_zeta_with_err  at sigma in [-0.99, 3], t = 0
   p_f           X = 90 and 1000 at sigma = 1/2, t in [0, 2150]
+  f_cdf         the poly bump's CDF, d = 1, 4, 10, 600 at x in [0, 1]
 
 The m = 3 draws of eta_iterated come after the four lines above them:
 they are where the iterated route's model pieces and panel integrals, each
@@ -23,9 +24,10 @@ The last eta_vertical draws are dist's line and precision, and the last
 log_zeta_with_err draws the real axis, the limit from above; each is read
 with its function's first draws.  The p_f draws sum the primes alone, up
 to X^2: 8100 reads the sieve up to 8192, 10^6 the one up to 2 10^6.
-zeta's est_err is the abs_err it was asked for, as in the bench's points
-check; dirichlet_poly and p_f have no estimate, so their est_err is 0 and
-any move reads inf.
+The f_cdf draws are the weights of dirichlet_poly's terms, read where they
+are made.  zeta's est_err is the abs_err it was asked for, as in the
+bench's points check; dirichlet_poly, p_f and f_cdf have no estimate, so
+their est_err is 0 and any move reads inf.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -55,7 +57,8 @@ SEED = 18
 
 def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
     """(function, m, s, abs_err) for the fixed seeded set; s is real for
-    c_m, m is X for p_f, and abs_err None is the default precision."""
+    c_m, m is X for p_f, m is d and s the real x for f_cdf, and abs_err
+    None is the default precision."""
     rng = np.random.default_rng(SEED)
     out = []
     for m in (1, 2, 3):
@@ -87,6 +90,8 @@ def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
              None) for _ in range(count)]
     out += [("p_f", X, complex(0.5, rng.uniform(0.0, 2150.0)), None)
             for X in (90, 1000) for _ in range(count)]
+    out += [("f_cdf", d, complex(rng.uniform(0.0, 1.0), 0.0), None)
+            for d in (1, 4, 10, 600) for _ in range(count)]
     return out
 
 
@@ -110,6 +115,9 @@ def evaluate(count: int) -> list:
                 val, est = lib.dirichlet_poly(s, cfg), 0.0
             elif name == "p_f":
                 val, est = lib.p_f(s, float(m)), 0.0
+            elif name == "f_cdf":
+                kernel = lib.make_kernel("poly_bump", m)
+                val, est = complex(kernel.f_cdf(s.real)), 0.0
             else:
                 got = getattr(lib, name)(s, m, prec=prec)
                 val, est = got.value, got.est_err
