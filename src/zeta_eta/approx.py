@@ -125,10 +125,9 @@ def dirichlet_poly(s, cfg: ApproxConfig) -> complex | list[complex]:
         v = _v_weights(cfg.kernel, cfg.H, log_n, math.log(cfg.X))
         return lam * v / (np.exp(sigma * log_n) * log_n ** (cfg.m + 1))
 
-    poly = prime_power_poly(cfg.n_max, coef,
-                            f"dirichlet_poly with X^(1+1/H)={cfg.n_max}")
-    ts = np.array([z.imag for z in zs])
-    values = (_I_POW[cfg.m % 4] * poly(ts)).tolist()
+    values = (_I_POW[cfg.m % 4] * prime_power_poly(
+        cfg.n_max, coef, np.array([z.imag for z in zs]),
+        f"dirichlet_poly with X^(1+1/H)={cfg.n_max}")).tolist()
     return values[0] if one else values
 
 
@@ -286,10 +285,10 @@ def p_f(s, X: float, kernel: Kernel | None = None) -> complex:
     if kernel is None:
         kernel = DEFAULT_KERNEL
     _check_sieve_power(X, 2.0, "p_f")
-    return prime_power_poly(
+    return complex(prime_power_poly(
         math.floor(X * X), lambda p, log_p, lam: _v_weights(
             kernel, 1.0, log_p, math.log(X)) / np.exp(z.real * log_p),
-        "p_f", primes_only=True)(z.imag)
+        np.array([z.imag]), "p_f", primes_only=True)[0])
 
 
 def relzz_decompose(t: float, X: float, kernel: Kernel | None = None,

@@ -96,9 +96,9 @@ class _Walk:
     pole, when in the window, is the first row, weight -1 at rho = 1.
 
     zeta is evaluated on line, the walk's zeta._Ray or zeta._Line, at
-    walk_prec.  step is the one node step: it counts nodes, evaluates them
-    in one pass and pins them in order, and _pin inserts each midpoint
-    through it, so every walk evaluates and pins a node by one rule.
+    walk_prec.  step is the one node step: it counts a node, evaluates it
+    in one pass and pins it, and _pin inserts each midpoint through it, so
+    every walk evaluates and pins a node by one rule.
     """
 
     def __init__(self, origin: complex, direction: complex, line,
@@ -122,14 +122,13 @@ class _Walk:
             raise BudgetExceeded(f"the walk of log zeta near s = {s} "
                                  f"exceeded {_WALK_BUDGET} nodes")
 
-    def step(self, xs, depth: int = 0) -> np.ndarray:
-        """G at the nodes xs (a float or an array, in walking order), pinned
-        from the last node: spent, then one zeta pass on the line for all of
-        them."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        self.spend(xs.size, float(xs[0]))
+    def step(self, x: float, depth: int = 0) -> complex:
+        """G at the node x, pinned from the last node: spent, then one zeta
+        pass on the line."""
+        self.spend(1, x)
+        xs = np.array([x])
         vals, _, _ = _zeta_em(self.line, xs, self.walk_prec, want_deriv=False)
-        return self.pin(xs, self.principal(xs, vals), depth)
+        return complex(self.pin(xs, self.principal(xs, vals), depth)[0])
 
     def model(self, x):
         """The window's log terms at x, a float or an array: one np.log of
@@ -282,14 +281,13 @@ class BranchPath(_Walk):
 
 def _log_with_err(vals, rems, k) -> tuple[np.ndarray, np.ndarray]:
     """log zeta = principal log of the zeta values + 2 pi i k, and its error
-    estimate rem/|zeta| + 1e-15 (1 + |log zeta|); vals and rems are arrays
-    of any one shape, or lists.  cmath.log, not np.log: near |zeta| = 1
-    numpy's complex log loses the last bits that cmath's log1p branch
-    keeps, so the values go to Python complex numbers once."""
-    vals = np.asarray(vals)
+    estimate rem/|zeta| + 1e-15 (1 + |log zeta|); vals, rems and k are
+    arrays of one shape, as _march answers them.  cmath.log, not np.log:
+    near |zeta| = 1 numpy's complex log loses the last bits that cmath's
+    log1p branch keeps, so the values go to Python complex numbers once."""
     out = np.array([cmath.log(v) for v in vals.ravel().tolist()]
                    ).reshape(vals.shape) + 2j * math.pi * k
-    return out, np.asarray(rems) / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
+    return out, rems / np.abs(vals) + 1e-15 * (1.0 + np.abs(out))
 
 
 def _march(paths: list[BranchPath], xs: np.ndarray) -> tuple:

@@ -42,9 +42,9 @@ estimators take eta_m at all their samples by the vertical route at
 once (eta._vertical_many: one zeta pass on the rays of all the heights,
 each height pinned by its own walk), whose rays walk in doubles: a target
 that zeta would send to extended precision at their top sample is refused
-before any sample (zeta._check_doubles).  Their plain polynomial is
-eta.prime_power_poly's, built once per call and summed at every sample
-at once.
+before any sample (zeta._check_doubles).  Their plain polynomial is one
+call of eta.prime_power_poly, after eta_m, which builds its coefficients
+and sums them at the array of all the samples.
 """
 
 from __future__ import annotations
@@ -185,17 +185,17 @@ def _residual_samples(grid: GridSpec, lo: float, hi: float, sigma: float,
     """|eta_m(s) - i^m sum_{2<=n<=X} Lambda(n)/(n^s (log n)^(m+1)) - Y_m(s)|
     at s = sigma + it for the grid's samples t in [lo, hi]."""
     ts = _samples(grid, lo, hi, store)
+    eta, _ = _vertical_many(sigma, ts, m, store, prec)
     # n^-sigma as n^-1/2 n^(1/2-sigma): the second factor is exactly 1 on
     # the line, where the coefficients keep the bits of sqrt(n).
     poly = prime_power_poly(
         X, lambda n, log_n, lam: (lam / (np.sqrt(n) * log_n ** (m + 1))
                                   * np.exp((0.5 - sigma) * log_n)),
-        "the plain polynomial")
-    eta, _ = _vertical_many(sigma, ts, m, store, prec)
+        ts, "the plain polynomial")
     # X < 3 only reaches here for m >= 1, where Y_m does not read X.
     y = np.array([y_m(complex(sigma, t), max(X, 3.0), m, store)
                   for t in ts.tolist()])
-    r = eta - _I_POW[m % 4] * poly(ts) - y
+    r = eta - _I_POW[m % 4] * poly - y
     # |r| by libm's hypot, as Python's abs of a complex takes it; numpy's
     # complex absolute differs from it in the last bit at about a third of
     # points.

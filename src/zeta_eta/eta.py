@@ -96,8 +96,10 @@ over the prime powers up to _TAIL_N; a0 is derived from that sum's
 truncation bound, and from sigma >= a0 on no quadrature runs at all.
 
 That sum is one of the library's prime-power polynomials, all of which
-prime_power_poly evaluates here over a prefix of one cached sieve record:
-the prime powers with log n and Lambda(n), held once.
+prime_power_poly evaluates here over a prefix of one cached sieve record,
+the prime powers with log n and Lambda(n), held once: one call builds a
+polynomial's coefficients and sums them at an array of heights, and
+answers an array.
 
 The vertical integral takes the heights of one line at once
 (_vertical_integral): c_m is its one height on the real axis,
@@ -329,24 +331,25 @@ def _check_sieve_power(X: float, power: float, what: str) -> None:
     _check_sieve_range(top, f"{what} with X={X}")
 
 
-# The largest phase array a prime-power polynomial forms at once over an
-# array of heights: its arguments add half as much, and its product with
-# the coefficients is taken in place.  At the sieve's limit (149,235 prime
-# powers) one height's phases take 2.4 MB, so a slice is one height, as at
-# one t.
+# The largest phase array a prime-power polynomial forms at once: its
+# arguments add half as much, and its product with the coefficients is
+# taken in place.  At the sieve's limit (149,235 prime powers) one height's
+# phases take 2.4 MB, so a slice is one height.
 _POLY_PHASE_BYTES = 2 ** 21
 
 
-def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
-                     primes_only: bool = False) -> Callable[[float], complex]:
-    """t -> sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the
-    primes alone if primes_only), with a_n = coef(n, log n, Lambda(n)).
+def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray],
+                     ts: np.ndarray, what: str,
+                     primes_only: bool = False) -> np.ndarray:
+    """sum_n a_n n^(-it) over the prime powers 2 <= n <= n_max (the primes
+    alone if primes_only), with a_n = coef(n, log n, Lambda(n)), at each
+    height t of the array ts: an array in the order of ts.
 
     The one evaluator of the library's prime-power polynomials: n, log n
     and Lambda(n) are a prefix of the sieve's columns (the primes among it
-    for primes_only), the coefficients are built once, and the returned
-    function sums them at any height t, or at every height of an array at
-    once.  n_max below 2 or beyond the sieve is refused.
+    for primes_only), the coefficients are built once, and their sum is a
+    row of terms per height, in slices of heights whose phases take at
+    most _POLY_PHASE_BYTES.  n_max below 2 or beyond the sieve is refused.
     """
     if not n_max >= 2.0:
         raise ValidationError(f"{what} needs n_max >= 2, got {n_max!r}")
@@ -355,26 +358,16 @@ def prime_power_poly(n_max: float, coef: Callable[..., np.ndarray], what: str,
     n, log_n, lam = (col[:top][sieve.prime[:top]] if primes_only
                      else col[:top] for col in sieve[:3])
     a = coef(n, log_n, lam)
-
-    def poly(t):
-        """The sum at t, a float (a complex), or at each height of an array
-        of them (an array): a row of terms per height, in slices of heights
-        whose phases take at most _POLY_PHASE_BYTES."""
-        if not np.ndim(t):
-            return complex(np.sum(a * _phases(log_n, t)))
-        ts = np.ravel(t)
-        rows = max(1, _POLY_PHASE_BYTES // (16 * log_n.size))
-        out = np.empty(ts.size, dtype=np.complex128)
-        for lo in range(0, ts.size, rows):
-            # In place, and freed before the next slice: numpy does not
-            # reuse the 2-d phases for their product with the 1-d a.
-            terms = _phases(log_n, ts[lo:lo + rows, None])
-            terms *= a
-            out[lo:lo + rows] = np.sum(terms, axis=1)
-            del terms
-        return out
-
-    return poly
+    rows = max(1, _POLY_PHASE_BYTES // (16 * log_n.size))
+    out = np.empty(ts.size, dtype=np.complex128)
+    for lo in range(0, ts.size, rows):
+        # In place, and freed before the next slice: numpy does not reuse
+        # the 2-d phases for their product with the 1-d a.
+        terms = _phases(log_n, ts[lo:lo + rows, None])
+        terms *= a
+        out[lo:lo + rows] = np.sum(terms, axis=1)
+        del terms
+    return out
 
 
 # --- the vertical integrals above a0: the Dirichlet series of log zeta ---------
@@ -423,26 +416,27 @@ def _tail_start(m: int, sigma: float, abs_err: float) -> float:
     return sigma + 0.25 * k
 
 
-def _vertical_tail(m: int, sigma: float, a0: float, t):
-    """i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da, a0 > 1, and
-    its error bound: the dropped terms, and the rounding of the kept ones
-    (their phases t log n, amplitudes a0 log n, W and the sum).  t is a
-    float, answered with two scalars, or an array of heights, answered with
-    two arrays.  The kept terms c_n n^-a0 W(log n), n <= _TAIL_N, are
-    prime_power_poly's coefficients, built once, and its coefficient
-    callback forms their rounding mass at each height."""
+def _vertical_tail(m: int, sigma: float, a0: float,
+                   ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """i^m/(m-1)! int_a0^inf (a-sigma)^(m-1) log zeta(a+it) da, a0 > 1, at
+    each height t of the array ts, and its error bound: the dropped terms,
+    and the rounding of the kept ones (their phases t log n, amplitudes
+    a0 log n, W and the sum); two arrays in the order of ts.  The kept
+    terms c_n n^-a0 W(log n), n <= _TAIL_N, are prime_power_poly's
+    coefficients, and its coefficient callback forms their rounding mass
+    at each height."""
     mass = []
 
     def coef(n, log_n, lam):
         terms = (lam / log_n * np.exp(-a0 * log_n)
                  * _tail_weight(m, a0 - sigma, 1.0 / log_n))
         mass.extend(float(terms @ ((abs(x) + a0) * log_n + m + 8))
-                    for x in np.ravel(t).tolist())
+                    for x in ts.tolist())
         return terms
 
-    val = prime_power_poly(_TAIL_N, coef, "the vertical tail")(t)
+    val = prime_power_poly(_TAIL_N, coef, ts, "the vertical tail")
     est = _tail_bound(m, sigma, a0) + 2.0 * _UNIT_ROUNDOFF * np.array(mass)
-    return _I_POW[m % 4] * val, est if np.ndim(t) else float(est[0])
+    return _I_POW[m % 4] * val, est
 
 
 # --- the window model's integral ---------------------------------------------
@@ -932,7 +926,7 @@ def _iterated_integral(sigma: float, t_eff: float, m: int, store: ZeroStore,
     # (Skipped for very short sweeps, where the ray walk would itself pass
     # within t of the pole; a winding slip needs room to happen anyway.)
     if t_eff >= 0.05:
-        f_end = sweep.step(t_eff)[0] + sweep.model(t_eff)
+        f_end = sweep.step(t_eff) + sweep.model(t_eff)
         f_auth, auth_est = log_zeta_with_err(complex(sigma, t_eff), prec, store)
         if abs(f_end - f_auth) > max(0.5, 100.0 * auth_est):
             raise NumericalError(

@@ -59,50 +59,35 @@ class RvmfReport:
 
 
 class ZeroStore:
-    """Immutable, ordinate-sorted zero table."""
+    """Immutable, ordinate-sorted zero table.
+
+    Its columns gammas, betas and multiplicities are read-only arrays, and
+    its facts t_max (the largest ordinate), beta_max (the largest beta: no
+    table zero lies right of it) and all_on_line are fields, all set once
+    here."""
 
     def __init__(self, records: list[ZeroRecord], source: str):
         if not records:
             raise EmptyFile("zero store needs at least one record")
-        self._gammas = np.array([r.gamma for r in records], dtype=np.float64)
-        self._betas = np.array([r.beta for r in records], dtype=np.float64)
-        self._mults = np.array([r.multiplicity for r in records], dtype=np.int64)
-        if np.any(np.diff(self._gammas) < 0):
+        self.gammas = np.array([r.gamma for r in records], dtype=np.float64)
+        self.betas = np.array([r.beta for r in records], dtype=np.float64)
+        self.multiplicities = np.array([r.multiplicity for r in records],
+                                       dtype=np.int64)
+        if np.any(np.diff(self.gammas) < 0):
             raise ValidationError("records must be sorted by gamma")
-        for arr in (self._gammas, self._betas, self._mults):
+        for arr in (self.gammas, self.betas, self.multiplicities):
             arr.setflags(write=False)
-        # The largest beta: no table zero lies right of it.
-        self.beta_max = float(self._betas.max())
+        self.t_max = float(self.gammas[-1])
+        self.beta_max = float(self.betas.max())
+        self.all_on_line = bool(np.all(self.betas == 0.5))
         self.source = source
 
-    # -- basic views ---------------------------------------------------------
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return self._gammas
-
-    @property
-    def betas(self) -> np.ndarray:
-        return self._betas
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        return self._mults
-
-    @property
-    def t_max(self) -> float:
-        return float(self._gammas[-1])
-
     def __len__(self) -> int:
-        return len(self._gammas)
-
-    @property
-    def all_on_line(self) -> bool:
-        return bool(np.all(self._betas == 0.5))
+        return len(self.gammas)
 
     def record(self, i: int) -> ZeroRecord:
-        return ZeroRecord(float(self._gammas[i]), float(self._betas[i]),
-                          int(self._mults[i]))
+        return ZeroRecord(float(self.gammas[i]), float(self.betas[i]),
+                          int(self.multiplicities[i]))
 
     def require_height(self, top: float, entry: str, **params) -> None:
         """Refuse, with BeyondTable, an entry that needs the table's zeros
@@ -121,8 +106,8 @@ class ZeroStore:
         """Zeros with gamma < t, counted with multiplicity."""
         t = _real(t, "t")
         self.require_height(t, "count_below", t=t)
-        hi = int(np.searchsorted(self._gammas, t, side="left"))
-        return int(self._mults[:hi].sum())
+        hi = int(np.searchsorted(self.gammas, t, side="left"))
+        return int(self.multiplicities[:hi].sum())
 
     def count_window(self, t: float, h: float) -> int:
         """Zeros with |t - gamma| <= h (closed window), with multiplicity.
@@ -131,15 +116,15 @@ class ZeroStore:
         """
         t, h = _real(t, "t"), _real(h, "h", 0.0)
         self.require_height(t + h, "count_window", t=t, h=h)
-        lo = int(np.searchsorted(self._gammas, t - h, side="left"))
-        hi = int(np.searchsorted(self._gammas, t + h, side="right"))
-        return int(self._mults[lo:hi].sum())
+        lo = int(np.searchsorted(self.gammas, t - h, side="left"))
+        hi = int(np.searchsorted(self.gammas, t + h, side="right"))
+        return int(self.multiplicities[lo:hi].sum())
 
     def _nearest(self, ts):
         """The tabulated ordinate nearest each of ts, the lower one on a
         tie, and its distance: two floats for a float, by bisect on the
         ordinates, or two arrays of ts's shape for an array."""
-        g = self._gammas
+        g = self.gammas
         if isinstance(ts, float):
             i = bisect.bisect_left(g, ts)
             # Past either end both neighbours are the end ordinate.
@@ -195,7 +180,7 @@ class ZeroStore:
         """
         s = _point(s)
         # Views that index to floats, which cost less than numpy scalars.
-        g, b = memoryview(self._gammas), memoryview(self._betas)
+        g, b = memoryview(self.gammas), memoryview(self.betas)
 
         def dists(tt: float, lo: int, hi: int) -> list[float]:
             return [float(np.hypot(s.real - b[j], tt - g[j]))
@@ -224,8 +209,8 @@ class ZeroStore:
 
     def lorentz_sum(self, t: float) -> float:
         """sum over zeros (both signs of gamma) of 1/(1 + (t - gamma)^2)."""
-        g = self._gammas
-        m = self._mults
+        g = self.gammas
+        m = self.multiplicities
         return float((m / (1.0 + (t - g) ** 2)).sum()
                      + (m / (1.0 + (t + g) ** 2)).sum())
 
@@ -255,12 +240,12 @@ class ZeroStore:
     def sigma_xt(self, t: float, x: float) -> float:
         t, x = _real(t, "t"), _real(x, "X", 3.0)
         logx = math.log(x)
-        widths = np.power(x, 3.0 * (self._betas - 0.5)) / logx
+        widths = np.power(x, 3.0 * (self.betas - 0.5)) / logx
         self.require_height(t + float(widths.max()), "sigma_xt", t=t, X=x)
-        inside = np.abs(t - self._gammas) <= widths
+        inside = np.abs(t - self.gammas) <= widths
         peak = 2.0 / logx
         if np.any(inside):
-            peak = max(peak, float((self._betas[inside] - 0.5).max()))
+            peak = max(peak, float((self.betas[inside] - 0.5).max()))
         return 0.5 + 2.0 * peak
 
     # -- serialization ---------------------------------------------------------
@@ -270,8 +255,9 @@ class ZeroStore:
         w = csv.writer(buf)
         w.writerow(["gamma", "beta", "multiplicity"])
         for i in range(len(self)):
-            w.writerow([repr(float(self._gammas[i])),
-                        repr(float(self._betas[i])), int(self._mults[i])])
+            w.writerow([repr(float(self.gammas[i])),
+                        repr(float(self.betas[i])),
+                        int(self.multiplicities[i])])
         return buf.getvalue()
 
 

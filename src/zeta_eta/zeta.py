@@ -35,10 +35,13 @@ factor its nodes share once: a ray's one phase N^-it, a vertical line's one
 amplitude N^-sigma, one libm call per pass where every node would pay one.
 The N^-s and Bernoulli terms and the remainder bound (_em_correction) are
 written once.  A _Line's pass applies the correction to its nodes as
-arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more (a
-vertical integral's panels), and such an array pass answers in arrays; a
-smaller batch (a single point with the grid nodes its branch walk adds, a
-few escalated nodes) takes it node by node on complex numbers and answers in lists.
+arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more, or on
+several heights (a vertical integral's panels), and such an array pass
+answers in arrays, its escalated nodes too; a smaller batch on one height
+(a single point with the grid nodes its branch walk adds) takes it node by
+node on complex numbers and answers in lists.  _zeta_em makes that choice
+once, handing the line its coordinates as an array or a list, and the
+line's partial sums follow it.
 Every node is certified on its own: a node whose bound still misses the
 target (none on a solved cutoff, up to rounding) goes on with the others
 that miss at an escalated cutoff.
@@ -222,12 +225,12 @@ class _Ray:
 
     def partial_sums(self, n_cut, sigmas, want_deriv: bool) -> tuple:
         """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
-        at each node, exact up to rounding, 0.0 per node, and N^-s: arrays
-        for a batch of _ARRAY_NODES nodes or more, or on several heights,
-        which take the correction on arrays and serve values only (a column
-        per height on several heights, n_cut an array of their cutoffs), and
-        lists for a smaller batch on one height, which takes it node by
-        node.  A height's column has the bits of a pass on its own ray.
+        at each node, exact up to rounding, 0.0 per node, and N^-s, in the
+        form _zeta_em chose for the abscissae sigmas: lists for a list,
+        which takes the correction node by node, and arrays for an array,
+        which takes it on arrays and serves values only (a column per
+        height on several heights, n_cut an array of their cutoffs).  A
+        height's column has the bits of a pass on its own ray.
 
         N^-s is the height's one phase N^-it times each node's amplitude
         N^-alpha, libm's exp at every node: numpy's float exp is off by an
@@ -236,8 +239,7 @@ class _Ray:
         batch builds its points as Python complex numbers: for one node at
         N = 400 that took 3.6-3.8 us against 4.8-6.4 us through arrays and
         tolist() (2 cores), about 1.5% of a single zeta() call."""
-        several = isinstance(self.t, np.ndarray)
-        if len(sigmas) < _ARRAY_NODES and not several:
+        if isinstance(sigmas, list):
             logn = _LOG_N[:n_cut - 1]
             phase = _phases(logn, self.t).view(np.float64).reshape(-1, 2)
             logN = math.log(n_cut)
@@ -268,7 +270,7 @@ class _Ray:
         npow_N = np.exp(np.multiply.outer(alphas, np.negative(log_cut))
                         + 0j).real * phase_N
         points = alphas[:, None] + 1j * np.array(ts)
-        if not several:
+        if not isinstance(self.t, np.ndarray):
             points, sums, npow_N = points[:, 0], sums[:, 0], npow_N[:, 0]
         return points, sums, None, np.zeros(points.shape), npow_N
 
@@ -299,12 +301,11 @@ class _Line:
     node's own bound is added to its remainder.
     """
 
-    __slots__ = ("sigma", "_trunc_target", "_amp", "_rows")
+    __slots__ = ("sigma", "_trunc_target", "_rows")
 
     def __init__(self, sigma: float, abs_err: float):
         self.sigma = sigma
         self._trunc_target = _TAYLOR_SHARE * 0.25 * abs_err
-        self._amp = np.empty(0)                 # n^-sigma
         self._rows = np.empty((0, 0))           # n^-sigma (log n)^k / k!
 
     def points(self, ts) -> np.ndarray:
@@ -323,8 +324,8 @@ class _Line:
         return max(_TAYLOR_REACH, math.log1p(
             self._trunc_target / (mass * _UNIT_ROUNDOFF)))
 
-    def _tables(self, n_cut: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """n^-sigma and the rows k < order, for n = 1 .. n_cut - 1."""
+    def _tables(self, n_cut: int, order: int) -> np.ndarray:
+        """The rows k < order, for n = 1 .. n_cut - 1; row 0 is n^-sigma."""
         have_k, have_n = self._rows.shape
         if have_k < order or have_n < n_cut - 1:
             n = have_n
@@ -334,14 +335,13 @@ class _Line:
             k = max(order, have_k)
             self._rows = None           # freed before the larger one is built
             logn = _LOG_N[:n]
-            self._amp = np.exp(logn * -self.sigma)
             rows = np.empty((k, n))
-            rows[0] = self._amp
+            np.exp(logn * -self.sigma, out=rows[0])
             for j in range(1, k):
                 np.multiply(rows[j - 1], logn, out=rows[j])
                 rows[j] /= j
             self._rows = rows
-        return self._amp[:n_cut - 1], self._rows[:order, :n_cut - 1]
+        return self._rows[:order, :n_cut - 1]
 
     @staticmethod
     def groups(ts: list[float], width: float) -> list[int]:
@@ -377,7 +377,7 @@ class _Line:
         while bound > self._trunc_target:
             order += 1
             bound *= x_max / order
-        _, rows = self._tables(n_cut, order)
+        rows = self._tables(n_cut, order)
         minus_i_pow = _MINUS_I_POW[np.arange(order) % 4, None]
         sums = np.empty(t.size, dtype=np.complex128)
         for g in range(0, centre.size, _GROUP_CHUNK):
@@ -447,21 +447,22 @@ def _euler_maclaurin(line, n_cut: int, coords, want_deriv: bool) -> tuple:
     with coordinates coords (an array or a list).
 
     Returns (zeta, zeta', remainder_bound), one entry per node, and refuses
-    a cutoff above _MAX_CUTOFF.  The line supplies the partial sums of all
-    its nodes at once, and N^-s with the factor its nodes share taken once
-    (N^-it on a ray, N^-sigma on a vertical line).  A _Line's pass and a
-    _Ray's batch of _ARRAY_NODES nodes or more come as arrays, and the
-    correction runs once, on arrays: the answer is two arrays and None for
-    zeta'.  A _Ray's smaller batch comes as lists, takes it node by node on
+    a cutoff above _MAX_CUTOFF, naming the point whose cutoff it is.  The
+    line supplies the partial sums of all its nodes at once, and N^-s with
+    the factor its nodes share taken once (N^-it on a ray, N^-sigma on a
+    vertical line).  Coordinates that come as an array (a _Line's pass, a
+    _Ray's batch of _ARRAY_NODES nodes or more or on several heights) take
+    the correction once, on arrays: the answer is two arrays and None for
+    zeta'.  A _Ray's smaller batch comes as a list, takes it node by node on
     complex numbers, and answers in three lists.  zeta' is only meaningful
     when want_deriv is set, which only a small _Ray batch takes: an array
     pass refuses it.
     """
     top = n_cut.max() if isinstance(n_cut, np.ndarray) else n_cut
     if top > _MAX_CUTOFF:
+        s = complex(np.ravel(line.points(coords[:1]))[np.argmax(n_cut)])
         raise BudgetExceeded(
-            f"Euler-Maclaurin cutoff {top} exceeds {_MAX_CUTOFF} "
-            f"at s={line.points(coords[:1])[0]}")
+            f"Euler-Maclaurin cutoff {top} exceeds {_MAX_CUTOFF} at s={s}")
     points, sums, dsums, truncs, npows = line.partial_sums(n_cut, coords,
                                                            want_deriv)
     if isinstance(points, np.ndarray):

@@ -89,20 +89,23 @@ def test_von_mangoldt_keeps_the_dense_tables_bits():
 
 
 def test_prime_power_poly_support_and_refusals():
-    lam = prime_power_poly(100.7, lambda n, log_n, lam: lam, "test")
-    assert lam(0.0) == pytest.approx(PSI_100, abs=1e-10)
     t = 31.5
+    at_0, at_t = prime_power_poly(100.7, lambda n, log_n, lam: lam,
+                                  np.array([0.0, t]), "test")
+    assert at_0 == pytest.approx(PSI_100, abs=1e-10)
     want = sum(_lambda_trial(n) * cmath.exp(-1j * t * math.log(n))
                for n in range(2, 101))
-    assert abs(lam(t) - want) < 1e-12
+    assert abs(at_t - want) < 1e-12
     count = prime_power_poly(10, lambda n, log_n, lam: np.ones_like(n),
-                             "test", primes_only=True)
-    assert count(0.0) == 4.0                    # 2, 3, 5, 7
+                             np.array([0.0]), "test", primes_only=True)
+    assert count.tolist() == [4.0]              # 2, 3, 5, 7
     for bad in (1.99, -5.0, math.nan):
         with pytest.raises(ValidationError):
-            prime_power_poly(bad, lambda n, log_n, lam: lam, "test")
+            prime_power_poly(bad, lambda n, log_n, lam: lam, np.array([0.0]),
+                             "test")
     with pytest.raises(BeyondSieve):
-        prime_power_poly(SIEVE_LIMIT + 1, lambda n, log_n, lam: lam, "test")
+        prime_power_poly(SIEVE_LIMIT + 1, lambda n, log_n, lam: lam,
+                         np.array([0.0]), "test")
 
 
 @pytest.mark.parametrize("n_max", [2, 10, 100.7, 8192, 8193, 10 ** 6,
@@ -121,7 +124,8 @@ def test_prime_power_poly_support_is_the_tables_nonzero_entries(n_max):
             seen.append((n, log_n, lam_n))
             return np.zeros_like(n)
 
-        prime_power_poly(n_max, coef, "test", primes_only=primes_only)
+        prime_power_poly(n_max, coef, np.array([0.0]), "test",
+                         primes_only=primes_only)
         (n, log_n, lam_n), = seen
         want = np.flatnonzero(table[:top])
         assert np.array_equal(n, want.astype(float)), (n_max, primes_only)

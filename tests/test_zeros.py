@@ -60,6 +60,17 @@ def test_csv_roundtrip(tmp_path):
     assert not back.all_on_line
 
 
+def test_store_columns_are_read_only():
+    # a store is immutable: its column fields refuse a write, and its facts
+    # are those of the columns it was built from
+    st = ZeroStore([ZeroRecord(14.1, 0.5), ZeroRecord(21.0, 0.75, 2)], "t")
+    for column in (st.gammas, st.betas, st.multiplicities):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert (st.t_max, st.beta_max, st.all_on_line) == (21.0, 0.75, False)
+    assert st.gammas.tolist() == [14.1, 21.0]
+
+
 def test_csv_parse_errors(tmp_path):
     p = tmp_path / "z.csv"
     p.write_text("alpha,beta\n")

@@ -93,6 +93,20 @@ def test_zeta_budget_exhaustion(monkeypatch):
         zeta(complex(0.5, 1500.0))
 
 
+def test_budget_refusal_over_several_heights_names_one_point(monkeypatch):
+    # a pass over two heights with the budget between their cutoffs is
+    # refused at the point whose cutoff exceeds it, named alone
+    ray = _ZETA_MODULE._Ray(np.array([1200.5, 1900.25]))
+    alphas = np.array([0.5, 1.0])
+    low, high = ray.first_cutoff(alphas, _PREC.abs_err).tolist()
+    assert low < high
+    monkeypatch.setattr(_ZETA_MODULE, "_MAX_CUTOFF", (low + high) // 2)
+    with pytest.raises(BudgetExceeded) as info:
+        _ZETA_MODULE._zeta_em(ray, alphas, _PREC, False)
+    assert str(info.value) == (f"Euler-Maclaurin cutoff {high} exceeds "
+                               f"{(low + high) // 2} at s=(0.5+1900.25j)")
+
+
 @settings(max_examples=40, deadline=None)
 @given(sig=st.floats(-0.5, 3.0), t=st.floats(0.5, 300.0))
 def test_zeta_conjugate_symmetry(sig, t):

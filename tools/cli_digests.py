@@ -35,8 +35,11 @@ X = 10 on sigma = 3/4 over t = 100, 150, ..., 1400, where six of the 27
 heights miss the tolerance on their starting panels and are bisected on
 from the batch's own; and the first `residual-scan` grid again with
 `--kernel-d 600`, whose poly-bump CDF weights the polynomial at a degree
-where the CDF's plain binomial sum overflows.  The exit status is 1 when
-an invocation exits non-zero.
+where the CDF's plain binomial sum overflows; and `residual-scan` at m = 0,
+X in {10, 100}, on the first grid's heights, where eta_0 is log zeta at
+each height, Y_0 sums the logs of the zeros within 1/log X and the
+polynomial carries (log n)^-1.  The exit status is 1 when an invocation
+exits non-zero.
 """
 
 import contextlib
@@ -87,7 +90,9 @@ def invocations() -> list[tuple[list[str], bool]]:
              (["--abs-err", "1e-10", "residual-scan", "--m", "2", "--x-list",
                "10", "--sigma", "0.75", "--t-from", "100", "--t-to", "1400",
                "--t-step", "50"], True),
-             (SCAN + ["--kernel-d", "600"], True)]
+             (SCAN + ["--kernel-d", "600"], True),
+             (["residual-scan", "--m", "0", "--x-list", "10,100", "--t-from",
+               "100", "--t-to", "1400", "--t-step", "650"], True)]
     return runs
 
 
