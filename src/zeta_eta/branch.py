@@ -127,7 +127,7 @@ class _Walk:
         pass on the line."""
         self.spend(1, x)
         xs = np.array([x])
-        vals, _, _ = _zeta_em(self.line, xs, self.walk_prec, want_deriv=False)
+        vals, _ = _zeta_em(self.line, xs, self.walk_prec)
         return complex(self.pin(xs, self.principal(xs, vals), depth)[0])
 
     def model(self, x):
@@ -321,7 +321,7 @@ def _march(paths: list[BranchPath], xs: np.ndarray) -> tuple:
             path.spend(nodes.size, float(xs.min()))
     line = (paths[0].line if len(paths) == 1
             else _Ray(np.array([p.t for p in paths])))
-    vals, _, rems = _zeta_em(line, nodes, paths[0].prec, want_deriv=False)
+    vals, rems = _zeta_em(line, nodes, paths[0].prec)
     vals, rems = (np.asarray(x).T.reshape(len(paths), -1)
                   for x in (vals, rems))
     noise = rems >= 0.5 * np.abs(vals)
@@ -427,7 +427,7 @@ def _log_regular_real(alpha: np.ndarray,
     the 1e-15 every bound carries.
     """
     a = np.where(alpha == 1.0, _ONE_UP, alpha).ravel()
-    vals, _, rems = _zeta_em(_Ray(0.0), a, prec, want_deriv=False)
+    vals, rems = _zeta_em(_Ray(0.0), a, prec)
     x = np.asarray(vals).real
     h = np.log(x * (a - 1.0))
     est = np.asarray(rems) / np.abs(x) + 1e-15

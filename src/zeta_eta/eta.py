@@ -820,8 +820,7 @@ class _Sweep(_Walk):
         at that node, since the swapped terms are principal logs of points
         >= 1 away.
         """
-        vals, _, rems = _zeta_em(self.line, us.ravel(), self.walk_prec,
-                                 want_deriv=False)
+        vals, rems = _zeta_em(self.line, us.ravel(), self.walk_prec)
         model = self._block_model(us, lo, hi)
         principal = self.principal(us, vals, model[:, 1:].ravel())
         # The first sweep panel has no previous window: no rebase.

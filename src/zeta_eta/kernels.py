@@ -39,8 +39,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import (InvalidFamily, OnNegativeRealAxisCut, ValidationError,
-                     _integer, _point, _real)
+from .errors import (BudgetExceeded, InvalidFamily, OnNegativeRealAxisCut,
+                     ValidationError, _integer, _point, _real)
 from .precision import DEFAULT_PRECISION, EvalPrecision
 from .quadrature import integrate_adaptive
 from .zeta import _extended
@@ -274,6 +274,10 @@ def _e_star_nodes(m: int, w: np.ndarray, prec: EvalPrecision) -> np.ndarray:
 # --- U_m ----------------------------------------------------------------------
 
 _LIMIT_EPS = 1e-9
+# U's error, in spacings of |U| as a double, reaches 3 against 30-digit
+# mpmath where |U| is large (seeded z with 6 <= |z| <= 11.5, m <= 3, H = 1
+# and 2); so an answer resolves no abs_err below 4 of them.
+_RESOLUTION_ULPS = 4
 
 
 def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
@@ -284,6 +288,11 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
     E*_{m+1}(z L) / L^m over L = 1 + tau/H in [1, 1 + 1/H].  Real z on the
     cut side (z <= 0) takes the limit from below, z -> z - i eps; real z > 0
     is evaluated directly (the two sides agree there).
+
+    An abs_err below the answer's resolution, _RESOLUTION_ULPS spacings of
+    |U| as a double, is refused with BudgetExceeded once U is known: at the
+    default 1e-10 that is every |U| >= 2^17 (about 1.3e5), reached near
+    the cut from |z| of about 9.
     """
     m = _integer(m, "m")
     h = _real(h, "H", 1.0)
@@ -291,15 +300,22 @@ def u_m_eval(m: int, z, kernel: Kernel = DEFAULT_KERNEL, h: float = 1.0,
     if z == 0:
         raise ValidationError(
             f"U_m(0) diverges: nonzero z required, got z={z!r}")
+    w = z
     if z.imag == 0.0 and z.real <= 0.0:
-        z = complex(z.real, -_LIMIT_EPS * max(1.0, abs(z)))
+        w = complex(z.real, -_LIMIT_EPS * max(1.0, abs(z)))
     fact = math.factorial(m)
     inner = EvalPrecision(abs_err=max(prec.abs_err, 1e-14))
 
     def g(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         big_l = 1.0 + tau / h
-        return (kernel.f(tau) * _e_star_nodes(m, z * big_l, inner)
+        return (kernel.f(tau) * _e_star_nodes(m, w * big_l, inner)
                 / big_l ** m, np.zeros(tau.shape))
 
     val, _ = integrate_adaptive(g, 0.0, 1.0, 0.1 * prec.abs_err)
-    return val / fact
+    val /= fact
+    resolution = _RESOLUTION_ULPS * math.ulp(abs(val))
+    if resolution > prec.abs_err:
+        raise BudgetExceeded(
+            f"U_m at m={m}, z={z!r}: abs_err={prec.abs_err:g} is below the "
+            f"resolution {resolution:.3g} of its double value")
+    return val

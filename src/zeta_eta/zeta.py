@@ -1,5 +1,5 @@
-"""Riemann zeta at desk scale: Euler-Maclaurin evaluation, log-derivative,
-Riemann-Siegel theta and the Hardy Z function.
+"""Riemann zeta at desk scale: Euler-Maclaurin evaluation, Riemann-Siegel
+theta and the Hardy Z function; zeta'/zeta in extended precision.
 
 The double-precision path is a direct Euler-Maclaurin sum
 
@@ -10,15 +10,17 @@ with correction order 2K = 20 and Backlund's remainder bound
 |R| <= |first omitted term| * |s+2K+1|/(sigma+2K+1) (Edwards, Riemann's Zeta
 Function, 6.4).  The bound is A(s) N^-(2K+1+sigma) in closed form, so N is
 solved from it: the smallest cutoff at which it meets the target at the
-pass's worst node.  Precision requests below 5e-14 are delegated to software
-extended precision (mpmath), which the double path is also tested against.
+pass's worst node.  A pass answers each node's value and that bound.
+Precision requests below 5e-14 are delegated to software extended precision
+(mpmath), which the double path is also tested against; every zeta'/zeta
+goes there too.
 
 One kernel evaluates the sum at any set of nodes on one line, which
 supplies their partial sums sum_{n<N} n^-s together.  On a horizontal
 line Im s = t (a _Ray) -- a branch path's, or a single point's -- a pass
 forms the phases n^-it of its cutoff, and its batch of nodes alpha + it is
-one real matrix product of the amplitudes n^-alpha with them; zeta' is the
-same product with the amplitudes times -log n.  A _Ray may hold several
+one real matrix product of the amplitudes n^-alpha with them, values
+only (zeta'/zeta is mpmath's).  A _Ray may hold several
 heights at once, the same abscissae on each (the vertical eta route's
 batch of heights): the amplitudes and the correction are formed once for
 all of them, and each height takes its own cutoff, phases and product, so
@@ -223,12 +225,11 @@ class _Ray:
                              for t in self.t.tolist()])
         return _initial_cutoff(lo, hi, self.t, abs_err)
 
-    def partial_sums(self, n_cut, sigmas, want_deriv: bool) -> tuple:
-        """The nodes s, sum_{n<N} n^-s and, with want_deriv, -sum log n n^-s
-        at each node, exact up to rounding, 0.0 per node, and N^-s, in the
-        form _zeta_em chose for the abscissae sigmas: lists for a list,
-        which takes the correction node by node, and arrays for an array,
-        which takes it on arrays and serves values only (a column per
+    def partial_sums(self, n_cut, sigmas) -> tuple:
+        """The nodes s, sum_{n<N} n^-s at each node, exact up to rounding,
+        0.0 per node, and N^-s, in the form _zeta_em chose for the abscissae
+        sigmas: lists for a list, which takes the correction node by node,
+        and arrays for an array, which takes it on arrays (a column per
         height on several heights, n_cut an array of their cutoffs).  A
         height's column has the bits of a pass on its own ray.
 
@@ -247,15 +248,8 @@ class _Ray:
             points = self.points(sigmas)
             amp = np.exp(np.multiply.outer([-s.real for s in points], logn))
             sums = (amp @ phase).view(np.complex128)[:, 0].tolist()
-            dsums = None
-            if want_deriv:
-                dsums = (-((amp * logn) @ phase).view(np.complex128)[:, 0]
-                         ).tolist()
-            return (points, sums, dsums, [0.0] * len(points),
+            return (points, sums, [0.0] * len(points),
                     [math.exp(-s.real * logN) * phase_N for s in points])
-        if want_deriv:
-            raise NotImplementedError(
-                "a _Ray batch on arrays evaluates no derivative")
         ts = np.atleast_1d(self.t).tolist()
         cuts = np.atleast_1d(n_cut).tolist()
         alphas = np.minimum(sigmas, _SIGMA_ONE)
@@ -272,7 +266,7 @@ class _Ray:
         points = alphas[:, None] + 1j * np.array(ts)
         if not isinstance(self.t, np.ndarray):
             points, sums, npow_N = points[:, 0], sums[:, 0], npow_N[:, 0]
-        return points, sums, None, np.zeros(points.shape), npow_N
+        return points, sums, np.zeros(points.shape), npow_N
 
 
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
@@ -353,14 +347,11 @@ class _Line:
             starts.append(nxt)
         return starts
 
-    def partial_sums(self, n_cut: int, ts, want_deriv: bool) -> tuple[
-            np.ndarray, np.ndarray, None, np.ndarray, np.ndarray]:
+    def partial_sums(self, n_cut: int, ts) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The nodes s, sum_{n<N} n^-s at each node, the truncation bound of
         each node's expansion, and N^-s, the line's one amplitude N^-sigma
-        (libm's exp, as on a ray) times each node's phase N^-it, as arrays.
-        The line serves values only, no zeta'."""
-        if want_deriv:
-            raise NotImplementedError("a _Line evaluates no derivative")
+        (libm's exp, as on a ray) times each node's phase N^-it, as arrays."""
         t = np.asarray(ts, dtype=np.float64)
         logn = _LOG_N[:n_cut - 1]
         mass = float(self._tables(n_cut, 1)[0].sum())   # sum n^-sigma
@@ -393,90 +384,64 @@ class _Line:
                     @ moments.view(np.float64)).view(np.complex128)
             sums[nodes] = part[np.arange(part.shape[0]), group[nodes] - g]
         trunc = mass * x ** order / math.factorial(order) * np.exp(x)
-        return (self.points(t), sums, None, trunc,
+        return (self.points(t), sums, trunc,
                 math.exp(self.sigma * -log_cut) * _phases(log_cut, t))
 
 
-def _em_correction(n_cut: int, logN: float, s, npow_N, partial, trunc,
-                   dpartial=None):
+def _em_correction(n_cut: int, s, npow_N, partial, trunc):
     """zeta at the nodes s from their partial sums sum_{n<N} n^-s and N^-s
-    (npow_N), at the cutoff N = n_cut with logN = log N: the N^-s and
-    Bernoulli terms and the remainder bound, on one complex node (a small
-    _Ray batch's) or on arrays of nodes (a _Line pass, or a _Ray batch of
-    _ARRAY_NODES or more), with zeta' on one complex node when dpartial =
-    -sum log n n^-s is given (no array pass asks for it).
-    Returns (zeta, zeta' or 0, bound); the bound covers the value (the
-    derivative bound is within a factor log N + order of it, folded in
-    here) plus the partial sums' own trunc.
+    (npow_N), at the cutoff N = n_cut: the N^-s and Bernoulli terms and the
+    remainder bound, on one complex node (a small _Ray batch's) or on
+    arrays of nodes (a _Line pass, or a _Ray batch of _ARRAY_NODES or more).
+    Returns (zeta, bound); the bound is Backlund's for the correction plus
+    the partial sums' own trunc.
     """
     order = _CORRECTION_ORDER
     inv_N2 = 1.0 / (n_cut * n_cut)
-    sm1 = s - 1.0
-    val = partial + n_cut * npow_N / sm1 + 0.5 * npow_N
+    val = partial + n_cut * npow_N / (s - 1.0) + 0.5 * npow_N
     # Correction terms T_k = B_2k/(2k)! * u_k * N^-s, where u_1 = s/N
     # and u_k -> u_{k+1} multiplies by (s+2k-1)(s+2k)/N^2.
     u = s / n_cut
     for coef, k1, k2 in _STEPS:
         val += coef * u * npow_N
         u = u * (s + k1) * (s + k2) * inv_N2
-    der = 0j
-    if dpartial is not None:
-        der = (dpartial
-               - logN * n_cut * npow_N / sm1
-               - n_cut * npow_N / (sm1 * sm1) - 0.5 * logN * npow_N)
-        w, dw = s / n_cut, 1.0 / n_cut      # u_k and d/ds u_k
-        for coef, k1, k2 in _STEPS:
-            der += coef * (dw - logN * w) * npow_N
-            f1, f2 = s + k1, s + k2
-            dw = (dw * f1 * f2 + w * (f1 + f2)) * inv_N2
-            w = w * f1 * f2 * inv_N2
 
     # First omitted term bounds the remainder.
     tail = _BFRAC[order] * u * npow_N
     # sigma >= -1 at every entry, so the denominator is at least 20.
     rem = abs(tail) * (abs(s + 2 * order + 1)
                        / (s.real + 2 * order + 1)) + trunc
-    if dpartial is not None:
-        # The differentiated terms pick up roughly a log N factor.
-        rem *= logN + 2 * order + 2
-    return val, der, rem
+    return val, rem
 
 
-def _euler_maclaurin(line, n_cut: int, coords, want_deriv: bool) -> tuple:
+def _euler_maclaurin(line, n_cut: int, coords) -> tuple:
     """One Euler-Maclaurin pass at the nodes of line (a _Ray or a _Line)
     with coordinates coords (an array or a list).
 
-    Returns (zeta, zeta', remainder_bound), one entry per node, and refuses
-    a cutoff above _MAX_CUTOFF, naming the point whose cutoff it is.  The
+    Returns (zeta, remainder_bound), one entry per node, and refuses a
+    cutoff above _MAX_CUTOFF, naming the point whose cutoff it is.  The
     line supplies the partial sums of all its nodes at once, and N^-s with
     the factor its nodes share taken once (N^-it on a ray, N^-sigma on a
     vertical line).  Coordinates that come as an array (a _Line's pass, a
     _Ray's batch of _ARRAY_NODES nodes or more or on several heights) take
-    the correction once, on arrays: the answer is two arrays and None for
-    zeta'.  A _Ray's smaller batch comes as a list, takes it node by node on
-    complex numbers, and answers in three lists.  zeta' is only meaningful
-    when want_deriv is set, which only a small _Ray batch takes: an array
-    pass refuses it.
+    the correction once, on arrays, and answer in two arrays.  A _Ray's
+    smaller batch comes as a list, takes it node by node on complex
+    numbers, and answers in two lists.
     """
     top = n_cut.max() if isinstance(n_cut, np.ndarray) else n_cut
     if top > _MAX_CUTOFF:
         s = complex(np.ravel(line.points(coords[:1]))[np.argmax(n_cut)])
         raise BudgetExceeded(
             f"Euler-Maclaurin cutoff {top} exceeds {_MAX_CUTOFF} at s={s}")
-    points, sums, dsums, truncs, npows = line.partial_sums(n_cut, coords,
-                                                           want_deriv)
+    points, sums, truncs, npows = line.partial_sums(n_cut, coords)
     if isinstance(points, np.ndarray):
-        val, _, rem = _em_correction(n_cut, None, points, npows, sums, truncs)
-        return val, None, rem
-    logN = math.log(n_cut)
-    vals, ders, rems = [], [], []
-    for node in zip(points, npows, sums, truncs,
-                    dsums if want_deriv else [None] * len(sums)):
-        val, der, rem = _em_correction(n_cut, logN, *node)
+        return _em_correction(n_cut, points, npows, sums, truncs)
+    vals, rems = [], []
+    for node in zip(points, npows, sums, truncs):
+        val, rem = _em_correction(n_cut, *node)
         vals.append(val)
-        ders.append(der)
         rems.append(rem)
-    return vals, ders, rems
+    return vals, rems
 
 
 def _escalated(n_cut: int) -> int:
@@ -492,18 +457,17 @@ def _escalate(line, n_cut: int, coords: np.ndarray, val: np.ndarray,
     todo = np.flatnonzero(rem > target)
     while todo.size:
         n_cut = _escalated(n_cut)
-        val[todo], _, rem[todo] = _euler_maclaurin(line, n_cut, coords[todo],
-                                                   False)
+        val[todo], rem[todo] = _euler_maclaurin(line, n_cut, coords[todo])
         todo = todo[rem[todo] > target]
 
 
-def _zeta_em(line, coords, prec: EvalPrecision, want_deriv: bool) -> tuple:
-    """zeta (and zeta') at the nodes of line (a _Ray or a _Line) with
-    coordinates coords, a float (on a _Ray) or an array; returns (value,
-    derivative, remainder bound), one entry per node in the flattened order
-    of coords: lists for a float and a _Ray batch of fewer than
-    _ARRAY_NODES nodes, and for any other pass two arrays with None for the
-    derivative, on a _Ray over several heights with a column per height.
+def _zeta_em(line, coords, prec: EvalPrecision) -> tuple:
+    """zeta at the nodes of line (a _Ray or a _Line) with coordinates
+    coords, a float (on a _Ray) or an array; returns (value, remainder
+    bound), one entry per node in the flattened order of coords: two lists
+    for a float and a _Ray batch of fewer than _ARRAY_NODES nodes, and for
+    any other pass two arrays, on a _Ray over several heights with a column
+    per height.
 
     Every node is certified to 0.25 abs_err on its own.  The first pass
     covers all nodes at the cutoff solved from the bound for the worst of
@@ -519,14 +483,8 @@ def _zeta_em(line, coords, prec: EvalPrecision, want_deriv: bool) -> tuple:
     else:
         coords = coords.ravel()
     n_cut = line.first_cutoff(coords, prec.abs_err)
-    if want_deriv:
-        # zeta''s bound is the value's times log N + 2K + 2: two fixed-point
-        # steps settle N.
-        for _ in range(2):
-            n_cut = line.first_cutoff(coords, prec.abs_err / (
-                math.log(n_cut) + 2 * _CORRECTION_ORDER + 2))
     target = 0.25 * prec.abs_err
-    val, der, rem = _euler_maclaurin(line, n_cut, coords, want_deriv)
+    val, rem = _euler_maclaurin(line, n_cut, coords)
     if isinstance(rem, np.ndarray):
         if rem.ndim == 1:
             _escalate(line, n_cut, coords, val, rem, target)
@@ -534,15 +492,15 @@ def _zeta_em(line, coords, prec: EvalPrecision, want_deriv: bool) -> tuple:
             for j in np.flatnonzero((rem > target).any(axis=0)).tolist():
                 _escalate(_Ray(float(line.t[j])), int(n_cut[j]), coords,
                           val[:, j], rem[:, j], target)
-        return val, der, rem
+        return val, rem
     todo = [i for i, r in enumerate(rem) if r > target]
     while todo:
         n_cut = _escalated(n_cut)
-        for i, v, d, r in zip(todo, *_euler_maclaurin(
-                line, n_cut, [coords[i] for i in todo], want_deriv)):
-            val[i], der[i], rem[i] = v, d, r
+        for i, v, r in zip(todo, *_euler_maclaurin(
+                line, n_cut, [coords[i] for i in todo])):
+            val[i], rem[i] = v, r
         todo = [i for i in todo if rem[i] > target]
-    return val, der, rem
+    return val, rem
 
 
 def _zeta_line(sigma: float, ts,
@@ -573,7 +531,7 @@ def _zeta_line(sigma: float, ts,
     line = _Line(sigma, abs_err)
     for lo in range(0, order.size, _BLOCK_NODES):
         block = order[lo:lo + _BLOCK_NODES]
-        vals[block], _, rems[block] = _zeta_em(line, ts[block], prec, False)
+        vals[block], rems[block] = _zeta_em(line, ts[block], prec)
     return vals, rems
 
 
@@ -630,7 +588,7 @@ def zeta(s, prec: EvalPrecision = DEFAULT_PRECISION):
     _check_height(z.imag)
     if _needs_extended(z, prec.abs_err):
         return _zeta_extended(z, prec.abs_err)
-    (val,), _, _ = _zeta_em(_Ray(z.imag), z.real, prec, want_deriv=False)
+    (val,), _ = _zeta_em(_Ray(z.imag), z.real, prec)
     return val
 
 
@@ -640,7 +598,10 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
 
     When a zero table is supplied, proximity to its zeros (and their
     reflections across the real axis) is checked; the guard radius is
-    sqrt(prec.abs_err).
+    sqrt(prec.abs_err).  Every value comes from the extended-precision
+    path, at 30 digits or more: milliseconds a call.  The answer is a
+    complex double where zeta's would be, and mpmath's complex where zeta
+    goes to extended precision.
     """
     z = _point(s)
     _real(z.real, "sigma", -1.0)
@@ -654,14 +615,9 @@ def zeta_log_deriv(s, prec: EvalPrecision = DEFAULT_PRECISION, store=None):
         if dist <= guard:
             raise NearSingularity(
                 f"s={s} within {guard:g} of zero {rho}", where=rho)
-    if _needs_extended(z, prec.abs_err):
-        return _extended(prec.abs_err, lambda mp, w: mp.zeta(
-            w, derivative=1) / mp.zeta(w), z)
-    (val,), (der,), _ = _zeta_em(_Ray(z.imag), z.real, prec,
-                                 want_deriv=True)
-    if val == 0:
-        raise NearSingularity(f"zeta({s}) evaluated to zero", where=z)
-    return der / val
+    val = _extended(prec.abs_err, lambda mp, w: mp.zeta(
+        w, derivative=1) / mp.zeta(w), z)
+    return val if _needs_extended(z, prec.abs_err) else complex(val)
 
 
 # --- Riemann-Siegel theta ----------------------------------------------------

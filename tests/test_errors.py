@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from zeta_eta.kernels import (DEFAULT_KERNEL, boundary_derivative, e_star,
 from zeta_eta.precision import EvalPrecision
 from zeta_eta.zeros import (builtin_store, count_window, inject_hypothetical,
                             rvmf_check, sigma_xt)
-from zeta_eta.zeta import log_gamma, theta
+from zeta_eta.zeta import log_gamma, theta, zeta_log_deriv
 
 NAN, INF = math.nan, math.inf
 
@@ -126,12 +127,22 @@ _CFG = ApproxConfig(m=1, X=10.0)
     (lambda: boundary_derivative(DEFAULT_KERNEL, 1, 2), ValidationError,
      "side=2"),
     (lambda: u_m_eval(0, 0), ValidationError, "z=0"),
+    # zeta'/zeta evaluates every point in mpmath: a bad one never reaches it
+    (lambda: zeta_log_deriv(complex(NAN, 20.0)), ValidationError, "s="),
+    (lambda: zeta_log_deriv(complex(0.5, INF)), ValidationError, "s="),
+    (lambda: zeta_log_deriv(complex(-1.5, 20.0)), ValidationError,
+     "got sigma=-1.5"),
 ])
 def test_library_refusals_name_the_parameter(monkeypatch, call, exc, name):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("integrated before refusing")
 
+    def no_extended(*args, **kwargs):
+        raise AssertionError("reached extended precision before refusing")
+
     monkeypatch.setattr(kernels, "integrate_adaptive", no_quadrature)
+    monkeypatch.setattr(sys.modules["zeta_eta.zeta"], "_extended",
+                        no_extended)
     with pytest.raises(exc) as info:
         call()
     assert name in str(info.value)

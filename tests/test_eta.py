@@ -497,14 +497,14 @@ def test_a_batch_raises_what_the_loop_over_its_heights_raises_first(
     near = 1403.25
     uncertain = store.snap(near)
 
-    def near_singular(ray, alpha, prec, want_deriv):
-        vals, ders, rems = evaluate(ray, alpha, prec, want_deriv)
+    def near_singular(ray, alpha, prec):
+        vals, rems = evaluate(ray, alpha, prec)
         if np.ndim(ray.t):
             hit = ray.t == uncertain
             rems[:, hit] = 0.5 * np.abs(vals[:, hit])
         elif ray.t == uncertain:
             rems[:] = 0.5 * np.abs(np.asarray(vals))
-        return vals, ders, rems
+        return vals, rems
 
     monkeypatch.setattr(branch, "_zeta_em", near_singular)
     heights = [1200.5, near, 1700.25, store.t_max + 1.0]
@@ -977,11 +977,11 @@ def test_sweep_zero_in_a_batch_is_a_singularity(store, monkeypatch):
     # one node of a block of panels evaluating to exactly zero
     real_em = eta_module._zeta_em
 
-    def with_zero(line, coords, prec, want_deriv):
-        vals, ders, rems = real_em(line, coords, prec, want_deriv)
+    def with_zero(line, coords, prec):
+        vals, rems = real_em(line, coords, prec)
         if len(vals) > quadrature._NODES.size:
             vals[7] = 0j
-        return vals, ders, rems
+        return vals, rems
 
     monkeypatch.setattr(eta_module, "_zeta_em", with_zero)
     with pytest.raises(OnSingularity, match="= 0 at working precision"):
@@ -998,10 +998,10 @@ def test_sweep_takes_one_zeta_pass_per_call(store, monkeypatch):
     block, step = eta_module._Sweep.eval, eta_module._Sweep.step
     passes, handed, open_calls = [], [], []
 
-    def counted_em(line, coords, prec, want_deriv):
+    def counted_em(line, coords, prec):
         if isinstance(line, eta_module._Line):
             passes.append((len(open_calls), np.array(coords)))
-        return real_em(line, coords, prec, want_deriv)
+        return real_em(line, coords, prec)
 
     def counted(walk):
         def call(self, u, *args, **kwargs):
@@ -1151,12 +1151,12 @@ def test_sweep_failing_step_at_a_panels_first_node(store, monkeypatch,
     gaps = [(us[p - 1, -1], us[p, 0]) for p in (5, second)]
     real_em = eta_module._zeta_em
 
-    def ramped(line, coords, prec, want_deriv):
-        vals, ders, rems = real_em(line, coords, prec, want_deriv)
+    def ramped(line, coords, prec):
+        vals, rems = real_em(line, coords, prec)
         x = np.atleast_1d(coords)
         lift = sum(sign * 0.4 * np.clip((x - lo) / (hi - lo), 0.0, 1.0)
                    for sign, (lo, hi) in zip((1, -1), gaps))
-        return np.asarray(vals) * np.exp(lift), ders, rems
+        return np.asarray(vals) * np.exp(lift), rems
 
     inserted = []
     walk = eta_module._Sweep.step

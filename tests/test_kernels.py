@@ -362,6 +362,24 @@ def test_u_m_refuses_a_tol_below_its_rounding_floor_at_once():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("m, z, h", [(0, -11.0, 1.0), (1, -11.0, 1.0),
+                                     (3, complex(-13.0, 1.0), 2.0),
+                                     (0, -10.5, 1.0)])
+def test_u_m_refuses_an_abs_err_below_its_resolution(m, z, h):
+    # |U| is 6.4e5 to 2.9e6 here, so its double spacing is 1.2e-10 to
+    # 4.7e-10, and the answers were off by 1.2e-10 to 4.7e-10 at abs_err
+    # 1e-10: refused, naming m, z, abs_err and the resolution, which is at
+    # least the spacing of |U|
+    with pytest.raises(BudgetExceeded) as info:
+        u_m_eval(m, z, DEFAULT_KERNEL, h)
+    msg = str(info.value)
+    assert f"m={m}, z={complex(z)!r}: abs_err=1e-10" in msg, msg
+    resolution = float(msg.split("resolution ")[1].split()[0])
+    assert resolution > 1e-10
+    ref = _u_m_ref(m, complex(z), h)
+    assert resolution >= math.ulp(abs(ref))
+
+
 def _e_star_one_by_one(m, w, prec):
     return np.array([e_star(m, x, prec) for x in w.ravel().tolist()]
                     ).reshape(w.shape)

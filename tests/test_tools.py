@@ -21,7 +21,7 @@ def test_value_shift_of_a_tree_against_itself_is_zero():
     names = [line.split(":")[0] for line in out]
     assert names == ["eta_vertical", "c_m", "eta_iterated",
                      "log_zeta_with_err", "zeta", "dirichlet_poly", "p_f",
-                     "f_cdf"]
+                     "f_cdf", "zeta_log_deriv"]
     for line in out:
         assert line.endswith("largest |delta| 0.000e+00, largest "
                              "|delta|/est_err 0 (old), 0 (new), 0 (larger)"

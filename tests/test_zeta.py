@@ -53,16 +53,17 @@ def test_zeta_extended_precision_path():
 
 
 def test_zeta_far_right_is_one(monkeypatch):
-    # right of sigma = 1100 every term n^-s, n >= 2, underflows: zeta is 1
-    # and zeta'/zeta is 0 exactly, from a pass at sigma = 1100 whose cutoff
-    # stays small; taken at sigma itself, the cutoff at 1e6 exceeds its
-    # budget, and from about 1e18 the correction terms overflow to NaN
+    # right of sigma = 1100 every term n^-s, n >= 2, underflows: zeta is 1,
+    # from a pass at sigma = 1100 whose cutoff stays small; taken at sigma
+    # itself, the cutoff at 1e6 exceeds its budget, and from about 1e18 the
+    # correction terms overflow to NaN.  zeta'/zeta, from mpmath, is below
+    # the smallest double there and rounds to 0
     cutoffs = []
     kernel = _ZETA_MODULE._euler_maclaurin
 
-    def recorded(ray, n_cut, sigmas, want_deriv):
+    def recorded(ray, n_cut, sigmas):
         cutoffs.append(n_cut)
-        return kernel(ray, n_cut, sigmas, want_deriv)
+        return kernel(ray, n_cut, sigmas)
 
     monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
     for s in (2000.0, 5e5, 1e6 + 10j, 1e20, 1e300):
@@ -102,7 +103,7 @@ def test_budget_refusal_over_several_heights_names_one_point(monkeypatch):
     assert low < high
     monkeypatch.setattr(_ZETA_MODULE, "_MAX_CUTOFF", (low + high) // 2)
     with pytest.raises(BudgetExceeded) as info:
-        _ZETA_MODULE._zeta_em(ray, alphas, _PREC, False)
+        _ZETA_MODULE._zeta_em(ray, alphas, _PREC)
     assert str(info.value) == (f"Euler-Maclaurin cutoff {high} exceeds "
                                f"{(low + high) // 2} at s=(0.5+1900.25j)")
 
@@ -207,13 +208,19 @@ def test_hardy_z_is_even_and_theta_odd(t):
 
 
 def test_log_deriv_extended_path_against_mpmath():
-    # abs_err 1e-20 is below the double threshold: software precision
+    # every value comes from software precision; abs_err 1e-20 is below the
+    # double threshold, so it is answered as mpmath gives it, and the
+    # default precision as a complex double, as zeta answers
     s = complex(0.5, 100.3)
     got = zeta_log_deriv(s, EvalPrecision(abs_err=1e-20))
+    assert isinstance(got, mp.mpc)
+    default = zeta_log_deriv(s)
+    assert type(default) is complex
     with mp.workdps(40):
         w = mp.mpc(s.real, s.imag)
         ref = mp.zeta(w, derivative=1) / mp.zeta(w)
         assert abs(got - ref) <= 1e-20
+        assert abs(default - ref) <= 1e-9
 
 
 # --- the Euler-Maclaurin kernel on a ray ---------------------------------------
@@ -240,11 +247,11 @@ def test_ray_batch_matches_single_points_and_mpmath():
     checked = 0
     for t in rng.uniform(0.0, 2150.0, 10).tolist():
         alphas = np.sort(rng.uniform(0.5, 45.0, 10))
-        vals, _, rems = _ZETA_MODULE._zeta_em(
-            _ZETA_MODULE._Ray(t), alphas, _PREC, False)
+        vals, rems = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Ray(t), alphas, _PREC)
         for a, v, r in zip(alphas.tolist(), vals, rems):
-            (alone,), _, (r_alone,) = _ZETA_MODULE._zeta_em(
-                _ZETA_MODULE._Ray(t), a, _PREC, False)
+            (alone,), (r_alone,) = _ZETA_MODULE._zeta_em(
+                _ZETA_MODULE._Ray(t), a, _PREC)
             with mp.workdps(30):
                 ref = complex(mp.zeta(mp.mpc(a, t)))
             slack = _rounding_bound(a, t)
@@ -261,15 +268,15 @@ def test_ray_escalates_only_the_nodes_that_miss(monkeypatch):
     passes = []
     kernel = _ZETA_MODULE._euler_maclaurin
 
-    def recorded(ray, n_cut, sigmas, want_deriv):
+    def recorded(ray, n_cut, sigmas):
         passes.append((n_cut, list(sigmas)))
-        return kernel(ray, n_cut, sigmas, want_deriv)
+        return kernel(ray, n_cut, sigmas)
 
     monkeypatch.setattr(_ZETA_MODULE, "_initial_cutoff", lambda *a: 16)
     monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
     alphas = np.array([0.5, 3.0, 45.0])
-    vals, _, rems = _ZETA_MODULE._zeta_em(
-        _ZETA_MODULE._Ray(500.0), alphas, _PREC, False)
+    vals, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Ray(500.0), alphas, _PREC)
     assert passes[0] == (16, [0.5, 3.0, 45.0])
     assert len(passes) > 2
     cutoffs = [n for n, _ in passes]
@@ -283,26 +290,26 @@ def test_ray_escalates_only_the_nodes_that_miss(monkeypatch):
 
 
 def _cutoff_cases(rng, abs_err):
-    """(line, coords, want_deriv) for seeded passes of every kind: single
-    ray points at sigma in [-1, 3], t in [0, 2150]; ray batches of 16 to 42
-    abscissae spanning [1/2, 4]; line blocks of 64 ordinates over a width
-    of 2; and single points with zeta'."""
+    """(line, coords) for seeded passes of every kind: single ray points at
+    sigma in [-1, 3], t in [0, 2150]; ray batches of 16 to 42 abscissae
+    spanning [1/2, 4]; line blocks of 64 ordinates over a width of 2; and 8
+    more single ray points, drawn after the others."""
     cases = []
     for _ in range(24):
         cases.append((_ZETA_MODULE._Ray(float(rng.uniform(0.0, 2150.0))),
-                      float(rng.uniform(-1.0, 3.0)), False))
+                      float(rng.uniform(-1.0, 3.0))))
     for size in (16, 21, 42, 16, 21, 42):
         alphas = np.concatenate(([0.5, 4.0], rng.uniform(0.5, 4.0, size - 2)))
         cases.append((_ZETA_MODULE._Ray(float(rng.uniform(15.0, 2150.0))),
-                      np.sort(alphas), False))
+                      np.sort(alphas)))
     for _ in range(6):
         a = float(rng.uniform(0.0, 2148.0))
         cases.append((_ZETA_MODULE._Line(float(rng.uniform(-1.0, 3.0)),
                                          abs_err),
-                      np.sort(rng.uniform(a, a + 2.0, 64)), False))
+                      np.sort(rng.uniform(a, a + 2.0, 64))))
     for _ in range(8):
         cases.append((_ZETA_MODULE._Ray(float(rng.uniform(0.0, 2150.0))),
-                      float(rng.uniform(-1.0, 3.0)), True))
+                      float(rng.uniform(-1.0, 3.0))))
     return cases
 
 
@@ -317,22 +324,22 @@ def test_first_cutoff_certifies_every_node_and_is_near_minimal(abs_err,
     kernel = _ZETA_MODULE._euler_maclaurin
     passes = []
 
-    def recorded(line, n_cut, coords, want_deriv):
+    def recorded(line, n_cut, coords):
         passes.append(n_cut)
-        return kernel(line, n_cut, coords, want_deriv)
+        return kernel(line, n_cut, coords)
 
     monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
     minimal = 0
-    for line, coords, want_deriv in _cutoff_cases(
+    for line, coords in _cutoff_cases(
             np.random.default_rng(int(-math.log10(abs_err))), abs_err):
         passes.clear()
-        _, _, rems = _ZETA_MODULE._zeta_em(line, coords, prec, want_deriv)
+        _, rems = _ZETA_MODULE._zeta_em(line, coords, prec)
         assert len(passes) == 1, (line, coords, passes)
         assert max(rems) <= target
         n_cut = passes[0]
         if n_cut >= 64:     # the rounding up of N is then below 1.6%
             nodes = np.atleast_1d(coords).tolist()
-            _, _, short = kernel(line, int(0.97 * n_cut), nodes, want_deriv)
+            _, short = kernel(line, int(0.97 * n_cut), nodes)
             assert max(short) > target, (line, coords, n_cut)
             minimal += 1
     assert minimal >= 20
@@ -350,8 +357,8 @@ def _check_line_batch(sigma, ts, vals, rems, prec=_PREC, every=1):
     evaluated alone, and every `every`-th node of the 30-digit value."""
     target = 0.25 * prec.abs_err
     for i, (t, v, r) in enumerate(zip(ts.tolist(), vals, rems)):
-        (alone,), _, (r_alone,) = _ZETA_MODULE._zeta_em(
-            _ZETA_MODULE._Ray(t), sigma, prec, False)
+        (alone,), (r_alone,) = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Ray(t), sigma, prec)
         slack = _rounding_bound(sigma, t)
         assert r <= target
         assert abs(v - alone) <= r + r_alone + 2 * slack, (sigma, t)
@@ -370,8 +377,8 @@ def test_line_batch_matches_single_points_and_mpmath():
         sigma = float(rng.uniform(-1.0, 2.0))
         a = float(rng.uniform(0.0, 2149.5))
         ts = _panel_nodes(a, a + float(rng.uniform(0.05, 0.5)))
-        vals, _, rems = _ZETA_MODULE._zeta_em(
-            _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC, False)
+        vals, rems = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC)
         _check_line_batch(sigma, ts, vals, rems, every=3)
 
 
@@ -382,16 +389,16 @@ def test_line_widest_panel_at_the_table_top(sigma):
     ts = _panel_nodes(2100.0, 2100.5)
     line = _ZETA_MODULE._Line(sigma, _PREC.abs_err)
     n_cut = _ZETA_MODULE._initial_cutoff(sigma, sigma, 2100.5, _PREC.abs_err)
-    _, _, _, truncs, _ = line.partial_sums(n_cut, ts.tolist(), False)
+    _, _, truncs, _ = line.partial_sums(n_cut, ts.tolist())
     assert 0.0 < max(truncs) <= 1e-3 * 0.25 * _PREC.abs_err
     # each node's remainder is its Euler-Maclaurin bound plus its truncation
-    _, _, rems = _ZETA_MODULE._euler_maclaurin(line, n_cut, ts.tolist(), False)
+    _, rems = _ZETA_MODULE._euler_maclaurin(line, n_cut, ts.tolist())
     for i in (0, ts.size - 1):
-        _, _, (r_alone,) = _ZETA_MODULE._euler_maclaurin(
-            _ZETA_MODULE._Ray(float(ts[i])), n_cut, [sigma], False)
+        _, (r_alone,) = _ZETA_MODULE._euler_maclaurin(
+            _ZETA_MODULE._Ray(float(ts[i])), n_cut, [sigma])
         assert rems[i] == pytest.approx(r_alone + truncs[i], rel=1e-12,
                                         abs=0.0)
-    vals, _, rems = _ZETA_MODULE._zeta_em(line, ts, _PREC, False)
+    vals, rems = _ZETA_MODULE._zeta_em(line, ts, _PREC)
     _check_line_batch(sigma, ts, vals, rems)
 
 
@@ -404,14 +411,14 @@ def test_line_escalates_only_the_nodes_that_miss(monkeypatch):
     passes = []
     kernel = _ZETA_MODULE._euler_maclaurin
 
-    def recorded(line, n_cut, coords, want_deriv):
+    def recorded(line, n_cut, coords):
         passes.append((n_cut, list(coords)))
-        return kernel(line, n_cut, coords, want_deriv)
+        return kernel(line, n_cut, coords)
 
     monkeypatch.setattr(_ZETA_MODULE, "_initial_cutoff", lambda *a: 6)
     monkeypatch.setattr(_ZETA_MODULE, "_euler_maclaurin", recorded)
-    vals, _, rems = _ZETA_MODULE._zeta_em(
-        _ZETA_MODULE._Line(0.5, prec.abs_err), ts, prec, False)
+    vals, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Line(0.5, prec.abs_err), ts, prec)
     monkeypatch.undo()
     assert passes[0] == (6, ts.tolist())
     later = passes[1][1]
@@ -431,21 +438,20 @@ def test_escalated_array_pass_fills_each_nodes_slot(monkeypatch):
     target = 0.25 * prec.abs_err
     ts = _panel_nodes(10.0, 10.5)
     monkeypatch.setattr(_ZETA_MODULE, "_initial_cutoff", lambda *a: 6)
-    vals, ders, rems = _ZETA_MODULE._zeta_em(
-        _ZETA_MODULE._Line(0.5, prec.abs_err), ts, prec, False)
+    vals, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Line(0.5, prec.abs_err), ts, prec)
     assert isinstance(vals, np.ndarray) and isinstance(rems, np.ndarray)
-    assert ders is None
     line = _ZETA_MODULE._Line(0.5, prec.abs_err)
     n_cut = 6
-    first, _, first_rems = _ZETA_MODULE._euler_maclaurin(
-        line, n_cut, ts.tolist(), False)
+    first, first_rems = _ZETA_MODULE._euler_maclaurin(
+        line, n_cut, ts.tolist())
     ref_vals, ref_rems = first.tolist(), first_rems.tolist()
     todo = [i for i, r in enumerate(ref_rems) if r > target]
     escalated = len(todo)
     while todo:
         n_cut = max(n_cut + 32, int(n_cut * 1.5))
-        v, _, r = _ZETA_MODULE._euler_maclaurin(
-            line, n_cut, [float(ts[i]) for i in todo], False)
+        v, r = _ZETA_MODULE._euler_maclaurin(
+            line, n_cut, [float(ts[i]) for i in todo])
         for i, vi, ri in zip(todo, v.tolist(), r.tolist()):
             ref_vals[i], ref_rems[i] = vi, ri
         todo = [i for i in todo if ref_rems[i] > target]
@@ -463,8 +469,8 @@ def test_line_block_of_sweep_panels_against_mpmath(sigma, store):
     panels = _ETA_MODULE._line_panels(2140.0, store)[-block:]
     ts = _quadrature_nodes(panels[:, :1], panels[:, 1:]).ravel()
     assert ts.size == _ZETA_MODULE._BLOCK_NODES
-    vals, _, rems = _ZETA_MODULE._zeta_em(
-        _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC, False)
+    vals, rems = _ZETA_MODULE._zeta_em(
+        _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC)
     _check_line_batch(sigma, ts, vals, rems, every=8)
 
 
@@ -480,13 +486,11 @@ def test_em_correction_on_arrays_matches_node_by_node():
         log_n = math.log(n_cut)
         npows = [math.exp(-z.real * log_n) * _ZETA_MODULE._phases(
             log_n, z.imag) for z in s.tolist()]
-        vals, ders, rems = _ZETA_MODULE._em_correction(
-            n_cut, log_n, s, np.array(npows), np.zeros(100, dtype=complex),
-            trunc)
-        assert ders == 0j
+        vals, rems = _ZETA_MODULE._em_correction(
+            n_cut, s, np.array(npows), np.zeros(100, dtype=complex), trunc)
         for j in range(100):
-            v, _, r = _ZETA_MODULE._em_correction(
-                n_cut, log_n, complex(s[j]), npows[j], 0j, float(trunc[j]))
+            v, r = _ZETA_MODULE._em_correction(
+                n_cut, complex(s[j]), npows[j], 0j, float(trunc[j]))
             scale = abs(v) + n_cut ** (1.0 - s[j].real) / abs(s[j] - 1.0)
             assert abs(vals[j] - v) <= 16 * 2.0 ** -52 * scale, (n_cut, j)
             assert abs(rems[j] - r) <= 16 * 2.0 ** -52 * r, (n_cut, j)
@@ -505,31 +509,15 @@ def test_cutoff_powers_share_one_factor_bit_for_bit():
         alphas = np.sort(rng.uniform(-1.0, 45.0, 42))
         for line, coords in ((_ZETA_MODULE._Line(0.37, _PREC.abs_err), ts),
                              (_ZETA_MODULE._Ray(1234.5), alphas)):
-            points, _, _, _, npows = line.partial_sums(n_cut, coords, False)
+            points, _, _, npows = line.partial_sums(n_cut, coords)
             per_node = (np.exp(points.real * -log_n + 0j).real
                         * _ZETA_MODULE._phases(log_n, points.imag))
             assert np.array_equal(npows, per_node)
         ray = _ZETA_MODULE._Ray(1234.5)
-        points, _, _, _, npows = ray.partial_sums(n_cut, alphas[:5].tolist(),
-                                                  False)
+        points, _, _, npows = ray.partial_sums(n_cut, alphas[:5].tolist())
         assert npows == [
             math.exp(-z.real * log_n) * _ZETA_MODULE._phases(log_n, z.imag)
             for z in points]
-
-
-def test_array_passes_refuse_zeta_prime():
-    # zeta' is served on the scalar path only: a _Ray batch on arrays
-    # refuses it, as a _Line does, and a small batch still gives it
-    alphas = np.linspace(0.5, 4.0, _ZETA_MODULE._ARRAY_NODES)
-    for line, coords in ((_ZETA_MODULE._Ray(123.4), alphas),
-                         (_ZETA_MODULE._Line(0.5, _PREC.abs_err),
-                          np.linspace(100.0, 101.0, 21))):
-        with pytest.raises(NotImplementedError):
-            _ZETA_MODULE._zeta_em(line, coords, _PREC, True)
-    _, ders, _ = _ZETA_MODULE._zeta_em(_ZETA_MODULE._Ray(123.4), alphas[:3],
-                                       _PREC, True)
-    z = complex(alphas[1], 123.4)
-    assert abs(ders[1] - zeta_log_deriv(z) * zeta(z)) < 1e-9
 
 
 def test_phases_match_the_libm_forms_in_each_shape():
@@ -645,8 +633,8 @@ def test_line_sampler_against_mpmath():
         prec = EvalPrecision(abs_err=abs_err)
         target = 0.25 * abs_err
         vals, rems = _ZETA_MODULE._zeta_line(0.5, ts, prec)
-        wide, _, wide_rems = _ZETA_MODULE._zeta_em(
-            _ZETA_MODULE._Line(0.5, abs_err), ts[40:], prec, False)
+        wide, wide_rems = _ZETA_MODULE._zeta_em(
+            _ZETA_MODULE._Line(0.5, abs_err), ts[40:], prec)
         for v, r, ref in zip(np.concatenate((vals, wide)),
                              np.concatenate((rems, wide_rems)),
                              refs + refs[40:]):

@@ -15,6 +15,7 @@ seeded set of calls and hands back every value with its est_err:
   log_zeta_with_err  at sigma in [-0.99, 3], t = 0
   p_f           X = 90 and 1000 at sigma = 1/2, t in [0, 2150]
   f_cdf         the poly bump's CDF, d = 1, 4, 10, 600 at x in [0, 1]
+  zeta_log_deriv  at sigma in [-1, 3], t in [0, 2150]
 
 The m = 3 draws of eta_iterated come after the four lines above them:
 they are where the iterated route's model pieces and panel integrals, each
@@ -26,8 +27,8 @@ with its function's first draws.  The p_f draws sum the primes alone, up
 to X^2: 8100 reads the sieve up to 8192, 10^6 the one up to 2 10^6.
 The f_cdf draws are the weights of dirichlet_poly's terms, read where they
 are made.  zeta's est_err is the abs_err it was asked for, as in the
-bench's points check; dirichlet_poly, p_f and f_cdf have no estimate, so
-their est_err is 0 and any move reads inf.
+bench's points check; dirichlet_poly, p_f, f_cdf and zeta_log_deriv have
+no estimate, so their est_err is 0 and any move reads inf.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -92,6 +93,9 @@ def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
             for X in (90, 1000) for _ in range(count)]
     out += [("f_cdf", d, complex(rng.uniform(0.0, 1.0), 0.0), None)
             for d in (1, 4, 10, 600) for _ in range(count)]
+    out += [("zeta_log_deriv", 0, complex(rng.uniform(-1.0, 3.0),
+                                          rng.uniform(0.0, 2150.0)), None)
+            for _ in range(count)]
     return out
 
 
@@ -118,6 +122,8 @@ def evaluate(count: int) -> list:
             elif name == "f_cdf":
                 kernel = lib.make_kernel("poly_bump", m)
                 val, est = complex(kernel.f_cdf(s.real)), 0.0
+            elif name == "zeta_log_deriv":
+                val, est = complex(lib.zeta_log_deriv(s)), 0.0
             else:
                 got = getattr(lib, name)(s, m, prec=prec)
                 val, est = got.value, got.est_err
