@@ -35,9 +35,10 @@ moment average sums with math.fsum, exactly rounded, so the result does not
 depend on evaluation order.
 
 The log|zeta| estimators evaluate all their samples together on the line
-sigma = 1/2 (zeta._zeta_line): sorted, cut into groups, and each group's
-partial sums taken from one Taylor expansion of the Dirichlet sum, each
-value certified to the target like a single zeta call.  The residual
+sigma = 1/2 (zeta._zeta_line): sorted, placed in the cells of a grid, and
+each occupied cell's partial sums taken from one Taylor expansion of the
+Dirichlet sum, with cos and sin once per anchor of a few cells, each value
+certified to the target like a single zeta call.  The residual
 estimators take eta_m at all their samples by the vertical route at
 once (eta._vertical_many: one zeta pass on the rays of all the heights,
 each height pinned by its own walk), whose rays walk in doubles: a target

@@ -50,8 +50,9 @@ nodes against the walk's budget first, and then hands a block of panels
 Gauss sums are one product with the weights.  Its one call of the integrand
 receives the block's nodes with the block's window rows, and the sweep
 works them there: zeta at all of them in one pass on its zeta._Line (one
-Taylor expansion of the Dirichlet sum per group of nearby nodes, a few
-groups' moments per matrix product, the Euler-Maclaurin correction one
+Taylor expansion of the Dirichlet sum per occupied cell of a grid, whose
+centres take their phases as an anchor's times a step's, a few anchors'
+cells' moments per matrix product, the Euler-Maclaurin correction one
 array pass), and every panel's window model at its nodes from one
 logarithm over the block's (panel, row) pairs; no zeta value outlives the
 call.  The walk pins the block's nodes in order: continuity of G along the

@@ -28,13 +28,17 @@ its values have the bits of its own pass.  A vertical line Re s =
 sigma (a _Line) -- the iterated eta sweep's, and that of _zeta_line, which
 evaluates zeta at many ordinates of one line for the distribution sampler
 -- takes a block of up to _BLOCK_NODES ascending ordinates per pass.  It
-cuts them into groups as wide as the expansion's rounding allows, and each
-group takes its partial sums from one Taylor expansion of the Dirichlet sum
-about its centre (the local step of Odlyzko-Schoenhage), whose truncation
-bound joins each node's remainder; a few groups' moments are one matrix
-product.  The line hands over N^-s with the partial sums, and takes the
-factor its nodes share once: a ray's one phase N^-it, a vertical line's one
-amplitude N^-sigma, one libm call per pass where every node would pay one.
+places them in the cells of a grid j h with origin 0, h as wide as the
+expansion's rounding allows, and each occupied cell takes its partial sums
+from one Taylor expansion of the Dirichlet sum about its centre (the local
+step of Odlyzko-Schoenhage), whose truncation bound joins each node's
+remainder.  Every _ANCHOR_CELLS-th cell is an anchor, and a centre's phases
+are its anchor's times a step's from a table the pass forms once, so cos
+and sin are taken once per anchor, not once per cell; a few anchors' cells'
+moments are one matrix product.  The line hands over N^-s with the partial
+sums, and takes the factor its nodes share once: a ray's one phase N^-it, a
+vertical line's one amplitude N^-sigma, one libm call per pass where every
+node would pay one.
 The N^-s and Bernoulli terms and the remainder bound (_em_correction) are
 written once.  A _Line's pass applies the correction to its nodes as
 arrays, and so does a _Ray's batch of _ARRAY_NODES nodes or more, or on
@@ -49,19 +53,19 @@ target (none on a solved cutoff, up to rounding) goes on with the others
 that miss at an escalated cutoff.
 
 Every phase n^-it in the library is formed by one function, _phases, as
-the cos and sin of t log n rounded to a double: a ray's, a _Line group
-centre's, the correction's N^-it, and those of eta.prime_power_poly, the
-one evaluator of the prime-power polynomials (eta's vertical tail
-included).  The rounding of that argument, an error of about u |t| log n
-in each phase (u the unit roundoff), is what limits the double path at
-large height: zeta goes to extended precision where _needs_extended
-holds, and _check_doubles refuses such a target to the ray walks and the
-iterated sweep, which evaluate in doubles.
+the cos and sin of t log n rounded to a double: a ray's, a _Line anchor's
+and step's (a cell centre's phase is their product), the correction's
+N^-it, and those of eta.prime_power_poly, the one evaluator of the
+prime-power polynomials (eta's vertical tail included).  The rounding of
+that argument, an error of about u |t| log n in each phase (u the unit
+roundoff), is what limits the double path at large height: zeta goes to
+extended precision where _needs_extended holds, and _check_doubles refuses
+such a target to the ray walks and the iterated sweep, which evaluate in
+doubles.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -100,15 +104,25 @@ _MIN_CUTOFF = 16                # smallest cutoff N a pass takes
 # A _Line's expansion truncation may use this share of the certification
 # target; the line's cutoff is solved for the rest.
 _TAYLOR_SHARE = 1e-3
-# A _Line group reaches x = |d| log N from its centre, and its expansion
-# rounds off about mass (e^x - 1) u more than the direct sum, where
-# mass = sum_{n<N} n^-sigma and u is the unit roundoff.  A group may reach
-# the x where that is _TAYLOR_SHARE of the target too, and at least
-# _TAYLOR_REACH, where it is at most 6.4 mass u: less than the rounding of
-# the direct sum's own phases, mass |t| log N u, at every t >= 2.3 (N >= 16).
-# The sweep of eta_iterated(0.5 + 2140i, 1) takes 2,981 groups of 13 nodes on
-# average in 59 passes, and that at 2 + 1900i 1,072 of 31 in 52.
+# A _Line cell reaches x = |d| log N from its centre, and its expansion
+# rounds off about mass ((e^x - 1) + _PRODUCT_ROUNDING e^x) u more than the
+# direct sum, where mass = sum_{n<N} n^-sigma and u is the unit roundoff:
+# (e^x - 1) from the powers d^k against the moments, and the rest from the
+# centre's phases, each an anchor's times a step's.  A cell may reach the
+# x where that is _TAYLOR_SHARE of the target too, and at least
+# _TAYLOR_REACH, where it is at most 36 mass u: less than the rounding of
+# the direct sum's own phases, mass |t| log N u, at every t >= 13 (N >= 16).
+# The sweep of eta_iterated(0.5 + 2140i, 1) takes 3,282 cells of 12 nodes on
+# average under 463 anchors in 59 passes, and that at 2 + 1900i 1,636 of 21
+# under 248 in 52.
 _TAYLOR_REACH = 2.0
+# Units of roundoff the anchor x step product adds to a cell centre's phase,
+# against one phase formed directly: an ulp in each of the step's cos and
+# sin (sqrt 2 u) and the complex product's own rounding (sqrt 5 u; Brent,
+# Percival and Zimmermann, Math. Comp. 2007).  reach keeps it inside the
+# expansion's share of the target; rem does not count it, as it counts no
+# rounding of the partial sums.
+_PRODUCT_ROUNDING = 4.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Nodes a _Line pass takes at most: the iterated eta sweep evaluates zeta at
 # a block of 32 panels' nodes, in the one call of its integrand that receives
@@ -124,11 +138,19 @@ _BLOCK_NODES = 672
 # at 21 and 210-270 us at 42.  So single points keep the loop, and a panel's
 # 21 nodes take arrays.
 _ARRAY_NODES = 16
-# Groups of a pass whose moments one product takes: their phases n^-ic are
-# (cutoff x 2 x _GROUP_CHUNK) doubles whatever the pass's size.  This keeps
-# the sweep's peak memory at t = 2140 below that of one pass per panel
-# (1.2 against 1.6 MB under tracemalloc), and ran no slower than more.
+# Anchors of a _Line pass whose phases n^-ic one call of _phases forms,
+# (cutoff x 2 x _GROUP_CHUNK) doubles whatever the pass's size; one matrix
+# product takes the moments of up to _ANCHOR_CELLS of their cells.  This
+# keeps the sweep's peak memory at t = 2140 below that of one pass per panel
+# (1.16 against 1.6 MB under tracemalloc).
 _GROUP_CHUNK = 4
+# Every _ANCHOR_CELLS-th cell of a _Line's grid is an anchor: the cells
+# r = 0 .. _ANCHOR_CELLS - 1 from it take their phases as its own times
+# the pass's table of steps n^-irh.  dist tails at T = 1000 (seed 7) formed
+# 148,645 cos and sin pairs at 8, 150,256 at 6 and 169,154 at 4, and the
+# sweeps at 0.8 + 700.3i, 0.5 + 1500.2i and 2 + 1900i together 614,016,
+# 602,232 and 659,734; products of 8 cells ran faster than of 4.
+_ANCHOR_CELLS = 8
 # Heights above this are refused.  Beyond the double path's reach every
 # height goes to mpmath, whose Riemann-Siegel sum grows in time and memory
 # about as sqrt(t).  On 2 cores zeta(0.5 + it) took 0.38 s and peaked at
@@ -272,6 +294,15 @@ class _Ray:
 _MINUS_I_POW = np.array([1, -1j, -1, 1j])      # exact (-i)^k, k mod 4
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal entries of the ascending keys starts, and
+    the run of each entry."""
+    opens = np.empty(keys.size, dtype=bool)
+    opens[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    return np.flatnonzero(opens), np.cumsum(opens) - 1
+
+
 class _Line:
     """One vertical line Re s = sigma, for blocks of nodes on it.  Its nodes
     are the ordinates t, ascending in a block.  The iterated eta sweep
@@ -279,17 +310,21 @@ class _Line:
     _zeta_line the distribution sampler's ordinates.
 
     The line keeps the rows n^-sigma (log n)^k/k!, computed once and grown
-    with the cutoff.  A pass cuts its ordinates greedily into groups no
-    wider than 2 reach / log N; a group with centre c and offsets
-    d_j = t_j - c takes its partial sums from one expansion,
+    with the cutoff.  A pass places its ordinates in the cells of the grid
+    j h, h = 2 reach / log N; an occupied cell with centre c and offsets
+    d_j = t_j - c, |d_j| log N <= reach, takes its partial sums from one
+    expansion,
 
         sum_n n^-(sigma+it_j) = sum_{k<K} (-i d_j)^k M_k,
-        M_k = sum_n n^-(sigma+ic) (log n)^k/k!,
+        M_k = sum_n n^-(sigma+ic) (log n)^k/k!.
 
-    so the moments of _GROUP_CHUNK groups at a time are one real product of
-    the (K x N) rows with the (N x 2 groups) phases n^-ic of their centres,
-    and their nodes' sums one product of the powers d_j^k with them.  K is
-    the smallest order whose truncation bound
+    Cell a R + r (R = _ANCHOR_CELLS, 0 <= r < R) has the centre c_a + r h,
+    c_a = a R h its anchor's, and its phases n^-ic are n^-ic_a n^-irh: the
+    pass forms the table n^-irh once and each anchor's phases once, and
+    each node's offset is (t - c_a) - r h, from the same floats.  The
+    moments of up to R cells are one real product of the (K x N) rows with
+    the (N x 2 cells) phases, and each node's sum its polynomial in d from
+    its cell's moments.  K is the smallest order whose truncation bound
     sum_n n^-sigma (|d| log N)^K/K! e^(|d| log N) is below _TAYLOR_SHARE of
     the certification target 0.25 abs_err at the pass's widest reach; each
     node's own bound is added to its remainder.
@@ -313,10 +348,13 @@ class _Line:
                                (1.0 - _TAYLOR_SHARE) * abs_err)
 
     def reach(self, mass: float) -> float:
-        """The largest x = |d| log N a group may reach at a cutoff where
-        sum_{n<N} n^-sigma is mass."""
+        """The largest x = |d| log N a cell may reach at a cutoff where
+        sum_{n<N} n^-sigma is mass: where the expansion's rounding,
+        mass ((1 + _PRODUCT_ROUNDING) e^x - 1) u, is its share of the
+        target, and at least _TAYLOR_REACH."""
         return max(_TAYLOR_REACH, math.log1p(
-            self._trunc_target / (mass * _UNIT_ROUNDOFF)))
+            self._trunc_target / (mass * _UNIT_ROUNDOFF))
+                   - math.log1p(_PRODUCT_ROUNDING))
 
     def _tables(self, n_cut: int, order: int) -> np.ndarray:
         """The rows k < order, for n = 1 .. n_cut - 1; row 0 is n^-sigma."""
@@ -338,14 +376,9 @@ class _Line:
         return self._rows[:order, :n_cut - 1]
 
     @staticmethod
-    def groups(ts: list[float], width: float) -> list[int]:
-        """Where each group of the ascending ordinates ts starts: cut
-        greedily, each group no wider than width."""
-        starts = [0]
-        while (nxt := bisect.bisect_right(ts, ts[starts[-1]] + width,
-                                          starts[-1])) < len(ts):
-            starts.append(nxt)
-        return starts
+    def cells(t: np.ndarray, h: float) -> np.ndarray:
+        """The cell j of the grid j h nearest each ordinate of t."""
+        return np.rint(t / h).astype(np.int64)
 
     def partial_sums(self, n_cut: int, ts) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -356,12 +389,19 @@ class _Line:
         logn = _LOG_N[:n_cut - 1]
         mass = float(self._tables(n_cut, 1)[0].sum())   # sum n^-sigma
         log_cut = math.log(n_cut)
-        # Group g holds the nodes ends[g] .. ends[g + 1] - 1.
-        ends = np.append(self.groups(t.tolist(),
-                                     2.0 * self.reach(mass) / log_cut), t.size)
-        group = np.repeat(np.arange(ends.size - 1), np.diff(ends))
-        centre = 0.5 * (t[ends[:-1]] + t[ends[1:] - 1])
-        d = t - centre[group]
+        h = 2.0 * self.reach(mass) / log_cut
+        # A node in cell j = a R + r (R = _ANCHOR_CELLS) lies d from the
+        # centre a R h + r h.  Occupied cell k holds the nodes from start[k]
+        # on, and is the r[k]-th of the pass's which[k]-th anchor, whose
+        # cells start at first[which[k]].
+        j = self.cells(t, h)
+        anchor, r = np.divmod(j, _ANCHOR_CELLS)
+        d = (t - anchor * (_ANCHOR_CELLS * h)) - r * h
+        start, owner = _runs(j)
+        first, which = _runs(anchor[start])
+        centre = anchor[start[first]] * (_ANCHOR_CELLS * h)
+        first = np.append(first, start.size)
+        r = r[start]
         x = np.abs(d) * log_cut
         x_max = float(x.max())
         order, bound = 1, mass * math.exp(x_max) * x_max
@@ -369,20 +409,25 @@ class _Line:
             order += 1
             bound *= x_max / order
         rows = self._tables(n_cut, order)
-        minus_i_pow = _MINUS_I_POW[np.arange(order) % 4, None]
-        sums = np.empty(t.size, dtype=np.complex128)
-        for g in range(0, centre.size, _GROUP_CHUNK):
-            c = centre[g:g + _GROUP_CHUNK]
-            nodes = slice(ends[g], ends[g + c.size])
-            # (-i)^k M_k, so that the node sums are real powers d^k times
-            # it, from the (Re, Im) pairs of n^-ic, a column pair per group
-            # centre c; every node against every group's moments, as real
-            # pairs, and each node keeps its own group's sum.
-            moments = (rows @ _phases(logn[:, None], c).view(
-                np.float64)).view(np.complex128) * minus_i_pow
-            part = (np.vander(d[nodes], order, increasing=True)
-                    @ moments.view(np.float64)).view(np.complex128)
-            sums[nodes] = part[np.arange(part.shape[0]), group[nodes] - g]
+        steps = _phases(logn[:, None], np.arange(_ANCHOR_CELLS) * h)
+        # (-i)^k M_k of each cell, so that a node's sum is a polynomial in
+        # its real offset d; from the (Re, Im) pairs of n^-ic, a column pair
+        # per cell centre c.
+        moments = np.empty((order, start.size), dtype=np.complex128)
+        for b in range(0, centre.size, _GROUP_CHUNK):
+            held = _phases(logn[:, None], centre[b:b + _GROUP_CHUNK])
+            stop = first[min(b + _GROUP_CHUNK, centre.size)]
+            for g in range(first[b], stop, _ANCHOR_CELLS):
+                k = slice(g, min(g + _ANCHOR_CELLS, stop))
+                phase = steps.take(r[k], axis=1)
+                phase *= held.take(which[k] - b, axis=1)
+                moments[:, k] = (rows @ phase.view(np.float64)).view(
+                    np.complex128)
+        moments *= _MINUS_I_POW[np.arange(order) % 4, None]
+        sums = moments[-1, owner]
+        for m in moments[-2::-1]:
+            sums *= d
+            sums += m[owner]
         trunc = mass * x ** order / math.factorial(order) * np.exp(x)
         return (self.points(t), sums, trunc,
                 math.exp(self.sigma * -log_cut) * _phases(log_cut, t))
@@ -513,7 +558,7 @@ def _zeta_line(sigma: float, ts,
     at the largest |t|, and ordinate by ordinate only when that one goes.
     The others are sorted and go through _zeta_em on one _Line in blocks of
     _BLOCK_NODES, each block one pass (and one more for the nodes that miss
-    the target), which groups them.
+    the target), which places them in the cells of its grid.
     """
     abs_err = prec.abs_err
     ts = np.asarray(ts, dtype=np.float64)

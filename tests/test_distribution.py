@@ -341,20 +341,21 @@ def test_tail_table_fractions_pinned(store, seed, fractions):
 
 
 def test_measure_sigma_matches_per_sample_zeta(store, monkeypatch):
-    # 100 samples in [1000, 2000] lie about 10 apart, so most groups of the
-    # first pass hold one ordinate; each value is within 0.5 abs_err of zeta
-    # at its sample alone, and the estimate is the one those values give
+    # 100 samples in [1000, 2000] lie about 10 apart, so most occupied cells
+    # of the first pass hold one ordinate; each value is within 0.5 abs_err
+    # of zeta at its sample alone, and the estimate is the one those values
+    # give
     grid = GridSpec(count=100, seed=5)
     ts = _samples(grid, 1000.0, 2000.0, store)
     passes = []
-    cut = _ZETA_MODULE._Line.groups
+    cells = _ZETA_MODULE._Line.cells
 
-    def recorded(ts, width):
-        starts = cut(ts, width)
-        passes.append(np.diff(starts, append=len(ts)))
-        return starts
+    def recorded(t, h):
+        j = cells(t, h)
+        passes.append(np.unique(j, return_counts=True)[1])
+        return j
 
-    monkeypatch.setattr(_ZETA_MODULE._Line, "groups", staticmethod(recorded))
+    monkeypatch.setattr(_ZETA_MODULE._Line, "cells", staticmethod(recorded))
     vals, _ = _ZETA_MODULE._zeta_line(0.5, ts, DEFAULT_PRECISION)
     monkeypatch.undo()
     sizes = passes[0]

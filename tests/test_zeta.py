@@ -459,19 +459,81 @@ def test_escalated_array_pass_fills_each_nodes_slot(monkeypatch):
     assert vals.tolist() == ref_vals and rems.tolist() == ref_rems
 
 
+def _dense_block(store) -> np.ndarray:
+    """The nodes of the block of iterated-sweep panels that ends at
+    t = 2140, as the panel rule places them."""
+    block = _ZETA_MODULE._BLOCK_NODES // _NODES.size
+    panels = _ETA_MODULE._line_panels(2140.0, store)[-block:]
+    return _quadrature_nodes(panels[:, :1], panels[:, 1:]).ravel()
+
+
 @pytest.mark.parametrize("sigma", [-0.9, 0.5, 2.0])
 def test_line_block_of_sweep_panels_against_mpmath(sigma, store):
     # the block of iterated-sweep panels that ends at t = 2140, its nodes
     # placed as the panel rule places them, in one _zeta_em call on a
     # _Line as the sweep makes it: each node within its remainder (plus
     # rounding) of the node alone, and every 8th of the 30-digit value
-    block = _ZETA_MODULE._BLOCK_NODES // _NODES.size
-    panels = _ETA_MODULE._line_panels(2140.0, store)[-block:]
-    ts = _quadrature_nodes(panels[:, :1], panels[:, 1:]).ravel()
+    ts = _dense_block(store)
     assert ts.size == _ZETA_MODULE._BLOCK_NODES
     vals, rems = _ZETA_MODULE._zeta_em(
         _ZETA_MODULE._Line(sigma, _PREC.abs_err), ts, _PREC)
     _check_line_batch(sigma, ts, vals, rems, every=8)
+
+
+@pytest.mark.parametrize("sigma", [-0.9, 0.5, 2.0])
+def test_line_pass_matches_the_direct_sums_of_its_cutoff(sigma, store):
+    # each node's partial sum from its cell's expansion lies within its
+    # truncation bound, the expansion's rounding at the pass's reach (the
+    # anchor x step products included) and both sums' rounding of their
+    # phases' arguments, of the direct sum at the same cutoff: on a dense
+    # block, on ordinates hundreds of cells apart, and on a lone node
+    u = _ZETA_MODULE._UNIT_ROUNDOFF
+    rng = np.random.default_rng(43)
+    sparse = np.cumsum(rng.uniform(150.0, 400.0, 6)) + 20.0
+    for ts in (_dense_block(store), sparse, np.array([1234.567])):
+        line = _ZETA_MODULE._Line(sigma, _PREC.abs_err)
+        n_cut = line.first_cutoff(ts, _PREC.abs_err)
+        _, sums, truncs, _ = line.partial_sums(n_cut, ts)
+        log_n = _ZETA_MODULE._LOG_N[:n_cut - 1]
+        amp = np.exp(-sigma * log_n)
+        mass = float(amp.sum())
+        expansion = mass * u * ((1.0 + _ZETA_MODULE._PRODUCT_ROUNDING)
+                                * math.exp(line.reach(mass)) - 1.0)
+        if ts is sparse:
+            h = 2.0 * line.reach(mass) / math.log(n_cut)
+            assert np.diff(line.cells(ts, h)).min() > 100
+        for t, got, trunc in zip(ts.tolist(), sums, truncs):
+            direct = amp @ _ZETA_MODULE._phases(log_n, t)
+            arguments = 2.0 * u * (1.0 + t * math.log(n_cut)) * mass
+            assert abs(got - direct) <= trunc + expansion + arguments, (
+                sigma, t, abs(got - direct), trunc, expansion, arguments)
+
+
+def test_dense_line_pass_forms_its_phases_once_per_anchor(store,
+                                                          monkeypatch):
+    # the dense block at t = 2140 takes cos and sin for each anchor's
+    # centre, the table of steps and the nodes' N^-it, each a row of at
+    # most N - 1: fewer rows than its occupied cells
+    ts = _dense_block(store)
+    line = _ZETA_MODULE._Line(0.5, _PREC.abs_err)
+    n_cut = line.first_cutoff(ts, _PREC.abs_err)
+    assert ts.size <= n_cut - 1
+    mass = float(np.exp(-0.5 * _ZETA_MODULE._LOG_N[:n_cut - 1]).sum())
+    cells = line.cells(ts, 2.0 * line.reach(mass) / math.log(n_cut))
+    occupied = np.unique(cells)
+    anchors = np.unique(occupied // _ZETA_MODULE._ANCHOR_CELLS).size
+    formed = []
+    phases = _ZETA_MODULE._phases
+
+    def counted(log_n, t):
+        formed.append(np.broadcast(log_n, t).size)
+        return phases(log_n, t)
+
+    monkeypatch.setattr(_ZETA_MODULE, "_phases", counted)
+    line.partial_sums(n_cut, ts)
+    rows = anchors + _ZETA_MODULE._ANCHOR_CELLS + 1
+    assert sum(formed) <= rows * (n_cut - 1)
+    assert rows < occupied.size
 
 
 def test_em_correction_on_arrays_matches_node_by_node():

@@ -16,6 +16,7 @@ seeded set of calls and hands back every value with its est_err:
   p_f           X = 90 and 1000 at sigma = 1/2, t in [0, 2150]
   f_cdf         the poly bump's CDF, d = 1, 4, 10, 600 at x in [0, 1]
   zeta_log_deriv  at sigma in [-1, 3], t in [0, 2150]
+  zeta_line     at sigma = 1/2, t in [1000, 2000], abs_err 1e-8
 
 The m = 3 draws of eta_iterated come after the four lines above them:
 they are where the iterated route's model pieces and panel integrals, each
@@ -26,9 +27,12 @@ log_zeta_with_err draws the real axis, the limit from above; each is read
 with its function's first draws.  The p_f draws sum the primes alone, up
 to X^2: 8100 reads the sieve up to 8192, 10^6 the one up to 2 10^6.
 The f_cdf draws are the weights of dirichlet_poly's terms, read where they
-are made.  zeta's est_err is the abs_err it was asked for, as in the
-bench's points check; dirichlet_poly, p_f, f_cdf and zeta_log_deriv have
-no estimate, so their est_err is 0 and any move reads inf.
+are made.  The zeta_line draws are dist's line and precision, all taken in
+one call of zeta._zeta_line, the path of the distribution sampler, each
+with its remainder bound as est_err.  zeta's est_err is the abs_err it was
+asked for, as in the bench's points check; dirichlet_poly, p_f, f_cdf and
+zeta_log_deriv have no estimate, so their est_err is 0 and any move reads
+inf.
 
 For each function the script prints the largest |new - old| and the
 largest |new - old| / est_err three ways: against the old tree's est_err,
@@ -54,6 +58,7 @@ import sys
 import numpy as np
 
 SEED = 18
+DIST_ABS_ERR = 1e-8     # the precision of dist's CLI on the line sigma = 1/2
 
 
 def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
@@ -86,7 +91,7 @@ def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
             for _ in range(count)]
     out = [call + (None,) for call in out]
     out += [("eta_vertical", 1, complex(0.5, rng.uniform(1000.0, 2000.0)),
-             1e-8) for _ in range(count)]
+             DIST_ABS_ERR) for _ in range(count)]
     out += [("log_zeta_with_err", 0, complex(rng.uniform(-0.99, 3.0), 0.0),
              None) for _ in range(count)]
     out += [("p_f", X, complex(0.5, rng.uniform(0.0, 2150.0)), None)
@@ -96,6 +101,8 @@ def calls(count: int) -> list[tuple[str, int, complex, float | None]]:
     out += [("zeta_log_deriv", 0, complex(rng.uniform(-1.0, 3.0),
                                           rng.uniform(0.0, 2150.0)), None)
             for _ in range(count)]
+    out += [("zeta_line", 0, complex(0.5, rng.uniform(1000.0, 2000.0)),
+             DIST_ABS_ERR) for _ in range(count)]
     return out
 
 
@@ -103,8 +110,13 @@ def evaluate(count: int) -> list:
     """[re, im, est_err] per call of the set, or the refusal's class name,
     from the zeta_eta package on sys.path."""
     import zeta_eta as lib
+    from zeta_eta.zeta import _zeta_line
+    todo = calls(count)
     out = []
-    for name, m, s, abs_err in calls(count):
+    for name, m, s, abs_err in todo:
+        if name == "zeta_line":
+            out.append(None)            # filled below, all in one call
+            continue
         prec = (lib.DEFAULT_PRECISION if abs_err is None
                 else lib.EvalPrecision(abs_err=abs_err))
         try:
@@ -131,6 +143,16 @@ def evaluate(count: int) -> list:
             out.append(type(exc).__name__)
             continue
         out.append([val.real, val.imag, est])
+    line = [j for j, call in enumerate(todo) if call[0] == "zeta_line"]
+    try:
+        vals, rems = _zeta_line(0.5, [todo[j][2].imag for j in line],
+                                lib.EvalPrecision(abs_err=DIST_ABS_ERR))
+        got = [[complex(v).real, complex(v).imag, float(r)]
+               for v, r in zip(vals, rems)]
+    except lib.ZetaEtaError as exc:
+        got = [type(exc).__name__] * len(line)
+    for j, answer in zip(line, got):
+        out[j] = answer
     return out
 
 
